@@ -8,10 +8,12 @@ rounds.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import factorial, gcd
+from operator import mul
 
 from ..errors import ValidationError
-from .polynomials import Polynomial
+from .polynomials import Polynomial, dense_coefficients, from_dense_coefficients
 from .primes import is_prime
 from .rings import (
     ContextHandle,
@@ -51,11 +53,6 @@ class ExactMatrix:
             raise ValidationError("ragged rows")
         return cls(parent, nrows, ncols, [e for r in rows for e in r])
 
-    @classmethod
-    def zero(cls, parent: ContextHandle, nrows: int, ncols: int):
-        domain = domain_for(parent.descriptor)
-        return cls(parent, nrows, ncols, [domain.zero] * (nrows * ncols))
-
     def entry(self, i: int, j: int):
         return self.entries[i * self.ncols + j]
 
@@ -72,14 +69,6 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         entries = [self.entry(i, j) for j in range(self.ncols) for i in range(self.nrows)]
         return ExactMatrix(self.parent, self.ncols, self.nrows, entries)
-
-    def __add__(self, other):
-        self._check_compat(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValidationError("matrix shapes differ")
-        domain = domain_for(self.parent.descriptor)
-        entries = [domain.add(a, b) for a, b in zip(self.entries, other.entries)]
-        return ExactMatrix(self.parent, self.nrows, self.ncols, entries)
 
     def __mul__(self, other):
         self._check_compat(other)
@@ -121,9 +110,8 @@ class ExactMatrix:
 # ----------------------------------------------------------------------------
 
 
-def reduce_poly_mod_prime(p: Polynomial, prime: int) -> Polynomial:
-    """Reduce a polynomial with integer coefficients mod ``prime``."""
-    desc = p.parent.descriptor
+def _reduction_ring(desc, prime: int) -> ContextHandle:
+    """The ring over GF(prime) with the symbols of an integer polynomial ring."""
     if not isinstance(desc, (UnivariatePolyRing, MultivariatePolyRing)):
         raise ValidationError("expected a polynomial over a polynomial ring")
     if not isinstance(desc.base, IntegerRing):
@@ -131,26 +119,24 @@ def reduce_poly_mod_prime(p: Polynomial, prime: int) -> Polynomial:
     if not is_prime(prime):
         raise ValidationError(f"{prime} is not prime")
     if isinstance(desc, UnivariatePolyRing):
-        target_desc = UnivariatePolyRing(PrimeField(prime), desc.symbol)
-    else:
-        target_desc = MultivariatePolyRing(PrimeField(prime), desc.symbols)
-    target = intern_context(target_desc)
-    terms = [(m, c % prime) for m, c in p.terms]
-    return Polynomial(target, [(m, c) for m, c in terms if c != 0])
+        return intern_context(UnivariatePolyRing(PrimeField(prime), desc.symbol))
+    return intern_context(MultivariatePolyRing(PrimeField(prime), desc.symbols))
+
+
+def _reduce_terms(target: ContextHandle, p: Polynomial, prime: int) -> Polynomial:
+    # Reduction keeps the canonical term order, so the trusted constructor fits.
+    return Polynomial(target, [(m, r) for m, c in p.terms if (r := c % prime)])
+
+
+def reduce_poly_mod_prime(p: Polynomial, prime: int) -> Polynomial:
+    """Reduce a polynomial with integer coefficients mod ``prime``."""
+    return _reduce_terms(_reduction_ring(p.parent.descriptor, prime), p, prime)
 
 
 def reduce_mod_prime(m: ExactMatrix, prime: int) -> ExactMatrix:
     """Entry-wise reduction of a matrix over ZZ[t] to one over Fp[t]."""
-    entries = [reduce_poly_mod_prime(e, prime) for e in m.entries]
-    if entries:
-        target = entries[0].parent
-    else:
-        desc = m.parent.descriptor
-        if not isinstance(desc, UnivariatePolyRing) or not isinstance(desc.base, IntegerRing):
-            raise ValidationError("expected a matrix over a univariate ring over ZZ")
-        if not is_prime(prime):
-            raise ValidationError(f"{prime} is not prime")
-        target = intern_context(UnivariatePolyRing(PrimeField(prime), desc.symbol))
+    target = _reduction_ring(m.parent.descriptor, prime)
+    entries = [_reduce_terms(target, e, prime) for e in m.entries]
     return ExactMatrix(target, m.nrows, m.ncols, entries)
 
 
@@ -160,68 +146,66 @@ def reduce_mod_prime(m: ExactMatrix, prime: int) -> ExactMatrix:
 
 
 def _det_mod_p(rows: list[list[int]], p: int) -> int:
-    """Determinant of an integer matrix mod p by Gaussian elimination."""
-    n = len(rows)
+    """Determinant mod p of a square matrix of residues in [0, p), by Gaussian
+    elimination; each step drops the pivot row and column."""
     det = 1
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if rows[r][col] % p:
-                pivot_row = r
+    while rows:
+        for k, row in enumerate(rows):
+            if row[0]:
                 break
-        if pivot_row is None:
+        else:
             return 0
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        if k:
+            rows[0], rows[k] = rows[k], rows[0]
             det = -det
-        pivot = rows[col][col] % p
+        pivot = rows[0][0]
         det = det * pivot % p
         inv = pow(pivot, -1, p)
-        base = rows[col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv % p
-            if factor:
-                row = rows[r]
-                for c in range(col, n):
-                    row[c] = (row[c] - factor * base[c]) % p
+        base = [b * inv % p for b in rows[0][1:]]
+        rows = [
+            [(a - f * b) % p for a, b in zip(row[1:], base)] if (f := row[0]) else row[1:]
+            for row in rows[1:]
+        ]
     return det % p
 
 
-def _eval_poly_mod_p(poly: Polynomial, powers: list[int], p: int) -> int:
-    acc = 0
-    for m, c in poly.terms:
-        acc += c * powers[m[0]]
-    return acc % p
+@lru_cache(maxsize=8)
+def _consecutive_points(count: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Interpolation setup over ZZ for the points 0..D, D = count - 1.
 
-
-def _interpolate_mod_p(xs: list[int], ys: list[int], p: int) -> list[int]:
-    """Dense coefficients of the unique polynomial with poly(xs[i]) = ys[i] mod p."""
-    n = len(xs)
-    # Master polynomial prod (x - x_i), then synthetic division per point.
+    Returns the coefficients of prod (t - i), constant term first, and the
+    Lagrange denominators prod_{j != i} (i - j) = (-1)^(D-i) * i! * (D-i)!.
+    Both are the same for every prime, so they are reduced mod p per call.
+    """
     master = [1]
-    for x in xs:
+    for x in range(count):
         master = [0] + master
         for j in range(len(master) - 1):
-            master[j] = (master[j] - master[j + 1] * x) % p
-    coeffs = [0] * n
-    for x, y in zip(xs, ys):
-        if y == 0:
-            continue
-        # master / (x - x_i) by synthetic division, highest degree first.
-        quotient = [0] * n
-        carry = master[n]
-        for d in range(n - 1, -1, -1):
-            quotient[d] = carry
-            carry = (master[d] + carry * x) % p
-        denom = 0
-        power = 1
-        for q in quotient:
-            denom = (denom + q * power) % p
-            power = power * x % p
-        scale = y * pow(denom, -1, p) % p
-        for d in range(n):
-            coeffs[d] = (coeffs[d] + scale * quotient[d]) % p
-    return coeffs
+            master[j] -= master[j + 1] * x
+    last = count - 1
+    denominators = tuple(
+        (-1) ** (last - i) * factorial(i) * factorial(last - i) for i in range(count)
+    )
+    return tuple(master), denominators
+
+
+def _interpolate_mod_p(ys: list[int], p: int) -> list[int]:
+    """Dense coefficients of the unique polynomial with poly(i) = ys[i] mod p
+    for i = 0..D, constant term first.
+
+    With weights w_i = ys[i] / denominator_i and power sums S_e = sum_i w_i i^e,
+    synthetic division of the master polynomial M by (t - i) gives
+    coefficient k = sum_e M[k + 1 + e] * S_e.
+    """
+    count = len(ys)
+    master, denominators = _consecutive_points(count)
+    master = [c % p for c in master]
+    scaled = [y * pow(d, -1, p) % p for y, d in zip(ys, denominators)]
+    sums = []
+    for _ in range(count):
+        sums.append(sum(scaled) % p)
+        scaled = [w * i % p for i, w in enumerate(scaled)]
+    return [sum(map(mul, master[k + 1 :], sums)) % p for k in range(count)]
 
 
 def det_univariate_over_prime_field(m: ExactMatrix, degree_bound: int) -> Polynomial:
@@ -243,28 +227,16 @@ def det_univariate_over_prime_field(m: ExactMatrix, degree_bound: int) -> Polyno
             f"insufficient evaluation points: p={p} but degree bound is {degree_bound}"
         )
     n = m.nrows
-    max_deg = max((e.degree() for e in m.entries), default=0)
-    max_deg = max(max_deg, 0)
-    xs = list(range(degree_bound + 1))
+    entries = [dense_coefficients(e, e.degree() + 1) for e in m.entries]
+    width = max(map(len, entries), default=0)
     ys = []
-    for x in xs:
-        powers = [1] * (max_deg + 1)
-        for d in range(1, max_deg + 1):
+    for x in range(degree_bound + 1):
+        powers = [1] * width
+        for d in range(1, width):
             powers[d] = powers[d - 1] * x % p
-        rows = [
-            [_eval_poly_mod_p(m.entry(i, j), powers, p) for j in range(n)]
-            for i in range(n)
-        ]
-        ys.append(_det_mod_p(rows, p))
-    coeffs = _interpolate_mod_p(xs, ys, p)
-    return Polynomial(
-        m.parent,
-        sorted(
-            (((d,), c) for d, c in enumerate(coeffs) if c),
-            key=lambda t: t[0],
-            reverse=True,
-        ),
-    )
+        values = [sum(map(mul, e, powers)) % p for e in entries]
+        ys.append(_det_mod_p([values[i * n : (i + 1) * n] for i in range(n)], p))
+    return from_dense_coefficients(m.parent, _interpolate_mod_p(ys, p))
 
 
 # ----------------------------------------------------------------------------

@@ -197,6 +197,21 @@ class Polynomial:
         return " + ".join(parts)
 
 
+def dense_coefficients(p: Polynomial, length: int) -> list:
+    """Coefficients of a univariate polynomial of degree < ``length``,
+    constant term first, with 0 for absent terms."""
+    coeffs = [0] * length
+    for (d,), c in p.terms:
+        coeffs[d] = c
+    return coeffs
+
+
+def from_dense_coefficients(parent: ContextHandle, coeffs) -> Polynomial:
+    """The univariate polynomial with reduced ``coeffs``, constant term first."""
+    terms = [((d,), coeffs[d]) for d in reversed(range(len(coeffs))) if coeffs[d]]
+    return Polynomial(parent, terms)
+
+
 def describe_ring(handle: ContextHandle) -> str:
     d = handle.descriptor
     if isinstance(d, (UnivariatePolyRing, MultivariatePolyRing)):

@@ -60,6 +60,11 @@ def crt_combine_balanced(residues: Iterable[int], moduli: Iterable[int]) -> int:
     The result is the unique r with -M/2 < r <= M/2 for M the product of the
     moduli, so negative integers reconstruct from their nonnegative residues.
     Moduli must be pairwise coprime.
+
+    Garner's mixed-radix fold: each modulus m extends the solution modulo the
+    running product P to one modulo P*m, so one gcd(P, m) per modulus checks
+    coprimality.  With two moduli this is one incremental lift step: the
+    previous (balanced) lift modulo P and a new residue modulo m.
     """
     residues = list(residues)
     moduli = list(moduli)
@@ -70,20 +75,15 @@ def crt_combine_balanced(residues: Iterable[int], moduli: Iterable[int]) -> int:
     for m in moduli:
         if m < 2:
             raise ValidationError(f"modulus must be >= 2, got {m}")
-    for i in range(len(moduli)):
-        for j in range(i + 1, len(moduli)):
-            if math.gcd(moduli[i], moduli[j]) != 1:
-                raise ValidationError(
-                    f"moduli {moduli[i]} and {moduli[j]} are not coprime"
-                )
     product = 1
-    for m in moduli:
-        product *= m
-    acc = 0
+    acc = 0  # the solution so far, in [0, product)
     for r, m in zip(residues, moduli):
-        other = product // m
-        acc += r * other * pow(other, -1, m)
-    acc %= product
+        if math.gcd(product, m) != 1:
+            raise ValidationError(
+                f"modulus {m} is not coprime to the product of the moduli before it"
+            )
+        acc += product * ((r - acc) * pow(product, -1, m) % m)
+        product *= m
     if 2 * acc > product:
         acc -= product
     return acc

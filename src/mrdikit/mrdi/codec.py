@@ -14,6 +14,7 @@ coefficient list from degree zero upward for IPC.
 
 from __future__ import annotations
 
+import re
 import warnings
 from fractions import Fraction
 
@@ -177,23 +178,84 @@ def context_dependency_chain(ctx: ContextHandle) -> list[ContextHandle]:
 # Scalar text encodings
 # ----------------------------------------------------------------------------
 
+# Python refuses int<->str conversions beyond sys.get_int_max_str_digits()
+# (4300 by default).  Larger integers are converted piecewise instead: split
+# by powers 10**(_CHUNK * 2**k), convert pieces of at most _CHUNK digits
+# natively, and join.  The global limit is left alone.
+_CHUNK = 1000
+_LONG_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _long_int_to_text(n: int) -> str:
+    if n < 0:
+        return "-" + _long_int_to_text(-n)
+    powers = [10**_CHUNK]
+    while powers[-1] ** 2 <= n:
+        powers.append(powers[-1] ** 2)
+
+    def digits(v: int, level: int) -> str:  # v < powers[level] ** 2
+        if level < 0:
+            return str(v)
+        high, low = divmod(v, powers[level])
+        if not high:
+            return digits(low, level - 1)
+        return digits(high, level - 1) + digits(low, level - 1).zfill(_CHUNK << level)
+
+    return digits(n, len(powers) - 1)
+
+
+def _long_int_from_text(text: str) -> int:
+    """Decimal text past the digit limit; ValueError unless it is ``[+-]?[0-9]+``."""
+    if not _LONG_DECIMAL.fullmatch(text):
+        raise ValueError(text)
+    powers: dict[int, int] = {}
+
+    def value(digits: str) -> int:
+        if len(digits) <= _CHUNK:
+            return int(digits)
+        width = _CHUNK
+        while 2 * width < len(digits):
+            width *= 2
+        if width not in powers:
+            powers[width] = 10**width
+        return value(digits[:-width]) * powers[width] + value(digits[-width:])
+
+    if text[0] in "+-":
+        magnitude = value(text[1:])
+        return -magnitude if text[0] == "-" else magnitude
+    return value(text)
+
+
 def _int_to_text(n: int) -> str:
-    return str(n)
+    try:
+        return str(n)
+    except ValueError:  # beyond the interpreter's digit limit
+        return _long_int_to_text(n)
+
+
+def _decimal(text: str) -> int:
+    try:
+        return int(text, 10)
+    except ValueError:
+        return _long_int_from_text(text)
 
 
 def _int_from_text(text, where) -> int:
     try:
         if not isinstance(text, str):
             raise ValueError
-        return int(text, 10)
+        try:  # _decimal inlined: this runs once per integer of every document read
+            return int(text, 10)
+        except ValueError:
+            return _long_int_from_text(text)
     except ValueError:
         raise SchemaError(f"{where}: expected a decimal integer, got {text!r}") from None
 
 
 def _fraction_to_text(q: Fraction) -> str:
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_to_text(q.numerator)
+    return f"{_int_to_text(q.numerator)}/{_int_to_text(q.denominator)}"
 
 
 def _fraction_from_text(text, where) -> Fraction:
@@ -202,8 +264,8 @@ def _fraction_from_text(text, where) -> Fraction:
     num, sep, den = text.partition("/")
     try:
         if sep:
-            return Fraction(int(num, 10), int(den, 10))
-        return Fraction(int(num, 10))
+            return Fraction(_decimal(num), _decimal(den))
+        return Fraction(_decimal(num))
     except (ValueError, ZeroDivisionError):
         raise SchemaError(f"{where}: malformed rational {text!r}") from None
 

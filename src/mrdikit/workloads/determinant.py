@@ -1,10 +1,19 @@
 """Determinants of ZZ[t] matrices through modular images and CRT lifting.
 
-Each prime gives one modular image of the determinant (computed by
-evaluation, scalar Gaussian elimination, interpolation); the images are
-combined coefficient-wise with the balanced CRT lift.  Primes are taken
-descending from just below 2^31 until their product clears twice the provable
-coefficient bound, so the signed lift is exact.
+Each prime p gives one modular image det(M mod p) over Fp[t]: the entries
+are reduced once, turned into dense residue lists, evaluated at the points
+0..D (D the degree bound) with one powers table per point, the scalar
+determinants are taken by Gaussian elimination mod p, and the image is
+interpolated from them with a master polynomial prod (t - i) and closed-form
+Lagrange denominators shared by every prime.
+
+The images are lifted coefficient-wise and incrementally: each new prime
+extends every coefficient's balanced lift from modulus P to P*p with one
+Garner step (``crt_combine_balanced`` on two moduli), so no prime is ever
+combined twice.  Provable mode takes primes descending from just below 2^31
+until their product clears twice the coefficient bound, so the signed lift
+is exact.  Heuristic mode stops instead once at least three primes are in
+and two consecutive extensions have left every lifted coefficient unchanged.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from ..algebra.matrices import (
     det_univariate_over_prime_field,
     reduce_mod_prime,
 )
-from ..algebra.polynomials import Polynomial
+from ..algebra.polynomials import Polynomial, dense_coefficients, from_dense_coefficients
 from ..algebra.primes import crt_combine_balanced, descending_primes
 from ..algebra.rings import IntegerRing, UnivariatePolyRing
 from ..errors import ValidationError
@@ -88,15 +97,13 @@ def _usable_primes(stream: Iterator[int], floor: int) -> Iterator[int]:
             yield p
 
 
-def _combine(matrix, residue_polys, primes) -> Polynomial:
-    degrees = sorted({mono[0] for poly in residue_polys for mono, _ in poly.terms})
-    terms = []
-    for degree in degrees:
-        residues = [poly.coefficient((degree,)) for poly in residue_polys]
-        lifted = crt_combine_balanced(residues, primes)
-        if lifted:
-            terms.append(((degree,), lifted))
-    return Polynomial.from_terms(matrix.parent, terms)
+def _extend_lift(lifted: list[int], modulus: int, image: Polynomial, p: int) -> list[int]:
+    """Extend every coefficient's balanced lift from ``modulus`` to ``modulus * p``
+    with the coefficients of one modular image; ``modulus`` 1 starts the lift."""
+    residues = dense_coefficients(image, len(lifted))
+    if modulus == 1:
+        return [crt_combine_balanced([r], [p]) for r in residues]
+    return [crt_combine_balanced([x, r], [modulus, p]) for x, r in zip(lifted, residues)]
 
 
 def modular_determinant(
@@ -133,6 +140,8 @@ def modular_determinant(
             return [det_mod_p(m, p) for p in primes]
         return pool.parallel_map("det_mod_p", [(m, p) for p in primes])
 
+    lifted = [0] * (bound_d + 1)
+    modulus = 1
     if not heuristic:
         primes = []
         product = 1
@@ -143,18 +152,18 @@ def modular_determinant(
                 raise ValidationError("prime stream exhausted before clearing the bound")
             primes.append(p)
             product *= p
-        residues = run_batch(primes)
+        for p, image in zip(primes, run_batch(primes)):
+            lifted = _extend_lift(lifted, modulus, image, p)
+            modulus *= p
         if job is not None:
             job.primes = list(primes)
-        return _combine(m, residues, primes)
+        return from_dense_coefficients(m.parent, lifted)
 
     # Heuristic: extend prime by prime until two consecutive extensions leave
-    # the lifted polynomial unchanged.  Batches only affect how much work is
+    # the lifted coefficients unchanged.  Batches only affect how much work is
     # wasted past the stopping point, never the result.
     batch = max(len(pool.workers), 1) if pool is not None else 1
     primes: list[int] = []
-    residues: list[Polynomial] = []
-    previous = None
     stable = 0
     while True:
         fresh = []
@@ -163,17 +172,16 @@ def modular_determinant(
                 fresh.append(next(stream))
             except StopIteration:
                 raise ValidationError("prime stream exhausted during heuristic run")
-        new_residues = run_batch(fresh)
-        for p, r in zip(fresh, new_residues):
-            primes.append(p)
-            residues.append(r)
-            combined = _combine(m, residues, primes)
-            if previous is not None and combined == previous:
+        for p, image in zip(fresh, run_batch(fresh)):
+            extended = _extend_lift(lifted, modulus, image, p)
+            if primes and extended == lifted:
                 stable += 1
             else:
                 stable = 0
-            previous = combined
+            primes.append(p)
+            lifted = extended
+            modulus *= p
             if len(primes) >= 3 and stable >= 2:
                 if job is not None:
                     job.primes = list(primes)
-                return combined
+                return from_dense_coefficients(m.parent, lifted)

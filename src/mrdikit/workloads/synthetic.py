@@ -43,7 +43,7 @@ def detcrt_instance(seed: int = DETCRT_SEED) -> ExactMatrix:
 
 
 def kernel_instance(seed: int = KERNEL_SEED) -> MonomialMap:
-    """A 6-variable monomial map onto 3 variables with degree-3 single-term images.
+    """A 6-variable monomial map onto 3 variables with degree-2 single-term images.
 
     All images share one target degree, so each multidegree meets a single
     total degree and the per-degree grouping covers its full kernel component.

@@ -10,6 +10,7 @@ from mrdikit.algebra import (
     univariate_ring,
 )
 from mrdikit.errors import ValidationError
+from mrdikit.ipc import spawn_pool
 from mrdikit.workloads import (
     DetJob,
     coefficient_bound,
@@ -130,6 +131,34 @@ def test_heuristic_mode_agrees():
     for _ in range(5):
         m = random_zz_t_matrix(rng, 3, max_deg=3, coeff_range=10**6)
         assert modular_determinant(m, heuristic=True) == modular_determinant(m)
+
+
+def test_heuristic_matches_provable_on_a_many_prime_lift():
+    # Coefficients near 10^40 put det coefficients near 10^245, so the lift
+    # runs over more than twenty primes before the heuristic may stop.
+    rng = random.Random(80)
+    Rt, _ = zz_t()
+    rows = [
+        [
+            Polynomial.from_terms(Rt, [((d,), rng.randint(-(10**40), 10**40)) for d in range(5)])
+            for _ in range(6)
+        ]
+        for _ in range(6)
+    ]
+    m = ExactMatrix.from_rows(Rt, rows)
+    provable = modular_determinant(m)
+    job = DetJob(m, 0, 0)
+    assert modular_determinant(m, heuristic=True, job=job) == provable
+    assert len(job.primes) >= 20
+    with spawn_pool(2) as pool:
+        assert modular_determinant(m, pool=pool, heuristic=True) == provable
+
+
+def test_det_mod_p_rejects_composite_modulus():
+    Rt, t = zz_t()
+    m = ExactMatrix.from_rows(Rt, [[t]])
+    with pytest.raises(ValidationError):
+        det_mod_p(m, 10005)
 
 
 def test_det_mod_p_is_the_modular_image():

@@ -190,6 +190,8 @@ def test_crt_examples():
 def test_crt_rejects_noncoprime():
     with pytest.raises(ValidationError):
         crt_combine_balanced([1, 2], [6, 4])
+    with pytest.raises(ValidationError):
+        crt_combine_balanced([1, 2, 3], [3, 5, 9])  # 9 shares 3 with the product 15
 
 
 def test_crt_rejects_length_mismatch():
@@ -215,6 +217,13 @@ def test_crt_recovers_signed_integers():
             if product > 2 * abs(r):
                 break
         assert crt_combine_balanced([r % p for p in chosen], chosen) == r
+        # One incremental step: the balanced lift modulo the composite product
+        # of all but the last prime (often negative), extended by the last.
+        if len(chosen) > 2:
+            head, last = chosen[:-1], chosen[-1]
+            previous = crt_combine_balanced([r % p for p in head], head)
+            modulus = product // last
+            assert crt_combine_balanced([previous, r % last], [modulus, last]) == r
 
 
 # -- rational row reduction ---------------------------------------------------

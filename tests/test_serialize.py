@@ -16,6 +16,7 @@ from mrdikit.algebra import (
 from mrdikit.errors import (
     ContextNotPreloadedError,
     DanglingReferenceError,
+    SchemaError,
     UnsupportedTypeError,
 )
 from mrdikit.mrdi import (
@@ -62,6 +63,34 @@ def test_roundtrip_scalars():
     assert roundtrip(-(10**60)) == -(10**60)
     assert roundtrip(Fraction(-3, 7)) == Fraction(-3, 7)
     assert roundtrip(Fraction(5)) == Fraction(5)
+
+
+def test_integers_past_the_str_digit_limit_roundtrip():
+    # Python's int<->str conversion stops at 4300 digits by default.
+    exact = 10**99_999 + 123
+    big = random.Random(4300).getrandbits(332_200)
+    Rt, t = univariate_ring(ZZ, "t")
+    values = [exact, -big, Fraction(big, exact), t.scale(big) - Polynomial.constant(Rt, exact)]
+    for mode in (Mode.LONG_TERM, Mode.IPC):
+        gs = GlobalSerializerState()
+        register_context(gs, Rt)
+        for value in values:
+            raw = serialize_text(save(value, SerializerState(mode, gs)))
+            got = load(parse_text(raw), DeserializerState(mode, gs))
+            assert got == value
+            assert serialize_text(save(got, SerializerState(mode, gs))) == raw
+    raw = serialize_text(save(exact, SerializerState(Mode.IPC, GlobalSerializerState())))
+    assert b'"1' + b"0" * 99_996 + b'123"' in raw
+
+
+def test_long_malformed_integers_rejected():
+    gs = GlobalSerializerState()
+    for text in ["1" * 5000 + "x", "1_" * 5000 + "1", "--" + "1" * 5000]:
+        with pytest.raises(SchemaError, match="expected a decimal integer"):
+            load(MrdiDocument(TypeNode("ZZRingElem"), text), DeserializerState(Mode.IPC, gs))
+    with pytest.raises(SchemaError, match="malformed rational"):
+        doc = MrdiDocument(TypeNode("QQFieldElem"), "1/" + "2" * 5000 + "x")
+        load(doc, DeserializerState(Mode.IPC, gs))
 
 
 def test_roundtrip_polynomials():
