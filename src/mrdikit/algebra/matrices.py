@@ -1,20 +1,20 @@
 """Exact matrices over an interned ring, with the linear algebra the workloads need.
 
-Everything here is exact: rational row reduction uses ``Fraction``, prime
-field determinants use machine integers reduced mod p, and nothing ever
-rounds.
+Everything here is exact: rational row reduction uses ``Fraction``, modular
+determinants use integers reduced mod p, or mod a product of several primes
+to serve them all in one pass, and nothing ever rounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from operator import mul
 
 from ..errors import ValidationError
 from .polynomials import Polynomial, dense_coefficients, from_dense_coefficients
-from .primes import is_prime
+from .primes import crt_combine_balanced, is_prime
 from .rings import (
     ContextHandle,
     IntegerRing,
@@ -141,71 +141,122 @@ def reduce_mod_prime(m: ExactMatrix, prime: int) -> ExactMatrix:
 
 
 # ----------------------------------------------------------------------------
-# Determinants over Fp[t] by evaluation + interpolation
+# Determinants over Fp[t], one or several primes per pass, by evaluation +
+# interpolation
 # ----------------------------------------------------------------------------
 
 
-def _det_mod_p(rows: list[list[int]], p: int) -> int:
-    """Determinant mod p of a square matrix of residues in [0, p), by Gaussian
-    elimination; each step drops the pivot row and column."""
-    det = 1
+def _det_mod(rows: list[list[int]], q: int, primes) -> int:
+    """Determinant mod q of a square matrix of residues in [0, q), where q is
+    the product of ``primes``, by Gaussian elimination; each step drops the
+    pivot row and column.
+
+    Pivots must be units mod q.  Rows are eliminated without dividing by the
+    pivot (row * pivot - row[0] * pivot row), so one inverse of the product
+    of those scalings at the end replaces one inverse per pivot.  A column
+    without a unit pivot has an entry divisible by some prime of the group in
+    every row; the remaining minor is then finished prime by prime and
+    recombined by CRT.
+    """
+    det = scale = 1
     while rows:
         for k, row in enumerate(rows):
-            if row[0]:
+            if gcd(row[0], q) == 1:
                 break
         else:
-            return 0
+            if len(primes) == 1:
+                return 0
+            minors = [_det_mod([[a % p for a in row] for row in rows], p, (p,)) for p in primes]
+            det *= crt_combine_balanced(minors, primes)
+            break
         if k:
             rows[0], rows[k] = rows[k], rows[0]
             det = -det
         pivot = rows[0][0]
-        det = det * pivot % p
-        inv = pow(pivot, -1, p)
-        base = [b * inv % p for b in rows[0][1:]]
-        rows = [
-            [(a - f * b) % p for a, b in zip(row[1:], base)] if (f := row[0]) else row[1:]
-            for row in rows[1:]
-        ]
-    return det % p
+        det = det * pivot % q
+        base = rows[0][1:]
+        remaining = []
+        for row in rows[1:]:
+            if f := row[0]:
+                remaining.append([(a * pivot - f * b) % q for a, b in zip(row[1:], base)])
+                scale = scale * pivot % q
+            else:
+                remaining.append(row[1:])
+        rows = remaining
+    return det * pow(scale, -1, q) % q
 
 
 @lru_cache(maxsize=8)
-def _consecutive_points(count: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Interpolation setup over ZZ for the points 0..D, D = count - 1.
-
-    Returns the coefficients of prod (t - i), constant term first, and the
-    Lagrange denominators prod_{j != i} (i - j) = (-1)^(D-i) * i! * (D-i)!.
-    Both are the same for every prime, so they are reduced mod p per call.
-    """
+def _master_polynomial(count: int) -> tuple[int, ...]:
+    """Coefficients of prod (t - i) over i = 0..count-1, over ZZ, constant
+    term first.  The same for every modulus, so it is reduced per call."""
     master = [1]
     for x in range(count):
         master = [0] + master
         for j in range(len(master) - 1):
             master[j] -= master[j + 1] * x
-    last = count - 1
-    denominators = tuple(
-        (-1) ** (last - i) * factorial(i) * factorial(last - i) for i in range(count)
-    )
-    return tuple(master), denominators
+    return tuple(master)
 
 
-def _interpolate_mod_p(ys: list[int], p: int) -> list[int]:
-    """Dense coefficients of the unique polynomial with poly(i) = ys[i] mod p
-    for i = 0..D, constant term first.
+def _interpolate_mod(ys: list[int], q: int) -> list[int]:
+    """Dense coefficients of the unique polynomial with poly(i) = ys[i] mod q
+    for i = 0..D, constant term first; every prime factor of q exceeds D, so
+    every Lagrange denominator prod_{j != i} (i - j) = (-1)^(D-i) * i! * (D-i)!
+    is a unit, and one inverse of D! gives all their inverses.
 
     With weights w_i = ys[i] / denominator_i and power sums S_e = sum_i w_i i^e,
     synthetic division of the master polynomial M by (t - i) gives
     coefficient k = sum_e M[k + 1 + e] * S_e.
     """
     count = len(ys)
-    master, denominators = _consecutive_points(count)
-    master = [c % p for c in master]
-    scaled = [y * pow(d, -1, p) % p for y, d in zip(ys, denominators)]
+    last = count - 1
+    master = [c % q for c in _master_polynomial(count)]
+    inverse_factorials = [1] * count
+    inverse_factorials[last] = pow(factorial(last), -1, q)
+    for i in range(last, 0, -1):
+        inverse_factorials[i - 1] = inverse_factorials[i] * i % q
+    scaled = [
+        (-y if (last - i) % 2 else y) * inverse_factorials[i] * inverse_factorials[last - i] % q
+        for i, y in enumerate(ys)
+    ]
     sums = []
     for _ in range(count):
-        sums.append(sum(scaled) % p)
-        scaled = [w * i % p for i, w in enumerate(scaled)]
-    return [sum(map(mul, master[k + 1 :], sums)) % p for k in range(count)]
+        sums.append(sum(scaled) % q)
+        scaled = [w * i % q for i, w in enumerate(scaled)]
+    return [sum(map(mul, master[k + 1 :], sums)) % q for k in range(count)]
+
+
+def _det_images(entries: list[list[int]], n: int, primes, degree_bound: int) -> list[list[int]]:
+    """det mod p for each prime p of a group, as dense coefficient lists of
+    length degree_bound + 1, of the n x n matrix whose row-major entries have
+    the integer coefficient lists ``entries`` (constant term first).
+
+    One pass serves the whole group: the entries are reduced modulo the
+    product q of the primes, evaluated at 0..D with one powers table per
+    point, eliminated mod q and interpolated mod q.  Every prime must exceed
+    the degree bound and the primes must be distinct.
+    """
+    for p in primes:
+        if p <= degree_bound:
+            raise ValidationError(
+                f"insufficient evaluation points: p={p} but degree bound is {degree_bound}"
+            )
+    q = prod(primes)
+    entries = [[c % q for c in e] for e in entries]
+    width = max(map(len, entries), default=0)
+    ys = []
+    for x in range(degree_bound + 1):
+        powers = [1] * width
+        for d in range(1, width):
+            powers[d] = powers[d - 1] * x % q
+        values = [sum(map(mul, e, powers)) % q for e in entries]
+        ys.append(_det_mod([values[i * n : (i + 1) * n] for i in range(n)], q, primes))
+    coefficients = _interpolate_mod(ys, q)
+    return [[c % p for c in coefficients] for p in primes]
+
+
+def _dense_entries(m: ExactMatrix) -> list[list[int]]:
+    return [dense_coefficients(e, e.degree() + 1) for e in m.entries]
 
 
 def det_univariate_over_prime_field(m: ExactMatrix, degree_bound: int) -> Polynomial:
@@ -221,22 +272,31 @@ def det_univariate_over_prime_field(m: ExactMatrix, degree_bound: int) -> Polyno
         raise ValidationError("determinant of a nonsquare matrix")
     if degree_bound < 0:
         raise ValidationError("degree bound must be nonnegative")
-    p = desc.base.p
-    if p <= degree_bound:
-        raise ValidationError(
-            f"insufficient evaluation points: p={p} but degree bound is {degree_bound}"
-        )
-    n = m.nrows
-    entries = [dense_coefficients(e, e.degree() + 1) for e in m.entries]
-    width = max(map(len, entries), default=0)
-    ys = []
-    for x in range(degree_bound + 1):
-        powers = [1] * width
-        for d in range(1, width):
-            powers[d] = powers[d - 1] * x % p
-        values = [sum(map(mul, e, powers)) % p for e in entries]
-        ys.append(_det_mod_p([values[i * n : (i + 1) * n] for i in range(n)], p))
-    return from_dense_coefficients(m.parent, _interpolate_mod_p(ys, p))
+    (image,) = _det_images(_dense_entries(m), m.nrows, (desc.base.p,), degree_bound)
+    return from_dense_coefficients(m.parent, image)
+
+
+def det_univariate_mod_primes(m: ExactMatrix, primes, degree_bound: int) -> list[list[int]]:
+    """The images det(m mod p) of a square matrix over ZZ[t], one dense
+    coefficient list (constant term first, length degree_bound + 1) per prime
+    of ``primes``, all computed in one pass modulo their product.
+
+    Requires distinct primes, each greater than degree_bound.
+    """
+    desc = m.parent.descriptor
+    if not isinstance(desc, UnivariatePolyRing) or not isinstance(desc.base, IntegerRing):
+        raise ValidationError("expected a matrix over a univariate polynomial ring over ZZ")
+    if not m.is_square:
+        raise ValidationError("determinant of a nonsquare matrix")
+    if degree_bound < 0:
+        raise ValidationError("degree bound must be nonnegative")
+    primes = tuple(primes)
+    for p in primes:
+        if not is_prime(p):
+            raise ValidationError(f"{p} is not prime")
+    if len(set(primes)) != len(primes):
+        raise ValidationError(f"repeated prime in {list(primes)}")
+    return _det_images(_dense_entries(m), m.nrows, primes, degree_bound)
 
 
 # ----------------------------------------------------------------------------

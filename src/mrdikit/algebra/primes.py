@@ -7,17 +7,24 @@ from typing import Iterable, Iterator
 
 from ..errors import ValidationError
 
-# Deterministic Miller-Rabin witness set for n < 3.3 * 10^24, which covers
-# every modulus this package generates (machine-width primes) with room to
-# spare for user-supplied ones.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as Miller-Rabin witnesses decide primality for every
+# n below psi_13 = 3317044064679887385961981, the least strong pseudoprime to
+# all of them (Sorenson & Webster, 2015); the first 12 stop at psi_12 ~ 3.19e23.
+# That covers every modulus this package generates (machine-width primes)
+# with room to spare for user-supplied ones.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic primality test for n < ``_MR_BOUND``; larger n raise
+    ValidationError, since the witness set no longer decides them."""
     if n < 2:
         return False
+    if n >= _MR_BOUND:
+        raise ValidationError(f"primality of {n} is not decided: moduli must be below {_MR_BOUND}")
     for p in _SMALL_PRIMES:
         if n == p:
             return True

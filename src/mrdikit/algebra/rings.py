@@ -207,11 +207,12 @@ class RationalDomain:
 class PrimeFieldDomain:
     """Residues stored as plain ints in [0, p)."""
 
-    def __init__(self, p: int):
-        self.p = p
-        self.descriptor = PrimeField(p)
+    def __init__(self, descriptor: PrimeField):
+        # The descriptor validated p when it was built; no second primality test.
+        self.p = descriptor.p
+        self.descriptor = descriptor
         self.zero = 0
-        self.one = 1 % p
+        self.one = 1 % self.p
 
     def coerce(self, value):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -280,7 +281,7 @@ def domain_for(descriptor: RingDescriptor):
     if isinstance(descriptor, RationalField):
         return RationalDomain
     if isinstance(descriptor, PrimeField):
-        return PrimeFieldDomain(descriptor.p)
+        return PrimeFieldDomain(descriptor)
     if isinstance(descriptor, (UnivariatePolyRing, MultivariatePolyRing)):
         return PolynomialDomain(intern_context(descriptor))
     raise ValidationError(f"no coefficient domain for {descriptor!r}")

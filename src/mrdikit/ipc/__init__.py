@@ -12,7 +12,7 @@ from .framing import (
     write_message,
 )
 from .pool import WorkerHandle, WorkerPool, default_worker_command, spawn_pool
-from .registry import lookup, register_function, registered_names
+from .registry import lookup, register_function
 from .worker import worker_main
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "lookup",
     "read_message",
     "register_function",
-    "registered_names",
     "spawn_pool",
     "worker_main",
     "write_message",

@@ -29,10 +29,6 @@ def lookup(name: str) -> Optional[Callable]:
     return _FUNCTIONS.get(name)
 
 
-def registered_names() -> list[str]:
-    return sorted(_FUNCTIONS)
-
-
 @register_function("identity")
 def _identity(value):
     return value

@@ -14,9 +14,9 @@ coefficient list from degree zero upward for IPC.
 
 from __future__ import annotations
 
-import re
 import warnings
 from fractions import Fraction
+from math import gcd
 
 from ..algebra.polynomials import Polynomial
 from ..algebra.matrices import ExactMatrix
@@ -183,7 +183,6 @@ def context_dependency_chain(ctx: ContextHandle) -> list[ContextHandle]:
 # by powers 10**(_CHUNK * 2**k), convert pieces of at most _CHUNK digits
 # natively, and join.  The global limit is left alone.
 _CHUNK = 1000
-_LONG_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 def _long_int_to_text(n: int) -> str:
@@ -205,8 +204,10 @@ def _long_int_to_text(n: int) -> str:
 
 
 def _long_int_from_text(text: str) -> int:
-    """Decimal text past the digit limit; ValueError unless it is ``[+-]?[0-9]+``."""
-    if not _LONG_DECIMAL.fullmatch(text):
+    """Canonical decimal text (see ``_int_from_text``) past the digit limit;
+    ValueError for any other text."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()) or digits[0] == "0":
         raise ValueError(text)
     powers: dict[int, int] = {}
 
@@ -220,9 +221,8 @@ def _long_int_from_text(text: str) -> int:
             powers[width] = 10**width
         return value(digits[:-width]) * powers[width] + value(digits[-width:])
 
-    if text[0] in "+-":
-        magnitude = value(text[1:])
-        return -magnitude if text[0] == "-" else magnitude
+    if text[0] == "-":
+        return -value(text[1:])
     return value(text)
 
 
@@ -233,23 +233,34 @@ def _int_to_text(n: int) -> str:
         return _long_int_to_text(n)
 
 
-def _decimal(text: str) -> int:
-    try:
-        return int(text, 10)
-    except ValueError:
-        return _long_int_from_text(text)
-
-
 def _int_from_text(text, where) -> int:
-    try:
-        if not isinstance(text, str):
-            raise ValueError
-        try:  # _decimal inlined: this runs once per integer of every document read
-            return int(text, 10)
-        except ValueError:
-            return _long_int_from_text(text)
-    except ValueError:
-        raise SchemaError(f"{where}: expected a decimal integer, got {text!r}") from None
+    """The integer written as canonical decimal text: ASCII ``0`` or
+    ``-?[1-9][0-9]*``, the only form ``_int_to_text`` writes.  Other text that
+    ``int`` would accept (`` 5``, ``+5``, ``05``, ``1_000``, non-ASCII digits)
+    raises SchemaError, so every integer read re-serializes to the same bytes.
+    """
+    if isinstance(text, str):
+        try:
+            value = int(text)
+        except ValueError:  # malformed, or beyond the interpreter's digit limit
+            try:
+                return _long_int_from_text(text)
+            except ValueError:
+                pass
+        else:
+            # int() took an integer literal, so only its ends, underscores and
+            # non-ASCII digits can be non-canonical (every ASCII character
+            # int() strips as whitespace is at most " ").  This runs for every
+            # integer read, so it avoids a pass over every digit.
+            first = text[0]
+            if (
+                ("1" <= first <= "9" or text == "0" or (first == "-" and "1" <= text[1] <= "9"))
+                and text.isascii()
+                and "_" not in text
+                and text[-1] > " "
+            ):
+                return value
+    raise SchemaError(f"{where}: expected a decimal integer, got {text!r}")
 
 
 def _fraction_to_text(q: Fraction) -> str:
@@ -263,11 +274,14 @@ def _fraction_from_text(text, where) -> Fraction:
         raise SchemaError(f"{where}: expected a rational as text, got {text!r}")
     num, sep, den = text.partition("/")
     try:
-        if sep:
-            return Fraction(_decimal(num), _decimal(den))
-        return Fraction(_decimal(num))
-    except (ValueError, ZeroDivisionError):
+        numerator = _int_from_text(num, where)
+        denominator = _int_from_text(den, where) if sep else 1
+    except SchemaError:
         raise SchemaError(f"{where}: malformed rational {text!r}") from None
+    # Canonical text writes a denominator only in lowest terms and when it is at least 2.
+    if sep and (denominator < 2 or gcd(numerator, denominator) != 1):
+        raise SchemaError(f"{where}: malformed rational {text!r}")
+    return Fraction(numerator, denominator)
 
 
 def _encode_base_value(desc: RingDescriptor, value, mode: Mode):
@@ -337,12 +351,13 @@ def _decode_poly_data(ring: ContextHandle, data, state: DeserializerState, where
     if isinstance(desc, UnivariatePolyRing):
         if state.mode is Mode.LONG_TERM:
             for i, pair in enumerate(data):
+                at = f"{where}/{i}"
                 if not isinstance(pair, list) or len(pair) != 2:
-                    raise SchemaError(f"{where}/{i}: expected a [degree, coefficient] pair")
-                degree = _int_from_text(pair[0], f"{where}/{i}")
+                    raise SchemaError(f"{at}: expected a [degree, coefficient] pair")
+                degree = _int_from_text(pair[0], at)
                 if degree < 0:
-                    raise SchemaError(f"{where}/{i}: negative degree")
-                coeff = _decode_base_value(base, pair[1], state, f"{where}/{i}")
+                    raise SchemaError(f"{at}: negative degree")
+                coeff = _decode_base_value(base, pair[1], state, at)
                 terms.append(((degree,), coeff))
         else:
             for d, raw in enumerate(data):
@@ -351,14 +366,15 @@ def _decode_poly_data(ring: ContextHandle, data, state: DeserializerState, where
     else:
         arity = len(desc.symbols)
         for i, pair in enumerate(data):
+            at = f"{where}/{i}"
             if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], list):
-                raise SchemaError(f"{where}/{i}: expected an [exponents, coefficient] pair")
+                raise SchemaError(f"{at}: expected an [exponents, coefficient] pair")
             if len(pair[0]) != arity:
                 raise SchemaError(
-                    f"{where}/{i}: exponent vector has length {len(pair[0])}, ring has {arity}"
+                    f"{at}: exponent vector has length {len(pair[0])}, ring has {arity}"
                 )
-            mono = tuple(_int_from_text(e, f"{where}/{i}") for e in pair[0])
-            coeff = _decode_base_value(base, pair[1], state, f"{where}/{i}")
+            mono = tuple(_int_from_text(e, at) for e in pair[0])
+            coeff = _decode_base_value(base, pair[1], state, at)
             terms.append((mono, coeff))
     return Polynomial.from_terms(ring, terms)
 

@@ -59,10 +59,6 @@ class GlobalSerializerState:
         with self._lock:
             return self._uuid_to_ctx.get(uuid_key)
 
-    def known_uuids(self) -> set[str]:
-        with self._lock:
-            return set(self._uuid_to_ctx)
-
 
 class SerializerState:
     """Per-save bookkeeping: mode, the refs accumulated for this document, and

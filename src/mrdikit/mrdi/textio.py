@@ -152,14 +152,3 @@ def parse_text(raw: bytes) -> MrdiDocument:
         raise SchemaError(f"malformed JSON: {exc}") from exc
     return _parse_doc(obj, "$", True)
 
-
-def write_file(doc: MrdiDocument, path) -> bytes:
-    data = serialize_text(doc)
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return data
-
-
-def read_file(path) -> MrdiDocument:
-    with open(path, "rb") as fh:
-        return parse_text(fh.read())

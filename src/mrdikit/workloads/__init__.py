@@ -3,6 +3,7 @@ from .determinant import (
     coefficient_bound,
     degree_bound,
     det_mod_p,
+    det_mod_primes,
     modular_determinant,
 )
 from .kernel import MonomialMap, components_of_kernel, evaluate_map, kernel_block
@@ -15,6 +16,7 @@ __all__ = [
     "components_of_kernel",
     "degree_bound",
     "det_mod_p",
+    "det_mod_primes",
     "detcrt_instance",
     "evaluate_map",
     "kernel_block",

@@ -7,17 +7,22 @@ from mrdikit.algebra import (
     ExactMatrix,
     Polynomial,
     descending_primes,
+    reduce_poly_mod_prime,
     univariate_ring,
 )
+from mrdikit.algebra.polynomials import dense_coefficients
 from mrdikit.errors import ValidationError
 from mrdikit.ipc import spawn_pool
+from mrdikit.mrdi import GlobalSerializerState, Mode, SerializerState, save, serialize_text
 from mrdikit.workloads import (
     DetJob,
     coefficient_bound,
     degree_bound,
     det_mod_p,
+    det_mod_primes,
     modular_determinant,
 )
+from mrdikit.workloads import determinant
 from test_linalg import cofactor_det, random_zz_t_matrix
 
 
@@ -165,6 +170,86 @@ def test_det_mod_p_is_the_modular_image():
     rng = random.Random(79)
     m = random_zz_t_matrix(rng, 3, max_deg=2, coeff_range=50)
     p = 10007
-    from mrdikit.algebra import reduce_poly_mod_prime
-
     assert det_mod_p(m, p) == reduce_poly_mod_prime(cofactor_det(m), p)
+
+
+def oracle_images(m, primes):
+    det = cofactor_det(m)
+    length = degree_bound(m) + 1
+    return [dense_coefficients(reduce_poly_mod_prime(det, p), length) for p in primes]
+
+
+def test_grouped_images_equal_per_prime_images():
+    rng = random.Random(81)
+    stream = descending_primes(2**31)
+    primes = [next(stream) for _ in range(8)] + [10007, 65537]
+    for _ in range(10):
+        m = random_zz_t_matrix(rng, rng.randrange(1, 6), max_deg=3, coeff_range=10**12)
+        group = rng.sample(primes, rng.randrange(1, len(primes) + 1))
+        expected = oracle_images(m, group)
+        assert det_mod_primes(m, group) == expected
+        length = degree_bound(m) + 1
+        assert [dense_coefficients(det_mod_p(m, p), length) for p in group] == expected
+
+
+def test_grouped_images_without_a_unit_pivot():
+    # The first column vanishes mod 10007 but not mod 10009, so at every
+    # evaluation point no entry of it is a unit mod 10007 * 10009 and the
+    # elimination finishes prime by prime.
+    rng = random.Random(82)
+    Rt, _ = zz_t()
+    base = random_zz_t_matrix(rng, 4, max_deg=2, coeff_range=10**4)
+    rows = base.rows()
+    for row in rows:
+        row[0] = row[0].scale(10007) + Polynomial.constant(Rt, 10007 * rng.randint(1, 9))
+    m = ExactMatrix.from_rows(Rt, rows)
+    images = det_mod_primes(m, [10007, 10009])
+    assert images == oracle_images(m, [10007, 10009])
+    assert not any(images[0]) and any(images[1])
+    # A third column divisible by 10009 stays so through the first two
+    # steps, so the prime-by-prime finish starts from a partly eliminated matrix.
+    rows = [list(r) for r in base.rows()]
+    for row in rows:
+        row[2] = row[2].scale(10009)
+    m = ExactMatrix.from_rows(Rt, rows)
+    assert det_mod_primes(m, [10007, 10009, 65537]) == oracle_images(m, [10007, 10009, 65537])
+
+
+def test_grouped_images_validate_the_group():
+    Rt, t = zz_t()
+    m = ExactMatrix.from_rows(Rt, [[t**3]])
+    for bad in ([10007, 10005], [10007, 10007], [10007, 3]):
+        with pytest.raises(ValidationError):
+            det_mod_primes(m, bad)
+
+
+def test_heuristic_primes_do_not_depend_on_the_group_width(monkeypatch):
+    rng = random.Random(83)
+    m = random_zz_t_matrix(rng, 4, max_deg=3, coeff_range=10**30)
+    runs = []
+    for width in (1, 3, 8, 11):
+        monkeypatch.setattr(determinant, "PRIME_GROUP", width)
+        job = DetJob(m, 0, 0)
+        det = modular_determinant(m, heuristic=True, job=job)
+        runs.append((det, job.primes))
+    assert all(run == runs[0] for run in runs)
+    assert runs[0][0] == cofactor_det(m)
+
+
+def test_serial_and_pooled_results_are_byte_identical():
+    rng = random.Random(84)
+    m = random_zz_t_matrix(rng, 5, max_deg=3, coeff_range=10**25)
+
+    def encoded(det):
+        state = SerializerState(Mode.LONG_TERM, GlobalSerializerState(uuid_seed=7))
+        return serialize_text(save(det, state))
+
+    for heuristic in (False, True):
+        job = DetJob(m, 0, 0)
+        serial = encoded(modular_determinant(m, heuristic=heuristic, job=job))
+        for workers in (1, 2, 4):
+            pooled_job = DetJob(m, 0, 0)
+            with spawn_pool(workers) as pool:
+                got = modular_determinant(m, pool=pool, heuristic=heuristic, job=pooled_job)
+            assert encoded(got) == serial
+            assert pooled_job.primes == job.primes

@@ -199,6 +199,27 @@ def test_crt_rejects_length_mismatch():
         crt_combine_balanced([1], [3, 5])
 
 
+def test_is_prime_rejects_the_twelve_witness_pseudoprime():
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to every
+    # prime base up to 37; base 41 exposes it.
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(ValidationError):
+        GF(318665857834031151167461)
+    assert is_prime(2**61 - 1)
+
+
+def test_is_prime_refuses_moduli_past_its_deterministic_range():
+    bound = 3317044064679887385961981  # psi_13, a strong pseudoprime to bases 2..41
+    assert is_prime(3317044064679887385961813)  # the largest prime below the bound
+    assert not is_prime(bound - 1)
+    for n in (bound, bound + 2, 2**127 - 1):
+        with pytest.raises(ValidationError, match="not decided"):
+            is_prime(n)
+    with pytest.raises(ValidationError):
+        GF(bound)
+
+
 def test_crt_recovers_signed_integers():
     rng = random.Random(33)
     primes = []

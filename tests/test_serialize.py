@@ -93,6 +93,38 @@ def test_long_malformed_integers_rejected():
         load(doc, DeserializerState(Mode.IPC, gs))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1_000", " 5", "5 ", "\t5", "+5", "\u0665", "05", "-0", "-05", "00", "-", "", "\u00b2",
+        # past the 4300-digit limit, where the text is converted piecewise
+        "+" + "1" * 5000, "0" + "1" * 5000, "1" * 3000 + " " + "1" * 3000, "\u0665" * 5000,
+    ],
+)
+def test_non_canonical_integer_text_rejected(text):
+    # Most of these load through int(), but none re-serializes to itself.
+    gs = GlobalSerializerState()
+    with pytest.raises(SchemaError, match="expected a decimal integer"):
+        load(MrdiDocument(TypeNode("ZZRingElem"), text), DeserializerState(Mode.IPC, gs))
+
+
+@pytest.mark.parametrize(
+    "text", ["+1/2", "1/+2", "1/ 2", "1_0/3", "2/4", "1/-2", "3/1", "0/5", "1/02", "1/0"]
+)
+def test_non_canonical_rational_text_rejected(text):
+    gs = GlobalSerializerState()
+    with pytest.raises(SchemaError, match="malformed rational"):
+        load(MrdiDocument(TypeNode("QQFieldElem"), text), DeserializerState(Mode.IPC, gs))
+
+
+def test_canonical_number_text_loads_and_resaves_identically():
+    gs = GlobalSerializerState()
+    for tag, text in [("ZZRingElem", "0"), ("ZZRingElem", "-907"), ("QQFieldElem", "-3/7"),
+                      ("QQFieldElem", "12"), ("QQFieldElem", "0")]:
+        value = load(MrdiDocument(TypeNode(tag), text), DeserializerState(Mode.IPC, gs))
+        assert save(value, SerializerState(Mode.IPC, gs)).data == text
+
+
 def test_roundtrip_polynomials():
     R, (x, y) = polynomial_ring(QQ, "x", "y")
     p = x**3 - x * y + Polynomial.constant(R, 1)
