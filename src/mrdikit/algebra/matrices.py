@@ -66,10 +66,6 @@ class ExactMatrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def transpose(self) -> "ExactMatrix":
-        entries = [self.entry(i, j) for j in range(self.ncols) for i in range(self.nrows)]
-        return ExactMatrix(self.parent, self.ncols, self.nrows, entries)
-
     def __mul__(self, other):
         self._check_compat(other)
         if self.ncols != other.nrows:

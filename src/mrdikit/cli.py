@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="kernel components of a monomial map")
     p.add_argument("--map", required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=int, required=True, help="|md| <= DEGREE * min image degree")
     p.add_argument("--workers", type=int, default=0)
     p.add_argument("--no-minimalize", action="store_true")
     p.add_argument("--out", required=True)

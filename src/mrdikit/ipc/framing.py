@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import SchemaError, TransportError
-from ..mrdi.document import MrdiDocument
+from ..mrdi.document import MAX_NESTING_DEPTH, MrdiDocument
 from ..mrdi.textio import _doc_to_json, _parse_doc
 
 KIND_LOAD_CONTEXT = 1
@@ -133,18 +133,21 @@ def write_message(stream, msg: Message) -> None:
         raise TransportError(f"write failed: {exc}") from exc
 
 
-def _read_exact(stream, n: int) -> Optional[bytes]:
-    chunks = b""
-    while len(chunks) < n:
-        got = stream.read(n - len(chunks))
+# A header may claim up to 4 GiB, so bodies are read in pieces of at most this
+# size and the buffer grows only with bytes that arrive.
+_READ_CHUNK = 1 << 20
+
+
+def _read_exact(stream, n: int) -> Optional[bytearray]:
+    buf = bytearray()
+    while len(buf) < n:
+        got = stream.read(min(n - len(buf), _READ_CHUNK))
         if not got:
-            return None if not chunks else _short(chunks, n)
-        chunks += got
-    return chunks
-
-
-def _short(chunks, n):
-    raise TransportError(f"truncated frame: wanted {n} bytes, got {len(chunks)}")
+            if not buf:
+                return None
+            raise TransportError(f"truncated frame: wanted {n} bytes, got {len(buf)}")
+        buf += got
+    return buf
 
 
 def read_message(stream) -> Optional[Message]:
@@ -160,4 +163,8 @@ def read_message(stream) -> Optional[Message]:
         payload = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TransportError(f"frame payload is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise TransportError(
+            f"frame payload nested deeper than {MAX_NESTING_DEPTH} levels"
+        ) from None
     return decode_message(kind, payload)

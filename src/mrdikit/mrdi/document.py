@@ -34,6 +34,10 @@ class Mode(Enum):
 # Data payloads are JSON trees whose scalars are always text.
 DataNode = Union[str, list, dict]
 
+# Deepest nesting of arrays and objects parsing accepts in `_type` or `data`, so
+# every recursive walk over a parsed document stays below the recursion limit.
+MAX_NESTING_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class TypeNode:

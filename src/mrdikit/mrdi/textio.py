@@ -12,6 +12,7 @@ import json
 
 from ..errors import SchemaError
 from .document import (
+    MAX_NESTING_DEPTH,
     Mode,
     MrdiDocument,
     NamespaceRecord,
@@ -54,12 +55,18 @@ def serialize_text(doc: MrdiDocument) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode("utf-8")
 
 
-def _parse_type(node, path):
+def _too_deep(path):
+    raise SchemaError(f"{path}: nested deeper than {MAX_NESTING_DEPTH} levels")
+
+
+def _parse_type(node, path, depth=0):
     if isinstance(node, str):
         if is_uuid_text(node):
             raise SchemaError(f"{path}: a bare UUID cannot be a type")
         return TypeNode(node, None)
     if isinstance(node, dict):
+        if depth == MAX_NESTING_DEPTH:
+            _too_deep(path)
         extra = set(node) - {"name", "params"}
         if extra:
             raise SchemaError(f"{path}: unexpected keys {sorted(extra)} in type node")
@@ -67,11 +74,13 @@ def _parse_type(node, path):
             raise SchemaError(f"{path}: type node needs a text `name`")
         if "params" not in node:
             return TypeNode(node["name"], None)
-        return TypeNode(node["name"], _parse_type_params(node["params"], f"{path}/params"))
+        return TypeNode(
+            node["name"], _parse_type_params(node["params"], f"{path}/params", depth + 1)
+        )
     raise SchemaError(f"{path}: malformed type node {node!r}")
 
 
-def _parse_type_params(node, path):
+def _parse_type_params(node, path, depth):
     if isinstance(node, str):
         # Strings in parameter position are UUIDs, registered type tags
         # (canonicalized to paramless TypeNodes), or plain text values.
@@ -81,24 +90,32 @@ def _parse_type_params(node, path):
 
         return TypeNode(node, None) if node in registered_type_tags() else node
     if isinstance(node, dict) and "name" in node and set(node) <= {"name", "params"}:
-        return _parse_type(node, path)
+        return _parse_type(node, path, depth)
     if isinstance(node, dict):
+        if depth == MAX_NESTING_DEPTH:
+            _too_deep(path)
         return {
-            key: _parse_type_params(value, f"{path}/{key}") for key, value in node.items()
+            key: _parse_type_params(value, f"{path}/{key}", depth + 1)
+            for key, value in node.items()
         }
     raise SchemaError(f"{path}: malformed type parameters {node!r}")
 
 
-def _check_data(node, path):
+def _check_data(node, path, depth=0):
+    """``node`` itself, once every scalar in it is known to be text and its
+    containers nest at most ``MAX_NESTING_DEPTH`` deep."""
     if isinstance(node, str):
         return node
-    if isinstance(node, list):
-        return [_check_data(item, f"{path}/{i}") for i, item in enumerate(node)]
-    if isinstance(node, dict):
-        return {key: _check_data(value, f"{path}/{key}") for key, value in node.items()}
-    raise SchemaError(
-        f"{path}: native value {node!r}; numbers and flags must be stored as text"
-    )
+    if not isinstance(node, (list, dict)):
+        raise SchemaError(
+            f"{path}: native value {node!r}; numbers and flags must be stored as text"
+        )
+    if depth == MAX_NESTING_DEPTH:
+        _too_deep(path)
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if not isinstance(value, str):
+            _check_data(value, f"{path}/{key}", depth + 1)
+    return node
 
 
 def _parse_doc(obj, path, allow_envelope):
@@ -150,5 +167,7 @@ def parse_text(raw: bytes) -> MrdiDocument:
         obj = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"malformed JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"JSON nested deeper than {MAX_NESTING_DEPTH} levels") from None
     return _parse_doc(obj, "$", True)
 

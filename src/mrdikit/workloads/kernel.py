@@ -1,27 +1,30 @@
-"""Kernel components of a monomial map, degree by degree.
+"""Kernel components of a monomial map, one binomial fiber per multidegree.
 
 The map sends each source variable to a single target term, which induces a
-Z^k grading on the source (the image exponent vectors).  For every total
-degree up to the requested bound, source monomials are grouped by
-multidegree; each group gives a small matrix whose rows are the image
-coefficient vectors, and the rational nullspace of its transpose yields the
-kernel elements supported on that group.  Row reductions of distinct groups
-are independent, which is what the pool parallelizes.
+Z^k grading on the source (the image exponent vectors).  Source monomials of
+one multidegree form a fiber; they all map to multiples of one target
+monomial, so the fiber's part of the kernel is spanned by binomials that pair
+its leading monomial with each other one.  Fibers are independent of each
+other, which is what the pool parallelizes.
 
-Minimalization is pure linear algebra: inside a group, kernel vectors already
-reachable as lower-degree generators times monomials are dropped by extending
-a basis of that product span.
+Minimalization is integer bookkeeping: the minimal generators in multidegree
+b number one less than the connected components of the fiber graph, where
+monomials are joined when they share a variable (Diaconis & Sturmfels 1998;
+Sturmfels, *Gröbner Bases and Convex Polytopes*, ch. 4).  The leading
+monomial is paired with the first monomial of every other component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from ..algebra.matrices import ExactMatrix, nullspace_over_Q
+# Imported only so the traced benchmark can probe it by this module's name.
+from ..algebra.matrices import nullspace_over_Q  # noqa: F401
 from ..algebra.multidegree import Multidegree, monomials_by_multidegree
 from ..algebra.polynomials import Monomial, Polynomial
-from ..algebra.rings import QQ, ContextHandle, MultivariatePolyRing, RationalField
+from ..algebra.rings import ContextHandle, MultivariatePolyRing, RationalField
 from ..errors import ContextMismatchError, ValidationError
 from ..ipc.registry import register_function
 from ..mrdi.codec import (
@@ -125,89 +128,79 @@ def _map_decode(tn: TypeNode, data, state) -> MonomialMap:
 register_codec(MonomialMap, "MonomialMap", _map_build_type, _map_build_data, _map_decode)
 
 
-# -- per-multidegree row reduction --------------------------------------------
+# -- one binomial fiber per multidegree ---------------------------------------
 
 
-def kernel_block(image_matrix: ExactMatrix, span_matrix: ExactMatrix) -> ExactMatrix:
-    """New kernel directions of one multidegree group.
+def _component_starts(supports: list[int]) -> list[int]:
+    """Position of the first monomial of each component of one fiber graph.
 
-    ``image_matrix`` has one row per group monomial (its image coefficients
-    over the target monomial basis).  ``span_matrix`` rows span the part of
-    the kernel already generated at lower degree.  Returns a matrix whose
-    rows are nullspace vectors of the transpose that extend the span to a
-    basis of the group's kernel.
+    ``supports`` holds each monomial's variables as a bit mask, in fiber
+    order.  Monomials are joined when they share a variable, so the union-find
+    runs over variables: every monomial unites the variables it uses.
     """
-    if span_matrix.ncols != image_matrix.nrows:
-        raise ValidationError("span vectors must have one entry per group monomial")
-    vectors = nullspace_over_Q(image_matrix.transpose())
-    width = image_matrix.nrows
+    parent: dict[int, int] = {}
 
-    # Incremental elimination: rows already in the span reduce to zero.
-    eliminated: list[tuple[int, list[Fraction]]] = []
+    def find(v: int) -> int:
+        while parent.setdefault(v, v) != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
 
-    def reduce(vec):
-        vec = [Fraction(v) for v in vec]
-        for pivot, row in eliminated:
-            factor = vec[pivot]
-            if factor:
-                vec = [a - factor * b for a, b in zip(vec, row)]
-        return vec
+    for mask in supports:
+        root = find(mask & -mask)
+        rest = mask & (mask - 1)
+        while rest:
+            bit = rest & -rest
+            parent[find(bit)] = root
+            rest ^= bit
+    first: dict[int, int] = {}
+    for i, mask in enumerate(supports):
+        first.setdefault(find(mask & -mask), i)
+    return list(first.values())
 
-    def insert(vec):
-        for pivot, value in enumerate(vec):
-            if value:
-                inv = Fraction(1) / value
-                eliminated.append((pivot, [v * inv for v in vec]))
-                return True
-        return False
 
-    for i in range(span_matrix.nrows):
-        insert(reduce(span_matrix.row(i)))
+def kernel_block(fibers: list[list[int]]) -> list[list[int]]:
+    """Component representatives for a batch of fibers.
 
-    accepted = []
-    for vec in vectors:
-        reduced = reduce(vec)
-        if insert(reduced):
-            accepted.append(vec)
-    entries = [Fraction(v) for vec in accepted for v in vec]
-    return ExactMatrix(QQ, len(accepted), width, entries)
+    Each fiber lists the supports (variable bit masks) of its monomials in
+    fiber order, leading monomial first.  For each fiber the result lists the
+    position of the first monomial of every connected component of the fiber
+    graph, in fiber order; it always starts with 0.
+    """
+    return [_component_starts(supports) for supports in fibers]
 
 
 register_function("kernel_block", kernel_block)
 
 
-def _image_row(phi: MonomialMap, mono: Monomial) -> tuple[Multidegree, Fraction]:
-    """Target monomial and coefficient of the image of one source monomial."""
-    coeff = Fraction(1)
-    exponents = [0] * len(phi.target.descriptor.symbols)
-    for image, e in zip(phi.images, mono):
-        if e:
-            img_mono, img_coeff = image.terms[0]
-            coeff *= Fraction(img_coeff) ** e
-            for j, a in enumerate(img_mono):
-                exponents[j] += e * a
-    return tuple(exponents), coeff
+def _fibers(phi: MonomialMap, total_degree: int) -> list[tuple[Multidegree, list[Monomial]]]:
+    """Every fiber with at least two monomials and weight at most T·d_min.
+
+    A monomial of multidegree md has total degree at most |md| / d_min, so
+    these fibers are complete among the monomials of degree at most T.
+    Fibers come in (|md|, md) order, monomials in degree-lex order.
+    """
+    degs = phi.variable_degrees
+    bound = total_degree * min(sum(d) for d in degs)
+    fibers: dict[Multidegree, list[Monomial]] = {}
+    for t in range(total_degree, 0, -1):
+        for md, monos in monomials_by_multidegree(phi.source, degs, t).items():
+            if sum(md) <= bound:
+                fibers.setdefault(md, []).extend(monos)
+    return sorted(
+        ((md, monos) for md, monos in fibers.items() if len(monos) > 1),
+        key=lambda item: (sum(item[0]), item[0]),
+    )
 
 
-def _group_tasks(phi: MonomialMap, monos: list[Monomial], span_rows: list[list[Fraction]]):
-    """Build the (image, span) matrix pair for one multidegree group."""
-    columns: list[Multidegree] = []
-    rows = []
-    for mono in monos:
-        target_mono, coeff = _image_row(phi, mono)
-        if target_mono not in columns:
-            columns.append(target_mono)
-        row = [Fraction(0)] * len(columns)
-        row[columns.index(target_mono)] = coeff
-        rows.append(row)
-    width = len(columns)
-    entries = []
-    for row in rows:
-        entries.extend(row + [Fraction(0)] * (width - len(row)))
-    image_matrix = ExactMatrix(QQ, len(rows), width, entries)
-    span_entries = [v for row in span_rows for v in row]
-    span_matrix = ExactMatrix(QQ, len(span_rows), len(monos), span_entries)
-    return image_matrix, span_matrix
+def _component_search(supports: list[list[int]], pool) -> list[list[int]]:
+    """``kernel_block`` over every fiber: one call, or one batch per worker."""
+    if pool is None or not supports:
+        return kernel_block(supports)
+    count = min(len(pool.workers), len(supports))
+    cuts = [i * len(supports) // count for i in range(count + 1)]
+    batches = [(supports[lo:hi],) for lo, hi in zip(cuts, cuts[1:])]
+    return [starts for batch in pool.parallel_map("kernel_block", batches) for starts in batch]
 
 
 def components_of_kernel(
@@ -216,75 +209,45 @@ def components_of_kernel(
     pool=None,
     minimalize: bool = True,
 ) -> dict[Multidegree, list[Polynomial]]:
-    """Kernel generators of ``phi`` grouped by multidegree, up to ``total_degree``.
+    """Binomial kernel generators of ``phi`` grouped by multidegree.
 
-    Degrees are processed in increasing order; within one total degree every
-    multidegree group is an independent row-reduction task (sent through the
-    pool when one is given).  With ``minimalize`` (the default) vectors lying
-    in the span of lower-degree generators times monomials are dropped, so
-    the output generates minimally in the per-multidegree linear sense; with
-    it off every group contributes a full kernel basis.
+    Covers every multidegree md with |md| <= ``total_degree`` · d_min, where
+    d_min is the smallest total degree of an image; when all images share one
+    degree these are the kernel elements of source degree at most
+    ``total_degree``.  A fiber u_0, ..., u_m (leading monomial first) spans
+    its kernel by c^{u_j}·x^{u_0} − c^{u_0}·x^{u_j}, with primitive integer
+    coefficients and a positive coefficient on x^{u_0}; c^u is the image
+    coefficient of x^u.  With ``minimalize`` (the default) u_0 is paired only
+    with the first monomial of each other component of the fiber graph, which
+    gives a minimal generating set; the component search is the work sent
+    through the pool when one is given, at most one batch per worker.
+    Without it u_0 is paired with every other monomial.
     """
     if total_degree < 1:
         raise ValidationError("total degree must be at least 1")
-    degs = phi.variable_degrees
-    k = len(degs[0])
-    # All generators found so far: (degree, multidegree, polynomial).
-    generators: list[tuple[int, Multidegree, Polynomial]] = []
+    fibers = _fibers(phi, total_degree)
+    if minimalize:
+        supports = [
+            [sum(1 << v for v, e in enumerate(mono) if e) for mono in monos]
+            for _, monos in fibers
+        ]
+        partners = [starts[1:] for starts in _component_search(supports, pool)]
+    else:
+        partners = [range(1, len(monos)) for _, monos in fibers]
+
+    image_coeffs = [Fraction(img.terms[0][1]) for img in phi.images]
+
+    def coefficient(mono: Monomial) -> Fraction:
+        return prod(c**e for c, e in zip(image_coeffs, mono))
+
     components: dict[Multidegree, list[Polynomial]] = {}
-    monomial_groups_cache: dict[int, dict[Multidegree, list[Monomial]]] = {}
-
-    def groups_for(degree: int):
-        if degree not in monomial_groups_cache:
-            monomial_groups_cache[degree] = monomials_by_multidegree(
-                phi.source, degs, degree
-            )
-        return monomial_groups_cache[degree]
-
-    for t in range(1, total_degree + 1):
-        groups = groups_for(t)
-        tasks = []
-        for md, monos in groups.items():
-            if len(monos) < 2:
-                continue
-            span_rows: list[list[Fraction]] = []
-            if minimalize and generators:
-                position = {mono: i for i, mono in enumerate(monos)}
-                for gen_degree, gen_md, gen in generators:
-                    remaining = t - gen_degree
-                    if remaining < 1:
-                        continue
-                    delta = tuple(a - b for a, b in zip(md, gen_md))
-                    if any(c < 0 for c in delta):
-                        continue
-                    for mono in groups_for(remaining).get(delta, ()):
-                        product = gen * Polynomial.from_terms(
-                            phi.source, [(mono, Fraction(1))]
-                        )
-                        row = [Fraction(0)] * len(monos)
-                        for pmono, pcoeff in product.terms:
-                            row[position[pmono]] = Fraction(pcoeff)
-                        span_rows.append(row)
-            image_matrix, span_matrix = _group_tasks(phi, monos, span_rows)
-            tasks.append((md, monos, image_matrix, span_matrix))
-
-        if pool is None:
-            outcomes = [kernel_block(im, sp) for _, _, im, sp in tasks]
-        else:
-            outcomes = pool.parallel_map(
-                "kernel_block", [(im, sp) for _, _, im, sp in tasks]
-            )
-
-        for (md, monos, _, _), new_rows in zip(tasks, outcomes):
-            for i in range(new_rows.nrows):
-                poly = Polynomial.from_terms(
-                    phi.source,
-                    [
-                        (mono, new_rows.entry(i, j))
-                        for j, mono in enumerate(monos)
-                        if new_rows.entry(i, j) != 0
-                    ],
-                )
-                generators.append((t, md, poly))
-                components.setdefault(md, []).append(poly)
+    for (md, monos), js in zip(fibers, partners):
+        lead = coefficient(monos[0])
+        for j in js:
+            ratio = coefficient(monos[j]) / lead
+            a, b = ratio.numerator, -ratio.denominator
+            if a < 0:
+                a, b = -a, -b
+            gen = Polynomial.from_terms(phi.source, [(monos[0], a), (monos[j], b)])
+            components.setdefault(md, []).append(gen)
     return components

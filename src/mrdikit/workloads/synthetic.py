@@ -45,8 +45,8 @@ def detcrt_instance(seed: int = DETCRT_SEED) -> ExactMatrix:
 def kernel_instance(seed: int = KERNEL_SEED) -> MonomialMap:
     """A 6-variable monomial map onto 3 variables with degree-2 single-term images.
 
-    All images share one target degree, so each multidegree meets a single
-    total degree and the per-degree grouping covers its full kernel component.
+    All images share one target degree, so the weighted degree bound of
+    ``components_of_kernel`` is plain source degree on this map.
     """
     rng = random.Random(seed)
     source, _ = polynomial_ring(QQ, *[f"x{i}" for i in range(1, KERNEL_SOURCE_VARS + 1)])

@@ -181,15 +181,11 @@ def test_criterion_6_kernel_oracle():
             max_degree = rng.randrange(2, 5)
             got = components_of_kernel(phi, max_degree, minimalize=False)
             blocks = oracle_kernel_blocks(phi, max_degree)
-            emitted = {}
+            assert set(got) == set(blocks), f"component keys differ at case {i}"
             for md, gens in got.items():
-                for g in gens:
-                    emitted.setdefault((g.degree(), md), []).append(g)
-            assert set(emitted) == set(blocks), f"component keys differ at case {i}"
-            for key, gens in emitted.items():
-                monos, oracle_basis = blocks[key]
+                monos, oracle_basis = blocks[md]
                 vectors = [poly_to_vector(g, monos) for g in gens]
-                assert spans_match(vectors, oracle_basis, len(monos)), f"span mismatch at {key}"
+                assert spans_match(vectors, oracle_basis, len(monos)), f"span mismatch at {md}"
 
 
 # -- bench-driven criteria (7 and 8) ---------------------------------------------

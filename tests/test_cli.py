@@ -108,6 +108,24 @@ def test_validate_native_number(tmp_path, capsys):
     assert "native value" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        b'{"_type": "ZZRingElem", "data": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+        b'{"_type": ' + b'{"name": "Vector", "params": ' * 600 + b'"ZZRingElem"'
+        + b"}" * 600 + b', "data": "7"}',
+    ],
+    ids=["json-5000", "vector-type-600"],
+)
+def test_deep_nesting_exits_cleanly(tmp_path, capsys, body):
+    path = tmp_path / "deep.mrdi"
+    path.write_bytes(body)
+    assert cli.main(["validate", str(path)]) == 1
+    assert "nested deeper" in capsys.readouterr().out
+    assert cli.main(["roundtrip", str(path)]) == 2
+    assert "nested deeper" in capsys.readouterr().err
+
+
 # -- detcrt ----------------------------------------------------------------------
 
 

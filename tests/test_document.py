@@ -1,15 +1,23 @@
+import json
+
 import pytest
 
 from mrdikit.errors import SchemaError
 from mrdikit.mrdi import (
+    DeserializerState,
+    GlobalSerializerState,
     Mode,
     MrdiDocument,
     NamespaceRecord,
+    SerializerState,
     TypeNode,
+    load,
     parse_text,
+    save,
     serialize_text,
     validate_document,
 )
+from mrdikit.mrdi.document import MAX_NESTING_DEPTH
 
 UUID_A = "11111111-2222-4333-8444-555555555555"
 UUID_B = "66666666-7777-4888-9999-aaaaaaaaaaaa"
@@ -103,6 +111,43 @@ def test_parse_rejects_missing_type():
 def test_parse_rejects_malformed_json():
     with pytest.raises(SchemaError, match="malformed JSON"):
         parse_text(b"{nope")
+
+
+def nested_vector_text(levels, data_levels=None):
+    """A long-term document whose `_type` nests ``levels`` Vector nodes and
+    whose `data` nests ``data_levels`` (default ``levels``) arrays."""
+    type_node, data = "ZZRingElem", "7"
+    for _ in range(levels):
+        type_node = {"name": "Vector", "params": type_node}
+    for _ in range(levels if data_levels is None else data_levels):
+        data = [data]
+    doc = {"_ns": {"system": "mrdikit", "version": "0.1.0"}, "_type": type_node,
+           "_refs": {}, "data": data}
+    return json.dumps(doc).encode()
+
+
+def test_nesting_at_the_limit_round_trips():
+    value = 7
+    for _ in range(MAX_NESTING_DEPTH):
+        value = [value]
+    state = GlobalSerializerState()
+    raw = serialize_text(save(value, SerializerState(Mode.LONG_TERM, state)))
+    assert load(parse_text(raw), DeserializerState(Mode.LONG_TERM, state)) == value
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        nested_vector_text(600),
+        nested_vector_text(MAX_NESTING_DEPTH + 1),
+        nested_vector_text(1, data_levels=MAX_NESTING_DEPTH + 1),
+        b'{"_type": "ZZRingElem", "data": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+    ],
+    ids=["vector-type-600", "type-past-limit", "data-past-limit", "json-5000"],
+)
+def test_parse_rejects_deep_nesting(raw):
+    with pytest.raises(SchemaError, match="nested deeper"):
+        parse_text(raw)
 
 
 def test_parse_rejects_refs_inside_refs():

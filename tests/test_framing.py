@@ -1,5 +1,8 @@
 import io
+import json
+import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -72,6 +75,37 @@ def test_garbage_payload_rejected():
     raw = b"\x00\x00\x00\x03\x05abc"
     with pytest.raises(TransportError):
         framing.read_message(io.BytesIO(raw))
+
+
+def call_frame(args_json: bytes) -> bytes:
+    body = b'{"id":1,"fn":"f","args":' + args_json + b"}"
+    return framing._HEADER.pack(len(body), framing.KIND_CALL) + body
+
+
+def test_deeply_nested_payload_rejected():
+    deep_json = b'{"_type":"ZZRingElem","data":' + b"[" * 5000 + b"]" * 5000 + b"}"
+    deep_type = "ZZRingElem"
+    for _ in range(600):
+        deep_type = {"name": "Vector", "params": deep_type}
+    deep_vector = json.dumps({"_type": deep_type, "data": "7"}).encode()
+    for args_json in (deep_json, deep_vector):
+        with pytest.raises(TransportError, match="nested deeper"):
+            framing.read_message(io.BytesIO(call_frame(args_json)))
+
+
+def test_huge_length_header_reads_without_huge_buffer():
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, framing._HEADER.pack(2**32 - 1, framing.KIND_CALL))
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as stream:
+        tracemalloc.start()
+        try:
+            with pytest.raises(TransportError):
+                framing.read_message(stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def random_message(rng):

@@ -6,6 +6,7 @@ import sympy
 
 from mrdikit.algebra import QQ, Polynomial, iter_monomials, polynomial_ring
 from mrdikit.errors import ContextMismatchError, ValidationError
+from mrdikit.ipc import spawn_pool
 from mrdikit.workloads import MonomialMap, components_of_kernel, evaluate_map
 
 
@@ -140,53 +141,124 @@ def test_minimalize_drops_products_of_lower_generators():
             assert evaluate_map(phi, g).is_zero
 
 
+# -- mixed image degrees --------------------------------------------------------------
+
+
+def test_mixed_degree_kernel_is_found():
+    S, (x, y) = polynomial_ring(QQ, "x", "y")
+    T, (s,) = polynomial_ring(QQ, "s")
+    phi = MonomialMap(S, T, (s, s * s))
+    assert components_of_kernel(phi, 2) == {(2,): [x * x - y]}
+    assert components_of_kernel(phi, 4) == {(2,): [x * x - y]}
+
+
+def test_mixed_degree_weighted_bound():
+    S, (x, y) = polynomial_ring(QQ, "x", "y")
+    T, (s,) = polynomial_ring(QQ, "s")
+    phi = MonomialMap(S, T, (s * s, s**3))
+    # degree 2 covers multidegrees up to 2 * 2 = 4; x^3 - y^2 lives in 6
+    assert components_of_kernel(phi, 2) == {}
+    assert components_of_kernel(phi, 3) == {(6,): [x**3 - y * y]}
+
+
+def cyclic_map(targets=6):
+    """The kernel-pool benchmark shape: s_i is the image of one source
+    variable and the neighbour product s_i*s_(i+1) of another."""
+    S, gens = polynomial_ring(QQ, *[f"cx{i}" for i in range(2 * targets)])
+    T, ts = polynomial_ring(QQ, *[f"cs{i}" for i in range(targets)])
+    images = []
+    for i in range(targets):
+        images.append(ts[i] * Polynomial.constant(T, Fraction(i + 2, 3)))
+        images.append(ts[i] * ts[(i + 1) % targets] * Polynomial.constant(T, Fraction(-1, i + 1)))
+    return MonomialMap(S, T, tuple(images)), gens
+
+
+def test_cyclic_map_has_one_generator_per_neighbour_pair():
+    phi, _ = cyclic_map()
+    components = components_of_kernel(phi, 5)
+    gens = [g for gs in components.values() for g in gs]
+    assert len(gens) == 6
+    for md, gs in components.items():
+        assert sorted(md, reverse=True)[:3] == [1, 1, 0]
+        for g in gs:
+            assert evaluate_map(phi, g).is_zero
+            assert len(g.terms) == 2 and g.terms[0][1] > 0
+
+
+@pytest.mark.parametrize("minimalize", [True, False])
+def test_mixed_degree_kernel_is_pool_invariant(minimalize):
+    phi, _ = cyclic_map()
+    rng = random.Random(0x5EED)
+    maps = [(phi, 5)] + [(random_monomial_map(rng), 4) for _ in range(4)]
+    serial = [components_of_kernel(m, d, minimalize=minimalize) for m, d in maps]
+    for workers in (1, 2, 4):
+        with spawn_pool(workers) as pool:
+            pooled = [components_of_kernel(m, d, pool=pool, minimalize=minimalize) for m, d in maps]
+        assert pooled == serial
+        assert [list(c) for c in pooled] == [list(c) for c in serial]
+
+
 # -- randomized oracle ---------------------------------------------------------------
 
 
 def random_monomial_map(rng):
+    """Images of independently drawn total degrees 1..3."""
     n_source = rng.randrange(2, 5)
     n_target = rng.randrange(2, 4)
-    image_degree = rng.randrange(1, 4)
     src_syms = [f"rk{rng.randrange(10**9)}_{i}" for i in range(n_source)]
     tgt_syms = [f"rt{rng.randrange(10**9)}_{i}" for i in range(n_target)]
     S, _ = polynomial_ring(QQ, *src_syms)
     T, _ = polynomial_ring(QQ, *tgt_syms)
-    choices = list(iter_monomials(n_target, image_degree))
     images = tuple(
         Polynomial.from_terms(
-            T, [(rng.choice(choices), Fraction(rng.choice([c for c in range(-4, 5) if c])))]
+            T,
+            [
+                (
+                    rng.choice(list(iter_monomials(n_target, rng.randrange(1, 4)))),
+                    Fraction(rng.choice([c for c in range(-4, 5) if c])),
+                )
+            ],
         )
         for _ in range(n_source)
     )
     return MonomialMap(S, T, images)
 
 
-def oracle_kernel_blocks(phi, max_degree):
-    """Independent brute force: group monomials by directly-computed image
-    exponents and solve each nullspace with sympy."""
+def oracle_fibers(phi, max_degree):
+    """Every source monomial of degree 1..max_degree, grouped by directly
+    computed image exponents, keeping the multidegrees md with
+    |md| <= max_degree * (smallest image degree): those groups are complete."""
     n = len(phi.images)
     image_exps = [img.terms[0][0] for img in phi.images]
-    image_coeffs = [img.terms[0][1] for img in phi.images]
-    blocks = {}
+    bound = max_degree * min(sum(exp) for exp in image_exps)
+    groups = {}
     for t in range(1, max_degree + 1):
-        groups = {}
         for mono in iter_monomials(n, t):
             key = tuple(
                 sum(e * exp[j] for e, exp in zip(mono, image_exps))
                 for j in range(len(image_exps[0]))
             )
-            groups.setdefault(key, []).append(mono)
-        for key, monos in groups.items():
-            coeffs = []
-            for mono in monos:
-                c = Fraction(1)
-                for ci, e in zip(image_coeffs, mono):
-                    c *= Fraction(ci) ** e
-                coeffs.append(c)
-            row = sympy.Matrix([[sympy.Rational(c) for c in coeffs]])
-            basis = row.nullspace()
-            if basis:
-                blocks[(t, key)] = (monos, [list(v) for v in basis])
+            if sum(key) <= bound:
+                groups.setdefault(key, []).append(mono)
+    return groups
+
+
+def oracle_kernel_blocks(phi, max_degree):
+    """Independent brute force: solve each complete fiber's nullspace with
+    sympy.  Keyed by multidegree alone."""
+    image_coeffs = [img.terms[0][1] for img in phi.images]
+    blocks = {}
+    for key, monos in oracle_fibers(phi, max_degree).items():
+        coeffs = []
+        for mono in monos:
+            c = Fraction(1)
+            for ci, e in zip(image_coeffs, mono):
+                c *= Fraction(ci) ** e
+            coeffs.append(c)
+        row = sympy.Matrix([[sympy.Rational(c) for c in coeffs]])
+        basis = row.nullspace()
+        if basis:
+            blocks[key] = (monos, [list(v) for v in basis])
     return blocks
 
 
@@ -212,15 +284,40 @@ def test_random_maps_match_bruteforce_oracle():
         max_degree = rng.randrange(2, 5)
         got = components_of_kernel(phi, max_degree, minimalize=False)
         blocks = oracle_kernel_blocks(phi, max_degree)
-        degs = phi.variable_degrees
-        # group emitted generators by (total degree, multidegree)
-        emitted = {}
+        assert set(got) == set(blocks)
         for md, gens in got.items():
-            for g in gens:
-                t = g.degree()
-                emitted.setdefault((t, md), []).append(g)
-        assert set(emitted) == set(blocks)
-        for key, gens in emitted.items():
-            monos, oracle_basis = blocks[key]
+            monos, oracle_basis = blocks[md]
             vectors = [poly_to_vector(g, monos) for g in gens]
             assert spans_match(vectors, oracle_basis, len(monos))
+
+
+def check_minimal_ranks(phi, max_degree):
+    """In every complete fiber, the new generators number the fiber's kernel
+    rank minus the rank of lower generators times monomials, and together
+    with those products they span the fiber's kernel."""
+    got = components_of_kernel(phi, max_degree, minimalize=True)
+    fibers = oracle_fibers(phi, max_degree)
+    blocks = oracle_kernel_blocks(phi, max_degree)
+    for md, monos in fibers.items():
+        products = []
+        for lower_md, gens in got.items():
+            delta = tuple(a - b for a, b in zip(md, lower_md))
+            if lower_md == md or min(delta) < 0:
+                continue
+            for mono in fibers[delta]:
+                factor = Polynomial.from_terms(phi.source, [(mono, 1)])
+                products.extend(poly_to_vector(g * factor, monos) for g in gens)
+        rank = sympy.Matrix(products).rank() if products else 0
+        kernel_rank = len(blocks[md][1]) if md in blocks else 0
+        new = [poly_to_vector(g, monos) for g in got.get(md, [])]
+        assert len(new) == kernel_rank - rank, f"fiber {md}"
+        if new:
+            assert sympy.Matrix(products + new).rank() == kernel_rank, f"fiber {md}"
+
+
+def test_minimal_generators_match_rank_oracle():
+    rng = random.Random(0xFACADE)
+    for _ in range(8):
+        check_minimal_ranks(random_monomial_map(rng), rng.randrange(2, 5))
+    phi, _ = twisted_conic()
+    check_minimal_ranks(phi, 4)
