@@ -1,62 +1,99 @@
-"""Grouping monomials of a fixed total degree by their Z^k multidegree."""
+"""Grouping monomials by their Z^k multidegree.
+
+One walk over the variables enumerates the monomials: it extends every
+partial monomial, variable by variable, by each exponent the remaining budget
+allows, carrying that budget and the partial multidegree.  So it never builds
+a monomial outside the bound and computes each multidegree incrementally.  The
+result is in the order of a depth-first walk, without recursion.
+"""
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
 from ..errors import ValidationError
-from .polynomials import Monomial, monomial_key
+from .polynomials import Monomial
 from .rings import ContextHandle, ring_arity
 
 Multidegree = tuple[int, ...]
 
 
+def _walk(
+    weights: Sequence[int],
+    degrees: Sequence[Multidegree],
+    budget: int,
+    exact: bool,
+) -> list[tuple[Monomial, Multidegree]]:
+    """Every exponent vector e with Σ e_i·weights[i] at most ``budget``
+    (equal to it when ``exact``), paired with its multidegree Σ e_i·degrees[i],
+    in descending lexicographic order.  Weights must be positive."""
+    level = [((), budget, (0,) * (len(degrees[0]) if degrees else 0))]
+    last = len(weights) - 1
+    for i, (w, d) in enumerate(zip(weights, degrees)):
+        deeper = []
+        for prefix, left, md in level:
+            top = left // w
+            # When exact, the last variable takes all it can; the filter
+            # below drops the monomials that still leave a remainder.
+            for e in range(top, top - 1 if exact and i == last else -1, -1):
+                if e:
+                    md_e = tuple(a + e * b for a, b in zip(md, d))
+                    deeper.append((prefix + (e,), left - e * w, md_e))
+                else:
+                    deeper.append((prefix + (0,), left, md))
+        level = deeper
+    return [(mono, md) for mono, left, md in level if not exact or left == 0]
+
+
 def iter_monomials(arity: int, total_degree: int) -> Iterator[Monomial]:
-    """All exponent vectors of length ``arity`` summing to ``total_degree``."""
-    if arity == 1:
-        yield (total_degree,)
-        return
-    for first in range(total_degree, -1, -1):
-        for rest in iter_monomials(arity - 1, total_degree - first):
-            yield (first,) + rest
-
-
-def monomial_multidegree(m: Monomial, variable_degrees: Sequence[Multidegree]) -> Multidegree:
-    k = len(variable_degrees[0])
-    acc = [0] * k
-    for e, deg in zip(m, variable_degrees):
-        if e:
-            for j in range(k):
-                acc[j] += e * deg[j]
-    return tuple(acc)
+    """All exponent vectors of length ``arity`` summing to ``total_degree``,
+    in descending lexicographic order."""
+    for mono, _ in _walk([1] * arity, [()] * arity, total_degree, True):
+        yield mono
 
 
 def monomials_by_multidegree(
     ring: ContextHandle,
     variable_degrees: Sequence[Multidegree],
-    total_degree: int,
+    total_degree: int | None = None,
+    *,
+    max_weight: int | None = None,
 ) -> dict[Multidegree, list[Monomial]]:
-    """Group every monomial of exactly ``total_degree`` by its multidegree.
+    """Group monomials by their multidegree.
 
     The multidegree of x^e is the exponent-weighted sum of the per-variable
-    degree vectors.  Groups are keyed by multidegree (ascending key order) and
-    each group lists its monomials in degree-lex order, leading monomial first.
+    degree vectors.  Give exactly one bound: ``total_degree`` selects every
+    monomial of exactly that degree; ``max_weight`` selects every monomial
+    with Σ e_i·|deg x_i| at most ``max_weight``, where |d| is the sum of the
+    entries of d and must be positive for every variable.  Groups are keyed
+    by multidegree (ascending key order) and each group lists its monomials in
+    degree-lex order, leading monomial first.
     """
     arity = ring_arity(ring.descriptor)
     if len(variable_degrees) != arity:
         raise ValidationError(
             f"got {len(variable_degrees)} variable degrees for a ring with {arity} symbols"
         )
-    if total_degree < 0:
-        raise ValidationError("total degree must be nonnegative")
+    if (total_degree is None) == (max_weight is None):
+        raise ValidationError("give exactly one of total degree and max weight")
     degs = [tuple(d) for d in variable_degrees]
     k = len(degs[0]) if degs else 0
     if any(len(d) != k for d in degs):
         raise ValidationError("variable degree vectors must share one length")
+    if max_weight is None:
+        if total_degree < 0:
+            raise ValidationError("total degree must be nonnegative")
+        pairs = _walk([1] * arity, degs, total_degree, True)
+    else:
+        if max_weight < 0:
+            raise ValidationError("max weight must be nonnegative")
+        weights = [sum(d) for d in degs]
+        if any(w < 1 for w in weights):
+            raise ValidationError("a weight bound needs a positive degree sum for every variable")
+        pairs = _walk(weights, degs, max_weight, False)
     groups: dict[Multidegree, list[Monomial]] = {}
-    for mono in iter_monomials(arity, total_degree):
-        groups.setdefault(monomial_multidegree(mono, degs), []).append(mono)
-    result = {}
-    for md in sorted(groups):
-        result[md] = sorted(groups[md], key=monomial_key, reverse=True)
-    return result
+    for mono, md in pairs:
+        groups.setdefault(md, []).append(mono)
+    # The walk is in descending lex order, which is degree-lex order among
+    # monomials of one degree; a stable sort by degree finishes the job.
+    return {md: sorted(groups[md], key=sum, reverse=True) for md in sorted(groups)}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 from typing import Iterable, Iterator
 
 from ..errors import ValidationError
@@ -48,17 +49,37 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# The primes found so far below each start value, largest first.  Every
+# stream serves these before it tests further numbers, so later solves do not
+# run Miller-Rabin over the same odd numbers again.
+_FOUND: dict[int, list[int]] = {}
+_FOUND_LOCK = threading.Lock()
+
+
+def _prime_below(n: int) -> int | None:
+    """The largest prime below ``n``, or None."""
+    m = n - 1
+    if m > 2 and m % 2 == 0:
+        m -= 1
+    while m > 2 and not is_prime(m):
+        m -= 2
+    return m if m >= 2 else None
+
+
 def descending_primes(start_below: int = 2**31) -> Iterator[int]:
     """Primes strictly below ``start_below``, largest first."""
-    n = start_below - 1
-    if n % 2 == 0:
-        n -= 1
-    while n >= 2:
-        if is_prime(n):
-            yield n
-        n -= 2
-    if start_below > 2:
-        yield 2
+    found = _FOUND.setdefault(start_below, [])
+    i = 0
+    while True:
+        if i == len(found):
+            with _FOUND_LOCK:
+                if i == len(found):
+                    p = _prime_below(found[-1] if found else start_below)
+                    if p is None:
+                        return
+                    found.append(p)
+        yield found[i]
+        i += 1
 
 
 def crt_combine_balanced(residues: Iterable[int], moduli: Iterable[int]) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import tempfile
 import time
@@ -146,10 +147,28 @@ def _load_value(raw: bytes):
     return load(doc, DeserializerState(Mode.LONG_TERM, GlobalSerializerState()))
 
 
+def _write_atomic(path: Path, raw: bytes) -> None:
+    """Write ``raw`` to a temporary file beside ``path``, then rename it over
+    ``path``: a failed or interrupted write leaves an existing file untouched
+    and no partial file behind.  Like a plain write, the new file's mode comes
+    from the umask."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(raw)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _write_result(value, out_path: str, seed: int) -> bytes:
     state = SerializerState(Mode.LONG_TERM, GlobalSerializerState(uuid_seed=seed))
     raw = serialize_text(save(value, state))
-    Path(out_path).write_bytes(raw)
+    _write_atomic(Path(out_path), raw)
     return raw
 
 
@@ -265,7 +284,7 @@ def cmd_bench(args) -> int:
     input_raw = serialize_text(
         save(instance, SerializerState(Mode.LONG_TERM, GlobalSerializerState(uuid_seed=1)))
     )
-    instance_path.write_bytes(input_raw)
+    _write_atomic(instance_path, input_raw)
     seed = _seed_from(input_raw)
 
     reports = []

@@ -4,7 +4,9 @@ The map sends each source variable to a single target term, which induces a
 Z^k grading on the source (the image exponent vectors).  Source monomials of
 one multidegree form a fiber; they all map to multiples of one target
 monomial, so the fiber's part of the kernel is spanned by binomials that pair
-its leading monomial with each other one.  Fibers are independent of each
+its leading monomial with each other one.  The fibers come from one walk over
+the source variables bounded by weight (the entry sum of the multidegree), so
+no monomial outside the bound is built.  Fibers are independent of each
 other, which is what the pool parallelizes.
 
 Minimalization is integer bookkeeping: the minimal generators in multidegree
@@ -176,17 +178,15 @@ register_function("kernel_block", kernel_block)
 def _fibers(phi: MonomialMap, total_degree: int) -> list[tuple[Multidegree, list[Monomial]]]:
     """Every fiber with at least two monomials and weight at most T·d_min.
 
-    A monomial of multidegree md has total degree at most |md| / d_min, so
-    these fibers are complete among the monomials of degree at most T.
-    Fibers come in (|md|, md) order, monomials in degree-lex order.
+    One walk over the source variables builds exactly the monomials x^e with
+    weight |md| = Σ e_i·|deg x_i| at most T·d_min.  A monomial of multidegree
+    md has total degree at most |md| / d_min, so these fibers are complete
+    among the monomials of degree at most T.  Fibers come in (|md|, md)
+    order, monomials in degree-lex order.
     """
     degs = phi.variable_degrees
     bound = total_degree * min(sum(d) for d in degs)
-    fibers: dict[Multidegree, list[Monomial]] = {}
-    for t in range(total_degree, 0, -1):
-        for md, monos in monomials_by_multidegree(phi.source, degs, t).items():
-            if sum(md) <= bound:
-                fibers.setdefault(md, []).extend(monos)
+    fibers = monomials_by_multidegree(phi.source, degs, max_weight=bound)
     return sorted(
         ((md, monos) for md, monos in fibers.items() if len(monos) > 1),
         key=lambda item: (sum(item[0]), item[0]),
@@ -238,10 +238,12 @@ def components_of_kernel(
     image_coeffs = [Fraction(img.terms[0][1]) for img in phi.images]
 
     def coefficient(mono: Monomial) -> Fraction:
-        return prod(c**e for c, e in zip(image_coeffs, mono))
+        return prod(image_coeffs[v] ** e for v, e in enumerate(mono) if e)
 
     components: dict[Multidegree, list[Polynomial]] = {}
     for (md, monos), js in zip(fibers, partners):
+        if not js:
+            continue
         lead = coefficient(monos[0])
         for j in js:
             ratio = coefficient(monos[j]) / lead

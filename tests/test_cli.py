@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import pytest
 
@@ -250,6 +252,40 @@ def test_kernel_rejects_matrix_input(toy_matrix_file, tmp_path):
         cli.main(["kernel", "--map", str(toy_matrix_file), "--degree", "2", "--out", str(out)])
         == 2
     )
+
+
+def test_failed_output_write_leaves_old_file_and_no_temporary(
+    conic_map_file, tmp_path, monkeypatch
+):
+    out = tmp_path / "k.mrdi"
+    out.write_bytes(b"previous result")
+    real_fdopen = os.fdopen
+    seen = []
+
+    class HalfWrite:
+        """Writes half of the bytes, then fails as a full disk would."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            self.fh.flush()
+            seen.extend(p.name for p in tmp_path.iterdir())
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "fdopen", lambda fd, mode: HalfWrite(real_fdopen(fd, mode)))
+    with pytest.raises(OSError):
+        cli.main(["kernel", "--map", str(conic_map_file), "--degree", "2", "--out", str(out)])
+    assert any(name.startswith(".k.mrdi.") for name in seen)  # the write was underway
+    assert out.read_bytes() == b"previous result"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.mrdi", "phi.mrdi"]
 
 
 # -- bench ------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import random
+from itertools import islice
 
 import pytest
+import sympy
 
 from mrdikit.algebra import (
     ZZ,
@@ -22,6 +24,7 @@ from mrdikit.workloads import (
     det_mod_primes,
     modular_determinant,
 )
+from mrdikit.algebra import primes
 from mrdikit.workloads import determinant
 from test_linalg import cofactor_det, random_zz_t_matrix
 
@@ -129,6 +132,28 @@ def test_prime_independence():
     first = modular_determinant(m, prime_stream=stream_skipping(0))
     second = modular_determinant(m, prime_stream=stream_skipping(25))
     assert first == second
+
+
+def test_prime_streams_reuse_found_primes(monkeypatch):
+    monkeypatch.setattr(primes, "_FOUND", {})
+    calls = []
+    real_is_prime = primes.is_prime
+    monkeypatch.setattr(primes, "is_prime", lambda n: calls.append(n) or real_is_prime(n))
+    expected = [sympy.prevprime(2**31)]
+    while len(expected) < 50:
+        expected.append(sympy.prevprime(expected[-1]))
+
+    assert list(islice(descending_primes(2**31), 40)) == expected[:40]
+    tested = len(calls)
+    assert list(islice(descending_primes(2**31), 40)) == expected[:40]
+    assert len(calls) == tested  # served from the primes already found
+    first, second = descending_primes(2**31), descending_primes(2**31)
+    interleaved = [(next(first), next(second)) for _ in range(50)]
+    assert interleaved == [(p, p) for p in expected]
+    assert len(set(calls)) == len(calls)  # no number tested twice
+    for start in (0, 2, 3, 4, 12):
+        assert list(descending_primes(start)) == list(descending_primes(start))
+        assert list(descending_primes(start)) == sorted(sympy.primerange(2, start), reverse=True)
 
 
 def test_heuristic_mode_agrees():

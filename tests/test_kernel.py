@@ -4,10 +4,18 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from mrdikit.algebra import QQ, Polynomial, iter_monomials, polynomial_ring
+from mrdikit.algebra import (
+    QQ,
+    Polynomial,
+    iter_monomials,
+    monomial_key,
+    monomials_by_multidegree,
+    polynomial_ring,
+)
 from mrdikit.errors import ContextMismatchError, ValidationError
 from mrdikit.ipc import spawn_pool
 from mrdikit.workloads import MonomialMap, components_of_kernel, evaluate_map
+from mrdikit.workloads.kernel import _fibers
 
 
 def twisted_conic():
@@ -241,6 +249,57 @@ def oracle_fibers(phi, max_degree):
             if sum(key) <= bound:
                 groups.setdefault(key, []).append(mono)
     return groups
+
+
+def ordered_oracle_fibers(phi, max_degree):
+    """The fibers of ``oracle_fibers`` with two or more monomials, in (|md|, md)
+    order, each listing its monomials in degree-lex order, leading first."""
+    return sorted(
+        (
+            (md, sorted(monos, key=monomial_key, reverse=True))
+            for md, monos in oracle_fibers(phi, max_degree).items()
+            if len(monos) > 1
+        ),
+        key=lambda item: (sum(item[0]), item[0]),
+    )
+
+
+def test_fibers_equal_the_oracle_in_order():
+    rng = random.Random(0xF1BE5)
+    cases = [(cyclic_map()[0], 5)]
+    cases += [(random_monomial_map(rng), rng.randrange(1, 5)) for _ in range(16)]
+    for phi, max_degree in cases:
+        assert _fibers(phi, max_degree) == ordered_oracle_fibers(phi, max_degree)
+
+
+def test_heavy_variable_beyond_the_bound_never_appears():
+    S, (x, y, z) = polynomial_ring(QQ, "x", "y", "z")
+    T, (s,) = polynomial_ring(QQ, "s")
+    phi = MonomialMap(S, T, (s**3, s, s))
+    # weight bound 2 * 1: x alone weighs 3, so the walk never uses it
+    groups = monomials_by_multidegree(S, phi.variable_degrees, max_weight=2)
+    assert groups == {
+        (0,): [(0, 0, 0)],
+        (1,): [(0, 1, 0), (0, 0, 1)],
+        (2,): [(0, 2, 0), (0, 1, 1), (0, 0, 2)],
+    }
+    assert _fibers(phi, 2) == ordered_oracle_fibers(phi, 2)
+    assert components_of_kernel(phi, 2) == {(1,): [y - z]}
+    # at T = 3 x joins the weight-3 fiber, after the degree-3 monomials
+    assert _fibers(phi, 3) == ordered_oracle_fibers(phi, 3)
+    assert components_of_kernel(phi, 3) == {(1,): [y - z], (3,): [y**3 - x]}
+
+
+def test_weight_bound_rejects_bad_bounds():
+    S, _ = polynomial_ring(QQ, "x", "y")
+    with pytest.raises(ValidationError):
+        monomials_by_multidegree(S, [(1, 0), (0, 0)], max_weight=3)  # y would be free
+    with pytest.raises(ValidationError):
+        monomials_by_multidegree(S, [(1, 0), (0, 1)], max_weight=-1)
+    with pytest.raises(ValidationError):
+        monomials_by_multidegree(S, [(1, 0), (0, 1)], 2, max_weight=3)
+    with pytest.raises(ValidationError):
+        monomials_by_multidegree(S, [(1, 0), (0, 1)])
 
 
 def oracle_kernel_blocks(phi, max_degree):
