@@ -28,14 +28,10 @@ def _walk(
     (equal to it when ``exact``), paired with its multidegree Σ e_i·degrees[i],
     in descending lexicographic order.  Weights must be positive."""
     level = [((), budget, (0,) * (len(degrees[0]) if degrees else 0))]
-    last = len(weights) - 1
-    for i, (w, d) in enumerate(zip(weights, degrees)):
+    for w, d in zip(weights, degrees):
         deeper = []
         for prefix, left, md in level:
-            top = left // w
-            # When exact, the last variable takes all it can; the filter
-            # below drops the monomials that still leave a remainder.
-            for e in range(top, top - 1 if exact and i == last else -1, -1):
+            for e in range(left // w, -1, -1):
                 if e:
                     md_e = tuple(a + e * b for a, b in zip(md, d))
                     deeper.append((prefix + (e,), left - e * w, md_e))

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -148,18 +149,36 @@ def _load_value(raw: bytes):
 
 
 def _write_atomic(path: Path, raw: bytes) -> None:
-    """Write ``raw`` to a temporary file beside ``path``, then rename it over
-    ``path``: a failed or interrupted write leaves an existing file untouched
-    and no partial file behind.  Like a plain write, the new file's mode comes
-    from the umask."""
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    """Write ``raw`` to ``path``, through a symlink if it is one.
+
+    A regular file we own with a single link, or a missing one, is replaced
+    by renaming a temporary file from beside it: a failed or interrupted write
+    leaves an existing file untouched and no partial file behind, and the new
+    file keeps the old one's mode (else the umask's).  Anything else, such as
+    a device, a FIFO or a file with other links or another owner, is written
+    into as a plain write would, since a rename would replace it."""
+    target = Path(os.path.realpath(path))
+    try:
+        old = target.stat()
+    except FileNotFoundError:
+        old = None
+    if old is not None and not (
+        stat.S_ISREG(old.st_mode)
+        and old.st_nlink == 1
+        and (old.st_uid, old.st_gid) == (os.geteuid(), os.getegid())
+    ):
+        target.write_bytes(raw)
+        return
+    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
+            if old is not None:
+                os.fchmod(fd, stat.S_IMODE(old.st_mode))
             fh.write(raw)
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import stat
 
 import pytest
 
@@ -286,6 +287,52 @@ def test_failed_output_write_leaves_old_file_and_no_temporary(
     assert any(name.startswith(".k.mrdi.") for name in seen)  # the write was underway
     assert out.read_bytes() == b"previous result"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k.mrdi", "phi.mrdi"]
+
+
+def kernel_out(conic_map_file, out):
+    assert (
+        cli.main(["kernel", "--map", str(conic_map_file), "--degree", "2", "--out", str(out)])
+        == 0
+    )
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_output_through_symlink_writes_its_target(conic_map_file, tmp_path, existing):
+    real = tmp_path / "real.mrdi"
+    if existing:
+        real.write_bytes(b"previous result")
+    link = tmp_path / "link.mrdi"
+    link.symlink_to(real)
+    kernel_out(conic_map_file, link)
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert load_file_value(real) == load_file_value(link) != []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.mrdi", "phi.mrdi", "real.mrdi"]
+
+
+def test_output_into_fifo_writes_through_it(tmp_path):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write does not block
+    try:
+        cli._write_atomic(fifo, b"result bytes")
+        assert os.read(reader, 100) == b"result bytes"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
+
+
+def test_output_keeps_mode_and_hard_links(conic_map_file, tmp_path):
+    out = tmp_path / "k.mrdi"
+    out.write_bytes(b"previous result")
+    out.chmod(0o640)
+    kernel_out(conic_map_file, out)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    other = tmp_path / "other-name.mrdi"
+    os.link(out, other)
+    out.write_bytes(b"previous result")
+    kernel_out(conic_map_file, out)
+    assert os.path.samefile(out, other) and other.read_bytes() == out.read_bytes()
 
 
 # -- bench ------------------------------------------------------------------------
