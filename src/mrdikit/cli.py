@@ -184,11 +184,21 @@ def _write_atomic(path: Path, raw: bytes) -> None:
         raise
 
 
-def _write_result(value, out_path: str, seed: int) -> bytes:
+def _write_file(path, raw: bytes) -> bool:
+    try:
+        _write_atomic(Path(path), raw)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _write_result(value, out_path: str, seed: int):
+    """The long-term bytes of ``value``, written to ``out_path``; None (after
+    a one-line error) when they cannot be written."""
     state = SerializerState(Mode.LONG_TERM, GlobalSerializerState(uuid_seed=seed))
     raw = serialize_text(save(value, state))
-    _write_atomic(Path(out_path), raw)
-    return raw
+    return raw if _write_file(out_path, raw) else None
 
 
 def _with_pool(workers: int, fn):
@@ -232,6 +242,8 @@ def cmd_detcrt(args) -> int:
         print(f"worker failure: {exc}", file=sys.stderr)
         return EXIT_DISTRIBUTED
     out_raw = _write_result(det, args.out, _seed_from(raw))
+    if out_raw is None:
+        return EXIT_BAD_INPUT
     report = RunReport(
         "detcrt", _digest(raw), max(args.workers, 0), seconds, _digest(out_raw), args.out
     )
@@ -266,6 +278,8 @@ def cmd_kernel(args) -> int:
         print(f"worker failure: {exc}", file=sys.stderr)
         return EXIT_DISTRIBUTED
     out_raw = _write_result(_components_value(components), args.out, _seed_from(raw))
+    if out_raw is None:
+        return EXIT_BAD_INPUT
     report = RunReport(
         "kernel", _digest(raw), max(args.workers, 0), seconds, _digest(out_raw), args.out
     )
@@ -282,8 +296,13 @@ def cmd_bench(args) -> int:
     if not worker_counts or any(w < 0 for w in worker_counts):
         print(f"error: bad --workers list {args.workers!r}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    out_dir = Path(args.out_dir or tempfile.mkdtemp(prefix="mrdikit-bench-"))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir = Path(args.out_dir or tempfile.mkdtemp(prefix="mrdikit-bench-"))
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        where = args.out_dir or tempfile.gettempdir()
+        print(f"error: cannot write {where}: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
     if args.suite == "detcrt-synthetic":
         instance = detcrt_instance()
@@ -303,7 +322,8 @@ def cmd_bench(args) -> int:
     input_raw = serialize_text(
         save(instance, SerializerState(Mode.LONG_TERM, GlobalSerializerState(uuid_seed=1)))
     )
-    _write_atomic(instance_path, input_raw)
+    if not _write_file(instance_path, input_raw):
+        return EXIT_BAD_INPUT
     seed = _seed_from(input_raw)
 
     reports = []
@@ -322,6 +342,8 @@ def cmd_bench(args) -> int:
             result = _components_value(result)
         out_path = out_dir / f"{workload}-w{count}.mrdi"
         out_raw = _write_result(result, str(out_path), seed)
+        if out_raw is None:
+            return EXIT_BAD_INPUT
         reports.append(
             RunReport(
                 f"{workload}-synthetic",

@@ -10,13 +10,20 @@ global state already.
 The univariate payload has two encodings selected by mode: sparse
 ``[degree, coefficient]`` pairs in ascending degree for storage, a dense
 coefficient list from degree zero upward for IPC.
+
+Coefficients, matrix entries and vectors of ring elements are written and
+read a whole list at a time, through one list codec per ring descriptor type
+(``_LIST_CODECS``).  A list whose text is not all canonical is read again one
+item at a time, which raises the SchemaError that locates the bad item.
 """
 
 from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from math import gcd
+from functools import partial
+from itertools import chain
+from operator import attrgetter, gt
 
 from ..algebra.polynomials import Polynomial
 from ..algebra.matrices import ExactMatrix
@@ -31,6 +38,7 @@ from ..algebra.rings import (
     RationalField,
     RingDescriptor,
     UnivariatePolyRing,
+    domain_for,
     intern_context,
 )
 from ..errors import (
@@ -47,9 +55,25 @@ from .document import (
     TypeNode,
     is_uuid_text,
 )
+from .numtext import (
+    fraction_from_text,
+    fraction_to_text,
+    int_from_text,
+    int_to_text,
+    read_integers,
+    read_rationals,
+    read_residues,
+    residue_from_text,
+)
 from .states import DeserializerState, GlobalSerializerState, SerializerState
 
 _RING_TAGS = {"ZZRing", "QQField", "PrimeField", "PolyRing", "MPolyRing"}
+# Tags of ring elements, whose lists are read by the ring's list codec.
+_ELEMENT_TAGS = {"ZZRingElem", "QQFieldElem", "PrimeFieldElem", "PolyRingElem", "MPolyRingElem"}
+# Every tag ``_decode`` handles itself.
+_BUILTIN_TAGS = _RING_TAGS | _ELEMENT_TAGS | {"Matrix", "Vector", "Tuple"}
+_LIST = {list}
+_NUMBER_TYPES = {int, Fraction}
 
 # tag -> decode(type_node, data, state); extended by register_codec.
 _DECODERS = {}
@@ -64,7 +88,7 @@ def register_codec(py_type, tag, build_type, build_data, decode):
 
 
 def registered_type_tags() -> set[str]:
-    return set(_DECODERS) | _RING_TAGS
+    return set(_DECODERS) | _BUILTIN_TAGS
 
 
 # ----------------------------------------------------------------------------
@@ -164,151 +188,113 @@ def context_dependency_chain(ctx: ContextHandle) -> list[ContextHandle]:
     This is the post-order a sender must follow so every context arrives
     after its dependencies.
     """
-    chain = []
+    ancestry = []
     desc = ctx.descriptor
     if isinstance(desc, (UnivariatePolyRing, MultivariatePolyRing)):
         base = desc.base
         if isinstance(base, (UnivariatePolyRing, MultivariatePolyRing)):
-            chain.extend(context_dependency_chain(intern_context(base)))
-        chain.append(ctx)
-    return chain
+            ancestry.extend(context_dependency_chain(intern_context(base)))
+        ancestry.append(ctx)
+    return ancestry
 
 
 # ----------------------------------------------------------------------------
-# Scalar text encodings
+# Element lists: one codec per ring descriptor type
 # ----------------------------------------------------------------------------
 
-# Python refuses int<->str conversions beyond sys.get_int_max_str_digits()
-# (4300 by default).  Larger integers are converted piecewise instead: split
-# by powers 10**(_CHUNK * 2**k), convert pieces of at most _CHUNK digits
-# natively, and join.  The global limit is left alone.
-_CHUNK = 1000
+
+def _polys_from_data(desc, items, state, where):
+    ring = intern_context(desc)
+    return [_decode_poly_data(ring, item, state, f"{where}/{i}") for i, item in enumerate(items)]
 
 
-def _long_int_to_text(n: int) -> str:
-    if n < 0:
-        return "-" + _long_int_to_text(-n)
-    powers = [10**_CHUNK]
-    while powers[-1] ** 2 <= n:
-        powers.append(powers[-1] ** 2)
+class _ListCodec:
+    """How the elements of one kind of ring are written and read, a whole
+    list at a time.
 
-    def digits(v: int, level: int) -> str:  # v < powers[level] ** 2
-        if level < 0:
-            return str(v)
-        high, low = divmod(v, powers[level])
-        if not high:
-            return digits(low, level - 1)
-        return digits(high, level - 1) + digits(low, level - 1).zfill(_CHUNK << level)
-
-    return digits(n, len(powers) - 1)
-
-
-def _long_int_from_text(text: str) -> int:
-    """Canonical decimal text (see ``_int_from_text``) past the digit limit;
-    ValueError for any other text."""
-    digits = text[1:] if text[:1] == "-" else text
-    if not (digits.isascii() and digits.isdigit()) or digits[0] == "0":
-        raise ValueError(text)
-    powers: dict[int, int] = {}
-
-    def value(digits: str) -> int:
-        if len(digits) <= _CHUNK:
-            return int(digits)
-        width = _CHUNK
-        while 2 * width < len(digits):
-            width *= 2
-        if width not in powers:
-            powers[width] = 10**width
-        return value(digits[:-width]) * powers[width] + value(digits[-width:])
-
-    if text[0] == "-":
-        return -value(text[1:])
-    return value(text)
-
-
-def _int_to_text(n: int) -> str:
-    try:
-        return str(n)
-    except ValueError:  # beyond the interpreter's digit limit
-        return _long_int_to_text(n)
-
-
-def _int_from_text(text, where) -> int:
-    """The integer written as canonical decimal text: ASCII ``0`` or
-    ``-?[1-9][0-9]*``, the only form ``_int_to_text`` writes.  Other text that
-    ``int`` would accept (`` 5``, ``+5``, ``05``, ``1_000``, non-ASCII digits)
-    raises SchemaError, so every integer read re-serializes to the same bytes.
+    ``writers(mode)`` gives two functions from an element to its data: a
+    fast one, which may raise ValueError for a number past the interpreter's
+    digit limit, and one for any size.  ``decode(desc, items, state, where)``
+    gives the values of a list, or None when an item needs reading on its
+    own by ``decode_one(desc, item, state, where)``, which raises the
+    SchemaError that locates a bad item at ``where``.  ``nonzero(value)`` is
+    false for 0.
     """
-    if isinstance(text, str):
-        try:
-            value = int(text)
-        except ValueError:  # malformed, or beyond the interpreter's digit limit
-            try:
-                return _long_int_from_text(text)
-            except ValueError:
-                pass
-        else:
-            # int() took an integer literal, so only its ends, underscores and
-            # non-ASCII digits can be non-canonical (every ASCII character
-            # int() strips as whitespace is at most " ").  This runs for every
-            # integer read, so it avoids a pass over every digit.
-            first = text[0]
-            if (
-                ("1" <= first <= "9" or text == "0" or (first == "-" and "1" <= text[1] <= "9"))
-                and text.isascii()
-                and "_" not in text
-                and text[-1] > " "
-            ):
-                return value
-    raise SchemaError(f"{where}: expected a decimal integer, got {text!r}")
+
+    __slots__ = ("writers", "decode", "decode_one", "nonzero")
+
+    def __init__(self, writers, decode, decode_one, nonzero):
+        self.writers = writers
+        self.decode = decode
+        self.decode_one = decode_one
+        self.nonzero = nonzero
 
 
-def _fraction_to_text(q: Fraction) -> str:
-    if q.denominator == 1:
-        return _int_to_text(q.numerator)
-    return f"{_int_to_text(q.numerator)}/{_int_to_text(q.denominator)}"
+def _number_writers(mode):
+    return str, fraction_to_text  # fraction_to_text also writes integers
 
 
-def _fraction_from_text(text, where) -> Fraction:
-    if not isinstance(text, str):
-        raise SchemaError(f"{where}: expected a rational as text, got {text!r}")
-    num, sep, den = text.partition("/")
+def _poly_writers(mode):
+    write = partial(_encode_poly_data, mode=mode)
+    return write, write
+
+
+_POLY_CODEC = _ListCodec(
+    _poly_writers,
+    _polys_from_data,
+    lambda desc, item, state, where: _decode_poly_data(intern_context(desc), item, state, where),
+    attrgetter("terms"),
+)
+_LIST_CODECS = {
+    IntegerRing: _ListCodec(
+        _number_writers,
+        lambda desc, items, state, where: read_integers(items),
+        lambda desc, item, state, where: int_from_text(item, where),
+        bool,
+    ),
+    RationalField: _ListCodec(
+        _number_writers,
+        lambda desc, items, state, where: read_rationals(items),
+        lambda desc, item, state, where: fraction_from_text(item, where),
+        bool,
+    ),
+    PrimeField: _ListCodec(
+        _number_writers,
+        lambda desc, items, state, where: read_residues(desc, items),
+        lambda desc, item, state, where: residue_from_text(desc, item, where),
+        bool,
+    ),
+    UnivariatePolyRing: _POLY_CODEC,
+    MultivariatePolyRing: _POLY_CODEC,
+}
+
+
+def _list_codec(desc: RingDescriptor, verb: str) -> _ListCodec:
+    codec = _LIST_CODECS.get(type(desc))
+    if codec is None:
+        raise UnsupportedTypeError(f"cannot {verb} coefficients of {desc!r}")
+    return codec
+
+
+def _encode_elements(desc: RingDescriptor, values, mode: Mode) -> list:
+    """The data of each element of the ring ``desc`` in ``values``."""
+    fast, any_size = _list_codec(desc, "encode").writers(mode)
     try:
-        numerator = _int_from_text(num, where)
-        denominator = _int_from_text(den, where) if sep else 1
-    except SchemaError:
-        raise SchemaError(f"{where}: malformed rational {text!r}") from None
-    # Canonical text writes a denominator only in lowest terms and when it is at least 2.
-    if sep and (denominator < 2 or gcd(numerator, denominator) != 1):
-        raise SchemaError(f"{where}: malformed rational {text!r}")
-    return Fraction(numerator, denominator)
+        return list(map(fast, values))
+    except ValueError:  # a number past the interpreter's digit limit
+        return list(map(any_size, values))
 
 
-def _encode_base_value(desc: RingDescriptor, value, mode: Mode):
-    if isinstance(desc, IntegerRing):
-        return _int_to_text(value)
-    if isinstance(desc, RationalField):
-        return _fraction_to_text(value)
-    if isinstance(desc, PrimeField):
-        return _int_to_text(value)
-    if isinstance(desc, (UnivariatePolyRing, MultivariatePolyRing)):
-        return _encode_poly_data(value, mode)
-    raise UnsupportedTypeError(f"cannot encode coefficients of {desc!r}")
-
-
-def _decode_base_value(desc: RingDescriptor, data, state: DeserializerState, where: str):
-    if isinstance(desc, IntegerRing):
-        return _int_from_text(data, where)
-    if isinstance(desc, RationalField):
-        return _fraction_from_text(data, where)
-    if isinstance(desc, PrimeField):
-        residue = _int_from_text(data, where)
-        if not 0 <= residue < desc.p:
-            raise SchemaError(f"{where}: residue {residue} out of range for p={desc.p}")
-        return residue
-    if isinstance(desc, (UnivariatePolyRing, MultivariatePolyRing)):
-        return _decode_poly_data(intern_context(desc), data, state, where)
-    raise UnsupportedTypeError(f"cannot decode coefficients of {desc!r}")
+def _decode_elements(desc: RingDescriptor, items: list, state: DeserializerState, where: str):
+    """The elements of the ring ``desc`` that ``items`` hold; a bad item is
+    reported at ``where/i``."""
+    codec = _list_codec(desc, "decode")
+    values = codec.decode(desc, items, state, where)
+    if values is None:
+        values = [
+            codec.decode_one(desc, item, state, f"{where}/{i}") for i, item in enumerate(items)
+        ]
+    return values
 
 
 # ----------------------------------------------------------------------------
@@ -317,66 +303,92 @@ def _decode_base_value(desc: RingDescriptor, data, state: DeserializerState, whe
 
 
 def _encode_poly_data(p: Polynomial, mode: Mode):
-    desc = p.parent.descriptor
-    base = desc.base
-    if isinstance(desc, UnivariatePolyRing):
-        if mode is Mode.LONG_TERM:
-            return [
-                [str(m[0]), _encode_base_value(base, c, mode)]
-                for m, c in reversed(p.terms)
-            ]
-        degree = p.degree()
-        if degree < 0:
-            return []
-        by_degree = {m[0]: c for m, c in p.terms}
-        from ..algebra.rings import domain_for
+    fast, any_size = _list_codec(p.parent.descriptor.base, "encode").writers(mode)
+    try:
+        return _poly_payload(p, mode, str, fast)
+    except ValueError:  # a number past the interpreter's digit limit
+        return _poly_payload(p, mode, int_to_text, any_size)
 
-        zero = domain_for(base).zero
-        return [
-            _encode_base_value(base, by_degree.get(d, zero), mode)
-            for d in range(degree + 1)
-        ]
-    return [
-        [[str(e) for e in m], _encode_base_value(base, c, mode)]
-        for m, c in p.terms
-    ]
+
+def _poly_payload(p: Polynomial, mode: Mode, write_int, write_coeff):
+    desc = p.parent.descriptor
+    if isinstance(desc, MultivariatePolyRing):
+        return [[list(map(write_int, m)), write_coeff(c)] for m, c in p.terms]
+    if mode is Mode.LONG_TERM:
+        return [[write_int(d), write_coeff(c)] for (d,), c in reversed(p.terms)]
+    if not p.terms:
+        return []
+    dense = [domain_for(desc.base).zero] * (p.degree() + 1)
+    for (d,), c in p.terms:
+        dense[d] = c
+    return list(map(write_coeff, dense))
+
+
+def _all_lists(items, length: int) -> bool:
+    return set(map(type, items)) <= _LIST and set(map(len, items)) <= {length}
 
 
 def _decode_poly_data(ring: ContextHandle, data, state: DeserializerState, where: str) -> Polynomial:
+    """Whole columns of a payload at once when every item is canonical;
+    otherwise term by term, which raises the error of the first bad term.
+    Terms already in canonical order make the polynomial directly; any other
+    order (or a zero coefficient, or a repeated monomial) is normalized."""
     desc = ring.descriptor
     base = desc.base
     if not isinstance(data, list):
         raise SchemaError(f"{where}: polynomial payload must be a sequence")
-    terms = []
-    if isinstance(desc, UnivariatePolyRing):
-        if state.mode is Mode.LONG_TERM:
-            for i, pair in enumerate(data):
-                at = f"{where}/{i}"
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise SchemaError(f"{at}: expected a [degree, coefficient] pair")
-                degree = _int_from_text(pair[0], at)
-                if degree < 0:
-                    raise SchemaError(f"{at}: negative degree")
-                coeff = _decode_base_value(base, pair[1], state, at)
-                terms.append(((degree,), coeff))
+    codec = _list_codec(base, "decode")
+    if isinstance(desc, UnivariatePolyRing) and state.mode is Mode.IPC:
+        coeffs = _decode_elements(base, data, state, where)
+        keep = list(map(codec.nonzero, coeffs))
+        return Polynomial(ring, [((d,), coeffs[d]) for d in reversed(range(len(data))) if keep[d]])
+    if _all_lists(data, 2):
+        heads, items = (list(column) for column in zip(*data)) if data else ([], [])
+        if isinstance(desc, UnivariatePolyRing):
+            exponents = read_integers(heads)
+            arity = 1
         else:
-            for d, raw in enumerate(data):
-                coeff = _decode_base_value(base, raw, state, f"{where}/{d}")
-                terms.append(((d,), coeff))
-    else:
-        arity = len(desc.symbols)
-        for i, pair in enumerate(data):
-            at = f"{where}/{i}"
+            arity = len(desc.symbols)
+            exponents = None
+            if _all_lists(heads, arity):
+                exponents = read_integers(list(chain.from_iterable(heads)))
+        if exponents is not None and (not exponents or min(exponents) >= 0):
+            coeffs = codec.decode(base, items, state, where)
+            if coeffs is not None:
+                monos = list(zip(*[iter(exponents)] * arity))
+                if isinstance(desc, UnivariatePolyRing):  # written lowest degree first
+                    monos.reverse()
+                    coeffs.reverse()
+                keys = list(zip(map(sum, monos), monos))
+                if all(map(gt, keys, keys[1:])) and all(map(codec.nonzero, coeffs)):
+                    return Polynomial(ring, zip(monos, coeffs))
+                return Polynomial.from_terms(ring, zip(monos, coeffs))
+    return Polynomial.from_terms(ring, _terms_one_by_one(desc, codec, data, state, where))
+
+
+def _terms_one_by_one(desc, codec: _ListCodec, data: list, state: DeserializerState, where: str):
+    """The terms of a long-term univariate or a multivariate payload, read
+    one at a time so the first bad term raises its SchemaError."""
+    terms = []
+    for i, pair in enumerate(data):
+        at = f"{where}/{i}"
+        if isinstance(desc, UnivariatePolyRing):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise SchemaError(f"{at}: expected a [degree, coefficient] pair")
+            degree = int_from_text(pair[0], at)
+            if degree < 0:
+                raise SchemaError(f"{at}: negative degree")
+            mono = (degree,)
+        else:
             if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], list):
                 raise SchemaError(f"{at}: expected an [exponents, coefficient] pair")
-            if len(pair[0]) != arity:
+            if len(pair[0]) != len(desc.symbols):
                 raise SchemaError(
-                    f"{at}: exponent vector has length {len(pair[0])}, ring has {arity}"
+                    f"{at}: exponent vector has length {len(pair[0])}, ring has {len(desc.symbols)}"
                 )
-            mono = tuple(_int_from_text(e, at) for e in pair[0])
-            coeff = _decode_base_value(base, pair[1], state, at)
-            terms.append((mono, coeff))
-    return Polynomial.from_terms(ring, terms)
+            mono = tuple(int_from_text(e, at) for e in pair[0])
+        terms.append((mono, codec.decode_one(desc.base, pair[1], state, at)))
+    return terms
 
 
 def encode_univariate(p: Polynomial, mode: Mode):
@@ -454,20 +466,22 @@ def _build_type(obj, state: SerializerState) -> TypeNode:
 
 def _build_data(obj, state: SerializerState):
     if isinstance(obj, int):
-        return _int_to_text(obj)
+        return int_to_text(obj)
     if isinstance(obj, Fraction):
-        return _fraction_to_text(obj)
+        return fraction_to_text(obj)
     if isinstance(obj, Polynomial):
         return _encode_poly_data(obj, state.mode)
     if isinstance(obj, ExactMatrix):
         return {
             "nrows": str(obj.nrows),
             "ncols": str(obj.ncols),
-            "entries": [_build_data(e, state) for e in obj.entries],
+            "entries": _encode_elements(obj.parent.descriptor, obj.entries, state.mode),
         }
     if isinstance(obj, ContextHandle):
         return {}
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) <= _NUMBER_TYPES:  # integers are rationals too
+            return _encode_elements(QQ.descriptor, obj, state.mode)
         return [_build_data(item, state) for item in obj]
     encoder = _ENCODERS.get(type(obj))
     if encoder is not None:
@@ -526,7 +540,7 @@ def _leaf_descriptor_from_encoding(enc, where: str) -> RingDescriptor:
         params = enc.get("params")
         if not isinstance(params, dict) or "modulus" not in params:
             raise SchemaError(f"{where}: PrimeField needs a modulus parameter")
-        return PrimeField(_int_from_text(params["modulus"], where))
+        return PrimeField(int_from_text(params["modulus"], where))
     raise SchemaError(f"{where}: unknown base ring encoding {enc!r}")
 
 
@@ -561,7 +575,7 @@ def _ring_for_element_type(tn: TypeNode, state: DeserializerState) -> ContextHan
     if tn.name == "PrimeFieldElem":
         if not isinstance(tn.params, dict) or "modulus" not in tn.params:
             raise SchemaError("PrimeFieldElem needs a modulus parameter")
-        return GF(_int_from_text(tn.params["modulus"], "_type"))
+        return GF(int_from_text(tn.params["modulus"], "_type"))
     if tn.name in ("PolyRingElem", "MPolyRingElem"):
         if not is_uuid_text(tn.params):
             raise SchemaError(f"{tn.name} needs a parent context UUID parameter")
@@ -572,32 +586,21 @@ def _ring_for_element_type(tn: TypeNode, state: DeserializerState) -> ContextHan
 def _decode(tn: TypeNode, data, state: DeserializerState):
     where = state.cursor()
     name = tn.name
-    if name == "ZZRingElem":
-        return _int_from_text(data, where)
-    if name == "QQFieldElem":
-        return _fraction_from_text(data, where)
-    if name == "PrimeFieldElem":
-        ring = _ring_for_element_type(tn, state)
-        return _decode_base_value(ring.descriptor, data, state, where)
-    if name in ("PolyRingElem", "MPolyRingElem"):
-        ring = _ring_for_element_type(tn, state)
-        return _decode_poly_data(ring, data, state, where)
+    if name in _ELEMENT_TAGS:
+        desc = _ring_for_element_type(tn, state).descriptor
+        return _list_codec(desc, "decode").decode_one(desc, data, state, where)
     if name == "Matrix":
         if not isinstance(tn.params, TypeNode):
             raise SchemaError(f"{where}: Matrix needs an element type parameter")
         if not isinstance(data, dict) or set(data) != {"nrows", "ncols", "entries"}:
             raise SchemaError(f"{where}: Matrix payload needs nrows/ncols/entries")
-        nrows = _int_from_text(data["nrows"], where)
-        ncols = _int_from_text(data["ncols"], where)
+        nrows = int_from_text(data["nrows"], where)
+        ncols = int_from_text(data["ncols"], where)
         raw = data["entries"]
         if not isinstance(raw, list) or len(raw) != nrows * ncols:
             raise SchemaError(f"{where}: expected {nrows * ncols} matrix entries")
         ring = _ring_for_element_type(tn.params, state)
-        entries = []
-        for i, item in enumerate(raw):
-            state.path.append(f"entries/{i}")
-            entries.append(_decode(tn.params, item, state))
-            state.path.pop()
+        entries = _decode_elements(ring.descriptor, raw, state, f"{where}/entries")
         return ExactMatrix(ring, nrows, ncols, entries)
     if name == "Vector":
         if not isinstance(data, list):
@@ -608,6 +611,9 @@ def _decode(tn: TypeNode, data, state: DeserializerState):
             return []
         if not isinstance(tn.params, TypeNode):
             raise SchemaError(f"{where}: Vector element type must be a type node")
+        if data and tn.params.name in _ELEMENT_TAGS:
+            ring = _ring_for_element_type(tn.params, state)
+            return _decode_elements(ring.descriptor, data, state, where)
         out = []
         for i, item in enumerate(data):
             state.path.append(str(i))
@@ -645,7 +651,7 @@ def _decode(tn: TypeNode, data, state: DeserializerState):
     if name == "PrimeField":
         if not isinstance(tn.params, dict) or "modulus" not in tn.params:
             raise SchemaError(f"{where}: PrimeField needs a modulus parameter")
-        return GF(_int_from_text(tn.params["modulus"], where))
+        return GF(int_from_text(tn.params["modulus"], where))
     if name in ("PolyRing", "MPolyRing"):
         if not is_uuid_text(tn.params):
             raise SchemaError(f"{where}: {name} needs a context UUID parameter")
@@ -670,18 +676,3 @@ def load(doc: MrdiDocument, state: DeserializerState):
     state.document = doc
     state.path = []
     return _decode(doc.type_tree, doc.data, state)
-
-
-# Built-in decoder table entries for tags handled inline above; registering
-# them keeps registered_type_tags() complete for validation.
-for _tag in (
-    "ZZRingElem",
-    "QQFieldElem",
-    "PrimeFieldElem",
-    "PolyRingElem",
-    "MPolyRingElem",
-    "Matrix",
-    "Vector",
-    "Tuple",
-):
-    _DECODERS.setdefault(_tag, None)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, filterfalse
 from typing import Optional, Union
 
 SYSTEM_NAME = "mrdikit"
@@ -106,21 +107,72 @@ def document_dependencies(doc: MrdiDocument) -> set[str]:
     return found
 
 
-def _check_data_node(node, path, errors):
-    if isinstance(node, str):
+_TEXT = {str}
+_TEXT_OR_CONTAINER = {str, list, dict}
+
+
+def data_tree_ok(node) -> bool:
+    """Whether ``node`` is text, or lists and dicts with text keys whose
+    scalars are all text, nested at most ``MAX_NESTING_DEPTH`` deep.
+
+    One pass per nesting level that builds no paths.  False also for
+    subclasses of str, list and dict; ``data_tree_problems`` has the verdict.
+    """
+    level = [node]
+    for depth in range(MAX_NESTING_DEPTH + 1):
+        kinds = set(map(type, level))
+        if kinds <= _TEXT:
+            return True
+        if depth == MAX_NESTING_DEPTH or not kinds <= _TEXT_OR_CONTAINER:
+            return False
+        containers = filterfalse(str.__instancecheck__, level)
+        if dict in kinds:
+            containers = list(containers)
+            for c in containers:
+                if type(c) is dict and not set(map(type, c)) <= _TEXT:
+                    return False  # a key that is not text
+            containers = [c.values() if type(c) is dict else c for c in containers]
+        level = list(chain.from_iterable(containers))
+    return False  # not reached: the last level returns
+
+
+def data_tree_problems(node, path):
+    """Each ``(path, problem, value)`` that makes ``data_tree_ok`` false, in
+    depth-first order.  ``problem`` is "native" for a scalar that is not text,
+    "key" for an object key that is not text (the path is the object's), and
+    "deep" for a container at depth ``MAX_NESTING_DEPTH``, below which the
+    walk goes on."""
+    stack = [(path, node, 0)]
+    while stack:
+        path, node, depth = stack.pop()
+        if depth is None:
+            yield path, "key", node
+            continue
+        if isinstance(node, str):
+            continue
+        if isinstance(node, list):
+            children = [(f"{path}/{i}", item, depth + 1) for i, item in enumerate(node)]
+        elif isinstance(node, dict):
+            children = [
+                (f"{path}/{key}", value, depth + 1) if isinstance(key, str) else (path, key, None)
+                for key, value in node.items()
+            ]
+        else:
+            yield path, "native", node
+            continue
+        if depth == MAX_NESTING_DEPTH:
+            yield path, "deep", node
+        stack.extend(reversed(children))
+
+
+def _check_data(node, path, errors):
+    if data_tree_ok(node):
         return
-    if isinstance(node, list):
-        for i, item in enumerate(node):
-            _check_data_node(item, f"{path}/{i}", errors)
-        return
-    if isinstance(node, dict):
-        for key, value in node.items():
-            if not isinstance(key, str):
-                errors.append(f"{path}: non-text object key {key!r}")
-            else:
-                _check_data_node(value, f"{path}/{key}", errors)
-        return
-    errors.append(f"{path}: non-text scalar {node!r} (numbers must be stored as text)")
+    for where, problem, value in data_tree_problems(node, path):
+        if problem == "native":
+            errors.append(f"{where}: non-text scalar {value!r} (numbers must be stored as text)")
+        elif problem == "key":
+            errors.append(f"{where}: non-text object key {value!r}")
 
 
 def _check_type_node(node, path, errors, known_tags):
@@ -167,7 +219,7 @@ def validate_document(doc: MrdiDocument, global_state=None, known_tags=None) -> 
             errors.append("_ns: empty version")
 
     _check_type_node(doc.type_tree, "_type", errors, known_tags)
-    _check_data_node(doc.data, "data", errors)
+    _check_data(doc.data, "data", errors)
 
     refs = doc.refs or {}
     for uuid_key, ref in refs.items():
@@ -176,7 +228,7 @@ def validate_document(doc: MrdiDocument, global_state=None, known_tags=None) -> 
         if ref.ns is not None or ref.refs is not None:
             errors.append(f"_refs/{uuid_key}: ref documents must not carry `_ns` or `_refs`")
         _check_type_node(ref.type_tree, f"_refs/{uuid_key}/_type", errors, known_tags)
-        _check_data_node(ref.data, f"_refs/{uuid_key}/data", errors)
+        _check_data(ref.data, f"_refs/{uuid_key}/data", errors)
 
     mentioned = set(iter_type_uuids(doc.type_tree))
     ref_deps = {}

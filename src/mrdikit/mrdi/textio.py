@@ -9,6 +9,7 @@ so serialization is a pure function of the document.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from ..errors import SchemaError
 from .document import (
@@ -17,10 +18,13 @@ from .document import (
     MrdiDocument,
     NamespaceRecord,
     TypeNode,
+    data_tree_ok,
+    data_tree_problems,
     is_uuid_text,
 )
 
 _TOP_LEVEL_KEYS = ("_ns", "_type", "_refs", "data")
+_TEXT = {str}
 
 
 def _type_to_json(node):
@@ -48,10 +52,54 @@ def _doc_to_json(doc: MrdiDocument):
     return out
 
 
+def _write_indented(node, newline, out):
+    """Append ``node`` to ``out`` as ``json.dumps(node, indent=2)`` writes it,
+    where ``newline`` is a line break plus the indentation of the line the
+    node starts on.  Only text, lists, tuples and dicts can be written."""
+    if isinstance(node, str):
+        out.append(_quote(node))
+        return
+    inner = newline + "  "
+    if isinstance(node, (list, tuple)):
+        if not node:
+            out.append("[]")
+        elif set(map(type, node)) <= _TEXT:  # a list of text, the common leaf
+            out.append(f"[{inner}{(',' + inner).join(map(_quote, node))}{newline}]")
+        else:
+            out.append("[")
+            separator = inner
+            for item in node:
+                out.append(separator)
+                _write_indented(item, inner, out)
+                separator = "," + inner
+            out.append(newline + "]")
+    elif isinstance(node, dict):
+        if not node:
+            out.append("{}")
+            return
+        out.append("{")
+        separator = inner
+        for key, value in node.items():
+            if not isinstance(key, str):
+                raise SchemaError(f"cannot write the non-text object key {key!r}")
+            out.append(f"{separator}{_quote(key)}: ")
+            _write_indented(value, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        raise SchemaError(f"cannot write {node!r}: numbers and flags must be stored as text")
+
+
 def serialize_text(doc: MrdiDocument) -> bytes:
+    """Long-term documents come out as ``json.dumps(obj, indent=2)`` plus a
+    newline would write them (through a writer that skips the json module's
+    pure-Python indenting encoder), IPC documents as compact JSON."""
     obj = _doc_to_json(doc)
     if doc.mode is Mode.LONG_TERM:
-        return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+        out = []
+        _write_indented(obj, "\n", out)
+        out.append("\n")
+        return "".join(out).encode("ascii")
     return json.dumps(obj, separators=(",", ":")).encode("utf-8")
 
 
@@ -101,20 +149,17 @@ def _parse_type_params(node, path, depth):
     raise SchemaError(f"{path}: malformed type parameters {node!r}")
 
 
-def _check_data(node, path, depth=0):
+def _check_data(node, path):
     """``node`` itself, once every scalar in it is known to be text and its
     containers nest at most ``MAX_NESTING_DEPTH`` deep."""
-    if isinstance(node, str):
-        return node
-    if not isinstance(node, (list, dict)):
-        raise SchemaError(
-            f"{path}: native value {node!r}; numbers and flags must be stored as text"
-        )
-    if depth == MAX_NESTING_DEPTH:
-        _too_deep(path)
-    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
-        if not isinstance(value, str):
-            _check_data(value, f"{path}/{key}", depth + 1)
+    if not data_tree_ok(node):
+        # The first problem; keys parsed from JSON are always text.
+        for where, problem, value in data_tree_problems(node, path):
+            if problem == "deep":
+                _too_deep(where)
+            raise SchemaError(
+                f"{where}: native value {value!r}; numbers and flags must be stored as text"
+            )
     return node
 
 

@@ -39,7 +39,8 @@ from ..mrdi.states import SerializerState
 
 @dataclass(frozen=True)
 class MonomialMap:
-    """A ring map sending each source variable to one nonzero target term."""
+    """A ring map sending each source variable to one nonzero target term
+    whose monomial is nonconstant (x -> 2 is rejected)."""
 
     source: ContextHandle
     target: ContextHandle
@@ -65,7 +66,10 @@ class MonomialMap:
             if len(img.terms) != 1:
                 raise ValidationError("images must be single nonzero terms")
             if sum(img.terms[0][0]) == 0:
-                raise ValidationError("image monomials must be nonconstant")
+                raise ValidationError(
+                    "image monomials must be nonconstant: a map sending a variable to a "
+                    "constant, such as x -> 2, is not supported"
+                )
 
     @property
     def variable_degrees(self) -> tuple[Multidegree, ...]:

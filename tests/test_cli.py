@@ -255,6 +255,48 @@ def test_kernel_rejects_matrix_input(toy_matrix_file, tmp_path):
     )
 
 
+def test_kernel_rejects_constant_image_with_the_restriction(conic_map_file, tmp_path, capsys):
+    obj = json.loads(conic_map_file.read_bytes())
+    obj["data"]["images"][1][0][0] = ["0", "0"]  # y -> 1
+    path = tmp_path / "constant.mrdi"
+    path.write_text(json.dumps(obj, indent=2))
+    out = tmp_path / "k.mrdi"
+    assert cli.main(["kernel", "--map", str(path), "--degree", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "image monomials must be nonconstant" in err
+    assert "such as x -> 2, is not supported" in err
+
+
+def assert_cannot_write(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_detcrt_unwritable_output_is_bad_input(toy_matrix_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "dir" / "d.mrdi"
+    assert cli.main(["detcrt", "--matrix", str(toy_matrix_file), "--out", str(out)]) == 2
+    assert_cannot_write(capsys, out)
+
+
+def test_kernel_unwritable_output_is_bad_input(conic_map_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "dir" / "k.mrdi"
+    assert (
+        cli.main(["kernel", "--map", str(conic_map_file), "--degree", "2", "--out", str(out)])
+        == 2
+    )
+    assert_cannot_write(capsys, out)
+
+
+def test_bench_unwritable_out_dir_is_bad_input(tmp_path, capsys):
+    out_dir = tmp_path / "a-file"
+    out_dir.write_bytes(b"")
+    assert (
+        cli.main(["bench", "--suite", "kernel-synthetic", "--out-dir", str(out_dir)]) == 2
+    )
+    assert_cannot_write(capsys, out_dir)
+
+
 def test_failed_output_write_leaves_old_file_and_no_temporary(
     conic_map_file, tmp_path, monkeypatch
 ):
@@ -282,8 +324,10 @@ def test_failed_output_write_leaves_old_file_and_no_temporary(
             raise OSError(errno.ENOSPC, "No space left on device")
 
     monkeypatch.setattr(cli.os, "fdopen", lambda fd, mode: HalfWrite(real_fdopen(fd, mode)))
-    with pytest.raises(OSError):
+    assert (
         cli.main(["kernel", "--map", str(conic_map_file), "--degree", "2", "--out", str(out)])
+        == 2
+    )
     assert any(name.startswith(".k.mrdi.") for name in seen)  # the write was underway
     assert out.read_bytes() == b"previous result"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k.mrdi", "phi.mrdi"]
