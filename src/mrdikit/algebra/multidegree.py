@@ -20,31 +20,28 @@ Multidegree = tuple[int, ...]
 
 def _walk(
     weights: Sequence[int],
-    degrees: Sequence[Multidegree],
+    steps: Sequence[int],
     budget: int,
     exact: bool,
-) -> list[tuple[Monomial, Multidegree]]:
+) -> list[tuple[Monomial, int]]:
     """Every exponent vector e with Σ e_i·weights[i] at most ``budget``
-    (equal to it when ``exact``), paired with its multidegree Σ e_i·degrees[i],
-    in descending lexicographic order.  Weights must be positive."""
-    level = [((), budget, (0,) * (len(degrees[0]) if degrees else 0))]
-    for w, d in zip(weights, degrees):
+    (equal to it when ``exact``), paired with Σ e_i·steps[i], in descending
+    lexicographic order.  Weights must be positive."""
+    level = [((), budget, 0)]
+    for w, step in zip(weights, steps):
         deeper = []
-        for prefix, left, md in level:
-            for e in range(left // w, -1, -1):
-                if e:
-                    md_e = tuple(a + e * b for a, b in zip(md, d))
-                    deeper.append((prefix + (e,), left - e * w, md_e))
-                else:
-                    deeper.append((prefix + (0,), left, md))
+        for prefix, left, key in level:
+            for e in range(left // w, 0, -1):
+                deeper.append((prefix + (e,), left - e * w, key + e * step))
+            deeper.append((prefix + (0,), left, key))
         level = deeper
-    return [(mono, md) for mono, left, md in level if not exact or left == 0]
+    return [(mono, key) for mono, left, key in level if not exact or left == 0]
 
 
 def iter_monomials(arity: int, total_degree: int) -> Iterator[Monomial]:
     """All exponent vectors of length ``arity`` summing to ``total_degree``,
     in descending lexicographic order."""
-    for mono, _ in _walk([1] * arity, [()] * arity, total_degree, True):
+    for mono, _ in _walk([1] * arity, [0] * arity, total_degree, True):
         yield mono
 
 
@@ -58,12 +55,13 @@ def monomials_by_multidegree(
     """Group monomials by their multidegree.
 
     The multidegree of x^e is the exponent-weighted sum of the per-variable
-    degree vectors.  Give exactly one bound: ``total_degree`` selects every
-    monomial of exactly that degree; ``max_weight`` selects every monomial
-    with Σ e_i·|deg x_i| at most ``max_weight``, where |d| is the sum of the
-    entries of d and must be positive for every variable.  Groups are keyed
-    by multidegree (ascending key order) and each group lists its monomials in
-    degree-lex order, leading monomial first.
+    degree vectors, whose entries must be nonnegative.  Give exactly one
+    bound: ``total_degree`` selects every monomial of exactly that degree;
+    ``max_weight`` selects every monomial with Σ e_i·|deg x_i| at most
+    ``max_weight``, where |d| is the sum of the entries of d and must be
+    positive for every variable.  Groups are keyed by multidegree (ascending
+    key order) and each group lists its monomials in degree-lex order,
+    leading monomial first.
     """
     arity = ring_arity(ring.descriptor)
     if len(variable_degrees) != arity:
@@ -76,20 +74,32 @@ def monomials_by_multidegree(
     k = len(degs[0]) if degs else 0
     if any(len(d) != k for d in degs):
         raise ValidationError("variable degree vectors must share one length")
+    if any(x < 0 for d in degs for x in d):
+        raise ValidationError("variable degree vectors must be nonnegative")
     if max_weight is None:
         if total_degree < 0:
             raise ValidationError("total degree must be nonnegative")
-        pairs = _walk([1] * arity, degs, total_degree, True)
+        weights, bound = [1] * arity, total_degree
     else:
         if max_weight < 0:
             raise ValidationError("max weight must be nonnegative")
-        weights = [sum(d) for d in degs]
+        weights, bound = [sum(d) for d in degs], max_weight
         if any(w < 1 for w in weights):
             raise ValidationError("a weight bound needs a positive degree sum for every variable")
-        pairs = _walk(weights, degs, max_weight, False)
-    groups: dict[Multidegree, list[Monomial]] = {}
-    for mono, md in pairs:
-        groups.setdefault(md, []).append(mono)
+    # The walk carries each multidegree packed into one integer, a field per
+    # coordinate with the first one highest, so adding keys adds multidegrees
+    # and key order is tuple order.  No coordinate exceeds bound·max entry,
+    # as every weight is at least 1.
+    width = (bound * max((x for d in degs for x in d), default=0)).bit_length()
+    shifts = [width * (k - 1 - j) for j in range(k)]
+    steps = [sum(x << shift for x, shift in zip(d, shifts)) for d in degs]
+    groups: dict[int, list[Monomial]] = {}
+    for mono, key in _walk(weights, steps, bound, max_weight is None):
+        groups.setdefault(key, []).append(mono)
+    field = (1 << width) - 1
     # The walk is in descending lex order, which is degree-lex order among
     # monomials of one degree; a stable sort by degree finishes the job.
-    return {md: sorted(groups[md], key=sum, reverse=True) for md in sorted(groups)}
+    return {
+        tuple(key >> shift & field for shift in shifts): sorted(groups[key], key=sum, reverse=True)
+        for key in sorted(groups)
+    }

@@ -211,6 +211,13 @@ def _with_pool(workers: int, fn):
         pool.shutdown()
 
 
+def _timed(fn, *args, **kwargs):
+    """``fn``'s result and the seconds it took."""
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - start
+
+
 def _components_value(components):
     return [(list(md), gens) for md, gens in sorted(components.items())]
 
@@ -232,12 +239,10 @@ def cmd_detcrt(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
-        def run(pool):
-            start = time.perf_counter()
-            det = modular_determinant(matrix, pool=pool, heuristic=args.heuristic)
-            return det, time.perf_counter() - start
-
-        det, seconds = _with_pool(args.workers, run)
+        det, seconds = _with_pool(
+            args.workers,
+            lambda pool: _timed(modular_determinant, matrix, pool=pool, heuristic=args.heuristic),
+        )
     except (WorkerFailure, TransportError, PoolClosedError) as exc:
         print(f"worker failure: {exc}", file=sys.stderr)
         return EXIT_DISTRIBUTED
@@ -265,18 +270,10 @@ def cmd_kernel(args) -> int:
     except MrdiKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    try:
-        def run(pool):
-            start = time.perf_counter()
-            components = components_of_kernel(
-                phi, args.degree, pool=pool, minimalize=not args.no_minimalize
-            )
-            return components, time.perf_counter() - start
-
-        components, seconds = _with_pool(args.workers, run)
-    except (WorkerFailure, TransportError, PoolClosedError) as exc:
-        print(f"worker failure: {exc}", file=sys.stderr)
-        return EXIT_DISTRIBUTED
+    # The kernel runs in this process at every --workers value.
+    components, seconds = _timed(
+        components_of_kernel, phi, args.degree, minimalize=not args.no_minimalize
+    )
     out_raw = _write_result(_components_value(components), args.out, _seed_from(raw))
     if out_raw is None:
         return EXIT_BAD_INPUT
@@ -308,15 +305,15 @@ def cmd_bench(args) -> int:
         instance = detcrt_instance()
         workload = "detcrt"
 
-        def compute(pool):
-            return modular_determinant(instance, pool=pool)
+        def run(count):
+            return _with_pool(count, lambda pool: _timed(modular_determinant, instance, pool=pool))
 
     else:
         instance = kernel_instance()
         workload = "kernel"
 
-        def compute(pool):
-            return components_of_kernel(instance, KERNEL_TOTAL_DEGREE, pool=pool)
+        def run(count):  # in this process at every worker count
+            return _timed(components_of_kernel, instance, KERNEL_TOTAL_DEGREE)
 
     instance_path = out_dir / f"{workload}-instance.mrdi"
     input_raw = serialize_text(
@@ -329,12 +326,7 @@ def cmd_bench(args) -> int:
     reports = []
     for count in worker_counts:
         try:
-            def run(pool):
-                start = time.perf_counter()
-                result = compute(pool)
-                return result, time.perf_counter() - start
-
-            result, seconds = _with_pool(count, run)
+            result, seconds = run(count)
         except (WorkerFailure, TransportError, PoolClosedError) as exc:
             print(f"worker failure at {count} workers: {exc}", file=sys.stderr)
             return EXIT_DISTRIBUTED
@@ -393,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", help="kernel components of a monomial map")
     p.add_argument("--map", required=True)
     p.add_argument("--degree", type=int, required=True, help="|md| <= DEGREE * min image degree")
-    p.add_argument("--workers", type=int, default=0)
+    p.add_argument("--workers", type=int, default=0, help="accepted; the kernel runs in-process")
     p.add_argument("--no-minimalize", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--json", action="store_true")

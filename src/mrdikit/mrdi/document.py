@@ -173,22 +173,30 @@ def _check_data(node, path, errors):
             errors.append(f"{where}: non-text scalar {value!r} (numbers must be stored as text)")
         elif problem == "key":
             errors.append(f"{where}: non-text object key {value!r}")
+        else:
+            errors.append(f"{where}: nested deeper than {MAX_NESTING_DEPTH} levels")
 
 
-def _check_type_node(node, path, errors, known_tags):
+def _check_type_node(node, path, errors, known_tags, depth=0):
+    """Nesting is counted as parsing counts it: a type node with parameters
+    or a parameter mapping at ``depth`` puts its children at ``depth + 1``."""
     if isinstance(node, str):
         return  # UUID param or inline tag; resolvability is checked separately
     if isinstance(node, TypeNode):
         if known_tags is not None and node.name not in known_tags:
             errors.append(f"{path}: unknown type tag {node.name!r}")
-        if node.params is not None:
-            _check_type_node(node.params, f"{path}/params", errors, known_tags)
+        if node.params is None:
+            return
+    elif not isinstance(node, dict):
+        errors.append(f"{path}: malformed type parameter {node!r}")
         return
-    if isinstance(node, dict):
+    if depth == MAX_NESTING_DEPTH:
+        errors.append(f"{path}: nested deeper than {MAX_NESTING_DEPTH} levels")
+    elif isinstance(node, TypeNode):
+        _check_type_node(node.params, f"{path}/params", errors, known_tags, depth + 1)
+    else:
         for key, value in node.items():
-            _check_type_node(value, f"{path}/{key}", errors, known_tags)
-        return
-    errors.append(f"{path}: malformed type parameter {node!r}")
+            _check_type_node(value, f"{path}/{key}", errors, known_tags, depth + 1)
 
 
 def validate_document(doc: MrdiDocument, global_state=None, known_tags=None) -> list[str]:

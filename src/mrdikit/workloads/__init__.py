@@ -6,7 +6,7 @@ from .determinant import (
     det_mod_primes,
     modular_determinant,
 )
-from .kernel import MonomialMap, components_of_kernel, evaluate_map, kernel_block
+from .kernel import MonomialMap, components_of_kernel, evaluate_map
 from .synthetic import detcrt_instance, kernel_instance
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "det_mod_primes",
     "detcrt_instance",
     "evaluate_map",
-    "kernel_block",
     "kernel_instance",
     "modular_determinant",
 ]

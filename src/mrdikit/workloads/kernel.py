@@ -6,8 +6,9 @@ one multidegree form a fiber; they all map to multiples of one target
 monomial, so the fiber's part of the kernel is spanned by binomials that pair
 its leading monomial with each other one.  The fibers come from one walk over
 the source variables bounded by weight (the entry sum of the multidegree), so
-no monomial outside the bound is built.  Fibers are independent of each
-other, which is what the pool parallelizes.
+no monomial outside the bound is built.  Everything runs in the calling
+process: the component search over all fibers costs a few milliseconds,
+less than shipping the fibers to a worker pool and back.
 
 Minimalization is integer bookkeeping: the minimal generators in multidegree
 b number one less than the connected components of the fiber graph, where
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import prod
 
 # Imported only so the traced benchmark can probe it by this module's name.
@@ -28,7 +30,6 @@ from ..algebra.multidegree import Multidegree, monomials_by_multidegree
 from ..algebra.polynomials import Monomial, Polynomial
 from ..algebra.rings import ContextHandle, MultivariatePolyRing, RationalField
 from ..errors import ContextMismatchError, ValidationError
-from ..ipc.registry import register_function
 from ..mrdi.codec import (
     _register_poly_context,
     register_codec,
@@ -125,7 +126,7 @@ def _map_decode(tn: TypeNode, data, state) -> MonomialMap:
     if not isinstance(data, dict) or "images" not in data or not isinstance(data["images"], list):
         raise SchemaError("MonomialMap payload needs an images sequence")
     images = tuple(
-        _decode_poly_data(target, raw, state, f"images/{i}")
+        _decode_poly_data(target, raw, state, f"data/images/{i}")
         for i, raw in enumerate(data["images"])
     )
     return MonomialMap(source, target, images)
@@ -141,32 +142,27 @@ def _component_starts(supports: list[int]) -> list[int]:
     """Position of the first monomial of each component of one fiber graph.
 
     ``supports`` holds each monomial's variables as a bit mask, in fiber
-    order.  Monomials are joined when they share a variable, so the union-find
-    runs over variables: every monomial unites the variables it uses.
+    order.  Monomials are joined when they share a variable, so components
+    use disjoint sets of variables: each monomial merges every component
+    whose variables it touches.
     """
-    parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while parent.setdefault(v, v) != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for mask in supports:
-        root = find(mask & -mask)
-        rest = mask & (mask - 1)
-        while rest:
-            bit = rest & -rest
-            parent[find(bit)] = root
-            rest ^= bit
-    first: dict[int, int] = {}
+    components: list[tuple[int, int]] = []  # (variable mask, first position)
     for i, mask in enumerate(supports):
-        first.setdefault(find(mask & -mask), i)
-    return list(first.values())
+        first = i
+        apart = []
+        for comp in components:
+            if comp[0] & mask:
+                mask |= comp[0]
+                first = min(first, comp[1])
+            else:
+                apart.append(comp)
+        apart.append((mask, first))
+        components = apart
+    return sorted(first for _, first in components)
 
 
 def kernel_block(fibers: list[list[int]]) -> list[list[int]]:
-    """Component representatives for a batch of fibers.
+    """Component representatives for a list of fibers.
 
     Each fiber lists the supports (variable bit masks) of its monomials in
     fiber order, leading monomial first.  For each fiber the result lists the
@@ -174,9 +170,6 @@ def kernel_block(fibers: list[list[int]]) -> list[list[int]]:
     graph, in fiber order; it always starts with 0.
     """
     return [_component_starts(supports) for supports in fibers]
-
-
-register_function("kernel_block", kernel_block)
 
 
 def _fibers(phi: MonomialMap, total_degree: int) -> list[tuple[Multidegree, list[Monomial]]]:
@@ -197,16 +190,6 @@ def _fibers(phi: MonomialMap, total_degree: int) -> list[tuple[Multidegree, list
     )
 
 
-def _component_search(supports: list[list[int]], pool) -> list[list[int]]:
-    """``kernel_block`` over every fiber: one call, or one batch per worker."""
-    if pool is None or not supports:
-        return kernel_block(supports)
-    count = min(len(pool.workers), len(supports))
-    cuts = [i * len(supports) // count for i in range(count + 1)]
-    batches = [(supports[lo:hi],) for lo, hi in zip(cuts, cuts[1:])]
-    return [starts for batch in pool.parallel_map("kernel_block", batches) for starts in batch]
-
-
 def components_of_kernel(
     phi: MonomialMap,
     total_degree: int,
@@ -223,19 +206,18 @@ def components_of_kernel(
     coefficients and a positive coefficient on x^{u_0}; c^u is the image
     coefficient of x^u.  With ``minimalize`` (the default) u_0 is paired only
     with the first monomial of each other component of the fiber graph, which
-    gives a minimal generating set; the component search is the work sent
-    through the pool when one is given, at most one batch per worker.
-    Without it u_0 is paired with every other monomial.
+    gives a minimal generating set; one ``kernel_block`` call finds the
+    components of every fiber.  Without it u_0 is paired with every other
+    monomial.  ``pool`` is accepted and unused: the whole computation runs in
+    the calling process, so the result is the same with or without one.
     """
     if total_degree < 1:
         raise ValidationError("total degree must be at least 1")
     fibers = _fibers(phi, total_degree)
     if minimalize:
-        supports = [
-            [sum(1 << v for v, e in enumerate(mono) if e) for mono in monos]
-            for _, monos in fibers
-        ]
-        partners = [starts[1:] for starts in _component_search(supports, pool)]
+        bits = [1 << v for v in range(len(phi.images))]
+        supports = [[sum(compress(bits, mono)) for mono in monos] for _, monos in fibers]
+        partners = [starts[1:] for starts in kernel_block(supports)]
     else:
         partners = [range(1, len(monos)) for _, monos in fibers]
 

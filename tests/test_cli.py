@@ -2,6 +2,7 @@ import errno
 import json
 import os
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -277,6 +278,34 @@ def test_detcrt_unwritable_output_is_bad_input(toy_matrix_file, tmp_path, capsys
     out = tmp_path / "missing" / "dir" / "d.mrdi"
     assert cli.main(["detcrt", "--matrix", str(toy_matrix_file), "--out", str(out)]) == 2
     assert_cannot_write(capsys, out)
+
+
+@pytest.fixture
+def no_spawn(monkeypatch):
+    from mrdikit.errors import TransportError
+
+    def broken_spawn(n, **kwargs):
+        raise TransportError("no workers today")
+
+    monkeypatch.setattr(cli, "spawn_pool", broken_spawn)
+
+
+def test_kernel_workers_run_in_process(conic_map_file, tmp_path, no_spawn):
+    outputs = []
+    for workers in ("0", "2"):
+        out = tmp_path / f"k{workers}.mrdi"
+        argv = ["kernel", "--map", str(conic_map_file), "--degree", "3", "--out", str(out)]
+        assert cli.main(argv + ["--workers", workers]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_bench_kernel_synthetic_spawns_no_workers(tmp_path, capsys, no_spawn):
+    argv = ["bench", "--suite", "kernel-synthetic", "--workers", "0,2", "--json"]
+    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["workers"] for r in rows] == [0, 2]
+    assert len({Path(r["result_path"]).read_bytes() for r in rows}) == 1
 
 
 def test_kernel_unwritable_output_is_bad_input(conic_map_file, tmp_path, capsys):

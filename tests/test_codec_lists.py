@@ -187,7 +187,7 @@ EXPECTED = {
     "lt-residue-out-of-range": ("SchemaError", "data/1: residue 9 out of range for p=7"),
     "lt-zz-matrix-entry": ("SchemaError", "data/entries/2: expected a decimal integer, got '05'"),
     "lt-zz-vector-item": ("SchemaError", "data/1: expected a decimal integer, got '+5'"),
-    "map-image-exponent": ("SchemaError", "images/1/0: expected a decimal integer, got '01'"),
+    "map-image-exponent": ("SchemaError", "data/images/1/0: expected a decimal integer, got '01'"),
     "mpoly-coefficient-plus": ("SchemaError", "data/1/2: malformed rational '+5'"),
     "mpoly-exponent-leading-zero": (
         "SchemaError",

@@ -150,6 +150,37 @@ def test_parse_rejects_deep_nesting(raw):
         parse_text(raw)
 
 
+def nested_vector_doc(type_levels, data_levels):
+    """``nested_vector_text`` as an in-memory document."""
+    type_node, data = TypeNode("ZZRingElem"), "7"
+    for _ in range(type_levels):
+        type_node = TypeNode("Vector", type_node)
+    for _ in range(data_levels):
+        data = [data]
+    return MrdiDocument(type_node, data, ns=NamespaceRecord(), refs={})
+
+
+@pytest.mark.parametrize(
+    "type_levels, data_levels, where",
+    [
+        (MAX_NESTING_DEPTH, MAX_NESTING_DEPTH, None),
+        (MAX_NESTING_DEPTH + 1, 1, "_type" + "/params" * MAX_NESTING_DEPTH),
+        (1, MAX_NESTING_DEPTH + 1, "data" + "/0" * MAX_NESTING_DEPTH),
+    ],
+    ids=["at-limit", "type-past-limit", "data-past-limit"],
+)
+def test_validate_agrees_with_parse_on_nesting(type_levels, data_levels, where):
+    doc = nested_vector_doc(type_levels, data_levels)
+    raw = serialize_text(doc)
+    if where is None:
+        assert validate_document(doc) == []
+        assert parse_text(raw) == doc
+    else:
+        assert validate_document(doc) == [f"{where}: nested deeper than 100 levels"]
+        with pytest.raises(SchemaError, match="nested deeper"):
+            parse_text(raw)
+
+
 def test_parse_rejects_refs_inside_refs():
     raw = (
         b'{"_ns": {"system": "s", "version": "1"}, "_type": "ZZRingElem",'

@@ -15,7 +15,7 @@ from mrdikit.algebra import (
 from mrdikit.errors import ContextMismatchError, ValidationError
 from mrdikit.ipc import spawn_pool
 from mrdikit.workloads import MonomialMap, components_of_kernel, evaluate_map
-from mrdikit.workloads.kernel import _fibers
+from mrdikit.workloads.kernel import _fibers, kernel_block
 
 
 def twisted_conic():
@@ -204,6 +204,44 @@ def test_mixed_degree_kernel_is_pool_invariant(minimalize):
             pooled = [components_of_kernel(m, d, pool=pool, minimalize=minimalize) for m, d in maps]
         assert pooled == serial
         assert [list(c) for c in pooled] == [list(c) for c in serial]
+
+
+def test_kernel_sends_nothing_through_a_pool():
+    phi, _ = cyclic_map()
+    events = []
+    with spawn_pool(2, tap=events.append) as pool:
+        pooled = components_of_kernel(phi, 5, pool=pool)
+        assert [e for e in events if e[0] == "send"] == []
+    assert pooled == components_of_kernel(phi, 5)
+    assert list(pooled) == list(components_of_kernel(phi, 5))
+
+
+def graph_component_starts(supports):
+    """First position of each component of the fiber graph, by a search over
+    monomials joined when their supports meet."""
+    seen, starts = set(), []
+    for i in range(len(supports)):
+        if i in seen:
+            continue
+        starts.append(i)
+        stack = [i]
+        seen.add(i)
+        while stack:
+            a = stack.pop()
+            for b, mask in enumerate(supports):
+                if b not in seen and mask & supports[a]:
+                    seen.add(b)
+                    stack.append(b)
+    return starts
+
+
+def test_kernel_block_matches_graph_search():
+    rng = random.Random(0xB10C)
+    fibers = [
+        [rng.randrange(1, 1 << rng.randrange(1, 10)) for _ in range(rng.randrange(1, 12))]
+        for _ in range(300)
+    ]
+    assert kernel_block(fibers) == [graph_component_starts(f) for f in fibers]
 
 
 # -- randomized oracle ---------------------------------------------------------------

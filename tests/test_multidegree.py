@@ -46,3 +46,9 @@ def test_arity_mismatch_rejected():
     R, _ = polynomial_ring(QQ, "x", "y")
     with pytest.raises(ValidationError):
         monomials_by_multidegree(R, [(1, 0)], 2)
+
+
+def test_negative_degrees_rejected():
+    R, _ = polynomial_ring(QQ, "x", "y")
+    with pytest.raises(ValidationError, match="nonnegative"):
+        monomials_by_multidegree(R, [(1, -1), (0, 1)], 2)
