@@ -347,13 +347,13 @@ def cmd_bench(args) -> int:
             )
         )
     _emit_report(reports, args.json)
+    agree = len({r.result_digest for r in reports}) == 1
+    verdict = f"result digests {'agree' if agree else 'DIFFER'} across worker counts"
     if not args.json:
-        digests = {r.result_digest for r in reports}
-        print(
-            f"result digests {'agree' if len(digests) == 1 else 'DIFFER'} "
-            f"across worker counts"
-        )
-    return EXIT_OK
+        print(verdict)
+    elif not agree:
+        print(f"error: {verdict}", file=sys.stderr)
+    return EXIT_OK if agree else EXIT_FAILURE
 
 
 # -- parser ------------------------------------------------------------------------

@@ -1,20 +1,25 @@
 """save/load between algebra values and mrdi documents.
 
-Serialization runs in two phases: a shallow pass over the value builds the
-``_type`` subtree and registers every parent context it meets (depth-first,
-so a ring's own base ring is registered before it), then the payload is
-written to ``data``.  Long-term mode emits ``_ns`` plus the accumulated refs;
-IPC mode emits a bare type/data pair and requires contexts to be known to the
-global state already.
+One registry holds every serializable type, built-in or extension:
+``register_codec`` files a Python type's type and data builders and a tag's
+decoder, and save and load look each value and tag up once.  An extension
+needs only it and four helpers: ``context_uuid``/``context_from_uuid`` name a
+polynomial ring by UUID in a type parameter and resolve it again, and
+``encode_polynomial``/``decode_polynomial`` write and read a polynomial.
 
-The univariate payload has two encodings selected by mode: sparse
-``[degree, coefficient]`` pairs in ascending degree for storage, a dense
-coefficient list from degree zero upward for IPC.
+Saving builds the ``_type`` subtree first, registering every parent context
+it meets (a ring's base ring before the ring), then ``data``.  Long-term mode
+emits ``_ns`` plus the accumulated refs; IPC mode emits a bare type/data pair
+over contexts the global state already knows.  A ring's type node comes from
+``_ring_type`` and is read by ``_ring_from_type``, which accepts exactly what
+the first writes; an element's type node is its ring's with ``Elem`` appended
+to the tag, and a ref document inlines a leaf base ring as that JSON.
 
-Coefficients, matrix entries and vectors of ring elements are written and
-read a whole list at a time, through one list codec per ring descriptor type
-(``_LIST_CODECS``).  A list whose text is not all canonical is read again one
-item at a time, which raises the SchemaError that locates the bad item.
+A univariate payload is sparse ``[degree, coefficient]`` pairs in ascending
+degree for storage, dense coefficients from degree zero up for IPC.  Element
+lists are read and written whole, through one list codec per ring descriptor
+type (``_LIST_CODECS``); a list whose text is not all canonical is read again
+item by item, which raises the SchemaError that locates the bad item.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain
 from operator import attrgetter, gt
+from typing import Callable, NamedTuple
 
 from ..algebra.polynomials import Polynomial
 from ..algebra.matrices import ExactMatrix
@@ -67,105 +73,193 @@ from .numtext import (
 )
 from .states import DeserializerState, GlobalSerializerState, SerializerState
 
-_RING_TAGS = {"ZZRing", "QQField", "PrimeField", "PolyRing", "MPolyRing"}
-# Tags of ring elements, whose lists are read by the ring's list codec.
-_ELEMENT_TAGS = {"ZZRingElem", "QQFieldElem", "PrimeFieldElem", "PolyRingElem", "MPolyRingElem"}
-# Every tag ``_decode`` handles itself.
-_BUILTIN_TAGS = _RING_TAGS | _ELEMENT_TAGS | {"Matrix", "Vector", "Tuple"}
 _LIST = {list}
 _NUMBER_TYPES = {int, Fraction}
+_POLY_RINGS = (UnivariatePolyRing, MultivariatePolyRing)
 
-# tag -> decode(type_node, data, state); extended by register_codec.
-_DECODERS = {}
-# python type -> (tag, build_type(obj, state), build_data(obj, state))
+# python type -> (build_type(obj, state), build_data(obj, state))
 _ENCODERS = {}
+# tag -> decode(type_node, data, state)
+_DECODERS = {}
 
 
 def register_codec(py_type, tag, build_type, build_data, decode):
-    """Add a serializable type to the registry (used for e.g. monomial maps)."""
-    _ENCODERS[py_type] = (tag, build_type, build_data)
-    _DECODERS[tag] = decode
+    """Make values of ``py_type`` serializable.
+
+    ``build_type(obj, state)`` gives a value's ``_type`` node and
+    ``build_data(obj, state)`` its ``data``, under a SerializerState.
+    ``decode(type_node, data, state)`` gives the value back under a
+    DeserializerState, whose ``cursor()`` locates ``data`` for error
+    messages.  ``tag`` is the type tag ``decode`` reads, or a tuple of them
+    when several tags load as ``py_type`` (a ring is a ZZRing, a QQField,
+    ...).  A subclass of ``py_type`` saves as ``py_type`` does.
+    """
+    _ENCODERS[py_type] = (build_type, build_data)
+    for name in (tag,) if isinstance(tag, str) else tag:
+        _DECODERS[name] = decode
 
 
-def registered_type_tags() -> set[str]:
-    return set(_DECODERS) | _BUILTIN_TAGS
+def registered_type_tags():
+    """Every type tag ``load`` reads (a live view of the decoder table)."""
+    return _DECODERS.keys()
 
 
 # ----------------------------------------------------------------------------
-# Context registration and ref documents
+# Rings: one type node rule, context registration and ref documents
 # ----------------------------------------------------------------------------
 
 
-def _leaf_type_node(desc: RingDescriptor) -> TypeNode:
+def _ring_type(ring: ContextHandle, state: SerializerState) -> TypeNode:
+    """A ring's type node.  A polynomial ring's parameter is its UUID, which
+    registers it in ``state``; with no state, as in its ref document, it has none."""
+    desc = ring.descriptor
     if isinstance(desc, IntegerRing):
         return TypeNode("ZZRing")
     if isinstance(desc, RationalField):
         return TypeNode("QQField")
     if isinstance(desc, PrimeField):
         return TypeNode("PrimeField", {"modulus": str(desc.p)})
-    raise UnsupportedTypeError(f"not a leaf ring: {desc!r}")
+    if not isinstance(desc, _POLY_RINGS):
+        raise UnsupportedTypeError(f"no type node for ring {desc!r}")
+    tag = "PolyRing" if isinstance(desc, UnivariatePolyRing) else "MPolyRing"
+    return TypeNode(tag, None if state is None else context_uuid(ring, state))
 
 
-def _leaf_data_encoding(desc: RingDescriptor):
-    # Inline base-ring spelling used inside ref documents (a DataNode).
-    if isinstance(desc, IntegerRing):
-        return "ZZRing"
-    if isinstance(desc, RationalField):
-        return "QQField"
-    if isinstance(desc, PrimeField):
-        return {"name": "PrimeField", "params": {"modulus": str(desc.p)}}
-    raise UnsupportedTypeError(f"not a leaf ring: {desc!r}")
+def _ring_from_type(tn: TypeNode, state: DeserializerState, where: str) -> ContextHandle:
+    """The ring a ring type node names, the inverse of ``_ring_type``: a tag
+    with other parameters than the ones ``_ring_type`` writes is an error."""
+    name, params = tn.name, tn.params
+    if name == "ZZRing" and params is None:
+        return ZZ
+    if name == "QQField" and params is None:
+        return QQ
+    if name == "PrimeField" and isinstance(params, dict) and list(params) == ["modulus"]:
+        return GF(int_from_text(params["modulus"], where))
+    if name in ("PolyRing", "MPolyRing"):
+        ring = context_from_uuid(params, state, where)
+        if isinstance(ring.descriptor, UnivariatePolyRing) == (name == "PolyRing"):
+            return ring
+        raise SchemaError(f"{where}: {params} names {ring.descriptor!r}, not a {name}")
+    raise SchemaError(f"{where}: {name} with parameters {params!r} is not a ring type")
+
+
+def _element_type(ring: ContextHandle, state: SerializerState) -> TypeNode:
+    """An element's type node: its ring's, with ``Elem`` appended to the tag."""
+    tn = _ring_type(ring, state)
+    return TypeNode(tn.name + "Elem", tn.params)
+
+
+def _element_ring(tn: TypeNode, state: DeserializerState, where: str) -> ContextHandle:
+    """The parent ring an element type node names."""
+    if not tn.name.endswith("Elem"):
+        raise SchemaError(f"{where}: {tn.name} is not an element type")
+    return _ring_from_type(TypeNode(tn.name[: -len("Elem")], tn.params), state, where)
 
 
 def context_ref_document(ctx: ContextHandle, global_state: GlobalSerializerState) -> MrdiDocument:
     """The `_refs` entry describing a polynomial ring context.
 
-    The base ring is inlined for leaf rings and referenced by UUID when it is
-    itself an interned polynomial ring (which must already be registered).
+    The base ring is inlined for leaf rings, as the JSON of its type node,
+    and referenced by UUID when it is itself an interned polynomial ring
+    (which must already be registered).
     """
     desc = ctx.descriptor
-    if isinstance(desc, (UnivariatePolyRing, MultivariatePolyRing)):
-        base = desc.base
-        if isinstance(base, (UnivariatePolyRing, MultivariatePolyRing)):
-            base_enc = global_state.uuid_for(intern_context(base))
-            if base_enc is None:
-                raise ContextNotPreloadedError(
-                    f"base ring of {desc!r} has no UUID; register it first"
-                )
-        else:
-            base_enc = _leaf_data_encoding(base)
-        if isinstance(desc, UnivariatePolyRing):
-            return MrdiDocument(
-                TypeNode("PolyRing"),
-                {"base_ring": base_enc, "symbol": desc.symbol},
-            )
-        return MrdiDocument(
-            TypeNode("MPolyRing"),
-            {"base_ring": base_enc, "symbols": list(desc.symbols)},
-        )
-    raise UnsupportedTypeError(f"no ref document for non-polynomial ring {desc!r}")
+    if not isinstance(desc, _POLY_RINGS):
+        raise UnsupportedTypeError(f"no ref document for non-polynomial ring {desc!r}")
+    base = intern_context(desc.base)
+    if isinstance(desc.base, _POLY_RINGS):
+        base_json = global_state.uuid_for(base)
+        if base_json is None:
+            raise ContextNotPreloadedError(f"base ring of {desc!r} has no UUID; register it first")
+    else:
+        tn = _ring_type(base, None)
+        base_json = tn.name if tn.params is None else {"name": tn.name, "params": tn.params}
+    if isinstance(desc, UnivariatePolyRing):
+        fields = {"base_ring": base_json, "symbol": desc.symbol}
+    else:
+        fields = {"base_ring": base_json, "symbols": list(desc.symbols)}
+    return MrdiDocument(_ring_type(ctx, None), fields)
 
 
-def _register_poly_context(ctx: ContextHandle, state: SerializerState) -> str:
-    desc = ctx.descriptor
-    if isinstance(desc.base, (UnivariatePolyRing, MultivariatePolyRing)):
-        _register_poly_context(intern_context(desc.base), state)
-    uuid_key = state.global_state.uuid_for(ctx)
+def context_uuid(ring: ContextHandle, state: SerializerState) -> str:
+    """The UUID that names the polynomial ring ``ring`` in a type parameter.
+
+    The ring and its polynomial base rings are registered in the global
+    state; in long-term mode (or when ``state`` collects new refs) their ref
+    documents join the document being saved.  In IPC mode a ring the global
+    state does not know raises ContextNotPreloadedError.
+    """
+    desc = ring.descriptor
+    if not isinstance(desc, _POLY_RINGS):
+        raise UnsupportedTypeError(f"only polynomial rings are named by UUID, not {desc!r}")
+    if isinstance(desc.base, _POLY_RINGS):
+        context_uuid(intern_context(desc.base), state)
+    uuid_key = state.global_state.uuid_for(ring)
     if uuid_key is None:
         if state.mode is Mode.IPC and not state.collect_new_refs:
-            raise ContextNotPreloadedError(
-                f"context not preloaded: {desc!r} is unknown to the global state"
-            )
-        uuid_key = state.global_state.register_context(ctx)
+            message = f"context not preloaded: {desc!r} is unknown to the global state"
+            raise ContextNotPreloadedError(message)
+        uuid_key = state.global_state.register_context(ring)
     if state.mode is Mode.LONG_TERM or state.collect_new_refs:
         if uuid_key not in state.pending_refs:
-            state.pending_refs[uuid_key] = context_ref_document(ctx, state.global_state)
+            state.pending_refs[uuid_key] = context_ref_document(ring, state.global_state)
     return uuid_key
 
 
-def register_context(global_state: GlobalSerializerState, ctx: ContextHandle) -> str:
-    """Bind ``ctx`` to a UUID in ``global_state`` (idempotent)."""
-    return global_state.register_context(ctx)
+def context_from_uuid(param, state: DeserializerState, where: str) -> ContextHandle:
+    """The ring a UUID type parameter names: bound in the global state, or
+    read from the document's ``_refs`` and bound.  A ``param`` that is not a
+    UUID raises a SchemaError located at ``where``."""
+    if not is_uuid_text(param):
+        raise SchemaError(f"{where}: expected a context UUID parameter, got {param!r}")
+    ctx = state.global_state.resolve(param)
+    if ctx is not None:
+        return ctx
+    doc = state.document
+    refs = doc.refs if doc is not None and doc.refs is not None else {}
+    if param in refs:
+        if param in state._loading:
+            raise SchemaError(f"cyclic reference through {param}")
+        state._loading.add(param)
+        try:
+            ctx = _context_from_ref(refs[param], state, f"_refs/{param}")
+        finally:
+            state._loading.discard(param)
+        state.global_state.bind(param, ctx)
+        return ctx
+    if state.mode is Mode.IPC:
+        raise ContextNotPreloadedError(f"context not preloaded: {param}")
+    raise DanglingReferenceError(f"dangling reference: {param}")
+
+
+def _context_from_ref(ref: MrdiDocument, state: DeserializerState, where: str) -> ContextHandle:
+    """The polynomial ring a ref document describes by ``base_ring`` (a UUID,
+    or the JSON of a leaf ring's type node) and ``symbol`` or ``symbols``;
+    its type must be what ``_ring_type`` gives that ring without a state."""
+    data = ref.data
+    fields = set(data) if isinstance(data, dict) else None
+    if fields not in ({"base_ring", "symbol"}, {"base_ring", "symbols"}):
+        raise SchemaError(f"{where}: ref documents must describe polynomial rings")
+    base, at = data["base_ring"], f"{where}/base_ring"
+    if is_uuid_text(base):
+        base_desc = context_from_uuid(base, state, at).descriptor
+    elif isinstance(base, str) or isinstance(base, dict) and set(base) == {"name", "params"}:
+        tn = TypeNode(base) if isinstance(base, str) else TypeNode(base["name"], base["params"])
+        base_desc = _ring_from_type(tn, state, at).descriptor
+        if isinstance(base_desc, _POLY_RINGS):
+            raise SchemaError(f"{at}: a polynomial base ring is named by its UUID")
+    else:
+        raise SchemaError(f"{at}: unknown base ring encoding {base!r}")
+    symbols = data.get("symbol", data.get("symbols"))
+    if "symbol" in data and isinstance(symbols, str):
+        ring = intern_context(UnivariatePolyRing(base_desc, symbols))
+    elif isinstance(symbols, list) and all(map(str.__instancecheck__, symbols)):
+        ring = intern_context(MultivariatePolyRing(base_desc, tuple(symbols)))
+    else:
+        raise SchemaError(f"{where}: ring symbols must be text")
+    if ref.type_tree != _ring_type(ring, None):
+        raise SchemaError(f"{where}: the ref document of {ring.descriptor!r} has the wrong type")
+    return ring
 
 
 def load_context_document(
@@ -188,14 +282,10 @@ def context_dependency_chain(ctx: ContextHandle) -> list[ContextHandle]:
     This is the post-order a sender must follow so every context arrives
     after its dependencies.
     """
-    ancestry = []
     desc = ctx.descriptor
-    if isinstance(desc, (UnivariatePolyRing, MultivariatePolyRing)):
-        base = desc.base
-        if isinstance(base, (UnivariatePolyRing, MultivariatePolyRing)):
-            ancestry.extend(context_dependency_chain(intern_context(base)))
-        ancestry.append(ctx)
-    return ancestry
+    if not isinstance(desc, _POLY_RINGS):
+        return []
+    return context_dependency_chain(intern_context(desc.base)) + [ctx]
 
 
 # ----------------------------------------------------------------------------
@@ -205,10 +295,10 @@ def context_dependency_chain(ctx: ContextHandle) -> list[ContextHandle]:
 
 def _polys_from_data(desc, items, state, where):
     ring = intern_context(desc)
-    return [_decode_poly_data(ring, item, state, f"{where}/{i}") for i, item in enumerate(items)]
+    return [decode_polynomial(ring, item, state, f"{where}/{i}") for i, item in enumerate(items)]
 
 
-class _ListCodec:
+class _ListCodec(NamedTuple):
     """How the elements of one kind of ring are written and read, a whole
     list at a time.
 
@@ -221,13 +311,10 @@ class _ListCodec:
     false for 0.
     """
 
-    __slots__ = ("writers", "decode", "decode_one", "nonzero")
-
-    def __init__(self, writers, decode, decode_one, nonzero):
-        self.writers = writers
-        self.decode = decode
-        self.decode_one = decode_one
-        self.nonzero = nonzero
+    writers: Callable
+    decode: Callable
+    decode_one: Callable
+    nonzero: Callable
 
 
 def _number_writers(mode):
@@ -235,14 +322,14 @@ def _number_writers(mode):
 
 
 def _poly_writers(mode):
-    write = partial(_encode_poly_data, mode=mode)
+    write = partial(encode_polynomial, mode=mode)
     return write, write
 
 
 _POLY_CODEC = _ListCodec(
     _poly_writers,
     _polys_from_data,
-    lambda desc, item, state, where: _decode_poly_data(intern_context(desc), item, state, where),
+    lambda desc, item, state, where: decode_polynomial(intern_context(desc), item, state, where),
     attrgetter("terms"),
 )
 _LIST_CODECS = {
@@ -291,9 +378,7 @@ def _decode_elements(desc: RingDescriptor, items: list, state: DeserializerState
     codec = _list_codec(desc, "decode")
     values = codec.decode(desc, items, state, where)
     if values is None:
-        values = [
-            codec.decode_one(desc, item, state, f"{where}/{i}") for i, item in enumerate(items)
-        ]
+        values = [codec.decode_one(desc, x, state, f"{where}/{i}") for i, x in enumerate(items)]
     return values
 
 
@@ -302,7 +387,11 @@ def _decode_elements(desc: RingDescriptor, items: list, state: DeserializerState
 # ----------------------------------------------------------------------------
 
 
-def _encode_poly_data(p: Polynomial, mode: Mode):
+def encode_polynomial(p: Polynomial, mode: Mode):
+    """The ``data`` of a polynomial: ``[exponents, coefficient]`` pairs for a
+    multivariate one; for a univariate one ``[degree, coefficient]`` pairs
+    from the lowest degree up in long-term mode, dense coefficients from
+    degree zero up in IPC mode."""
     fast, any_size = _list_codec(p.parent.descriptor.base, "encode").writers(mode)
     try:
         return _poly_payload(p, mode, str, fast)
@@ -328,11 +417,14 @@ def _all_lists(items, length: int) -> bool:
     return set(map(type, items)) <= _LIST and set(map(len, items)) <= {length}
 
 
-def _decode_poly_data(ring: ContextHandle, data, state: DeserializerState, where: str) -> Polynomial:
-    """Whole columns of a payload at once when every item is canonical;
-    otherwise term by term, which raises the error of the first bad term.
-    Terms already in canonical order make the polynomial directly; any other
-    order (or a zero coefficient, or a repeated monomial) is normalized."""
+def decode_polynomial(ring: ContextHandle, data, state: DeserializerState, where: str):
+    """The polynomial of ``ring`` that the payload ``data`` holds, read in
+    ``state``'s mode; a bad payload raises a SchemaError located at ``where``.
+
+    Whole columns are read at once when every item is canonical, otherwise
+    term by term, which raises the error of the first bad term.  Terms in
+    another order than canonical, zero coefficients and repeated monomials
+    are normalized."""
     desc = ring.descriptor
     base = desc.base
     if not isinstance(data, list):
@@ -391,103 +483,162 @@ def _terms_one_by_one(desc, codec: _ListCodec, data: list, state: DeserializerSt
     return terms
 
 
-def encode_univariate(p: Polynomial, mode: Mode):
-    """The two payload encodings for univariate polynomials (sparse/dense)."""
-    if not isinstance(p.parent.descriptor, UnivariatePolyRing):
-        raise UnsupportedTypeError("encode_univariate expects a univariate polynomial")
-    return _encode_poly_data(p, mode)
-
-
 # ----------------------------------------------------------------------------
-# Type building (phase 1)
+# The built-in types; save and load
 # ----------------------------------------------------------------------------
 
 
-def _element_type_for_ring(ring: ContextHandle, state: SerializerState) -> TypeNode:
-    desc = ring.descriptor
-    if isinstance(desc, IntegerRing):
-        return TypeNode("ZZRingElem")
-    if isinstance(desc, RationalField):
-        return TypeNode("QQFieldElem")
-    if isinstance(desc, PrimeField):
-        return TypeNode("PrimeFieldElem", {"modulus": str(desc.p)})
-    if isinstance(desc, UnivariatePolyRing):
-        return TypeNode("PolyRingElem", _register_poly_context(ring, state))
-    if isinstance(desc, MultivariatePolyRing):
-        return TypeNode("MPolyRingElem", _register_poly_context(ring, state))
-    raise UnsupportedTypeError(f"no element type for ring {desc!r}")
+_ZZ_ELEM = _element_type(ZZ, None)
+_QQ_ELEM = _element_type(QQ, None)
+_zz_type = lambda n, state: _ZZ_ELEM  # noqa: E731
+_qq_type = lambda q, state: _QQ_ELEM  # noqa: E731
+_zz_data = lambda n, state: int_to_text(n)  # noqa: E731
+_qq_data = lambda q, state: fraction_to_text(q)  # noqa: E731
+_poly_type = lambda p, state: _element_type(p.parent, state)  # noqa: E731
+_poly_data = lambda p, state: encode_polynomial(p, state.mode)  # noqa: E731
+_matrix_type = lambda m, state: TypeNode("Matrix", _element_type(m.parent, state))  # noqa: E731
+
+
+def _value_ring(tn: TypeNode, state: DeserializerState, where: str) -> ContextHandle:
+    """The parent ring of an element type node outside a Matrix.  A residue
+    of GF(p) loads as an int, which saves as a ZZRingElem, so GF(p) elements
+    are read only as Matrix entries."""
+    ring = _element_ring(tn, state, where)
+    if isinstance(ring.descriptor, PrimeField):
+        raise SchemaError(f"{where}: GF(p) elements are stored only as Matrix entries")
+    return ring
+
+
+def _decode_element(tn: TypeNode, data, state: DeserializerState):
+    where = state.cursor()
+    desc = _value_ring(tn, state, where).descriptor
+    return _list_codec(desc, "decode").decode_one(desc, data, state, where)
+
+
+def _decode_ring(tn: TypeNode, data, state: DeserializerState) -> ContextHandle:
+    where = state.cursor()
+    if data != {}:
+        raise SchemaError(f"{where}: a ring's payload must be {{}}")
+    return _ring_from_type(tn, state, where)
+
+
+def _matrix_data(m: ExactMatrix, state: SerializerState):
+    entries = _encode_elements(m.parent.descriptor, m.entries, state.mode)
+    return {"nrows": str(m.nrows), "ncols": str(m.ncols), "entries": entries}
+
+
+def _decode_matrix(tn: TypeNode, data, state: DeserializerState) -> ExactMatrix:
+    where = state.cursor()
+    if not isinstance(tn.params, TypeNode):
+        raise SchemaError(f"{where}: Matrix needs an element type parameter")
+    if not isinstance(data, dict) or set(data) != {"nrows", "ncols", "entries"}:
+        raise SchemaError(f"{where}: Matrix payload needs nrows/ncols/entries")
+    nrows = int_from_text(data["nrows"], where)
+    ncols = int_from_text(data["ncols"], where)
+    raw = data["entries"]
+    if not isinstance(raw, list) or len(raw) != nrows * ncols:
+        raise SchemaError(f"{where}: expected {nrows * ncols} matrix entries")
+    ring = _element_ring(tn.params, state, where)
+    entries = _decode_elements(ring.descriptor, raw, state, f"{where}/entries")
+    return ExactMatrix(ring, nrows, ncols, entries)
+
+
+def _vector_type(items: list, state: SerializerState) -> TypeNode:
+    types = [_build_type(item, state) for item in items]
+    if any(t != types[0] for t in types[1:]):
+        raise UnsupportedTypeError(
+            "lists serialize as homogeneous vectors; use a tuple for mixed types"
+        )
+    return TypeNode("Vector", types[0] if types else None)
+
+
+def _tuple_type(items: tuple, state: SerializerState) -> TypeNode:
+    types = {str(i): _build_type(item, state) for i, item in enumerate(items)}
+    return TypeNode("Tuple", types or None)
+
+
+def _sequence_data(items, state: SerializerState) -> list:
+    if set(map(type, items)) <= _NUMBER_TYPES:  # integers are rationals too
+        return _encode_elements(QQ.descriptor, items, state.mode)
+    return [_build_data(item, state) for item in items]
+
+
+def _decode_items(types, data: list, state: DeserializerState) -> list:
+    """The values of ``data`` read item by item, item i as ``types[i]``."""
+    out = []
+    for i, (tn, item) in enumerate(zip(types, data)):
+        state.path.append(str(i))
+        out.append(_decode(tn, item, state))
+        state.path.pop()
+    return out
+
+
+def _decode_vector(tn: TypeNode, data, state: DeserializerState) -> list:
+    where = state.cursor()
+    if not isinstance(data, list):
+        raise SchemaError(f"{where}: Vector payload must be a sequence")
+    if tn.params is None and not data:
+        return []
+    if not isinstance(tn.params, TypeNode) or not data:
+        raise SchemaError(f"{where}: a nonempty Vector has one element type, an empty one none")
+    if _DECODERS.get(tn.params.name) is _decode_element:
+        ring = _value_ring(tn.params, state, where)
+        return _decode_elements(ring.descriptor, data, state, where)
+    return _decode_items([tn.params] * len(data), data, state)
+
+
+def _decode_tuple(tn: TypeNode, data, state: DeserializerState) -> tuple:
+    where = state.cursor()
+    params = tn.params
+    if not isinstance(data, list):
+        raise SchemaError(f"{where}: Tuple payload must be a sequence")
+    if params is None and not data:
+        return ()
+    positions = [str(i) for i in range(len(data))]
+    if not isinstance(params, dict) or not data or set(params) != set(positions):
+        raise SchemaError(f"{where}: Tuple parameters must map the positions 0..n-1 to types")
+    types = [params[key] for key in positions]
+    if not all(isinstance(slot, TypeNode) for slot in types):
+        raise SchemaError(f"{where}: every tuple slot must hold a type node")
+    return tuple(_decode_items(types, data, state))
+
+
+register_codec(int, ("ZZRingElem", "PrimeFieldElem"), _zz_type, _zz_data, _decode_element)
+register_codec(Fraction, "QQFieldElem", _qq_type, _qq_data, _decode_element)
+register_codec(
+    Polynomial, ("PolyRingElem", "MPolyRingElem"), _poly_type, _poly_data, _decode_element
+)
+register_codec(
+    ContextHandle,
+    ("ZZRing", "QQField", "PrimeField", "PolyRing", "MPolyRing"),
+    _ring_type,
+    lambda ring, state: {},
+    _decode_ring,
+)
+register_codec(ExactMatrix, "Matrix", _matrix_type, _matrix_data, _decode_matrix)
+register_codec(list, "Vector", _vector_type, _sequence_data, _decode_vector)
+register_codec(tuple, "Tuple", _tuple_type, _sequence_data, _decode_tuple)
+
+
+def _encoder(obj):
+    """The (build_type, build_data) pair of ``obj``'s type, or for a
+    subclass of its nearest registered base; bool, a subclass of int, is
+    not serializable."""
+    cls = type(obj)
+    encoder = _ENCODERS.get(cls)
+    if encoder is None and cls is not bool:
+        encoder = next((_ENCODERS[base] for base in cls.__mro__ if base in _ENCODERS), None)
+    if encoder is None:
+        raise UnsupportedTypeError(f"unsupported type: {cls.__name__}")
+    return encoder
 
 
 def _build_type(obj, state: SerializerState) -> TypeNode:
-    if isinstance(obj, bool):
-        raise UnsupportedTypeError("booleans are not serializable")
-    if isinstance(obj, int):
-        return TypeNode("ZZRingElem")
-    if isinstance(obj, Fraction):
-        return TypeNode("QQFieldElem")
-    if isinstance(obj, Polynomial):
-        return _element_type_for_ring(obj.parent, state)
-    if isinstance(obj, ExactMatrix):
-        return TypeNode("Matrix", _element_type_for_ring(obj.parent, state))
-    if isinstance(obj, ContextHandle):
-        desc = obj.descriptor
-        if isinstance(desc, UnivariatePolyRing):
-            return TypeNode("PolyRing", _register_poly_context(obj, state))
-        if isinstance(desc, MultivariatePolyRing):
-            return TypeNode("MPolyRing", _register_poly_context(obj, state))
-        return _leaf_type_node(desc)
-    if isinstance(obj, list):
-        if not obj:
-            return TypeNode("Vector")
-        elem_types = [_build_type(item, state) for item in obj]
-        if any(t != elem_types[0] for t in elem_types[1:]):
-            raise UnsupportedTypeError(
-                "lists serialize as homogeneous vectors; use a tuple for mixed types"
-            )
-        return TypeNode("Vector", elem_types[0])
-    if isinstance(obj, tuple):
-        if not obj:
-            return TypeNode("Tuple")
-        return TypeNode(
-            "Tuple",
-            {str(i): _build_type(item, state) for i, item in enumerate(obj)},
-        )
-    encoder = _ENCODERS.get(type(obj))
-    if encoder is not None:
-        _, build_type, _ = encoder
-        return build_type(obj, state)
-    raise UnsupportedTypeError(f"unsupported type: {type(obj).__name__}")
-
-
-# ----------------------------------------------------------------------------
-# Data building (phase 2)
-# ----------------------------------------------------------------------------
+    return _encoder(obj)[0](obj, state)
 
 
 def _build_data(obj, state: SerializerState):
-    if isinstance(obj, int):
-        return int_to_text(obj)
-    if isinstance(obj, Fraction):
-        return fraction_to_text(obj)
-    if isinstance(obj, Polynomial):
-        return _encode_poly_data(obj, state.mode)
-    if isinstance(obj, ExactMatrix):
-        return {
-            "nrows": str(obj.nrows),
-            "ncols": str(obj.ncols),
-            "entries": _encode_elements(obj.parent.descriptor, obj.entries, state.mode),
-        }
-    if isinstance(obj, ContextHandle):
-        return {}
-    if isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) <= _NUMBER_TYPES:  # integers are rationals too
-            return _encode_elements(QQ.descriptor, obj, state.mode)
-        return [_build_data(item, state) for item in obj]
-    encoder = _ENCODERS.get(type(obj))
-    if encoder is not None:
-        _, _, build_data = encoder
-        return build_data(obj, state)
-    raise UnsupportedTypeError(f"unsupported type: {type(obj).__name__}")
+    return _encoder(obj)[1](obj, state)
 
 
 def save(obj, state: SerializerState) -> MrdiDocument:
@@ -496,170 +647,15 @@ def save(obj, state: SerializerState) -> MrdiDocument:
     type_tree = _build_type(obj, state)
     data = _build_data(obj, state)
     if state.mode is Mode.LONG_TERM:
-        return MrdiDocument(
-            type_tree=type_tree,
-            data=data,
-            ns=NamespaceRecord(),
-            refs=dict(state.pending_refs),
-        )
-    return MrdiDocument(type_tree=type_tree, data=data)
-
-
-# ----------------------------------------------------------------------------
-# Loading
-# ----------------------------------------------------------------------------
-
-
-def _resolve_context(uuid_key: str, state: DeserializerState) -> ContextHandle:
-    ctx = state.global_state.resolve(uuid_key)
-    if ctx is not None:
-        return ctx
-    doc = state.document
-    refs = doc.refs if doc is not None and doc.refs is not None else {}
-    if uuid_key in refs:
-        if uuid_key in state._loading:
-            raise SchemaError(f"cyclic reference through {uuid_key}")
-        state._loading.add(uuid_key)
-        try:
-            ctx = _context_from_ref(refs[uuid_key], state, f"_refs/{uuid_key}")
-        finally:
-            state._loading.discard(uuid_key)
-        state.global_state.bind(uuid_key, ctx)
-        return ctx
-    if state.mode is Mode.IPC:
-        raise ContextNotPreloadedError(f"context not preloaded: {uuid_key}")
-    raise DanglingReferenceError(f"dangling reference: {uuid_key}")
-
-
-def _leaf_descriptor_from_encoding(enc, where: str) -> RingDescriptor:
-    if enc == "ZZRing":
-        return IntegerRing()
-    if enc == "QQField":
-        return RationalField()
-    if isinstance(enc, dict) and enc.get("name") == "PrimeField":
-        params = enc.get("params")
-        if not isinstance(params, dict) or "modulus" not in params:
-            raise SchemaError(f"{where}: PrimeField needs a modulus parameter")
-        return PrimeField(int_from_text(params["modulus"], where))
-    raise SchemaError(f"{where}: unknown base ring encoding {enc!r}")
-
-
-def _context_from_ref(ref: MrdiDocument, state: DeserializerState, where: str) -> ContextHandle:
-    tag = ref.type_tree.name
-    data = ref.data
-    if tag not in ("PolyRing", "MPolyRing") or not isinstance(data, dict):
-        raise SchemaError(f"{where}: ref documents must describe polynomial rings")
-    if "base_ring" not in data:
-        raise SchemaError(f"{where}: missing base_ring")
-    base_enc = data["base_ring"]
-    if is_uuid_text(base_enc):
-        base_desc = _resolve_context(base_enc, state).descriptor
-    else:
-        base_desc = _leaf_descriptor_from_encoding(base_enc, f"{where}/base_ring")
-    if tag == "PolyRing":
-        symbol = data.get("symbol")
-        if not isinstance(symbol, str):
-            raise SchemaError(f"{where}: missing symbol")
-        return intern_context(UnivariatePolyRing(base_desc, symbol))
-    symbols = data.get("symbols")
-    if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
-        raise SchemaError(f"{where}: missing symbols")
-    return intern_context(MultivariatePolyRing(base_desc, tuple(symbols)))
-
-
-def _ring_for_element_type(tn: TypeNode, state: DeserializerState) -> ContextHandle:
-    if tn.name == "ZZRingElem":
-        return ZZ
-    if tn.name == "QQFieldElem":
-        return QQ
-    if tn.name == "PrimeFieldElem":
-        if not isinstance(tn.params, dict) or "modulus" not in tn.params:
-            raise SchemaError("PrimeFieldElem needs a modulus parameter")
-        return GF(int_from_text(tn.params["modulus"], "_type"))
-    if tn.name in ("PolyRingElem", "MPolyRingElem"):
-        if not is_uuid_text(tn.params):
-            raise SchemaError(f"{tn.name} needs a parent context UUID parameter")
-        return _resolve_context(tn.params, state)
-    raise UnsupportedTypeError(f"no parent ring for element type {tn.name!r}")
+        return MrdiDocument(type_tree, data, NamespaceRecord(), dict(state.pending_refs))
+    return MrdiDocument(type_tree, data)
 
 
 def _decode(tn: TypeNode, data, state: DeserializerState):
-    where = state.cursor()
-    name = tn.name
-    if name in _ELEMENT_TAGS:
-        desc = _ring_for_element_type(tn, state).descriptor
-        return _list_codec(desc, "decode").decode_one(desc, data, state, where)
-    if name == "Matrix":
-        if not isinstance(tn.params, TypeNode):
-            raise SchemaError(f"{where}: Matrix needs an element type parameter")
-        if not isinstance(data, dict) or set(data) != {"nrows", "ncols", "entries"}:
-            raise SchemaError(f"{where}: Matrix payload needs nrows/ncols/entries")
-        nrows = int_from_text(data["nrows"], where)
-        ncols = int_from_text(data["ncols"], where)
-        raw = data["entries"]
-        if not isinstance(raw, list) or len(raw) != nrows * ncols:
-            raise SchemaError(f"{where}: expected {nrows * ncols} matrix entries")
-        ring = _ring_for_element_type(tn.params, state)
-        entries = _decode_elements(ring.descriptor, raw, state, f"{where}/entries")
-        return ExactMatrix(ring, nrows, ncols, entries)
-    if name == "Vector":
-        if not isinstance(data, list):
-            raise SchemaError(f"{where}: Vector payload must be a sequence")
-        if tn.params is None:
-            if data:
-                raise SchemaError(f"{where}: nonempty vector without an element type")
-            return []
-        if not isinstance(tn.params, TypeNode):
-            raise SchemaError(f"{where}: Vector element type must be a type node")
-        if data and tn.params.name in _ELEMENT_TAGS:
-            ring = _ring_for_element_type(tn.params, state)
-            return _decode_elements(ring.descriptor, data, state, where)
-        out = []
-        for i, item in enumerate(data):
-            state.path.append(str(i))
-            out.append(_decode(tn.params, item, state))
-            state.path.pop()
-        return out
-    if name == "Tuple":
-        if not isinstance(data, list):
-            raise SchemaError(f"{where}: Tuple payload must be a sequence")
-        if tn.params is None:
-            if data:
-                raise SchemaError(f"{where}: nonempty tuple without element types")
-            return ()
-        if not isinstance(tn.params, dict):
-            raise SchemaError(f"{where}: Tuple parameters must map positions to types")
-        try:
-            slots = sorted(tn.params, key=int)
-        except ValueError:
-            raise SchemaError(f"{where}: Tuple parameter keys must be positions") from None
-        if len(slots) != len(data):
-            raise SchemaError(f"{where}: tuple arity mismatch")
-        out = []
-        for key, item in zip(slots, data):
-            elem_tn = tn.params[key]
-            if not isinstance(elem_tn, TypeNode):
-                raise SchemaError(f"{where}: tuple slot {key} must hold a type node")
-            state.path.append(key)
-            out.append(_decode(elem_tn, item, state))
-            state.path.pop()
-        return tuple(out)
-    if name == "ZZRing":
-        return ZZ
-    if name == "QQField":
-        return QQ
-    if name == "PrimeField":
-        if not isinstance(tn.params, dict) or "modulus" not in tn.params:
-            raise SchemaError(f"{where}: PrimeField needs a modulus parameter")
-        return GF(int_from_text(tn.params["modulus"], where))
-    if name in ("PolyRing", "MPolyRing"):
-        if not is_uuid_text(tn.params):
-            raise SchemaError(f"{where}: {name} needs a context UUID parameter")
-        return _resolve_context(tn.params, state)
-    decoder = _DECODERS.get(name)
-    if decoder is not None:
-        return decoder(tn, data, state)
-    raise UnsupportedTypeError(f"unsupported type tag: {name!r}")
+    decoder = _DECODERS.get(tn.name)
+    if decoder is None:
+        raise UnsupportedTypeError(f"unsupported type tag: {tn.name!r}")
+    return decoder(tn, data, state)
 
 
 def load(doc: MrdiDocument, state: DeserializerState):

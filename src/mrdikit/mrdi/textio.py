@@ -12,6 +12,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 
 from ..errors import SchemaError
+from .codec import registered_type_tags
 from .document import (
     MAX_NESTING_DEPTH,
     Mode,
@@ -134,8 +135,6 @@ def _parse_type_params(node, path, depth):
         # (canonicalized to paramless TypeNodes), or plain text values.
         if is_uuid_text(node):
             return node
-        from .codec import registered_type_tags
-
         return TypeNode(node, None) if node in registered_type_tags() else node
     if isinstance(node, dict) and "name" in node and set(node) <= {"name", "params"}:
         return _parse_type(node, path, depth)

@@ -29,13 +29,16 @@ from ..algebra.matrices import nullspace_over_Q  # noqa: F401
 from ..algebra.multidegree import Multidegree, monomials_by_multidegree
 from ..algebra.polynomials import Monomial, Polynomial
 from ..algebra.rings import ContextHandle, MultivariatePolyRing, RationalField
-from ..errors import ContextMismatchError, ValidationError
+from ..errors import ContextMismatchError, SchemaError, ValidationError
 from ..mrdi.codec import (
-    _register_poly_context,
+    context_from_uuid,
+    context_uuid,
+    decode_polynomial,
+    encode_polynomial,
     register_codec,
 )
 from ..mrdi.document import TypeNode
-from ..mrdi.states import SerializerState
+from ..mrdi.states import DeserializerState, SerializerState
 
 
 @dataclass(frozen=True)
@@ -96,38 +99,26 @@ def evaluate_map(phi: MonomialMap, p: Polynomial) -> Polynomial:
 
 
 def _map_build_type(phi: MonomialMap, state: SerializerState) -> TypeNode:
-    return TypeNode(
-        "MonomialMap",
-        {
-            "source": _register_poly_context(phi.source, state),
-            "target": _register_poly_context(phi.target, state),
-        },
-    )
+    rings = {"source": phi.source, "target": phi.target}
+    return TypeNode("MonomialMap", {key: context_uuid(ring, state) for key, ring in rings.items()})
 
 
 def _map_build_data(phi: MonomialMap, state: SerializerState):
-    from ..mrdi.codec import _encode_poly_data
-
-    return {"images": [_encode_poly_data(img, state.mode) for img in phi.images]}
+    return {"images": [encode_polynomial(img, state.mode) for img in phi.images]}
 
 
-def _map_decode(tn: TypeNode, data, state) -> MonomialMap:
-    from ..errors import SchemaError
-    from ..mrdi.codec import _decode_poly_data, _resolve_context
-    from ..mrdi.document import is_uuid_text
-
+def _map_decode(tn: TypeNode, data, state: DeserializerState) -> MonomialMap:
+    where = state.cursor()
     params = tn.params
     if not isinstance(params, dict) or set(params) != {"source", "target"}:
-        raise SchemaError("MonomialMap needs source and target context parameters")
-    if not (is_uuid_text(params["source"]) and is_uuid_text(params["target"])):
-        raise SchemaError("MonomialMap context parameters must be UUIDs")
-    source = _resolve_context(params["source"], state)
-    target = _resolve_context(params["target"], state)
-    if not isinstance(data, dict) or "images" not in data or not isinstance(data["images"], list):
-        raise SchemaError("MonomialMap payload needs an images sequence")
+        raise SchemaError(f"{where}: MonomialMap needs source and target context parameters")
+    source = context_from_uuid(params["source"], state, where)
+    target = context_from_uuid(params["target"], state, where)
+    images = data.get("images") if isinstance(data, dict) and len(data) == 1 else None
+    if not isinstance(images, list):
+        raise SchemaError(f"{where}: MonomialMap payload needs an images sequence")
     images = tuple(
-        _decode_poly_data(target, raw, state, f"data/images/{i}")
-        for i, raw in enumerate(data["images"])
+        decode_polynomial(target, raw, state, f"{where}/images/{i}") for i, raw in enumerate(images)
     )
     return MonomialMap(source, target, images)
 

@@ -465,3 +465,27 @@ def test_bench_kernel_synthetic_digests_agree(tmp_path, capsys):
     rows = json.loads(capsys.readouterr().out)
     assert [r["workers"] for r in rows] == [0, 2]
     assert len({r["result_digest"] for r in rows}) == 1
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_bench_digests_that_differ_exit_1(tmp_path, capsys, monkeypatch, as_json):
+    real = cli.components_of_kernel
+    runs = []
+
+    def drop_a_generator_on_the_second_count(*args, **kwargs):
+        components = real(*args, **kwargs)
+        runs.append(1)
+        if len(runs) == 2:  # every multidegree here has one generator
+            del components[next(iter(components))]
+        return components
+
+    monkeypatch.setattr(cli, "components_of_kernel", drop_a_generator_on_the_second_count)
+    argv = ["bench", "--suite", "kernel-synthetic", "--workers", "0,2", "--out-dir", str(tmp_path)]
+    assert cli.main(argv + ["--json"] * as_json) == 1
+    out, err = capsys.readouterr()
+    if as_json:
+        rows = json.loads(out)
+        assert len({r["result_digest"] for r in rows}) == 2
+        assert "result digests DIFFER" in err
+    else:
+        assert "result digests DIFFER across worker counts" in out

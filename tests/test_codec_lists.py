@@ -32,7 +32,6 @@ from mrdikit.mrdi import (
     TypeNode,
     load,
     parse_text,
-    register_context,
     save,
     serialize_text,
     validate_document,
@@ -70,7 +69,7 @@ def load_long_term(raw):
 def ipc_state(*rings):
     gs = GlobalSerializerState(uuid_seed=9)
     for ring in rings:
-        register_context(gs, ring)
+        gs.register_context(ring)
     return gs
 
 

@@ -104,6 +104,19 @@ def test_worker_created_contexts_flow_back(extras_env):
         assert p1.parent is p2.parent
 
 
+def test_extension_type_through_identity_on_two_workers(extras_env):
+    from worker_extras import PolyPair
+
+    Rt, t = univariate_ring(ZZ, "pair_t")
+    Rxy, (x, y) = polynomial_ring(QQ, "pair_x", "pair_y")
+    pairs = [PolyPair(t.scale(k), x * y + Polynomial.constant(Rxy, k)) for k in range(4)]
+    with spawn_pool(2, init_modules=["worker_extras"]) as pool:
+        assert pool.remote_call("identity", (pairs[0],)) == pairs[0]
+        got = pool.parallel_map("identity", [(pair,) for pair in pairs])
+    assert got == pairs
+    assert all(g.first.parent is Rt and g.second.parent is Rxy for g in got)
+
+
 def test_shutdown_then_call_rejected():
     pool = spawn_pool(1)
     pool.shutdown()

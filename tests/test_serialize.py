@@ -27,10 +27,9 @@ from mrdikit.mrdi import (
     NamespaceRecord,
     SerializerState,
     TypeNode,
-    encode_univariate,
+    encode_polynomial,
     load,
     parse_text,
-    register_context,
     save,
     serialize_text,
     validate_document,
@@ -73,7 +72,7 @@ def test_integers_past_the_str_digit_limit_roundtrip():
     values = [exact, -big, Fraction(big, exact), t.scale(big) - Polynomial.constant(Rt, exact)]
     for mode in (Mode.LONG_TERM, Mode.IPC):
         gs = GlobalSerializerState()
-        register_context(gs, Rt)
+        gs.register_context(Rt)
         for value in values:
             raw = serialize_text(save(value, SerializerState(mode, gs)))
             got = load(parse_text(raw), DeserializerState(mode, gs))
@@ -202,7 +201,7 @@ def test_bivariate_example_document_shape():
 def test_ipc_document_has_no_ns_or_refs():
     gs = GlobalSerializerState()
     R, (x, y) = polynomial_ring(QQ, "x", "y")
-    register_context(gs, R)
+    gs.register_context(R)
     doc = save(x + y, SerializerState(Mode.IPC, gs))
     assert doc.ns is None and doc.refs is None
     raw = serialize_text(doc)
@@ -258,14 +257,14 @@ def test_parse_serialize_byte_identity_on_canonical_files():
 def test_register_context_idempotent():
     gs = GlobalSerializerState()
     R, _ = polynomial_ring(QQ, "x", "y")
-    assert register_context(gs, R) == register_context(gs, R)
+    assert gs.register_context(R) == gs.register_context(R)
 
 
 def test_register_context_distinct_rings():
     gs = GlobalSerializerState()
     R1, _ = polynomial_ring(QQ, "x", "y")
     R2, _ = univariate_ring(ZZ, "t")
-    assert register_context(gs, R1) != register_context(gs, R2)
+    assert gs.register_context(R1) != gs.register_context(R2)
 
 
 def test_nested_ring_refs_reference_inner_uuid():
@@ -310,7 +309,7 @@ def test_ipc_save_requires_preloaded_context():
 def test_ipc_load_requires_preloaded_context():
     gs_writer = GlobalSerializerState()
     R, (x, _) = polynomial_ring(QQ, "x", "y")
-    register_context(gs_writer, R)
+    gs_writer.register_context(R)
     doc = save(x, SerializerState(Mode.IPC, gs_writer))
     with pytest.raises(ContextNotPreloadedError):
         load(doc, DeserializerState(Mode.IPC, GlobalSerializerState()))
@@ -333,20 +332,20 @@ def test_longterm_dangling_reference():
 def test_univariate_sparse_fixture():
     Rt, t = univariate_ring(ZZ, "t")
     p = t**3 + Polynomial.constant(Rt, 2)
-    assert encode_univariate(p, Mode.LONG_TERM) == [["0", "2"], ["3", "1"]]
+    assert encode_polynomial(p, Mode.LONG_TERM) == [["0", "2"], ["3", "1"]]
 
 
 def test_univariate_dense_fixture():
     Rt, t = univariate_ring(ZZ, "t")
     p = t**3 + Polynomial.constant(Rt, 2)
-    assert encode_univariate(p, Mode.IPC) == ["2", "0", "0", "1"]
+    assert encode_polynomial(p, Mode.IPC) == ["2", "0", "0", "1"]
 
 
 def test_univariate_zero_fixture():
     Rt, _ = univariate_ring(ZZ, "t")
     zero = Polynomial.zero(Rt)
-    assert encode_univariate(zero, Mode.LONG_TERM) == []
-    assert encode_univariate(zero, Mode.IPC) == []
+    assert encode_polynomial(zero, Mode.LONG_TERM) == []
+    assert encode_polynomial(zero, Mode.IPC) == []
 
 
 def test_mode_equivalence_matrix_and_nested():
@@ -370,7 +369,7 @@ def test_mode_equivalence_random_univariate():
     rng = random.Random(314159)
     Rt, _ = univariate_ring(ZZ, "t")
     gs = GlobalSerializerState()
-    register_context(gs, Rt)
+    gs.register_context(Rt)
     for _ in range(60):
         terms = [((d,), rng.randint(-99, 99)) for d in range(rng.randrange(8))]
         p = Polynomial.from_terms(Rt, terms)

@@ -1,9 +1,20 @@
-"""Extra remote functions loaded into workers via MRDI_WORKER_INIT."""
+"""Extra remote functions and a serializable test type, loaded into workers
+via MRDI_WORKER_INIT."""
 
 import time
+from dataclasses import dataclass
 
 from mrdikit.algebra import QQ, Polynomial, polynomial_ring
+from mrdikit.errors import SchemaError
 from mrdikit.ipc import register_function
+from mrdikit.mrdi import (
+    TypeNode,
+    context_from_uuid,
+    context_uuid,
+    decode_polynomial,
+    encode_polynomial,
+    register_codec,
+)
 
 
 @register_function("sleep_ms")
@@ -29,3 +40,44 @@ def fresh_ring_poly(seed):
     # Creates a context on the worker side that the coordinator never sent.
     ring, (a, b) = polynomial_ring(QQ, f"fr{seed}_a", f"fr{seed}_b")
     return a * b + Polynomial.constant(ring, seed)
+
+
+# -- an extension type written against the public codec API only ---------------
+
+
+@dataclass(frozen=True)
+class PolyPair:
+    """Two polynomials, each over its own ring."""
+
+    first: Polynomial
+    second: Polynomial
+
+
+_SLOTS = ("first", "second")
+
+
+def _pair_type(pair, state):
+    return TypeNode(
+        "PolyPair", {slot: context_uuid(getattr(pair, slot).parent, state) for slot in _SLOTS}
+    )
+
+
+def _pair_data(pair, state):
+    return [encode_polynomial(getattr(pair, slot), state.mode) for slot in _SLOTS]
+
+
+def _pair_decode(tn, data, state):
+    where = state.cursor()
+    if not isinstance(tn.params, dict) or set(tn.params) != set(_SLOTS):
+        raise SchemaError(f"{where}: PolyPair needs first and second ring parameters")
+    if not isinstance(data, list) or len(data) != 2:
+        raise SchemaError(f"{where}: PolyPair payload must hold two polynomials")
+    rings = [context_from_uuid(tn.params[slot], state, where) for slot in _SLOTS]
+    polys = [
+        decode_polynomial(ring, raw, state, f"{where}/{i}")
+        for i, (ring, raw) in enumerate(zip(rings, data))
+    ]
+    return PolyPair(*polys)
+
+
+register_codec(PolyPair, "PolyPair", _pair_type, _pair_data, _pair_decode)
