@@ -1,8 +1,10 @@
 """Exact matrices over an interned ring, with the linear algebra the workloads need.
 
-Everything here is exact: rational row reduction uses ``Fraction``, modular
-determinants use integers reduced mod p, or mod a product of several primes
-to serve them all in one pass, and nothing ever rounds.
+Entries are plain values of the ring, put in canonical form by the ring's
+``coercer`` when a matrix is built.  Everything here is exact: rational row
+reduction uses ``Fraction``, modular determinants use integers reduced mod p,
+or mod a product of several primes to serve them all in one pass, and
+nothing ever rounds.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from math import factorial, gcd, prod
 from operator import mul
 
 from ..errors import ValidationError
-from .polynomials import Polynomial, dense_coefficients, from_dense_coefficients
+from .polynomials import Polynomial, coercer, dense_coefficients, from_dense_coefficients
 from .primes import crt_combine_balanced, is_prime
 from .rings import (
     ContextHandle,
@@ -22,7 +24,6 @@ from .rings import (
     RationalField,
     UnivariatePolyRing,
     MultivariatePolyRing,
-    domain_for,
     intern_context,
 )
 
@@ -33,8 +34,7 @@ class ExactMatrix:
     def __init__(self, parent: ContextHandle, nrows: int, ncols: int, entries):
         if nrows < 0 or ncols < 0:
             raise ValidationError("matrix dimensions must be nonnegative")
-        domain = domain_for(parent.descriptor)
-        entries = tuple(domain.coerce(e) for e in entries)
+        entries = tuple(map(coercer(parent.descriptor), entries))
         if len(entries) != nrows * ncols:
             raise ValidationError(
                 f"expected {nrows * ncols} entries for a {nrows}x{ncols} matrix, got {len(entries)}"
@@ -70,14 +70,15 @@ class ExactMatrix:
         self._check_compat(other)
         if self.ncols != other.nrows:
             raise ValidationError("inner matrix dimensions differ")
-        domain = domain_for(self.parent.descriptor)
+        zero = coercer(self.parent.descriptor)(0)
         entries = []
         for i in range(self.nrows):
             for j in range(other.ncols):
-                acc = domain.zero
+                acc = zero
                 for k in range(self.ncols):
-                    acc = domain.add(acc, domain.mul(self.entry(i, k), other.entry(k, j)))
+                    acc = acc + self.entry(i, k) * other.entry(k, j)
                 entries.append(acc)
+        # The constructor puts each sum in canonical form (mod p over GF(p)).
         return ExactMatrix(self.parent, self.nrows, other.ncols, entries)
 
     def _check_compat(self, other):

@@ -1,20 +1,29 @@
-"""Sparse polynomials over an interned ring context.
+"""Sparse polynomials over an interned ring context, and the coercion of a
+value into its ring.
 
 Terms are kept in canonical form: sorted by degree-lexicographic order with
 the leading monomial first, no zero coefficients, monomials pairwise distinct.
 Structural equality of two polynomials is therefore mathematical equality.
+
+Coefficients are plain values (int, ``Fraction``, a residue, or a nested
+``Polynomial``) that combine with Python's operators; ``coercer`` gives, per
+ring, the function that checks a value and returns it in canonical form.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from fractions import Fraction
+from typing import Callable, Iterable
 
 from ..errors import ContextMismatchError, ValidationError
 from .rings import (
     ContextHandle,
-    UnivariatePolyRing,
+    IntegerRing,
     MultivariatePolyRing,
-    domain_for,
+    PrimeField,
+    RationalField,
+    RingDescriptor,
+    UnivariatePolyRing,
     intern_context,
     ring_arity,
     ring_symbols,
@@ -48,7 +57,7 @@ class Polynomial:
         if not isinstance(parent.descriptor, (UnivariatePolyRing, MultivariatePolyRing)):
             raise ValidationError(f"{parent.descriptor!r} is not a polynomial ring")
         arity = ring_arity(parent.descriptor)
-        domain = domain_for(parent.descriptor.base)
+        coerce = coercer(parent.descriptor.base)
         acc: dict[Monomial, object] = {}
         for exponents, coeff in terms:
             mono = tuple(exponents)
@@ -58,11 +67,11 @@ class Polynomial:
                 )
             if any(not isinstance(e, int) or e < 0 for e in mono):
                 raise ValidationError(f"exponents must be nonnegative integers: {mono}")
-            coeff = domain.coerce(coeff)
+            coeff = coerce(coeff)
             if mono in acc:
-                coeff = domain.add(acc[mono], coeff)
+                coeff = coerce(acc[mono] + coeff)
             acc[mono] = coeff
-        cleaned = [(m, c) for m, c in acc.items() if not domain.is_zero(c)]
+        cleaned = [(m, c) for m, c in acc.items() if c]
         cleaned.sort(key=lambda t: monomial_key(t[0]), reverse=True)
         return cls(parent, cleaned)
 
@@ -89,6 +98,9 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     @property
     def arity(self) -> int:
         return ring_arity(self.parent.descriptor)
@@ -104,7 +116,7 @@ class Polynomial:
         for m, c in self.terms:
             if m == mono:
                 return c
-        return domain_for(self.parent.descriptor.base).zero
+        return coercer(self.parent.descriptor.base)(0)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -113,8 +125,8 @@ class Polynomial:
             raise TypeError(f"cannot {op} Polynomial and {type(other).__name__}")
         if other.parent != self.parent:
             raise ContextMismatchError(
-                f"cannot {op} elements of {describe_ring(self.parent)} "
-                f"and {describe_ring(other.parent)}"
+                f"cannot {op} elements of {describe_descriptor(self.parent.descriptor)} "
+                f"and {describe_descriptor(other.parent.descriptor)}"
             )
 
     def __add__(self, other):
@@ -126,21 +138,22 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self):
-        domain = domain_for(self.parent.descriptor.base)
-        return Polynomial(self.parent, [(m, domain.neg(c)) for m, c in self.terms])
+        coerce = coercer(self.parent.descriptor.base)
+        return Polynomial(self.parent, [(m, coerce(-c)) for m, c in self.terms])
 
     def __mul__(self, other):
         self._check_parent(other, "multiply")
-        domain = domain_for(self.parent.descriptor.base)
+        coerce = coercer(self.parent.descriptor.base)
         acc: dict[Monomial, object] = {}
         for ma, ca in self.terms:
             for mb, cb in other.terms:
                 m = monomial_mul(ma, mb)
-                c = domain.mul(ca, cb)
+                c = ca * cb
                 if m in acc:
-                    c = domain.add(acc[m], c)
+                    c = acc[m] + c
                 acc[m] = c
-        cleaned = [(m, c) for m, c in acc.items() if not domain.is_zero(c)]
+        coeffs = map(coerce, acc.values())
+        cleaned = [(m, c) for m, c in zip(acc, coeffs) if c]
         cleaned.sort(key=lambda t: monomial_key(t[0]), reverse=True)
         return Polynomial(self.parent, cleaned)
 
@@ -158,10 +171,10 @@ class Polynomial:
 
     def scale(self, value):
         """Multiply by a base-ring element."""
-        domain = domain_for(self.parent.descriptor.base)
-        value = domain.coerce(value)
-        scaled = [(m, domain.mul(c, value)) for m, c in self.terms]
-        return Polynomial(self.parent, [(m, c) for m, c in scaled if not domain.is_zero(c)])
+        coerce = coercer(self.parent.descriptor.base)
+        value = coerce(value)
+        scaled = [(m, coerce(c * value)) for m, c in self.terms]
+        return Polynomial(self.parent, [(m, c) for m, c in scaled if c])
 
     # -- comparison --------------------------------------------------------
 
@@ -197,6 +210,53 @@ class Polynomial:
         return " + ".join(parts)
 
 
+def coercer(descriptor: RingDescriptor) -> Callable:
+    """The function that checks a value of the ring ``descriptor`` and returns
+    it in canonical form: an int for ZZ, a ``Fraction`` for QQ, a residue in
+    [0, p) for GF(p), and for a polynomial ring a polynomial of that ring, a
+    scalar becoming a constant.  A value of the wrong kind, or a polynomial of
+    another ring, raises ValidationError."""
+    if isinstance(descriptor, IntegerRing):
+        return _integer
+    if isinstance(descriptor, RationalField):
+        return _rational
+    if isinstance(descriptor, PrimeField):
+        p = descriptor.p
+
+        def residue(value):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"not a prime field residue: {value!r}")
+            return value % p
+
+        return residue
+    if isinstance(descriptor, (UnivariatePolyRing, MultivariatePolyRing)):
+        ring = intern_context(descriptor)
+
+        def polynomial(value):
+            if isinstance(value, Polynomial):
+                if value.parent != ring:
+                    raise ValidationError("polynomial coefficient from a different ring")
+                return value
+            return Polynomial.constant(ring, value)
+
+        return polynomial
+    raise ValidationError(f"no coefficient domain for {descriptor!r}")
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"not an integer: {value!r}")
+    return value
+
+
+def _rational(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"not a rational: {value!r}")
+    return Fraction(value)
+
+
 def dense_coefficients(p: Polynomial, length: int) -> list:
     """Coefficients of a univariate polynomial of degree < ``length``,
     constant term first, with 0 for absent terms."""
@@ -212,16 +272,7 @@ def from_dense_coefficients(parent: ContextHandle, coeffs) -> Polynomial:
     return Polynomial(parent, terms)
 
 
-def describe_ring(handle: ContextHandle) -> str:
-    d = handle.descriptor
-    if isinstance(d, (UnivariatePolyRing, MultivariatePolyRing)):
-        return f"{describe_descriptor(d.base)}[{','.join(ring_symbols(d))}]"
-    return describe_descriptor(d)
-
-
 def describe_descriptor(d) -> str:
-    from .rings import IntegerRing, RationalField, PrimeField
-
     if isinstance(d, IntegerRing):
         return "ZZ"
     if isinstance(d, RationalField):

@@ -1,10 +1,12 @@
-"""Ring descriptors, the process-wide context intern registry, and coefficient domains.
+"""Ring descriptors and the process-wide context intern registry.
 
 A ring is described structurally by a :class:`RingDescriptor` tree and used
 operationally through a :class:`ContextHandle` obtained from
 :func:`intern_context`.  Interning gives contexts identity semantics: equal
 descriptors always map to the same handle, so ``a.parent is b.parent`` decides
-whether two elements live in the same ring.
+whether two elements live in the same ring.  Elements themselves are plain
+values (an int, a ``Fraction``, a residue, a ``Polynomial``); the coercion of
+a value into its ring lives beside ``Polynomial`` in ``polynomials.py``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from ..errors import ValidationError
 from .primes import is_prime
@@ -131,157 +132,3 @@ QQ = intern_context(RationalField())
 
 def GF(p: int) -> ContextHandle:
     return intern_context(PrimeField(p))
-
-
-# ----------------------------------------------------------------------------
-# Coefficient domains.
-#
-# Polynomials and matrices hold raw coefficient values (int, Fraction, or a
-# nested Polynomial) and do arithmetic through the small domain objects below,
-# which know how to normalize, combine, and compare values of their ring.
-# ----------------------------------------------------------------------------
-
-
-class IntegerDomain:
-    descriptor = IntegerRing()
-
-    zero = 0
-    one = 1
-
-    @staticmethod
-    def coerce(value):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"not an integer: {value!r}")
-        return value
-
-    @staticmethod
-    def is_zero(value):
-        return value == 0
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-
-class RationalDomain:
-    descriptor = RationalField()
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def coerce(value):
-        if isinstance(value, bool):
-            raise ValidationError(f"not a rational: {value!r}")
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, Fraction):
-            return value
-        raise ValidationError(f"not a rational: {value!r}")
-
-    @staticmethod
-    def is_zero(value):
-        return value == 0
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-
-class PrimeFieldDomain:
-    """Residues stored as plain ints in [0, p)."""
-
-    def __init__(self, descriptor: PrimeField):
-        # The descriptor validated p when it was built; no second primality test.
-        self.p = descriptor.p
-        self.descriptor = descriptor
-        self.zero = 0
-        self.one = 1 % self.p
-
-    def coerce(self, value):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"not a prime field residue: {value!r}")
-        return value % self.p
-
-    @staticmethod
-    def is_zero(value):
-        return value == 0
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"0 has no inverse mod {self.p}")
-        return pow(a, -1, self.p)
-
-
-class PolynomialDomain:
-    """Coefficients that are themselves polynomials over an inner ring."""
-
-    def __init__(self, context: ContextHandle):
-        from .polynomials import Polynomial  # cycle: polynomials build on rings
-
-        self.context = context
-        self.descriptor = context.descriptor
-        self._poly_cls = Polynomial
-        self.zero = Polynomial(context, ())
-        self.one = Polynomial.constant(context, 1)
-
-    def coerce(self, value):
-        if isinstance(value, self._poly_cls):
-            if value.parent != self.context:
-                raise ValidationError("polynomial coefficient from a different ring")
-            return value
-        return self._poly_cls.constant(self.context, value)
-
-    @staticmethod
-    def is_zero(value):
-        return not value.terms
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-
-def domain_for(descriptor: RingDescriptor):
-    """Arithmetic domain for elements of the ring described by ``descriptor``."""
-    if isinstance(descriptor, IntegerRing):
-        return IntegerDomain
-    if isinstance(descriptor, RationalField):
-        return RationalDomain
-    if isinstance(descriptor, PrimeField):
-        return PrimeFieldDomain(descriptor)
-    if isinstance(descriptor, (UnivariatePolyRing, MultivariatePolyRing)):
-        return PolynomialDomain(intern_context(descriptor))
-    raise ValidationError(f"no coefficient domain for {descriptor!r}")

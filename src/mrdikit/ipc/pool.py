@@ -1,11 +1,11 @@
 """A pool of worker processes speaking the framed mrdi protocol.
 
 The pool owns one child process per worker, tracks which context UUIDs each
-worker has already received, and distributes missing contexts in dependency
-post-order before every call, so each (worker, context) pair sees at most one
-LoadContext frame.  Calls serialize their arguments in IPC mode; results are
-deserialized under the coordinator's global state, merging back any contexts
-the worker minted.
+worker has already received, and before every call sends the ref documents
+the argument save collected that the worker lacks, base rings first, so each
+(worker, context) pair sees at most one LoadContext frame.  Calls serialize
+their arguments in IPC mode; results are deserialized under the
+coordinator's global state, merging back any contexts the worker minted.
 """
 
 from __future__ import annotations
@@ -24,13 +24,8 @@ from ..errors import (
     ValidationError,
     WorkerFailure,
 )
-from ..mrdi.codec import (
-    context_dependency_chain,
-    context_ref_document,
-    load,
-    save,
-)
-from ..mrdi.document import Mode, TypeNode, iter_type_uuids
+from ..mrdi.codec import load, load_context_document, save
+from ..mrdi.document import Mode, MrdiDocument
 from ..mrdi.states import DeserializerState, GlobalSerializerState, SerializerState
 from . import framing
 
@@ -170,43 +165,32 @@ class WorkerPool:
 
     # -- context distribution ----------------------------------------------
 
-    def ensure_contexts(self, worker: WorkerHandle, type_tree: TypeNode) -> None:
-        """Deliver every context the type tree mentions, dependencies first,
-        skipping contexts the worker already holds.
+    def ensure_contexts(self, worker: WorkerHandle, refs: dict[str, MrdiDocument]) -> None:
+        """Send the worker each ref document of ``refs`` (UUID -> document,
+        base rings first, as an IPC save with ``collect_new_refs`` gathers
+        them in ``pending_refs``) that it does not hold yet.
 
         The caller must own the worker (it is the thread's acquired worker or
         the pool is otherwise quiescent).
         """
-        seen = []
-        for uuid_key in iter_type_uuids(type_tree):
-            if uuid_key not in seen:
-                seen.append(uuid_key)
-        for uuid_key in seen:
-            ctx = self.global_state.resolve(uuid_key)
-            if ctx is None:
-                raise ValidationError(f"type tree mentions unbound context {uuid_key}")
-            for dep in context_dependency_chain(ctx):
-                dep_uuid = self.global_state.register_context(dep)
-                if dep_uuid in worker.known_contexts:
-                    continue
-                ref_doc = context_ref_document(dep, self.global_state)
-                call_id = self._next_id()
-                self._send(worker, framing.LoadContext(call_id, dep_uuid, ref_doc))
-                reply = self._recv(worker)
-                if isinstance(reply, framing.Failure):
-                    raise WorkerFailure(
-                        f"worker {worker.worker_id} rejected context {dep_uuid}: {reply.error}"
-                    )
-                if not isinstance(reply, framing.Result) or reply.call_id != call_id:
-                    self._mark_dead(worker)
-                    raise TransportError(
-                        f"worker {worker.worker_id} broke protocol during context load"
-                    )
-                worker.known_contexts.add(dep_uuid)
+        for uuid_key, ref_doc in refs.items():
+            if uuid_key in worker.known_contexts:
+                continue
+            call_id = self._next_id()
+            self._send(worker, framing.LoadContext(call_id, uuid_key, ref_doc))
+            reply = self._recv(worker)
+            if isinstance(reply, framing.Failure):
+                raise WorkerFailure(
+                    f"worker {worker.worker_id} rejected context {uuid_key}: {reply.error}"
+                )
+            if not isinstance(reply, framing.Result) or reply.call_id != call_id:
+                self._mark_dead(worker)
+                raise TransportError(
+                    f"worker {worker.worker_id} broke protocol during context load"
+                )
+            worker.known_contexts.add(uuid_key)
 
     def _merge_result_refs(self, worker: WorkerHandle, refs: dict) -> None:
-        from ..mrdi.codec import load_context_document
-
         for uuid_key, ref_doc in refs.items():
             if self.global_state.resolve(uuid_key) is None:
                 load_context_document(ref_doc, self.global_state, uuid_key)
@@ -222,7 +206,7 @@ class WorkerPool:
         args_doc = save(args, state)
         worker = self._acquire()
         try:
-            self.ensure_contexts(worker, args_doc.type_tree)
+            self.ensure_contexts(worker, state.pending_refs)
             call_id = self._next_id()
             self._send(worker, framing.Call(call_id, fn, args_doc))
             reply = self._recv(worker)

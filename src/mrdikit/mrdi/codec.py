@@ -31,7 +31,7 @@ from itertools import chain
 from operator import attrgetter, gt
 from typing import Callable, NamedTuple
 
-from ..algebra.polynomials import Polynomial
+from ..algebra.polynomials import Polynomial, coercer
 from ..algebra.matrices import ExactMatrix
 from ..algebra.rings import (
     GF,
@@ -44,7 +44,6 @@ from ..algebra.rings import (
     RationalField,
     RingDescriptor,
     UnivariatePolyRing,
-    domain_for,
     intern_context,
 )
 from ..errors import (
@@ -52,6 +51,7 @@ from ..errors import (
     DanglingReferenceError,
     SchemaError,
     UnsupportedTypeError,
+    ValidationError,
 )
 from .document import (
     FORMAT_VERSION,
@@ -223,6 +223,8 @@ def context_from_uuid(param, state: DeserializerState, where: str) -> ContextHan
         state._loading.add(param)
         try:
             ctx = _context_from_ref(refs[param], state, f"_refs/{param}")
+        except ValidationError as exc:  # the ring's own checks: a bad symbol or modulus
+            raise SchemaError(f"_refs/{param}: {exc}") from None
         finally:
             state._loading.discard(param)
         state.global_state.bind(param, ctx)
@@ -274,18 +276,6 @@ def load_context_document(
     ctx = _context_from_ref(ref, state, f"context {uuid_key}")
     global_state.bind(uuid_key, ctx)
     return ctx
-
-
-def context_dependency_chain(ctx: ContextHandle) -> list[ContextHandle]:
-    """A ring's polynomial-ring ancestry, innermost first, ending with ``ctx``.
-
-    This is the post-order a sender must follow so every context arrives
-    after its dependencies.
-    """
-    desc = ctx.descriptor
-    if not isinstance(desc, _POLY_RINGS):
-        return []
-    return context_dependency_chain(intern_context(desc.base)) + [ctx]
 
 
 # ----------------------------------------------------------------------------
@@ -407,7 +397,7 @@ def _poly_payload(p: Polynomial, mode: Mode, write_int, write_coeff):
         return [[write_int(d), write_coeff(c)] for (d,), c in reversed(p.terms)]
     if not p.terms:
         return []
-    dense = [domain_for(desc.base).zero] * (p.degree() + 1)
+    dense = [coercer(desc.base)(0)] * (p.degree() + 1)
     for (d,), c in p.terms:
         dense[d] = c
     return list(map(write_coeff, dense))
@@ -479,6 +469,8 @@ def _terms_one_by_one(desc, codec: _ListCodec, data: list, state: DeserializerSt
                     f"{at}: exponent vector has length {len(pair[0])}, ring has {len(desc.symbols)}"
                 )
             mono = tuple(int_from_text(e, at) for e in pair[0])
+            if min(mono) < 0:
+                raise SchemaError(f"{at}: negative exponent")
         terms.append((mono, codec.decode_one(desc.base, pair[1], state, at)))
     return terms
 
@@ -652,10 +644,16 @@ def save(obj, state: SerializerState) -> MrdiDocument:
 
 
 def _decode(tn: TypeNode, data, state: DeserializerState):
+    """The value ``data`` holds as type ``tn``.  A value the algebra rejects
+    (a composite modulus, a negative dimension, an invalid map) raises a
+    SchemaError located at the value, like every other bad document."""
     decoder = _DECODERS.get(tn.name)
     if decoder is None:
         raise UnsupportedTypeError(f"unsupported type tag: {tn.name!r}")
-    return decoder(tn, data, state)
+    try:
+        return decoder(tn, data, state)
+    except ValidationError as exc:
+        raise SchemaError(f"{state.cursor()}: {exc}") from None
 
 
 def load(doc: MrdiDocument, state: DeserializerState):

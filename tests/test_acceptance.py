@@ -131,14 +131,13 @@ def test_criterion_4_context_protocol():
         Ru, u = univariate_ring(Rt, "u")
         polys = [u.scale(t) ** 2 + u**k for k in range(12)]
         with spawn_pool(3, tap=events.append) as pool:
-            args_doc = save(
-                (polys[0],), SerializerState(Mode.IPC, pool.global_state, collect_new_refs=True)
-            )
+            state = SerializerState(Mode.IPC, pool.global_state, collect_new_refs=True)
+            save((polys[0],), state)
             # drive every worker explicitly, twice, then run a real workload
             for worker in pool.workers:
-                pool.ensure_contexts(worker, args_doc.type_tree)
+                pool.ensure_contexts(worker, state.pending_refs)
             for worker in pool.workers:
-                pool.ensure_contexts(worker, args_doc.type_tree)
+                pool.ensure_contexts(worker, state.pending_refs)
             results = pool.parallel_map("poly_square", [(p,) for p in polys])
             assert results == [p * p for p in polys]
             inner_uuid = pool.global_state.uuid_for(Rt)

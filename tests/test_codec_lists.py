@@ -2,7 +2,9 @@
 
 The error texts pinned here are the ones the term-by-term codec gave: the
 list codecs must keep every message and every ``…/i`` location, and accept
-exactly the same documents.
+exactly the same documents.  A document holding a value the algebra rejects
+(a composite modulus, bad ring symbols, a negative dimension or exponent, a
+constant map image) raises a SchemaError located at a document path.
 """
 
 import json
@@ -64,6 +66,19 @@ def edited(value, edit):
 
 def load_long_term(raw):
     return load(parse_text(raw), DeserializerState(Mode.LONG_TERM, GlobalSerializerState()))
+
+
+def edited_ref(value, edit):
+    """The long-term text of ``value``, whose one ref has ``edit`` applied to its data."""
+    obj = json.loads(long_term_text(value))
+    (ref,) = obj["_refs"].values()
+    edit(ref["data"])
+    return json.dumps(obj, indent=2).encode()
+
+
+def load_ring(modulus):
+    doc = MrdiDocument(TypeNode("PrimeField", {"modulus": modulus}), {})
+    return load(doc, DeserializerState(Mode.LONG_TERM, GlobalSerializerState()))
 
 
 def ipc_state(*rings):
@@ -153,6 +168,20 @@ ERROR_CASES = {
     "map-image-exponent": lambda: load_long_term(
         edited(fig1_map(), put("images", 1, 0, 0, 1, "01"))
     ),
+    # values the algebra rejects, located like every other bad document
+    "map-constant-image": lambda: load_long_term(
+        edited(fig1_map(), put("images", 1, 0, 0, ["0", "0"]))
+    ),
+    "matrix-negative-nrows": lambda: load_long_term(
+        edited(ExactMatrix.from_rows(ZZ, []), put("nrows", "-1"))
+    ),
+    "prime-field-composite": lambda: load_ring("8"),
+    "prime-field-one": lambda: load_ring("1"),
+    "prime-field-undecided": lambda: load_ring("3317044064679887385961983"),
+    "ref-symbols-empty": lambda: load_long_term(edited_ref(Q, put("symbols", []))),
+    "ref-symbols-repeated": lambda: load_long_term(edited_ref(Q, put("symbols", ["x", "x"]))),
+    "ref-symbols-empty-text": lambda: load_long_term(edited_ref(Q, put("symbols", [""]))),
+    "ref-symbol-empty-text": lambda: load_long_term(edited_ref(P, put("symbol", ""))),
     # native numbers deep in the data tree
     "parse-native-number": lambda: parse_text(edited([P, P], put(1, 2, 1, 5))),
     "parse-native-bool": lambda: parse_text(edited([Q, Q], put(1, 2, 0, 1, True))),
@@ -187,6 +216,12 @@ EXPECTED = {
     "lt-zz-matrix-entry": ("SchemaError", "data/entries/2: expected a decimal integer, got '05'"),
     "lt-zz-vector-item": ("SchemaError", "data/1: expected a decimal integer, got '+5'"),
     "map-image-exponent": ("SchemaError", "data/images/1/0: expected a decimal integer, got '01'"),
+    "map-constant-image": (
+        "SchemaError",
+        "data: image monomials must be nonconstant: a map sending a variable to a constant, "
+        "such as x -> 2, is not supported",
+    ),
+    "matrix-negative-nrows": ("SchemaError", "data: matrix dimensions must be nonnegative"),
     "mpoly-coefficient-plus": ("SchemaError", "data/1/2: malformed rational '+5'"),
     "mpoly-exponent-leading-zero": (
         "SchemaError",
@@ -194,12 +229,35 @@ EXPECTED = {
     ),
     "mpoly-exponent-length": ("SchemaError", "data/1/2: exponent vector has length 1, ring has 2"),
     "mpoly-exponent-plus": ("SchemaError", "data/1/2: expected a decimal integer, got '+5'"),
-    "mpoly-negative-exponent": (
-        "ValidationError",
-        "exponents must be nonnegative integers: (0, -1)",
-    ),
+    "mpoly-negative-exponent": ("SchemaError", "data/1/2: negative exponent"),
     "mpoly-rational-denominator-one": ("SchemaError", "data/1/1: malformed rational '3/1'"),
     "mpoly-rational-not-lowest": ("SchemaError", "data/1/1: malformed rational '2/4'"),
+    "prime-field-composite": ("SchemaError", "data: 8 is not prime"),
+    "prime-field-one": (
+        "SchemaError",
+        "data: prime field modulus must be an integer >= 2, got 1",
+    ),
+    "prime-field-undecided": (
+        "SchemaError",
+        "data: primality of 3317044064679887385961983 is not decided: "
+        "moduli must be below 3317044064679887385961981",
+    ),
+    "ref-symbol-empty-text": (
+        "SchemaError",
+        "_refs/457c769f-39d8-4441-99c0-e5bdbcfbc85b: polynomial ring symbol must be a nonempty string",
+    ),
+    "ref-symbols-empty": (
+        "SchemaError",
+        "_refs/457c769f-39d8-4441-99c0-e5bdbcfbc85b: multivariate ring needs at least one symbol",
+    ),
+    "ref-symbols-empty-text": (
+        "SchemaError",
+        "_refs/457c769f-39d8-4441-99c0-e5bdbcfbc85b: ring symbols must be nonempty strings",
+    ),
+    "ref-symbols-repeated": (
+        "SchemaError",
+        "_refs/457c769f-39d8-4441-99c0-e5bdbcfbc85b: duplicate ring symbols in ('x', 'x')",
+    ),
     "parse-native-bool": (
         "SchemaError",
         "$/data/1/2/0/1: native value True; numbers and flags must be stored as text",

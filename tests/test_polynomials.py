@@ -14,12 +14,15 @@ from mrdikit.algebra import (
 from mrdikit.errors import ContextMismatchError, ValidationError
 
 
-def random_poly(rng, ring, max_terms=6, max_exp=4, coeff_range=20):
+def random_poly(rng, ring, max_terms=6, max_exp=4, coeff_range=20, coefficient=None):
+    """A random polynomial of ``ring``; ``coefficient(rng)`` draws a
+    coefficient, an integer in [-coeff_range, coeff_range] by default."""
     arity = len(ring.descriptor.symbols) if hasattr(ring.descriptor, "symbols") else 1
     terms = []
     for _ in range(rng.randrange(max_terms + 1)):
         mono = tuple(rng.randrange(max_exp + 1) for _ in range(arity))
-        terms.append((mono, rng.randint(-coeff_range, coeff_range)))
+        coeff = rng.randint(-coeff_range, coeff_range) if coefficient is None else coefficient(rng)
+        terms.append((mono, coeff))
     return Polynomial.from_terms(ring, terms)
 
 
@@ -82,15 +85,29 @@ def test_nested_ring_coefficients():
     assert q.coefficient((0,)) == Polynomial.constant(Rt, 1)
 
 
-def test_ring_axioms_randomized():
+_Rt, _ = univariate_ring(ZZ, "t")
+# ring, and how to draw a random coefficient (an integer when None)
+AXIOM_RINGS = {
+    "QQ-x-y-z": (polynomial_ring(QQ, "x", "y", "z")[0], None),
+    "ZZ-x-y": (polynomial_ring(ZZ, "x", "y")[0], None),
+    "GF7-x-y": (polynomial_ring(GF(7), "x", "y")[0], None),
+    "ZZ-t-u": (
+        univariate_ring(_Rt, "u")[0],
+        lambda rng: random_poly(rng, _Rt, max_terms=3, max_exp=2, coeff_range=5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(AXIOM_RINGS))
+def test_ring_axioms_randomized(name):
+    R, coefficient = AXIOM_RINGS[name]
     rng = random.Random(20240817)
-    R, _ = polynomial_ring(QQ, "x", "y", "z")
     one = Polynomial.constant(R, 1)
     zero = Polynomial.zero(R)
     for _ in range(120):
-        a = random_poly(rng, R)
-        b = random_poly(rng, R)
-        c = random_poly(rng, R)
+        a = random_poly(rng, R, coefficient=coefficient)
+        b = random_poly(rng, R, coefficient=coefficient)
+        c = random_poly(rng, R, coefficient=coefficient)
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
         assert (a * b) * c == a * (b * c)
@@ -99,6 +116,11 @@ def test_ring_axioms_randomized():
         assert a + zero == a
         assert a * one == a
         assert a - a == zero
+        if name == "GF7-x-y":
+            # residues stay in [0, 7), and zero coefficients are dropped
+            for p in (-a, a * b, a.scale(3)):
+                assert all(1 <= coeff <= 6 for _, coeff in p.terms)
+            assert a.scale(7) == zero
 
 
 def test_pow_matches_repeated_mul():
@@ -125,3 +147,24 @@ def test_rational_coefficients():
     p = x.scale(Fraction(1, 2)) + Polynomial.constant(R, Fraction(1, 3))
     q = p.scale(6)
     assert q == x.scale(3) + Polynomial.constant(R, 2)
+
+
+def test_coefficients_are_coerced_into_their_ring():
+    Rt, _ = univariate_ring(ZZ, "t")
+    Ru, _ = univariate_ring(Rt, "u")
+    _, s = univariate_ring(QQ, "s")
+    Fr, _ = univariate_ring(GF(7), "r")
+    assert Polynomial.constant(Fr, -1).terms == (((0,), 6),)
+    assert type(s.coefficient((1,))) is Fraction and s.coefficient((0,)) == 0
+    assert Polynomial.constant(Ru, 3).coefficient((0,)) == Polynomial.constant(Rt, 3)
+    rejected = [
+        (Rt, True, "not an integer: True"),
+        (Rt, Fraction(1, 2), "not an integer: Fraction(1, 2)"),
+        (s.parent, "1", "not a rational: '1'"),
+        (Fr, 2.0, "not a prime field residue: 2.0"),
+        (Ru, s, "polynomial coefficient from a different ring"),
+    ]
+    for ring, value, message in rejected:
+        with pytest.raises(ValidationError) as info:
+            Polynomial.constant(ring, value)
+        assert str(info.value) == message
