@@ -270,10 +270,15 @@ def load_context_document(
     """Reconstruct a ring from a ref document received on its own (IPC preload).
 
     Base rings referenced by UUID must already be bound in ``global_state``;
-    the new binding is recorded under ``uuid_key``.
+    the new binding is recorded under ``uuid_key``.  Errors are located at
+    ``_refs/<uuid_key>``, where the ref document sits in a whole document.
     """
     state = DeserializerState(Mode.IPC, global_state)
-    ctx = _context_from_ref(ref, state, f"context {uuid_key}")
+    where = f"_refs/{uuid_key}"
+    try:
+        ctx = _context_from_ref(ref, state, where)
+    except ValidationError as exc:  # the ring's own checks: a bad symbol or modulus
+        raise SchemaError(f"{where}: {exc}") from None
     global_state.bind(uuid_key, ctx)
     return ctx
 
@@ -527,6 +532,9 @@ def _decode_matrix(tn: TypeNode, data, state: DeserializerState) -> ExactMatrix:
         raise SchemaError(f"{where}: Matrix payload needs nrows/ncols/entries")
     nrows = int_from_text(data["nrows"], where)
     ncols = int_from_text(data["ncols"], where)
+    for name, size in (("nrows", nrows), ("ncols", ncols)):
+        if size < 0:
+            raise SchemaError(f"{where}/{name}: matrix dimensions must be nonnegative, got {size}")
     raw = data["entries"]
     if not isinstance(raw, list) or len(raw) != nrows * ncols:
         raise SchemaError(f"{where}: expected {nrows * ncols} matrix entries")

@@ -1,33 +1,37 @@
 """Determinants of ZZ[t] matrices through modular images and CRT lifting.
 
-Each prime p gives one modular image det(M mod p) over Fp[t].  Images are
-computed a group of primes at a time (``PRIME_GROUP`` of them, one remote call
-per group with a pool): the integer entries are reduced once modulo the
-product Q of the group's primes, turned into dense residue lists, evaluated
-at the points 0..D (D the degree bound) with one powers table per point, the
-scalar determinants are taken by Gaussian elimination mod Q with unit
-pivots (prime by prime where a column has none), and the image is
+Each prime p gives one modular image det(M mod p) over Fp[t].  A round's
+primes go out in one ``det_mod_primes`` call, or with a pool in one call per
+worker (at most one per prime), the workers' shares differing by at most one
+prime.  Each call evaluates every entry once, exactly over ZZ, at the points
+0..D (D the degree bound), and serves its primes in passes of at most
+``PRIME_GROUP``: per pass the values are reduced modulo the product Q of its
+primes, the scalar determinants are taken by Gaussian elimination mod Q with
+unit pivots (prime by prime where a column has none), and the image is
 interpolated mod Q from a master polynomial prod (t - i) and closed-form
 Lagrange denominators, then reduced to one residue list per prime.
 
 The images are lifted coefficient-wise and incrementally, one prime at a
-time whatever the grouping: each new prime extends every coefficient's
-balanced lift from modulus P to P*p with one Garner step
-(``crt_combine_balanced`` on two moduli), so no prime is ever combined
-twice.  Provable mode takes primes descending from just below 2^31 until
-their product clears twice the coefficient bound, so the signed lift is
-exact.  Heuristic mode stops instead once at least three primes are in and
-two consecutive extensions have left every lifted coefficient unchanged;
-grouping only adds images computed past that prime, never changes it.
+time whatever the split: each new prime extends every coefficient's
+balanced lift from modulus P to P*p with one Garner step, taking one inverse
+of P mod p for all coefficients, so no prime is ever combined twice.
+Provable mode takes primes descending from just below 2^31 until their
+product clears twice the coefficient bound, so the signed lift is exact, and
+computes them in one round.  Heuristic mode computes ``PRIME_GROUP`` primes
+per worker per round and stops once at least three primes are in and two
+consecutive extensions have left every lifted coefficient unchanged; the
+rounds only add images computed past that prime, never change it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterator, Optional
 
 from ..algebra.matrices import (
+    PRIME_GROUP,
     ExactMatrix,
     det_univariate_mod_primes,
     det_univariate_over_prime_field,
@@ -40,13 +44,6 @@ from ..errors import ValidationError
 from ..ipc.registry import register_function
 
 PRIME_CEILING = 2**31
-
-# Primes per modular pass.  Per prime, one pass modulo the product of 4
-# primes near 2^31 costs about 3x less than a single-prime pass and one over
-# 8 primes about 4x less (8x8 and 12x12 benchmark matrices), with the gain
-# flattening past 6; heuristic mode may compute up to 7 images past its
-# stopping prime per group.
-PRIME_GROUP = 8
 
 
 def _require_zz_t_square(m: ExactMatrix) -> None:
@@ -104,9 +101,10 @@ def det_mod_p(matrix: ExactMatrix, p: int) -> Polynomial:
 
 
 def det_mod_primes(matrix: ExactMatrix, primes: list[int]) -> list[list[int]]:
-    """The modular images of det(matrix) for a group of primes, in one pass:
-    per prime, the dense coefficients of det(matrix mod p), constant term
-    first, length ``degree_bound(matrix) + 1``."""
+    """The modular images of det(matrix) for a list of primes, from one
+    evaluation of the entries: per prime, the dense coefficients of
+    det(matrix mod p), constant term first, length
+    ``degree_bound(matrix) + 1``."""
     return det_univariate_mod_primes(matrix, primes, degree_bound(matrix))
 
 
@@ -122,10 +120,26 @@ def _usable_primes(stream: Iterator[int], floor: int) -> Iterator[int]:
 def _extend_lift(lifted: list[int], modulus: int, residues: list[int], p: int) -> list[int]:
     """Extend every coefficient's balanced lift from ``modulus`` to ``modulus * p``
     with the dense coefficients of one modular image; ``modulus`` 1 starts the
-    lift."""
+    lift.
+
+    Each coefficient takes the Garner step of ``crt_combine_balanced([x, r],
+    [modulus, p])``, with one inverse of ``modulus`` mod p for all of them.
+    From a balanced x, x + modulus * k with 0 <= k < p lies in
+    (-modulus/2, modulus * p - modulus/2], so one subtraction of
+    ``modulus * p`` above its half balances it.
+    """
     if modulus == 1:
         return [crt_combine_balanced([r], [p]) for r in residues]
-    return [crt_combine_balanced([x, r], [modulus, p]) for x, r in zip(lifted, residues)]
+    if gcd(modulus, p) != 1:
+        raise ValidationError(f"modulus {p} is not coprime to the product of the moduli before it")
+    inverse = pow(modulus, -1, p)
+    extended = modulus * p
+    half = extended // 2
+    out = []
+    for x, r in zip(lifted, residues):
+        x += modulus * ((r - x) * inverse % p)
+        out.append(x - extended if x > half else x)
+    return out
 
 
 def modular_determinant(
@@ -137,11 +151,11 @@ def modular_determinant(
 ) -> Polynomial:
     """Exact determinant of a square matrix over ZZ[t].
 
-    With a pool, groups of primes run through ``parallel_map``; the serial
-    and pooled paths produce identical results.  ``heuristic``
-    stops as soon as the lifted result survives two extra primes unchanged
-    instead of clearing the provable bound.  ``job``, when given, records the
-    plan (bounds and primes used).
+    With a pool, each round's primes are shared out through ``parallel_map``,
+    one call per worker; the serial and pooled paths produce identical
+    results.  ``heuristic`` stops as soon as the lifted result survives two
+    extra primes unchanged instead of clearing the provable bound.  ``job``,
+    when given, records the plan (bounds and primes used).
     """
     _require_zz_t_square(m)
     bound_b = coefficient_bound(m)
@@ -157,18 +171,19 @@ def modular_determinant(
         bound_d,
     )
 
-    def images(primes, width):
-        """One residue list per prime, computed in passes of at most ``width``
-        primes; the passes differ in size by at most one prime."""
-        n, count = len(primes), -(-len(primes) // width)
-        groups = [primes[i * n // count : (i + 1) * n // count] for i in range(count)]
+    workers = len(pool.workers) if pool is not None else 0
+
+    def images(primes):
+        """One residue list per prime: one call without a pool, else one call
+        per worker (at most one per prime), the shares differing by at most
+        one prime."""
         if pool is None:
-            results = [det_mod_primes(m, group) for group in groups]
-        else:
-            results = pool.parallel_map("det_mod_primes", [(m, group) for group in groups])
+            return det_mod_primes(m, primes)
+        n, count = len(primes), min(workers, len(primes))
+        shares = [(m, primes[i * n // count : (i + 1) * n // count]) for i in range(count)]
+        results = pool.parallel_map("det_mod_primes", shares)
         return [image for result in results for image in result]
 
-    workers = len(pool.workers) if pool is not None else 0
     lifted = [0] * (bound_d + 1)
     modulus = 1
     if not heuristic:
@@ -181,9 +196,7 @@ def modular_determinant(
                 raise ValidationError("prime stream exhausted before clearing the bound")
             primes.append(p)
             product *= p
-        # Narrower groups when there are too few primes to give every worker one.
-        width = min(PRIME_GROUP, -(-len(primes) // workers)) if workers else PRIME_GROUP
-        for p, image in zip(primes, images(primes, width)):
+        for p, image in zip(primes, images(primes)):
             lifted = _extend_lift(lifted, modulus, image, p)
             modulus *= p
         if job is not None:
@@ -191,9 +204,9 @@ def modular_determinant(
         return from_dense_coefficients(m.parent, lifted)
 
     # Heuristic: extend prime by prime until two consecutive extensions leave
-    # the lifted coefficients unchanged.  Each round computes one group per
-    # worker; the groups only affect how much work is wasted past the
-    # stopping point, never the result.
+    # the lifted coefficients unchanged.  Each round computes PRIME_GROUP
+    # primes per worker; the rounds only affect how much work is wasted past
+    # the stopping point, never the result.
     batch = PRIME_GROUP * max(workers, 1)
     primes: list[int] = []
     stable = 0
@@ -201,7 +214,7 @@ def modular_determinant(
         fresh = list(itertools.islice(stream, batch))
         if not fresh:
             raise ValidationError("prime stream exhausted during heuristic run")
-        for p, image in zip(fresh, images(fresh, PRIME_GROUP)):
+        for p, image in zip(fresh, images(fresh)):
             extended = _extend_lift(lifted, modulus, image, p)
             if primes and extended == lifted:
                 stable += 1

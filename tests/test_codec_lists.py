@@ -4,7 +4,8 @@ The error texts pinned here are the ones the term-by-term codec gave: the
 list codecs must keep every message and every ``…/i`` location, and accept
 exactly the same documents.  A document holding a value the algebra rejects
 (a composite modulus, bad ring symbols, a negative dimension or exponent, a
-constant map image) raises a SchemaError located at a document path.
+constant map image) raises a SchemaError located at a document path, and so
+does a worker's context preload of such a ref document.
 """
 
 import json
@@ -38,6 +39,7 @@ from mrdikit.mrdi import (
     serialize_text,
     validate_document,
 )
+from mrdikit.mrdi.codec import load_context_document
 from mrdikit.mrdi.document import MAX_NESTING_DEPTH
 from mrdikit.workloads import MonomialMap
 
@@ -79,6 +81,15 @@ def edited_ref(value, edit):
 def load_ring(modulus):
     doc = MrdiDocument(TypeNode("PrimeField", {"modulus": modulus}), {})
     return load(doc, DeserializerState(Mode.LONG_TERM, GlobalSerializerState()))
+
+
+PRELOAD_UUID = "0b5c9a3e-6f1d-4e2a-9c7b-8d4f2e1a3b5c"
+
+
+def preload(ref_data):
+    """A worker's context preload of a ``PolyRing`` ref document with ``ref_data``."""
+    doc = MrdiDocument(TypeNode("PolyRing"), ref_data)
+    return load_context_document(doc, GlobalSerializerState(), PRELOAD_UUID)
 
 
 def ipc_state(*rings):
@@ -175,6 +186,12 @@ ERROR_CASES = {
     "matrix-negative-nrows": lambda: load_long_term(
         edited(ExactMatrix.from_rows(ZZ, []), put("nrows", "-1"))
     ),
+    "matrix-negative-nrows-with-entries": lambda: load_long_term(
+        edited(ExactMatrix.from_rows(ZZ, [[1, 2]]), put("nrows", "-1"))
+    ),
+    "matrix-negative-ncols-with-entries": lambda: load_long_term(
+        edited(ExactMatrix.from_rows(ZZ, [[1], [2]]), put("ncols", "-1"))
+    ),
     "prime-field-composite": lambda: load_ring("8"),
     "prime-field-one": lambda: load_ring("1"),
     "prime-field-undecided": lambda: load_ring("3317044064679887385961983"),
@@ -182,6 +199,10 @@ ERROR_CASES = {
     "ref-symbols-repeated": lambda: load_long_term(edited_ref(Q, put("symbols", ["x", "x"]))),
     "ref-symbols-empty-text": lambda: load_long_term(edited_ref(Q, put("symbols", [""]))),
     "ref-symbol-empty-text": lambda: load_long_term(edited_ref(P, put("symbol", ""))),
+    "preload-symbols-repeated": lambda: preload({"base_ring": "ZZRing", "symbols": ["x", "x"]}),
+    "preload-prime-field-composite": lambda: preload(
+        {"base_ring": {"name": "PrimeField", "params": {"modulus": "8"}}, "symbol": "x"}
+    ),
     # native numbers deep in the data tree
     "parse-native-number": lambda: parse_text(edited([P, P], put(1, 2, 1, 5))),
     "parse-native-bool": lambda: parse_text(edited([Q, Q], put(1, 2, 0, 1, True))),
@@ -221,7 +242,18 @@ EXPECTED = {
         "data: image monomials must be nonconstant: a map sending a variable to a constant, "
         "such as x -> 2, is not supported",
     ),
-    "matrix-negative-nrows": ("SchemaError", "data: matrix dimensions must be nonnegative"),
+    "matrix-negative-nrows": (
+        "SchemaError",
+        "data/nrows: matrix dimensions must be nonnegative, got -1",
+    ),
+    "matrix-negative-nrows-with-entries": (
+        "SchemaError",
+        "data/nrows: matrix dimensions must be nonnegative, got -1",
+    ),
+    "matrix-negative-ncols-with-entries": (
+        "SchemaError",
+        "data/ncols: matrix dimensions must be nonnegative, got -1",
+    ),
     "mpoly-coefficient-plus": ("SchemaError", "data/1/2: malformed rational '+5'"),
     "mpoly-exponent-leading-zero": (
         "SchemaError",
@@ -241,6 +273,11 @@ EXPECTED = {
         "SchemaError",
         "data: primality of 3317044064679887385961983 is not decided: "
         "moduli must be below 3317044064679887385961981",
+    ),
+    "preload-prime-field-composite": ("SchemaError", f"_refs/{PRELOAD_UUID}: 8 is not prime"),
+    "preload-symbols-repeated": (
+        "SchemaError",
+        f"_refs/{PRELOAD_UUID}: duplicate ring symbols in ('x', 'x')",
     ),
     "ref-symbol-empty-text": (
         "SchemaError",

@@ -1,5 +1,6 @@
 import random
 from itertools import islice
+from math import prod
 
 import pytest
 import sympy
@@ -15,6 +16,7 @@ from mrdikit.algebra import (
 from mrdikit.algebra.polynomials import dense_coefficients
 from mrdikit.errors import ValidationError
 from mrdikit.ipc import spawn_pool
+from mrdikit.ipc.framing import Call
 from mrdikit.mrdi import GlobalSerializerState, Mode, SerializerState, save, serialize_text
 from mrdikit.workloads import (
     DetJob,
@@ -24,7 +26,9 @@ from mrdikit.workloads import (
     det_mod_primes,
     modular_determinant,
 )
-from mrdikit.algebra import primes
+from mrdikit.algebra import matrices, primes
+from mrdikit.algebra.matrices import PRIME_GROUP
+from mrdikit.algebra.primes import crt_combine_balanced
 from mrdikit.workloads import determinant
 from test_linalg import cofactor_det, random_zz_t_matrix
 
@@ -248,12 +252,99 @@ def test_grouped_images_validate_the_group():
             det_mod_primes(m, bad)
 
 
+def test_passes_split_the_primes_without_changing_the_images():
+    # 1 and PRIME_GROUP primes take one pass; PRIME_GROUP + 1 take two and
+    # 2 * PRIME_GROUP + 3 take three, all served by one evaluation.
+    rng = random.Random(85)
+    m = random_zz_t_matrix(rng, 4, max_deg=3, coeff_range=10**12)
+    length = degree_bound(m) + 1
+    stream = descending_primes(2**31)
+    pool_of_primes = [next(stream) for _ in range(2 * PRIME_GROUP + 3)]
+    for count in (1, PRIME_GROUP, PRIME_GROUP + 1, 2 * PRIME_GROUP + 3):
+        group = pool_of_primes[:count]
+        expected = [dense_coefficients(det_mod_p(m, p), length) for p in group]
+        assert det_mod_primes(m, group) == expected
+
+
+def balanced(value, modulus):
+    value %= modulus
+    return value - modulus if 2 * value > modulus else value
+
+
+def test_extend_lift_matches_the_per_coefficient_crt():
+    rng = random.Random(86)
+    stream = descending_primes(2**31)
+    moduli = [next(stream) for _ in range(5)] + [3, 5, 7, 10007]
+    for _ in range(300):
+        factors = rng.sample(moduli, rng.randrange(1, 5))
+        p = factors.pop()
+        modulus = prod(factors)
+        extended = modulus * p
+        # The ends of the balanced range (-E/2, E/2] for E = modulus * p, the
+        # values next to them, and random ones.
+        low, high = -((extended - 1) // 2), extended // 2
+        values = [high, high - 1, low, low + 1] + [rng.randint(low, high) for _ in range(8)]
+        lifted = [balanced(v, modulus) for v in values]
+        residues = [v % p for v in values]
+        if modulus == 1:
+            expected = [crt_combine_balanced([r], [p]) for r in residues]
+        else:
+            expected = [
+                crt_combine_balanced([x, r], [modulus, p]) for x, r in zip(lifted, residues)
+            ]
+        assert expected == values
+        assert determinant._extend_lift(lifted, modulus, residues, p) == expected
+    with pytest.raises(ValidationError):
+        determinant._extend_lift([0], 3 * 10007, [1], 10007)
+
+
+def test_one_call_per_worker_per_round():
+    Rt, t = zz_t()
+    one = Polynomial.constant(Rt, 1)
+    few = ExactMatrix.from_rows(Rt, [[t + one, one.scale(2)], [one.scale(3), t]])  # one prime
+    many = random_zz_t_matrix(random.Random(87), 4, max_deg=2, coeff_range=10**30)
+
+    def encoded(det):
+        state = SerializerState(Mode.LONG_TERM, GlobalSerializerState(uuid_seed=7))
+        return serialize_text(save(det, state))
+
+    serial = {
+        (name, heuristic): encoded(modular_determinant(m, heuristic=heuristic))
+        for name, m in (("few", few), ("many", many))
+        for heuristic in (False, True)
+    }
+    used = {}
+    for k in (1, 2, 3):
+        events = []
+        with spawn_pool(k, tap=events.append) as pool:
+            for name, m in (("few", few), ("many", many)):
+                for heuristic in (False, True):
+                    events.clear()
+                    job = DetJob(m, 0, 0)
+                    got = modular_determinant(m, pool=pool, heuristic=heuristic, job=job)
+                    calls = [
+                        msg
+                        for direction, _, msg in events
+                        if direction == "send" and isinstance(msg, Call)
+                    ]
+                    assert all(msg.fn == "det_mod_primes" for msg in calls)
+                    if heuristic:
+                        rounds = -(-len(job.primes) // (PRIME_GROUP * k))
+                        assert len(calls) == k * rounds
+                    else:
+                        assert len(calls) == min(k, len(job.primes))
+                    assert encoded(got) == serial[name, heuristic]
+                    used[name, heuristic] = len(job.primes)
+    assert used["few", False] == 1 and used["many", False] > 3
+
+
 def test_heuristic_primes_do_not_depend_on_the_group_width(monkeypatch):
     rng = random.Random(83)
     m = random_zz_t_matrix(rng, 4, max_deg=3, coeff_range=10**30)
     runs = []
     for width in (1, 3, 8, 11):
         monkeypatch.setattr(determinant, "PRIME_GROUP", width)
+        monkeypatch.setattr(matrices, "PRIME_GROUP", width)
         job = DetJob(m, 0, 0)
         det = modular_determinant(m, heuristic=True, job=job)
         runs.append((det, job.primes))
