@@ -2,10 +2,22 @@
 
 Entries are plain values of the ring, put in canonical form by the ring's
 ``coercer`` when a matrix is built.  Everything here is exact: rational row
-reduction uses ``Fraction``, and nothing ever rounds.  Modular determinants
-of a ZZ[t] matrix for many primes evaluate each entry once per point over ZZ,
-then eliminate and interpolate in passes modulo a product of up to
-``PRIME_GROUP`` primes, one pass serving all of its primes.
+reduction uses ``Fraction``, and nothing ever rounds.
+
+Determinants of a ZZ[t] matrix go by evaluation at integer points, exactly
+over ZZ, and interpolation, in one of two ways:
+
+- exactly: ``det_univariate_at_points`` takes det(M(x)) at each point by
+  fraction-free (Bareiss) elimination over ZZ, and
+  ``interpolate_at_consecutive_points`` turns the values at consecutive
+  integers into coefficients by Newton's divided differences, with no
+  coefficient bound, no primes and no CRT;
+- modularly: ``det_univariate_mod_primes`` gives det(M mod p) for many primes
+  from one evaluation at 0..D, eliminating and interpolating in passes modulo
+  a product of up to ``PRIME_GROUP`` primes, one pass serving all of its
+  primes.  The caller lifts the images by CRT.
+
+``mrdikit.workloads.determinant`` picks one per matrix.
 """
 
 from __future__ import annotations
@@ -150,8 +162,6 @@ def reduce_mod_prime(m: ExactMatrix, prime: int) -> ExactMatrix:
 # one 28-prime call on the 12x12 degree-8 benchmark matrix and
 # 2.7/2.3/2.3/2.1 ms in one 56-prime call on the 8x8 degree-6 one; 20 gain
 # nothing over 14 (least CPU time of 6-8 runs, 2 vCPU, Python 3.11.7).
-# Heuristic mode computes this many primes per worker per round, so a wider
-# pass also computes more images past its stopping prime.
 PRIME_GROUP = 14
 
 
@@ -235,6 +245,17 @@ def _interpolate_mod(ys: list[int], q: int) -> list[int]:
     return [sum(map(mul, master[k + 1 :], sums)) % q for k in range(count)]
 
 
+def _evaluations(entries: list[list[int]], n: int, points):
+    """For each integer point x, the n x n matrix (a list of rows) of the
+    values at x, exactly over ZZ, of the entries with the integer coefficient
+    lists ``entries`` (row-major, constant term first)."""
+    width = max(map(len, entries), default=0)
+    for x in points:
+        powers = [x**d for d in range(width)]
+        values = [sum(map(mul, e, powers)) for e in entries]
+        yield [values[i * n : (i + 1) * n] for i in range(n)]
+
+
 def _det_images(entries: list[list[int]], n: int, primes, degree_bound: int) -> list[list[int]]:
     """det mod p for each prime p of ``primes``, as dense coefficient lists of
     length degree_bound + 1, of the n x n matrix whose row-major entries have
@@ -256,11 +277,7 @@ def _det_images(entries: list[list[int]], n: int, primes, degree_bound: int) -> 
     passes = [primes[i * total // count : (i + 1) * total // count] for i in range(count)]
     moduli = [prod(group) for group in passes]
     ys = [[] for _ in passes]
-    width = max(map(len, entries), default=0)
-    for x in range(degree_bound + 1):
-        powers = [x**d for d in range(width)]
-        values = [sum(map(mul, e, powers)) for e in entries]
-        rows = [values[i * n : (i + 1) * n] for i in range(n)]
+    for rows in _evaluations(entries, n, range(degree_bound + 1)):
         for group, q, out in zip(passes, moduli, ys):
             out.append(_det_mod([[v % q for v in row] for row in rows], q, group))
     images = []
@@ -274,20 +291,24 @@ def _dense_entries(m: ExactMatrix) -> list[list[int]]:
     return [dense_coefficients(e, e.degree() + 1) for e in m.entries]
 
 
+def _require_univariate_square(m: ExactMatrix, base: type, name: str) -> None:
+    desc = m.parent.descriptor
+    if not isinstance(desc, UnivariatePolyRing) or not isinstance(desc.base, base):
+        raise ValidationError(f"expected a matrix over a univariate polynomial ring over {name}")
+    if not m.is_square:
+        raise ValidationError("determinant of a nonsquare matrix")
+
+
 def det_univariate_over_prime_field(m: ExactMatrix, degree_bound: int) -> Polynomial:
     """det of a square matrix over Fp[t], via evaluation at degree_bound + 1
     points, scalar determinants, and Lagrange interpolation.
 
     Requires p > degree_bound so that enough distinct evaluation points exist.
     """
-    desc = m.parent.descriptor
-    if not isinstance(desc, UnivariatePolyRing) or not isinstance(desc.base, PrimeField):
-        raise ValidationError("expected a matrix over a univariate ring over a prime field")
-    if not m.is_square:
-        raise ValidationError("determinant of a nonsquare matrix")
+    _require_univariate_square(m, PrimeField, "a prime field")
     if degree_bound < 0:
         raise ValidationError("degree bound must be nonnegative")
-    (image,) = _det_images(_dense_entries(m), m.nrows, (desc.base.p,), degree_bound)
+    (image,) = _det_images(_dense_entries(m), m.nrows, (m.parent.descriptor.base.p,), degree_bound)
     return from_dense_coefficients(m.parent, image)
 
 
@@ -299,11 +320,7 @@ def det_univariate_mod_primes(m: ExactMatrix, primes, degree_bound: int) -> list
 
     Requires distinct primes, each greater than degree_bound.
     """
-    desc = m.parent.descriptor
-    if not isinstance(desc, UnivariatePolyRing) or not isinstance(desc.base, IntegerRing):
-        raise ValidationError("expected a matrix over a univariate polynomial ring over ZZ")
-    if not m.is_square:
-        raise ValidationError("determinant of a nonsquare matrix")
+    _require_univariate_square(m, IntegerRing, "ZZ")
     if degree_bound < 0:
         raise ValidationError("degree bound must be nonnegative")
     primes = tuple(primes)
@@ -313,6 +330,77 @@ def det_univariate_mod_primes(m: ExactMatrix, primes, degree_bound: int) -> list
     if len(set(primes)) != len(primes):
         raise ValidationError(f"repeated prime in {list(primes)}")
     return _det_images(_dense_entries(m), m.nrows, primes, degree_bound)
+
+
+# ----------------------------------------------------------------------------
+# Exact determinants over ZZ[t]: Bareiss elimination at integer points and
+# Newton interpolation
+# ----------------------------------------------------------------------------
+
+
+def _det_bareiss(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination with row swaps; each step drops the pivot row and column.
+
+    After step k every remaining entry is a (k + 1)-rowed minor of the
+    matrix (up to the sign of the swaps), so dividing by the previous pivot
+    is exact and the last pivot is the determinant.  Swapping two remaining
+    rows swaps two rows of the matrix, which flips the sign.
+    """
+    sign, previous = 1, 1
+    while len(rows) > 1:
+        for k, row in enumerate(rows):
+            if row[0]:
+                break
+        else:
+            return 0
+        if k:
+            rows[0], rows[k] = rows[k], rows[0]
+            sign = -sign
+        pivot = rows[0][0]
+        base = rows[0][1:]
+        remaining = []
+        for row in rows[1:]:
+            if f := row[0]:
+                remaining.append([(a * pivot - f * b) // previous for a, b in zip(row[1:], base)])
+            else:
+                remaining.append([a * pivot // previous for a in row[1:]])
+        rows, previous = remaining, pivot
+    return sign * rows[0][0] if rows else 1
+
+
+def det_univariate_at_points(m: ExactMatrix, points) -> list[int]:
+    """det(m)(x) for each integer x of ``points``, for a square matrix over
+    ZZ[t]: the entries are evaluated at x exactly over ZZ and the scalar
+    determinant is taken by Bareiss elimination."""
+    _require_univariate_square(m, IntegerRing, "ZZ")
+    return [_det_bareiss(rows) for rows in _evaluations(_dense_entries(m), m.nrows, points)]
+
+
+def interpolate_at_consecutive_points(start: int, values: list[int]) -> list[int]:
+    """Dense coefficients, constant term first, of the polynomial p of degree
+    below len(values) with p(start + i) = values[i]; p must have integer
+    coefficients, as a determinant over ZZ[t] has.
+
+    At consecutive integers the step-j divided differences divide by
+    x_(i+j) - x_i = j.  The divided differences of a polynomial with integer
+    coefficients at integer points are integers, so every division is exact.
+    The Newton form c_0 + (t - x_0)(c_1 + (t - x_1)(c_2 + ...)) is then
+    expanded by Horner's rule.
+    """
+    c = list(values)
+    count = len(c)
+    for j in range(1, count):
+        for i in range(count - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) // j
+    coefficients = c[-1:]
+    for k in range(count - 2, -1, -1):
+        x = start + k
+        # coefficients * (t - x) + c[k]
+        coefficients = [c[k] - x * coefficients[0]] + [
+            a - x * b for a, b in zip(coefficients, coefficients[1:])
+        ] + coefficients[-1:]
+    return coefficients
 
 
 # ----------------------------------------------------------------------------

@@ -202,10 +202,13 @@ def _write_result(value, out_path: str, seed: int):
 
 
 def _with_pool(workers: int, fn):
+    """``fn(None)`` for no workers, else ``fn(pool)`` on a fresh pool whose
+    workers have all started up, so a clock ``fn`` starts excludes start-up."""
     if workers <= 0:
         return fn(None)
     pool = spawn_pool(workers)
     try:
+        pool.wait_ready()
         return fn(pool)
     finally:
         pool.shutdown()
@@ -241,7 +244,7 @@ def cmd_detcrt(args) -> int:
     try:
         det, seconds = _with_pool(
             args.workers,
-            lambda pool: _timed(modular_determinant, matrix, pool=pool, heuristic=args.heuristic),
+            lambda pool: _timed(modular_determinant, matrix, pool=pool),
         )
     except (WorkerFailure, TransportError, PoolClosedError) as exc:
         print(f"worker failure: {exc}", file=sys.stderr)
@@ -377,7 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detcrt", help="modular determinant of a ZZ[t] matrix")
     p.add_argument("--matrix", required=True)
     p.add_argument("--workers", type=int, default=0)
-    p.add_argument("--heuristic", action="store_true")
+    p.add_argument(
+        "--heuristic", action="store_true", help="accepted and ignored: the result is always exact"
+    )
     p.add_argument("--out", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_detcrt)

@@ -224,6 +224,25 @@ class WorkerPool:
         finally:
             self._release(worker)
 
+    def wait_ready(self) -> None:
+        """Have every worker answer one ``identity`` call: all calls go out
+        before any answer is read, so the workers start up side by side, and
+        once this returns no call waits for a worker's imports.  The pool
+        must be idle."""
+        args = save((0,), SerializerState(Mode.IPC, self.global_state))
+        sent = []
+        for worker in self.workers:
+            call_id = self._next_id()
+            self._send(worker, framing.Call(call_id, "identity", args))
+            sent.append((worker, call_id))
+        for worker, call_id in sent:
+            reply = self._recv(worker)
+            if isinstance(reply, framing.Failure):
+                raise WorkerFailure(f"worker {worker.worker_id}: {reply.error}")
+            if not isinstance(reply, framing.Result) or reply.call_id != call_id:
+                self._mark_dead(worker)
+                raise TransportError(f"worker {worker.worker_id} answered out of order")
+
     def parallel_map(self, fn: str, items: Iterable) -> list:
         """Map ``fn`` over ``items`` on the pool, dynamically dispatching to
         idle workers; results come back in input order."""

@@ -1,40 +1,55 @@
-"""Determinants of ZZ[t] matrices through modular images and CRT lifting.
+"""Exact determinants of ZZ[t] matrices, by Bareiss elimination at integer
+points or through modular images and CRT lifting.
 
-Each prime p gives one modular image det(M mod p) over Fp[t].  A round's
-primes go out in one ``det_mod_primes`` call, or with a pool in one call per
-worker (at most one per prime), the workers' shares differing by at most one
-prime.  Each call evaluates every entry once, exactly over ZZ, at the points
-0..D (D the degree bound), and serves its primes in passes of at most
-``PRIME_GROUP``: per pass the values are reduced modulo the product Q of its
-primes, the scalar determinants are taken by Gaussian elimination mod Q with
-unit pivots (prime by prime where a column has none), and the image is
-interpolated mod Q from a master polynomial prod (t - i) and closed-form
-Lagrange denominators, then reduced to one residue list per prime.
+One size rule picks the path per matrix.  ``_bareiss_bits`` predicts the bit
+length of Bareiss's last pivot at the evaluation points: n times the largest
+coefficient's bits plus d * log2(D/2 + 1) for the points (d the largest entry
+degree, D the degree bound) plus log2(n * (d + 1)) for the sums.  Below
+``BAREISS_RATIO`` times the bit length of the coefficient bound, the Bareiss
+path runs; above it, the multimodular one, whose prime count depends on the
+bound alone.
 
-The images are lifted coefficient-wise and incrementally, one prime at a
-time whatever the split: each new prime extends every coefficient's
-balanced lift from modulus P to P*p with one Garner step, taking one inverse
-of P mod p for all coefficients, so no prime is ever combined twice.
-Provable mode takes primes descending from just below 2^31 until their
-product clears twice the coefficient bound, so the signed lift is exact, and
-computes them in one round.  Heuristic mode computes ``PRIME_GROUP`` primes
-per worker per round and stops once at least three primes are in and two
-consecutive extensions have left every lifted coefficient unchanged; the
-rounds only add images computed past that prime, never change it.
+Bareiss path: the D + 1 points -floor(D/2)..ceil(D/2) go out in one
+``det_univariate_at_points`` call, or with a pool in one call per worker (at
+most one per point) on contiguous ranges whose sizes differ by at most one.
+Each call evaluates the entries at its points exactly over ZZ and takes each
+scalar determinant by fraction-free elimination; the coordinator
+interpolates the values exactly by Newton's divided differences.  No bound,
+prime or CRT is involved.
+
+Multimodular path: each prime p gives one modular image det(M mod p) over
+Fp[t].  The primes go out in one ``det_mod_primes`` call, or with a pool in
+one call per worker (at most one per prime), the shares differing by at most
+one prime.  Each call evaluates every entry once, exactly over ZZ, at the
+points 0..D, and serves its primes in passes of at most ``PRIME_GROUP``: per
+pass the values are reduced modulo the product Q of its primes, the scalar
+determinants are taken by Gaussian elimination mod Q with unit pivots (prime
+by prime where a column has none), and the image is interpolated mod Q from a
+master polynomial prod (t - i) and closed-form Lagrange denominators, then
+reduced to one residue list per prime.  The primes descend from just below
+2^31 until their product clears twice the coefficient bound, so the signed
+lift is exact.  The images are lifted coefficient-wise and incrementally, one
+prime at a time whatever the split: each new prime extends every
+coefficient's balanced lift from modulus P to P*p with one Garner step,
+taking one inverse of P mod p for all coefficients.
+
+Both paths give the unique determinant, so the result's bytes do not depend
+on the path or the worker count.  The ``heuristic`` keyword is accepted and
+ignored.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, log2
 from typing import Iterator, Optional
 
 from ..algebra.matrices import (
-    PRIME_GROUP,
     ExactMatrix,
     det_univariate_mod_primes,
+    det_univariate_at_points,
     det_univariate_over_prime_field,
+    interpolate_at_consecutive_points,
     reduce_mod_prime,
 )
 from ..algebra.polynomials import Polynomial, from_dense_coefficients
@@ -44,6 +59,20 @@ from ..errors import ValidationError
 from ..ipc.registry import register_function
 
 PRIME_CEILING = 2**31
+
+# Bareiss at the points when its predicted final size (``_bareiss_bits``) is
+# below this many times the bit length of the coefficient bound, else the
+# multimodular path.  Serial CPU seconds, Bareiss / multimodular, by shape
+# n x degree x coefficient bits (ratio): 20x4x256 (1.09) 3.5-3.9 / 4.9-6.2;
+# 8x6x192 (1.15) 0.02-0.04 / 0.08-0.12; 12x8x64 (1.67) 0.09-0.14 / 0.21-0.26;
+# 16x12x64 (2.15) 1.0-1.2 / 1.5-1.7; 20x8x24 (2.75) 0.69-0.76 / 1.07-1.16;
+# 16x8x16 (3.32) 0.23-0.27 / 0.34-0.37; 16x10x16 (3.99) 0.36-0.45 /
+# 0.45-0.51; 18x12x20 (4.18) 1.17-1.26 / 1.22-1.24; 24x12x16 (4.91) 4.9-5.5 /
+# 3.9-4.1; 12x16x16 (5.90) 0.27-0.31 / 0.21-0.23; 6x40x32 (8.31) 0.13-0.15 /
+# 0.15-0.17 (3-5 alternating runs each, 2 vCPU, Python 3.11.7).  Bareiss wins
+# clearly up to 3.99 and the multimodular path at 4.91 and 5.90; the paths
+# tie at 4.18 and on the few-row, high-degree shapes.
+BAREISS_RATIO = 4.1
 
 
 def _require_zz_t_square(m: ExactMatrix) -> None:
@@ -109,6 +138,7 @@ def det_mod_primes(matrix: ExactMatrix, primes: list[int]) -> list[list[int]]:
 
 
 register_function("det_mod_primes", det_mod_primes)
+register_function("det_univariate_at_points", det_univariate_at_points)
 
 
 def _usable_primes(stream: Iterator[int], floor: int) -> Iterator[int]:
@@ -142,6 +172,28 @@ def _extend_lift(lifted: list[int], modulus: int, residues: list[int], p: int) -
     return out
 
 
+def _share_out(fn, m: ExactMatrix, items: list, pool) -> list:
+    """``fn(m, items)``: one call without a pool, else one call per worker (at
+    most one per item) on contiguous shares whose sizes differ by at most one,
+    the results concatenated in order.  ``fn`` is registered under its own
+    name."""
+    if pool is None:
+        return fn(m, items)
+    n, count = len(items), min(len(pool.workers), len(items))
+    shares = [(m, items[i * n // count : (i + 1) * n // count]) for i in range(count)]
+    return [value for result in pool.parallel_map(fn.__name__, shares) for value in result]
+
+
+def _bareiss_bits(m: ExactMatrix, bound_d: int) -> float:
+    """The predicted bit length of Bareiss's last pivot at the evaluation
+    points, n * (b + d * log2(D/2 + 1) + log2(n * (d + 1))), with b the
+    largest coefficient's bit length and d the largest entry degree."""
+    n = m.nrows
+    b = max((abs(c).bit_length() for e in m.entries for _, c in e.terms), default=0)
+    d = max((e.degree() for e in m.entries), default=0)
+    return n * (b + d * log2(bound_d / 2 + 1) + log2(n * (d + 1) or 1))
+
+
 def modular_determinant(
     m: ExactMatrix,
     pool=None,
@@ -151,11 +203,15 @@ def modular_determinant(
 ) -> Polynomial:
     """Exact determinant of a square matrix over ZZ[t].
 
-    With a pool, each round's primes are shared out through ``parallel_map``,
-    one call per worker; the serial and pooled paths produce identical
-    results.  ``heuristic`` stops as soon as the lifted result survives two
-    extra primes unchanged instead of clearing the provable bound.  ``job``,
-    when given, records the plan (bounds and primes used).
+    Bareiss elimination at the points -floor(D/2)..ceil(D/2) when
+    ``_bareiss_bits`` stays below ``BAREISS_RATIO`` times the bit length of
+    the coefficient bound, else the multimodular path.  With a pool, the
+    points or the primes are shared out through ``parallel_map``, one call per
+    worker; the serial and pooled paths produce identical results.
+    ``heuristic`` is accepted and ignored: both modes compute the exact
+    result.  ``prime_stream`` replaces the descending primes of the
+    multimodular path.  ``job``, when given, records the plan (bounds, and the
+    primes the multimodular path used).
     """
     _require_zz_t_square(m)
     bound_b = coefficient_bound(m)
@@ -166,64 +222,30 @@ def modular_determinant(
         job.coefficient_bound = bound_b
     if bound_b == 0:
         return Polynomial.zero(m.parent)  # a row vanished; det is 0
+    if _bareiss_bits(m, bound_d) < BAREISS_RATIO * bound_b.bit_length():
+        start = -(bound_d // 2)
+        points = list(range(start, start + bound_d + 1))
+        values = _share_out(det_univariate_at_points, m, points, pool)
+        return from_dense_coefficients(m.parent, interpolate_at_consecutive_points(start, values))
+
     stream = _usable_primes(
         prime_stream if prime_stream is not None else descending_primes(PRIME_CEILING),
         bound_d,
     )
-
-    workers = len(pool.workers) if pool is not None else 0
-
-    def images(primes):
-        """One residue list per prime: one call without a pool, else one call
-        per worker (at most one per prime), the shares differing by at most
-        one prime."""
-        if pool is None:
-            return det_mod_primes(m, primes)
-        n, count = len(primes), min(workers, len(primes))
-        shares = [(m, primes[i * n // count : (i + 1) * n // count]) for i in range(count)]
-        results = pool.parallel_map("det_mod_primes", shares)
-        return [image for result in results for image in result]
-
+    primes = []
+    product = 1
+    while product <= 2 * bound_b:
+        try:
+            p = next(stream)
+        except StopIteration:
+            raise ValidationError("prime stream exhausted before clearing the bound")
+        primes.append(p)
+        product *= p
     lifted = [0] * (bound_d + 1)
     modulus = 1
-    if not heuristic:
-        primes = []
-        product = 1
-        while product <= 2 * bound_b:
-            try:
-                p = next(stream)
-            except StopIteration:
-                raise ValidationError("prime stream exhausted before clearing the bound")
-            primes.append(p)
-            product *= p
-        for p, image in zip(primes, images(primes)):
-            lifted = _extend_lift(lifted, modulus, image, p)
-            modulus *= p
-        if job is not None:
-            job.primes = list(primes)
-        return from_dense_coefficients(m.parent, lifted)
-
-    # Heuristic: extend prime by prime until two consecutive extensions leave
-    # the lifted coefficients unchanged.  Each round computes PRIME_GROUP
-    # primes per worker; the rounds only affect how much work is wasted past
-    # the stopping point, never the result.
-    batch = PRIME_GROUP * max(workers, 1)
-    primes: list[int] = []
-    stable = 0
-    while True:
-        fresh = list(itertools.islice(stream, batch))
-        if not fresh:
-            raise ValidationError("prime stream exhausted during heuristic run")
-        for p, image in zip(fresh, images(fresh)):
-            extended = _extend_lift(lifted, modulus, image, p)
-            if primes and extended == lifted:
-                stable += 1
-            else:
-                stable = 0
-            primes.append(p)
-            lifted = extended
-            modulus *= p
-            if len(primes) >= 3 and stable >= 2:
-                if job is not None:
-                    job.primes = list(primes)
-                return from_dense_coefficients(m.parent, lifted)
+    for p, image in zip(primes, _share_out(det_mod_primes, m, primes, pool)):
+        lifted = _extend_lift(lifted, modulus, image, p)
+        modulus *= p
+    if job is not None:
+        job.primes = list(primes)
+    return from_dense_coefficients(m.parent, lifted)

@@ -205,6 +205,26 @@ def test_detcrt_worker_failure_exit_code(toy_matrix_file, tmp_path, monkeypatch)
     )
 
 
+def test_pool_workers_answer_before_the_clock_starts(toy_matrix_file, tmp_path, monkeypatch):
+    from mrdikit.ipc.framing import Call, Result
+
+    events = []
+    real_spawn, real_timed = cli.spawn_pool, cli._timed
+    monkeypatch.setattr(cli, "spawn_pool", lambda n, **kw: real_spawn(n, tap=events.append, **kw))
+    started = []
+    monkeypatch.setattr(
+        cli, "_timed", lambda fn, *a, **kw: started.append(list(events)) or real_timed(fn, *a, **kw)
+    )
+    out = tmp_path / "det.mrdi"
+    argv = ["detcrt", "--matrix", str(toy_matrix_file), "--workers", "3", "--out", str(out)]
+    assert cli.main(argv) == 0
+    (before,) = started
+    sent = [(w, m.fn) for d, w, m in before if d == "send" and isinstance(m, Call)]
+    answered = [w for d, w, m in before if d == "recv" and isinstance(m, Result)]
+    assert sorted(sent) == [(0, "identity"), (1, "identity"), (2, "identity")]
+    assert sorted(answered) == [0, 1, 2]
+
+
 def test_detcrt_json_report(toy_matrix_file, tmp_path, capsys):
     out = tmp_path / "det.mrdi"
     assert (

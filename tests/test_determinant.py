@@ -17,7 +17,15 @@ from mrdikit.algebra.polynomials import dense_coefficients
 from mrdikit.errors import ValidationError
 from mrdikit.ipc import spawn_pool
 from mrdikit.ipc.framing import Call
-from mrdikit.mrdi import GlobalSerializerState, Mode, SerializerState, save, serialize_text
+from mrdikit.mrdi import (
+    DeserializerState,
+    GlobalSerializerState,
+    Mode,
+    SerializerState,
+    load,
+    save,
+    serialize_text,
+)
 from mrdikit.workloads import (
     DetJob,
     coefficient_bound,
@@ -35,6 +43,18 @@ from test_linalg import cofactor_det, random_zz_t_matrix
 
 def zz_t():
     return univariate_ring(ZZ, "t")
+
+
+@pytest.fixture
+def multimodular(monkeypatch):
+    """Pins ``modular_determinant`` to the multimodular path."""
+    monkeypatch.setattr(determinant, "BAREISS_RATIO", 0.0)
+
+
+@pytest.fixture
+def bareiss(monkeypatch):
+    """Pins ``modular_determinant`` to the Bareiss path."""
+    monkeypatch.setattr(determinant, "BAREISS_RATIO", float("inf"))
 
 
 def test_degree_bound_sums_row_maxima():
@@ -106,7 +126,7 @@ def test_matches_cofactor_oracle_randomized():
         assert all(abs(c) <= bound for _, c in got.terms)
 
 
-def test_det_job_records_plan():
+def test_det_job_records_plan(multimodular):
     Rt, t = zz_t()
     one = Polynomial.constant(Rt, 1)
     m = ExactMatrix.from_rows(Rt, [[t, one], [one, t]])
@@ -123,7 +143,7 @@ def test_det_job_records_plan():
     assert product > 2 * job.coefficient_bound
 
 
-def test_prime_independence():
+def test_prime_independence(multimodular):
     rng = random.Random(77)
     m = random_zz_t_matrix(rng, 4, max_deg=3, coeff_range=10**4)
 
@@ -167,9 +187,9 @@ def test_heuristic_mode_agrees():
         assert modular_determinant(m, heuristic=True) == modular_determinant(m)
 
 
-def test_heuristic_matches_provable_on_a_many_prime_lift():
+def test_heuristic_matches_provable_on_a_many_prime_lift(multimodular):
     # Coefficients near 10^40 put det coefficients near 10^245, so the lift
-    # runs over more than twenty primes before the heuristic may stop.
+    # runs over more than twenty primes.
     rng = random.Random(80)
     Rt, _ = zz_t()
     rows = [
@@ -298,7 +318,7 @@ def test_extend_lift_matches_the_per_coefficient_crt():
         determinant._extend_lift([0], 3 * 10007, [1], 10007)
 
 
-def test_one_call_per_worker_per_round():
+def test_one_call_per_worker_per_round(multimodular):
     Rt, t = zz_t()
     one = Polynomial.constant(Rt, 1)
     few = ExactMatrix.from_rows(Rt, [[t + one, one.scale(2)], [one.scale(3), t]])  # one prime
@@ -308,51 +328,28 @@ def test_one_call_per_worker_per_round():
         state = SerializerState(Mode.LONG_TERM, GlobalSerializerState(uuid_seed=7))
         return serialize_text(save(det, state))
 
-    serial = {
-        (name, heuristic): encoded(modular_determinant(m, heuristic=heuristic))
-        for name, m in (("few", few), ("many", many))
-        for heuristic in (False, True)
-    }
+    serial = {name: encoded(modular_determinant(m)) for name, m in (("few", few), ("many", many))}
     used = {}
     for k in (1, 2, 3):
         events = []
         with spawn_pool(k, tap=events.append) as pool:
             for name, m in (("few", few), ("many", many)):
-                for heuristic in (False, True):
-                    events.clear()
-                    job = DetJob(m, 0, 0)
-                    got = modular_determinant(m, pool=pool, heuristic=heuristic, job=job)
-                    calls = [
-                        msg
-                        for direction, _, msg in events
-                        if direction == "send" and isinstance(msg, Call)
-                    ]
-                    assert all(msg.fn == "det_mod_primes" for msg in calls)
-                    if heuristic:
-                        rounds = -(-len(job.primes) // (PRIME_GROUP * k))
-                        assert len(calls) == k * rounds
-                    else:
-                        assert len(calls) == min(k, len(job.primes))
-                    assert encoded(got) == serial[name, heuristic]
-                    used[name, heuristic] = len(job.primes)
-    assert used["few", False] == 1 and used["many", False] > 3
+                events.clear()
+                job = DetJob(m, 0, 0)
+                got = modular_determinant(m, pool=pool, job=job)
+                calls = [
+                    msg
+                    for direction, _, msg in events
+                    if direction == "send" and isinstance(msg, Call)
+                ]
+                assert all(msg.fn == "det_mod_primes" for msg in calls)
+                assert len(calls) == min(k, len(job.primes))
+                assert encoded(got) == serial[name]
+                used[name] = len(job.primes)
+    assert used["few"] == 1 and used["many"] > 3
 
 
-def test_heuristic_primes_do_not_depend_on_the_group_width(monkeypatch):
-    rng = random.Random(83)
-    m = random_zz_t_matrix(rng, 4, max_deg=3, coeff_range=10**30)
-    runs = []
-    for width in (1, 3, 8, 11):
-        monkeypatch.setattr(determinant, "PRIME_GROUP", width)
-        monkeypatch.setattr(matrices, "PRIME_GROUP", width)
-        job = DetJob(m, 0, 0)
-        det = modular_determinant(m, heuristic=True, job=job)
-        runs.append((det, job.primes))
-    assert all(run == runs[0] for run in runs)
-    assert runs[0][0] == cofactor_det(m)
-
-
-def test_serial_and_pooled_results_are_byte_identical():
+def test_serial_and_pooled_results_are_byte_identical(multimodular):
     rng = random.Random(84)
     m = random_zz_t_matrix(rng, 5, max_deg=3, coeff_range=10**25)
 
@@ -369,3 +366,151 @@ def test_serial_and_pooled_results_are_byte_identical():
                 got = modular_determinant(m, pool=pool, heuristic=heuristic, job=pooled_job)
             assert encoded(got) == serial
             assert pooled_job.primes == job.primes
+
+
+# -- the Bareiss path ------------------------------------------------------------
+
+
+def special_integer_matrices(rng):
+    """Square integer matrices that exercise the elimination's branches: zero
+    leading pivots that need a row swap, singular matrices, a zero row, 1x1
+    and 0x0."""
+    yield []
+    yield [[rng.randint(-99, 99)]]
+    yield [[0, 1, 2], [0, 3, 4], [5, 6, 7]]  # two swaps reach the pivot 5
+    yield [[0, 2], [3, 4]]
+    yield [[1, 2, 3], [2, 4, 6], [7, 8, 9]]  # dependent rows
+    yield [[1, 2, 3], [4, 5, 6], [0, 0, 0]]  # zero row
+    yield [[1, 2, 3], [2, 4, 7], [3, 1, 1]]  # zero pivot at the second step
+    for _ in range(60):
+        n = rng.randrange(1, 7)
+        rows = [
+            [rng.choice((0, 0, rng.randint(-(10**9), 10**9))) for _ in range(n)] for _ in range(n)
+        ]
+        if n > 1 and rng.random() < 0.3:
+            rows[rng.randrange(n)] = list(rows[rng.randrange(n)])  # often singular
+        yield rows
+
+
+def test_bareiss_scalar_determinants_match_sympy():
+    for rows in special_integer_matrices(random.Random(88)):
+        expected = sympy.Matrix(rows).det() if rows else 1
+        assert matrices._det_bareiss([list(r) for r in rows]) == expected, rows
+
+
+def test_newton_interpolation_matches_sympy():
+    rng = random.Random(89)
+    t = sympy.Symbol("t")
+    for start in (-7, -3, 0, 1, 5):
+        for degree in (0, 1, 2, 5, 9):
+            coefficients = [rng.randint(-(10**30), 10**30) for _ in range(degree + 1)]
+            points = range(start, start + degree + 1)
+            values = [sum(c * x**k for k, c in enumerate(coefficients)) for x in points]
+            expected = sympy.interpolate(list(zip(points, values)), t)
+            got = matrices.interpolate_at_consecutive_points(start, values)
+            assert sympy.expand(expected - sum(c * t**k for k, c in enumerate(got))) == 0
+            assert got == coefficients
+    assert matrices.interpolate_at_consecutive_points(-4, []) == []
+
+
+def special_zz_t_matrices(rng):
+    """ZZ[t] matrices whose evaluations hit the same branches, plus constant
+    (D = 0) and random ones."""
+    Rt, t = zz_t()
+
+    def c(v):
+        return Polynomial.constant(Rt, v)
+
+    zero = Polynomial.zero(Rt)
+    yield ExactMatrix.from_rows(Rt, [[t * t - t, c(1)], [c(1), t]])  # pivot 0 at t = 0, 1
+    yield ExactMatrix.from_rows(Rt, [[zero, t, c(2)], [zero, c(3), t], [t + c(5), c(6), c(7)]])
+    yield ExactMatrix.from_rows(Rt, [[t, t * t], [t.scale(2), (t * t).scale(2)]])  # singular
+    yield ExactMatrix.from_rows(Rt, [[c(3), c(4)], [c(5), c(-7)]])  # D = 0
+    yield ExactMatrix.from_rows(Rt, [[t.scale(-5) + c(2)]])
+    yield ExactMatrix.from_rows(Rt, [[c(2**100 + 7)]])
+    for _ in range(8):
+        yield random_zz_t_matrix(rng, rng.randrange(1, 6), max_deg=4, coeff_range=10**9)
+
+
+def test_det_univariate_at_points_matches_the_oracle():
+    rng = random.Random(90)
+    for m in special_zz_t_matrices(rng):
+        det = cofactor_det(m)
+        points = list(range(-4, 5))
+        expected = [sum(c * x ** e[0] for e, c in det.terms) for x in points]
+        assert matrices.det_univariate_at_points(m, points) == expected
+    Rt, t = zz_t()
+    with pytest.raises(ValidationError):
+        matrices.det_univariate_at_points(ExactMatrix.from_rows(Rt, [[t, t]]), [0])
+
+
+@pytest.mark.parametrize("path", ["bareiss", "multimodular"])
+def test_both_paths_match_the_cofactor_oracle(path, request):
+    request.getfixturevalue(path)
+    rng = random.Random(91)
+    for m in special_zz_t_matrices(rng):
+        job = DetJob(m, 0, 0)
+        assert modular_determinant(m, job=job) == cofactor_det(m)
+        assert bool(job.primes) == (path == "multimodular")
+
+
+def test_bareiss_point_shares_are_byte_identical_at_every_worker_count(bareiss):
+    # D + 1 is 7, 2 and 1 points: 3 and 4 workers exceed the points of the
+    # last two, which then take one call per point.
+    rng = random.Random(92)
+    Rt, t = zz_t()
+    three, five = Polynomial.constant(Rt, 3), Polynomial.constant(Rt, 5)
+    matrices_ = [
+        random_zz_t_matrix(rng, 3, max_deg=2, coeff_range=10**20),
+        ExactMatrix.from_rows(Rt, [[t, three], [five, three]]),
+        ExactMatrix.from_rows(Rt, [[three]]),
+    ]
+
+    def encoded(det):
+        state = SerializerState(Mode.LONG_TERM, GlobalSerializerState(uuid_seed=7))
+        return serialize_text(save(det, state))
+
+    serial = [encoded(modular_determinant(m)) for m in matrices_]
+    for k in (1, 2, 3, 4):
+        events = []
+        with spawn_pool(k, tap=events.append) as pool:
+            for m, expected in zip(matrices_, serial):
+                events.clear()
+                got = modular_determinant(m, pool=pool)
+                calls = [
+                    msg
+                    for direction, _, msg in events
+                    if direction == "send" and isinstance(msg, Call)
+                ]
+                bound = degree_bound(m)
+                assert [msg.fn for msg in calls] == ["det_univariate_at_points"] * min(k, bound + 1)
+                # Each call carries the matrix and one contiguous range of
+                # the points, the ranges' sizes differing by at most one.
+                state = DeserializerState(Mode.IPC, pool.global_state)
+                args = [load(msg.args, state) for msg in calls]
+                assert all(matrix == m for matrix, _ in args)
+                shares = sorted(share for _, share in args)
+                points = [x for share in shares for x in share]
+                assert points == list(range(-(bound // 2), bound - bound // 2 + 1))
+                assert all(share == list(range(share[0], share[-1] + 1)) for share in shares)
+                assert max(map(len, shares)) - min(map(len, shares)) <= 1
+                assert encoded(got) == expected
+
+
+def test_heuristic_is_exact_when_the_first_primes_divide_the_determinant():
+    stream = descending_primes(2**31)
+    p123 = next(stream) * next(stream) * next(stream)
+    Rt, t = zz_t()
+    one_by_one = ExactMatrix.from_rows(Rt, [[Polynomial.constant(Rt, p123)]])
+    assert modular_determinant(one_by_one, heuristic=True) == Polynomial.constant(Rt, p123)
+    # Degree 30 with one-digit coefficients is far past the rule's ratio, so
+    # the multimodular path runs; the scaled row makes every image mod the
+    # first three primes zero.
+    rng = random.Random(93)
+    rows = random_zz_t_matrix(rng, 3, max_deg=30, coeff_range=9).rows()
+    rows[1] = [e.scale(p123) for e in rows[1]]
+    m = ExactMatrix.from_rows(Rt, rows)
+    job = DetJob(m, 0, 0)
+    det = modular_determinant(m, heuristic=True, job=job)
+    assert job.primes  # the multimodular path ran
+    assert det == cofactor_det(m) and not det.is_zero

@@ -35,6 +35,27 @@ def test_spawn_failure_raises_transport_error():
         spawn_pool(2, command=["/nonexistent/binary/path", "--worker"])
 
 
+def test_wait_ready_gets_one_identity_answer_per_worker():
+    events = []
+    with spawn_pool(3, tap=events.append) as pool:
+        pool.wait_ready()
+        sent = sorted((w, m.fn) for d, w, m in events if d == "send")
+        assert sent == [(0, "identity"), (1, "identity"), (2, "identity")]
+        assert sorted(w for d, w, _ in events if d == "recv") == [0, 1, 2]
+        assert pool.remote_call("identity", (7,)) == 7
+
+
+def test_wait_ready_reports_a_worker_that_exits():
+    import sys
+
+    pool = spawn_pool(2, command=[sys.executable, "-c", "pass"])
+    try:
+        with pytest.raises(TransportError):
+            pool.wait_ready()
+    finally:
+        pool.shutdown()
+
+
 def test_single_worker_pool_basics():
     with spawn_pool(1) as pool:
         assert len(pool.workers) == 1
