@@ -8,14 +8,26 @@ Determinants of a ZZ[t] matrix go by evaluation at integer points, exactly
 over ZZ, and interpolation, in one of two ways:
 
 - exactly: ``det_univariate_at_points`` takes det(M(x)) at each point by
-  fraction-free (Bareiss) elimination over ZZ, and
+  two-step fraction-free (Bareiss) elimination over ZZ, and
   ``interpolate_at_consecutive_points`` turns the values at consecutive
   integers into coefficients by Newton's divided differences, with no
-  coefficient bound, no primes and no CRT;
+  coefficient bound, no primes and no CRT.  A two-step pass clears two
+  columns: with g the previous leading minor, each remaining entry becomes
+  (p2 a_ij - u_i a_1j + v_i a_0j) / g, where p2 = (a_00 a_11 - a_10 a_01) / g
+  is the next leading minor and u_i = (a_00 a_i1 - a_i0 a_01) / g,
+  v_i = (a_10 a_i1 - a_i0 a_11) / g are exact 2 x 2 minors over g, taken once
+  per row: 3 multiplications and 1 exact division per entry where one-step
+  elimination needs 4 and 2 (Bareiss 1968, by Sylvester's identity);
 - modularly: ``det_univariate_mod_primes`` gives det(M mod p) for many primes
   from one evaluation at 0..D, eliminating and interpolating in passes modulo
   a product of up to ``PRIME_GROUP`` primes, one pass serving all of its
   primes.  The caller lifts the images by CRT.
+
+Both evaluate the entries at a point in one Horner pass over packed
+integers (``_evaluations``): the degree-d coefficients of all entries share
+one integer, in fields of whole bytes wide enough for the largest |value|,
+at most the largest |coefficient| times 1 + X + ... + X^(w-1) for the
+largest |point| X and the longest coefficient list w, plus a sign bit.
 
 ``mrdikit.workloads.determinant`` picks one per matrix.
 """
@@ -248,11 +260,42 @@ def _interpolate_mod(ys: list[int], q: int) -> list[int]:
 def _evaluations(entries: list[list[int]], n: int, points):
     """For each integer point x, the n x n matrix (a list of rows) of the
     values at x, exactly over ZZ, of the entries with the integer coefficient
-    lists ``entries`` (row-major, constant term first)."""
+    lists ``entries`` (row-major, constant term first).
+
+    All entries are evaluated at once on packed integers.  Entry e's value
+    at x is at most c * (1 + X + ... + X^(w-1)) in absolute value, with c the
+    largest |coefficient|, X the largest |point| and w the longest list, so a
+    field of that bound's bit length plus a sign bit, rounded up to whole
+    bytes, holds it.  The degree-d coefficients of all entries are packed
+    into one integer P_d = sum_e c_(e,d) * 2^(field * e); one Horner pass
+    (...(P_(w-1) x + P_(w-2)) x + ...) + P_0 then gives
+    sum_e value_e(x) * 2^(field * e).  Adding half of 2^field to every field
+    makes each one nonnegative and below 2^field, so no field borrows from
+    the next, and one ``to_bytes`` cuts the sum into its fields.
+    """
+    points = tuple(points)
+    count = len(entries)
     width = max(map(len, entries), default=0)
+    reach = max(map(abs, points), default=0)
+    largest = max((abs(c) for e in entries for c in e), default=0)
+    size = (largest * sum(reach**d for d in range(width))).bit_length() // 8 + 1
+    half = 1 << (8 * size - 1)
+    bias = int.from_bytes(half.to_bytes(size, "little") * count, "little")
+    columns = zip(*(e + [0] * (width - len(e)) for e in entries))
+    packed = [
+        int.from_bytes(b"".join((c + half).to_bytes(size, "little") for c in column), "little")
+        - bias
+        for column in columns
+    ]
     for x in points:
-        powers = [x**d for d in range(width)]
-        values = [sum(map(mul, e, powers)) for e in entries]
+        total = 0
+        for coefficients in reversed(packed):
+            total = total * x + coefficients
+        fields = (total + bias).to_bytes(size * count, "little")
+        values = [
+            int.from_bytes(fields[i : i + size], "little") - half
+            for i in range(0, size * count, size)
+        ]
         yield [values[i * n : (i + 1) * n] for i in range(n)]
 
 
@@ -339,16 +382,25 @@ def det_univariate_mod_primes(m: ExactMatrix, primes, degree_bound: int) -> list
 
 
 def _det_bareiss(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination with row swaps; each step drops the pivot row and column.
+    """Determinant of a square integer matrix by two-step fraction-free
+    (Bareiss) elimination with row swaps; each pass drops two pivot rows and
+    columns.
 
-    After step k every remaining entry is a (k + 1)-rowed minor of the
-    matrix (up to the sign of the swaps), so dividing by the previous pivot
-    is exact and the last pivot is the determinant.  Swapping two remaining
-    rows swaps two rows of the matrix, which flips the sign.
+    Before a pass every remaining entry a_ij is a bordered minor of the
+    matrix (up to the sign of the swaps), and g, the previous pass's second
+    pivot (1 at the start), is the leading minor they border.  By Sylvester's
+    identity the one-step values u_i = (a_00 a_i1 - a_i0 a_01) / g and
+    v_i = (a_10 a_i1 - a_i0 a_11) / g are exact minors too, and so is
+    (p2 a_ij - u_i a_1j + v_i a_0j) / g, the 3 x 3 determinant of rows 0, 1,
+    i and columns 0, 1, j over g^2, with p2 = u_1 the next leading minor.
+    A pass takes a pivot a_00 != 0 from column 0 and a row with u_i != 0 as
+    row 1, swapping rows as needed; swapping two remaining rows swaps two
+    rows of the matrix, which flips the sign.  A column with no such pivot
+    makes the matrix singular.  The last 2 x 2 block's determinant over g,
+    or the last 1 x 1 entry, is the determinant.
     """
-    sign, previous = 1, 1
-    while len(rows) > 1:
+    sign, g = 1, 1
+    while len(rows) > 2:
         for k, row in enumerate(rows):
             if row[0]:
                 break
@@ -357,22 +409,38 @@ def _det_bareiss(rows: list[list[int]]) -> int:
         if k:
             rows[0], rows[k] = rows[k], rows[0]
             sign = -sign
-        pivot = rows[0][0]
-        base = rows[0][1:]
+        first, rest = rows[0], rows[1:]
+        a00, a01 = first[0], first[1]
+        us = [(a00 * row[1] - row[0] * a01) // g for row in rest]
+        for k, p2 in enumerate(us):
+            if p2:
+                break
+        else:
+            return 0
+        if k:
+            rest[0], rest[k] = rest[k], rest[0]
+            us[0], us[k] = us[k], us[0]
+            sign = -sign
+        second = rest[0]
+        a10, a11 = second[0], second[1]
+        tail0, tail1 = first[2:], second[2:]
         remaining = []
-        for row in rows[1:]:
-            if f := row[0]:
-                remaining.append([(a * pivot - f * b) // previous for a, b in zip(row[1:], base)])
-            else:
-                remaining.append([a * pivot // previous for a in row[1:]])
-        rows, previous = remaining, pivot
+        for row, u in zip(rest[1:], us[1:]):
+            v = (a10 * row[1] - row[0] * a11) // g
+            remaining.append(
+                [(p2 * a - u * b + v * c) // g for a, b, c in zip(row[2:], tail1, tail0)]
+            )
+        rows, g = remaining, p2
+    if len(rows) == 2:
+        (a00, a01), (a10, a11) = rows
+        return sign * ((a00 * a11 - a01 * a10) // g)
     return sign * rows[0][0] if rows else 1
 
 
 def det_univariate_at_points(m: ExactMatrix, points) -> list[int]:
     """det(m)(x) for each integer x of ``points``, for a square matrix over
     ZZ[t]: the entries are evaluated at x exactly over ZZ and the scalar
-    determinant is taken by Bareiss elimination."""
+    determinant is taken by two-step Bareiss elimination."""
     _require_univariate_square(m, IntegerRing, "ZZ")
     return [_det_bareiss(rows) for rows in _evaluations(_dense_entries(m), m.nrows, points)]
 

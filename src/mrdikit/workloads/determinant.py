@@ -1,32 +1,35 @@
 """Exact determinants of ZZ[t] matrices, by Bareiss elimination at integer
 points or through modular images and CRT lifting.
 
-One size rule picks the path per matrix.  ``_bareiss_bits`` predicts the bit
-length of Bareiss's last pivot at the evaluation points: n times the largest
-coefficient's bits plus d * log2(D/2 + 1) for the points (d the largest entry
-degree, D the degree bound) plus log2(n * (d + 1)) for the sums.  Below
-``BAREISS_RATIO`` times the bit length of the coefficient bound, the Bareiss
-path runs; above it, the multimodular one, whose prime count depends on the
-bound alone.
+The degree bound D is the smaller of the sums over rows and over columns of
+the largest entry degree.  One size rule picks the path per matrix.
+``_bareiss_bits`` predicts the bit length of Bareiss's last pivot at the
+evaluation points: n times the largest coefficient's bits plus
+d * log2(D/2 + 1) for the points (d the largest entry degree) plus
+log2(n * (d + 1)) for the sums.  Below ``BAREISS_RATIO`` times the bit length
+of the coefficient bound, the Bareiss path runs; above it, the multimodular
+one, whose prime count depends on the bound alone.
 
 Bareiss path: the D + 1 points -floor(D/2)..ceil(D/2) go out in one
 ``det_univariate_at_points`` call, or with a pool in one call per worker (at
 most one per point) on contiguous ranges whose sizes differ by at most one.
-Each call evaluates the entries at its points exactly over ZZ and takes each
-scalar determinant by fraction-free elimination; the coordinator
-interpolates the values exactly by Newton's divided differences.  No bound,
-prime or CRT is involved.
+Each call evaluates all entries at once per point, by one Horner pass over
+integers that pack every entry's coefficient of one degree, and takes each
+scalar determinant by two-step fraction-free elimination, which clears two
+columns per pass; the coordinator interpolates the values exactly by
+Newton's divided differences.  No bound, prime or CRT is involved.
 
 Multimodular path: each prime p gives one modular image det(M mod p) over
 Fp[t].  The primes go out in one ``det_mod_primes`` call, or with a pool in
 one call per worker (at most one per prime), the shares differing by at most
 one prime.  Each call evaluates every entry once, exactly over ZZ, at the
-points 0..D, and serves its primes in passes of at most ``PRIME_GROUP``: per
-pass the values are reduced modulo the product Q of its primes, the scalar
-determinants are taken by Gaussian elimination mod Q with unit pivots (prime
-by prime where a column has none), and the image is interpolated mod Q from a
-master polynomial prod (t - i) and closed-form Lagrange denominators, then
-reduced to one residue list per prime.  The primes descend from just below
+points 0..D by the same packed Horner pass, and serves its primes in passes
+of at most ``PRIME_GROUP``: per pass the values are reduced modulo the
+product Q of its primes, the scalar determinants are taken by Gaussian
+elimination mod Q with unit pivots (prime by prime where a column has none),
+and the image is interpolated mod Q from a master polynomial prod (t - i) and
+closed-form Lagrange denominators, then reduced to one residue list per
+prime.  The primes descend from just below
 2^31 until their product clears twice the coefficient bound, so the signed
 lift is exact.  The images are lifted coefficient-wise and incrementally, one
 prime at a time whatever the split: each new prime extends every
@@ -63,16 +66,26 @@ PRIME_CEILING = 2**31
 # Bareiss at the points when its predicted final size (``_bareiss_bits``) is
 # below this many times the bit length of the coefficient bound, else the
 # multimodular path.  Serial CPU seconds, Bareiss / multimodular, by shape
-# n x degree x coefficient bits (ratio): 20x4x256 (1.09) 3.5-3.9 / 4.9-6.2;
-# 8x6x192 (1.15) 0.02-0.04 / 0.08-0.12; 12x8x64 (1.67) 0.09-0.14 / 0.21-0.26;
-# 16x12x64 (2.15) 1.0-1.2 / 1.5-1.7; 20x8x24 (2.75) 0.69-0.76 / 1.07-1.16;
-# 16x8x16 (3.32) 0.23-0.27 / 0.34-0.37; 16x10x16 (3.99) 0.36-0.45 /
-# 0.45-0.51; 18x12x20 (4.18) 1.17-1.26 / 1.22-1.24; 24x12x16 (4.91) 4.9-5.5 /
-# 3.9-4.1; 12x16x16 (5.90) 0.27-0.31 / 0.21-0.23; 6x40x32 (8.31) 0.13-0.15 /
-# 0.15-0.17 (3-5 alternating runs each, 2 vCPU, Python 3.11.7).  Bareiss wins
-# clearly up to 3.99 and the multimodular path at 4.91 and 5.90; the paths
-# tie at 4.18 and on the few-row, high-degree shapes.
-BAREISS_RATIO = 4.1
+# n x degree x coefficient bits (ratio): 20x4x256 (1.09) 2.2-2.9 / 5.7-6.2;
+# 8x6x192 (1.15) 0.02 / 0.10-0.11; 12x8x64 (1.67) 0.08 / 0.25-0.28; 16x12x64
+# (2.15) 0.66-0.74 / 1.5-1.7; 20x8x24 (2.75) 0.64-0.66 / 1.36-1.38; 16x8x16
+# (3.32) 0.17-0.18 / 0.32-0.35; 16x10x16 (3.99) 0.25-0.29 / 0.46-0.48;
+# 18x12x20 (4.18) 0.77-0.87 / 1.19-1.22; 24x12x16 (4.91) 3.3-3.5 / 3.8-3.9;
+# 12x16x16 (5.90) 0.20-0.22 / 0.25-0.28; 6x40x32 (8.31) 0.06-0.08 /
+# 0.07-0.10; 16x16x8 (9.08) 0.58-0.74 / 0.48-0.56; 16x12x4 (9.32) 0.25-0.30 /
+# 0.26-0.30; 10x20x8 (10.8) 0.08-0.12 / 0.09-0.12; 12x12x2 (10.9) 0.083-0.090
+# / 0.097-0.103; 14x20x8 (11.2) 0.58-0.69 / 0.35-0.43; 10x16x4 (11.9)
+# 0.066-0.074 / 0.084-0.087; 12x16x4 (12.0) 0.14-0.17 / 0.13-0.15; 14x16x4
+# (12.2) 0.29-0.33 / 0.25-0.27; 8x24x8 (12.7) 0.04-0.07 / 0.05-0.07; 12x24x8
+# (13.2) 0.32-0.35 / 0.19-0.26; 10x40x16 (14.5) 0.51-0.59 / 0.27-0.34;
+# 12x20x4 (14.9) 0.16-0.23 / 0.13-0.18; 8x32x8 (17.0) 0.11-0.12 / 0.10-0.12;
+# 8x48x16 (17.2) 0.34-0.36 / 0.22-0.24; 8x40x8 (21.5) 0.20-0.22 / 0.17-0.19;
+# 10x30x4 (22.3) 0.27-0.32 / 0.16-0.21; 8x64x8 (35.0) 0.77-0.86 / 0.35-0.43
+# (two-step elimination and packed evaluation, 3-5 alternating runs each,
+# 2 vCPU, Python 3.11.7).  Bareiss wins every shape up to 8.31 and the
+# multimodular path every shape from 13.2; in between the paths tie or
+# trade wins, the multimodular path mostly on matrices of 14 or more rows.
+BAREISS_RATIO = 9.0
 
 
 def _require_zz_t_square(m: ExactMatrix) -> None:
@@ -84,13 +97,15 @@ def _require_zz_t_square(m: ExactMatrix) -> None:
 
 
 def degree_bound(m: ExactMatrix) -> int:
-    """Row-wise bound on deg(det): sum over rows of the largest entry degree."""
+    """Bound on deg(det): the smaller of the sums over rows and over columns
+    of the largest entry degree.  Each term of the Leibniz expansion takes
+    one entry from every row and from every column, so both sums bound it."""
     _require_zz_t_square(m)
-    total = 0
-    for i in range(m.nrows):
-        row_max = max((m.entry(i, j).degree() for j in range(m.ncols)), default=-1)
-        total += max(row_max, 0)
-    return total
+    n = m.nrows
+    degrees = [e.degree() for e in m.entries]
+    by_rows = sum(max(0, *degrees[i * n : (i + 1) * n]) for i in range(n))
+    by_columns = sum(max(0, *degrees[j::n]) for j in range(n))
+    return min(by_rows, by_columns)
 
 
 def _poly_l1(p: Polynomial) -> int:

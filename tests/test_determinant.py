@@ -64,6 +64,19 @@ def test_degree_bound_sums_row_maxima():
     assert degree_bound(m) == 3 + 2
 
 
+@pytest.mark.parametrize("path", ["bareiss", "multimodular"])
+def test_degree_bound_takes_the_smaller_of_rows_and_columns(path, request):
+    request.getfixturevalue(path)
+    Rt, t = zz_t()
+    one, two = Polynomial.constant(Rt, 1), Polynomial.constant(Rt, 2)
+    # Rows sum to 5 + 5, columns to 5 + 0; det is t^5.
+    m = ExactMatrix.from_rows(Rt, [[t**5, one], [t**5, two]])
+    assert degree_bound(m) == 5
+    assert modular_determinant(m) == t**5
+    assert degree_bound(ExactMatrix.from_rows(Rt, [[t**5, t**5], [one, two]])) == 5
+    assert degree_bound(ExactMatrix(Rt, 0, 0, [])) == 0
+
+
 def test_coefficient_bound_identity():
     Rt, _ = zz_t()
     one = Polynomial.constant(Rt, 1)
@@ -373,17 +386,40 @@ def test_serial_and_pooled_results_are_byte_identical(multimodular):
 
 def special_integer_matrices(rng):
     """Square integer matrices that exercise the elimination's branches: zero
-    leading pivots that need a row swap, singular matrices, a zero row, 1x1
-    and 0x0."""
+    leading pivots that need a row swap, zero second pivots, singular
+    matrices, a zero row, every size from 0x0 to 7x7 (odd sizes end on a 1x1
+    block, even ones on a 2x2 block) and pivots that vanish only in a later
+    pass."""
     yield []
     yield [[rng.randint(-99, 99)]]
     yield [[0, 1, 2], [0, 3, 4], [5, 6, 7]]  # two swaps reach the pivot 5
     yield [[0, 2], [3, 4]]
     yield [[1, 2, 3], [2, 4, 6], [7, 8, 9]]  # dependent rows
     yield [[1, 2, 3], [4, 5, 6], [0, 0, 0]]  # zero row
-    yield [[1, 2, 3], [2, 4, 7], [3, 1, 1]]  # zero pivot at the second step
+    yield [[1, 2, 3], [2, 4, 7], [3, 1, 1]]  # zero second pivot in row 1, row 2 fixes it
+    # Zero second pivot in rows 1 and 2, row 3 fixes it.
+    yield [[1, 2, 3, 4], [2, 4, 5, 6], [3, 6, 7, 1], [1, 3, 2, 5]]
+    # Zero first pivot, and the row swapped down gives a zero second pivot:
+    # both swaps in one pass.
+    yield [[0, 0, 2, 3], [2, 4, 1, 5], [1, 3, 7, 1], [3, 5, 1, 2]]
+    # Column 1 is twice column 0: the second pivot is zero in every row,
+    # so the matrix is singular after one pass.
+    yield [[1, 2, 3, 4], [2, 4, 5, 6], [3, 6, 7, 8], [4, 8, 9, 1]]
+    yield [[0, 0, 1], [0, 0, 2], [0, 0, 3]]  # zero column 0
+    for n in range(2, 8):
+        yield [[rng.randint(-(10**12), 10**12) for _ in range(n)] for _ in range(n)]
+        # The leading 3x3 minor vanishes (row 2 = row 0 + row 1 on columns
+        # 0..2), so the second pass needs a row swap for its first pivot, and
+        # for n >= 5 the leading 4x4 minor vanishes too (row 3 = row 0 - row
+        # 2 on columns 0..3), which can zero its second pivot.
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if n >= 4:
+            rows[2][:3] = [a + b for a, b in zip(rows[0][:3], rows[1][:3])]
+        if n >= 5:
+            rows[3][:4] = [a - b for a, b in zip(rows[0][:4], rows[2][:4])]
+        yield rows
     for _ in range(60):
-        n = rng.randrange(1, 7)
+        n = rng.randrange(1, 8)
         rows = [
             [rng.choice((0, 0, rng.randint(-(10**9), 10**9))) for _ in range(n)] for _ in range(n)
         ]
@@ -396,6 +432,43 @@ def test_bareiss_scalar_determinants_match_sympy():
     for rows in special_integer_matrices(random.Random(88)):
         expected = sympy.Matrix(rows).det() if rows else 1
         assert matrices._det_bareiss([list(r) for r in rows]) == expected, rows
+
+
+def direct_evaluations(entries, n, points):
+    for x in points:
+        values = [sum(c * x**d for d, c in enumerate(e)) for e in entries]
+        yield [values[i * n : (i + 1) * n] for i in range(n)]
+
+
+def test_packed_evaluations_equal_direct_evaluation():
+    huge = 10**4400 + 3  # longer than the 4300-digit text conversion limit
+    cases = [
+        # Mixed lengths, a zero entry and negative, zero and positive points.
+        ([[1, -2, 3], [], [0, 0, 5], [-7]], 2, [-5, -1, 0, 3, 8]),
+        ([[4, 5]], 1, [-3]),  # a single, negative point
+        ([[4, 5]], 1, [0]),  # a single point at 0
+        ([[], [], [], []], 2, [-2, 0, 2]),  # every entry zero
+        ([[0, 0], [0], [0, 0, 0], []], 2, range(-3, 4)),
+        ([], 0, [1, -1]),  # 0x0
+        ([[1, 2]], 1, []),  # no points
+        ([[huge, -huge], [-huge, 1], [2, huge * 3], [0, -1]], 2, [-9, 0, 9]),
+        # Every value at the largest |point| reaches the field bound, with
+        # either sign, at and around byte boundaries.
+        ([[127] * 3, [-127] * 3, [128] * 3, [-128] * 3], 2, [-1, 1]),
+        ([[255] * 4, [-255] * 4, [2**15] * 4, [1 - 2**16] * 4], 2, [-3, 3]),
+    ]
+    rng = random.Random(95)
+    for _ in range(40):
+        n = rng.randrange(1, 5)
+        bits = rng.choice((1, 7, 8, 64, 300))
+        entries = [
+            [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randrange(7))] for _ in range(n * n)
+        ]
+        points = rng.sample(range(-50, 51), rng.randrange(1, 6))
+        cases.append((entries, n, points))
+    for entries, n, points in cases:
+        expected = list(direct_evaluations(entries, n, points))
+        assert list(matrices._evaluations(entries, n, points)) == expected
 
 
 def test_newton_interpolation_matches_sympy():
@@ -497,15 +570,16 @@ def test_bareiss_point_shares_are_byte_identical_at_every_worker_count(bareiss):
                 assert encoded(got) == expected
 
 
-def test_heuristic_is_exact_when_the_first_primes_divide_the_determinant():
+def test_heuristic_is_exact_when_the_first_primes_divide_the_determinant(monkeypatch):
     stream = descending_primes(2**31)
     p123 = next(stream) * next(stream) * next(stream)
     Rt, t = zz_t()
     one_by_one = ExactMatrix.from_rows(Rt, [[Polynomial.constant(Rt, p123)]])
     assert modular_determinant(one_by_one, heuristic=True) == Polynomial.constant(Rt, p123)
-    # Degree 30 with one-digit coefficients is far past the rule's ratio, so
-    # the multimodular path runs; the scaled row makes every image mod the
-    # first three primes zero.
+    # On the multimodular path, the scaled row makes every image mod the
+    # first three primes zero.  The scaled coefficients bring the matrix
+    # below the rule's ratio, so the path is pinned.
+    monkeypatch.setattr(determinant, "BAREISS_RATIO", 0.0)
     rng = random.Random(93)
     rows = random_zz_t_matrix(rng, 3, max_deg=30, coeff_range=9).rows()
     rows[1] = [e.scale(p123) for e in rows[1]]
