@@ -56,13 +56,15 @@ class RunReport:
     input_digest: str
     workers: int
     seconds: float
+    startup_s: float
     result_digest: str
     result_path: str
 
     def line(self) -> str:
         return (
             f"{self.workload:<18} workers={self.workers:<3d} "
-            f"time={self.seconds:9.3f}s input={self.input_digest[:12]} "
+            f"time={self.seconds:9.3f}s startup={self.startup_s:7.3f}s "
+            f"input={self.input_digest[:12]} "
             f"result={self.result_digest[:12]} out={self.result_path}"
         )
 
@@ -203,13 +205,17 @@ def _write_result(value, out_path: str, seed: int):
 
 def _with_pool(workers: int, fn):
     """``fn(None)`` for no workers, else ``fn(pool)`` on a fresh pool whose
-    workers have all started up, so a clock ``fn`` starts excludes start-up."""
+    workers have all started up, so a clock ``fn`` starts excludes start-up.
+    Returns that and the start-up seconds: from spawn until every worker has
+    answered, 0 for no workers."""
     if workers <= 0:
-        return fn(None)
+        return fn(None), 0.0
+    start = time.perf_counter()
     pool = spawn_pool(workers)
     try:
         pool.wait_ready()
-        return fn(pool)
+        startup = time.perf_counter() - start
+        return fn(pool), startup
     finally:
         pool.shutdown()
 
@@ -242,7 +248,7 @@ def cmd_detcrt(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
-        det, seconds = _with_pool(
+        (det, seconds), startup = _with_pool(
             args.workers,
             lambda pool: _timed(modular_determinant, matrix, pool=pool),
         )
@@ -253,7 +259,7 @@ def cmd_detcrt(args) -> int:
     if out_raw is None:
         return EXIT_BAD_INPUT
     report = RunReport(
-        "detcrt", _digest(raw), max(args.workers, 0), seconds, _digest(out_raw), args.out
+        "detcrt", _digest(raw), max(args.workers, 0), seconds, startup, _digest(out_raw), args.out
     )
     _emit_report([report], args.json)
     return EXIT_OK
@@ -281,7 +287,7 @@ def cmd_kernel(args) -> int:
     if out_raw is None:
         return EXIT_BAD_INPUT
     report = RunReport(
-        "kernel", _digest(raw), max(args.workers, 0), seconds, _digest(out_raw), args.out
+        "kernel", _digest(raw), max(args.workers, 0), seconds, 0.0, _digest(out_raw), args.out
     )
     _emit_report([report], args.json)
     return EXIT_OK
@@ -316,7 +322,7 @@ def cmd_bench(args) -> int:
         workload = "kernel"
 
         def run(count):  # in this process at every worker count
-            return _timed(components_of_kernel, instance, KERNEL_TOTAL_DEGREE)
+            return _timed(components_of_kernel, instance, KERNEL_TOTAL_DEGREE), 0.0
 
     instance_path = out_dir / f"{workload}-instance.mrdi"
     input_raw = serialize_text(
@@ -329,7 +335,7 @@ def cmd_bench(args) -> int:
     reports = []
     for count in worker_counts:
         try:
-            result, seconds = run(count)
+            (result, seconds), startup = run(count)
         except (WorkerFailure, TransportError, PoolClosedError) as exc:
             print(f"worker failure at {count} workers: {exc}", file=sys.stderr)
             return EXIT_DISTRIBUTED
@@ -345,6 +351,7 @@ def cmd_bench(args) -> int:
                 _digest(input_raw),
                 count,
                 seconds,
+                startup,
                 _digest(out_raw),
                 str(out_path),
             )
@@ -411,7 +418,16 @@ def main(argv=None) -> int:
     if argv[:1] == ["--worker"]:
         return worker_main()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # Whoever read stdout has gone (``mrdikit bench | head -1``).  Point
+        # stdout at /dev/null so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    return code
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from .framing import (
     read_message,
     write_message,
 )
-from .pool import WorkerHandle, WorkerPool, default_worker_command, spawn_pool
+from .pool import WorkerHandle, WorkerPool, spawn_pool
 from .registry import lookup, register_function
 from .worker import worker_main
 
@@ -25,7 +25,6 @@ __all__ = [
     "WorkerHandle",
     "WorkerPool",
     "decode_message",
-    "default_worker_command",
     "encode_message",
     "frame_bytes",
     "lookup",

@@ -1,9 +1,10 @@
 """A pool of worker processes speaking the framed mrdi protocol.
 
-The pool owns one child process per worker, tracks which context UUIDs each
-worker has already received, and before every call sends the ref documents
-the argument save collected that the worker lacks, base rings first, so each
-(worker, context) pair sees at most one LoadContext frame.  Calls serialize
+The pool owns one process per worker, forked by this process's zygote
+(``zygote.py``), tracks which context UUIDs each worker has already received,
+and before every call sends the ref documents the argument save collected
+that the worker lacks, base rings first, so each (worker, context) pair sees
+at most one LoadContext frame.  Calls serialize
 their arguments in IPC mode; results are deserialized under the
 coordinator's global state, merging back any contexts the worker minted.
 """
@@ -13,10 +14,8 @@ from __future__ import annotations
 import importlib
 import itertools
 import os
-import subprocess
-import sys
 import threading
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from ..errors import (
     PoolClosedError,
@@ -29,6 +28,9 @@ from ..mrdi.document import Mode, MrdiDocument
 from ..mrdi.states import DeserializerState, GlobalSerializerState, SerializerState
 from . import framing
 
+if TYPE_CHECKING:
+    from .zygote import WorkerProcess
+
 IDLE = "idle"
 BUSY = "busy"
 DEAD = "dead"
@@ -36,12 +38,8 @@ DEAD = "dead"
 _SHUTDOWN_GRACE_SECONDS = 5.0
 
 
-def default_worker_command() -> list[str]:
-    return [sys.executable, "-m", "mrdikit", "--worker"]
-
-
 class WorkerHandle:
-    def __init__(self, worker_id: int, proc: subprocess.Popen):
+    def __init__(self, worker_id: int, proc: WorkerProcess):
         self.worker_id = worker_id
         self.proc = proc
         self.known_contexts: set[str] = set()
@@ -55,7 +53,6 @@ class WorkerPool:
     def __init__(
         self,
         n: int,
-        command: Optional[Sequence[str]] = None,
         init_modules: Sequence[str] = (),
         tap: Optional[Callable] = None,
         global_state: Optional[GlobalSerializerState] = None,
@@ -71,7 +68,9 @@ class WorkerPool:
         self._call_ids = itertools.count(1)
         self._closed = False
         self._shutdown_done = False
-        command = list(command) if command is not None else default_worker_command()
+        # Imported here, so a process that starts no pool loads no sockets.
+        from .zygote import fork_worker
+
         self.workers: list[WorkerHandle] = []
         try:
             for worker_id in range(n):
@@ -79,14 +78,8 @@ class WorkerPool:
                 env["MRDI_WORKER_ID"] = str(worker_id)
                 if init_modules:
                     env["MRDI_WORKER_INIT"] = ",".join(init_modules)
-                proc = subprocess.Popen(
-                    command,
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    env=env,
-                )
-                self.workers.append(WorkerHandle(worker_id, proc))
-        except OSError as exc:
+                self.workers.append(WorkerHandle(worker_id, fork_worker(env)))
+        except TransportError as exc:
             self._reap_all()
             raise TransportError(f"failed to spawn worker pool: {exc}") from exc
 
@@ -149,18 +142,9 @@ class WorkerPool:
 
     def _reap_all(self) -> None:
         for worker in self.workers:
-            proc = worker.proc
-            for stream in (proc.stdin, proc.stdout):
-                try:
-                    if stream:
-                        stream.close()
-                except OSError:
-                    pass
-            try:
-                proc.kill()
-                proc.wait()
-            except OSError:
-                pass
+            worker.proc.kill()
+            worker.proc.wait()
+            worker.proc.close()
             worker.state = DEAD
 
     # -- context distribution ----------------------------------------------
@@ -310,11 +294,10 @@ class WorkerPool:
                 continue
         for worker in self.workers:
             proc = worker.proc
-            try:
-                proc.wait(timeout=_SHUTDOWN_GRACE_SECONDS)
-            except subprocess.TimeoutExpired:
+            if not proc.wait(_SHUTDOWN_GRACE_SECONDS):
                 proc.kill()
                 proc.wait()
+            proc.close()
             worker.state = DEAD
 
     def __enter__(self):

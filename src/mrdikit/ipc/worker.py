@@ -1,7 +1,8 @@
 """The worker-process loop: read a frame, act, answer, repeat.
 
-Workers are spawned as ``<binary> --worker`` with the protocol on
-stdin/stdout.  Contexts arrive through LoadContext frames before any call
+A pool's workers are forked from its start-up process (``zygote.py``);
+``mrdikit --worker`` runs one on its own stdin/stdout.  Either way the
+protocol is on stdin/stdout.  Contexts arrive through LoadContext frames before any call
 that needs them; calls are answered with Result or Failure.  Contexts a call
 creates on the worker side are sent back inline with the result, each exactly
 once.

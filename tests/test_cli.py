@@ -2,6 +2,8 @@ import errno
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -233,7 +235,17 @@ def test_detcrt_json_report(toy_matrix_file, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["workload"] == "detcrt"
     assert report["workers"] == 0
+    assert report["startup_s"] == 0
     assert report["result_path"] == str(out)
+
+
+def test_detcrt_json_report_times_pool_start_up_apart(toy_matrix_file, tmp_path, capsys):
+    out = tmp_path / "det.mrdi"
+    argv = ["detcrt", "--matrix", str(toy_matrix_file), "--out", str(out), "--workers", "2"]
+    assert cli.main(argv + ["--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["workers"] == 2
+    assert report["startup_s"] > 0
 
 
 # -- kernel -----------------------------------------------------------------------
@@ -325,6 +337,7 @@ def test_bench_kernel_synthetic_spawns_no_workers(tmp_path, capsys, no_spawn):
     assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert [r["workers"] for r in rows] == [0, 2]
+    assert [r["startup_s"] for r in rows] == [0, 0]
     assert len({Path(r["result_path"]).read_bytes() for r in rows}) == 1
 
 
@@ -449,6 +462,19 @@ def test_bench_kernel_synthetic_single_row(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "kernel-synthetic" in out
     assert out.count("workers=") == 1
+
+
+def test_bench_into_a_closed_stdout_is_one_error_line(tmp_path):
+    # As ``mrdikit bench ... | head -1`` when head has already exited.
+    argv = ["bench", "--suite", "kernel-synthetic", "--workers", "0", "--out-dir", str(tmp_path)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mrdikit", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err.splitlines() == ["error: cannot write standard output: [Errno 32] Broken pipe"]
 
 
 def test_bench_unknown_suite_rejected(tmp_path):

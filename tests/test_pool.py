@@ -1,3 +1,9 @@
+import json
+import os
+import shutil
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,7 +15,7 @@ from mrdikit.errors import (
     ValidationError,
     WorkerFailure,
 )
-from mrdikit.ipc import LoadContext, spawn_pool
+from mrdikit.ipc import LoadContext, spawn_pool, zygote
 from mrdikit.mrdi import GlobalSerializerState
 
 TESTS_DIR = str(Path(__file__).parent)
@@ -18,8 +24,6 @@ TESTS_DIR = str(Path(__file__).parent)
 @pytest.fixture
 def extras_env(monkeypatch):
     # Make tests/worker_extras.py importable inside spawned workers.
-    import os
-
     existing = os.environ.get("PYTHONPATH")
     joined = TESTS_DIR if not existing else f"{TESTS_DIR}:{existing}"
     monkeypatch.setenv("PYTHONPATH", joined)
@@ -30,9 +34,26 @@ def test_spawn_rejects_zero():
         spawn_pool(0)
 
 
-def test_spawn_failure_raises_transport_error():
+@pytest.fixture
+def fresh_zygote(monkeypatch):
+    # The next pool starts a zygote of its own; the running one is restored
+    # (and the failed one discarded) afterwards.
+    monkeypatch.setattr(zygote, "_zygote", None)
+
+
+def test_spawn_failure_raises_transport_error(fresh_zygote, monkeypatch):
+    # A zygote that cannot be started.
+    monkeypatch.setattr(sys, "executable", "/nonexistent/binary/path")
     with pytest.raises(TransportError):
-        spawn_pool(2, command=["/nonexistent/binary/path", "--worker"])
+        spawn_pool(2)
+    assert zygote._zygote is None
+
+
+def test_a_zygote_that_exits_at_once_raises_transport_error(fresh_zygote, monkeypatch):
+    monkeypatch.setattr(sys, "executable", shutil.which("false"))
+    with pytest.raises(TransportError):
+        spawn_pool(2)
+    assert zygote._zygote is None
 
 
 def test_wait_ready_gets_one_identity_answer_per_worker():
@@ -45,10 +66,10 @@ def test_wait_ready_gets_one_identity_answer_per_worker():
         assert pool.remote_call("identity", (7,)) == 7
 
 
-def test_wait_ready_reports_a_worker_that_exits():
-    import sys
-
-    pool = spawn_pool(2, command=[sys.executable, "-c", "pass"])
+def test_wait_ready_reports_a_worker_that_exits(extras_env, monkeypatch):
+    # Set only for the workers: the coordinator must not import this module.
+    monkeypatch.setenv("MRDI_WORKER_INIT", "worker_exits")
+    pool = spawn_pool(2)
     try:
         with pytest.raises(TransportError):
             pool.wait_ready()
@@ -175,6 +196,99 @@ def test_worker_processes_reaped_after_shutdown():
     pool.remote_call("identity", (0,))
     pool.shutdown()
     assert all(proc.poll() is not None for proc in procs)
+
+
+def test_environment_set_after_the_zygote_started_reaches_new_workers(monkeypatch, tmp_path):
+    with spawn_pool(1) as pool:
+        pool.remote_call("identity", (0,))
+    running = zygote._zygote
+    # A module in a directory the zygote has never seen, named only in the
+    # workers' environment.
+    (tmp_path / "late_init.py").write_text(
+        "from mrdikit.ipc import register_function\n"
+        "register_function('add_two', lambda n: n + 2)\n"
+    )
+    existing = os.environ.get("PYTHONPATH")
+    monkeypatch.setenv("PYTHONPATH", f"{tmp_path}:{existing}" if existing else str(tmp_path))
+    monkeypatch.setenv("MRDI_WORKER_INIT", "late_init")
+    with spawn_pool(2) as pool:
+        assert pool.parallel_map("add_two", [(1,), (2,), (3,)]) == [3, 4, 5]
+    assert zygote._zygote is running
+
+
+def test_init_module_exit_handlers_run_when_workers_shut_down(extras_env, monkeypatch, tmp_path):
+    monkeypatch.setenv("MRDI_WORKER_INIT", "worker_atexit")
+    monkeypatch.setenv("WORKER_ATEXIT_DIR", str(tmp_path))
+    with spawn_pool(2) as pool:
+        pool.wait_ready()
+        pids = sorted(str(w.proc.pid) for w in pool.workers)
+    assert sorted(p.name for p in tmp_path.iterdir()) == pids
+
+
+_EXITING_COORDINATOR = """
+import json, os, sys
+from mrdikit.ipc import spawn_pool, zygote
+
+pool = spawn_pool(2)  # still running when this process exits
+assert pool.remote_call("identity", (1,)) == 1
+pids = [w.proc.pid for w in pool.workers] + [zygote._zygote.proc.pid]
+r, w = os.pipe()
+if os.fork() == 0:  # a forked coordinator starts a zygote of its own
+    with spawn_pool(1) as inner:
+        assert inner.remote_call("identity", (2,)) == 2
+        mine = [inner.workers[0].proc.pid, zygote._zygote.proc.pid]
+    os.write(w, json.dumps(mine).encode())
+    sys.exit(0)
+os.close(w)
+theirs = json.loads(os.read(r, 1000))
+assert os.wait()[1] == 0 and theirs[1] != pids[2]
+print(json.dumps(pids + theirs))
+"""
+
+
+def _running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _assert_all_exit(pids) -> None:
+    deadline = time.monotonic() + 10
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not [pid for pid in pids if _running(pid)]
+
+
+def test_an_exiting_coordinator_leaves_no_zygote_or_worker_running():
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXITING_COORDINATOR], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    pids = json.loads(proc.stdout)
+    assert len(set(pids)) == 5
+    _assert_all_exit(pids)
+
+
+_KILLED_COORDINATOR = """
+import json, os, signal
+from mrdikit.ipc import spawn_pool, zygote
+
+pool = spawn_pool(2)
+pool.wait_ready()
+print(json.dumps([w.proc.pid for w in pool.workers] + [zygote._zygote.proc.pid]), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def test_a_killed_coordinator_leaves_no_zygote_or_worker_running():
+    # No exit handler runs: the zygote and the workers see end-of-file.
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILLED_COORDINATOR], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == -9, proc.stderr
+    _assert_all_exit(json.loads(proc.stdout))
 
 
 # -- context distribution -------------------------------------------------------
