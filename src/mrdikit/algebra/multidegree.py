@@ -1,10 +1,13 @@
 """Grouping monomials by their Z^k multidegree.
 
-One walk over the variables enumerates the monomials: it extends every
+One walk over the variables enumerates the monomials within a weight bound,
+each carried as one packed integer (see ``MonomialCodes``): it extends every
 partial monomial, variable by variable, by each exponent the remaining budget
-allows, carrying that budget and the partial multidegree.  So it never builds
-a monomial outside the bound and computes each multidegree incrementally.  The
-result is in the order of a depth-first walk, without recursion.
+allows, by adding that exponent's precomputed increment.  So it never builds a
+monomial outside the bound, computes each multidegree incrementally, and
+builds no exponent tuple.  One sort of the codes then lists the monomials
+grouped by (weight, multidegree), each group in degree-lex order with its
+leading monomial first; tuples are decoded only where a caller needs them.
 """
 
 from __future__ import annotations
@@ -18,31 +21,107 @@ from .rings import ContextHandle, ring_arity
 Multidegree = tuple[int, ...]
 
 
-def _walk(
-    weights: Sequence[int],
-    steps: Sequence[int],
-    budget: int,
-    exact: bool,
-) -> list[tuple[Monomial, int]]:
-    """Every exponent vector e with Σ e_i·weights[i] at most ``budget``
-    (equal to it when ``exact``), paired with Σ e_i·steps[i], in descending
-    lexicographic order.  Weights must be positive."""
-    level = [((), budget, 0)]
-    for w, step in zip(weights, steps):
-        deeper = []
-        for prefix, left, key in level:
-            for e in range(left // w, 0, -1):
-                deeper.append((prefix + (e,), left - e * w, key + e * step))
-            deeper.append((prefix + (0,), left, key))
-        level = deeper
-    return [(mono, key) for mono, left, key in level if not exact or left == 0]
+class MonomialCodes:
+    """Monomials x^e with weight Σ e_i·weights[i] at most ``bound``, each
+    packed into one integer.
+
+    The fields of a code are, from high to low:
+
+    - the weight Σ e_i·weights[i], unbounded;
+    - the multidegree Σ e_i·degrees[i], one field per coordinate with the
+      first one highest, each wide enough for bound·(largest entry), which no
+      coordinate exceeds since every walked weight is at least 1;
+    - D − Σ e_i and then D − e_i for each variable, first variable highest,
+      where D = bound // (smallest positive weight) bounds the degree and
+      every exponent, so ascending codes are descending degree-lex order;
+    - the support: bit i is set when e_i > 0.
+
+    Each field stays within its width, so the code of x^e is the base code
+    (D in every complemented field) plus e_i·step_i + 2^i for every e_i > 0.
+    Variables of weight 0 do not take part in the walk: they keep exponent 0.
+    """
+
+    def __init__(self, weights: Sequence[int], degrees: Sequence[Multidegree], bound: int):
+        n = len(weights)
+        k = len(degrees[0]) if degrees else 0
+        self.weights = list(weights)
+        self.bound = bound
+        self.support_mask = (1 << n) - 1
+        self.top = max(bound // min((w for w in weights if w > 0), default=1), 0)
+        digit_bits = self.top.bit_length()
+        self.digit_mask = (1 << digit_bits) - 1
+        self.digit_shifts = [n + digit_bits * (n - 1 - i) for i in range(n)]
+        degree_shift = n + digit_bits * n
+        # Codes of one fiber agree on every bit above the degree field.
+        self.fiber_shift = degree_shift + digit_bits
+        width = (bound * max((x for d in degrees for x in d), default=0)).bit_length()
+        self.field_mask = (1 << width) - 1
+        self.field_shifts = [self.fiber_shift + width * (k - 1 - j) for j in range(k)]
+        self.weight_shift = self.fiber_shift + width * k
+        self.base = sum(self.top << s for s in self.digit_shifts) + (self.top << degree_shift)
+        self.steps = [
+            (w << self.weight_shift)
+            + sum(x << s for x, s in zip(d, self.field_shifts))
+            - (1 << degree_shift)
+            - (1 << s)
+            for w, d, s in zip(weights, degrees, self.digit_shifts)
+        ]
+
+    def walk(self, exact: bool = False) -> list[int]:
+        """Every code within the bound (of weight equal to it when
+        ``exact``), ascending.
+
+        Codes are kept in one bucket per weight, so each variable extends a
+        whole bucket by one exponent at once.  Buckets are taken heaviest
+        first, so a code never takes a second exponent of the same variable.
+        """
+        bound = self.bound
+        buckets: list[list[int]] = [[] for _ in range(max(bound, 0) + 1)]
+        buckets[0].append(self.base)
+        for i, (w, step) in enumerate(zip(self.weights, self.steps)):
+            if w <= 0:
+                continue
+            for used in range(bound - w, -1, -1):
+                if buckets[used]:
+                    for e in range(1, (bound - used) // w + 1):
+                        inc = e * step + (1 << i)
+                        buckets[used + e * w].extend(map(inc.__add__, buckets[used]))
+        if exact:
+            codes = buckets[bound] if bound >= 0 else []
+        else:
+            codes = [c for bucket in buckets for c in bucket]
+        codes.sort()
+        return codes
+
+    def fibers(self, codes: list[int]) -> list[list[int]]:
+        """Split ascending codes into runs of one weight and multidegree."""
+        shift = self.fiber_shift
+        runs: list[list[int]] = []
+        last = -1
+        for c in codes:
+            key = c >> shift
+            if key != last:
+                run = [c]
+                runs.append(run)
+                last = key
+            else:
+                run.append(c)
+        return runs
+
+    def exponents(self, code: int) -> Monomial:
+        top, mask = self.top, self.digit_mask
+        return tuple(top - (code >> s & mask) for s in self.digit_shifts)
+
+    def multidegree(self, code: int) -> Multidegree:
+        mask = self.field_mask
+        return tuple(code >> s & mask for s in self.field_shifts)
 
 
 def iter_monomials(arity: int, total_degree: int) -> Iterator[Monomial]:
     """All exponent vectors of length ``arity`` summing to ``total_degree``,
     in descending lexicographic order."""
-    for mono, _ in _walk([1] * arity, [0] * arity, total_degree, True):
-        yield mono
+    codes = MonomialCodes([1] * arity, [()] * arity, total_degree)
+    return map(codes.exponents, codes.walk(exact=True))
 
 
 def monomials_by_multidegree(
@@ -61,7 +140,8 @@ def monomials_by_multidegree(
     ``max_weight``, where |d| is the sum of the entries of d and must be
     positive for every variable.  Groups are keyed by multidegree (ascending
     key order) and each group lists its monomials in degree-lex order,
-    leading monomial first.
+    leading monomial first.  The groups are the fibers of one packed walk
+    (``MonomialCodes``).
     """
     arity = ring_arity(ring.descriptor)
     if len(variable_degrees) != arity:
@@ -86,20 +166,8 @@ def monomials_by_multidegree(
         weights, bound = [sum(d) for d in degs], max_weight
         if any(w < 1 for w in weights):
             raise ValidationError("a weight bound needs a positive degree sum for every variable")
-    # The walk carries each multidegree packed into one integer, a field per
-    # coordinate with the first one highest, so adding keys adds multidegrees
-    # and key order is tuple order.  No coordinate exceeds bound·max entry,
-    # as every weight is at least 1.
-    width = (bound * max((x for d in degs for x in d), default=0)).bit_length()
-    shifts = [width * (k - 1 - j) for j in range(k)]
-    steps = [sum(x << shift for x, shift in zip(d, shifts)) for d in degs]
-    groups: dict[int, list[Monomial]] = {}
-    for mono, key in _walk(weights, steps, bound, max_weight is None):
-        groups.setdefault(key, []).append(mono)
-    field = (1 << width) - 1
-    # The walk is in descending lex order, which is degree-lex order among
-    # monomials of one degree; a stable sort by degree finishes the job.
-    return {
-        tuple(key >> shift & field for shift in shifts): sorted(groups[key], key=sum, reverse=True)
-        for key in sorted(groups)
-    }
+    codes = MonomialCodes(weights, degs, bound)
+    runs = codes.fibers(codes.walk(exact=max_weight is None))
+    return dict(
+        sorted((codes.multidegree(run[0]), [codes.exponents(c) for c in run]) for run in runs)
+    )

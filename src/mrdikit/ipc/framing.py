@@ -24,6 +24,12 @@ KIND_SHUTDOWN = 5
 
 _HEADER = struct.Struct(">IB")
 
+# The largest payload a frame may carry, 256 MiB.  ``read_message`` rejects a
+# header that claims more before it reads any of the body, and
+# ``write_message`` refuses to send such a frame.  The largest frame the test
+# suite or a bench suite sends is a ~117 KB detcrt call.
+MAX_FRAME_BYTES = 1 << 28
+
 
 @dataclass
 class LoadContext:
@@ -122,6 +128,10 @@ def decode_message(kind: int, payload: dict) -> Message:
 def frame_bytes(msg: Message) -> bytes:
     kind, payload = encode_message(msg)
     body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    if len(body) > MAX_FRAME_BYTES:
+        raise TransportError(
+            f"frame payload of {len(body)} bytes exceeds the cap of {MAX_FRAME_BYTES} bytes"
+        )
     return _HEADER.pack(len(body), kind) + body
 
 
@@ -133,8 +143,8 @@ def write_message(stream, msg: Message) -> None:
         raise TransportError(f"write failed: {exc}") from exc
 
 
-# A header may claim up to 4 GiB, so bodies are read in pieces of at most this
-# size and the buffer grows only with bytes that arrive.
+# A header may claim up to MAX_FRAME_BYTES, so bodies are read in pieces of at
+# most this size and the buffer grows only with bytes that arrive.
 _READ_CHUNK = 1 << 20
 
 
@@ -156,6 +166,10 @@ def read_message(stream) -> Optional[Message]:
     if header is None:
         return None
     length, kind = _HEADER.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise TransportError(
+            f"frame header claims {length} bytes, above the cap of {MAX_FRAME_BYTES} bytes"
+        )
     body = _read_exact(stream, length) if length else b""
     if body is None:
         raise TransportError("stream ended inside a frame body")

@@ -4,29 +4,41 @@ The map sends each source variable to a single target term, which induces a
 Z^k grading on the source (the image exponent vectors).  Source monomials of
 one multidegree form a fiber; they all map to multiples of one target
 monomial, so the fiber's part of the kernel is spanned by binomials that pair
-its leading monomial with each other one.  The fibers come from one walk over
-the source variables bounded by weight (the entry sum of the multidegree), so
-no monomial outside the bound is built.  Everything runs in the calling
-process: the component search over all fibers costs a few milliseconds,
-less than shipping the fibers to a worker pool and back.
+its leading monomial with each other one.  A variable x_i sent to a constant
+c_i has the zero multidegree: it gives the generator x_i − c_i and leaves
+the rest of the computation.
+
+The fibers come from one walk over the other source variables bounded by
+weight (the entry sum of the multidegree), which carries each monomial as
+one packed integer (``MonomialCodes``): weight, multidegree, complemented
+degree and exponents, and the support as a bit mask.  One sort gives the
+fibers as runs of equal high bits, each in degree-lex order, and exponent
+tuples are decoded only for the monomials that appear in a generator.
+Everything runs in the calling process: the whole pass costs a few
+milliseconds, less than shipping the fibers to a worker pool and back.
 
 Minimalization is integer bookkeeping: the minimal generators in multidegree
 b number one less than the connected components of the fiber graph, where
 monomials are joined when they share a variable (Diaconis & Sturmfels 1998;
 Sturmfels, *Gröbner Bases and Convex Polytopes*, ch. 4).  The leading
-monomial is paired with the first monomial of every other component.
+monomial is paired with the first monomial of every other component.  A
+fiber whose supports all share one bit is connected and needs no search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from math import prod
+from functools import reduce
+from math import gcd
+from operator import and_
 
 # Imported only so the traced benchmark can probe it by this module's name.
 from ..algebra.matrices import nullspace_over_Q  # noqa: F401
-from ..algebra.multidegree import Multidegree, monomials_by_multidegree
+from ..algebra.multidegree import Multidegree, MonomialCodes
+# Imported only so the traced benchmark can probe it by this module's name;
+# the kernel walks ``MonomialCodes`` directly.
+from ..algebra.multidegree import monomials_by_multidegree  # noqa: F401
 from ..algebra.polynomials import Monomial, Polynomial
 from ..algebra.rings import ContextHandle, MultivariatePolyRing, RationalField
 from ..errors import ContextMismatchError, SchemaError, ValidationError
@@ -44,7 +56,7 @@ from ..mrdi.states import DeserializerState, SerializerState
 @dataclass(frozen=True)
 class MonomialMap:
     """A ring map sending each source variable to one nonzero target term
-    whose monomial is nonconstant (x -> 2 is rejected)."""
+    c·m.  The monomial m may be 1, as in x -> 2: a constant image."""
 
     source: ContextHandle
     target: ContextHandle
@@ -69,11 +81,6 @@ class MonomialMap:
                 raise ValidationError("images must live in the target ring")
             if len(img.terms) != 1:
                 raise ValidationError("images must be single nonzero terms")
-            if sum(img.terms[0][0]) == 0:
-                raise ValidationError(
-                    "image monomials must be nonconstant: a map sending a variable to a "
-                    "constant, such as x -> 2, is not supported"
-                )
 
     @property
     def variable_degrees(self) -> tuple[Multidegree, ...]:
@@ -163,22 +170,23 @@ def kernel_block(fibers: list[list[int]]) -> list[list[int]]:
     return [_component_starts(supports) for supports in fibers]
 
 
-def _fibers(phi: MonomialMap, total_degree: int) -> list[tuple[Multidegree, list[Monomial]]]:
-    """Every fiber with at least two monomials and weight at most T·d_min.
+def _fiber_codes(phi: MonomialMap, total_degree: int) -> tuple[MonomialCodes, list[list[int]]]:
+    """Every fiber with at least two monomials and weight at most T·d_min,
+    as runs of packed codes.
 
-    One walk over the source variables builds exactly the monomials x^e with
-    weight |md| = Σ e_i·|deg x_i| at most T·d_min.  A monomial of multidegree
-    md has total degree at most |md| / d_min, so these fibers are complete
-    among the monomials of degree at most T.  Fibers come in (|md|, md)
-    order, monomials in degree-lex order.
+    One walk over the source variables with nonconstant images builds exactly
+    the monomials x^e with weight |md| = Σ e_i·|deg x_i| at most T·d_min,
+    where d_min is the smallest degree of a nonconstant image.  A monomial of
+    multidegree md has total degree at most |md| / d_min, so these fibers are
+    complete among the walk's monomials of degree at most T.  Fibers come in
+    (|md|, md) order, monomials in degree-lex order; variables with constant
+    images keep exponent 0.
     """
     degs = phi.variable_degrees
-    bound = total_degree * min(sum(d) for d in degs)
-    fibers = monomials_by_multidegree(phi.source, degs, max_weight=bound)
-    return sorted(
-        ((md, monos) for md, monos in fibers.items() if len(monos) > 1),
-        key=lambda item: (sum(item[0]), item[0]),
-    )
+    weights = [sum(d) for d in degs]
+    bound = total_degree * min((w for w in weights if w), default=0)
+    codes = MonomialCodes(weights, degs, bound)
+    return codes, [run for run in codes.fibers(codes.walk()) if len(run) > 1]
 
 
 def components_of_kernel(
@@ -189,44 +197,72 @@ def components_of_kernel(
 ) -> dict[Multidegree, list[Polynomial]]:
     """Binomial kernel generators of ``phi`` grouped by multidegree.
 
-    Covers every multidegree md with |md| <= ``total_degree`` · d_min, where
-    d_min is the smallest total degree of an image; when all images share one
-    degree these are the kernel elements of source degree at most
-    ``total_degree``.  A fiber u_0, ..., u_m (leading monomial first) spans
-    its kernel by c^{u_j}·x^{u_0} − c^{u_0}·x^{u_j}, with primitive integer
-    coefficients and a positive coefficient on x^{u_0}; c^u is the image
-    coefficient of x^u.  With ``minimalize`` (the default) u_0 is paired only
-    with the first monomial of each other component of the fiber graph, which
-    gives a minimal generating set; one ``kernel_block`` call finds the
-    components of every fiber.  Without it u_0 is paired with every other
-    monomial.  ``pool`` is accepted and unused: the whole computation runs in
-    the calling process, so the result is the same with or without one.
+    A variable x_i with a constant image c_i contributes x_i − c_i, under
+    the zero multidegree, and takes no further part.  The other variables
+    give every multidegree md with |md| <= ``total_degree`` · d_min, where
+    d_min is the smallest total degree of a nonconstant image; when all
+    images share one degree these are the kernel elements of source degree
+    at most ``total_degree``.  A fiber u_0, ..., u_m (leading monomial first)
+    spans its kernel by c^{u_j}·x^{u_0} − c^{u_0}·x^{u_j}, with primitive
+    integer coefficients and a positive coefficient on x^{u_0}; c^u is the
+    image coefficient of x^u.  With ``minimalize`` (the default) u_0 is
+    paired only with the first monomial of each other component of the fiber
+    graph, which gives a minimal generating set: a fiber whose monomials all
+    share a variable is one component, and one ``kernel_block`` call splits
+    the others.  Without it u_0 is paired with every other monomial.
+    Exponent tuples are decoded only for the monomials that appear in a
+    generator.  ``pool`` is accepted and unused: the whole computation runs
+    in the calling process, so the result is the same with or without one.
     """
     if total_degree < 1:
         raise ValidationError("total degree must be at least 1")
-    fibers = _fibers(phi, total_degree)
+    codes, fibers = _fiber_codes(phi, total_degree)
     if minimalize:
-        bits = [1 << v for v in range(len(phi.images))]
-        supports = [[sum(compress(bits, mono)) for mono in monos] for _, monos in fibers]
-        partners = [starts[1:] for starts in kernel_block(supports)]
+        mask = codes.support_mask
+        split = [run for run in fibers if not reduce(and_, run) & mask]
+        starts = kernel_block([[c & mask for c in run] for run in split])
+        pairs = [(run, js[1:]) for run, js in zip(split, starts) if len(js) > 1]
     else:
-        partners = [range(1, len(monos)) for _, monos in fibers]
-
-    image_coeffs = [Fraction(img.terms[0][1]) for img in phi.images]
-
-    def coefficient(mono: Monomial) -> Fraction:
-        return prod(image_coeffs[v] ** e for v, e in enumerate(mono) if e)
+        pairs = [(run, range(1, len(run))) for run in fibers]
 
     components: dict[Multidegree, list[Polynomial]] = {}
-    for (md, monos), js in zip(fibers, partners):
-        if not js:
-            continue
-        lead = coefficient(monos[0])
-        for j in js:
-            ratio = coefficient(monos[j]) / lead
-            a, b = ratio.numerator, -ratio.denominator
-            if a < 0:
-                a, b = -a, -b
-            gen = Polynomial.from_terms(phi.source, [(monos[0], a), (monos[j], b)])
-            components.setdefault(md, []).append(gen)
+    degs = phi.variable_degrees
+    one = (0,) * len(degs)
+    # x_i − c_i for every constant image c_i
+    linear = [
+        _binomials(phi, one[:i] + (1,) + one[i + 1 :], [one])[0]
+        for i, d in enumerate(degs)
+        if not any(d)
+    ]
+    if linear:
+        components[(0,) * len(degs[0])] = linear
+    for run, js in pairs:
+        others = [codes.exponents(run[j]) for j in js]
+        components[codes.multidegree(run[0])] = _binomials(phi, codes.exponents(run[0]), others)
     return components
+
+
+def _binomials(phi: MonomialMap, lead: Monomial, others: list[Monomial]) -> list[Polynomial]:
+    """c^v·x^u − c^u·x^v for the leading monomial u of a fiber and each v
+    after it in degree-lex order, scaled to primitive integer coefficients
+    with the one on x^u positive; c^u = num(u)/den(u) is the image
+    coefficient of x^u."""
+    coeffs = [img.terms[0][1] for img in phi.images]
+
+    def scale(mono: Monomial) -> tuple[int, int]:
+        num = den = 1
+        for c, e in zip(coeffs, mono):
+            if e:
+                num *= c.numerator**e
+                den *= c.denominator**e
+        return num, den
+
+    lead_num, lead_den = scale(lead)
+    gens = []
+    for other in others:
+        num, den = scale(other)
+        a, b = num * lead_den, den * lead_num  # c^v / c^u = a / b
+        g = gcd(a, b) if a > 0 else -gcd(a, b)
+        # Already canonical: two nonzero terms, the leading one first.
+        gens.append(Polynomial(phi.source, ((lead, Fraction(a // g)), (other, Fraction(-b // g)))))
+    return gens

@@ -41,12 +41,14 @@ from mrdikit.workloads import components_of_kernel, modular_determinant
 
 from test_framing import random_message
 from test_kernel import (
+    check_against_oracle,
     oracle_kernel_blocks,
     poly_to_vector,
     random_monomial_map,
     spans_match,
     segre_2x2,
     twisted_conic,
+    with_constant_images,
 )
 from test_linalg import cofactor_det, random_zz_t_matrix
 from test_serialize import random_value
@@ -185,6 +187,9 @@ def test_criterion_6_kernel_oracle():
                 monos, oracle_basis = blocks[md]
                 vectors = [poly_to_vector(g, monos) for g in gens]
                 assert spans_match(vectors, oracle_basis, len(monos)), f"span mismatch at {md}"
+        # maps that send some variables to constants
+        for i in range(4):
+            check_against_oracle(with_constant_images(rng, random_monomial_map(rng)), 3)
 
 
 # -- bench-driven criteria (7 and 8) ---------------------------------------------

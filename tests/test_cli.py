@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -288,16 +289,31 @@ def test_kernel_rejects_matrix_input(toy_matrix_file, tmp_path):
     )
 
 
-def test_kernel_rejects_constant_image_with_the_restriction(conic_map_file, tmp_path, capsys):
+def test_kernel_rejects_two_term_image(conic_map_file, tmp_path, capsys):
     obj = json.loads(conic_map_file.read_bytes())
-    obj["data"]["images"][1][0][0] = ["0", "0"]  # y -> 1
-    path = tmp_path / "constant.mrdi"
+    obj["data"]["images"][1].append([["0", "0"], "1"])  # y -> s*t + 1
+    path = tmp_path / "two_terms.mrdi"
     path.write_text(json.dumps(obj, indent=2))
     out = tmp_path / "k.mrdi"
     assert cli.main(["kernel", "--map", str(path), "--degree", "2", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "image monomials must be nonconstant" in err
-    assert "such as x -> 2, is not supported" in err
+    assert err == "error: data: images must be single nonzero terms\n"
+
+
+def test_kernel_constant_image(tmp_path):
+    S, (x, y, z) = polynomial_ring(QQ, "x", "y", "z")
+    T, (s, t) = polynomial_ring(QQ, "s", "t")
+    two_thirds = Polynomial.constant(T, Fraction(-2, 3))
+    path = tmp_path / "phi.mrdi"
+    write_value(path, MonomialMap(S, T, (s * s, two_thirds, t * t)))
+    for extra in ([], ["--no-minimalize"]):
+        out = tmp_path / "k.mrdi"
+        argv = ["kernel", "--map", str(path), "--degree", "2", "--out", str(out), *extra]
+        assert cli.main(argv) == 0
+        assert cli.main(["validate", str(out)]) == 0
+        state = DeserializerState(Mode.LONG_TERM, GlobalSerializerState())
+        value = load(parse_text(out.read_bytes()), state)
+        assert value == [([0, 0], [y.scale(3) + Polynomial.constant(S, 2)])]
 
 
 def assert_cannot_write(capsys, path):

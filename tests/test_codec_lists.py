@@ -180,8 +180,8 @@ ERROR_CASES = {
         edited(fig1_map(), put("images", 1, 0, 0, 1, "01"))
     ),
     # values the algebra rejects, located like every other bad document
-    "map-constant-image": lambda: load_long_term(
-        edited(fig1_map(), put("images", 1, 0, 0, ["0", "0"]))
+    "map-two-term-image": lambda: load_long_term(
+        edited(fig1_map(), lambda data: data["images"][1].append([["0", "0"], "1"]))
     ),
     "matrix-negative-nrows": lambda: load_long_term(
         edited(ExactMatrix.from_rows(ZZ, []), put("nrows", "-1"))
@@ -237,11 +237,7 @@ EXPECTED = {
     "lt-zz-matrix-entry": ("SchemaError", "data/entries/2: expected a decimal integer, got '05'"),
     "lt-zz-vector-item": ("SchemaError", "data/1: expected a decimal integer, got '+5'"),
     "map-image-exponent": ("SchemaError", "data/images/1/0: expected a decimal integer, got '01'"),
-    "map-constant-image": (
-        "SchemaError",
-        "data: image monomials must be nonconstant: a map sending a variable to a constant, "
-        "such as x -> 2, is not supported",
-    ),
+    "map-two-term-image": ("SchemaError", "data: images must be single nonzero terms"),
     "matrix-negative-nrows": (
         "SchemaError",
         "data/nrows: matrix dimensions must be nonnegative, got -1",

@@ -108,6 +108,33 @@ def test_huge_length_header_reads_without_huge_buffer():
     assert peak < 4 * 2**20
 
 
+def test_oversize_header_rejected_before_the_body():
+    header = framing._HEADER.pack(framing.MAX_FRAME_BYTES + 1, framing.KIND_CALL)
+    stream = io.BytesIO(header)  # no body follows
+    with pytest.raises(TransportError, match="above the cap"):
+        framing.read_message(stream)
+    assert stream.tell() == len(header)
+    # a header at the cap is read as usual: here its body is missing
+    stream = io.BytesIO(framing._HEADER.pack(framing.MAX_FRAME_BYTES, framing.KIND_CALL))
+    with pytest.raises(TransportError, match="stream ended inside a frame body"):
+        framing.read_message(stream)
+
+
+def test_oversize_write_refused_under_a_lowered_cap(monkeypatch):
+    msg = framing.Call(7, "f", sample_doc())
+    size = len(framing.frame_bytes(msg)) - framing._HEADER.size
+    monkeypatch.setattr(framing, "MAX_FRAME_BYTES", size)
+    stream = io.BytesIO()
+    framing.write_message(stream, msg)  # exactly at the cap
+    assert roundtrip_one(msg) == msg
+    monkeypatch.setattr(framing, "MAX_FRAME_BYTES", size - 1)
+    with pytest.raises(TransportError, match="exceeds the cap"):
+        framing.write_message(stream, msg)
+    with pytest.raises(TransportError, match="above the cap"):
+        framing.read_message(io.BytesIO(stream.getvalue()))
+    assert len(stream.getvalue()) == size + framing._HEADER.size
+
+
 def random_message(rng):
     kind = rng.randrange(5)
     if kind == 0:

@@ -1,5 +1,7 @@
+import hashlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -14,8 +16,19 @@ from mrdikit.algebra import (
 )
 from mrdikit.errors import ContextMismatchError, ValidationError
 from mrdikit.ipc import spawn_pool
-from mrdikit.workloads import MonomialMap, components_of_kernel, evaluate_map
-from mrdikit.workloads.kernel import _fibers, kernel_block
+from mrdikit.mrdi import (
+    DeserializerState,
+    GlobalSerializerState,
+    Mode,
+    SerializerState,
+    load,
+    parse_text,
+    save,
+    serialize_text,
+)
+from mrdikit.workloads import MonomialMap, components_of_kernel, evaluate_map, kernel_instance
+from mrdikit.workloads.synthetic import KERNEL_TOTAL_DEGREE
+from mrdikit.workloads.kernel import _fiber_codes, kernel_block
 
 
 def twisted_conic():
@@ -43,7 +56,9 @@ def test_monomial_map_validation():
     with pytest.raises(ValidationError):
         MonomialMap(S, T, (s, s + Polynomial.constant(T, 1)))  # two terms
     with pytest.raises(ValidationError):
-        MonomialMap(S, T, (s, Polynomial.constant(T, 2)))  # constant image
+        MonomialMap(S, T, (s, Polynomial.zero(T)))  # zero image
+    # a nonzero constant is a single term: x -> s, y -> 2
+    assert MonomialMap(S, T, (s, Polynomial.constant(T, 2))).variable_degrees == ((1,), (0,))
 
 
 def test_variable_degrees_are_image_exponents():
@@ -271,14 +286,15 @@ def random_monomial_map(rng):
 
 
 def oracle_fibers(phi, max_degree):
-    """Every source monomial of degree 1..max_degree, grouped by directly
+    """Every source monomial of degree 0..max_degree, grouped by directly
     computed image exponents, keeping the multidegrees md with
-    |md| <= max_degree * (smallest image degree): those groups are complete."""
+    |md| <= max_degree * (smallest degree of a nonconstant image): those
+    groups are complete among the monomials of degree at most max_degree."""
     n = len(phi.images)
     image_exps = [img.terms[0][0] for img in phi.images]
-    bound = max_degree * min(sum(exp) for exp in image_exps)
+    bound = max_degree * min((sum(exp) for exp in image_exps if any(exp)), default=0)
     groups = {}
-    for t in range(1, max_degree + 1):
+    for t in range(max_degree + 1):
         for mono in iter_monomials(n, t):
             key = tuple(
                 sum(e * exp[j] for e, exp in zip(mono, image_exps))
@@ -289,17 +305,28 @@ def oracle_fibers(phi, max_degree):
     return groups
 
 
-def ordered_oracle_fibers(phi, max_degree):
-    """The fibers of ``oracle_fibers`` with two or more monomials, in (|md|, md)
-    order, each listing its monomials in degree-lex order, leading first."""
+def ordered_oracle_fibers(phi, max_degree, least=2):
+    """The fibers of ``oracle_fibers`` with ``least`` or more monomials, in
+    (|md|, md) order, each listing its monomials in degree-lex order, leading
+    first."""
     return sorted(
         (
             (md, sorted(monos, key=monomial_key, reverse=True))
             for md, monos in oracle_fibers(phi, max_degree).items()
-            if len(monos) > 1
+            if len(monos) >= least
         ),
         key=lambda item: (sum(item[0]), item[0]),
     )
+
+
+def decoded(codes, runs):
+    """Runs of packed codes as (multidegree, exponent tuples) pairs."""
+    return [(codes.multidegree(run[0]), [codes.exponents(c) for c in run]) for run in runs]
+
+
+def decoded_fibers(phi, max_degree):
+    """The kernel's fibers with two or more monomials."""
+    return decoded(*_fiber_codes(phi, max_degree))
 
 
 def test_fibers_equal_the_oracle_in_order():
@@ -307,7 +334,102 @@ def test_fibers_equal_the_oracle_in_order():
     cases = [(cyclic_map()[0], 5)]
     cases += [(random_monomial_map(rng), rng.randrange(1, 5)) for _ in range(16)]
     for phi, max_degree in cases:
-        assert _fibers(phi, max_degree) == ordered_oracle_fibers(phi, max_degree)
+        assert decoded_fibers(phi, max_degree) == ordered_oracle_fibers(phi, max_degree)
+
+
+def walk_fibers(phi, max_degree):
+    """Every fiber of the kernel's packed walk, single monomials included."""
+    codes, _ = _fiber_codes(phi, max_degree)
+    return decoded(codes, codes.fibers(codes.walk()))
+
+
+def map_with_exponents(rng, exponents):
+    """A map whose images have the given exponent vectors and seeded nonzero
+    rational coefficients."""
+    tag = rng.randrange(10**9)
+    S, _ = polynomial_ring(QQ, *[f"wx{tag}_{i}" for i in range(len(exponents))])
+    T, _ = polynomial_ring(QQ, *[f"ws{tag}_{j}" for j in range(len(exponents[0]))])
+    images = tuple(
+        Polynomial.from_terms(T, [(exp, Fraction(rng.choice([-5, -2, 1, 3]), rng.randrange(1, 5)))])
+        for exp in exponents
+    )
+    return MonomialMap(S, T, images)
+
+
+def check_walk(phi, max_degree):
+    """The packed walk lists exactly the oracle's fibers, in order; returns them."""
+    fibers = walk_fibers(phi, max_degree)
+    assert fibers == ordered_oracle_fibers(phi, max_degree, least=1)
+    assert decoded_fibers(phi, max_degree) == ordered_oracle_fibers(phi, max_degree)
+    return fibers
+
+
+def random_exponents(rng, targets, low, high):
+    """One exponent vector of total degree in [low, high]."""
+    return rng.choice(list(iter_monomials(targets, rng.randrange(low, high + 1))))
+
+
+def test_walk_exponent_equal_to_bound_over_min_weight():
+    # x0 -> s and x1 -> s^2 share fibers up to x0^T, whose exponent T fills
+    # its complemented field down to 0 (D = T·1 // 1)
+    rng = random.Random(0xE1)
+    for _ in range(6):
+        targets = rng.randrange(1, 4)
+        unit = (1,) + (0,) * (targets - 1)
+        exps = [unit, (2,) + (0,) * (targets - 1)]
+        exps += [random_exponents(rng, targets, 1, 3) for _ in range(rng.randrange(0, 3))]
+        max_degree = rng.randrange(2, 6)
+        fibers = check_walk(map_with_exponents(rng, exps), max_degree)
+        lead = (max_degree,) + (0,) * (len(exps) - 1)
+        assert any(monos[0] == lead and len(monos) > 1 for _, monos in fibers)
+
+
+def test_walk_full_multidegree_field():
+    # squarefree images with two copies of s: x0^T has the multidegree
+    # coordinate T = bound · (largest entry), which fills its field when
+    # T + 1 is a power of two
+    rng = random.Random(0xE2)
+    for max_degree in (1, 3, 7, 2, 5):
+        exps = [(1, 0), (1, 0), (0, 1), (1, 1)]
+        exps += [rng.choice([(1, 0), (0, 1), (1, 1)]) for _ in range(rng.randrange(0, 2))]
+        phi = map_with_exponents(rng, exps)
+        fibers = check_walk(phi, max_degree)
+        assert any(md == (max_degree, 0) for md, _ in fibers)
+        codes, _ = _fiber_codes(phi, max_degree)
+        if max_degree in (1, 3, 7):
+            assert codes.field_mask == max_degree  # the coordinate sets every bit
+
+
+def test_walk_one_variable():
+    rng = random.Random(0xE3)
+    for _ in range(6):
+        targets = rng.randrange(1, 4)
+        max_degree = rng.randrange(1, 6)
+        exps = [random_exponents(rng, targets, 1, 3)]
+        fibers = check_walk(map_with_exponents(rng, exps), max_degree)
+        assert [monos for _, monos in fibers] == [[(e,)] for e in range(max_degree + 1)]
+
+
+def test_walk_all_weights_one():
+    rng = random.Random(0xE4)
+    for _ in range(8):
+        targets = rng.randrange(1, 4)
+        exps = [random_exponents(rng, targets, 1, 1) for _ in range(rng.randrange(2, 6))]
+        check_walk(map_with_exponents(rng, exps), rng.randrange(1, 5))
+
+
+def test_walk_variable_heavier_than_the_bound():
+    rng = random.Random(0xE5)
+    for _ in range(6):
+        targets = rng.randrange(1, 3)
+        max_degree = rng.randrange(1, 4)
+        exps = [random_exponents(rng, targets, 1, 2) for _ in range(rng.randrange(2, 4))]
+        d_min = min(sum(e) for e in exps)
+        heavy = random_exponents(rng, targets, max_degree * d_min + 1, max_degree * d_min + 3)
+        position = rng.randrange(len(exps) + 1)
+        exps.insert(position, heavy)
+        fibers = check_walk(map_with_exponents(rng, exps), max_degree)
+        assert all(mono[position] == 0 for _, monos in fibers for mono in monos)
 
 
 def test_heavy_variable_beyond_the_bound_never_appears():
@@ -321,10 +443,10 @@ def test_heavy_variable_beyond_the_bound_never_appears():
         (1,): [(0, 1, 0), (0, 0, 1)],
         (2,): [(0, 2, 0), (0, 1, 1), (0, 0, 2)],
     }
-    assert _fibers(phi, 2) == ordered_oracle_fibers(phi, 2)
+    assert decoded_fibers(phi, 2) == ordered_oracle_fibers(phi, 2)
     assert components_of_kernel(phi, 2) == {(1,): [y - z]}
     # at T = 3 x joins the weight-3 fiber, after the degree-3 monomials
-    assert _fibers(phi, 3) == ordered_oracle_fibers(phi, 3)
+    assert decoded_fibers(phi, 3) == ordered_oracle_fibers(phi, 3)
     assert components_of_kernel(phi, 3) == {(1,): [y - z], (3,): [y**3 - x]}
 
 
@@ -374,18 +496,75 @@ def spans_match(vectors_a, vectors_b, width):
     return a.rank() == b.rank() == stacked.rank()
 
 
+def with_constant_images(rng, phi):
+    """``phi`` with one or two of its images replaced by nonzero rational
+    constants (possibly all of them)."""
+    images = list(phi.images)
+    for i in rng.sample(range(len(images)), rng.randrange(1, 3)):
+        c = Fraction(rng.choice([-3, -1, 2, 5]), rng.randrange(1, 4))
+        images[i] = Polynomial.constant(phi.target, c)
+    return MonomialMap(phi.source, phi.target, tuple(images))
+
+
+def check_against_oracle(phi, max_degree):
+    """Within every complete fiber, the generators together with the
+    multiples m·(x_i − c_i) of the zero-multidegree generators (constant
+    images), of degree at most ``max_degree``, span exactly the fiber's
+    kernel."""
+    got = components_of_kernel(phi, max_degree, minimalize=False)
+    blocks = oracle_kernel_blocks(phi, max_degree)
+    zero = (0,) * len(phi.images[0].terms[0][0])
+    linear = got.get(zero, []) if any(not any(d) for d in phi.variable_degrees) else []
+    if linear:
+        assert set(got) <= set(blocks)
+    else:
+        assert set(got) == set(blocks)
+    for md, (monos, oracle_basis) in blocks.items():
+        vectors = [poly_to_vector(g, monos) for g in got.get(md, [])]
+        for m in monos:
+            if sum(m) < max_degree:
+                factor = Polynomial.from_terms(phi.source, [(m, 1)])
+                vectors += [poly_to_vector(g * factor, monos) for g in linear]
+        assert spans_match(vectors, oracle_basis, len(monos)), f"fiber {md}"
+
+
 def test_random_maps_match_bruteforce_oracle():
     rng = random.Random(0xC0FFEE)
     for _ in range(8):
-        phi = random_monomial_map(rng)
-        max_degree = rng.randrange(2, 5)
-        got = components_of_kernel(phi, max_degree, minimalize=False)
-        blocks = oracle_kernel_blocks(phi, max_degree)
-        assert set(got) == set(blocks)
-        for md, gens in got.items():
-            monos, oracle_basis = blocks[md]
-            vectors = [poly_to_vector(g, monos) for g in gens]
-            assert spans_match(vectors, oracle_basis, len(monos))
+        check_against_oracle(random_monomial_map(rng), rng.randrange(2, 5))
+    for _ in range(6):
+        check_against_oracle(with_constant_images(rng, random_monomial_map(rng)), rng.randrange(2, 5))
+
+
+def test_constant_images():
+    S, (x, y, z, w) = polynomial_ring(QQ, "x", "y", "z", "w")
+    T, (s,) = polynomial_ring(QQ, "s")
+
+    def const(c):
+        return Polynomial.constant(T, Fraction(c))
+
+    # x -> 2, z -> -2/3: x − 2 and 3z + 2 under the zero multidegree, first
+    phi = MonomialMap(S, T, (const(2), s, const(Fraction(-2, 3)), s * s))
+    three_z = z.scale(3)
+    two = Polynomial.constant(S, 2)
+    expected = {(0,): [x - two, three_z + two], (2,): [y * y - w]}
+    for minimalize in (True, False):
+        got = components_of_kernel(phi, 2, minimalize=minimalize)
+        assert got == expected and list(got) == list(expected)
+        for gens in got.values():
+            assert all(evaluate_map(phi, g).is_zero for g in gens)
+    # d_min is taken over the nonconstant images: s^2 alone gives bound 2·2
+    phi = MonomialMap(S, T, (const(1), s * s, const(-1), s**3))
+    assert components_of_kernel(phi, 3) == {
+        (0,): [x - Polynomial.constant(S, 1), z + Polynomial.constant(S, 1)],
+        (6,): [y**3 - w * w],
+    }
+    # every image constant: the map's kernel is generated by x_i − c_i
+    phi = MonomialMap(S, T, tuple(const(c) for c in (1, 2, 3, Fraction(1, 2))))
+    one = Polynomial.constant(S, 1)
+    assert components_of_kernel(phi, 4, minimalize=False) == {
+        (0,): [x - one, y - two, z - one.scale(3), w.scale(2) - one],
+    }
 
 
 def check_minimal_ranks(phi, max_degree):
@@ -418,3 +597,55 @@ def test_minimal_generators_match_rank_oracle():
         check_minimal_ranks(random_monomial_map(rng), rng.randrange(2, 5))
     phi, _ = twisted_conic()
     check_minimal_ranks(phi, 4)
+
+
+# -- pinned output bytes ----------------------------------------------------------
+
+
+def kernel_output_cases():
+    """(name, map, degree): the synthetic bench map, the golden conic map and
+    four seeded random maps."""
+    golden = Path(__file__).parent / "golden" / "conic_map.mrdi"
+    state = DeserializerState(Mode.LONG_TERM, GlobalSerializerState())
+    conic = load(parse_text(golden.read_bytes()), state)
+    cases = [("synthetic", kernel_instance(), KERNEL_TOTAL_DEGREE), ("conic", conic, 4)]
+    rng = random.Random(0xD16E72)
+    cases += [(f"random{i}", random_monomial_map(rng), 4) for i in range(4)]
+    return cases
+
+
+def kernel_output_bytes(phi, degree, minimalize):
+    """Long-term bytes of the components in the order the dict holds them."""
+    components = components_of_kernel(phi, degree, minimalize=minimalize)
+    value = [(list(md), gens) for md, gens in components.items()]
+    state = SerializerState(Mode.LONG_TERM, GlobalSerializerState(uuid_seed=0x5EED))
+    return serialize_text(save(value, state))
+
+
+# sha256 of ``kernel_output_bytes``, recorded before the walk packed each
+# monomial into one integer.
+PINNED_KERNEL_DIGESTS = {
+    "synthetic-min": "96ab5161aea1184a43e59b0bd94ccdb153e0e3d365a52a4bec11afce8f61855f",
+    "synthetic-full": "dc254c09bde911fa4bdaed087de93372f705d7e67785c3acd0edb6da07c56e46",
+    "conic-min": "5867580401e905dcdd9f2965ad87b98fb0d7b53e02d56be3dbe3f468341f81f4",
+    "conic-full": "24d80a5085394c91d682102536c1e642858885a2cc37e529d64abdec0ac4bc9c",
+    "random0-min": "beec491272de1b30a05cae06a85ce55d93b56069c96b82045d182351b45d6811",
+    "random0-full": "8b3f01ca0c5faa9831e062cd432e63d3f7dae3ea73e7c7da989d9616eb98f742",
+    "random1-min": "c02ad349ebbd1327ec9b26efc676b9c651448e9f5e12b663aaecba8bc5e062f9",
+    "random1-full": "d50c4a2c8af817e11762522a6841fd0ba26ff3c039c83310eed302e6d678c756",
+    "random2-min": "3a4937c0da7b7359757c5ac8e602e42d57c9264eed5245ced539a4503bdd09a5",
+    "random2-full": "39805f308e5b2180177ebc4cf545d35cdfc66791763794f442abce23da0121d8",
+    "random3-min": "b5042871426c2079b8fa985799a1426aaf201ece0d5c0dae8f563fe793966b03",
+    "random3-full": "63cf48be926193a1ec91e8fdff876df59669fcab6d429faa4c5c7d12282c864d",
+}
+
+
+def test_kernel_output_bytes_are_pinned():
+    got = {
+        f"{name}-{'min' if minimalize else 'full'}": hashlib.sha256(
+            kernel_output_bytes(phi, degree, minimalize)
+        ).hexdigest()
+        for name, phi, degree in kernel_output_cases()
+        for minimalize in (True, False)
+    }
+    assert got == PINNED_KERNEL_DIGESTS
