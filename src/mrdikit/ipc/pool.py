@@ -1,12 +1,15 @@
 """A pool of worker processes speaking the framed mrdi protocol.
 
 The pool owns one process per worker, forked by this process's zygote
-(``zygote.py``), tracks which context UUIDs each worker has already received,
-and before every call sends the ref documents the argument save collected
-that the worker lacks, base rings first, so each (worker, context) pair sees
-at most one LoadContext frame.  Calls serialize
-their arguments in IPC mode; results are deserialized under the
-coordinator's global state, merging back any contexts the worker minted.
+(``zygote.py``), and tracks which context UUIDs each worker holds.  Every
+call runs in the calling thread, in rounds: a round saves its arguments in
+IPC mode, sends each live worker the ref documents it lacks (base rings
+first, so each (worker, context) pair sees at most one LoadContext frame)
+and one Call, then reads the answers in worker order.  Results are placed by
+input index and loaded under the coordinator's global state, merging back
+any contexts a worker minted.  ``remote_call`` is a one-item map and
+``wait_ready`` one ``identity`` call per worker.  A pool serves one call at
+a time; callers on other threads, and ``shutdown``, wait for it.
 """
 
 from __future__ import annotations
@@ -17,12 +20,7 @@ import os
 import threading
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-from ..errors import (
-    PoolClosedError,
-    TransportError,
-    ValidationError,
-    WorkerFailure,
-)
+from ..errors import PoolClosedError, TransportError, ValidationError, WorkerFailure
 from ..mrdi.codec import load, load_context_document, save
 from ..mrdi.document import Mode, MrdiDocument
 from ..mrdi.states import DeserializerState, GlobalSerializerState, SerializerState
@@ -32,7 +30,6 @@ if TYPE_CHECKING:
     from .zygote import WorkerProcess
 
 IDLE = "idle"
-BUSY = "busy"
 DEAD = "dead"
 
 _SHUTDOWN_GRACE_SECONDS = 5.0
@@ -64,10 +61,10 @@ class WorkerPool:
             importlib.import_module(module)
         self.global_state = global_state or GlobalSerializerState()
         self._tap = tap
-        self._cond = threading.Condition()
+        # Held for a whole call: one call at a time per pool.
+        self._lock = threading.Lock()
         self._call_ids = itertools.count(1)
         self._closed = False
-        self._shutdown_done = False
         # Imported here, so a process that starts no pool loads no sockets.
         from .zygote import fork_worker
 
@@ -80,14 +77,13 @@ class WorkerPool:
                     env["MRDI_WORKER_INIT"] = ",".join(init_modules)
                 self.workers.append(WorkerHandle(worker_id, fork_worker(env)))
         except TransportError as exc:
-            self._reap_all()
+            for worker in self.workers:
+                worker.proc.kill()
+                worker.proc.wait()
+                worker.proc.close()
             raise TransportError(f"failed to spawn worker pool: {exc}") from exc
 
     # -- plumbing ---------------------------------------------------------
-
-    def _next_id(self) -> int:
-        with self._cond:
-            return next(self._call_ids)
 
     def _send(self, worker: WorkerHandle, msg) -> None:
         try:
@@ -98,7 +94,10 @@ class WorkerPool:
         if self._tap is not None:
             self._tap(("send", worker.worker_id, msg))
 
-    def _recv(self, worker: WorkerHandle):
+    def _recv(self, worker: WorkerHandle, call_id: int):
+        """Read the answer to ``call_id``: a Result, or a Failure for the
+        caller to raise.  A broken stream, end-of-file or any other frame
+        marks the worker dead and raises TransportError."""
         try:
             msg = framing.read_message(worker.proc.stdout)
         except TransportError as exc:
@@ -109,43 +108,17 @@ class WorkerPool:
             raise TransportError(f"worker {worker.worker_id} exited unexpectedly")
         if self._tap is not None:
             self._tap(("recv", worker.worker_id, msg))
+        if not isinstance(msg, (framing.Result, framing.Failure)) or msg.call_id != call_id:
+            self._mark_dead(worker)
+            raise TransportError(f"worker {worker.worker_id} answered out of order")
         return msg
 
     def _mark_dead(self, worker: WorkerHandle) -> None:
-        with self._cond:
-            worker.state = DEAD
-            self._cond.notify_all()
+        worker.state = DEAD
         try:
             worker.proc.kill()
         except OSError:
             pass
-
-    def _acquire(self) -> WorkerHandle:
-        with self._cond:
-            while True:
-                if self._closed:
-                    raise PoolClosedError("pool closed")
-                idle = [w for w in self.workers if w.state == IDLE]
-                if idle:
-                    worker = min(idle, key=lambda w: w.worker_id)
-                    worker.state = BUSY
-                    return worker
-                if all(w.state == DEAD for w in self.workers):
-                    raise TransportError("no live workers left")
-                self._cond.wait()
-
-    def _release(self, worker: WorkerHandle) -> None:
-        with self._cond:
-            if worker.state == BUSY:
-                worker.state = IDLE
-            self._cond.notify_all()
-
-    def _reap_all(self) -> None:
-        for worker in self.workers:
-            worker.proc.kill()
-            worker.proc.wait()
-            worker.proc.close()
-            worker.state = DEAD
 
     # -- context distribution ----------------------------------------------
 
@@ -154,161 +127,134 @@ class WorkerPool:
         base rings first, as an IPC save with ``collect_new_refs`` gathers
         them in ``pending_refs``) that it does not hold yet.
 
-        The caller must own the worker (it is the thread's acquired worker or
-        the pool is otherwise quiescent).
+        The caller must hold the pool: be inside one of its calls, or have
+        no call in flight.
         """
         for uuid_key, ref_doc in refs.items():
             if uuid_key in worker.known_contexts:
                 continue
-            call_id = self._next_id()
+            call_id = next(self._call_ids)
             self._send(worker, framing.LoadContext(call_id, uuid_key, ref_doc))
-            reply = self._recv(worker)
+            reply = self._recv(worker, call_id)
             if isinstance(reply, framing.Failure):
                 raise WorkerFailure(
                     f"worker {worker.worker_id} rejected context {uuid_key}: {reply.error}"
                 )
-            if not isinstance(reply, framing.Result) or reply.call_id != call_id:
-                self._mark_dead(worker)
-                raise TransportError(
-                    f"worker {worker.worker_id} broke protocol during context load"
-                )
-            worker.known_contexts.add(uuid_key)
-
-    def _merge_result_refs(self, worker: WorkerHandle, refs: dict) -> None:
-        for uuid_key, ref_doc in refs.items():
-            if self.global_state.resolve(uuid_key) is None:
-                load_context_document(ref_doc, self.global_state, uuid_key)
             worker.known_contexts.add(uuid_key)
 
     # -- calls ---------------------------------------------------------------
 
+    def _run(self, fn: str, items: list) -> tuple[list, Optional[tuple]]:
+        """Run ``fn(*item)`` for every item, in rounds of one call per live
+        worker: the one path every call takes.
+
+        Returns the results by input index and the failure of the lowest
+        index, ``(index, exception)`` or None; a worker's Failure becomes a
+        WorkerFailure with its error text.  A round saves all its arguments
+        before its first Call goes out, stops sending at the first failure,
+        and reads the answer to every Call it sent before this returns, so no
+        stale answer is left for the next call; no round starts after a
+        failure.
+        """
+        with self._lock:
+            if self._closed:
+                raise PoolClosedError("pool closed")
+            if not all(isinstance(args, tuple) for args in items):
+                raise ValidationError("remote_call arguments must be a tuple")
+            results = [None] * len(items)
+            failures = []
+            start = 0
+            while start < len(items) and not failures:
+                live = [w for w in self.workers if w.state != DEAD]
+                if not live:
+                    raise TransportError("no live workers left")
+                calls = []
+                for worker, index in zip(live, range(start, len(items))):
+                    state = SerializerState(Mode.IPC, self.global_state, collect_new_refs=True)
+                    calls.append((worker, index, save(items[index], state), state.pending_refs))
+                start += len(calls)
+                sent = []
+                for worker, index, args_doc, refs in calls:
+                    try:
+                        self.ensure_contexts(worker, refs)
+                        call_id = next(self._call_ids)
+                        self._send(worker, framing.Call(call_id, fn, args_doc))
+                    except Exception as exc:  # noqa: BLE001 - reported below
+                        failures.append((index, exc))
+                        break
+                    sent.append((worker, index, call_id))
+                for worker, index, call_id in sent:
+                    try:
+                        reply = self._recv(worker, call_id)
+                        if isinstance(reply, framing.Failure):
+                            raise WorkerFailure(reply.error)
+                        for uuid_key, ref_doc in reply.refs.items():
+                            if self.global_state.resolve(uuid_key) is None:
+                                load_context_document(ref_doc, self.global_state, uuid_key)
+                            worker.known_contexts.add(uuid_key)
+                        if reply.value is not None:
+                            state = DeserializerState(Mode.IPC, self.global_state)
+                            results[index] = load(reply.value, state)
+                    except Exception as exc:  # noqa: BLE001 - reported below
+                        failures.append((index, exc))
+        return results, min(failures, key=lambda pair: pair[0], default=None)
+
     def remote_call(self, fn: str, args: tuple):
-        """Run ``fn(*args)`` on an idle worker and return the value."""
-        if not isinstance(args, tuple):
-            raise ValidationError("remote_call arguments must be a tuple")
-        state = SerializerState(Mode.IPC, self.global_state, collect_new_refs=True)
-        args_doc = save(args, state)
-        worker = self._acquire()
-        try:
-            self.ensure_contexts(worker, state.pending_refs)
-            call_id = self._next_id()
-            self._send(worker, framing.Call(call_id, fn, args_doc))
-            reply = self._recv(worker)
-            if isinstance(reply, framing.Failure):
-                raise WorkerFailure(reply.error)
-            if not isinstance(reply, framing.Result) or reply.call_id != call_id:
-                self._mark_dead(worker)
-                raise TransportError(
-                    f"worker {worker.worker_id} answered out of order"
-                )
-            self._merge_result_refs(worker, reply.refs)
-            if reply.value is None:
-                return None
-            return load(reply.value, DeserializerState(Mode.IPC, self.global_state))
-        finally:
-            self._release(worker)
+        """Run ``fn(*args)`` on the first live worker and return the value."""
+        results, failure = self._run(fn, [args])
+        if failure is not None:
+            raise failure[1]
+        return results[0]
 
     def wait_ready(self) -> None:
         """Have every worker answer one ``identity`` call: all calls go out
         before any answer is read, so the workers start up side by side, and
-        once this returns no call waits for a worker's imports.  The pool
-        must be idle."""
-        args = save((0,), SerializerState(Mode.IPC, self.global_state))
-        sent = []
-        for worker in self.workers:
-            call_id = self._next_id()
-            self._send(worker, framing.Call(call_id, "identity", args))
-            sent.append((worker, call_id))
-        for worker, call_id in sent:
-            reply = self._recv(worker)
-            if isinstance(reply, framing.Failure):
-                raise WorkerFailure(f"worker {worker.worker_id}: {reply.error}")
-            if not isinstance(reply, framing.Result) or reply.call_id != call_id:
-                self._mark_dead(worker)
-                raise TransportError(f"worker {worker.worker_id} answered out of order")
+        once this returns no call waits for a worker's imports."""
+        self.parallel_map("identity", [(0,)] * len(self.workers))
 
     def parallel_map(self, fn: str, items: Iterable) -> list:
-        """Map ``fn`` over ``items`` on the pool, dynamically dispatching to
-        idle workers; results come back in input order."""
-        items = list(items)
-        with self._cond:
-            if self._closed:
-                raise PoolClosedError("pool closed")
-            alive = sum(w.state != DEAD for w in self.workers)
-        if not items:
-            return []
-        if alive == 0:
-            raise TransportError("no live workers left")
-        results = [None] * len(items)
-        progress = {"next": 0, "abort": False}
-        failures = []
-        lock = threading.Lock()
-
-        def runner():
-            while True:
-                with lock:
-                    if progress["abort"] or progress["next"] >= len(items):
-                        return
-                    index = progress["next"]
-                    progress["next"] += 1
-                try:
-                    results[index] = self.remote_call(fn, items[index])
-                except Exception as exc:  # noqa: BLE001 - reported below
-                    with lock:
-                        failures.append((index, exc))
-                        progress["abort"] = True
-                    return
-
-        threads = [
-            threading.Thread(target=runner, name=f"pmap-{i}")
-            for i in range(min(alive, len(items)))
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if failures:
-            index, exc = min(failures, key=lambda pair: pair[0])
-            if isinstance(exc, WorkerFailure):
-                raise WorkerFailure(f"item {index}: {exc}", index=index) from exc
-            raise exc
-        return results
+        """Map ``fn`` over ``items`` on the pool, in rounds of one call per
+        live worker; results come back in input order.  A failure raises the
+        one of the lowest index, a worker's as ``WorkerFailure`` with that
+        index."""
+        results, failure = self._run(fn, list(items))
+        if failure is None:
+            return results
+        index, exc = failure
+        if isinstance(exc, WorkerFailure):
+            raise WorkerFailure(f"item {index}: {exc}", index=index) from exc
+        raise exc
 
     # -- lifecycle -------------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Drain in-flight calls, stop every worker, reap the processes."""
-        with self._cond:
-            self._closed = True
-            if self._shutdown_done:
+        """Wait for the call in flight, stop every worker, reap the
+        processes.  A second shutdown does nothing."""
+        with self._lock:
+            if self._closed:
                 return
-            self._cond.wait_for(lambda: all(w.state != BUSY for w in self.workers))
-            self._shutdown_done = True
-        for worker in self.workers:
-            if worker.state == DEAD:
-                continue
-            try:
-                self._send(worker, framing.Shutdown())
-                worker.proc.stdin.close()
-            except (TransportError, OSError):
-                continue
-        for worker in self.workers:
-            proc = worker.proc
-            if not proc.wait(_SHUTDOWN_GRACE_SECONDS):
-                proc.kill()
-                proc.wait()
-            proc.close()
-            worker.state = DEAD
+            self._closed = True
+            for worker in self.workers:
+                if worker.state == DEAD:
+                    continue
+                try:
+                    self._send(worker, framing.Shutdown())
+                    worker.proc.stdin.close()
+                except (TransportError, OSError):
+                    continue
+            for worker in self.workers:
+                proc = worker.proc
+                if not proc.wait(_SHUTDOWN_GRACE_SECONDS):
+                    proc.kill()
+                    proc.wait()
+                proc.close()
+                worker.state = DEAD
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
         self.shutdown()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
 
 def spawn_pool(n: int, **kwargs) -> WorkerPool:

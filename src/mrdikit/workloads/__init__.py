@@ -1,5 +1,4 @@
 from .determinant import (
-    DetJob,
     coefficient_bound,
     degree_bound,
     det_mod_p,
@@ -10,7 +9,6 @@ from .kernel import MonomialMap, components_of_kernel, evaluate_map
 from .synthetic import detcrt_instance, kernel_instance
 
 __all__ = [
-    "DetJob",
     "MonomialMap",
     "coefficient_bound",
     "components_of_kernel",

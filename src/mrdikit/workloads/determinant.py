@@ -43,7 +43,6 @@ ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd, log2
 from typing import Iterator, Optional
 
@@ -127,16 +126,6 @@ def coefficient_bound(m: ExactMatrix) -> int:
     return bound
 
 
-@dataclass
-class DetJob:
-    """The plan for one modular determinant run."""
-
-    matrix: ExactMatrix
-    degree_bound: int
-    coefficient_bound: int
-    primes: list[int] = field(default_factory=list)
-
-
 def det_mod_p(matrix: ExactMatrix, p: int) -> Polynomial:
     """One modular image: det(matrix mod p) over Fp[t], the one-prime case of
     ``det_mod_primes`` as a polynomial."""
@@ -214,7 +203,6 @@ def modular_determinant(
     pool=None,
     heuristic: bool = False,
     prime_stream: Optional[Iterator[int]] = None,
-    job: Optional[DetJob] = None,
 ) -> Polynomial:
     """Exact determinant of a square matrix over ZZ[t].
 
@@ -225,16 +213,11 @@ def modular_determinant(
     worker; the serial and pooled paths produce identical results.
     ``heuristic`` is accepted and ignored: both modes compute the exact
     result.  ``prime_stream`` replaces the descending primes of the
-    multimodular path.  ``job``, when given, records the plan (bounds, and the
-    primes the multimodular path used).
+    multimodular path.
     """
     _require_zz_t_square(m)
     bound_b = coefficient_bound(m)
     bound_d = degree_bound(m)
-    if job is not None:
-        job.matrix = m
-        job.degree_bound = bound_d
-        job.coefficient_bound = bound_b
     if bound_b == 0:
         return Polynomial.zero(m.parent)  # a row vanished; det is 0
     if _bareiss_bits(m, bound_d) < BAREISS_RATIO * bound_b.bit_length():
@@ -261,6 +244,4 @@ def modular_determinant(
     for p, image in zip(primes, _share_out(det_mod_primes, m, primes, pool)):
         lifted = _extend_lift(lifted, modulus, image, p)
         modulus *= p
-    if job is not None:
-        job.primes = list(primes)
     return from_dense_coefficients(m.parent, lifted)

@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import islice
 from math import prod
@@ -27,7 +28,6 @@ from mrdikit.mrdi import (
     serialize_text,
 )
 from mrdikit.workloads import (
-    DetJob,
     coefficient_bound,
     degree_bound,
     det_mod_p,
@@ -55,6 +55,31 @@ def multimodular(monkeypatch):
 def bareiss(monkeypatch):
     """Pins ``modular_determinant`` to the Bareiss path."""
     monkeypatch.setattr(determinant, "BAREISS_RATIO", float("inf"))
+
+
+@pytest.fixture
+def primes_used(monkeypatch):
+    """The primes that ``det_mod_primes`` got on the serial path, in order.
+
+    The recording wrapper keeps the function's ``__name__``, so the pooled
+    path still sends calls to the registered ``det_mod_primes``."""
+    used = []
+    real = determinant.det_mod_primes
+
+    @functools.wraps(real)
+    def recording(matrix, primes_):
+        used.extend(primes_)
+        return real(matrix, primes_)
+
+    monkeypatch.setattr(determinant, "det_mod_primes", recording)
+    return used
+
+
+def sent_primes(events, pool):
+    """The ``det_mod_primes`` calls a tap saw sent, and their primes in order."""
+    calls = [msg for direction, _, msg in events if direction == "send" and isinstance(msg, Call)]
+    state = DeserializerState(Mode.IPC, pool.global_state)
+    return calls, [p for msg in calls for p in load(msg.args, state)[1]]
 
 
 def test_degree_bound_sums_row_maxima():
@@ -139,21 +164,17 @@ def test_matches_cofactor_oracle_randomized():
         assert all(abs(c) <= bound for _, c in got.terms)
 
 
-def test_det_job_records_plan(multimodular):
+def test_multimodular_primes_clear_the_bound(multimodular, primes_used):
     Rt, t = zz_t()
     one = Polynomial.constant(Rt, 1)
     m = ExactMatrix.from_rows(Rt, [[t, one], [one, t]])
-    job = DetJob(m, 0, 0)
-    modular_determinant(m, job=job)
-    assert job.degree_bound == 2
-    assert job.coefficient_bound == 4
-    assert len(job.primes) >= 1
-    assert all(p > job.degree_bound for p in job.primes)
-    assert len(set(job.primes)) == len(job.primes)
-    product = 1
-    for p in job.primes:
-        product *= p
-    assert product > 2 * job.coefficient_bound
+    modular_determinant(m)
+    assert degree_bound(m) == 2
+    assert coefficient_bound(m) == 4
+    assert len(primes_used) >= 1
+    assert all(p > degree_bound(m) for p in primes_used)
+    assert len(set(primes_used)) == len(primes_used)
+    assert prod(primes_used) > 2 * coefficient_bound(m)
 
 
 def test_prime_independence(multimodular):
@@ -200,7 +221,7 @@ def test_heuristic_mode_agrees():
         assert modular_determinant(m, heuristic=True) == modular_determinant(m)
 
 
-def test_heuristic_matches_provable_on_a_many_prime_lift(multimodular):
+def test_heuristic_matches_provable_on_a_many_prime_lift(multimodular, primes_used):
     # Coefficients near 10^40 put det coefficients near 10^245, so the lift
     # runs over more than twenty primes.
     rng = random.Random(80)
@@ -214,9 +235,9 @@ def test_heuristic_matches_provable_on_a_many_prime_lift(multimodular):
     ]
     m = ExactMatrix.from_rows(Rt, rows)
     provable = modular_determinant(m)
-    job = DetJob(m, 0, 0)
-    assert modular_determinant(m, heuristic=True, job=job) == provable
-    assert len(job.primes) >= 20
+    primes_used.clear()
+    assert modular_determinant(m, heuristic=True) == provable
+    assert len(primes_used) >= 20
     with spawn_pool(2) as pool:
         assert modular_determinant(m, pool=pool, heuristic=True) == provable
 
@@ -331,7 +352,7 @@ def test_extend_lift_matches_the_per_coefficient_crt():
         determinant._extend_lift([0], 3 * 10007, [1], 10007)
 
 
-def test_one_call_per_worker_per_round(multimodular):
+def test_one_call_per_worker_per_round(multimodular, primes_used):
     Rt, t = zz_t()
     one = Polynomial.constant(Rt, 1)
     few = ExactMatrix.from_rows(Rt, [[t + one, one.scale(2)], [one.scale(3), t]])  # one prime
@@ -341,28 +362,26 @@ def test_one_call_per_worker_per_round(multimodular):
         state = SerializerState(Mode.LONG_TERM, GlobalSerializerState(uuid_seed=7))
         return serialize_text(save(det, state))
 
-    serial = {name: encoded(modular_determinant(m)) for name, m in (("few", few), ("many", many))}
-    used = {}
+    serial, used = {}, {}
+    for name, m in (("few", few), ("many", many)):
+        primes_used.clear()
+        serial[name] = encoded(modular_determinant(m))
+        used[name] = list(primes_used)
     for k in (1, 2, 3):
         events = []
         with spawn_pool(k, tap=events.append) as pool:
             for name, m in (("few", few), ("many", many)):
                 events.clear()
-                job = DetJob(m, 0, 0)
-                got = modular_determinant(m, pool=pool, job=job)
-                calls = [
-                    msg
-                    for direction, _, msg in events
-                    if direction == "send" and isinstance(msg, Call)
-                ]
+                got = modular_determinant(m, pool=pool)
+                calls, sent = sent_primes(events, pool)
                 assert all(msg.fn == "det_mod_primes" for msg in calls)
-                assert len(calls) == min(k, len(job.primes))
+                assert len(calls) == min(k, len(used[name]))
+                assert sent == used[name]
                 assert encoded(got) == serial[name]
-                used[name] = len(job.primes)
-    assert used["few"] == 1 and used["many"] > 3
+    assert len(used["few"]) == 1 and len(used["many"]) > 3
 
 
-def test_serial_and_pooled_results_are_byte_identical(multimodular):
+def test_serial_and_pooled_results_are_byte_identical(multimodular, primes_used):
     rng = random.Random(84)
     m = random_zz_t_matrix(rng, 5, max_deg=3, coeff_range=10**25)
 
@@ -371,14 +390,15 @@ def test_serial_and_pooled_results_are_byte_identical(multimodular):
         return serialize_text(save(det, state))
 
     for heuristic in (False, True):
-        job = DetJob(m, 0, 0)
-        serial = encoded(modular_determinant(m, heuristic=heuristic, job=job))
+        primes_used.clear()
+        serial = encoded(modular_determinant(m, heuristic=heuristic))
         for workers in (1, 2, 4):
-            pooled_job = DetJob(m, 0, 0)
-            with spawn_pool(workers) as pool:
-                got = modular_determinant(m, pool=pool, heuristic=heuristic, job=pooled_job)
+            events = []
+            with spawn_pool(workers, tap=events.append) as pool:
+                got = modular_determinant(m, pool=pool, heuristic=heuristic)
+                _, sent = sent_primes(events, pool)
             assert encoded(got) == serial
-            assert pooled_job.primes == job.primes
+            assert sent == primes_used
 
 
 # -- the Bareiss path ------------------------------------------------------------
@@ -518,13 +538,13 @@ def test_det_univariate_at_points_matches_the_oracle():
 
 
 @pytest.mark.parametrize("path", ["bareiss", "multimodular"])
-def test_both_paths_match_the_cofactor_oracle(path, request):
+def test_both_paths_match_the_cofactor_oracle(path, request, primes_used):
     request.getfixturevalue(path)
     rng = random.Random(91)
     for m in special_zz_t_matrices(rng):
-        job = DetJob(m, 0, 0)
-        assert modular_determinant(m, job=job) == cofactor_det(m)
-        assert bool(job.primes) == (path == "multimodular")
+        primes_used.clear()
+        assert modular_determinant(m) == cofactor_det(m)
+        assert bool(primes_used) == (path == "multimodular")
 
 
 def test_bareiss_point_shares_are_byte_identical_at_every_worker_count(bareiss):
@@ -570,7 +590,9 @@ def test_bareiss_point_shares_are_byte_identical_at_every_worker_count(bareiss):
                 assert encoded(got) == expected
 
 
-def test_heuristic_is_exact_when_the_first_primes_divide_the_determinant(monkeypatch):
+def test_heuristic_is_exact_when_the_first_primes_divide_the_determinant(
+    monkeypatch, primes_used
+):
     stream = descending_primes(2**31)
     p123 = next(stream) * next(stream) * next(stream)
     Rt, t = zz_t()
@@ -584,7 +606,7 @@ def test_heuristic_is_exact_when_the_first_primes_divide_the_determinant(monkeyp
     rows = random_zz_t_matrix(rng, 3, max_deg=30, coeff_range=9).rows()
     rows[1] = [e.scale(p123) for e in rows[1]]
     m = ExactMatrix.from_rows(Rt, rows)
-    job = DetJob(m, 0, 0)
-    det = modular_determinant(m, heuristic=True, job=job)
-    assert job.primes  # the multimodular path ran
+    primes_used.clear()
+    det = modular_determinant(m, heuristic=True)
+    assert primes_used  # the multimodular path ran
     assert det == cofactor_det(m) and not det.is_zero

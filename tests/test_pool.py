@@ -3,20 +3,23 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from mrdikit.algebra import QQ, ZZ, Polynomial, polynomial_ring, univariate_ring
+from mrdikit.algebra import QQ, ZZ, ExactMatrix, Polynomial, polynomial_ring, univariate_ring
 from mrdikit.errors import (
     PoolClosedError,
     TransportError,
+    UnsupportedTypeError,
     ValidationError,
     WorkerFailure,
 )
 from mrdikit.ipc import LoadContext, spawn_pool, zygote
 from mrdikit.mrdi import GlobalSerializerState
+from mrdikit.workloads import modular_determinant
 
 TESTS_DIR = str(Path(__file__).parent)
 
@@ -134,6 +137,58 @@ def test_parallel_map_reports_failing_index(extras_env):
             pool.parallel_map("fail_on_three", items)
         assert info.value.index == 3
         assert "three is right out" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "first, error", [((1, 3), WorkerFailure), ((2,), TransportError)], ids=["fails", "exits"]
+)
+def test_a_round_is_read_to_the_end_before_its_failure_is_raised(extras_env, first, error):
+    # Item 0 fails at once (``fail_on_three(3)`` or ``exit_now()``) while
+    # item 1, ``sleep_ms(200)``, still runs on the other worker.  The
+    # error is raised only once item 1's answer has been read, so the next
+    # map on the same pool finds no stale answer in a pipe.
+    with spawn_pool(2, init_modules=["worker_extras"]) as pool:
+        start = time.perf_counter()
+        with pytest.raises(error) as info:
+            pool.parallel_map("by_index", [first, (0, 200)])
+        assert time.perf_counter() - start >= 0.15
+        if error is WorkerFailure:
+            assert info.value.index == 0
+            assert str(info.value) == "item 0: ValueError: three is right out"
+        live = [w.worker_id for w in pool.workers if w.state == "idle"]
+        assert live == ([0, 1] if error is WorkerFailure else [1])
+        items = [(i,) for i in range(3 * len(live))]
+        assert pool.parallel_map("identity", items) == list(range(len(items)))
+
+
+def test_a_round_sends_nothing_when_an_argument_cannot_be_sent():
+    # Every item is checked, and every argument of a round saved, before the
+    # round's first frame goes out.
+    events = []
+    with spawn_pool(2, tap=events.append) as pool:
+        with pytest.raises(UnsupportedTypeError):
+            pool.parallel_map("identity", [(1,), ("text",)])
+        with pytest.raises(ValidationError):
+            pool.parallel_map("identity", [(1,), (2,), (3,), [4]])
+        assert events == []
+        assert pool.parallel_map("identity", [(1,), (2,)]) == [1, 2]
+
+
+def test_the_pool_starts_no_threads(monkeypatch):
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    Rt, t = univariate_ring(ZZ, "t")
+    one = Polynomial.constant(Rt, 1)
+    rows = [[t * t + one, t, one.scale(3)], [one.scale(2), t.scale(5), t * t], [t, one, t]]
+    m = ExactMatrix.from_rows(Rt, rows)
+    serial = modular_determinant(m)
+    with spawn_pool(3) as pool:
+        pool.wait_ready()
+        assert pool.parallel_map("identity", [(i,) for i in range(7)]) == list(range(7))
+        assert pool.remote_call("identity", (5,)) == 5
+        assert modular_determinant(m, pool=pool) == serial
 
 
 def test_worker_created_contexts_flow_back(extras_env):

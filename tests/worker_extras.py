@@ -1,6 +1,7 @@
 """Extra remote functions and a serializable test type, loaded into workers
 via MRDI_WORKER_INIT."""
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -33,6 +34,21 @@ def fail_on_three(n):
     if n == 3:
         raise ValueError("three is right out")
     return n * 10
+
+
+@register_function("exit_now")
+def exit_now():
+    os._exit(1)
+
+
+# Lets each item of one parallel_map pick its own function: names are not
+# serializable, positions in this tuple are.
+_BY_INDEX = (sleep_ms, fail_on_three, exit_now)
+
+
+@register_function("by_index")
+def by_index(k, *args):
+    return _BY_INDEX[k](*args)
 
 
 @register_function("fresh_ring_poly")
