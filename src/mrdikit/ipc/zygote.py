@@ -189,10 +189,7 @@ def _become_worker(channel: socket.socket, fds: list, request: dict) -> None:
             os.dup2(fd, target)
         os.closerange(3, os.sysconf("SC_OPEN_MAX"))
         os.chdir(request["cwd"])
-        old_path = os.environ.get("PYTHONPATH", "")
-        os.environ.clear()
-        os.environ.update(request["env"])
-        _apply_pythonpath(old_path, os.environ.get("PYTHONPATH", ""))
+        _take_environment(request["env"])
         # Only the exit handlers this worker's own imports register run.
         atexit._clear()
         code = worker_main()
@@ -206,6 +203,21 @@ def _become_worker(channel: socket.socket, fds: list, request: dict) -> None:
             sys.stderr.flush()
         finally:
             os._exit(code)
+
+
+def _take_environment(env: dict) -> None:
+    """Make ``os.environ`` equal ``env`` by its differences alone: clearing
+    and refilling every variable writes to most of the pages the child
+    shares with the zygote."""
+    old_path = os.environ.get("PYTHONPATH", "")
+    for key in os.environ.keys() - env.keys():
+        del os.environ[key]
+    for key, value in env.items():
+        if os.environ.get(key) != value:
+            os.environ[key] = value
+    new_path = env.get("PYTHONPATH", "")
+    if new_path != old_path:
+        _apply_pythonpath(old_path, new_path)
 
 
 def _apply_pythonpath(old: str, new: str) -> None:

@@ -18,8 +18,10 @@ to the tag, and a ref document inlines a leaf base ring as that JSON.
 A univariate payload is sparse ``[degree, coefficient]`` pairs in ascending
 degree for storage, dense coefficients from degree zero up for IPC.  Element
 lists are read and written whole, through one list codec per ring descriptor
-type (``_LIST_CODECS``); a list whose text is not all canonical is read again
-item by item, which raises the SchemaError that locates the bad item.
+type (``_LIST_CODECS``).  A list of polynomials is read as columns of all its
+terms (``_read_polys``), and a single payload as a list of one.  A list whose
+text is not all canonical is read again item by item, which raises the
+SchemaError that locates the bad item.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import partial
-from itertools import chain
-from operator import attrgetter, gt
+from itertools import accumulate, chain, compress
+from operator import gt, lt
 from typing import Callable, NamedTuple
 
 from ..algebra.polynomials import Polynomial, coercer
@@ -288,63 +290,63 @@ def load_context_document(
 # ----------------------------------------------------------------------------
 
 
-def _polys_from_data(desc, items, state, where):
-    ring = intern_context(desc)
-    return [decode_polynomial(ring, item, state, f"{where}/{i}") for i, item in enumerate(items)]
-
-
 class _ListCodec(NamedTuple):
     """How the elements of one kind of ring are written and read, a whole
     list at a time.
 
-    ``writers(mode)`` gives two functions from an element to its data: a
-    fast one, which may raise ValueError for a number past the interpreter's
-    digit limit, and one for any size.  ``decode(desc, items, state, where)``
-    gives the values of a list, or None when an item needs reading on its
-    own by ``decode_one(desc, item, state, where)``, which raises the
-    SchemaError that locates a bad item at ``where``.  ``nonzero(value)`` is
-    false for 0.
+    ``writers(desc, mode)`` gives two functions from an element of ``desc``
+    to its data: a fast one, which may raise ValueError for a number past
+    the interpreter's digit limit, and one for any size.  ``decode(desc,
+    items, state)`` gives the values of a list in a few passes over its
+    columns, or None when some item is not all canonical text; the list is
+    then read again item by item by ``decode_one(desc, item, state, where)``,
+    which raises the SchemaError that locates a bad item at ``where`` (the
+    same texts as reading item by item from the start).  A number past 4300
+    digits also sends its list item by item.
     """
 
     writers: Callable
     decode: Callable
     decode_one: Callable
-    nonzero: Callable
 
 
-def _number_writers(mode):
+def _number_writers(desc, mode):
     return str, fraction_to_text  # fraction_to_text also writes integers
 
 
-def _poly_writers(mode):
-    write = partial(encode_polynomial, mode=mode)
-    return write, write
+def _poly_writers(desc, mode):
+    """The payload writers of a polynomial ring, the base ring's looked up
+    once for a whole list."""
+    base = desc.base
+    fast, any_size = _list_codec(base, "encode").writers(base, mode)
+    dense = mode is Mode.IPC and isinstance(desc, UnivariatePolyRing)
+    zero = coercer(base)(0) if dense else None  # only a dense payload writes zeros
+    return (
+        partial(_poly_payload, desc, mode, str, fast, zero),
+        partial(_poly_payload, desc, mode, int_to_text, any_size, zero),
+    )
 
 
 _POLY_CODEC = _ListCodec(
     _poly_writers,
-    _polys_from_data,
+    lambda desc, items, state: _read_polys(intern_context(desc), items, state),
     lambda desc, item, state, where: decode_polynomial(intern_context(desc), item, state, where),
-    attrgetter("terms"),
 )
 _LIST_CODECS = {
     IntegerRing: _ListCodec(
         _number_writers,
-        lambda desc, items, state, where: read_integers(items),
+        lambda desc, items, state: read_integers(items),
         lambda desc, item, state, where: int_from_text(item, where),
-        bool,
     ),
     RationalField: _ListCodec(
         _number_writers,
-        lambda desc, items, state, where: read_rationals(items),
+        lambda desc, items, state: read_rationals(items),
         lambda desc, item, state, where: fraction_from_text(item, where),
-        bool,
     ),
     PrimeField: _ListCodec(
         _number_writers,
-        lambda desc, items, state, where: read_residues(desc, items),
+        lambda desc, items, state: read_residues(desc, items),
         lambda desc, item, state, where: residue_from_text(desc, item, where),
-        bool,
     ),
     UnivariatePolyRing: _POLY_CODEC,
     MultivariatePolyRing: _POLY_CODEC,
@@ -360,7 +362,7 @@ def _list_codec(desc: RingDescriptor, verb: str) -> _ListCodec:
 
 def _encode_elements(desc: RingDescriptor, values, mode: Mode) -> list:
     """The data of each element of the ring ``desc`` in ``values``."""
-    fast, any_size = _list_codec(desc, "encode").writers(mode)
+    fast, any_size = _list_codec(desc, "encode").writers(desc, mode)
     try:
         return list(map(fast, values))
     except ValueError:  # a number past the interpreter's digit limit
@@ -371,7 +373,7 @@ def _decode_elements(desc: RingDescriptor, items: list, state: DeserializerState
     """The elements of the ring ``desc`` that ``items`` hold; a bad item is
     reported at ``where/i``."""
     codec = _list_codec(desc, "decode")
-    values = codec.decode(desc, items, state, where)
+    values = codec.decode(desc, items, state)
     if values is None:
         values = [codec.decode_one(desc, x, state, f"{where}/{i}") for i, x in enumerate(items)]
     return values
@@ -387,22 +389,21 @@ def encode_polynomial(p: Polynomial, mode: Mode):
     multivariate one; for a univariate one ``[degree, coefficient]`` pairs
     from the lowest degree up in long-term mode, dense coefficients from
     degree zero up in IPC mode."""
-    fast, any_size = _list_codec(p.parent.descriptor.base, "encode").writers(mode)
+    fast, any_size = _poly_writers(p.parent.descriptor, mode)
     try:
-        return _poly_payload(p, mode, str, fast)
+        return fast(p)
     except ValueError:  # a number past the interpreter's digit limit
-        return _poly_payload(p, mode, int_to_text, any_size)
+        return any_size(p)
 
 
-def _poly_payload(p: Polynomial, mode: Mode, write_int, write_coeff):
-    desc = p.parent.descriptor
+def _poly_payload(desc, mode: Mode, write_int, write_coeff, zero, p: Polynomial):
     if isinstance(desc, MultivariatePolyRing):
         return [[list(map(write_int, m)), write_coeff(c)] for m, c in p.terms]
     if mode is Mode.LONG_TERM:
         return [[write_int(d), write_coeff(c)] for (d,), c in reversed(p.terms)]
     if not p.terms:
         return []
-    dense = [coercer(desc.base)(0)] * (p.degree() + 1)
+    dense = [zero] * (p.terms[0][0][0] + 1)  # the leading term has the degree
     for (d,), c in p.terms:
         dense[d] = c
     return list(map(write_coeff, dense))
@@ -412,44 +413,105 @@ def _all_lists(items, length: int) -> bool:
     return set(map(type, items)) <= _LIST and set(map(len, items)) <= {length}
 
 
+# The canonical text of every exponent below 256, read by one lookup each.
+_SMALL_INTS = {str(n): n for n in range(256)}
+
+
+def _read_exponents(items: list):
+    """``items`` read as nonnegative integers, or None unless each is the
+    canonical text of its value."""
+    try:
+        values = list(map(_SMALL_INTS.get, items))
+    except TypeError:  # an unhashable item
+        return None
+    if None in values:
+        values = read_integers(items)
+        if values is not None and min(values) < 0:
+            return None
+    return values
+
+
+def _read_polys(ring: ContextHandle, payloads: list, state: DeserializerState):
+    """The polynomials of ``ring`` that ``payloads`` hold, read in
+    ``state``'s mode a column at a time, or None unless every item is
+    canonical text.
+
+    The payloads are chained into one list of terms.  One pass reads every
+    exponent (or degree), one list-codec pass every coefficient, and the
+    terms are split again by payload length.  Zero coefficients (an IPC
+    payload's dense padding) are dropped in one pass; a polynomial whose
+    terms then stand in canonical order is built as it is, any other one by
+    ``from_terms``, which sorts and adds up repeated monomials."""
+    desc = ring.descriptor
+    codec = _list_codec(desc.base, "decode")
+    if not set(map(type, payloads)) <= _LIST:
+        return None
+    lengths = list(map(len, payloads))
+    flat = list(chain.from_iterable(payloads))
+    univariate = isinstance(desc, UnivariatePolyRing)
+    if univariate and state.mode is Mode.IPC:
+        exponents = list(chain.from_iterable(map(range, lengths)))
+        items = flat
+    elif not _all_lists(flat, 2):
+        return None
+    else:
+        heads, items = (list(column) for column in zip(*flat)) if flat else ([], [])
+        if univariate:
+            exponents = _read_exponents(heads)
+        elif _all_lists(heads, len(desc.symbols)):
+            exponents = _read_exponents(list(chain.from_iterable(heads)))
+        else:
+            return None
+    if exponents is None:
+        return None
+    coeffs = codec.decode(desc.base, items, state)
+    if coeffs is None:
+        return None
+    if univariate:
+        monos = list(zip(exponents))
+        keys = exponents
+    else:
+        monos = list(zip(*[iter(exponents)] * len(desc.symbols)))
+        keys = list(zip(map(sum, monos), monos))
+    ends = list(accumulate(lengths, initial=0))
+    keep = list(map(bool, coeffs))
+    if not all(keep):
+        monos, coeffs, keys = (list(compress(column, keep)) for column in (monos, coeffs, keys))
+        kept = list(accumulate(keep, initial=0))
+        ends = [kept[end] for end in ends]
+    # A univariate payload is written lowest degree first, the reverse of canonical.
+    ordered = list(map(lt if univariate else gt, keys, keys[1:]))
+    terms = list(zip(monos, coeffs))
+    polys = []
+    for start, end in zip(ends, ends[1:]):
+        chunk = terms[start:end]
+        if univariate:
+            chunk.reverse()
+        if end - start < 2 or all(ordered[start : end - 1]):
+            polys.append(Polynomial(ring, chunk))
+        else:
+            polys.append(Polynomial.from_terms(ring, chunk))
+    return polys
+
+
 def decode_polynomial(ring: ContextHandle, data, state: DeserializerState, where: str):
     """The polynomial of ``ring`` that the payload ``data`` holds, read in
     ``state``'s mode; a bad payload raises a SchemaError located at ``where``.
 
-    Whole columns are read at once when every item is canonical, otherwise
-    term by term, which raises the error of the first bad term.  Terms in
-    another order than canonical, zero coefficients and repeated monomials
-    are normalized."""
-    desc = ring.descriptor
-    base = desc.base
+    A canonical payload is read as a list of one (``_read_polys``), any
+    other term by term, which raises the error of the first bad term.  Terms
+    in another order than canonical, zero coefficients and repeated
+    monomials are normalized."""
     if not isinstance(data, list):
         raise SchemaError(f"{where}: polynomial payload must be a sequence")
-    codec = _list_codec(base, "decode")
+    polys = _read_polys(ring, [data], state)
+    if polys is not None:
+        return polys[0]
+    desc = ring.descriptor
     if isinstance(desc, UnivariatePolyRing) and state.mode is Mode.IPC:
-        coeffs = _decode_elements(base, data, state, where)
-        keep = list(map(codec.nonzero, coeffs))
-        return Polynomial(ring, [((d,), coeffs[d]) for d in reversed(range(len(data))) if keep[d]])
-    if _all_lists(data, 2):
-        heads, items = (list(column) for column in zip(*data)) if data else ([], [])
-        if isinstance(desc, UnivariatePolyRing):
-            exponents = read_integers(heads)
-            arity = 1
-        else:
-            arity = len(desc.symbols)
-            exponents = None
-            if _all_lists(heads, arity):
-                exponents = read_integers(list(chain.from_iterable(heads)))
-        if exponents is not None and (not exponents or min(exponents) >= 0):
-            coeffs = codec.decode(base, items, state, where)
-            if coeffs is not None:
-                monos = list(zip(*[iter(exponents)] * arity))
-                if isinstance(desc, UnivariatePolyRing):  # written lowest degree first
-                    monos.reverse()
-                    coeffs.reverse()
-                keys = list(zip(map(sum, monos), monos))
-                if all(map(gt, keys, keys[1:])) and all(map(codec.nonzero, coeffs)):
-                    return Polynomial(ring, zip(monos, coeffs))
-                return Polynomial.from_terms(ring, zip(monos, coeffs))
+        coeffs = _decode_elements(desc.base, data, state, where)
+        return Polynomial.from_terms(ring, [((d,), c) for d, c in enumerate(coeffs)])
+    codec = _list_codec(desc.base, "decode")
     return Polynomial.from_terms(ring, _terms_one_by_one(desc, codec, data, state, where))
 
 

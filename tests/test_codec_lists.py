@@ -24,6 +24,7 @@ from mrdikit.algebra import (
     polynomial_ring,
     univariate_ring,
 )
+from mrdikit.algebra.rings import PrimeField, RationalField, UnivariatePolyRing
 from mrdikit.errors import MrdiKitError, SchemaError
 from mrdikit.mrdi import (
     DeserializerState,
@@ -33,6 +34,7 @@ from mrdikit.mrdi import (
     NamespaceRecord,
     SerializerState,
     TypeNode,
+    decode_polynomial,
     load,
     parse_text,
     save,
@@ -52,6 +54,17 @@ Rxy, (x, y) = polynomial_ring(QQ, "x", "y")
 ONE = Polynomial.constant(Rt, 1)
 P = ONE + t.scale(2) + (t * t).scale(3) + (t * t * t).scale(4)  # 1 + 2t + 3t^2 + 4t^3
 Q = x * x * y + x.scale(Fraction(-1, 2)) + y.scale(3) + Polynomial.constant(Rxy, 5)
+
+
+def long_matrix():
+    """A 12x12 matrix of degree-8 entries over ZZ[t], the shape of the pooled
+    determinant benchmark's input: a list of 144 polynomials of 9 terms."""
+    rng = random.Random(12)
+    entries = [
+        Polynomial.from_terms(Rt, [((d,), rng.randint(-99, 99) or 1) for d in range(9)])
+        for _ in range(144)
+    ]
+    return ExactMatrix(Rt, 12, 12, entries)
 
 
 def long_term_text(value):
@@ -150,6 +163,12 @@ ERROR_CASES = {
     "lt-matrix-entry": lambda: load_long_term(
         edited(ExactMatrix.from_rows(Rt, [[P, t], [ONE, P]]), put("entries", 3, 1, 1, "+5"))
     ),
+    "lt-last-entry-of-long-matrix": lambda: load_long_term(
+        edited(long_matrix(), put("entries", 143, 8, 1, "+5"))
+    ),
+    "lt-last-degree-of-long-matrix": lambda: load_long_term(
+        edited(long_matrix(), put("entries", 143, 8, 0, "-8"))
+    ),
     "lt-zz-matrix-entry": lambda: load_long_term(
         edited(ExactMatrix.from_rows(ZZ, [[1, 2], [3, 4]]), put("entries", 2, "05"))
     ),
@@ -163,6 +182,9 @@ ERROR_CASES = {
     "ipc-dense-plus": lambda: load_ipc([P, P], put(1, 2, "+5"), Rt),
     "ipc-dense-rational-not-lowest": lambda: load_ipc(
         [qt + Polynomial.constant(Qt, Fraction(1, 3))], put(0, 1, "2/4"), Qt
+    ),
+    "ipc-last-entry-of-long-matrix": lambda: load_ipc(
+        long_matrix(), put("entries", 143, 8, "05"), Rt
     ),
     "ipc-dense-native-int": lambda: load(
         MrdiDocument(TypeNode("PolyRingElem", ipc_state(Rt).uuid_for(Rt)), ["1", 5]),
@@ -217,7 +239,16 @@ EXPECTED = {
     "ipc-dense-native-int": ("SchemaError", "data/1: expected a decimal integer, got 5"),
     "ipc-dense-plus": ("SchemaError", "data/1/2: expected a decimal integer, got '+5'"),
     "ipc-dense-rational-not-lowest": ("SchemaError", "data/0/1: malformed rational '2/4'"),
+    "ipc-last-entry-of-long-matrix": (
+        "SchemaError",
+        "data/entries/143/8: expected a decimal integer, got '05'",
+    ),
     "lt-bad-pair": ("SchemaError", "data/1/2: expected a [degree, coefficient] pair"),
+    "lt-last-degree-of-long-matrix": ("SchemaError", "data/entries/143/8: negative degree"),
+    "lt-last-entry-of-long-matrix": (
+        "SchemaError",
+        "data/entries/143/8: expected a decimal integer, got '+5'",
+    ),
     "lt-coefficient-leading-zero": (
         "SchemaError",
         "data/1/2: expected a decimal integer, got '05'",
@@ -387,6 +418,123 @@ def test_non_canonical_terms_are_normalized(value, data, mode, terms):
     assert got.terms == tuple(
         sorted(got.terms, key=lambda term: (sum(term[0]), term[0]), reverse=True)
     )
+
+
+# -- whole lists: one non-canonical item among canonical ones ------------------
+
+
+def one_by_one(ring, payloads, mode):
+    """Each payload read on its own, as a list that is not all canonical is."""
+    state = DeserializerState(mode, ipc_state(ring))
+    return [decode_polynomial(ring, item, state, f"data/{i}") for i, item in enumerate(payloads)]
+
+
+def oracle(ring, payload, mode):
+    """A payload's polynomial by ``from_terms`` on the terms as written."""
+    if isinstance(ring.descriptor, UnivariatePolyRing) and mode is Mode.IPC:
+        terms = [((d,), c) for d, c in enumerate(payload)]
+    elif isinstance(ring.descriptor, UnivariatePolyRing):
+        terms = [((int(d),), c) for d, c in payload]
+    else:
+        terms = [(tuple(map(int, m)), c) for m, c in payload]
+    number = Fraction if isinstance(ring.descriptor.base, RationalField) else int
+    return Polynomial.from_terms(ring, [(m, number(c)) for m, c in terms])
+
+
+CANONICAL_ZZT = [P, t, Polynomial.zero(Rt), P * P]
+MIXED = {
+    "terms-out-of-order": (Rt, Mode.LONG_TERM, [["2", "3"], ["0", "1"], ["1", "-4"]]),
+    "zero-coefficient": (Rt, Mode.LONG_TERM, [["0", "1"], ["1", "0"], ["4", "2"]]),
+    "repeated-degree": (Rt, Mode.LONG_TERM, [["0", "1"], ["3", "2"], ["3", "5"]]),
+    "cancelling-to-empty": (Rt, Mode.LONG_TERM, [["1", "2"], ["1", "-2"]]),
+    "empty": (Rt, Mode.LONG_TERM, []),
+    "ipc-trailing-zeros": (Rt, Mode.IPC, ["4", "0", "7", "0", "0"]),
+    "ipc-all-zero": (Rt, Mode.IPC, ["0", "0", "0"]),
+    "ipc-empty": (Rt, Mode.IPC, []),
+    "mpoly-ascending": (Rxy, Mode.LONG_TERM, [[["0", "0"], "5"], [["2", "1"], "1/2"]]),
+    "mpoly-repeated-and-zero": (
+        Rxy, Mode.IPC, [[["1", "1"], "1"], [["0", "1"], "0"], [["1", "1"], "-3"]]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIXED))
+def test_one_non_canonical_item_loads_as_item_by_item(case):
+    ring, mode, odd = MIXED[case]
+    values = CANONICAL_ZZT if ring is Rt else [Q, Q * Q, Polynomial.zero(Rxy), Q]
+    gs = ipc_state(ring)
+    doc = save(values, SerializerState(mode, gs))
+    payloads = doc.data[:2] + [odd] + doc.data[2:]
+    doc.data = payloads
+    got = load(parse_text(serialize_text(doc)), DeserializerState(mode, gs))
+    assert got == one_by_one(ring, payloads, mode)
+    assert got == values[:2] + [oracle(ring, odd, mode)] + values[2:]
+    for p in got:
+        order = sorted(p.terms, key=lambda term: (sum(term[0]), term[0]), reverse=True)
+        assert p.terms == tuple(order)
+        assert all(c for _, c in p.terms)
+
+
+def test_ipc_matrix_with_trailing_and_all_zero_entries():
+    m = ExactMatrix.from_rows(Rt, [[P, t], [ONE, P]])
+    entries = [["1", "2", "0", "0"], ["0", "0"], [], ["0", "1", "0"]]
+    got = load_ipc(m, put("entries", entries), Rt)
+    expected = [oracle(Rt, e, Mode.IPC) for e in entries]
+    assert list(got.entries) == expected
+    assert expected == [ONE + t.scale(2), Polynomial.zero(Rt), Polynomial.zero(Rt), t]
+    resaved = save(got, SerializerState(Mode.IPC, ipc_state(Rt)))
+    assert resaved.data["entries"] == [["1", "2"], [], [], ["0", "1"]]
+
+
+def random_poly(rng, ring):
+    base = ring.descriptor.base
+    arity = 1 if isinstance(ring.descriptor, UnivariatePolyRing) else len(ring.descriptor.symbols)
+
+    def coefficient():
+        if isinstance(base, PrimeField):
+            return rng.randrange(base.p)
+        n = rng.randint(-(2**70), 2**70)
+        if isinstance(base, RationalField) and rng.random() < 0.5:
+            return Fraction(n, rng.randint(1, 2**40))
+        return n
+
+    terms = [
+        (tuple(rng.randint(0, 12) for _ in range(arity)), coefficient())
+        for _ in range(rng.randint(0, 6))
+    ]
+    return Polynomial.from_terms(ring, terms)
+
+
+PROPERTY_RINGS = {
+    "zz-t": Rt,
+    "qq-t": Qt,
+    "gf7-t": Ft,
+    "zz-xyz": polynomial_ring(ZZ, "x", "y", "z")[0],
+    "qq-xy": Rxy,
+    "gf-large-uv": polynomial_ring(GF(2**61 - 1), "u", "v")[0],
+}
+
+
+@pytest.mark.parametrize("mode", [Mode.LONG_TERM, Mode.IPC], ids=["long-term", "ipc"])
+@pytest.mark.parametrize("name", sorted(PROPERTY_RINGS))
+def test_whole_lists_read_as_item_by_item(name, mode):
+    ring = PROPERTY_RINGS[name]
+    rng = random.Random(f"{name}-{mode.name}")
+    for trial in range(40):
+        values = [random_poly(rng, ring) for _ in range(rng.randint(1, 12))]
+        gs = ipc_state(ring)
+        raw = serialize_text(save(values, SerializerState(mode, gs)))
+        doc = parse_text(raw)
+        got = load(doc, DeserializerState(mode, gs))
+        assert got == values == one_by_one(ring, doc.data, mode)
+        assert serialize_text(save(got, SerializerState(mode, gs))) == raw
+        # The same list with one payload's terms reversed (out of order in
+        # every ring but a dense IPC one) loads as its items do one by one.
+        i = rng.randrange(len(values))
+        doc.data[i] = doc.data[i][::-1]
+        odd = load(parse_text(serialize_text(doc)), DeserializerState(mode, gs))
+        assert odd == one_by_one(ring, doc.data, mode)
+        assert odd[:i] + odd[i + 1 :] == values[:i] + values[i + 1 :]
 
 
 # -- integers past the interpreter's digit limit ----------------------------------

@@ -271,6 +271,37 @@ def test_environment_set_after_the_zygote_started_reaches_new_workers(monkeypatc
     assert zygote._zygote is running
 
 
+def workers_getenv(pool, name):
+    """Each worker's value of the environment variable ``name``; None when unset."""
+    got = pool.parallel_map("getenv", [(list(map(ord, name)),)] * len(pool.workers))
+    return [None if codes == -1 else "".join(map(chr, codes)) for codes in got]
+
+
+def test_workers_take_the_coordinators_environment_of_the_moment(
+    fresh_zygote, extras_env, monkeypatch
+):
+    # The zygote starts with both variables set; a worker applies only the
+    # differences from the zygote's environment, so an unset one must be
+    # deleted and a changed one overwritten.
+    monkeypatch.setenv("MRDI_TEST_GONE", "at-start")
+    monkeypatch.setenv("MRDI_TEST_CHANGED", "at-start")
+    try:
+        with spawn_pool(2, init_modules=["worker_extras"]) as pool:
+            assert workers_getenv(pool, "MRDI_TEST_GONE") == ["at-start"] * 2
+            assert workers_getenv(pool, "MRDI_TEST_CHANGED") == ["at-start"] * 2
+        running = zygote._zygote
+        monkeypatch.delenv("MRDI_TEST_GONE")
+        monkeypatch.setenv("MRDI_TEST_CHANGED", "later")
+        with spawn_pool(2, init_modules=["worker_extras"]) as pool:
+            assert workers_getenv(pool, "MRDI_TEST_GONE") == [None, None]
+            assert workers_getenv(pool, "MRDI_TEST_CHANGED") == ["later", "later"]
+            assert workers_getenv(pool, "MRDI_WORKER_ID") == ["0", "1"]
+        assert zygote._zygote is running
+    finally:
+        if zygote._zygote is not None:
+            zygote._zygote.stop()
+
+
 def test_init_module_exit_handlers_run_when_workers_shut_down(extras_env, monkeypatch, tmp_path):
     monkeypatch.setenv("MRDI_WORKER_INIT", "worker_atexit")
     monkeypatch.setenv("WORKER_ATEXIT_DIR", str(tmp_path))

@@ -41,6 +41,15 @@ def exit_now():
     os._exit(1)
 
 
+@register_function("getenv")
+def getenv(name):
+    """The worker's value of the environment variable whose name has the
+    code points ``name``, as code points; -1 when it is unset (text is not
+    serializable)."""
+    value = os.environ.get("".join(map(chr, name)))
+    return -1 if value is None else list(map(ord, value))
+
+
 # Lets each item of one parallel_map pick its own function: names are not
 # serializable, positions in this tuple are.
 _BY_INDEX = (sleep_ms, fail_on_three, exit_now)
