@@ -70,6 +70,17 @@ class ExactMatrix:
         self.entries = entries
 
     @classmethod
+    def of_canonical(cls, parent: ContextHandle, nrows: int, ncols: int, entries):
+        """Trusted constructor: ``entries`` must already be ``nrows * ncols``
+        values of ``parent`` in canonical form, as a codec load reads them."""
+        m = cls.__new__(cls)
+        m.parent = parent
+        m.nrows = nrows
+        m.ncols = ncols
+        m.entries = tuple(entries)
+        return m
+
+    @classmethod
     def from_rows(cls, parent: ContextHandle, rows):
         rows = [list(r) for r in rows]
         nrows = len(rows)

@@ -406,7 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="seeded synthetic instances at several worker counts")
     p.add_argument("--suite", required=True, choices=["detcrt-synthetic", "kernel-synthetic"])
     p.add_argument("--workers", default="0")
-    p.add_argument("--out-dir")
+    p.add_argument(
+        "--out-dir",
+        help="where the instance and results are written; by default a new "
+        "mrdikit-bench-* directory under the temporary directory, which is kept",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bench)
 

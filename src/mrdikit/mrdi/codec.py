@@ -3,9 +3,12 @@
 One registry holds every serializable type, built-in or extension:
 ``register_codec`` files a Python type's type and data builders and a tag's
 decoder, and save and load look each value and tag up once.  An extension
-needs only it and four helpers: ``context_uuid``/``context_from_uuid`` name a
-polynomial ring by UUID in a type parameter and resolve it again, and
-``encode_polynomial``/``decode_polynomial`` write and read a polynomial.
+needs only it and a few helpers: ``context_uuid``/``context_from_uuid`` name
+a polynomial ring by UUID in a type parameter and resolve it again, and
+``encode_elements``/``decode_elements`` write and read a list of elements of
+one ring the way built-in lists are, whole (``MonomialMap`` writes and reads
+its images so).  ``encode_polynomial``/``decode_polynomial`` are the one-item
+case, for a polynomial that shares no list with others.
 
 Saving builds the ``_type`` subtree first, registering every parent context
 it meets (a ring's base ring before the ring), then ``data``.  Long-term mode
@@ -360,8 +363,10 @@ def _list_codec(desc: RingDescriptor, verb: str) -> _ListCodec:
     return codec
 
 
-def _encode_elements(desc: RingDescriptor, values, mode: Mode) -> list:
-    """The data of each element of the ring ``desc`` in ``values``."""
+def encode_elements(ring: ContextHandle, values, mode: Mode) -> list:
+    """The data of each element of ``ring`` in ``values``, written in
+    ``mode`` by writers looked up once for the whole list."""
+    desc = ring.descriptor
     fast, any_size = _list_codec(desc, "encode").writers(desc, mode)
     try:
         return list(map(fast, values))
@@ -369,13 +374,16 @@ def _encode_elements(desc: RingDescriptor, values, mode: Mode) -> list:
         return list(map(any_size, values))
 
 
-def _decode_elements(desc: RingDescriptor, items: list, state: DeserializerState, where: str):
-    """The elements of the ring ``desc`` that ``items`` hold; a bad item is
-    reported at ``where/i``."""
+def decode_elements(ring: ContextHandle, payloads: list, state: DeserializerState, where: str):
+    """The elements of ``ring`` that the list ``payloads`` holds, read in
+    ``state``'s mode: a list of polynomials as one set of columns.  A list
+    that is not all canonical text is read again item by item, which
+    reports a bad item at ``where/i``."""
+    desc = ring.descriptor
     codec = _list_codec(desc, "decode")
-    values = codec.decode(desc, items, state)
+    values = codec.decode(desc, payloads, state)
     if values is None:
-        values = [codec.decode_one(desc, x, state, f"{where}/{i}") for i, x in enumerate(items)]
+        values = [codec.decode_one(desc, x, state, f"{where}/{i}") for i, x in enumerate(payloads)]
     return values
 
 
@@ -508,10 +516,10 @@ def decode_polynomial(ring: ContextHandle, data, state: DeserializerState, where
     if polys is not None:
         return polys[0]
     desc = ring.descriptor
-    if isinstance(desc, UnivariatePolyRing) and state.mode is Mode.IPC:
-        coeffs = _decode_elements(desc.base, data, state, where)
-        return Polynomial.from_terms(ring, [((d,), c) for d, c in enumerate(coeffs)])
     codec = _list_codec(desc.base, "decode")
+    if isinstance(desc, UnivariatePolyRing) and state.mode is Mode.IPC:
+        coeffs = [codec.decode_one(desc.base, c, state, f"{where}/{i}") for i, c in enumerate(data)]
+        return Polynomial.from_terms(ring, [((d,), c) for d, c in enumerate(coeffs)])
     return Polynomial.from_terms(ring, _terms_one_by_one(desc, codec, data, state, where))
 
 
@@ -582,7 +590,7 @@ def _decode_ring(tn: TypeNode, data, state: DeserializerState) -> ContextHandle:
 
 
 def _matrix_data(m: ExactMatrix, state: SerializerState):
-    entries = _encode_elements(m.parent.descriptor, m.entries, state.mode)
+    entries = encode_elements(m.parent, m.entries, state.mode)
     return {"nrows": str(m.nrows), "ncols": str(m.ncols), "entries": entries}
 
 
@@ -601,8 +609,8 @@ def _decode_matrix(tn: TypeNode, data, state: DeserializerState) -> ExactMatrix:
     if not isinstance(raw, list) or len(raw) != nrows * ncols:
         raise SchemaError(f"{where}: expected {nrows * ncols} matrix entries")
     ring = _element_ring(tn.params, state, where)
-    entries = _decode_elements(ring.descriptor, raw, state, f"{where}/entries")
-    return ExactMatrix(ring, nrows, ncols, entries)
+    entries = decode_elements(ring, raw, state, f"{where}/entries")
+    return ExactMatrix.of_canonical(ring, nrows, ncols, entries)
 
 
 def _vector_type(items: list, state: SerializerState) -> TypeNode:
@@ -621,7 +629,7 @@ def _tuple_type(items: tuple, state: SerializerState) -> TypeNode:
 
 def _sequence_data(items, state: SerializerState) -> list:
     if set(map(type, items)) <= _NUMBER_TYPES:  # integers are rationals too
-        return _encode_elements(QQ.descriptor, items, state.mode)
+        return encode_elements(QQ, items, state.mode)
     return [_build_data(item, state) for item in items]
 
 
@@ -645,7 +653,7 @@ def _decode_vector(tn: TypeNode, data, state: DeserializerState) -> list:
         raise SchemaError(f"{where}: a nonempty Vector has one element type, an empty one none")
     if _DECODERS.get(tn.params.name) is _decode_element:
         ring = _value_ring(tn.params, state, where)
-        return _decode_elements(ring.descriptor, data, state, where)
+        return decode_elements(ring, data, state, where)
     return _decode_items([tn.params] * len(data), data, state)
 
 

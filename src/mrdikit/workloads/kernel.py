@@ -45,8 +45,8 @@ from ..errors import ContextMismatchError, SchemaError, ValidationError
 from ..mrdi.codec import (
     context_from_uuid,
     context_uuid,
-    decode_polynomial,
-    encode_polynomial,
+    decode_elements,
+    encode_elements,
     register_codec,
 )
 from ..mrdi.document import TypeNode
@@ -111,7 +111,7 @@ def _map_build_type(phi: MonomialMap, state: SerializerState) -> TypeNode:
 
 
 def _map_build_data(phi: MonomialMap, state: SerializerState):
-    return {"images": [encode_polynomial(img, state.mode) for img in phi.images]}
+    return {"images": encode_elements(phi.target, phi.images, state.mode)}
 
 
 def _map_decode(tn: TypeNode, data, state: DeserializerState) -> MonomialMap:
@@ -124,10 +124,7 @@ def _map_decode(tn: TypeNode, data, state: DeserializerState) -> MonomialMap:
     images = data.get("images") if isinstance(data, dict) and len(data) == 1 else None
     if not isinstance(images, list):
         raise SchemaError(f"{where}: MonomialMap payload needs an images sequence")
-    images = tuple(
-        decode_polynomial(target, raw, state, f"{where}/images/{i}") for i, raw in enumerate(images)
-    )
-    return MonomialMap(source, target, images)
+    return MonomialMap(source, target, decode_elements(target, images, state, f"{where}/images"))
 
 
 register_codec(MonomialMap, "MonomialMap", _map_build_type, _map_build_data, _map_decode)

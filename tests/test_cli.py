@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -478,6 +479,17 @@ def test_bench_kernel_synthetic_single_row(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "kernel-synthetic" in out
     assert out.count("workers=") == 1
+
+
+def test_bench_without_out_dir_keeps_its_files(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert cli.main(["bench", "--suite", "kernel-synthetic", "--workers", "0,1", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    (out_dir,) = tmp_path.glob("mrdikit-bench-*")
+    paths = [Path(r["result_path"]) for r in rows]
+    assert [p.parent for p in paths] == [out_dir, out_dir]
+    assert all(p.is_file() for p in paths)
+    assert (out_dir / "kernel-instance.mrdi").is_file()
 
 
 def test_bench_into_a_closed_stdout_is_one_error_line(tmp_path):

@@ -25,7 +25,7 @@ from mrdikit.algebra import (
     univariate_ring,
 )
 from mrdikit.algebra.rings import PrimeField, RationalField, UnivariatePolyRing
-from mrdikit.errors import MrdiKitError, SchemaError
+from mrdikit.errors import MrdiKitError, SchemaError, ValidationError
 from mrdikit.mrdi import (
     DeserializerState,
     GlobalSerializerState,
@@ -34,13 +34,16 @@ from mrdikit.mrdi import (
     NamespaceRecord,
     SerializerState,
     TypeNode,
+    decode_elements,
     decode_polynomial,
+    encode_elements,
     load,
     parse_text,
     save,
     serialize_text,
     validate_document,
 )
+from mrdikit.mrdi import codec
 from mrdikit.mrdi.codec import load_context_document
 from mrdikit.mrdi.document import MAX_NESTING_DEPTH
 from mrdikit.workloads import MonomialMap
@@ -146,6 +149,10 @@ def fig1_map():
     return MonomialMap(S, T, (s * s, s * u.scale(3)))
 
 
+def load_ipc_map(phi, edit):
+    return load_ipc(phi, edit, phi.source, phi.target)
+
+
 ERROR_CASES = {
     # long-term univariate payloads: [degree, coefficient] pairs
     "lt-degree-leading-zero": lambda: load_long_term(edited([P, P], put(1, 2, 0, "05"))),
@@ -201,6 +208,9 @@ ERROR_CASES = {
     "map-image-exponent": lambda: load_long_term(
         edited(fig1_map(), put("images", 1, 0, 0, 1, "01"))
     ),
+    "ipc-map-image-exponent": lambda: load_ipc_map(fig1_map(), put("images", 1, 0, 0, 1, "01")),
+    "ipc-map-image-coefficient": lambda: load_ipc_map(fig1_map(), put("images", 0, 0, 1, "+1")),
+    "map-image-not-a-list": lambda: load_long_term(edited(fig1_map(), put("images", 1, "1"))),
     # values the algebra rejects, located like every other bad document
     "map-two-term-image": lambda: load_long_term(
         edited(fig1_map(), lambda data: data["images"][1].append([["0", "0"], "1"]))
@@ -268,6 +278,12 @@ EXPECTED = {
     "lt-zz-matrix-entry": ("SchemaError", "data/entries/2: expected a decimal integer, got '05'"),
     "lt-zz-vector-item": ("SchemaError", "data/1: expected a decimal integer, got '+5'"),
     "map-image-exponent": ("SchemaError", "data/images/1/0: expected a decimal integer, got '01'"),
+    "ipc-map-image-exponent": (
+        "SchemaError",
+        "data/images/1/0: expected a decimal integer, got '01'",
+    ),
+    "ipc-map-image-coefficient": ("SchemaError", "data/images/0/0: malformed rational '+1'"),
+    "map-image-not-a-list": ("SchemaError", "data/images/1: polynomial payload must be a sequence"),
     "map-two-term-image": ("SchemaError", "data: images must be single nonzero terms"),
     "matrix-negative-nrows": (
         "SchemaError",
@@ -535,6 +551,138 @@ def test_whole_lists_read_as_item_by_item(name, mode):
         odd = load(parse_text(serialize_text(doc)), DeserializerState(mode, gs))
         assert odd == one_by_one(ring, doc.data, mode)
         assert odd[:i] + odd[i + 1 :] == values[:i] + values[i + 1 :]
+
+
+# -- extension lists: a monomial map's images --------------------------------------
+
+
+def wide_map():
+    """A map of 12 variables to 6, the shape of the pooled kernel benchmark's
+    input: images of degree 1 and 2 with rational coefficients, one constant."""
+    rng = random.Random(18)
+    S, _ = polynomial_ring(QQ, *[f"x{i}" for i in range(12)])
+    T, gens = polynomial_ring(QQ, *[f"s{i}" for i in range(6)])
+    images = []
+    for i in range(12):
+        term = Polynomial.constant(T, Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)))
+        for _ in range(0 if i == 5 else rng.randint(1, 2)):
+            term = term * rng.choice(gens)
+        images.append(term)
+    return MonomialMap(S, T, images)
+
+
+def count_column_reads(monkeypatch):
+    calls = []
+    real = codec._read_polys
+
+    def counted(ring, payloads, state):
+        calls.append(len(payloads))
+        return real(ring, payloads, state)
+
+    monkeypatch.setattr(codec, "_read_polys", counted)
+    return calls
+
+
+def map_round_trip(phi, mode, edit=None):
+    """``phi`` saved in ``mode``, its data edited, and loaded back, with the
+    text of the first save and the state that reads it."""
+    gs = ipc_state(phi.source, phi.target)
+    raw = serialize_text(save(phi, SerializerState(mode, gs)))
+    doc = parse_text(raw)
+    if edit is not None:
+        edit(doc.data)
+    state = DeserializerState(mode, gs)
+    return load(parse_text(serialize_text(doc)), state), raw, doc, gs
+
+
+@pytest.mark.parametrize("mode", [Mode.LONG_TERM, Mode.IPC], ids=["long-term", "ipc"])
+def test_map_images_are_read_as_one_column(mode, monkeypatch):
+    phi = wide_map()
+    calls = count_column_reads(monkeypatch)
+    got, raw, _, gs = map_round_trip(phi, mode)
+    assert calls == [12]
+    assert got == phi
+    assert serialize_text(save(got, SerializerState(mode, gs))) == raw
+
+
+def odd_image(case, term, c, mode):
+    """Image payload ``[term]`` of coefficient ``c`` written another way."""
+    if case == "terms-reversed":  # after a zero term: ascending, the reverse of canonical
+        return [[["0"] * len(term[0]), "0"], term]
+    # "repeated-monomial": c = 1 + (c - 1) over one monomial
+    return [[term[0], "1"], [term[0], encode_elements(QQ, [c - 1], mode)[0]]]
+
+
+@pytest.mark.parametrize("mode", [Mode.LONG_TERM, Mode.IPC], ids=["long-term", "ipc"])
+@pytest.mark.parametrize("case", ["repeated-monomial", "terms-reversed"])
+def test_map_with_one_odd_image_loads_as_item_by_item(case, mode):
+    phi = wide_map()
+    i = 7
+    (term,) = encode_elements(phi.target, [phi.images[i]], mode)[0]
+    payload = odd_image(case, term, phi.images[i].terms[0][1], mode)
+    got, _, doc, gs = map_round_trip(phi, mode, put("images", i, payload))
+    assert got == phi
+    state = DeserializerState(mode, gs)
+    assert list(got.images) == [
+        decode_polynomial(phi.target, item, state, f"data/images/{k}")
+        for k, item in enumerate(doc.data["images"])
+    ]
+
+
+def test_map_image_past_the_digit_limit_loads_item_by_item(monkeypatch):
+    S, _ = polynomial_ring(QQ, "a", "b")
+    T, (s, u) = polynomial_ring(QQ, "s", "u")
+    phi = MonomialMap(S, T, (s.scale(Fraction(BIG, 3)), u))
+    calls = count_column_reads(monkeypatch)
+    for mode in (Mode.LONG_TERM, Mode.IPC):
+        calls.clear()
+        got, raw, _, gs = map_round_trip(phi, mode)
+        assert calls == [2, 1, 1]  # the column read gives up; then one read per image
+        assert got == phi
+        assert serialize_text(save(got, SerializerState(mode, gs))) == raw
+
+
+def test_element_lists_locate_a_bad_item():
+    state = DeserializerState(Mode.LONG_TERM, GlobalSerializerState())
+    assert decode_elements(QQ, ["1", "-2/3"], state, "data/x") == [1, Fraction(-2, 3)]
+    with pytest.raises(SchemaError, match=r"^data/x/1: malformed rational '2/4'$"):
+        decode_elements(QQ, ["1", "2/4"], state, "data/x")
+    payloads = encode_elements(Rt, [P, t], Mode.LONG_TERM)
+    assert payloads == [[["0", "1"], ["1", "2"], ["2", "3"], ["3", "4"]], [["1", "1"]]]
+    assert decode_elements(Rt, payloads, state, "data") == [P, t]
+
+
+# -- a decoded matrix is built without coercing its entries again -----------------
+
+
+@pytest.mark.parametrize("mode", [Mode.LONG_TERM, Mode.IPC], ids=["long-term", "ipc"])
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        long_matrix(),
+        ExactMatrix.from_rows(ZZ, [[1, -2], [3, 4]]),
+        ExactMatrix.from_rows(QQ, [[Fraction(1, 2)], [Fraction(-3)]]),
+        ExactMatrix.from_rows(GF(7), [[6, 0, 3]]),
+        ExactMatrix.from_rows(Rt, []),
+    ],
+    ids=["zz-t-12x12", "zz", "qq", "gf7", "empty"],
+)
+def test_decoded_matrix_equals_the_coerced_one(matrix, mode):
+    gs = ipc_state(Rt)
+    doc = parse_text(serialize_text(save(matrix, SerializerState(mode, gs))))
+    got = load(doc, DeserializerState(mode, gs))
+    coerced = ExactMatrix(got.parent, got.nrows, got.ncols, got.entries)
+    assert got == matrix == coerced
+    assert type(got.entries) is tuple
+    assert list(map(type, got.entries)) == list(map(type, coerced.entries))
+
+
+def test_matrix_with_a_wrong_entry_count_still_raises():
+    m = long_matrix()
+    with pytest.raises(SchemaError, match=r"^data: expected 144 matrix entries$"):
+        load_long_term(edited(m, lambda data: data["entries"].pop()))
+    with pytest.raises(ValidationError, match="expected 144 entries for a 12x12 matrix, got 143"):
+        ExactMatrix(Rt, 12, 12, m.entries[:-1])
 
 
 # -- integers past the interpreter's digit limit ----------------------------------
