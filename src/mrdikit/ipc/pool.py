@@ -66,22 +66,16 @@ class WorkerPool:
         self._call_ids = itertools.count(1)
         self._closed = False
         # Imported here, so a process that starts no pool loads no sockets.
-        from .zygote import fork_worker
+        from .zygote import fork_workers
 
-        self.workers: list[WorkerHandle] = []
+        env = dict(os.environ)
+        if init_modules:
+            env["MRDI_WORKER_INIT"] = ",".join(init_modules)
         try:
-            for worker_id in range(n):
-                env = dict(os.environ)
-                env["MRDI_WORKER_ID"] = str(worker_id)
-                if init_modules:
-                    env["MRDI_WORKER_INIT"] = ",".join(init_modules)
-                self.workers.append(WorkerHandle(worker_id, fork_worker(env)))
+            procs = fork_workers(env, [{"MRDI_WORKER_ID": str(i)} for i in range(n)])
         except TransportError as exc:
-            for worker in self.workers:
-                worker.proc.kill()
-                worker.proc.wait()
-                worker.proc.close()
             raise TransportError(f"failed to spawn worker pool: {exc}") from exc
+        self.workers = [WorkerHandle(worker_id, proc) for worker_id, proc in enumerate(procs)]
 
     # -- plumbing ---------------------------------------------------------
 

@@ -3,15 +3,24 @@
 Starting a worker as a new interpreter means importing, and without cached
 bytecode compiling, the whole package again.  Instead each coordinator
 process starts one zygote with its first pool: a fresh interpreter that
-imports the workloads once and then waits on a private Unix socket.  For a
-worker the coordinator makes the two pipes and sends the worker's ends over
-that socket, with its own stderr; the zygote forks, and the child puts them
-on fd 0/1/2, takes the coordinator's environment of the moment (``PYTHONPATH``,
-``MRDI_WORKER_ID`` and ``MRDI_WORKER_INIT`` included) and its working
-directory, and runs ``worker_main``.  The zygote sends back the child's pid
-and a pidfd for it.  A worker is the zygote's child, so the coordinator waits
-on it and signals it through that pidfd; its exit status is the zygote's to
-collect, not the coordinator's.
+imports the workloads once and then waits on a private Unix socket.  A pool
+starts all its workers with one request: the coordinator makes two pipes per
+worker and sends the workers' ends over that socket with its own stderr, its
+working directory, and its environment of the moment as the variables set
+and unset since the zygote started, plus each worker's ``MRDI_WORKER_ID``
+and ``MRDI_WORKER_INIT``.  The zygote forks the workers back to back; each
+child puts its pipes and the stderr on fd 0/1/2, applies those differences
+(``PYTHONPATH`` included), changes directory, and runs ``worker_main``.  The
+zygote answers with every pid and a pidfd for each, in one message.  A
+descriptor message carries at most 253 descriptors, so a request names at
+most 126 workers and a larger pool sends several.  A worker is the zygote's
+child, so the coordinator waits on it and signals it through that pidfd; its
+exit status is the zygote's to collect, not the coordinator's.
+
+A fork that fails kills and reaps the children of its request and answers
+with the error.  A zygote that does not answer within
+``_REPLY_TIMEOUT_SECONDS`` is killed; either way the coordinator discards the
+zygote and raises TransportError, and its next pool starts a new one.
 
 The zygote is never a fork of the coordinator: workers start from a clean
 interpreter and inherit no coordinator state.  It exits when its socket
@@ -32,17 +41,25 @@ import subprocess
 import sys
 import threading
 import traceback
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..errors import TransportError
 from .worker import worker_main
 
 # The zygote's command line: a fresh interpreter, as ``mrdikit --worker`` is.
 _ENTRY = "from mrdikit.ipc.zygote import serve; serve()"
-# A request is one SOCK_SEQPACKET message, a worker's environment and working
-# directory as JSON; a message cannot outgrow the socket's send buffer.
+# A request is one SOCK_SEQPACKET message: the environment differences, the
+# working directory and the workers' own variables as JSON; a message cannot
+# outgrow the socket's send buffer.
 _MAX_REQUEST = 1 << 18
-_MAX_REPLY = 256
+# One SCM_RIGHTS message carries at most 253 descriptors: the coordinator's
+# stderr and two pipe ends per worker.
+_MAX_WORKERS_PER_REQUEST = 126
+# The answer is the workers' pids as JSON, or an error text.
+_MAX_REPLY = 1 << 12
+# How long the coordinator waits for the answer to one request.  The first
+# request of a zygote also waits for its interpreter start and imports.
+_REPLY_TIMEOUT_SECONDS = 30.0
 
 
 class WorkerProcess:
@@ -97,10 +114,16 @@ class _Zygote:
 
     def __init__(self):
         self.owner = os.getpid()
+        # The zygote's environment: a request names only the differences.
+        self.env = dict(os.environ)
         self.channel, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        self.channel.settimeout(_REPLY_TIMEOUT_SECONDS)
         try:
             self.proc = subprocess.Popen(
-                [sys.executable, "-c", _ENTRY], stdin=theirs, stdout=subprocess.DEVNULL
+                [sys.executable, "-c", _ENTRY],
+                stdin=theirs,
+                stdout=subprocess.DEVNULL,
+                env=self.env,
             )
         except BaseException:
             self.channel.close()
@@ -109,32 +132,66 @@ class _Zygote:
             theirs.close()
         atexit.register(self.stop)
 
-    def fork_worker(self, env: dict) -> WorkerProcess:
-        request = json.dumps({"env": env, "cwd": os.getcwd()}).encode()
-        stdin_r, stdin_w = os.pipe()
-        stdout_r, stdout_w = os.pipe()
+    def fork_workers(self, env: dict, worker_envs: Sequence[dict]) -> list[WorkerProcess]:
+        """One worker per item of ``worker_envs``; all of them or none."""
+        request = {
+            "cwd": os.getcwd(),
+            "set": {key: value for key, value in env.items() if self.env.get(key) != value},
+            "unset": [key for key in self.env if key not in env],
+        }
+        started: list[WorkerProcess] = []
+        try:
+            for first in range(0, len(worker_envs), _MAX_WORKERS_PER_REQUEST):
+                request["workers"] = worker_envs[first : first + _MAX_WORKERS_PER_REQUEST]
+                started += self._request(request)
+        except BaseException:
+            for proc in started:
+                proc.kill()
+                proc.wait()
+                proc.close()
+            raise
+        return started
+
+    def _request(self, request: dict) -> list[WorkerProcess]:
+        count = len(request["workers"])
+        theirs: list[int] = []  # per worker: stdin's read end, stdout's write end
+        mine: list[int] = []  # per worker: stdin's write end, stdout's read end
         try:
             try:
-                socket.send_fds(self.channel, [request], [stdin_r, stdout_w, 2])
-                reply, fds, _, _ = socket.recv_fds(self.channel, _MAX_REPLY, 1)
+                for _ in range(count):
+                    stdin_r, stdin_w = os.pipe()
+                    theirs.append(stdin_r)
+                    mine.append(stdin_w)
+                    stdout_r, stdout_w = os.pipe()
+                    theirs.append(stdout_w)
+                    mine.append(stdout_r)
+                socket.send_fds(self.channel, [json.dumps(request).encode()], [2, *theirs])
+                reply, pidfds, _, _ = socket.recv_fds(self.channel, _MAX_REPLY, count)
             finally:
-                os.close(stdin_r)
-                os.close(stdout_w)
-            if not fds:
+                for fd in theirs:
+                    os.close(fd)
+            if len(pidfds) != count:
+                for fd in pidfds:
+                    os.close(fd)
                 detail = reply.decode(errors="replace") or "exited"
                 raise TransportError(f"worker start-up process: {detail}")
         except BaseException:
-            os.close(stdin_w)
-            os.close(stdout_r)
+            for fd in mine:
+                os.close(fd)
             raise
-        return WorkerProcess(int(reply), fds[0], open(stdin_w, "wb"), open(stdout_r, "rb"))
+        return [
+            WorkerProcess(pid, pidfd, open(mine[2 * i], "wb"), open(mine[2 * i + 1], "rb"))
+            for i, (pid, pidfd) in enumerate(zip(json.loads(reply), pidfds))
+        ]
 
-    def stop(self) -> None:
+    def stop(self, kill: bool = False) -> None:
         """Close the channel; in the process that started the zygote, also
-        wait for it to exit."""
+        wait for it to exit, killing it first when ``kill``."""
         atexit.unregister(self.stop)
         self.channel.close()
         if os.getpid() == self.owner:
+            if kill:
+                self.proc.kill()
             self.proc.wait()
 
 
@@ -142,10 +199,12 @@ _zygote: Optional[_Zygote] = None
 _zygote_lock = threading.Lock()
 
 
-def fork_worker(env: dict) -> WorkerProcess:
-    """Start one worker with environment ``env``, through this process's
-    zygote (started on first use).  Raises TransportError when the zygote
-    cannot be started or cannot fork."""
+def fork_workers(env: dict, worker_envs: Sequence[dict]) -> list[WorkerProcess]:
+    """Start one worker per item of ``worker_envs``, each with environment
+    ``env`` updated by that item, through this process's zygote (started on
+    first use).  Raises TransportError, and starts none, when the zygote
+    cannot be started, cannot fork or does not answer in time; the zygote is
+    then discarded."""
     global _zygote
     with _zygote_lock:
         if _zygote is not None and _zygote.owner != os.getpid():
@@ -154,13 +213,16 @@ def fork_worker(env: dict) -> WorkerProcess:
         try:
             if _zygote is None:
                 _zygote = _Zygote()
-            return _zygote.fork_worker(env)
+            return _zygote.fork_workers(env, worker_envs)
         except (OSError, TransportError) as exc:
             if _zygote is not None:
-                _zygote.stop()
+                _zygote.stop(kill=True)
                 _zygote = None
             if isinstance(exc, TransportError):
                 raise
+            if isinstance(exc, TimeoutError):
+                detail = f"no answer within {_REPLY_TIMEOUT_SECONDS:g} s"
+                raise TransportError(f"worker start-up process: {detail}") from None
             raise TransportError(f"worker start-up process: {exc}") from exc
 
 
@@ -177,8 +239,9 @@ def _reap(signum, frame) -> None:
             return
 
 
-def _become_worker(channel: socket.socket, fds: list, request: dict) -> None:
-    """In the forked child: turn into a worker, serve, and exit."""
+def _become_worker(channel: socket.socket, fds: list, request: dict, index: int) -> None:
+    """In the forked child: turn into worker ``index`` of ``request``, serve,
+    and exit."""
     code = 1
     try:
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGCHLD})
@@ -189,7 +252,7 @@ def _become_worker(channel: socket.socket, fds: list, request: dict) -> None:
             os.dup2(fd, target)
         os.closerange(3, os.sysconf("SC_OPEN_MAX"))
         os.chdir(request["cwd"])
-        _take_environment(request["env"])
+        _take_environment({**request["set"], **request["workers"][index]}, request["unset"])
         # Only the exit handlers this worker's own imports register run.
         atexit._clear()
         code = worker_main()
@@ -205,17 +268,17 @@ def _become_worker(channel: socket.socket, fds: list, request: dict) -> None:
             os._exit(code)
 
 
-def _take_environment(env: dict) -> None:
-    """Make ``os.environ`` equal ``env`` by its differences alone: clearing
-    and refilling every variable writes to most of the pages the child
-    shares with the zygote."""
+def _take_environment(changes: dict, removed: Sequence[str]) -> None:
+    """Turn the zygote's environment into the coordinator's of the moment by
+    their differences alone: unset ``removed``, then set ``changes``.
+    Rewriting every variable would write to most of the pages the child
+    shares with the zygote.  A changed ``PYTHONPATH`` also changes
+    ``sys.path``."""
     old_path = os.environ.get("PYTHONPATH", "")
-    for key in os.environ.keys() - env.keys():
-        del os.environ[key]
-    for key, value in env.items():
-        if os.environ.get(key) != value:
-            os.environ[key] = value
-    new_path = env.get("PYTHONPATH", "")
+    for key in removed:
+        os.environ.pop(key, None)
+    os.environ.update(changes)
+    new_path = os.environ.get("PYTHONPATH", "")
     if new_path != old_path:
         _apply_pythonpath(old_path, new_path)
 
@@ -230,8 +293,36 @@ def _apply_pythonpath(old: str, new: str) -> None:
     importlib.invalidate_caches()
 
 
+def _fork_workers(channel: socket.socket, fds: list, request: dict) -> tuple[list, list]:
+    """Fork the request's workers back to back; their pids and pidfds.  When
+    a fork fails, the children already forked are killed and reaped."""
+    pids: list[int] = []
+    pidfds: list[int] = []
+    # Blocked until every pidfd is open, so _reap cannot collect a child (and
+    # free its pid) first.
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGCHLD})
+    try:
+        for index in range(len(request["workers"])):
+            pid = os.fork()
+            if pid == 0:
+                stdio = [*fds[1 + 2 * index : 3 + 2 * index], fds[0]]
+                _become_worker(channel, stdio, request, index)
+            pids.append(pid)
+            pidfds.append(os.pidfd_open(pid))
+    except OSError:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pidfd in pidfds:
+            os.close(pidfd)
+        raise
+    finally:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGCHLD})
+    return pids, pidfds
+
+
 def serve() -> None:
-    """The zygote's loop: fork one worker per request on fd 0 until EOF."""
+    """The zygote's loop: fork each request's workers, until EOF on fd 0."""
     import mrdikit.workloads  # noqa: F401  (what every worker imports)
 
     channel = socket.socket(fileno=0)
@@ -240,28 +331,23 @@ def serve() -> None:
     signal.signal(signal.SIGCHLD, _reap)
     while True:
         try:
-            data, fds, _, _ = socket.recv_fds(channel, _MAX_REQUEST, 3)
+            data, fds, _, _ = socket.recv_fds(
+                channel, _MAX_REQUEST, 1 + 2 * _MAX_WORKERS_PER_REQUEST
+            )
         except ConnectionResetError:
             return
         if not data:
             return
-        request = json.loads(data)
-        # Blocked until the pidfd is open, so _reap cannot collect the child
-        # (and free its pid) first.
-        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGCHLD})
         try:
-            pid = os.fork()
-            if pid == 0:
-                _become_worker(channel, fds, request)
-            pidfd = os.pidfd_open(pid)
+            pids, pidfds = _fork_workers(channel, fds, json.loads(data))
         except OSError as exc:
-            channel.send(f"cannot fork a worker: {exc}".encode())
+            channel.send(f"cannot fork workers: {exc}".encode())
             continue
         finally:
-            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGCHLD})
             for fd in fds:
                 os.close(fd)
         try:
-            socket.send_fds(channel, [str(pid).encode()], [pidfd])
+            socket.send_fds(channel, [json.dumps(pids).encode()], pidfds)
         finally:
-            os.close(pidfd)
+            for pidfd in pidfds:
+                os.close(pidfd)

@@ -3,8 +3,9 @@
 Every number in an mrdi document is text: ``0`` or ``-?[1-9][0-9]*`` for an
 integer, and ``n/d`` with ``d >= 2`` in lowest terms for a rational that is
 not an integer.  ``str`` writes exactly these forms, so a whole list is read
-at once and checked with one comparison against ``str`` of the values; the
-one-at-a-time readers give the SchemaError for text that fails it.
+at once and checked with one comparison against ``str`` of the values (of
+their integer parts, for rationals); the one-at-a-time readers give the
+SchemaError for text that fails it.
 """
 
 from __future__ import annotations
@@ -144,24 +145,48 @@ def read_integers(items: list):
 
 
 _split_fraction = methodcaller("partition", "/")
+_new_object = object.__new__
 
 
 def read_rationals(items: list):
     """``items`` read as rationals, or None unless each is the canonical text
-    of its value, checked as ``read_integers`` does.  Building each Fraction
-    from two ints skips its much slower parsing of text."""
+    of its value: the numerators, and the denominators where a ``/`` is
+    present, pass ``read_integers``'s check, and each such denominator is at
+    least 2 and coprime to its numerator.  That leaves nothing for Fraction's
+    constructor to check or reduce, so the values are built without it."""
     if not items:
         return []
     try:
-        numerators, _, denominators = zip(*map(_split_fraction, items))
-        values = list(
-            map(Fraction, map(int, numerators), [int(d) if d else 1 for d in denominators])
-        )
-        if list(map(str, values)) == items:
-            return values
-    except (AttributeError, TypeError, ValueError, ZeroDivisionError):
-        pass
-    return None
+        numerators, slashes, denominators = zip(*map(_split_fraction, items))
+    except AttributeError:  # an item is not text
+        return None
+    tops = read_integers(list(numerators))
+    if tops is None:
+        return None
+    if "/" not in slashes:
+        return _coprime_fractions(tops, [1] * len(tops))
+    # Where no "/" is present the denominator is 1, and only there.
+    bottoms = read_integers([d if s else "1" for s, d in zip(slashes, denominators)])
+    if (
+        bottoms is None
+        or min(bottoms) < 1
+        or bottoms.count(1) != slashes.count("")
+        or max(map(gcd, tops, bottoms)) != 1
+    ):
+        return None
+    return _coprime_fractions(tops, bottoms)
+
+
+def _coprime_fractions(numerators: list, denominators: list) -> list:
+    """Fractions of numerators and positive denominators already in lowest
+    terms, made as Python 3.12's ``Fraction._from_coprime_ints`` makes one."""
+    values = []
+    for numerator, denominator in zip(numerators, denominators):
+        value = _new_object(Fraction)
+        value._numerator = numerator
+        value._denominator = denominator
+        values.append(value)
+    return values
 
 
 def read_residues(desc: PrimeField, items: list):

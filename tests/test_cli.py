@@ -209,6 +209,24 @@ def test_detcrt_worker_failure_exit_code(toy_matrix_file, tmp_path, monkeypatch)
     )
 
 
+def test_detcrt_exits_3_when_the_worker_start_up_process_never_answers(
+    toy_matrix_file, tmp_path, monkeypatch, capsys
+):
+    from mrdikit.ipc import zygote
+
+    mute = tmp_path / "mute-zygote"
+    mute.write_text("#!/bin/sh\nexec cat > /dev/null\n")
+    mute.chmod(0o755)
+    monkeypatch.setattr(zygote, "_zygote", None)
+    monkeypatch.setattr(sys, "executable", str(mute))
+    monkeypatch.setattr(zygote, "_REPLY_TIMEOUT_SECONDS", 0.5)
+    out = tmp_path / "det.mrdi"
+    argv = ["detcrt", "--matrix", str(toy_matrix_file), "--workers", "2", "--out", str(out)]
+    assert cli.main(argv) == 3
+    assert "no answer within 0.5 s" in capsys.readouterr().err
+    assert zygote._zygote is None and not out.exists()
+
+
 def test_pool_workers_answer_before_the_clock_starts(toy_matrix_file, tmp_path, monkeypatch):
     from mrdikit.ipc.framing import Call, Result
 

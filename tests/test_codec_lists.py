@@ -45,6 +45,7 @@ from mrdikit.mrdi import (
 )
 from mrdikit.mrdi import codec
 from mrdikit.mrdi.codec import load_context_document
+from mrdikit.mrdi.numtext import int_from_text, read_rationals
 from mrdikit.mrdi.document import MAX_NESTING_DEPTH
 from mrdikit.workloads import MonomialMap
 
@@ -384,7 +385,8 @@ NON_CANONICAL = {
     ],
     "QQFieldElem": [
         "+1/2", "1/+2", "1/ 2", "1_0/3", "2/4", "1/-2", "3/1", "0/5", "1/02", "1/0", "3/", "/3",
-        "1/2/3", " 1/2", "1.5", "1e3", "\u0661/\u0662", "2/" + "4" * 5000,
+        "1/2/3", " 1/2", "1.5", "1e3", "\u0661/\u0662", "2/" + "4" * 5000, "3/-2", "+3", "03",
+        "-0", "-0/3", "0/1", "-3/1",
     ],
 }
 
@@ -401,6 +403,42 @@ def test_list_readers_reject_what_the_scalar_readers_reject(tag, text):
         load(doc, DeserializerState(Mode.IPC, gs))
     assert str(many.value) == str(one.value).replace("data: ", "data/1: ", 1)
 
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL["QQFieldElem"] + [True, None, 3])
+def test_rational_list_reader_gives_up_on_non_canonical_text(text):
+    assert read_rationals(["1/2", text, "-3"]) is None
+    assert read_rationals([text]) is None
+
+
+def test_rational_list_reader_gives_up_past_the_digit_limit():
+    # Canonical text (7 does not divide a repunit of 5000 digits): the list
+    # reader gives up and the item-by-item reader accepts it.
+    big = "1" * 5000 + "/7"
+    assert read_rationals(["1/2", big]) is None
+    doc = MrdiDocument(TypeNode("Vector", TypeNode("QQFieldElem")), ["1/2", big])
+    value = load(doc, DeserializerState(Mode.IPC, GlobalSerializerState()))
+    assert list(value) == [Fraction(1, 2), Fraction(int_from_text("1" * 5000, "x"), 7)]
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        [],
+        ["0"],
+        ["-33/2", "-9", "13/8", "10/7", "0", "5", "-47/7", "1"],
+        ["1/2", "-1/3", "22/7"],
+        ["12345678901234567891/2", "-1/98765432109876543210"],
+        ["-1", "2", "0", "7"],
+    ],
+)
+def test_rational_list_reader_builds_reduced_fractions(texts):
+    values = read_rationals(texts)
+    assert values == [Fraction(text) for text in texts]
+    for value, text in zip(values, texts):
+        assert type(value) is Fraction and str(value) == text
+        assert hash(value) == hash(Fraction(text))
+        assert value + Fraction(1, 6) == Fraction(text) + Fraction(1, 6)
 
 # -- accepted inputs: non-canonical term order is normalized -------------------
 

@@ -59,6 +59,80 @@ def test_a_zygote_that_exits_at_once_raises_transport_error(fresh_zygote, monkey
     assert zygote._zygote is None
 
 
+def test_a_zygote_that_never_answers_is_stopped(fresh_zygote, monkeypatch, tmp_path):
+    mute = tmp_path / "mute-zygote"
+    mute.write_text("#!/bin/sh\nexec cat > /dev/null\n")
+    mute.chmod(0o755)
+    monkeypatch.setattr(sys, "executable", str(mute))
+    monkeypatch.setattr(zygote, "_REPLY_TIMEOUT_SECONDS", 0.5)
+    start = time.monotonic()
+    with pytest.raises(TransportError, match="no answer within 0.5 s"):
+        spawn_pool(2)
+    assert time.monotonic() - start < 10
+    assert zygote._zygote is None
+
+
+_FAILING_FORK = """
+import os
+from mrdikit.ipc import zygote
+
+real_fork = os.fork
+forks = 0
+
+
+def fork():
+    global forks
+    forks += 1
+    if forks == 2:
+        raise OSError(11, "injected fork failure")
+    pid = real_fork()
+    if pid:
+        with open(os.environ["MRDI_TEST_FORK_LOG"], "a") as fh:
+            fh.write(f"{pid}\\n")
+    return pid
+
+
+os.fork = fork
+zygote.serve()
+"""
+
+
+@pytest.mark.parametrize("per_request", [126, 1], ids=["one-request", "one-per-worker"])
+def test_a_fork_that_fails_leaves_no_worker_of_the_pool(
+    fresh_zygote, monkeypatch, tmp_path, per_request
+):
+    # The second fork fails: in the same request the zygote kills and reaps
+    # the first child; with one worker per request the coordinator kills the
+    # worker of the first, answered request.
+    log = tmp_path / "forked"
+    monkeypatch.setenv("MRDI_TEST_FORK_LOG", str(log))
+    monkeypatch.setattr(zygote, "_ENTRY", _FAILING_FORK)
+    monkeypatch.setattr(zygote, "_MAX_WORKERS_PER_REQUEST", per_request)
+    with pytest.raises(TransportError, match="injected fork failure"):
+        spawn_pool(3)
+    assert zygote._zygote is None
+    forked = [int(line) for line in log.read_text().split()]
+    assert len(forked) == 1
+    _assert_all_exit(forked)
+
+
+def test_a_pool_larger_than_one_request_sends_several(monkeypatch):
+    requests = []
+    request = zygote._Zygote._request
+
+    def counted(self, message):
+        requests.append(len(message["workers"]))
+        return request(self, message)
+
+    monkeypatch.setattr(zygote, "_MAX_WORKERS_PER_REQUEST", 1)
+    monkeypatch.setattr(zygote._Zygote, "_request", counted)
+    with spawn_pool(3) as pool:
+        assert requests == [1, 1, 1]
+        assert len({w.proc.pid for w in pool.workers}) == 3
+        items = [(k,) for k in range(7)]
+        assert pool.parallel_map("identity", items) == list(range(7))
+
+
 def test_wait_ready_gets_one_identity_answer_per_worker():
     events = []
     with spawn_pool(3, tap=events.append) as pool:
@@ -296,6 +370,26 @@ def test_workers_take_the_coordinators_environment_of_the_moment(
             assert workers_getenv(pool, "MRDI_TEST_GONE") == [None, None]
             assert workers_getenv(pool, "MRDI_TEST_CHANGED") == ["later", "later"]
             assert workers_getenv(pool, "MRDI_WORKER_ID") == ["0", "1"]
+        assert zygote._zygote is running
+    finally:
+        if zygote._zygote is not None:
+            zygote._zygote.stop()
+
+
+def test_a_pythonpath_entry_dropped_after_the_zygote_started_is_gone_from_new_workers(
+    fresh_zygote, extras_env, monkeypatch, tmp_path
+):
+    (tmp_path / "only_there.py").write_text("")
+    name = (list(map(ord, "only_there")),)
+    without = os.environ["PYTHONPATH"]
+    monkeypatch.setenv("PYTHONPATH", f"{tmp_path}:{without}")
+    try:
+        with spawn_pool(2, init_modules=["worker_extras"]) as pool:
+            assert pool.parallel_map("importable", [name] * 2) == [1, 1]
+        running = zygote._zygote
+        monkeypatch.setenv("PYTHONPATH", without)
+        with spawn_pool(2, init_modules=["worker_extras"]) as pool:
+            assert pool.parallel_map("importable", [name] * 2) == [0, 0]
         assert zygote._zygote is running
     finally:
         if zygote._zygote is not None:

@@ -1,6 +1,7 @@
 """Extra remote functions and a serializable test type, loaded into workers
 via MRDI_WORKER_INIT."""
 
+import importlib.util
 import os
 import time
 from dataclasses import dataclass
@@ -48,6 +49,13 @@ def getenv(name):
     serializable)."""
     value = os.environ.get("".join(map(chr, name)))
     return -1 if value is None else list(map(ord, value))
+
+
+@register_function("importable")
+def importable(name):
+    """1 when the module whose name has the code points ``name`` can be
+    found on the worker's ``sys.path``, else 0."""
+    return int(importlib.util.find_spec("".join(map(chr, name))) is not None)
 
 
 # Lets each item of one parallel_map pick its own function: names are not
