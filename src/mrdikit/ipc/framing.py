@@ -1,15 +1,15 @@
 """Length-prefixed frames carrying the worker protocol.
 
 Each frame is a 4-byte big-endian payload length, one message-kind tag byte,
-then a compact JSON payload of exactly that length.  Serialized mrdi
-documents travel inside the JSON payload.
+then a compact JSON payload of exactly that length, whose fields the table
+``_MESSAGES`` gives per kind; serialized mrdi documents travel inside it.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from ..errors import SchemaError, TransportError
@@ -66,63 +66,60 @@ class Shutdown:
 Message = LoadContext | Call | Result | Failure | Shutdown
 
 
-def _wire_doc(doc: MrdiDocument):
-    return _doc_to_json(doc)
-
-
-def _unwire_doc(obj, path) -> MrdiDocument:
-    try:
-        return _parse_doc(obj, path, False)
-    except SchemaError as exc:
-        raise TransportError(f"bad document in frame: {exc}") from exc
+# Each message kind's class and payload fields in wire order, as (key, shape)
+# pairs; the i-th field carries the class's i-th attribute, and a payload that
+# lacks several keys is reported by the first.  A field goes as is, as a
+# document, as a document left out when None, or as a UUID -> document map
+# left out when empty.
+_PLAIN, _DOC, _OPTIONAL_DOC, _DOC_MAP = "plain", "document", "optional document", "document map"
+_MESSAGES = {
+    KIND_LOAD_CONTEXT: (LoadContext, (("id", _PLAIN), ("uuid", _PLAIN), ("document", _DOC))),
+    KIND_CALL: (Call, (("id", _PLAIN), ("fn", _PLAIN), ("args", _DOC))),
+    KIND_RESULT: (Result, (("id", _PLAIN), ("value", _OPTIONAL_DOC), ("refs", _DOC_MAP))),
+    KIND_FAILURE: (Failure, (("id", _PLAIN), ("error", _PLAIN))),
+    KIND_SHUTDOWN: (Shutdown, ()),
+}
+_KIND_OF = {cls: kind for kind, (cls, _) in _MESSAGES.items()}
 
 
 def encode_message(msg: Message) -> tuple[int, dict]:
-    if isinstance(msg, LoadContext):
-        return KIND_LOAD_CONTEXT, {
-            "id": msg.call_id,
-            "uuid": msg.uuid,
-            "document": _wire_doc(msg.document),
-        }
-    if isinstance(msg, Call):
-        return KIND_CALL, {"id": msg.call_id, "fn": msg.fn, "args": _wire_doc(msg.args)}
-    if isinstance(msg, Result):
-        payload = {"id": msg.call_id}
-        if msg.value is not None:
-            payload["value"] = _wire_doc(msg.value)
-        if msg.refs:
-            payload["refs"] = {u: _wire_doc(d) for u, d in msg.refs.items()}
-        return KIND_RESULT, payload
-    if isinstance(msg, Failure):
-        return KIND_FAILURE, {"id": msg.call_id, "error": msg.error}
-    if isinstance(msg, Shutdown):
-        return KIND_SHUTDOWN, {}
-    raise TransportError(f"cannot encode message {msg!r}")
+    kind = _KIND_OF.get(type(msg))
+    if kind is None:
+        raise TransportError(f"cannot encode message {msg!r}")
+    payload = {}
+    for (key, shape), attr in zip(_MESSAGES[kind][1], fields(msg)):
+        value = getattr(msg, attr.name)
+        if shape == _PLAIN:
+            payload[key] = value
+        elif shape == _DOC or (shape == _OPTIONAL_DOC and value is not None):
+            payload[key] = _doc_to_json(value)
+        elif shape == _DOC_MAP and value:
+            payload[key] = {u: _doc_to_json(d) for u, d in value.items()}
+    return kind, payload
 
 
 def decode_message(kind: int, payload: dict) -> Message:
+    if kind not in _MESSAGES:
+        raise TransportError(f"unknown message kind {kind}")
+    cls, wire_fields = _MESSAGES[kind]
+    values = []
     try:
-        if kind == KIND_LOAD_CONTEXT:
-            return LoadContext(
-                payload["id"], payload["uuid"], _unwire_doc(payload["document"], "document")
-            )
-        if kind == KIND_CALL:
-            return Call(payload["id"], payload["fn"], _unwire_doc(payload["args"], "args"))
-        if kind == KIND_RESULT:
-            value = payload.get("value")
-            refs = payload.get("refs") or {}
-            return Result(
-                payload["id"],
-                _unwire_doc(value, "value") if value is not None else None,
-                {u: _unwire_doc(d, f"refs/{u}") for u, d in refs.items()},
-            )
-        if kind == KIND_FAILURE:
-            return Failure(payload["id"], payload["error"])
-        if kind == KIND_SHUTDOWN:
-            return Shutdown()
-    except (KeyError, TypeError) as exc:
+        for key, shape in wire_fields:
+            if shape == _PLAIN:
+                values.append(payload[key])
+            elif shape == _DOC:
+                values.append(_parse_doc(payload[key], key, False))
+            elif shape == _OPTIONAL_DOC:
+                raw = payload.get(key)
+                values.append(None if raw is None else _parse_doc(raw, key, False))
+            else:
+                raw = payload.get(key) or {}
+                values.append({u: _parse_doc(d, f"{key}/{u}", False) for u, d in raw.items()})
+    except (KeyError, TypeError, AttributeError) as exc:
         raise TransportError(f"malformed frame payload for kind {kind}: {exc}") from exc
-    raise TransportError(f"unknown message kind {kind}")
+    except SchemaError as exc:
+        raise TransportError(f"bad document in frame: {exc}") from exc
+    return cls(*values)
 
 
 def frame_bytes(msg: Message) -> bytes:

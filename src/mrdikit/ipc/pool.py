@@ -5,9 +5,9 @@ The pool owns one process per worker, forked by this process's zygote
 call runs in the calling thread, in rounds: a round saves its arguments in
 IPC mode, sends each live worker the ref documents it lacks (base rings
 first, so each (worker, context) pair sees at most one LoadContext frame)
-and one Call, then reads the answers in worker order.  Results are placed by
-input index and loaded under the coordinator's global state, merging back
-any contexts a worker minted.  ``remote_call`` is a one-item map and
+and one Call back to back, then reads the answers in worker order.  Results
+are placed by input index and loaded under the coordinator's global state,
+merging back any contexts a worker minted.  ``remote_call`` is a one-item map and
 ``wait_ready`` one ``identity`` call per worker.  A pool serves one call at
 a time; callers on other threads, and ``shutdown``, wait for it.
 """
@@ -39,7 +39,9 @@ class WorkerHandle:
     def __init__(self, worker_id: int, proc: WorkerProcess):
         self.worker_id = worker_id
         self.proc = proc
+        # Contexts sent; (call id, UUID) of each LoadContext not yet answered.
         self.known_contexts: set[str] = set()
+        self.pending_contexts: list[tuple[int, str]] = []
         self.state = IDLE
 
     def __repr__(self):
@@ -88,23 +90,36 @@ class WorkerPool:
         if self._tap is not None:
             self._tap(("send", worker.worker_id, msg))
 
-    def _recv(self, worker: WorkerHandle, call_id: int):
-        """Read the answer to ``call_id``: a Result, or a Failure for the
-        caller to raise.  A broken stream, end-of-file or any other frame
-        marks the worker dead and raises TransportError."""
-        try:
-            msg = framing.read_message(worker.proc.stdout)
-        except TransportError as exc:
-            self._mark_dead(worker)
-            raise TransportError(f"worker {worker.worker_id}: {exc}") from None
-        if msg is None:
-            self._mark_dead(worker)
-            raise TransportError(f"worker {worker.worker_id} exited unexpectedly")
-        if self._tap is not None:
-            self._tap(("recv", worker.worker_id, msg))
-        if not isinstance(msg, (framing.Result, framing.Failure)) or msg.call_id != call_id:
-            self._mark_dead(worker)
-            raise TransportError(f"worker {worker.worker_id} answered out of order")
+    def _recv(self, worker: WorkerHandle, call_id: int) -> framing.Result:
+        """Read the worker's answers up to the Result of ``call_id``, its
+        pending LoadContext answers first: the one place answers are read.
+        A rejected context leaves ``known_contexts``; once all are read, the
+        first rejection, else the call's Failure, raises WorkerFailure.  A
+        broken stream, end-of-file or any other frame marks the worker dead
+        and raises TransportError."""
+        expected, worker.pending_contexts = worker.pending_contexts + [(call_id, None)], []
+        errors = []
+        for want, uuid_key in expected:
+            try:
+                msg = framing.read_message(worker.proc.stdout)
+            except TransportError as exc:
+                self._mark_dead(worker)
+                raise TransportError(f"worker {worker.worker_id}: {exc}") from None
+            if msg is None:
+                self._mark_dead(worker)
+                raise TransportError(f"worker {worker.worker_id} exited unexpectedly")
+            if self._tap is not None:
+                self._tap(("recv", worker.worker_id, msg))
+            if not isinstance(msg, (framing.Result, framing.Failure)) or msg.call_id != want:
+                self._mark_dead(worker)
+                raise TransportError(f"worker {worker.worker_id} answered out of order")
+            if isinstance(msg, framing.Failure) and uuid_key is not None:
+                worker.known_contexts.discard(uuid_key)
+                errors.append(f"worker {worker.worker_id} rejected context {uuid_key}: {msg.error}")
+            elif isinstance(msg, framing.Failure):
+                errors.append(msg.error)
+        if errors:
+            raise WorkerFailure(errors[0])
         return msg
 
     def _mark_dead(self, worker: WorkerHandle) -> None:
@@ -119,7 +134,8 @@ class WorkerPool:
     def ensure_contexts(self, worker: WorkerHandle, refs: dict[str, MrdiDocument]) -> None:
         """Send the worker each ref document of ``refs`` (UUID -> document,
         base rings first, as an IPC save with ``collect_new_refs`` gathers
-        them in ``pending_refs``) that it does not hold yet.
+        them in ``pending_refs``) that it does not hold yet.  Only sends:
+        each is marked known and pending, and ``_recv`` reads the answers.
 
         The caller must hold the pool: be inside one of its calls, or have
         no call in flight.
@@ -129,12 +145,8 @@ class WorkerPool:
                 continue
             call_id = next(self._call_ids)
             self._send(worker, framing.LoadContext(call_id, uuid_key, ref_doc))
-            reply = self._recv(worker, call_id)
-            if isinstance(reply, framing.Failure):
-                raise WorkerFailure(
-                    f"worker {worker.worker_id} rejected context {uuid_key}: {reply.error}"
-                )
             worker.known_contexts.add(uuid_key)
+            worker.pending_contexts.append((call_id, uuid_key))
 
     # -- calls ---------------------------------------------------------------
 
@@ -143,12 +155,12 @@ class WorkerPool:
         worker: the one path every call takes.
 
         Returns the results by input index and the failure of the lowest
-        index, ``(index, exception)`` or None; a worker's Failure becomes a
-        WorkerFailure with its error text.  A round saves all its arguments
-        before its first Call goes out, stops sending at the first failure,
-        and reads the answer to every Call it sent before this returns, so no
-        stale answer is left for the next call; no round starts after a
-        failure.
+        index, ``(index, exception)`` or None.  A round saves all its
+        arguments before its first frame goes out, sends each worker's
+        LoadContext frames and Call back to back, stops sending at the first
+        failure, and reads the answer to every frame it sent before this
+        returns, so no stale answer is left for the next call; no round
+        starts after a failure.
         """
         with self._lock:
             if self._closed:
@@ -180,8 +192,6 @@ class WorkerPool:
                 for worker, index, call_id in sent:
                     try:
                         reply = self._recv(worker, call_id)
-                        if isinstance(reply, framing.Failure):
-                            raise WorkerFailure(reply.error)
                         for uuid_key, ref_doc in reply.refs.items():
                             if self.global_state.resolve(uuid_key) is None:
                                 load_context_document(ref_doc, self.global_state, uuid_key)

@@ -2,10 +2,12 @@
 
 A pool's workers are forked from its start-up process (``zygote.py``);
 ``mrdikit --worker`` runs one on its own stdin/stdout.  Either way the
-protocol is on stdin/stdout.  Contexts arrive through LoadContext frames before any call
-that needs them; calls are answered with Result or Failure.  Contexts a call
-creates on the worker side are sent back inline with the result, each exactly
-once.
+protocol is on stdin/stdout, and ``serve`` looks each message's handler up
+by its class.  Contexts arrive through LoadContext frames before any call
+that needs them, sent back to back with that call; every frame is answered
+in order, a LoadContext with an empty Result or a Failure, a Call with a
+Result or a Failure.  Contexts a call creates on the worker side are
+sent back inline with the result, each exactly once.
 
 Environment:
   MRDI_WORKER_ID    worker number assigned by the pool (log naming only)
@@ -78,17 +80,15 @@ class WorkerLoop:
             self._reply(framing.Failure(msg.call_id, detail))
 
     def serve(self) -> None:
-        while True:
-            msg = framing.read_message(self.stdin)
-            if msg is None or isinstance(msg, framing.Shutdown):
-                self._log("shutting down")
-                return
-            if isinstance(msg, framing.LoadContext):
-                self.handle_load_context(msg)
-            elif isinstance(msg, framing.Call):
-                self.handle_call(msg)
+        handlers = {framing.LoadContext: self.handle_load_context, framing.Call: self.handle_call}
+        while (msg := framing.read_message(self.stdin)) is not None:
+            if isinstance(msg, framing.Shutdown):
+                break
+            if type(msg) in handlers:
+                handlers[type(msg)](msg)
             else:
                 self._log(f"ignoring unexpected message {msg!r}")
+        self._log("shutting down")
 
 
 def worker_main() -> int:

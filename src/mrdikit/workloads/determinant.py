@@ -44,7 +44,7 @@ ignored.
 from __future__ import annotations
 
 from math import gcd, log2
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..algebra.matrices import (
     ExactMatrix,
@@ -198,12 +198,7 @@ def _bareiss_bits(m: ExactMatrix, bound_d: int) -> float:
     return n * (b + d * log2(bound_d / 2 + 1) + log2(n * (d + 1) or 1))
 
 
-def modular_determinant(
-    m: ExactMatrix,
-    pool=None,
-    heuristic: bool = False,
-    prime_stream: Optional[Iterator[int]] = None,
-) -> Polynomial:
+def modular_determinant(m: ExactMatrix, pool=None, heuristic: bool = False) -> Polynomial:
     """Exact determinant of a square matrix over ZZ[t].
 
     Bareiss elimination at the points -floor(D/2)..ceil(D/2) when
@@ -212,8 +207,7 @@ def modular_determinant(
     points or the primes are shared out through ``parallel_map``, one call per
     worker; the serial and pooled paths produce identical results.
     ``heuristic`` is accepted and ignored: both modes compute the exact
-    result.  ``prime_stream`` replaces the descending primes of the
-    multimodular path.
+    result.
     """
     _require_zz_t_square(m)
     bound_b = coefficient_bound(m)
@@ -226,10 +220,7 @@ def modular_determinant(
         values = _share_out(det_univariate_at_points, m, points, pool)
         return from_dense_coefficients(m.parent, interpolate_at_consecutive_points(start, values))
 
-    stream = _usable_primes(
-        prime_stream if prime_stream is not None else descending_primes(PRIME_CEILING),
-        bound_d,
-    )
+    stream = _usable_primes(descending_primes(PRIME_CEILING), bound_d)
     primes = []
     product = 1
     while product <= 2 * bound_b:

@@ -177,19 +177,26 @@ def test_multimodular_primes_clear_the_bound(multimodular, primes_used):
     assert prod(primes_used) > 2 * coefficient_bound(m)
 
 
-def test_prime_independence(multimodular):
+def test_prime_independence(multimodular, primes_used, monkeypatch):
     rng = random.Random(77)
     m = random_zz_t_matrix(rng, 4, max_deg=3, coeff_range=10**4)
 
-    def stream_skipping(k):
-        it = descending_primes(2**31)
-        for _ in range(k):
-            next(it)
-        return it
+    def primes_skipping(k):
+        def stream(start_below):
+            it = descending_primes(start_below)
+            for _ in range(k):
+                next(it)
+            return it
 
-    first = modular_determinant(m, prime_stream=stream_skipping(0))
-    second = modular_determinant(m, prime_stream=stream_skipping(25))
+        return stream
+
+    monkeypatch.setattr(determinant, "descending_primes", primes_skipping(0))
+    first = modular_determinant(m)
+    first_primes = primes_used[:]
+    monkeypatch.setattr(determinant, "descending_primes", primes_skipping(25))
+    second = modular_determinant(m)
     assert first == second
+    assert first_primes and not set(first_primes) & set(primes_used[len(first_primes) :])
 
 
 def test_prime_streams_reuse_found_primes(monkeypatch):

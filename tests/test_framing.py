@@ -24,9 +24,9 @@ def roundtrip_one(msg):
     return out
 
 
-def test_roundtrip_each_kind():
+def one_of_each_kind():
     ref = MrdiDocument(TypeNode("PolyRing"), {"base_ring": "ZZRing", "symbol": "t"})
-    messages = [
+    return [
         framing.LoadContext(1, UUID_A, ref),
         framing.Call(2, "det_mod_p", sample_doc()),
         framing.Result(2, sample_doc(), {UUID_A: ref}),
@@ -34,8 +34,34 @@ def test_roundtrip_each_kind():
         framing.Failure(4, "kaboom"),
         framing.Shutdown(),
     ]
-    for msg in messages:
+
+
+def test_roundtrip_each_kind():
+    for msg in one_of_each_kind():
         assert roundtrip_one(msg) == msg
+
+
+_TYPE_A = b'{"name":"PolyRingElem","params":"11111111-2222-4333-8444-555555555555"}'
+_RING_T = b'{"_type":"PolyRing","data":{"base_ring":"ZZRing","symbol":"t"}}'
+
+# The wire format is a fixed point: payload keys in this order, a Result's
+# ``value`` left out when None and its ``refs`` when empty.
+PINNED_FRAMES = [
+    b'\x00\x00\x00\x81\x01{"id":1,"uuid":"11111111-2222-4333-8444-555555555555",'
+    b'"document":' + _RING_T + b"}",
+    b'\x00\x00\x00\x8f\x02{"id":2,"fn":"det_mod_p","args":{"_type":' + _TYPE_A
+    + b',"data":[["0","2"],["3","1"]]}}',
+    b'\x00\x00\x00\xef\x03{"id":2,"value":{"_type":' + _TYPE_A
+    + b',"data":[["0","2"],["3","1"]]},"refs":{"11111111-2222-4333-8444-555555555555":'
+    + _RING_T + b"}}",
+    b'\x00\x00\x00\x08\x03{"id":3}',
+    b'\x00\x00\x00\x19\x04{"id":4,"error":"kaboom"}',
+    b"\x00\x00\x00\x02\x05{}",
+]
+
+
+def test_frame_bytes_of_each_kind_are_pinned():
+    assert [framing.frame_bytes(msg) for msg in one_of_each_kind()] == PINNED_FRAMES
 
 
 def test_stream_of_messages():
@@ -74,6 +100,13 @@ def test_unknown_kind_rejected():
 def test_garbage_payload_rejected():
     raw = b"\x00\x00\x00\x03\x05abc"
     with pytest.raises(TransportError):
+        framing.read_message(io.BytesIO(raw))
+
+
+@pytest.mark.parametrize("payload", [b"[]", b'{"id":1,"refs":[1]}'], ids=["list", "refs-list"])
+def test_malformed_result_payload_rejected(payload):
+    raw = framing._HEADER.pack(len(payload), framing.KIND_RESULT) + payload
+    with pytest.raises(TransportError, match="malformed frame payload for kind 3"):
         framing.read_message(io.BytesIO(raw))
 
 

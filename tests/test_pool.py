@@ -520,6 +520,54 @@ def test_second_ensure_sends_nothing():
     assert second_loads == first_loads
 
 
+def test_context_loads_go_out_with_their_call():
+    events = []
+    _, _, polys = nested_ring_polys(1)
+    with spawn_pool(1, tap=events.append) as pool:
+        assert pool.remote_call("poly_square", (polys[0],)) == polys[0] * polys[0]
+        frames = [(direction, type(msg).__name__) for direction, _, msg in events]
+    assert frames == [
+        ("send", "LoadContext"),
+        ("send", "LoadContext"),
+        ("send", "Call"),
+        ("recv", "Result"),
+        ("recv", "Result"),
+        ("recv", "Result"),
+    ]
+
+
+def test_a_round_reads_no_answer_before_its_last_send():
+    events = []
+    _, _, polys = nested_ring_polys(3)
+    with spawn_pool(3, tap=events.append) as pool:
+        assert pool.parallel_map("poly_square", [(p,) for p in polys]) == [p * p for p in polys]
+        directions = [direction for direction, _, _ in events]
+    # two contexts and one call per worker
+    assert directions == ["send"] * 9 + ["recv"] * 9
+
+
+def test_a_rejected_context_fails_its_call_and_is_sent_again(extras_env):
+    from worker_extras import REJECT_ONCE_SYMBOL
+
+    events = []
+    Rr, r = univariate_ring(ZZ, REJECT_ONCE_SYMBOL)
+    with spawn_pool(1, init_modules=["worker_extras"], tap=events.append) as pool:
+        with pytest.raises(WorkerFailure) as info:
+            pool.parallel_map("poly_square", [(r,)])
+        uuid = pool.global_state.uuid_for(Rr)
+        assert info.value.index == 0
+        assert str(info.value) == (
+            f"item 0: worker 0 rejected context {uuid}: "
+            f"context load failed: ring {REJECT_ONCE_SYMBOL} is rejected once"
+        )
+        assert pool.workers[0].known_contexts == set()
+        del events[:]
+        polys = [r + Polynomial.constant(Rr, k) for k in range(3)]
+        assert pool.parallel_map("poly_square", [(p,) for p in polys]) == [p * p for p in polys]
+        loads = [msg.uuid for d, _, msg in events if d == "send" and isinstance(msg, LoadContext)]
+    assert loads == [uuid]
+
+
 def test_calls_overlap_across_workers(extras_env):
     # Sleeps release the CPU, so overlap shows even on a single-core host:
     # 6 x 300 ms must take well under the 1.8 s serial floor on 3 workers.

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from mrdikit.algebra import QQ, Polynomial, polynomial_ring
 from mrdikit.errors import SchemaError
-from mrdikit.ipc import register_function
+from mrdikit.ipc import register_function, worker
 from mrdikit.mrdi import (
     TypeNode,
     context_from_uuid,
@@ -66,6 +66,25 @@ _BY_INDEX = (sleep_ms, fail_on_three, exit_now)
 @register_function("by_index")
 def by_index(k, *args):
     return _BY_INDEX[k](*args)
+
+
+# A worker rejects the first LoadContext of each ring whose symbol is this
+# marker and loads any later one.
+REJECT_ONCE_SYMBOL = "reject_once"
+_rejected: set[str] = set()
+_load_context_document = worker.load_context_document
+
+
+def _reject_marked_rings_once(document, global_state, uuid):
+    data = document.data
+    if isinstance(data, dict) and data.get("symbol") == REJECT_ONCE_SYMBOL:
+        if uuid not in _rejected:
+            _rejected.add(uuid)
+            raise SchemaError(f"ring {REJECT_ONCE_SYMBOL} is rejected once")
+    return _load_context_document(document, global_state, uuid)
+
+
+worker.load_context_document = _reject_marked_rings_once
 
 
 @register_function("fresh_ring_poly")
