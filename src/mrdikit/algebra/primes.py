@@ -6,7 +6,7 @@ import math
 import threading
 from typing import Iterable, Iterator
 
-from ..errors import ValidationError
+from ..errors import ValidationError, quote
 
 # The first 13 primes as Miller-Rabin witnesses decide primality for every
 # n below psi_13 = 3317044064679887385961981, the least strong pseudoprime to
@@ -25,7 +25,9 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n >= _MR_BOUND:
-        raise ValidationError(f"primality of {n} is not decided: moduli must be below {_MR_BOUND}")
+        raise ValidationError(
+            f"primality of {quote(n)} is not decided: moduli must be below {_MR_BOUND}"
+        )
     for p in _SMALL_PRIMES:
         if n == p:
             return True

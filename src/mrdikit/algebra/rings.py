@@ -15,7 +15,7 @@ import itertools
 import threading
 from dataclasses import dataclass, field
 
-from ..errors import ValidationError
+from ..errors import ValidationError, quote
 from .primes import is_prime
 
 
@@ -40,7 +40,9 @@ class PrimeField(RingDescriptor):
 
     def __post_init__(self):
         if not isinstance(self.p, int) or self.p < 2:
-            raise ValidationError(f"prime field modulus must be an integer >= 2, got {self.p!r}")
+            raise ValidationError(
+                f"prime field modulus must be an integer >= 2, got {quote(self.p)}"
+            )
         if not is_prime(self.p):
             raise ValidationError(f"{self.p} is not prime")
 

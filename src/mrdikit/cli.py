@@ -3,7 +3,9 @@
 Subcommands: ``roundtrip`` and ``validate`` for mrdi files, ``detcrt`` and
 ``kernel`` for the two workloads, ``bench`` for seeded synthetic timing runs.
 Exit codes: 0 success, 1 semantic failure, 2 bad input, 3 distributed
-failure.  ``mrdikit --worker`` runs the worker-process loop instead.
+failure.  A command returns 0 or 1 and raises for anything else; ``main``
+alone maps what it raises to 2 or 3 and one stderr line, through the table
+``_EXIT_CODES``.  ``mrdikit --worker`` runs the worker-process loop instead.
 """
 
 from __future__ import annotations
@@ -77,12 +79,11 @@ def _seed_from(raw: bytes) -> int:
     return int.from_bytes(hashlib.sha256(raw).digest()[:8], "big")
 
 
-def _read_bytes(path: str):
+def _read_bytes(path: str) -> bytes:
     try:
         return Path(path).read_bytes()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None
+        raise MrdiKitError(f"cannot read {path}: {exc}") from exc
 
 
 def _emit_report(reports, as_json: bool) -> None:
@@ -99,15 +100,8 @@ def _emit_report(reports, as_json: bool) -> None:
 
 def cmd_roundtrip(args) -> int:
     raw = _read_bytes(args.path)
-    if raw is None:
-        return EXIT_BAD_INPUT
     state = GlobalSerializerState()
-    try:
-        doc = parse_text(raw)
-        value = load(doc, DeserializerState(Mode.LONG_TERM, state))
-    except MrdiKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    value = load(parse_text(raw), DeserializerState(Mode.LONG_TERM, state))
     out = serialize_text(save(value, SerializerState(Mode.LONG_TERM, state)))
     if out == raw:
         print(f"{args.path}: canonical round-trip, {len(raw)} bytes")
@@ -129,8 +123,6 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_validate(args) -> int:
     raw = _read_bytes(args.path)
-    if raw is None:
-        return EXIT_BAD_INPUT
     try:
         doc = parse_text(raw)
     except SchemaError as exc:
@@ -186,21 +178,19 @@ def _write_atomic(path: Path, raw: bytes) -> None:
         raise
 
 
-def _write_file(path, raw: bytes) -> bool:
+def _write_file(path, raw: bytes) -> None:
     try:
         _write_atomic(Path(path), raw)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise MrdiKitError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_result(value, out_path: str, seed: int):
-    """The long-term bytes of ``value``, written to ``out_path``; None (after
-    a one-line error) when they cannot be written."""
+def _write_result(value, out_path: str, seed: int) -> bytes:
+    """The long-term bytes of ``value``, written to ``out_path``."""
     state = SerializerState(Mode.LONG_TERM, GlobalSerializerState(uuid_seed=seed))
     raw = serialize_text(save(value, state))
-    return raw if _write_file(out_path, raw) else None
+    _write_file(out_path, raw)
+    return raw
 
 
 def _with_pool(workers: int, fn):
@@ -233,31 +223,19 @@ def _components_value(components):
 
 def cmd_detcrt(args) -> int:
     raw = _read_bytes(args.matrix)
-    if raw is None:
-        return EXIT_BAD_INPUT
-    try:
-        matrix = _load_value(raw)
-        if not isinstance(matrix, ExactMatrix):
-            raise ValidationError("input does not decode to a matrix")
-        desc = matrix.parent.descriptor
-        if not isinstance(desc, UnivariatePolyRing) or not isinstance(desc.base, IntegerRing):
-            raise ValidationError("matrix must live over a univariate ring over ZZ")
-        if not matrix.is_square:
-            raise ValidationError("matrix must be square")
-    except MrdiKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        (det, seconds), startup = _with_pool(
-            args.workers,
-            lambda pool: _timed(modular_determinant, matrix, pool=pool),
-        )
-    except (WorkerFailure, TransportError, PoolClosedError) as exc:
-        print(f"worker failure: {exc}", file=sys.stderr)
-        return EXIT_DISTRIBUTED
+    matrix = _load_value(raw)
+    if not isinstance(matrix, ExactMatrix):
+        raise ValidationError("input does not decode to a matrix")
+    desc = matrix.parent.descriptor
+    if not isinstance(desc, UnivariatePolyRing) or not isinstance(desc.base, IntegerRing):
+        raise ValidationError("matrix must live over a univariate ring over ZZ")
+    if not matrix.is_square:
+        raise ValidationError("matrix must be square")
+    (det, seconds), startup = _with_pool(
+        args.workers,
+        lambda pool: _timed(modular_determinant, matrix, pool=pool),
+    )
     out_raw = _write_result(det, args.out, _seed_from(raw))
-    if out_raw is None:
-        return EXIT_BAD_INPUT
     report = RunReport(
         "detcrt", _digest(raw), max(args.workers, 0), seconds, startup, _digest(out_raw), args.out
     )
@@ -267,25 +245,16 @@ def cmd_detcrt(args) -> int:
 
 def cmd_kernel(args) -> int:
     raw = _read_bytes(args.map)
-    if raw is None:
-        return EXIT_BAD_INPUT
     if args.degree < 1:
-        print("error: --degree must be at least 1", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        phi = _load_value(raw)
-        if not isinstance(phi, MonomialMap):
-            raise ValidationError("input does not decode to a monomial map")
-    except MrdiKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValidationError("--degree must be at least 1")
+    phi = _load_value(raw)
+    if not isinstance(phi, MonomialMap):
+        raise ValidationError("input does not decode to a monomial map")
     # The kernel runs in this process at every --workers value.
     components, seconds = _timed(
         components_of_kernel, phi, args.degree, minimalize=not args.no_minimalize
     )
     out_raw = _write_result(_components_value(components), args.out, _seed_from(raw))
-    if out_raw is None:
-        return EXIT_BAD_INPUT
     report = RunReport(
         "kernel", _digest(raw), max(args.workers, 0), seconds, 0.0, _digest(out_raw), args.out
     )
@@ -297,18 +266,15 @@ def cmd_bench(args) -> int:
     try:
         worker_counts = [int(w) for w in args.workers.split(",") if w != ""]
     except ValueError:
-        print(f"error: bad --workers list {args.workers!r}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if not worker_counts or any(w < 0 for w in worker_counts):
-        print(f"error: bad --workers list {args.workers!r}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        worker_counts = []
+    if not worker_counts or min(worker_counts) < 0:
+        raise ValidationError(f"bad --workers list {args.workers!r}")
     try:
         out_dir = Path(args.out_dir or tempfile.mkdtemp(prefix="mrdikit-bench-"))
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         where = args.out_dir or tempfile.gettempdir()
-        print(f"error: cannot write {where}: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise MrdiKitError(f"cannot write {where}: {exc}") from exc
 
     if args.suite == "detcrt-synthetic":
         instance = detcrt_instance()
@@ -328,23 +294,16 @@ def cmd_bench(args) -> int:
     input_raw = serialize_text(
         save(instance, SerializerState(Mode.LONG_TERM, GlobalSerializerState(uuid_seed=1)))
     )
-    if not _write_file(instance_path, input_raw):
-        return EXIT_BAD_INPUT
+    _write_file(instance_path, input_raw)
     seed = _seed_from(input_raw)
 
     reports = []
     for count in worker_counts:
-        try:
-            (result, seconds), startup = run(count)
-        except (WorkerFailure, TransportError, PoolClosedError) as exc:
-            print(f"worker failure at {count} workers: {exc}", file=sys.stderr)
-            return EXIT_DISTRIBUTED
+        (result, seconds), startup = run(count)
         if workload == "kernel":
             result = _components_value(result)
         out_path = out_dir / f"{workload}-w{count}.mrdi"
         out_raw = _write_result(result, str(out_path), seed)
-        if out_raw is None:
-            return EXIT_BAD_INPUT
         reports.append(
             RunReport(
                 f"{workload}-synthetic",
@@ -417,6 +376,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The one place an exception becomes an exit code: the first class of
+# ``type(exc).__mro__`` found here gives the code and the stderr line.  The
+# commands raise; an exception outside this table is a bug and a traceback.
+# A BrokenPipeError reaches here only from standard output, since the file
+# helpers turn every OSError into a MrdiKitError.
+_EXIT_CODES = {
+    WorkerFailure: (EXIT_DISTRIBUTED, "worker failure: {}"),
+    TransportError: (EXIT_DISTRIBUTED, "worker failure: {}"),
+    PoolClosedError: (EXIT_DISTRIBUTED, "worker failure: {}"),
+    MrdiKitError: (EXIT_BAD_INPUT, "error: {}"),
+    BrokenPipeError: (EXIT_BAD_INPUT, "error: cannot write standard output: {}"),
+}
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv[:1] == ["--worker"]:
@@ -425,12 +398,13 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
-    except BrokenPipeError as exc:
-        # Whoever read stdout has gone (``mrdikit bench | head -1``).  Point
-        # stdout at /dev/null so the flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    except tuple(_EXIT_CODES) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # Whoever read stdout has gone (``mrdikit bench | head -1``).  Point
+            # stdout at /dev/null so the flush at exit cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code, line = next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
+        print(line.format(exc), file=sys.stderr)
     return code
 
 

@@ -1,4 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their texts quote input."""
+
+# The most characters of ``repr`` an error or warning text quotes.
+QUOTE_LIMIT = 80
+
+
+def quote(value) -> str:
+    """``repr(value)`` as an error text shows it: its first ``QUOTE_LIMIT``
+    characters and its length when it is longer, and never an exception,
+    which ``repr`` raises for an integer past the interpreter's digit limit."""
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to show>"
+    if len(text) <= QUOTE_LIMIT:
+        return text
+    return f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
 
 
 class MrdiKitError(Exception):

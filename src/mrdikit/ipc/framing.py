@@ -172,7 +172,7 @@ def read_message(stream) -> Optional[Message]:
         raise TransportError("stream ended inside a frame body")
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # also a number past the interpreter's digit limit
         raise TransportError(f"frame payload is not valid JSON: {exc}") from exc
     except RecursionError:
         raise TransportError(

@@ -34,6 +34,11 @@ DEAD = "dead"
 
 _SHUTDOWN_GRACE_SECONDS = 5.0
 
+# The most workers a pool has.  A pool's workers start with one request to
+# the start-up process (``zygote.py``), and one descriptor message carries at
+# most 253 descriptors: the coordinator's stderr and two pipe ends per worker.
+MAX_WORKERS = 126
+
 
 class WorkerHandle:
     def __init__(self, worker_id: int, proc: WorkerProcess):
@@ -58,6 +63,8 @@ class WorkerPool:
     ):
         if not isinstance(n, int) or n < 1:
             raise ValidationError(f"pool size must be a positive integer, got {n!r}")
+        if n > MAX_WORKERS:
+            raise ValidationError(f"pool size must be at most {MAX_WORKERS}, got {n}")
         # Coordinator and workers must agree on the function registry.
         for module in init_modules:
             importlib.import_module(module)

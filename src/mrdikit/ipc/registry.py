@@ -26,7 +26,7 @@ def register_function(name: str, fn: Optional[Callable] = None):
 
 
 def lookup(name: str) -> Optional[Callable]:
-    return _FUNCTIONS.get(name)
+    return _FUNCTIONS.get(name) if isinstance(name, str) else None
 
 
 @register_function("identity")

@@ -13,7 +13,8 @@ child puts its pipes and the stderr on fd 0/1/2, applies those differences
 (``PYTHONPATH`` included), changes directory, and runs ``worker_main``.  The
 zygote answers with every pid and a pidfd for each, in one message.  A
 descriptor message carries at most 253 descriptors, so a request names at
-most 126 workers and a larger pool sends several.  A worker is the zygote's
+most 126 workers, and a pool, which starts with one request, has at most
+``pool.MAX_WORKERS`` (126).  A worker is the zygote's
 child, so the coordinator waits on it and signals it through that pidfd; its
 exit status is the zygote's to collect, not the coordinator's.
 
@@ -44,6 +45,7 @@ import traceback
 from typing import Optional, Sequence
 
 from ..errors import TransportError
+from .pool import MAX_WORKERS
 from .worker import worker_main
 
 # The zygote's command line: a fresh interpreter, as ``mrdikit --worker`` is.
@@ -52,9 +54,6 @@ _ENTRY = "from mrdikit.ipc.zygote import serve; serve()"
 # working directory and the workers' own variables as JSON; a message cannot
 # outgrow the socket's send buffer.
 _MAX_REQUEST = 1 << 18
-# One SCM_RIGHTS message carries at most 253 descriptors: the coordinator's
-# stderr and two pipe ends per worker.
-_MAX_WORKERS_PER_REQUEST = 126
 # The answer is the workers' pids as JSON, or an error text.
 _MAX_REPLY = 1 << 12
 # How long the coordinator waits for the answer to one request.  The first
@@ -133,27 +132,15 @@ class _Zygote:
         atexit.register(self.stop)
 
     def fork_workers(self, env: dict, worker_envs: Sequence[dict]) -> list[WorkerProcess]:
-        """One worker per item of ``worker_envs``; all of them or none."""
+        """One worker per item of ``worker_envs``, at most ``MAX_WORKERS``,
+        started by one request; all of them or none."""
         request = {
             "cwd": os.getcwd(),
             "set": {key: value for key, value in env.items() if self.env.get(key) != value},
             "unset": [key for key in self.env if key not in env],
+            "workers": worker_envs,
         }
-        started: list[WorkerProcess] = []
-        try:
-            for first in range(0, len(worker_envs), _MAX_WORKERS_PER_REQUEST):
-                request["workers"] = worker_envs[first : first + _MAX_WORKERS_PER_REQUEST]
-                started += self._request(request)
-        except BaseException:
-            for proc in started:
-                proc.kill()
-                proc.wait()
-                proc.close()
-            raise
-        return started
-
-    def _request(self, request: dict) -> list[WorkerProcess]:
-        count = len(request["workers"])
+        count = len(worker_envs)
         theirs: list[int] = []  # per worker: stdin's read end, stdout's write end
         mine: list[int] = []  # per worker: stdin's write end, stdout's read end
         try:
@@ -331,9 +318,7 @@ def serve() -> None:
     signal.signal(signal.SIGCHLD, _reap)
     while True:
         try:
-            data, fds, _, _ = socket.recv_fds(
-                channel, _MAX_REQUEST, 1 + 2 * _MAX_WORKERS_PER_REQUEST
-            )
+            data, fds, _, _ = socket.recv_fds(channel, _MAX_REQUEST, 1 + 2 * MAX_WORKERS)
         except ConnectionResetError:
             return
         if not data:

@@ -52,11 +52,13 @@ from ..algebra.rings import (
     intern_context,
 )
 from ..errors import (
+    QUOTE_LIMIT,
     ContextNotPreloadedError,
     DanglingReferenceError,
     SchemaError,
     UnsupportedTypeError,
     ValidationError,
+    quote,
 )
 from .document import (
     FORMAT_VERSION,
@@ -145,7 +147,9 @@ def _ring_from_type(tn: TypeNode, state: DeserializerState, where: str) -> Conte
         if isinstance(ring.descriptor, UnivariatePolyRing) == (name == "PolyRing"):
             return ring
         raise SchemaError(f"{where}: {params} names {ring.descriptor!r}, not a {name}")
-    raise SchemaError(f"{where}: {name} with parameters {params!r} is not a ring type")
+    raise SchemaError(
+        f"{where}: {name[:QUOTE_LIMIT]} with parameters {quote(params)} is not a ring type"
+    )
 
 
 def _element_type(ring: ContextHandle, state: SerializerState) -> TypeNode:
@@ -157,7 +161,7 @@ def _element_type(ring: ContextHandle, state: SerializerState) -> TypeNode:
 def _element_ring(tn: TypeNode, state: DeserializerState, where: str) -> ContextHandle:
     """The parent ring an element type node names."""
     if not tn.name.endswith("Elem"):
-        raise SchemaError(f"{where}: {tn.name} is not an element type")
+        raise SchemaError(f"{where}: {tn.name[:QUOTE_LIMIT]} is not an element type")
     return _ring_from_type(TypeNode(tn.name[: -len("Elem")], tn.params), state, where)
 
 
@@ -216,7 +220,7 @@ def context_from_uuid(param, state: DeserializerState, where: str) -> ContextHan
     read from the document's ``_refs`` and bound.  A ``param`` that is not a
     UUID raises a SchemaError located at ``where``."""
     if not is_uuid_text(param):
-        raise SchemaError(f"{where}: expected a context UUID parameter, got {param!r}")
+        raise SchemaError(f"{where}: expected a context UUID parameter, got {quote(param)}")
     ctx = state.global_state.resolve(param)
     if ctx is not None:
         return ctx
@@ -256,7 +260,7 @@ def _context_from_ref(ref: MrdiDocument, state: DeserializerState, where: str) -
         if isinstance(base_desc, _POLY_RINGS):
             raise SchemaError(f"{at}: a polynomial base ring is named by its UUID")
     else:
-        raise SchemaError(f"{at}: unknown base ring encoding {base!r}")
+        raise SchemaError(f"{at}: unknown base ring encoding {quote(base)}")
     symbols = data.get("symbol", data.get("symbols"))
     if "symbol" in data and isinstance(symbols, str):
         ring = intern_context(UnivariatePolyRing(base_desc, symbols))
@@ -265,7 +269,9 @@ def _context_from_ref(ref: MrdiDocument, state: DeserializerState, where: str) -
     else:
         raise SchemaError(f"{where}: ring symbols must be text")
     if ref.type_tree != _ring_type(ring, None):
-        raise SchemaError(f"{where}: the ref document of {ring.descriptor!r} has the wrong type")
+        raise SchemaError(
+            f"{where}: the ref document of {quote(ring.descriptor)} has the wrong type"
+        )
     return ring
 
 
@@ -604,10 +610,12 @@ def _decode_matrix(tn: TypeNode, data, state: DeserializerState) -> ExactMatrix:
     ncols = int_from_text(data["ncols"], where)
     for name, size in (("nrows", nrows), ("ncols", ncols)):
         if size < 0:
-            raise SchemaError(f"{where}/{name}: matrix dimensions must be nonnegative, got {size}")
+            raise SchemaError(
+                f"{where}/{name}: matrix dimensions must be nonnegative, got {quote(size)}"
+            )
     raw = data["entries"]
     if not isinstance(raw, list) or len(raw) != nrows * ncols:
-        raise SchemaError(f"{where}: expected {nrows * ncols} matrix entries")
+        raise SchemaError(f"{where}: expected {quote(nrows * ncols)} matrix entries")
     ring = _element_ring(tn.params, state, where)
     entries = decode_elements(ring, raw, state, f"{where}/entries")
     return ExactMatrix.of_canonical(ring, nrows, ncols, entries)
@@ -727,7 +735,7 @@ def _decode(tn: TypeNode, data, state: DeserializerState):
     SchemaError located at the value, like every other bad document."""
     decoder = _DECODERS.get(tn.name)
     if decoder is None:
-        raise UnsupportedTypeError(f"unsupported type tag: {tn.name!r}")
+        raise UnsupportedTypeError(f"unsupported type tag: {quote(tn.name)}")
     try:
         return decoder(tn, data, state)
     except ValidationError as exc:
@@ -741,7 +749,8 @@ def load(doc: MrdiDocument, state: DeserializerState):
         theirs = doc.ns.version.split(".")[0]
         if ours != theirs:
             warnings.warn(
-                f"document written by {doc.ns.system} {doc.ns.version}, "
+                f"document written by {doc.ns.system[:QUOTE_LIMIT]} "
+                f"{doc.ns.version[:QUOTE_LIMIT]}, "
                 f"this is format major version {ours}; loading anyway",
                 stacklevel=2,
             )

@@ -15,7 +15,7 @@ from math import gcd
 from operator import methodcaller
 
 from ..algebra.rings import PrimeField
-from ..errors import SchemaError
+from ..errors import SchemaError, quote
 
 # Python refuses int<->str conversions beyond sys.get_int_max_str_digits()
 # (4300 by default).  Larger integers are converted piecewise instead: split
@@ -99,7 +99,7 @@ def int_from_text(text, where) -> int:
                 and text[-1] > " "
             ):
                 return value
-    raise SchemaError(f"{where}: expected a decimal integer, got {text!r}")
+    raise SchemaError(f"{where}: expected a decimal integer, got {quote(text)}")
 
 
 def fraction_to_text(q: Fraction) -> str:
@@ -110,23 +110,23 @@ def fraction_to_text(q: Fraction) -> str:
 
 def fraction_from_text(text, where) -> Fraction:
     if not isinstance(text, str):
-        raise SchemaError(f"{where}: expected a rational as text, got {text!r}")
+        raise SchemaError(f"{where}: expected a rational as text, got {quote(text)}")
     num, sep, den = text.partition("/")
     try:
         numerator = int_from_text(num, where)
         denominator = int_from_text(den, where) if sep else 1
     except SchemaError:
-        raise SchemaError(f"{where}: malformed rational {text!r}") from None
+        raise SchemaError(f"{where}: malformed rational {quote(text)}") from None
     # Canonical text writes a denominator only in lowest terms and when it is at least 2.
     if sep and (denominator < 2 or gcd(numerator, denominator) != 1):
-        raise SchemaError(f"{where}: malformed rational {text!r}")
+        raise SchemaError(f"{where}: malformed rational {quote(text)}")
     return Fraction(numerator, denominator)
 
 
 def residue_from_text(desc: PrimeField, text, where) -> int:
     residue = int_from_text(text, where)
     if not 0 <= residue < desc.p:
-        raise SchemaError(f"{where}: residue {residue} out of range for p={desc.p}")
+        raise SchemaError(f"{where}: residue {quote(residue)} out of range for p={desc.p}")
     return residue
 
 

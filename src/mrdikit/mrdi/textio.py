@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
-from ..errors import SchemaError
+from ..errors import SchemaError, quote
 from .codec import registered_type_tags
 from .document import (
     MAX_NESTING_DEPTH,
@@ -126,7 +126,7 @@ def _parse_type(node, path, depth=0):
         return TypeNode(
             node["name"], _parse_type_params(node["params"], f"{path}/params", depth + 1)
         )
-    raise SchemaError(f"{path}: malformed type node {node!r}")
+    raise SchemaError(f"{path}: malformed type node {quote(node)}")
 
 
 def _parse_type_params(node, path, depth):
@@ -145,7 +145,7 @@ def _parse_type_params(node, path, depth):
             key: _parse_type_params(value, f"{path}/{key}", depth + 1)
             for key, value in node.items()
         }
-    raise SchemaError(f"{path}: malformed type parameters {node!r}")
+    raise SchemaError(f"{path}: malformed type parameters {quote(node)}")
 
 
 def _check_data(node, path):
@@ -157,7 +157,7 @@ def _check_data(node, path):
             if problem == "deep":
                 _too_deep(where)
             raise SchemaError(
-                f"{where}: native value {value!r}; numbers and flags must be stored as text"
+                f"{where}: native value {quote(value)}; numbers and flags must be stored as text"
             )
     return node
 
@@ -209,7 +209,7 @@ def parse_text(raw: bytes) -> MrdiDocument:
     """Parse canonical (or hand-written) mrdi bytes back into a document."""
     try:
         obj = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # also a number past the interpreter's digit limit
         raise SchemaError(f"malformed JSON: {exc}") from exc
     except RecursionError:
         raise SchemaError(f"JSON nested deeper than {MAX_NESTING_DEPTH} levels") from None

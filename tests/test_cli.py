@@ -134,6 +134,22 @@ def test_deep_nesting_exits_cleanly(tmp_path, capsys, body):
     assert "nested deeper" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nrows", ["7" * 5000, "-" + "7" * 5000], ids=["positive", "negative"])
+def test_a_dimension_past_the_digit_limit_is_bad_input(tmp_path, capsys, nrows):
+    # str() of an integer past 4300 digits raises ValueError, so an error
+    # text must not convert the dimension back.
+    doc = json.loads((Path(__file__).parent / "golden" / "matrix_zzt.mrdi").read_bytes())
+    doc["data"]["nrows"] = nrows
+    path = tmp_path / "long.mrdi"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    out = str(tmp_path / "det.mrdi")
+    for argv in (["roundtrip", str(path)], ["detcrt", "--matrix", str(path), "--out", out]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: data") and err.count("\n") == 1, err
+        assert len(err) < 300
+
+
 # -- detcrt ----------------------------------------------------------------------
 
 

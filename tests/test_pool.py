@@ -17,7 +17,9 @@ from mrdikit.errors import (
     ValidationError,
     WorkerFailure,
 )
+from mrdikit import cli
 from mrdikit.ipc import LoadContext, spawn_pool, zygote
+from mrdikit.ipc.pool import MAX_WORKERS
 from mrdikit.mrdi import GlobalSerializerState
 from mrdikit.workloads import modular_determinant
 
@@ -97,17 +99,11 @@ zygote.serve()
 """
 
 
-@pytest.mark.parametrize("per_request", [126, 1], ids=["one-request", "one-per-worker"])
-def test_a_fork_that_fails_leaves_no_worker_of_the_pool(
-    fresh_zygote, monkeypatch, tmp_path, per_request
-):
-    # The second fork fails: in the same request the zygote kills and reaps
-    # the first child; with one worker per request the coordinator kills the
-    # worker of the first, answered request.
+def test_a_fork_that_fails_leaves_no_worker_of_the_pool(fresh_zygote, monkeypatch, tmp_path):
+    # The second fork fails: the zygote kills and reaps the first child.
     log = tmp_path / "forked"
     monkeypatch.setenv("MRDI_TEST_FORK_LOG", str(log))
     monkeypatch.setattr(zygote, "_ENTRY", _FAILING_FORK)
-    monkeypatch.setattr(zygote, "_MAX_WORKERS_PER_REQUEST", per_request)
     with pytest.raises(TransportError, match="injected fork failure"):
         spawn_pool(3)
     assert zygote._zygote is None
@@ -116,21 +112,28 @@ def test_a_fork_that_fails_leaves_no_worker_of_the_pool(
     _assert_all_exit(forked)
 
 
-def test_a_pool_larger_than_one_request_sends_several(monkeypatch):
+def test_a_pool_above_the_maximum_forks_nothing(monkeypatch, capsys):
+    # The recorder starts no process, so a broken bound fails this test
+    # without starting 127 of them.
     requests = []
-    request = zygote._Zygote._request
 
-    def counted(self, message):
-        requests.append(len(message["workers"]))
-        return request(self, message)
+    def recorded(env, worker_envs):
+        requests.append(len(worker_envs))
+        raise TransportError("recorded, not started")
 
-    monkeypatch.setattr(zygote, "_MAX_WORKERS_PER_REQUEST", 1)
-    monkeypatch.setattr(zygote._Zygote, "_request", counted)
-    with spawn_pool(3) as pool:
-        assert requests == [1, 1, 1]
-        assert len({w.proc.pid for w in pool.workers}) == 3
-        items = [(k,) for k in range(7)]
-        assert pool.parallel_map("identity", items) == list(range(7))
+    monkeypatch.setattr(zygote, "fork_workers", recorded)
+    assert MAX_WORKERS == 126
+    with pytest.raises(ValidationError, match="at most 126, got 127"):
+        spawn_pool(MAX_WORKERS + 1)
+    matrix = str(Path(TESTS_DIR) / "golden" / "matrix_zzt.mrdi")
+    argv = ["detcrt", "--matrix", matrix, "--workers", "127", "--out", os.devnull]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: pool size must be at most 126, got 127\n"
+    assert requests == []
+    # The largest pool is one request.
+    with pytest.raises(TransportError, match="recorded"):
+        spawn_pool(MAX_WORKERS)
+    assert requests == [MAX_WORKERS]
 
 
 def test_wait_ready_gets_one_identity_answer_per_worker():

@@ -412,6 +412,18 @@ def test_version_mismatch_warns():
         load(bumped, DeserializerState(Mode.LONG_TERM, gs))
 
 
+def test_long_document_strings_are_quoted_by_their_head():
+    gs = GlobalSerializerState()
+    doc, _ = longterm_save(7, gs)
+    long_version = MrdiDocument(doc.type_tree, doc.data, NamespaceRecord("x" * 5000, "9" * 5000))
+    with pytest.warns(UserWarning) as caught:
+        load(long_version, DeserializerState(Mode.LONG_TERM, gs))
+    assert len(str(caught[0].message)) < 300
+    with pytest.raises(UnsupportedTypeError) as info:
+        load(MrdiDocument(TypeNode("T" * 5000), "7"), DeserializerState(Mode.LONG_TERM, gs))
+    assert str(info.value).startswith("unsupported type tag: 'TTT") and len(str(info.value)) < 300
+
+
 # -- randomized round-trip sweep ---------------------------------------------------
 
 
