@@ -345,8 +345,10 @@ def _dense_entries(m: ExactMatrix) -> list[list[int]]:
     return [dense_coefficients(e, e.degree() + 1) for e in m.entries]
 
 
-def _require_univariate_square(m: ExactMatrix, base: type, name: str) -> None:
-    desc = m.parent.descriptor
+def _require_univariate_square(m, base: type, name: str) -> None:
+    """Raise ValidationError unless ``m`` is a square ``ExactMatrix`` over a
+    univariate polynomial ring whose coefficient ring is a ``base``."""
+    desc = m.parent.descriptor if isinstance(m, ExactMatrix) else None
     if not isinstance(desc, UnivariatePolyRing) or not isinstance(desc.base, base):
         raise ValidationError(f"expected a matrix over a univariate polynomial ring over {name}")
     if not m.is_square:

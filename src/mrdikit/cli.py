@@ -5,7 +5,8 @@ Subcommands: ``roundtrip`` and ``validate`` for mrdi files, ``detcrt`` and
 Exit codes: 0 success, 1 semantic failure, 2 bad input, 3 distributed
 failure.  A command returns 0 or 1 and raises for anything else; ``main``
 alone maps what it raises to 2 or 3 and one stderr line, through the table
-``_EXIT_CODES``.  ``mrdikit --worker`` runs the worker-process loop instead.
+``_EXIT_CODES``.  ``mrdikit --worker`` runs the worker-process loop in place of
+a command, under the same table.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .algebra.matrices import ExactMatrix
-from .algebra.rings import IntegerRing, UnivariatePolyRing
+from .algebra.matrices import _require_univariate_square
+from .algebra.rings import IntegerRing
 from .errors import (
     MrdiKitError,
     PoolClosedError,
@@ -129,6 +130,11 @@ def cmd_validate(args) -> int:
         print(f"/: {exc}")
         return EXIT_FAILURE
     errors = validate_document(doc)
+    if not errors:
+        try:
+            load(doc, DeserializerState(Mode.LONG_TERM, GlobalSerializerState()))
+        except MrdiKitError as exc:
+            errors = [str(exc)]
     for error in errors:
         print(error)
     return EXIT_OK if not errors else EXIT_FAILURE
@@ -224,13 +230,7 @@ def _components_value(components):
 def cmd_detcrt(args) -> int:
     raw = _read_bytes(args.matrix)
     matrix = _load_value(raw)
-    if not isinstance(matrix, ExactMatrix):
-        raise ValidationError("input does not decode to a matrix")
-    desc = matrix.parent.descriptor
-    if not isinstance(desc, UnivariatePolyRing) or not isinstance(desc.base, IntegerRing):
-        raise ValidationError("matrix must live over a univariate ring over ZZ")
-    if not matrix.is_square:
-        raise ValidationError("matrix must be square")
+    _require_univariate_square(matrix, IntegerRing, "ZZ")
     (det, seconds), startup = _with_pool(
         args.workers,
         lambda pool: _timed(modular_determinant, matrix, pool=pool),
@@ -250,14 +250,11 @@ def cmd_kernel(args) -> int:
     phi = _load_value(raw)
     if not isinstance(phi, MonomialMap):
         raise ValidationError("input does not decode to a monomial map")
-    # The kernel runs in this process at every --workers value.
     components, seconds = _timed(
         components_of_kernel, phi, args.degree, minimalize=not args.no_minimalize
     )
     out_raw = _write_result(_components_value(components), args.out, _seed_from(raw))
-    report = RunReport(
-        "kernel", _digest(raw), max(args.workers, 0), seconds, 0.0, _digest(out_raw), args.out
-    )
+    report = RunReport("kernel", _digest(raw), 0, seconds, 0.0, _digest(out_raw), args.out)
     _emit_report([report], args.json)
     return EXIT_OK
 
@@ -339,16 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.set_defaults(func=cmd_roundtrip)
 
-    p = sub.add_parser("validate", help="check a file against the document invariants")
+    p = sub.add_parser("validate", help="check a file's document invariants, then load it")
     p.add_argument("path")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("detcrt", help="modular determinant of a ZZ[t] matrix")
     p.add_argument("--matrix", required=True)
     p.add_argument("--workers", type=int, default=0)
-    p.add_argument(
-        "--heuristic", action="store_true", help="accepted and ignored: the result is always exact"
-    )
     p.add_argument("--out", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_detcrt)
@@ -356,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", help="kernel components of a monomial map")
     p.add_argument("--map", required=True)
     p.add_argument("--degree", type=int, required=True, help="|md| <= DEGREE * min image degree")
-    p.add_argument("--workers", type=int, default=0, help="accepted; the kernel runs in-process")
     p.add_argument("--no-minimalize", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--json", action="store_true")
@@ -392,11 +385,9 @@ _EXIT_CODES = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv[:1] == ["--worker"]:
-        return worker_main()
-    args = build_parser().parse_args(argv)
+    args = None if argv[:1] == ["--worker"] else build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code = worker_main() if args is None else args.func(args)
         sys.stdout.flush()
     except tuple(_EXIT_CODES) as exc:
         if isinstance(exc, BrokenPipeError):

@@ -59,7 +59,6 @@ class WorkerPool:
         n: int,
         init_modules: Sequence[str] = (),
         tap: Optional[Callable] = None,
-        global_state: Optional[GlobalSerializerState] = None,
     ):
         if not isinstance(n, int) or n < 1:
             raise ValidationError(f"pool size must be a positive integer, got {n!r}")
@@ -68,7 +67,7 @@ class WorkerPool:
         # Coordinator and workers must agree on the function registry.
         for module in init_modules:
             importlib.import_module(module)
-        self.global_state = global_state or GlobalSerializerState()
+        self.global_state = GlobalSerializerState()
         self._tap = tap
         # Held for a whole call: one call at a time per pool.
         self._lock = threading.Lock()

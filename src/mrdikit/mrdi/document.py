@@ -183,7 +183,7 @@ def _check_type_node(node, path, errors, known_tags, depth=0):
     if isinstance(node, str):
         return  # UUID param or inline tag; resolvability is checked separately
     if isinstance(node, TypeNode):
-        if known_tags is not None and node.name not in known_tags:
+        if node.name not in known_tags:
             errors.append(f"{path}: unknown type tag {node.name!r}")
         if node.params is None:
             return
@@ -199,18 +199,16 @@ def _check_type_node(node, path, errors, known_tags, depth=0):
             _check_type_node(value, f"{path}/{key}", errors, known_tags, depth + 1)
 
 
-def validate_document(doc: MrdiDocument, global_state=None, known_tags=None) -> list[str]:
+def validate_document(doc: MrdiDocument, global_state=None) -> list[str]:
     """Check the document invariants, accumulating every error found.
 
     ``global_state`` (when given) is used to check UUID resolvability of IPC
     documents; long-term documents must be self-contained in ``_refs``.
-    ``known_tags``: collection of accepted type tags (defaults to the codec's
-    registered table).
+    Type tags must be ones the codec has registered.
     """
-    if known_tags is None:
-        from .codec import registered_type_tags
+    from .codec import registered_type_tags
 
-        known_tags = registered_type_tags()
+    known_tags = registered_type_tags()
     errors: list[str] = []
 
     has_ns = doc.ns is not None

@@ -48,6 +48,7 @@ from typing import Iterator
 
 from ..algebra.matrices import (
     ExactMatrix,
+    _require_univariate_square,
     det_univariate_mod_primes,
     det_univariate_at_points,
     det_univariate_over_prime_field,
@@ -56,7 +57,7 @@ from ..algebra.matrices import (
 )
 from ..algebra.polynomials import Polynomial, from_dense_coefficients
 from ..algebra.primes import crt_combine_balanced, descending_primes
-from ..algebra.rings import IntegerRing, UnivariatePolyRing
+from ..algebra.rings import IntegerRing
 from ..errors import ValidationError
 from ..ipc.registry import register_function
 
@@ -87,19 +88,11 @@ PRIME_CEILING = 2**31
 BAREISS_RATIO = 9.0
 
 
-def _require_zz_t_square(m: ExactMatrix) -> None:
-    desc = m.parent.descriptor
-    if not isinstance(desc, UnivariatePolyRing) or not isinstance(desc.base, IntegerRing):
-        raise ValidationError("expected a matrix over a univariate polynomial ring over ZZ")
-    if not m.is_square:
-        raise ValidationError("determinant of a nonsquare matrix")
-
-
 def degree_bound(m: ExactMatrix) -> int:
     """Bound on deg(det): the smaller of the sums over rows and over columns
     of the largest entry degree.  Each term of the Leibniz expansion takes
     one entry from every row and from every column, so both sums bound it."""
-    _require_zz_t_square(m)
+    _require_univariate_square(m, IntegerRing, "ZZ")
     n = m.nrows
     degrees = [e.degree() for e in m.entries]
     by_rows = sum(max(0, *degrees[i * n : (i + 1) * n]) for i in range(n))
@@ -118,7 +111,7 @@ def coefficient_bound(m: ExactMatrix) -> int:
     result is at most the permanent of the matrix of l1-norms, which is at
     most this product.
     """
-    _require_zz_t_square(m)
+    _require_univariate_square(m, IntegerRing, "ZZ")
     bound = 1
     for i in range(m.nrows):
         row_sum = sum(_poly_l1(m.entry(i, j)) for j in range(m.ncols))
@@ -209,7 +202,7 @@ def modular_determinant(m: ExactMatrix, pool=None, heuristic: bool = False) -> P
     ``heuristic`` is accepted and ignored: both modes compute the exact
     result.
     """
-    _require_zz_t_square(m)
+    _require_univariate_square(m, IntegerRing, "ZZ")
     bound_b = coefficient_bound(m)
     bound_d = degree_bound(m)
     if bound_b == 0:

@@ -150,6 +150,19 @@ def test_a_dimension_past_the_digit_limit_is_bad_input(tmp_path, capsys, nrows):
         assert len(err) < 300
 
 
+@pytest.mark.parametrize("nrows", ["7" * 5000, "-" + "7" * 5000], ids=["positive", "negative"])
+def test_validate_loads_the_document(tmp_path, capsys, nrows):
+    # The invariants hold for such a document; only loading it fails.
+    doc = json.loads((Path(__file__).parent / "golden" / "matrix_zzt.mrdi").read_bytes())
+    doc["data"]["nrows"] = nrows
+    path = tmp_path / "long.mrdi"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    assert cli.main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("data") and out.count("\n") == 1, out
+    assert len(out) < 300
+
+
 # -- detcrt ----------------------------------------------------------------------
 
 
@@ -181,19 +194,6 @@ def test_detcrt_pool_output_matches_serial_bytes(toy_matrix_file, tmp_path):
         == 0
     )
     assert out0.read_bytes() == out2.read_bytes()
-
-
-def test_detcrt_heuristic_matches_provable(toy_matrix_file, tmp_path):
-    out_a = tmp_path / "a.mrdi"
-    out_b = tmp_path / "b.mrdi"
-    assert cli.main(["detcrt", "--matrix", str(toy_matrix_file), "--out", str(out_a)]) == 0
-    assert (
-        cli.main(
-            ["detcrt", "--matrix", str(toy_matrix_file), "--heuristic", "--out", str(out_b)]
-        )
-        == 0
-    )
-    assert load_file_value(out_a) == load_file_value(out_b)
 
 
 def test_detcrt_rejects_nonsquare(tmp_path):
@@ -373,14 +373,36 @@ def no_spawn(monkeypatch):
     monkeypatch.setattr(cli, "spawn_pool", broken_spawn)
 
 
-def test_kernel_workers_run_in_process(conic_map_file, tmp_path, no_spawn):
-    outputs = []
-    for workers in ("0", "2"):
-        out = tmp_path / f"k{workers}.mrdi"
-        argv = ["kernel", "--map", str(conic_map_file), "--degree", "3", "--out", str(out)]
-        assert cli.main(argv + ["--workers", workers]) == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+@pytest.mark.parametrize("kind", ["map", "nonsquare"])
+def test_detcrt_checks_its_input_before_any_pool_starts(
+    conic_map_file, tmp_path, capsys, no_spawn, kind
+):
+    path = conic_map_file
+    if kind == "nonsquare":
+        Rt, t = univariate_ring(ZZ, "t")
+        path = tmp_path / "wide.mrdi"
+        write_value(path, ExactMatrix.from_rows(Rt, [[t, t]]))
+    out = tmp_path / "o.mrdi"
+    argv = ["detcrt", "--matrix", str(path), "--workers", "2", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detcrt", "--matrix", "m.mrdi", "--out", "d.mrdi", "--heuristic"],
+        ["kernel", "--map", "phi.mrdi", "--degree", "2", "--out", "k.mrdi", "--workers", "2"],
+    ],
+    ids=["detcrt-heuristic", "kernel-workers"],
+)
+def test_removed_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_bench_kernel_synthetic_spawns_no_workers(tmp_path, capsys, no_spawn):
@@ -537,6 +559,19 @@ def test_bench_into_a_closed_stdout_is_one_error_line(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert err.splitlines() == ["error: cannot write standard output: [Errno 32] Broken pipe"]
+
+
+def test_worker_truncated_frame_is_one_failure_line():
+    # A frame header announcing 5 payload bytes, then only 4 of them.
+    proc = subprocess.run(
+        [sys.executable, "-m", "mrdikit", "--worker"],
+        input=b'\x00\x00\x00\x05\x02{"id',
+        capture_output=True,
+        timeout=60,
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == 3, err
+    assert err.splitlines() == ["worker failure: truncated frame: wanted 5 bytes, got 4"]
 
 
 def test_bench_unknown_suite_rejected(tmp_path):

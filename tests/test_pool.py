@@ -20,7 +20,6 @@ from mrdikit.errors import (
 from mrdikit import cli
 from mrdikit.ipc import LoadContext, spawn_pool, zygote
 from mrdikit.ipc.pool import MAX_WORKERS
-from mrdikit.mrdi import GlobalSerializerState
 from mrdikit.workloads import modular_determinant
 
 TESTS_DIR = str(Path(__file__).parent)
@@ -608,13 +607,3 @@ def test_worker_log_files(extras_env, tmp_path, monkeypatch):
     assert logs, "no worker log files written"
     text = "".join(p.read_text() for p in logs)
     assert "call" in text and "shutting down" in text
-
-
-def test_pool_accepts_shared_global_state():
-    gs = GlobalSerializerState()
-    R, (x,) = polynomial_ring(QQ, "shared_x")
-    with spawn_pool(1, global_state=gs) as pool:
-        assert pool.global_state is gs
-        got = pool.remote_call("poly_square", (x,))
-        assert got == x * x
-        assert gs.uuid_for(R) is not None
