@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import factorial, gcd, prod
 from operator import mul
 
-from ..errors import ValidationError
+from ..errors import ValidationError, quote
 from .polynomials import Polynomial, coercer, dense_coefficients, from_dense_coefficients
 from .primes import crt_combine_balanced, is_prime
 from .rings import (
@@ -62,7 +62,8 @@ class ExactMatrix:
         entries = tuple(map(coercer(parent.descriptor), entries))
         if len(entries) != nrows * ncols:
             raise ValidationError(
-                f"expected {nrows * ncols} entries for a {nrows}x{ncols} matrix, got {len(entries)}"
+                f"expected {quote(nrows * ncols)} entries for a {quote(nrows)}x{quote(ncols)} "
+                f"matrix, got {len(entries)}"
             )
         self.parent = parent
         self.nrows = nrows

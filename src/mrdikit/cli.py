@@ -20,6 +20,7 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 from .algebra.matrices import _require_univariate_square
@@ -31,6 +32,7 @@ from .errors import (
     TransportError,
     ValidationError,
     WorkerFailure,
+    quote,
 )
 from .ipc.pool import spawn_pool
 from .ipc.worker import worker_main
@@ -113,7 +115,7 @@ def cmd_roundtrip(args) -> int:
     shown = 0
     for i, (a, b) in enumerate(zip(original, regenerated)):
         if a != b:
-            print(f"  line {i + 1}: {a!r} -> {b!r}")
+            print(f"  line {i + 1}: {quote(a)} -> {quote(b)}")
             shown += 1
             if shown >= 5:
                 break
@@ -223,23 +225,35 @@ def _timed(fn, *args, **kwargs):
     return result, time.perf_counter() - start
 
 
-def _components_value(components):
-    return [(list(md), gens) for md, gens in sorted(components.items())]
+def _detcrt(matrix, workers: int):
+    """The determinant and its seconds, and the start-up seconds of the pool
+    it ran on."""
+    return _with_pool(workers, lambda pool: _timed(modular_determinant, matrix, pool=pool))
+
+
+def _kernel(phi, workers: int, degree: int = KERNEL_TOTAL_DEGREE, minimalize: bool = True):
+    """The kernel components as one savable value and their seconds, and no
+    start-up: the kernel runs in this process at every worker count."""
+    components, seconds = _timed(components_of_kernel, phi, degree, minimalize=minimalize)
+    return ([(list(md), gens) for md, gens in sorted(components.items())], seconds), 0.0
+
+
+def _run(workload: str, solve, value, workers: int, input_raw: bytes, out_path) -> RunReport:
+    """``solve(value, workers)``, its result written to ``out_path`` with
+    UUIDs seeded from ``input_raw``, and the report of the run."""
+    (result, seconds), startup = solve(value, workers)
+    out_path = str(out_path)
+    out_raw = _write_result(result, out_path, _seed_from(input_raw))
+    return RunReport(
+        workload, _digest(input_raw), max(workers, 0), seconds, startup, _digest(out_raw), out_path
+    )
 
 
 def cmd_detcrt(args) -> int:
     raw = _read_bytes(args.matrix)
     matrix = _load_value(raw)
     _require_univariate_square(matrix, IntegerRing, "ZZ")
-    (det, seconds), startup = _with_pool(
-        args.workers,
-        lambda pool: _timed(modular_determinant, matrix, pool=pool),
-    )
-    out_raw = _write_result(det, args.out, _seed_from(raw))
-    report = RunReport(
-        "detcrt", _digest(raw), max(args.workers, 0), seconds, startup, _digest(out_raw), args.out
-    )
-    _emit_report([report], args.json)
+    _emit_report([_run("detcrt", _detcrt, matrix, args.workers, raw, args.out)], args.json)
     return EXIT_OK
 
 
@@ -250,13 +264,17 @@ def cmd_kernel(args) -> int:
     phi = _load_value(raw)
     if not isinstance(phi, MonomialMap):
         raise ValidationError("input does not decode to a monomial map")
-    components, seconds = _timed(
-        components_of_kernel, phi, args.degree, minimalize=not args.no_minimalize
-    )
-    out_raw = _write_result(_components_value(components), args.out, _seed_from(raw))
-    report = RunReport("kernel", _digest(raw), 0, seconds, 0.0, _digest(out_raw), args.out)
-    _emit_report([report], args.json)
+    solve = partial(_kernel, degree=args.degree, minimalize=not args.no_minimalize)
+    _emit_report([_run("kernel", solve, phi, 0, raw, args.out)], args.json)
     return EXIT_OK
+
+
+# Each bench suite: the workload that names its files, the seeded instance,
+# and how it is solved at a worker count.
+_SUITES = {
+    "detcrt-synthetic": ("detcrt", detcrt_instance, _detcrt),
+    "kernel-synthetic": ("kernel", kernel_instance, _kernel),
+}
 
 
 def cmd_bench(args) -> int:
@@ -273,45 +291,16 @@ def cmd_bench(args) -> int:
         where = args.out_dir or tempfile.gettempdir()
         raise MrdiKitError(f"cannot write {where}: {exc}") from exc
 
-    if args.suite == "detcrt-synthetic":
-        instance = detcrt_instance()
-        workload = "detcrt"
-
-        def run(count):
-            return _with_pool(count, lambda pool: _timed(modular_determinant, instance, pool=pool))
-
-    else:
-        instance = kernel_instance()
-        workload = "kernel"
-
-        def run(count):  # in this process at every worker count
-            return _timed(components_of_kernel, instance, KERNEL_TOTAL_DEGREE), 0.0
-
-    instance_path = out_dir / f"{workload}-instance.mrdi"
+    workload, make_instance, solve = _SUITES[args.suite]
+    instance = make_instance()
     input_raw = serialize_text(
         save(instance, SerializerState(Mode.LONG_TERM, GlobalSerializerState(uuid_seed=1)))
     )
-    _write_file(instance_path, input_raw)
-    seed = _seed_from(input_raw)
-
-    reports = []
-    for count in worker_counts:
-        (result, seconds), startup = run(count)
-        if workload == "kernel":
-            result = _components_value(result)
-        out_path = out_dir / f"{workload}-w{count}.mrdi"
-        out_raw = _write_result(result, str(out_path), seed)
-        reports.append(
-            RunReport(
-                f"{workload}-synthetic",
-                _digest(input_raw),
-                count,
-                seconds,
-                startup,
-                _digest(out_raw),
-                str(out_path),
-            )
-        )
+    _write_file(out_dir / f"{workload}-instance.mrdi", input_raw)
+    reports = [
+        _run(args.suite, solve, instance, count, input_raw, out_dir / f"{workload}-w{count}.mrdi")
+        for count in worker_counts
+    ]
     _emit_report(reports, args.json)
     agree = len({r.result_digest for r in reports}) == 1
     verdict = f"result digests {'agree' if agree else 'DIFFER'} across worker counts"
@@ -356,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("bench", help="seeded synthetic instances at several worker counts")
-    p.add_argument("--suite", required=True, choices=["detcrt-synthetic", "kernel-synthetic"])
+    p.add_argument("--suite", required=True, choices=list(_SUITES))
     p.add_argument("--workers", default="0")
     p.add_argument(
         "--out-dir",

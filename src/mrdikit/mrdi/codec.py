@@ -403,11 +403,7 @@ def encode_polynomial(p: Polynomial, mode: Mode):
     multivariate one; for a univariate one ``[degree, coefficient]`` pairs
     from the lowest degree up in long-term mode, dense coefficients from
     degree zero up in IPC mode."""
-    fast, any_size = _poly_writers(p.parent.descriptor, mode)
-    try:
-        return fast(p)
-    except ValueError:  # a number past the interpreter's digit limit
-        return any_size(p)
+    return encode_elements(p.parent, (p,), mode)[0]
 
 
 def _poly_payload(desc, mode: Mode, write_int, write_coeff, zero, p: Polynomial):

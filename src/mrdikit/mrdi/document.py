@@ -5,6 +5,10 @@ producing system and version, ``_type`` describes the stored object's type
 and parameters, ``_refs`` is a flat table of context documents keyed by UUID,
 and ``data`` holds the payload.  Long-term documents carry ``_ns`` and
 ``_refs``; IPC documents carry neither and lean on preloaded contexts.
+
+``validate_document`` checks the invariants.  The contexts a document needs
+are the UUIDs its type tree mentions, and those of each ref's type tree and
+data; one walker finds them in all three.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, filterfalse
 from typing import Optional, Union
+
+from ..errors import quote
 
 SYSTEM_NAME = "mrdikit"
 FORMAT_VERSION = "0.1.0"
@@ -71,39 +77,23 @@ class MrdiDocument:
         return Mode.LONG_TERM if self.ns is not None or self.refs is not None else Mode.IPC
 
 
-def iter_type_uuids(node):
-    """UUID strings mentioned anywhere in a type tree (or raw params value)."""
-    if node is None:
-        return
-    if isinstance(node, str):
-        if is_uuid_text(node):
-            yield node
-        return
-    if isinstance(node, TypeNode):
-        yield from iter_type_uuids(node.params)
-        return
-    if isinstance(node, dict):
-        for value in node.values():
-            yield from iter_type_uuids(value)
-
-
-def iter_data_uuids(node):
-    """UUID-shaped strings in a data tree (ref documents name their base ring here)."""
-    if isinstance(node, str):
-        if is_uuid_text(node):
-            yield node
-    elif isinstance(node, list):
-        for item in node:
-            yield from iter_data_uuids(item)
-    elif isinstance(node, dict):
-        for value in node.values():
-            yield from iter_data_uuids(value)
-
-
-def document_dependencies(doc: MrdiDocument) -> set[str]:
-    """All context UUIDs a document's type tree and payload mention."""
-    found = set(iter_type_uuids(doc.type_tree))
-    found.update(iter_data_uuids(doc.data))
+def _mentioned_uuids(*trees) -> set[str]:
+    """The UUID strings anywhere in ``trees``: type trees, raw parameter
+    values and data trees (a ref document names its base ring in its data),
+    walked through type parameters, object values and list items."""
+    found = set()
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            if is_uuid_text(node):
+                found.add(node)
+        elif isinstance(node, TypeNode):
+            stack.append(node.params)
+        elif isinstance(node, dict):
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
     return found
 
 
@@ -170,9 +160,11 @@ def _check_data(node, path, errors):
         return
     for where, problem, value in data_tree_problems(node, path):
         if problem == "native":
-            errors.append(f"{where}: non-text scalar {value!r} (numbers must be stored as text)")
+            errors.append(
+                f"{where}: non-text scalar {quote(value)} (numbers must be stored as text)"
+            )
         elif problem == "key":
-            errors.append(f"{where}: non-text object key {value!r}")
+            errors.append(f"{where}: non-text object key {quote(value)}")
         else:
             errors.append(f"{where}: nested deeper than {MAX_NESTING_DEPTH} levels")
 
@@ -184,11 +176,11 @@ def _check_type_node(node, path, errors, known_tags, depth=0):
         return  # UUID param or inline tag; resolvability is checked separately
     if isinstance(node, TypeNode):
         if node.name not in known_tags:
-            errors.append(f"{path}: unknown type tag {node.name!r}")
+            errors.append(f"{path}: unknown type tag {quote(node.name)}")
         if node.params is None:
             return
     elif not isinstance(node, dict):
-        errors.append(f"{path}: malformed type parameter {node!r}")
+        errors.append(f"{path}: malformed type parameter {quote(node)}")
         return
     if depth == MAX_NESTING_DEPTH:
         errors.append(f"{path}: nested deeper than {MAX_NESTING_DEPTH} levels")
@@ -230,16 +222,17 @@ def validate_document(doc: MrdiDocument, global_state=None) -> list[str]:
     refs = doc.refs or {}
     for uuid_key, ref in refs.items():
         if not is_uuid_text(uuid_key):
-            errors.append(f"_refs: key {uuid_key!r} is not a UUID")
+            errors.append(f"_refs: key {quote(uuid_key)} is not a UUID")
+        at = f"_refs/{uuid_key if isinstance(uuid_key, str) else quote(uuid_key)}"
         if ref.ns is not None or ref.refs is not None:
-            errors.append(f"_refs/{uuid_key}: ref documents must not carry `_ns` or `_refs`")
-        _check_type_node(ref.type_tree, f"_refs/{uuid_key}/_type", errors, known_tags)
-        _check_data(ref.data, f"_refs/{uuid_key}/data", errors)
+            errors.append(f"{at}: ref documents must not carry `_ns` or `_refs`")
+        _check_type_node(ref.type_tree, f"{at}/_type", errors, known_tags)
+        _check_data(ref.data, f"{at}/data", errors)
 
-    mentioned = set(iter_type_uuids(doc.type_tree))
+    mentioned = _mentioned_uuids(doc.type_tree)
     ref_deps = {}
     for uuid_key, ref in refs.items():
-        ref_deps[uuid_key] = document_dependencies(ref)
+        ref_deps[uuid_key] = _mentioned_uuids(ref.type_tree, ref.data)
         mentioned.update(ref_deps[uuid_key])
     for uuid_key in sorted(mentioned):
         if uuid_key in refs:
@@ -249,9 +242,10 @@ def validate_document(doc: MrdiDocument, global_state=None) -> list[str]:
         if doc.mode is Mode.LONG_TERM or global_state is not None:
             errors.append(f"dangling reference: {uuid_key} not resolvable")
 
-    # Cycle detection over the ref dependency graph.
+    # Cycle detection over the ref dependency graph, whose nodes are the text
+    # keys: only text is ever mentioned, so only text keys can close a cycle.
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {u: WHITE for u in refs}
+    color = {u: WHITE for u in refs if isinstance(u, str)}
 
     def visit(u, trail):
         color[u] = GRAY
@@ -264,7 +258,7 @@ def validate_document(doc: MrdiDocument, global_state=None) -> list[str]:
                 visit(v, trail + [v])
         color[u] = BLACK
 
-    for u in sorted(refs):
+    for u in sorted(color):
         if color[u] == WHITE:
             visit(u, [u])
 

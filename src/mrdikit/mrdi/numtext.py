@@ -4,8 +4,11 @@ Every number in an mrdi document is text: ``0`` or ``-?[1-9][0-9]*`` for an
 integer, and ``n/d`` with ``d >= 2`` in lowest terms for a rational that is
 not an integer.  ``str`` writes exactly these forms, so a whole list is read
 at once and checked with one comparison against ``str`` of the values (of
-their integer parts, for rationals); the one-at-a-time readers give the
-SchemaError for text that fails it.
+their integer parts, for rationals).  That comparison is the one definition
+of canonical integer text: a single integer is read as a list of one, and
+only text past the interpreter's digit limit is checked apart, by
+``_long_int_from_text``.  The one-at-a-time readers give the SchemaError
+for text that fails it.
 """
 
 from __future__ import annotations
@@ -77,28 +80,17 @@ def int_from_text(text, where) -> int:
     ``-?[1-9][0-9]*``, the only form ``int_to_text`` writes.  Other text that
     ``int`` would accept (`` 5``, ``+5``, ``05``, ``1_000``, non-ASCII digits)
     raises SchemaError, so every integer read re-serializes to the same bytes.
+    It reads ``[text]`` with ``read_integers``, and text past the digit
+    limit with ``_long_int_from_text``.
     """
+    values = read_integers([text])
+    if values is not None:
+        return values[0]
     if isinstance(text, str):
         try:
-            value = int(text)
-        except ValueError:  # malformed, or beyond the interpreter's digit limit
-            try:
-                return _long_int_from_text(text)
-            except ValueError:
-                pass
-        else:
-            # int() took an integer literal, so only its ends, underscores and
-            # non-ASCII digits can be non-canonical (every ASCII character
-            # int() strips as whitespace is at most " ").  This runs for every
-            # integer read, so it avoids a pass over every digit.
-            first = text[0]
-            if (
-                ("1" <= first <= "9" or text == "0" or (first == "-" and "1" <= text[1] <= "9"))
-                and text.isascii()
-                and "_" not in text
-                and text[-1] > " "
-            ):
-                return value
+            return _long_int_from_text(text)
+        except ValueError:
+            pass
     raise SchemaError(f"{where}: expected a decimal integer, got {quote(text)}")
 
 
@@ -139,7 +131,7 @@ def read_integers(items: list):
         values = list(map(int, items))
         if list(map(str, values)) == items:
             return values
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
         pass
     return None
 

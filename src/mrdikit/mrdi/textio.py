@@ -37,7 +37,7 @@ def _type_to_json(node):
         return {"name": node.name, "params": _type_to_json(node.params)}
     if isinstance(node, dict):
         return {key: _type_to_json(value) for key, value in node.items()}
-    raise SchemaError(f"cannot serialize type node {node!r}")
+    raise SchemaError(f"cannot serialize type node {quote(node)}")
 
 
 def _doc_to_json(doc: MrdiDocument):
@@ -46,9 +46,11 @@ def _doc_to_json(doc: MrdiDocument):
         out["_ns"] = {"system": doc.ns.system, "version": doc.ns.version}
     out["_type"] = _type_to_json(doc.type_tree)
     if doc.refs is not None:
-        out["_refs"] = {
-            uuid_key: _doc_to_json(doc.refs[uuid_key]) for uuid_key in sorted(doc.refs)
-        }
+        try:
+            keys = sorted(doc.refs)
+        except TypeError:  # keys of several types; the writer rejects those not text
+            keys = list(doc.refs)
+        out["_refs"] = {uuid_key: _doc_to_json(doc.refs[uuid_key]) for uuid_key in keys}
     out["data"] = doc.data
     return out
 
@@ -82,13 +84,13 @@ def _write_indented(node, newline, out):
         separator = inner
         for key, value in node.items():
             if not isinstance(key, str):
-                raise SchemaError(f"cannot write the non-text object key {key!r}")
+                raise SchemaError(f"cannot write the non-text object key {quote(key)}")
             out.append(f"{separator}{_quote(key)}: ")
             _write_indented(value, inner, out)
             separator = "," + inner
         out.append(newline + "}")
     else:
-        raise SchemaError(f"cannot write {node!r}: numbers and flags must be stored as text")
+        raise SchemaError(f"cannot write {quote(node)}: numbers and flags must be stored as text")
 
 
 def serialize_text(doc: MrdiDocument) -> bytes:
@@ -194,7 +196,7 @@ def _parse_doc(obj, path, allow_envelope):
         refs = {}
         for uuid_key, ref_obj in raw.items():
             if not is_uuid_text(uuid_key):
-                raise SchemaError(f"{path}/_refs: key {uuid_key!r} is not a UUID")
+                raise SchemaError(f"{path}/_refs: key {quote(uuid_key)} is not a UUID")
             refs[uuid_key] = _parse_doc(ref_obj, f"{path}/_refs/{uuid_key}", False)
 
     return MrdiDocument(

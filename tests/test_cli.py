@@ -69,6 +69,18 @@ def test_roundtrip_reordered_keys_fails(toy_matrix_file, tmp_path, capsys):
     assert "NOT byte-identical" in capsys.readouterr().out
 
 
+def test_roundtrip_quotes_long_lines_by_their_head(toy_matrix_file, tmp_path, capsys):
+    obj = json.loads(toy_matrix_file.read_bytes())
+    (ref,) = obj["_refs"].values()
+    ref["data"]["symbol"] = "s" * 6000
+    compact = tmp_path / "compact.mrdi"
+    compact.write_text(json.dumps(obj))
+    assert cli.main(["roundtrip", str(compact)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("  line 1: '{\"_ns\": {") and "characters)" in lines[1]
+    assert max(map(len, lines)) < 300
+
+
 def test_roundtrip_missing_file(tmp_path):
     assert cli.main(["roundtrip", str(tmp_path / "nope.mrdi")]) == 2
 
@@ -608,6 +620,28 @@ def test_bench_kernel_synthetic_digests_agree(tmp_path, capsys):
     rows = json.loads(capsys.readouterr().out)
     assert [r["workers"] for r in rows] == [0, 2]
     assert len({r["result_digest"] for r in rows}) == 1
+
+
+@pytest.mark.parametrize(
+    "suite, command",
+    [
+        ("detcrt-synthetic", ["detcrt", "--workers", "0", "--matrix"]),
+        ("kernel-synthetic", ["kernel", "--degree", "4", "--map"]),
+    ],
+)
+def test_bench_writes_what_its_command_writes_on_the_instance(tmp_path, capsys, suite, command):
+    argv = ["bench", "--suite", suite, "--workers", "0", "--json", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    bench = json.loads(capsys.readouterr().out)
+    (instance,) = tmp_path.glob("*-instance.mrdi")
+    out = tmp_path / "alone.mrdi"
+    assert cli.main(command + [str(instance), "--out", str(out), "--json"]) == 0
+    alone = json.loads(capsys.readouterr().out)
+    assert out.read_bytes() == Path(bench["result_path"]).read_bytes()
+    assert (alone["input_digest"], alone["result_digest"]) == (
+        bench["input_digest"],
+        bench["result_digest"],
+    )
 
 
 @pytest.mark.parametrize("as_json", [False, True])

@@ -10,6 +10,7 @@ does a worker's context preload of such a ref document.
 
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,7 +46,7 @@ from mrdikit.mrdi import (
 )
 from mrdikit.mrdi import codec
 from mrdikit.mrdi.codec import load_context_document
-from mrdikit.mrdi.numtext import int_from_text, read_rationals
+from mrdikit.mrdi.numtext import int_from_text, int_to_text, read_integers, read_rationals
 from mrdikit.mrdi.document import MAX_NESTING_DEPTH
 from mrdikit.workloads import MonomialMap
 
@@ -757,6 +758,57 @@ def test_integers_past_the_digit_limit_round_trip_in_every_shape(case):
         got = load(parse_text(raw), DeserializerState(mode, gs))
         assert got == value
         assert serialize_text(save(got, SerializerState(mode, gs))) == raw
+
+
+def integer_texts(seed, count):
+    """Seeded text for an integer reader: canonical integers with a character
+    put in or replaced, and short runs of digits, signs, ``_``, ``/``, ASCII
+    and Unicode whitespace and non-ASCII digits; then cases past the digit
+    limit."""
+    rng = random.Random(seed)
+    alphabet = "0123456789-+_/ \t\n\x0b\x0c\r\x1c\x85\xa0\u2003\u3000\u0665\xb2\u0e51\uff11"
+    for _ in range(count):
+        if rng.random() < 0.5:
+            text = str(rng.randint(-(10**12), 10**12))
+            at = rng.randrange(len(text) + 1)
+            cut = at + rng.randrange(2) * (at < len(text))
+            yield text[:at] + rng.choice(alphabet) * rng.randrange(2) + text[cut:]
+        else:
+            yield "".join(rng.choices(alphabet, k=rng.randrange(6)))
+    digits = "1" * 5000
+    yield from [digits, "-" + digits, "0" + digits, "+" + digits, "-0" + digits, digits + " "]
+    yield from [" " + digits, digits[:2500] + "_" + digits[2500:], "\u0665" * 5000, digits + "/7"]
+
+
+CANONICAL_INTEGER = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def test_the_integer_readers_agree_on_what_is_canonical():
+    for text in integer_texts(23, 20000):
+        canonical = CANONICAL_INTEGER.fullmatch(text) is not None
+        try:
+            value = int_from_text(text, "x")
+        except SchemaError:
+            value = None
+        assert (value is not None) == canonical, text
+        if canonical:
+            assert int_to_text(value) == text
+        if len(text) <= 4300:  # past it the list reader gives up for the item reader
+            assert read_integers([text]) == (None if value is None else [value]), text
+        else:
+            assert read_integers([text]) is None
+    for value in (None, 3, True, 1.5, float("inf"), float("nan"), b"5", ["1"]):
+        with pytest.raises(SchemaError):
+            int_from_text(value, "x")
+        assert read_integers([value]) is None
+
+
+def test_a_matrix_shape_past_the_digit_limit_is_named_briefly():
+    with pytest.raises(ValidationError) as info:
+        ExactMatrix(ZZ, 10**2200, 10**2200, [])
+    text = str(info.value)
+    assert text.startswith("expected <int too long to show> entries for a 1000")
+    assert text.endswith("(2201 characters) matrix, got 0") and len(text) < 300
 
 
 # -- the long-term writer is json.dumps(obj, indent=2) ----------------------------

@@ -90,6 +90,56 @@ def test_ipc_document_mode():
     assert validate_document(doc) == []
 
 
+def test_validate_finds_uuids_in_type_parameters_and_ref_data_only():
+    # Every place a parsed document can mention a UUID; the payload's own
+    # data is not a place a context is named.
+    uuids = [f"0000000{n}-2222-4333-8444-555555555555" for n in range(6)]
+    raw = json.dumps({
+        "_ns": {"system": "mrdikit", "version": "0.1.0"},
+        "_type": {"name": "Tuple", "params": {"a": uuids[0], "b": {
+            "name": "Vector", "params": {"name": "PolyRingElem", "params": uuids[1]}}}},
+        "_refs": {UUID_A: {"_type": {"name": "PolyRing", "params": {"x": uuids[2]}},
+                           "data": {"base_ring": uuids[3], "more": [["t", uuids[4]]]}}},
+        "data": [uuids[5], UUID_B],
+    }).encode()
+    errors = validate_document(parse_text(raw))
+    dangling = [e for e in errors if e.startswith("dangling reference")]
+    assert dangling == [f"dangling reference: {u} not resolvable" for u in uuids[:5]]
+
+
+BIG = 7 * (10**5000 - 1) // 9  # 5000 digits, past the interpreter's 4300-digit limit
+
+
+@pytest.mark.parametrize(
+    "where, error",
+    [
+        ("data", "data/0/1: non-text scalar <int too long to show> (numbers must be stored as text)"),
+        ("key", "data: non-text object key <int too long to show>"),
+        ("param", "_type/params/n: malformed type parameter <int too long to show>"),
+        ("ref-key", "_refs: key <int too long to show> is not a UUID"),
+    ],
+)
+def test_native_integers_past_the_digit_limit_are_named_briefly(where, error):
+    doc = MrdiDocument(
+        TypeNode("PolyRingElem", UUID_A),
+        [["0", BIG]] if where == "data" else {BIG: "1"} if where == "key" else [],
+        ns=NamespaceRecord(),
+        refs={BIG if where == "ref-key" else UUID_A: ring_ref("ZZRing", "t")},
+    )
+    if where == "param":
+        doc.type_tree = TypeNode("PolyRingElem", {"ring": UUID_A, "n": BIG})
+    assert error in validate_document(doc)
+    with pytest.raises(SchemaError, match="too long to show"):
+        serialize_text(doc)
+
+
+def test_a_long_unknown_tag_is_quoted_by_its_head():
+    doc = MrdiDocument(TypeNode("T" * 5000), "1", ns=NamespaceRecord(), refs={})
+    (error,) = validate_document(doc)
+    assert error.startswith("_type: unknown type tag 'TTT") and len(error) < 200
+    assert error.endswith("... (5002 characters)")
+
+
 # -- byte form ----------------------------------------------------------------
 
 

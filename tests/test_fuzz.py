@@ -3,9 +3,10 @@
 The golden files and a few valid frames are mutated: a key deleted, two
 subtrees swapped, a value replaced by one of the wrong type, or by 5000
 digits as text or as a native JSON number.  Each document goes through
-``parse_text``, ``load`` and ``save``; each frame payload through
-``framing.decode_message``, and frame bytes, also cut or corrupted, through
-a ``WorkerLoop`` on in-memory streams.  Any other exception is a bug in
+``parse_text``, ``load`` and ``save``; each parsed document, mutated in
+memory, through ``validate_document`` and ``serialize_text``; each frame
+payload through ``framing.decode_message``, and frame bytes, also cut or
+corrupted, through a ``WorkerLoop`` on in-memory streams.  Any other exception is a bug in
 ``src/``.  The runs are seeded, so a failure reproduces.
 """
 
@@ -13,6 +14,7 @@ import io
 import json
 import random
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,7 @@ from mrdikit.mrdi import (
     parse_text,
     save,
     serialize_text,
+    validate_document,
 )
 
 CASES = 5000
@@ -155,6 +158,51 @@ def test_mutated_documents_fail_only_with_mrdikit_errors():
         warnings.simplefilter("ignore")  # a mutated `_ns` version
         found = _non_mrdikit_failures(raws, _through_codec)
     assert not found, found[:5]
+
+
+def _rekeyed(rng, tree):
+    """``tree`` with the value under one key of one of its objects moved
+    under a key that is not text, or ``tree`` itself when it holds no
+    object."""
+    objects = [(path, node) for path, node in _nodes(tree) if isinstance(node, dict) and node]
+    if not objects:
+        return tree
+    path, node = rng.choice(objects)
+    copy = dict(node)
+    copy[_native(rng.choice([None, True, 0, 1.5, _BIG_NUMBER]))] = copy.pop(rng.choice(list(node)))
+    return _replace(tree, path, copy)
+
+
+def _in_memory_mutants(seed):
+    """Parsed seed documents with, in memory, the data or type parameters of
+    the document or of one of its refs mutated, or an object key in that
+    data or in the refs table made native; a native 5000-digit number can
+    stand where text would."""
+    rng = random.Random(seed)
+    raws = [json.dumps(tree).encode() for tree in _seed_trees()]
+    for _ in range(CASES):
+        doc = parse_text(rng.choice(raws))
+        target = rng.choice([doc, *(doc.refs or {}).values()])
+        part = rng.randrange(4)
+        if part == 0:
+            target.data = _native(_mutate(rng, target.data))
+        elif part == 1:
+            target.data = _rekeyed(rng, target.data)
+        elif part == 2:
+            params = _native(_mutate(rng, target.type_tree.params))
+            target.type_tree = replace(target.type_tree, params=params)
+        else:
+            doc.refs = _rekeyed(rng, doc.refs or {})
+        yield doc
+
+
+def test_documents_mutated_in_memory_validate_and_serialize_cleanly():
+    def run(doc):
+        errors = validate_document(doc)
+        assert isinstance(errors, list) and all(isinstance(e, str) for e in errors), errors
+        assert isinstance(serialize_text(doc), bytes)
+
+    assert not _non_mrdikit_failures(_in_memory_mutants(5), run)
 
 
 # -- frames --------------------------------------------------------------------
