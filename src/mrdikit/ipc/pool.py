@@ -14,11 +14,10 @@ a time; callers on other threads, and ``shutdown``, wait for it.
 
 from __future__ import annotations
 
-import importlib
 import itertools
 import os
 import threading
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from ..errors import PoolClosedError, TransportError, ValidationError, WorkerFailure
 from ..mrdi.codec import load, load_context_document, save
@@ -54,19 +53,11 @@ class WorkerHandle:
 
 
 class WorkerPool:
-    def __init__(
-        self,
-        n: int,
-        init_modules: Sequence[str] = (),
-        tap: Optional[Callable] = None,
-    ):
+    def __init__(self, n: int, tap: Optional[Callable] = None):
         if not isinstance(n, int) or n < 1:
             raise ValidationError(f"pool size must be a positive integer, got {n!r}")
         if n > MAX_WORKERS:
             raise ValidationError(f"pool size must be at most {MAX_WORKERS}, got {n}")
-        # Coordinator and workers must agree on the function registry.
-        for module in init_modules:
-            importlib.import_module(module)
         self.global_state = GlobalSerializerState()
         self._tap = tap
         # Held for a whole call: one call at a time per pool.
@@ -76,11 +67,8 @@ class WorkerPool:
         # Imported here, so a process that starts no pool loads no sockets.
         from .zygote import fork_workers
 
-        env = dict(os.environ)
-        if init_modules:
-            env["MRDI_WORKER_INIT"] = ",".join(init_modules)
         try:
-            procs = fork_workers(env, [{"MRDI_WORKER_ID": str(i)} for i in range(n)])
+            procs = fork_workers(dict(os.environ), n)
         except TransportError as exc:
             raise TransportError(f"failed to spawn worker pool: {exc}") from exc
         self.workers = [WorkerHandle(worker_id, proc) for worker_id, proc in enumerate(procs)]

@@ -6,12 +6,11 @@ protocol is on stdin/stdout, and ``serve`` looks each message's handler up
 by its class.  Contexts arrive through LoadContext frames before any call
 that needs them, sent back to back with that call; every frame is answered
 in order, a LoadContext with an empty Result or a Failure, a Call with a
-Result or a Failure.  Contexts a call creates on the worker side are
-sent back inline with the result, each exactly once.
+Result or a Failure; a frame of any other kind is ignored.  Contexts a call
+creates on the worker side are sent back inline with the result, each
+exactly once.  A pool's ``tap`` sees every frame a worker reads or writes.
 
 Environment:
-  MRDI_WORKER_ID    worker number assigned by the pool (log naming only)
-  MRDI_WORKER_LOG   path prefix; when set the worker appends to <prefix>.w<id>
   MRDI_WORKER_INIT  comma-separated modules to import before serving (extra
                     function registrations)
 """
@@ -31,18 +30,12 @@ from .registry import lookup
 
 
 class WorkerLoop:
-    def __init__(self, stdin, stdout, log=None):
+    def __init__(self, stdin, stdout):
         self.stdin = stdin
         self.stdout = stdout
         self.global_state = GlobalSerializerState()
         # UUIDs the coordinator is known to share with us (received or sent back).
         self.shared_uuids: set[str] = set()
-        self.log = log
-
-    def _log(self, text: str) -> None:
-        if self.log is not None:
-            self.log.write(text + "\n")
-            self.log.flush()
 
     def _reply(self, msg) -> None:
         framing.write_message(self.stdout, msg)
@@ -51,7 +44,6 @@ class WorkerLoop:
         try:
             load_context_document(msg.document, self.global_state, msg.uuid)
             self.shared_uuids.add(msg.uuid)
-            self._log(f"loaded context {msg.uuid}")
             self._reply(framing.Result(msg.call_id))
         except Exception as exc:
             self._reply(framing.Failure(msg.call_id, f"context load failed: {exc}"))
@@ -72,11 +64,9 @@ class WorkerLoop:
                 u: d for u, d in state.pending_refs.items() if u not in self.shared_uuids
             }
             self.shared_uuids.update(new_refs)
-            self._log(f"call {msg.call_id} {msg.fn} ok ({len(new_refs)} new contexts)")
             self._reply(framing.Result(msg.call_id, doc, new_refs))
         except Exception as exc:
             detail = traceback.format_exception_only(type(exc), exc)[-1].strip()
-            self._log(f"call {msg.call_id} {msg.fn} failed: {detail}")
             self._reply(framing.Failure(msg.call_id, detail))
 
     def serve(self) -> None:
@@ -86,9 +76,6 @@ class WorkerLoop:
                 break
             if type(msg) in handlers:
                 handlers[type(msg)](msg)
-            else:
-                self._log(f"ignoring unexpected message {msg!r}")
-        self._log("shutting down")
 
 
 def worker_main() -> int:
@@ -99,19 +86,9 @@ def worker_main() -> int:
     for module in filter(None, init.split(",")):
         importlib.import_module(module)
 
-    worker_id = os.environ.get("MRDI_WORKER_ID", str(os.getpid()))
-    log = None
-    log_prefix = os.environ.get("MRDI_WORKER_LOG")
-    if log_prefix:
-        log = open(f"{log_prefix}.w{worker_id}", "a", encoding="utf-8")
-
     stdin = sys.stdin.buffer
     stdout = sys.stdout.buffer
     # Anything that accidentally prints must not corrupt the frame stream.
     sys.stdout = sys.stderr
-    try:
-        WorkerLoop(stdin, stdout, log).serve()
-    finally:
-        if log is not None:
-            log.close()
+    WorkerLoop(stdin, stdout).serve()
     return 0

@@ -6,11 +6,11 @@ process starts one zygote with its first pool: a fresh interpreter that
 imports the workloads once and then waits on a private Unix socket.  A pool
 starts all its workers with one request: the coordinator makes two pipes per
 worker and sends the workers' ends over that socket with its own stderr, its
-working directory, and its environment of the moment as the variables set
-and unset since the zygote started, plus each worker's ``MRDI_WORKER_ID``
-and ``MRDI_WORKER_INIT``.  The zygote forks the workers back to back; each
-child puts its pipes and the stderr on fd 0/1/2, applies those differences
-(``PYTHONPATH`` included), changes directory, and runs ``worker_main``.  The
+working directory, the number of workers, and its environment of the
+moment as the variables set and unset since the zygote started.  The zygote
+forks the workers back to back; each child puts its pipes and the stderr on
+fd 0/1/2, applies those differences (``PYTHONPATH`` and ``MRDI_WORKER_INIT``
+included), changes directory, and runs ``worker_main``.  The
 zygote answers with every pid and a pidfd for each, in one message.  A
 descriptor message carries at most 253 descriptors, so a request names at
 most 126 workers, and a pool, which starts with one request, has at most
@@ -51,7 +51,7 @@ from .worker import worker_main
 # The zygote's command line: a fresh interpreter, as ``mrdikit --worker`` is.
 _ENTRY = "from mrdikit.ipc.zygote import serve; serve()"
 # A request is one SOCK_SEQPACKET message: the environment differences, the
-# working directory and the workers' own variables as JSON; a message cannot
+# working directory and the number of workers as JSON; a message cannot
 # outgrow the socket's send buffer.
 _MAX_REQUEST = 1 << 18
 # The answer is the workers' pids as JSON, or an error text.
@@ -65,8 +65,8 @@ class WorkerProcess:
     """One forked worker: its pid, the coordinator's ends of its pipes, and a
     pidfd to wait on and signal it.
 
-    ``poll`` and ``wait`` report whether the worker has exited; its exit
-    status goes to its parent, the zygote, and is not known here."""
+    ``wait`` reports whether the worker has exited; its exit status goes to
+    its parent, the zygote, and is not known here."""
 
     def __init__(self, pid: int, pidfd: int, stdin, stdout):
         self.pid = pid
@@ -83,10 +83,6 @@ class WorkerProcess:
             poller.register(self._pidfd, select.POLLIN)
             self._exited = bool(poller.poll(None if timeout is None else timeout * 1000))
         return self._exited
-
-    def poll(self) -> Optional[bool]:
-        """None while the worker runs, True once it has exited."""
-        return True if self.wait(0) else None
 
     def kill(self) -> None:
         if self._pidfd is None:
@@ -131,16 +127,14 @@ class _Zygote:
             theirs.close()
         atexit.register(self.stop)
 
-    def fork_workers(self, env: dict, worker_envs: Sequence[dict]) -> list[WorkerProcess]:
-        """One worker per item of ``worker_envs``, at most ``MAX_WORKERS``,
-        started by one request; all of them or none."""
+    def fork_workers(self, env: dict, count: int) -> list[WorkerProcess]:
+        """``count`` workers, at most ``MAX_WORKERS``, by one request; all or none."""
         request = {
             "cwd": os.getcwd(),
             "set": {key: value for key, value in env.items() if self.env.get(key) != value},
             "unset": [key for key in self.env if key not in env],
-            "workers": worker_envs,
+            "workers": count,
         }
-        count = len(worker_envs)
         theirs: list[int] = []  # per worker: stdin's read end, stdout's write end
         mine: list[int] = []  # per worker: stdin's write end, stdout's read end
         try:
@@ -186,12 +180,11 @@ _zygote: Optional[_Zygote] = None
 _zygote_lock = threading.Lock()
 
 
-def fork_workers(env: dict, worker_envs: Sequence[dict]) -> list[WorkerProcess]:
-    """Start one worker per item of ``worker_envs``, each with environment
-    ``env`` updated by that item, through this process's zygote (started on
-    first use).  Raises TransportError, and starts none, when the zygote
-    cannot be started, cannot fork or does not answer in time; the zygote is
-    then discarded."""
+def fork_workers(env: dict, count: int) -> list[WorkerProcess]:
+    """Start ``count`` workers with environment ``env`` through this process's
+    zygote (started on first use).  Raises TransportError, and starts none,
+    when the zygote cannot be started, cannot fork or does not answer in
+    time; the zygote is then discarded."""
     global _zygote
     with _zygote_lock:
         if _zygote is not None and _zygote.owner != os.getpid():
@@ -200,7 +193,7 @@ def fork_workers(env: dict, worker_envs: Sequence[dict]) -> list[WorkerProcess]:
         try:
             if _zygote is None:
                 _zygote = _Zygote()
-            return _zygote.fork_workers(env, worker_envs)
+            return _zygote.fork_workers(env, count)
         except (OSError, TransportError) as exc:
             if _zygote is not None:
                 _zygote.stop(kill=True)
@@ -226,9 +219,8 @@ def _reap(signum, frame) -> None:
             return
 
 
-def _become_worker(channel: socket.socket, fds: list, request: dict, index: int) -> None:
-    """In the forked child: turn into worker ``index`` of ``request``, serve,
-    and exit."""
+def _become_worker(channel: socket.socket, fds: list, request: dict) -> None:
+    """In the forked child: turn into a worker of ``request``, serve, exit."""
     code = 1
     try:
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGCHLD})
@@ -239,7 +231,7 @@ def _become_worker(channel: socket.socket, fds: list, request: dict, index: int)
             os.dup2(fd, target)
         os.closerange(3, os.sysconf("SC_OPEN_MAX"))
         os.chdir(request["cwd"])
-        _take_environment({**request["set"], **request["workers"][index]}, request["unset"])
+        _take_environment(request["set"], request["unset"])
         # Only the exit handlers this worker's own imports register run.
         atexit._clear()
         code = worker_main()
@@ -289,11 +281,11 @@ def _fork_workers(channel: socket.socket, fds: list, request: dict) -> tuple[lis
     # free its pid) first.
     signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGCHLD})
     try:
-        for index in range(len(request["workers"])):
+        for index in range(request["workers"]):
             pid = os.fork()
             if pid == 0:
                 stdio = [*fds[1 + 2 * index : 3 + 2 * index], fds[0]]
-                _become_worker(channel, stdio, request, index)
+                _become_worker(channel, stdio, request)
             pids.append(pid)
             pidfds.append(os.pidfd_open(pid))
     except OSError:

@@ -632,8 +632,11 @@ def _tuple_type(items: tuple, state: SerializerState) -> TypeNode:
 
 
 def _sequence_data(items, state: SerializerState) -> list:
-    if set(map(type, items)) <= _NUMBER_TYPES:  # integers are rationals too
+    kinds = set(map(type, items))  # numbers, or polynomials of one ring: one element list
+    if kinds <= _NUMBER_TYPES:  # integers are rationals too
         return encode_elements(QQ, items, state.mode)
+    if kinds == {Polynomial} and all(p.parent is items[0].parent for p in items):
+        return encode_elements(items[0].parent, items, state.mode)
     return [_build_data(item, state) for item in items]
 
 

@@ -28,40 +28,67 @@ _TOP_LEVEL_KEYS = ("_ns", "_type", "_refs", "data")
 _TEXT = {str}
 
 
-def _type_to_json(node):
+def _type_to_json(node, path, depth=0):
+    """Type node ``node`` at ``path`` as JSON, nested no deeper than parsing reads."""
     if isinstance(node, str):
         return node
+    if isinstance(node, TypeNode) and node.params is None:
+        return node.name
+    if not isinstance(node, (TypeNode, dict)):
+        raise SchemaError(f"cannot serialize type node {quote(node)}")
+    if depth == MAX_NESTING_DEPTH:
+        _too_deep(path)
     if isinstance(node, TypeNode):
-        if node.params is None:
-            return node.name
-        return {"name": node.name, "params": _type_to_json(node.params)}
-    if isinstance(node, dict):
-        return {key: _type_to_json(value) for key, value in node.items()}
-    raise SchemaError(f"cannot serialize type node {quote(node)}")
+        params = _type_to_json(node.params, f"{path}/params", depth + 1)
+        return {"name": node.name, "params": params}
+    return {key: _type_to_json(value, f"{path}/{key}", depth + 1) for key, value in node.items()}
 
 
-def _doc_to_json(doc: MrdiDocument):
+def _doc_to_json(doc: MrdiDocument, path: str = "$"):
     out = {}
     if doc.ns is not None:
         out["_ns"] = {"system": doc.ns.system, "version": doc.ns.version}
-    out["_type"] = _type_to_json(doc.type_tree)
+    out["_type"] = _type_to_json(doc.type_tree, f"{path}/_type")
     if doc.refs is not None:
-        try:
-            keys = sorted(doc.refs)
-        except TypeError:  # keys of several types; the writer rejects those not text
-            keys = list(doc.refs)
-        out["_refs"] = {uuid_key: _doc_to_json(doc.refs[uuid_key]) for uuid_key in keys}
+        for uuid_key in doc.refs:
+            if not isinstance(uuid_key, str):
+                raise SchemaError(f"cannot write the non-text object key {quote(uuid_key)}")
+        out["_refs"] = {
+            uuid_key: _doc_to_json(doc.refs[uuid_key], f"{path}/_refs/{uuid_key}")
+            for uuid_key in sorted(doc.refs)
+        }
     out["data"] = doc.data
     return out
 
 
-def _write_indented(node, newline, out):
+def _refuse(obj, path: str = "$") -> None:
+    """Raise the SchemaError for the first value in document JSON ``obj``
+    that parsing would not read back, located as parsing locates it."""
+    for key, part in obj.items():
+        if key == "_refs":
+            for uuid_key, ref in part.items():
+                _refuse(ref, f"{path}/_refs/{uuid_key}")
+            continue
+        for where, problem, value in data_tree_problems(part, f"{path}/{key}"):
+            if problem == "deep":
+                _too_deep(where)
+            if problem == "key":
+                raise SchemaError(f"cannot write the non-text object key {quote(value)}")
+            raise SchemaError(
+                f"cannot write {quote(value)}: numbers and flags must be stored as text"
+            )
+
+
+def _write_indented(node, newline, out, depth):
     """Append ``node`` to ``out`` as ``json.dumps(node, indent=2)`` writes it,
     where ``newline`` is a line break plus the indentation of the line the
-    node starts on.  Only text, lists, tuples and dicts can be written."""
+    node starts on, and ``depth`` its nesting as parsing counts it.  Only
+    text, lists, tuples and dicts less than ``MAX_NESTING_DEPTH`` deep."""
     if isinstance(node, str):
         out.append(_quote(node))
         return
+    if depth == MAX_NESTING_DEPTH:
+        raise SchemaError(f"nested deeper than {MAX_NESTING_DEPTH} levels")
     inner = newline + "  "
     if isinstance(node, (list, tuple)):
         if not node:
@@ -73,7 +100,7 @@ def _write_indented(node, newline, out):
             separator = inner
             for item in node:
                 out.append(separator)
-                _write_indented(item, inner, out)
+                _write_indented(item, inner, out, depth + 1)
                 separator = "," + inner
             out.append(newline + "]")
     elif isinstance(node, dict):
@@ -86,7 +113,7 @@ def _write_indented(node, newline, out):
             if not isinstance(key, str):
                 raise SchemaError(f"cannot write the non-text object key {quote(key)}")
             out.append(f"{separator}{_quote(key)}: ")
-            _write_indented(value, inner, out)
+            _write_indented(value, inner, out, depth + 1)
             separator = "," + inner
         out.append(newline + "}")
     else:
@@ -96,14 +123,26 @@ def _write_indented(node, newline, out):
 def serialize_text(doc: MrdiDocument) -> bytes:
     """Long-term documents come out as ``json.dumps(obj, indent=2)`` plus a
     newline would write them (through a writer that skips the json module's
-    pure-Python indenting encoder), IPC documents as compact JSON."""
+    pure-Python indenting encoder), IPC documents as compact JSON.  A value
+    that ``parse_text`` would not read back raises a SchemaError."""
     obj = _doc_to_json(doc)
-    if doc.mode is Mode.LONG_TERM:
-        out = []
-        _write_indented(obj, "\n", out)
-        out.append("\n")
-        return "".join(out).encode("ascii")
-    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    if doc.mode is Mode.IPC:
+        if not all(map(data_tree_ok, obj.values())):
+            _refuse(obj)
+        return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    out = ["{"]
+    separator = "\n  "
+    try:
+        for key, value in obj.items():
+            out.append(f"{separator}{_quote(key)}: ")
+            # Each part nests from depth 0; a ref document's parts too.
+            _write_indented(value, "\n  ", out, -2 if key == "_refs" else 0)
+            separator = ",\n  "
+    except SchemaError:
+        _refuse(obj)
+        raise
+    out.append("\n}\n")
+    return "".join(out).encode("ascii")
 
 
 def _too_deep(path):

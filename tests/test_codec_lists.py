@@ -644,6 +644,26 @@ def test_map_images_are_read_as_one_column(mode, monkeypatch):
     assert serialize_text(save(got, SerializerState(mode, gs))) == raw
 
 
+@pytest.mark.parametrize("mode", [Mode.LONG_TERM, Mode.IPC], ids=["long-term", "ipc"])
+def test_a_sequence_of_polynomials_of_one_ring_looks_up_its_writers_once(mode, monkeypatch):
+    polys = [P.scale(k) for k in range(1, 6)]
+    expected = [encode_elements(Rt, [p], mode)[0] for p in polys]
+    poly_codec = codec._LIST_CODECS[UnivariatePolyRing]
+    lookups = []
+
+    def writers(desc, mode):
+        lookups.append(desc)
+        return poly_codec.writers(desc, mode)
+
+    monkeypatch.setitem(
+        codec._LIST_CODECS, UnivariatePolyRing, poly_codec._replace(writers=writers)
+    )
+    for value in (polys, tuple(polys)):
+        state = SerializerState(mode, GlobalSerializerState(), collect_new_refs=True)
+        assert save(value, state).data == expected
+    assert len(lookups) == 2
+
+
 def odd_image(case, term, c, mode):
     """Image payload ``[term]`` of coefficient ``c`` written another way."""
     if case == "terms-reversed":  # after a zero term: ascending, the reverse of canonical

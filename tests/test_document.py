@@ -221,14 +221,55 @@ def nested_vector_doc(type_levels, data_levels):
 )
 def test_validate_agrees_with_parse_on_nesting(type_levels, data_levels, where):
     doc = nested_vector_doc(type_levels, data_levels)
-    raw = serialize_text(doc)
     if where is None:
         assert validate_document(doc) == []
-        assert parse_text(raw) == doc
+        assert parse_text(serialize_text(doc)) == doc
     else:
         assert validate_document(doc) == [f"{where}: nested deeper than 100 levels"]
         with pytest.raises(SchemaError, match="nested deeper"):
-            parse_text(raw)
+            parse_text(nested_vector_text(type_levels, data_levels))
+        with pytest.raises(SchemaError, match="nested deeper"):
+            serialize_text(doc)
+
+
+@pytest.mark.parametrize("mode", [Mode.LONG_TERM, Mode.IPC], ids=["long-term", "ipc"])
+@pytest.mark.parametrize("part", ["type", "data"])
+@pytest.mark.parametrize("levels", [MAX_NESTING_DEPTH, MAX_NESTING_DEPTH + 1, 990, 3000])
+def test_the_writer_writes_exactly_what_parse_reads_back(mode, part, levels):
+    doc = nested_vector_doc(levels if part == "type" else 1, levels if part == "data" else 1)
+    if mode is Mode.IPC:
+        doc = MrdiDocument(doc.type_tree, doc.data)
+    if levels == MAX_NESTING_DEPTH:
+        assert parse_text(serialize_text(doc)) == doc
+        return
+    step = "/params" if part == "type" else "/0"
+    where = ("$/_type" if part == "type" else "$/data") + step * MAX_NESTING_DEPTH
+    with pytest.raises(SchemaError) as info:
+        serialize_text(doc)
+    assert str(info.value) == f"{where}: nested deeper than 100 levels"
+
+
+@pytest.mark.parametrize("mode", [Mode.LONG_TERM, Mode.IPC], ids=["long-term", "ipc"])
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (5, "cannot write 5: numbers and flags must be stored as text"),
+        (["1", [True]], "cannot write True: numbers and flags must be stored as text"),
+        ({3: "1"}, "cannot write the non-text object key 3"),
+        (
+            [10**5000],
+            "cannot write <int too long to show>: numbers and flags must be stored as text",
+        ),
+    ],
+    ids=["int", "flag", "int-key", "long-int"],
+)
+def test_the_writer_refuses_what_parse_would_not_read_back(mode, data, error):
+    doc = MrdiDocument(TypeNode("ZZRingElem"), data)
+    if mode is Mode.LONG_TERM:
+        doc = MrdiDocument(doc.type_tree, data, ns=NamespaceRecord(), refs={})
+    with pytest.raises(SchemaError) as info:
+        serialize_text(doc)
+    assert str(info.value) == error
 
 
 def test_parse_rejects_refs_inside_refs():

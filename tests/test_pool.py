@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shutil
@@ -12,14 +13,34 @@ import pytest
 from mrdikit.algebra import QQ, ZZ, ExactMatrix, Polynomial, polynomial_ring, univariate_ring
 from mrdikit.errors import (
     PoolClosedError,
+    SchemaError,
     TransportError,
     UnsupportedTypeError,
     ValidationError,
     WorkerFailure,
 )
 from mrdikit import cli
-from mrdikit.ipc import LoadContext, spawn_pool, zygote
+from mrdikit.ipc import (
+    Call,
+    LoadContext,
+    Result,
+    Shutdown,
+    frame_bytes,
+    read_message,
+    spawn_pool,
+    zygote,
+)
 from mrdikit.ipc.pool import MAX_WORKERS
+from mrdikit.ipc.worker import WorkerLoop
+from mrdikit.mrdi import (
+    DeserializerState,
+    GlobalSerializerState,
+    Mode,
+    SerializerState,
+    load,
+    save,
+)
+from mrdikit.mrdi.document import MAX_NESTING_DEPTH
 from mrdikit.workloads import modular_determinant
 
 TESTS_DIR = str(Path(__file__).parent)
@@ -27,10 +48,13 @@ TESTS_DIR = str(Path(__file__).parent)
 
 @pytest.fixture
 def extras_env(monkeypatch):
-    # Make tests/worker_extras.py importable inside spawned workers.
+    # Make tests/worker_extras.py importable inside spawned workers and have
+    # them import it; the coordinator imports it too, for its codec.
     existing = os.environ.get("PYTHONPATH")
     joined = TESTS_DIR if not existing else f"{TESTS_DIR}:{existing}"
     monkeypatch.setenv("PYTHONPATH", joined)
+    monkeypatch.setenv("MRDI_WORKER_INIT", "worker_extras")
+    import worker_extras  # noqa: F401
 
 
 def test_spawn_rejects_zero():
@@ -116,8 +140,8 @@ def test_a_pool_above_the_maximum_forks_nothing(monkeypatch, capsys):
     # without starting 127 of them.
     requests = []
 
-    def recorded(env, worker_envs):
-        requests.append(len(worker_envs))
+    def recorded(env, count):
+        requests.append(count)
         raise TransportError("recorded, not started")
 
     monkeypatch.setattr(zygote, "fork_workers", recorded)
@@ -207,7 +231,7 @@ def test_parallel_map_single_worker_matches_serial():
 
 
 def test_parallel_map_reports_failing_index(extras_env):
-    with spawn_pool(2, init_modules=["worker_extras"]) as pool:
+    with spawn_pool(2) as pool:
         items = [(i,) for i in range(6)]
         with pytest.raises(WorkerFailure) as info:
             pool.parallel_map("fail_on_three", items)
@@ -223,7 +247,7 @@ def test_a_round_is_read_to_the_end_before_its_failure_is_raised(extras_env, fir
     # item 1, ``sleep_ms(200)``, still runs on the other worker.  The
     # error is raised only once item 1's answer has been read, so the next
     # map on the same pool finds no stale answer in a pipe.
-    with spawn_pool(2, init_modules=["worker_extras"]) as pool:
+    with spawn_pool(2) as pool:
         start = time.perf_counter()
         with pytest.raises(error) as info:
             pool.parallel_map("by_index", [first, (0, 200)])
@@ -250,6 +274,18 @@ def test_a_round_sends_nothing_when_an_argument_cannot_be_sent():
         assert pool.parallel_map("identity", [(1,), (2,)]) == [1, 2]
 
 
+def test_an_argument_nested_too_deep_is_refused_before_it_is_sent():
+    # A worker cannot read such a frame, and a frame it cannot read ends it.
+    deep = 7
+    for _ in range(MAX_NESTING_DEPTH + 1):
+        deep = [deep]
+    with spawn_pool(2) as pool:
+        with pytest.raises(SchemaError, match="nested deeper than 100 levels"):
+            pool.parallel_map("identity", [(1,), (deep,)])
+        assert [w.state for w in pool.workers] == ["idle", "idle"]
+        assert pool.parallel_map("identity", [(1,), (2,)]) == [1, 2]
+
+
 def test_the_pool_starts_no_threads(monkeypatch):
     def refuse(thread):
         raise AssertionError(f"thread {thread.name} started")
@@ -268,7 +304,7 @@ def test_the_pool_starts_no_threads(monkeypatch):
 
 
 def test_worker_created_contexts_flow_back(extras_env):
-    with spawn_pool(2, init_modules=["worker_extras"]) as pool:
+    with spawn_pool(2) as pool:
         p1 = pool.remote_call("fresh_ring_poly", (5,))
         p2 = pool.remote_call("fresh_ring_poly", (5,))
         # Both calls may land on different workers minting different UUIDs,
@@ -283,7 +319,7 @@ def test_extension_type_through_identity_on_two_workers(extras_env):
     Rt, t = univariate_ring(ZZ, "pair_t")
     Rxy, (x, y) = polynomial_ring(QQ, "pair_x", "pair_y")
     pairs = [PolyPair(t.scale(k), x * y + Polynomial.constant(Rxy, k)) for k in range(4)]
-    with spawn_pool(2, init_modules=["worker_extras"]) as pool:
+    with spawn_pool(2) as pool:
         assert pool.remote_call("identity", (pairs[0],)) == pairs[0]
         got = pool.parallel_map("identity", [(pair,) for pair in pairs])
     assert got == pairs
@@ -304,7 +340,7 @@ def test_shutdown_waits_for_busy_worker(extras_env):
     import threading
     import time
 
-    pool = spawn_pool(1, init_modules=["worker_extras"])
+    pool = spawn_pool(1)
     outcome = {}
 
     def slow_call():
@@ -326,7 +362,7 @@ def test_worker_processes_reaped_after_shutdown():
     procs = [w.proc for w in pool.workers]
     pool.remote_call("identity", (0,))
     pool.shutdown()
-    assert all(proc.poll() is not None for proc in procs)
+    assert all(proc.wait(0) for proc in procs)
 
 
 def test_environment_set_after_the_zygote_started_reaches_new_workers(monkeypatch, tmp_path):
@@ -362,16 +398,15 @@ def test_workers_take_the_coordinators_environment_of_the_moment(
     monkeypatch.setenv("MRDI_TEST_GONE", "at-start")
     monkeypatch.setenv("MRDI_TEST_CHANGED", "at-start")
     try:
-        with spawn_pool(2, init_modules=["worker_extras"]) as pool:
+        with spawn_pool(2) as pool:
             assert workers_getenv(pool, "MRDI_TEST_GONE") == ["at-start"] * 2
             assert workers_getenv(pool, "MRDI_TEST_CHANGED") == ["at-start"] * 2
         running = zygote._zygote
         monkeypatch.delenv("MRDI_TEST_GONE")
         monkeypatch.setenv("MRDI_TEST_CHANGED", "later")
-        with spawn_pool(2, init_modules=["worker_extras"]) as pool:
+        with spawn_pool(2) as pool:
             assert workers_getenv(pool, "MRDI_TEST_GONE") == [None, None]
             assert workers_getenv(pool, "MRDI_TEST_CHANGED") == ["later", "later"]
-            assert workers_getenv(pool, "MRDI_WORKER_ID") == ["0", "1"]
         assert zygote._zygote is running
     finally:
         if zygote._zygote is not None:
@@ -386,11 +421,11 @@ def test_a_pythonpath_entry_dropped_after_the_zygote_started_is_gone_from_new_wo
     without = os.environ["PYTHONPATH"]
     monkeypatch.setenv("PYTHONPATH", f"{tmp_path}:{without}")
     try:
-        with spawn_pool(2, init_modules=["worker_extras"]) as pool:
+        with spawn_pool(2) as pool:
             assert pool.parallel_map("importable", [name] * 2) == [1, 1]
         running = zygote._zygote
         monkeypatch.setenv("PYTHONPATH", without)
-        with spawn_pool(2, init_modules=["worker_extras"]) as pool:
+        with spawn_pool(2) as pool:
             assert pool.parallel_map("importable", [name] * 2) == [0, 0]
         assert zygote._zygote is running
     finally:
@@ -553,7 +588,7 @@ def test_a_rejected_context_fails_its_call_and_is_sent_again(extras_env):
 
     events = []
     Rr, r = univariate_ring(ZZ, REJECT_ONCE_SYMBOL)
-    with spawn_pool(1, init_modules=["worker_extras"], tap=events.append) as pool:
+    with spawn_pool(1, tap=events.append) as pool:
         with pytest.raises(WorkerFailure) as info:
             pool.parallel_map("poly_square", [(r,)])
         uuid = pool.global_state.uuid_for(Rr)
@@ -575,7 +610,7 @@ def test_calls_overlap_across_workers(extras_env):
     # 6 x 300 ms must take well under the 1.8 s serial floor on 3 workers.
     import time
 
-    with spawn_pool(3, init_modules=["worker_extras"]) as pool:
+    with spawn_pool(3) as pool:
         start = time.perf_counter()
         assert pool.parallel_map("sleep_ms", [(300,)] * 6) == [300] * 6
         elapsed = time.perf_counter() - start
@@ -598,12 +633,33 @@ def test_six_worker_pool_shape():
         assert pool.parallel_map("identity", [(i,) for i in range(12)]) == list(range(12))
 
 
-def test_worker_log_files(extras_env, tmp_path, monkeypatch):
-    prefix = tmp_path / "workerlog"
-    monkeypatch.setenv("MRDI_WORKER_LOG", str(prefix))
-    with spawn_pool(2) as pool:
-        pool.parallel_map("identity", [(i,) for i in range(4)])
-    logs = sorted(tmp_path.glob("workerlog.w*"))
-    assert logs, "no worker log files written"
-    text = "".join(p.read_text() for p in logs)
-    assert "call" in text and "shutting down" in text
+def test_the_tap_shows_each_answer_and_each_shutdown(extras_env):
+    # What a worker does shows as frames on the coordinator's side: each
+    # call's answer, a failing call's detail text, one Shutdown per worker.
+    events = []
+    with spawn_pool(2, tap=events.append) as pool:
+        assert pool.parallel_map("identity", [(i,) for i in range(4)]) == [0, 1, 2, 3]
+        with pytest.raises(WorkerFailure):
+            pool.remote_call("fail_on_three", (3,))
+    calls = [msg.call_id for d, _, msg in events if d == "send" and isinstance(msg, Call)]
+    answers = [msg for d, _, msg in events if d == "recv"]
+    assert [type(msg).__name__ for msg in answers] == ["Result"] * 4 + ["Failure"]
+    assert sorted(msg.call_id for msg in answers) == sorted(calls)
+    assert answers[-1].error == "ValueError: three is right out"
+    shutdowns = [w for d, w, msg in events if d == "send" and isinstance(msg, Shutdown)]
+    assert sorted(shutdowns) == [0, 1]
+
+
+def test_a_worker_answers_only_the_frames_it_serves():
+    # A Result is no request: the worker reads past it without an answer.
+    state = GlobalSerializerState()
+    args = save((5,), SerializerState(Mode.IPC, state))
+    frames = [Result(9), Call(1, "identity", args), Shutdown()]
+    stdout = io.BytesIO()
+    WorkerLoop(io.BytesIO(b"".join(map(frame_bytes, frames))), stdout).serve()
+    stdout.seek(0)
+    answers = []
+    while (msg := read_message(stdout)) is not None:
+        answers.append(msg)
+    assert [(type(msg).__name__, msg.call_id) for msg in answers] == [("Result", 1)]
+    assert load(answers[0].value, DeserializerState(Mode.IPC, state)) == 5
