@@ -1,7 +1,6 @@
 from .framing import (
     Call,
     Failure,
-    LoadContext,
     Message,
     Result,
     Shutdown,
@@ -18,7 +17,6 @@ from .worker import worker_main
 __all__ = [
     "Call",
     "Failure",
-    "LoadContext",
     "Message",
     "Result",
     "Shutdown",

@@ -16,7 +16,6 @@ from ..errors import SchemaError, TransportError
 from ..mrdi.document import MAX_NESTING_DEPTH, MrdiDocument
 from ..mrdi.textio import _doc_to_json, _parse_doc
 
-KIND_LOAD_CONTEXT = 1
 KIND_CALL = 2
 KIND_RESULT = 3
 KIND_FAILURE = 4
@@ -32,17 +31,11 @@ MAX_FRAME_BYTES = 1 << 28
 
 
 @dataclass
-class LoadContext:
-    call_id: int
-    uuid: str
-    document: MrdiDocument
-
-
-@dataclass
 class Call:
     call_id: int
     fn: str
     args: MrdiDocument
+    refs: dict[str, MrdiDocument] = field(default_factory=dict)
 
 
 @dataclass
@@ -63,7 +56,7 @@ class Shutdown:
     pass
 
 
-Message = LoadContext | Call | Result | Failure | Shutdown
+Message = Call | Result | Failure | Shutdown
 
 
 # Each message kind's class and payload fields in wire order, as (key, shape)
@@ -73,8 +66,7 @@ Message = LoadContext | Call | Result | Failure | Shutdown
 # left out when empty.
 _PLAIN, _DOC, _OPTIONAL_DOC, _DOC_MAP = "plain", "document", "optional document", "document map"
 _MESSAGES = {
-    KIND_LOAD_CONTEXT: (LoadContext, (("id", _PLAIN), ("uuid", _PLAIN), ("document", _DOC))),
-    KIND_CALL: (Call, (("id", _PLAIN), ("fn", _PLAIN), ("args", _DOC))),
+    KIND_CALL: (Call, (("id", _PLAIN), ("fn", _PLAIN), ("args", _DOC), ("refs", _DOC_MAP))),
     KIND_RESULT: (Result, (("id", _PLAIN), ("value", _OPTIONAL_DOC), ("refs", _DOC_MAP))),
     KIND_FAILURE: (Failure, (("id", _PLAIN), ("error", _PLAIN))),
     KIND_SHUTDOWN: (Shutdown, ()),

@@ -3,13 +3,14 @@
 The pool owns one process per worker, forked by this process's zygote
 (``zygote.py``), and tracks which context UUIDs each worker holds.  Every
 call runs in the calling thread, in rounds: a round saves its arguments in
-IPC mode, sends each live worker the ref documents it lacks (base rings
-first, so each (worker, context) pair sees at most one LoadContext frame)
-and one Call back to back, then reads the answers in worker order.  Results
-are placed by input index and loaded under the coordinator's global state,
-merging back any contexts a worker minted.  ``remote_call`` is a one-item map and
-``wait_ready`` one ``identity`` call per worker.  A pool serves one call at
-a time; callers on other threads, and ``shutdown``, wait for it.
+IPC mode, sends each live worker one Call that carries the ref documents the
+worker lacks (base rings first), then reads the one answer of each in worker
+order.  A context counts as held once a call that carried it is answered
+with a Result; after a Failure the next call carries it again.  Results are
+placed by input index and loaded under the coordinator's global state,
+merging back any contexts a worker minted.  ``remote_call`` is a one-item
+map and ``wait_ready`` one ``identity`` call per worker.  A pool serves one
+call at a time; callers on other threads, and ``shutdown``, wait for it.
 """
 
 from __future__ import annotations
@@ -43,9 +44,8 @@ class WorkerHandle:
     def __init__(self, worker_id: int, proc: WorkerProcess):
         self.worker_id = worker_id
         self.proc = proc
-        # Contexts sent; (call id, UUID) of each LoadContext not yet answered.
+        # Contexts the worker holds: sent with a call it answered, or minted by it.
         self.known_contexts: set[str] = set()
-        self.pending_contexts: list[tuple[int, str]] = []
         self.state = IDLE
 
     def __repr__(self):
@@ -85,35 +85,24 @@ class WorkerPool:
             self._tap(("send", worker.worker_id, msg))
 
     def _recv(self, worker: WorkerHandle, call_id: int) -> framing.Result:
-        """Read the worker's answers up to the Result of ``call_id``, its
-        pending LoadContext answers first: the one place answers are read.
-        A rejected context leaves ``known_contexts``; once all are read, the
-        first rejection, else the call's Failure, raises WorkerFailure.  A
-        broken stream, end-of-file or any other frame marks the worker dead
-        and raises TransportError."""
-        expected, worker.pending_contexts = worker.pending_contexts + [(call_id, None)], []
-        errors = []
-        for want, uuid_key in expected:
-            try:
-                msg = framing.read_message(worker.proc.stdout)
-            except TransportError as exc:
-                self._mark_dead(worker)
-                raise TransportError(f"worker {worker.worker_id}: {exc}") from None
-            if msg is None:
-                self._mark_dead(worker)
-                raise TransportError(f"worker {worker.worker_id} exited unexpectedly")
-            if self._tap is not None:
-                self._tap(("recv", worker.worker_id, msg))
-            if not isinstance(msg, (framing.Result, framing.Failure)) or msg.call_id != want:
-                self._mark_dead(worker)
-                raise TransportError(f"worker {worker.worker_id} answered out of order")
-            if isinstance(msg, framing.Failure) and uuid_key is not None:
-                worker.known_contexts.discard(uuid_key)
-                errors.append(f"worker {worker.worker_id} rejected context {uuid_key}: {msg.error}")
-            elif isinstance(msg, framing.Failure):
-                errors.append(msg.error)
-        if errors:
-            raise WorkerFailure(errors[0])
+        """Read the worker's answer to ``call_id``: the one place answers are
+        read.  A Failure raises WorkerFailure; a broken stream, end-of-file
+        or any other frame marks the worker dead and raises TransportError."""
+        try:
+            msg = framing.read_message(worker.proc.stdout)
+        except TransportError as exc:
+            self._mark_dead(worker)
+            raise TransportError(f"worker {worker.worker_id}: {exc}") from None
+        if msg is None:
+            self._mark_dead(worker)
+            raise TransportError(f"worker {worker.worker_id} exited unexpectedly")
+        if self._tap is not None:
+            self._tap(("recv", worker.worker_id, msg))
+        if not isinstance(msg, (framing.Result, framing.Failure)) or msg.call_id != call_id:
+            self._mark_dead(worker)
+            raise TransportError(f"worker {worker.worker_id} answered out of order")
+        if isinstance(msg, framing.Failure):
+            raise WorkerFailure(msg.error)
         return msg
 
     def _mark_dead(self, worker: WorkerHandle) -> None:
@@ -125,22 +114,14 @@ class WorkerPool:
 
     # -- context distribution ----------------------------------------------
 
-    def ensure_contexts(self, worker: WorkerHandle, refs: dict[str, MrdiDocument]) -> None:
-        """Send the worker each ref document of ``refs`` (UUID -> document,
-        base rings first, as an IPC save with ``collect_new_refs`` gathers
-        them in ``pending_refs``) that it does not hold yet.  Only sends:
-        each is marked known and pending, and ``_recv`` reads the answers.
-
-        The caller must hold the pool: be inside one of its calls, or have
-        no call in flight.
-        """
-        for uuid_key, ref_doc in refs.items():
-            if uuid_key in worker.known_contexts:
-                continue
-            call_id = next(self._call_ids)
-            self._send(worker, framing.LoadContext(call_id, uuid_key, ref_doc))
-            worker.known_contexts.add(uuid_key)
-            worker.pending_contexts.append((call_id, uuid_key))
+    def ensure_contexts(
+        self, worker: WorkerHandle, refs: dict[str, MrdiDocument]
+    ) -> dict[str, MrdiDocument]:
+        """The ref documents of ``refs`` (UUID -> document, base rings first,
+        as an IPC save with ``collect_new_refs`` gathers them in
+        ``pending_refs``) that the worker does not hold, in order: what its
+        next Call carries.  Sends nothing."""
+        return {u: d for u, d in refs.items() if u not in worker.known_contexts}
 
     # -- calls ---------------------------------------------------------------
 
@@ -150,9 +131,8 @@ class WorkerPool:
 
         Returns the results by input index and the failure of the lowest
         index, ``(index, exception)`` or None.  A round saves all its
-        arguments before its first frame goes out, sends each worker's
-        LoadContext frames and Call back to back, stops sending at the first
-        failure, and reads the answer to every frame it sent before this
+        arguments before its first Call goes out, stops sending at the first
+        failure, and reads the answer to every Call it sent before this
         returns, so no stale answer is left for the next call; no round
         starts after a failure.
         """
@@ -176,16 +156,17 @@ class WorkerPool:
                 sent = []
                 for worker, index, args_doc, refs in calls:
                     try:
-                        self.ensure_contexts(worker, refs)
+                        missing = self.ensure_contexts(worker, refs)
                         call_id = next(self._call_ids)
-                        self._send(worker, framing.Call(call_id, fn, args_doc))
+                        self._send(worker, framing.Call(call_id, fn, args_doc, missing))
                     except Exception as exc:  # noqa: BLE001 - reported below
                         failures.append((index, exc))
                         break
-                    sent.append((worker, index, call_id))
-                for worker, index, call_id in sent:
+                    sent.append((worker, index, call_id, missing))
+                for worker, index, call_id, missing in sent:
                     try:
                         reply = self._recv(worker, call_id)
+                        worker.known_contexts.update(missing)
                         for uuid_key, ref_doc in reply.refs.items():
                             if self.global_state.resolve(uuid_key) is None:
                                 load_context_document(ref_doc, self.global_state, uuid_key)

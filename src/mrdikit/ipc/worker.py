@@ -2,13 +2,13 @@
 
 A pool's workers are forked from its start-up process (``zygote.py``);
 ``mrdikit --worker`` runs one on its own stdin/stdout.  Either way the
-protocol is on stdin/stdout, and ``serve`` looks each message's handler up
-by its class.  Contexts arrive through LoadContext frames before any call
-that needs them, sent back to back with that call; every frame is answered
-in order, a LoadContext with an empty Result or a Failure, a Call with a
-Result or a Failure; a frame of any other kind is ignored.  Contexts a call
-creates on the worker side are sent back inline with the result, each
-exactly once.  A pool's ``tap`` sees every frame a worker reads or writes.
+protocol is on stdin/stdout.  A Call carries the ref documents of the
+contexts its arguments need that the worker may lack, base rings first; the
+worker binds them before it decodes the arguments and answers with a Result
+or a Failure, in order.  A Shutdown ends the loop, and a frame of any other
+kind is ignored.  Contexts a call creates on the worker side are sent back
+inline with the result, each exactly once.  A pool's ``tap`` sees every
+frame a worker reads or writes.
 
 Environment:
   MRDI_WORKER_INIT  comma-separated modules to import before serving (extra
@@ -40,19 +40,19 @@ class WorkerLoop:
     def _reply(self, msg) -> None:
         framing.write_message(self.stdout, msg)
 
-    def handle_load_context(self, msg: framing.LoadContext) -> None:
-        try:
-            load_context_document(msg.document, self.global_state, msg.uuid)
-            self.shared_uuids.add(msg.uuid)
-            self._reply(framing.Result(msg.call_id))
-        except Exception as exc:
-            self._reply(framing.Failure(msg.call_id, f"context load failed: {exc}"))
-
     def handle_call(self, msg: framing.Call) -> None:
         fn = lookup(msg.fn)
         if fn is None:
             self._reply(framing.Failure(msg.call_id, f"unknown function: {msg.fn}"))
             return
+        for uuid_key, ref_doc in msg.refs.items():
+            try:
+                # Looked up at call time, so a worker's init modules may wrap it.
+                load_context_document(ref_doc, self.global_state, uuid_key)
+            except Exception as exc:
+                self._reply(framing.Failure(msg.call_id, f"context {uuid_key}: load failed: {exc}"))
+                return
+            self.shared_uuids.add(uuid_key)
         try:
             args = load(msg.args, DeserializerState(Mode.IPC, self.global_state))
             if not isinstance(args, tuple):
@@ -70,12 +70,11 @@ class WorkerLoop:
             self._reply(framing.Failure(msg.call_id, detail))
 
     def serve(self) -> None:
-        handlers = {framing.LoadContext: self.handle_load_context, framing.Call: self.handle_call}
         while (msg := framing.read_message(self.stdin)) is not None:
             if isinstance(msg, framing.Shutdown):
                 break
-            if type(msg) in handlers:
-                handlers[type(msg)](msg)
+            if isinstance(msg, framing.Call):
+                self.handle_call(msg)
 
 
 def worker_main() -> int:

@@ -83,14 +83,14 @@ def _write_indented(node, newline, out, depth):
     """Append ``node`` to ``out`` as ``json.dumps(node, indent=2)`` writes it,
     where ``newline`` is a line break plus the indentation of the line the
     node starts on, and ``depth`` its nesting as parsing counts it.  Only
-    text, lists, tuples and dicts less than ``MAX_NESTING_DEPTH`` deep."""
+    text, lists and dicts less than ``MAX_NESTING_DEPTH`` deep."""
     if isinstance(node, str):
         out.append(_quote(node))
         return
     if depth == MAX_NESTING_DEPTH:
         raise SchemaError(f"nested deeper than {MAX_NESTING_DEPTH} levels")
     inner = newline + "  "
-    if isinstance(node, (list, tuple)):
+    if isinstance(node, list):
         if not node:
             out.append("[]")
         elif set(map(type, node)) <= _TEXT:  # a list of text, the common leaf

@@ -26,7 +26,7 @@ from mrdikit.algebra import (
     polynomial_ring,
     univariate_ring,
 )
-from mrdikit.ipc import LoadContext, framing, spawn_pool
+from mrdikit.ipc import framing, spawn_pool
 from mrdikit.mrdi import (
     DeserializerState,
     GlobalSerializerState,
@@ -133,22 +133,17 @@ def test_criterion_4_context_protocol():
         Ru, u = univariate_ring(Rt, "u")
         polys = [u.scale(t) ** 2 + u**k for k in range(12)]
         with spawn_pool(3, tap=events.append) as pool:
-            state = SerializerState(Mode.IPC, pool.global_state, collect_new_refs=True)
-            save((polys[0],), state)
-            # drive every worker explicitly, twice, then run a real workload
-            for worker in pool.workers:
-                pool.ensure_contexts(worker, state.pending_refs)
-            for worker in pool.workers:
-                pool.ensure_contexts(worker, state.pending_refs)
             results = pool.parallel_map("poly_square", [(p,) for p in polys])
             assert results == [p * p for p in polys]
             inner_uuid = pool.global_state.uuid_for(Rt)
             outer_uuid = pool.global_state.uuid_for(Ru)
 
+        # the contexts each Call carried
         loads = [
-            (worker_id, msg.uuid)
+            (worker_id, uuid)
             for direction, worker_id, msg in events
-            if direction == "send" and isinstance(msg, LoadContext)
+            if direction == "send" and isinstance(msg, framing.Call)
+            for uuid in msg.refs
         ]
         assert len(loads) == len(set(loads)), "a context was delivered twice"
         per_worker = {w for w, _ in loads}

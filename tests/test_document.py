@@ -260,8 +260,9 @@ def test_the_writer_writes_exactly_what_parse_reads_back(mode, part, levels):
             [10**5000],
             "cannot write <int too long to show>: numbers and flags must be stored as text",
         ),
+        (("1",), "cannot write ('1',): numbers and flags must be stored as text"),
     ],
-    ids=["int", "flag", "int-key", "long-int"],
+    ids=["int", "flag", "int-key", "long-int", "tuple"],
 )
 def test_the_writer_refuses_what_parse_would_not_read_back(mode, data, error):
     doc = MrdiDocument(TypeNode("ZZRingElem"), data)

@@ -27,8 +27,8 @@ def roundtrip_one(msg):
 def one_of_each_kind():
     ref = MrdiDocument(TypeNode("PolyRing"), {"base_ring": "ZZRing", "symbol": "t"})
     return [
-        framing.LoadContext(1, UUID_A, ref),
         framing.Call(2, "det_mod_p", sample_doc()),
+        framing.Call(5, "poly_square", sample_doc(), {UUID_A: ref}),
         framing.Result(2, sample_doc(), {UUID_A: ref}),
         framing.Result(3),
         framing.Failure(4, "kaboom"),
@@ -45,12 +45,14 @@ _TYPE_A = b'{"name":"PolyRingElem","params":"11111111-2222-4333-8444-55555555555
 _RING_T = b'{"_type":"PolyRing","data":{"base_ring":"ZZRing","symbol":"t"}}'
 
 # The wire format is a fixed point: payload keys in this order, a Result's
-# ``value`` left out when None and its ``refs`` when empty.
+# ``value`` left out when None, and the ``refs`` of a Call or a Result when
+# empty.
 PINNED_FRAMES = [
-    b'\x00\x00\x00\x81\x01{"id":1,"uuid":"11111111-2222-4333-8444-555555555555",'
-    b'"document":' + _RING_T + b"}",
     b'\x00\x00\x00\x8f\x02{"id":2,"fn":"det_mod_p","args":{"_type":' + _TYPE_A
     + b',"data":[["0","2"],["3","1"]]}}',
+    b'\x00\x00\x01\x01\x02{"id":5,"fn":"poly_square","args":{"_type":' + _TYPE_A
+    + b',"data":[["0","2"],["3","1"]]},"refs":{"11111111-2222-4333-8444-555555555555":'
+    + _RING_T + b"}}",
     b'\x00\x00\x00\xef\x03{"id":2,"value":{"_type":' + _TYPE_A
     + b',"data":[["0","2"],["3","1"]]},"refs":{"11111111-2222-4333-8444-555555555555":'
     + _RING_T + b"}}",
@@ -94,6 +96,16 @@ def test_truncated_body_raises():
 def test_unknown_kind_rejected():
     raw = b"\x00\x00\x00\x02\x63{}"
     with pytest.raises(TransportError, match="unknown message kind"):
+        framing.read_message(io.BytesIO(raw))
+
+
+def test_kind_1_is_unknown():
+    # A context document on its own is no message: contexts ride inside a Call.
+    raw = (
+        b'\x00\x00\x00\x81\x01{"id":1,"uuid":"11111111-2222-4333-8444-555555555555",'
+        b'"document":' + _RING_T + b"}"
+    )
+    with pytest.raises(TransportError, match="^unknown message kind 1$"):
         framing.read_message(io.BytesIO(raw))
 
 
@@ -175,7 +187,7 @@ def random_message(rng):
             TypeNode("PolyRing"),
             {"base_ring": "ZZRing", "symbol": rng.choice("tuvw")},
         )
-        return framing.LoadContext(rng.randrange(10**6), UUID_A, ref)
+        return framing.Call(rng.randrange(10**6), "poly_square", sample_doc(), {UUID_A: ref})
     if kind == 1:
         return framing.Call(rng.randrange(10**6), rng.choice(["f", "g", "h"]), sample_doc())
     if kind == 2:

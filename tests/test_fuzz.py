@@ -2,7 +2,8 @@
 
 The golden files and a few valid frames are mutated: a key deleted, two
 subtrees swapped, a value replaced by one of the wrong type, or by 5000
-digits as text or as a native JSON number.  Each document goes through
+digits as text or as a native JSON number; a Call's context refs are also
+made bad on purpose.  Each document goes through
 ``parse_text``, ``load`` and ``save``; each parsed document, mutated in
 memory, through ``validate_document`` and ``serialize_text``; each frame
 payload through ``framing.decode_message``, and frame bytes, also cut or
@@ -213,11 +214,11 @@ def _valid_frames():
     S, (x, y) = polynomial_ring(QQ, "x", "y")
     state = SerializerState(Mode.IPC, GlobalSerializerState(), collect_new_refs=True)
     square = save((t * t + t.scale(3),), state)
-    matrix = save((ExactMatrix.from_rows(ring, [[t, t], [t, t]]), [x * y]), state)
+    matrix = save(((ExactMatrix.from_rows(ring, [[t, t], [t, t]]), [x * y]),), state)
     (uuid_t, ring_t), (uuid_s, ring_s) = state.pending_refs.items()
     return [
-        framing.LoadContext(1, uuid_t, ring_t),
-        framing.LoadContext(2, uuid_s, ring_s),
+        framing.Call(1, "identity", matrix, {uuid_t: ring_t, uuid_s: ring_s}),
+        framing.Call(2, "poly_square", square, {uuid_t: ring_t}),
         framing.Call(3, "poly_square", square),
         framing.Call(4, "identity", matrix),
         framing.Result(5, matrix, {uuid_s: ring_s}),
@@ -226,12 +227,29 @@ def _valid_frames():
     ]
 
 
+def _bad_refs(rng, refs):
+    """A Call's ``refs`` made bad: not an object, one ref under a key that is
+    no UUID, or one ref document mutated."""
+    how = rng.randrange(3)
+    if how == 0:
+        return rng.choice([value for value in _WRONG_TYPED if not isinstance(value, dict)])
+    uuid_key = rng.choice(list(refs))
+    if how == 1:
+        copy = dict(refs)
+        copy[rng.choice(["", "x", "0", uuid_key.upper(), uuid_key[:-1]])] = copy.pop(uuid_key)
+        return copy
+    return {**refs, uuid_key: _mutate(rng, refs[uuid_key])}
+
+
 def _payload_mutants(seed):
     """(kind, payload) pairs: a valid frame's payload mutated, its kind
-    sometimes changed too."""
+    sometimes changed too; a Call's refs are sometimes made bad on purpose."""
     rng = random.Random(seed)
     frames = [framing.encode_message(msg) for msg in _valid_frames()]
     for payload in _mutants(seed, [payload for _, payload in frames]):
+        refs = payload.get("refs") if isinstance(payload, dict) and "fn" in payload else None
+        if isinstance(refs, dict) and refs and rng.random() < 0.3:
+            payload = {**payload, "refs": _bad_refs(rng, refs)}
         kind = rng.choice(frames)[0] if rng.random() < 0.8 else rng.randrange(8)
         yield kind, payload
 
@@ -246,10 +264,10 @@ def _frame(kind: int, body: bytes) -> bytes:
 
 
 def _streams(seed):
-    """Worker input streams: one or two mutated frames after the valid ones
-    that load both contexts, their bytes sometimes cut or corrupted."""
+    """Worker input streams: one or two mutated frames after the valid Call
+    that binds both contexts, their bytes sometimes cut or corrupted."""
     rng = random.Random(seed)
-    valid = [framing.frame_bytes(msg) for msg in _valid_frames()[:2]]
+    valid = [framing.frame_bytes(msg) for msg in _valid_frames()[:1]]
     seconds = _payload_mutants(seed + 1)
     for kind, payload in _payload_mutants(seed):
         frames = [_frame(kind, _text(payload, separators=(",", ":")).encode())]

@@ -22,7 +22,6 @@ from mrdikit.errors import (
 from mrdikit import cli
 from mrdikit.ipc import (
     Call,
-    LoadContext,
     Result,
     Shutdown,
     frame_bytes,
@@ -30,7 +29,7 @@ from mrdikit.ipc import (
     spawn_pool,
     zygote,
 )
-from mrdikit.ipc.pool import MAX_WORKERS
+from mrdikit.ipc.pool import MAX_WORKERS, WorkerPool
 from mrdikit.ipc.worker import WorkerLoop
 from mrdikit.mrdi import (
     DeserializerState,
@@ -207,8 +206,7 @@ def test_bare_int_args_send_no_contexts():
     events = []
     with spawn_pool(1, tap=events.append) as pool:
         assert pool.remote_call("identity", (7,)) == 7
-    loads = [e for e in events if isinstance(e[2], LoadContext)]
-    assert loads == []
+    assert sent_refs(events) == []
 
 
 def test_parallel_map_empty():
@@ -511,6 +509,17 @@ def test_a_killed_coordinator_leaves_no_zygote_or_worker_running():
 # -- context distribution -------------------------------------------------------
 
 
+def sent_refs(events):
+    """(worker id, UUID) of every context the pool sent, in order: the refs
+    each Call carried."""
+    return [
+        (worker, uuid)
+        for direction, worker, msg in events
+        if direction == "send" and isinstance(msg, Call)
+        for uuid in msg.refs
+    ]
+
+
 def nested_ring_polys(count):
     Rt, t = univariate_ring(ZZ, "t")
     Ru, u = univariate_ring(Rt, "u")
@@ -526,12 +535,8 @@ def test_exactly_once_context_delivery_and_order():
         inner_uuid = pool.global_state.uuid_for(Rt)
         outer_uuid = pool.global_state.uuid_for(Ru)
 
-    loads = [
-        (worker, msg.uuid)
-        for direction, worker, msg in events
-        if direction == "send" and isinstance(msg, LoadContext)
-    ]
-    # at most one LoadContext per (worker, context)
+    loads = sent_refs(events)
+    # at most one delivery per (worker, context)
     assert len(loads) == len(set(loads))
     # dependency order: the inner ring reaches each worker before the outer
     for worker in {w for w, _ in loads}:
@@ -546,31 +551,23 @@ def test_second_ensure_sends_nothing():
     _, _, polys = nested_ring_polys(1)
     with spawn_pool(1, tap=events.append) as pool:
         pool.remote_call("poly_square", (polys[0],))
-        first_loads = sum(
-            isinstance(msg, LoadContext) for d, _, msg in events if d == "send"
-        )
+        first_loads = len(sent_refs(events))
         pool.remote_call("poly_square", (polys[0],))
-        second_loads = sum(
-            isinstance(msg, LoadContext) for d, _, msg in events if d == "send"
-        )
+        second_loads = len(sent_refs(events))
     assert first_loads == 2  # inner then outer ring
     assert second_loads == first_loads
 
 
 def test_context_loads_go_out_with_their_call():
     events = []
-    _, _, polys = nested_ring_polys(1)
+    Rt, Ru, polys = nested_ring_polys(1)
     with spawn_pool(1, tap=events.append) as pool:
         assert pool.remote_call("poly_square", (polys[0],)) == polys[0] * polys[0]
         frames = [(direction, type(msg).__name__) for direction, _, msg in events]
-    assert frames == [
-        ("send", "LoadContext"),
-        ("send", "LoadContext"),
-        ("send", "Call"),
-        ("recv", "Result"),
-        ("recv", "Result"),
-        ("recv", "Result"),
-    ]
+        uuids = [pool.global_state.uuid_for(ring) for ring in (Rt, Ru)]
+    # one frame out, one answer back: the contexts ride inside the Call
+    assert frames == [("send", "Call"), ("recv", "Result")]
+    assert sent_refs(events) == [(0, uuids[0]), (0, uuids[1])]
 
 
 def test_a_round_reads_no_answer_before_its_last_send():
@@ -579,8 +576,8 @@ def test_a_round_reads_no_answer_before_its_last_send():
     with spawn_pool(3, tap=events.append) as pool:
         assert pool.parallel_map("poly_square", [(p,) for p in polys]) == [p * p for p in polys]
         directions = [direction for direction, _, _ in events]
-    # two contexts and one call per worker
-    assert directions == ["send"] * 9 + ["recv"] * 9
+    # one call per worker, carrying its two contexts
+    assert directions == ["send"] * 3 + ["recv"] * 3
 
 
 def test_a_rejected_context_fails_its_call_and_is_sent_again(extras_env):
@@ -594,15 +591,35 @@ def test_a_rejected_context_fails_its_call_and_is_sent_again(extras_env):
         uuid = pool.global_state.uuid_for(Rr)
         assert info.value.index == 0
         assert str(info.value) == (
-            f"item 0: worker 0 rejected context {uuid}: "
-            f"context load failed: ring {REJECT_ONCE_SYMBOL} is rejected once"
+            f"item 0: context {uuid}: load failed: ring {REJECT_ONCE_SYMBOL} is rejected once"
         )
         assert pool.workers[0].known_contexts == set()
         del events[:]
         polys = [r + Polynomial.constant(Rr, k) for k in range(3)]
         assert pool.parallel_map("poly_square", [(p,) for p in polys]) == [p * p for p in polys]
-        loads = [msg.uuid for d, _, msg in events if d == "send" and isinstance(msg, LoadContext)]
-    assert loads == [uuid]
+    assert sent_refs(events) == [(0, uuid)]
+
+
+def test_a_call_whose_outer_ring_comes_first_fails_and_the_next_is_served(monkeypatch):
+    events = []
+    Rt, Ru, polys = nested_ring_polys(1)
+    with spawn_pool(1, tap=events.append) as pool:
+        # The worker cannot bind the outer ring before its base ring.
+        def reversed_refs(worker, refs):
+            return dict(reversed(WorkerPool.ensure_contexts(pool, worker, refs).items()))
+
+        monkeypatch.setattr(pool, "ensure_contexts", reversed_refs)
+        with pytest.raises(WorkerFailure) as info:
+            pool.parallel_map("poly_square", [(polys[0],)])
+        inner, outer = (pool.global_state.uuid_for(ring) for ring in (Rt, Ru))
+        assert str(info.value).startswith(f"item 0: context {outer}: load failed: ")
+        assert pool.workers[0].known_contexts == set()
+        monkeypatch.undo()
+        assert pool.remote_call("poly_square", (polys[0],)) == polys[0] * polys[0]
+        assert pool.workers[0].known_contexts == {inner, outer}
+    answers = [type(msg).__name__ for d, _, msg in events if d == "recv"]
+    assert answers == ["Failure", "Result"]
+    assert sent_refs(events) == [(0, outer), (0, inner), (0, inner), (0, outer)]
 
 
 def test_calls_overlap_across_workers(extras_env):

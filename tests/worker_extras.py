@@ -68,7 +68,7 @@ def by_index(k, *args):
     return _BY_INDEX[k](*args)
 
 
-# A worker rejects the first LoadContext of each ring whose symbol is this
+# A worker rejects the first delivery of each ring whose symbol is this
 # marker and loads any later one.
 REJECT_ONCE_SYMBOL = "reject_once"
 _rejected: set[str] = set()
