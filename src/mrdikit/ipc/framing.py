@@ -2,14 +2,16 @@
 
 Each frame is a 4-byte big-endian payload length, one message-kind tag byte,
 then a compact JSON payload of exactly that length, whose fields the table
-``_MESSAGES`` gives per kind; serialized mrdi documents travel inside it.
+``_MESSAGES`` gives per kind; serialized mrdi documents travel inside it.  A
+document in a frame carries no ``_ns``, and carries in ``_refs`` only the
+contexts its receiver lacks.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from ..errors import SchemaError, TransportError
@@ -35,14 +37,12 @@ class Call:
     call_id: int
     fn: str
     args: MrdiDocument
-    refs: dict[str, MrdiDocument] = field(default_factory=dict)
 
 
 @dataclass
 class Result:
     call_id: int
     value: Optional[MrdiDocument] = None
-    refs: dict[str, MrdiDocument] = field(default_factory=dict)
 
 
 @dataclass
@@ -62,12 +62,11 @@ Message = Call | Result | Failure | Shutdown
 # Each message kind's class and payload fields in wire order, as (key, shape)
 # pairs; the i-th field carries the class's i-th attribute, and a payload that
 # lacks several keys is reported by the first.  A field goes as is, as a
-# document, as a document left out when None, or as a UUID -> document map
-# left out when empty.
-_PLAIN, _DOC, _OPTIONAL_DOC, _DOC_MAP = "plain", "document", "optional document", "document map"
+# document, or as a document left out when None.
+_PLAIN, _DOC, _OPTIONAL_DOC = "plain", "document", "optional document"
 _MESSAGES = {
-    KIND_CALL: (Call, (("id", _PLAIN), ("fn", _PLAIN), ("args", _DOC), ("refs", _DOC_MAP))),
-    KIND_RESULT: (Result, (("id", _PLAIN), ("value", _OPTIONAL_DOC), ("refs", _DOC_MAP))),
+    KIND_CALL: (Call, (("id", _PLAIN), ("fn", _PLAIN), ("args", _DOC))),
+    KIND_RESULT: (Result, (("id", _PLAIN), ("value", _OPTIONAL_DOC))),
     KIND_FAILURE: (Failure, (("id", _PLAIN), ("error", _PLAIN))),
     KIND_SHUTDOWN: (Shutdown, ()),
 }
@@ -85,8 +84,6 @@ def encode_message(msg: Message) -> tuple[int, dict]:
             payload[key] = value
         elif shape == _DOC or (shape == _OPTIONAL_DOC and value is not None):
             payload[key] = _doc_to_json(value)
-        elif shape == _DOC_MAP and value:
-            payload[key] = {u: _doc_to_json(d) for u, d in value.items()}
     return kind, payload
 
 
@@ -99,14 +96,10 @@ def decode_message(kind: int, payload: dict) -> Message:
         for key, shape in wire_fields:
             if shape == _PLAIN:
                 values.append(payload[key])
-            elif shape == _DOC:
-                values.append(_parse_doc(payload[key], key, False))
-            elif shape == _OPTIONAL_DOC:
-                raw = payload.get(key)
-                values.append(None if raw is None else _parse_doc(raw, key, False))
+            elif shape == _DOC or payload.get(key) is not None:
+                values.append(_parse_doc(payload[key], key, ("_refs",)))
             else:
-                raw = payload.get(key) or {}
-                values.append({u: _parse_doc(d, f"{key}/{u}", False) for u, d in raw.items()})
+                values.append(None)
     except (KeyError, TypeError, AttributeError) as exc:
         raise TransportError(f"malformed frame payload for kind {kind}: {exc}") from exc
     except SchemaError as exc:

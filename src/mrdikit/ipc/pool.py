@@ -3,14 +3,14 @@
 The pool owns one process per worker, forked by this process's zygote
 (``zygote.py``), and tracks which context UUIDs each worker holds.  Every
 call runs in the calling thread, in rounds: a round saves its arguments in
-IPC mode, sends each live worker one Call that carries the ref documents the
-worker lacks (base rings first), then reads the one answer of each in worker
+IPC mode, sends each live worker one Call whose arguments carry in ``_refs``
+the contexts the worker lacks, then reads the one answer of each in worker
 order.  A context counts as held once a call that carried it is answered
 with a Result; after a Failure the next call carries it again.  Results are
-placed by input index and loaded under the coordinator's global state,
-merging back any contexts a worker minted.  ``remote_call`` is a one-item
-map and ``wait_ready`` one ``identity`` call per worker.  A pool serves one
-call at a time; callers on other threads, and ``shutdown``, wait for it.
+placed by input index and loaded under the coordinator's global state, which
+binds any context a worker minted from the value's ``_refs``.  ``remote_call``
+is a one-item map and ``wait_ready`` one ``identity`` call per worker.  A pool
+serves one call at a time; callers on other threads, and ``shutdown``, wait.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import threading
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from ..errors import PoolClosedError, TransportError, ValidationError, WorkerFailure
-from ..mrdi.codec import load, load_context_document, save
+from ..mrdi.codec import load, save
 from ..mrdi.document import Mode, MrdiDocument
 from ..mrdi.states import DeserializerState, GlobalSerializerState, SerializerState
 from . import framing
@@ -117,10 +117,10 @@ class WorkerPool:
     def ensure_contexts(
         self, worker: WorkerHandle, refs: dict[str, MrdiDocument]
     ) -> dict[str, MrdiDocument]:
-        """The ref documents of ``refs`` (UUID -> document, base rings first,
-        as an IPC save with ``collect_new_refs`` gathers them in
-        ``pending_refs``) that the worker does not hold, in order: what its
-        next Call carries.  Sends nothing."""
+        """The ref documents of ``refs`` (UUID -> document, as an IPC save
+        with ``collect_new_refs`` gathers them in ``pending_refs``) that the
+        worker does not hold: the ``_refs`` of its next Call's arguments.
+        Sends nothing."""
         return {u: d for u, d in refs.items() if u not in worker.known_contexts}
 
     # -- calls ---------------------------------------------------------------
@@ -156,24 +156,21 @@ class WorkerPool:
                 sent = []
                 for worker, index, args_doc, refs in calls:
                     try:
-                        missing = self.ensure_contexts(worker, refs)
+                        args_doc.refs = self.ensure_contexts(worker, refs) or None
                         call_id = next(self._call_ids)
-                        self._send(worker, framing.Call(call_id, fn, args_doc, missing))
+                        self._send(worker, framing.Call(call_id, fn, args_doc))
                     except Exception as exc:  # noqa: BLE001 - reported below
                         failures.append((index, exc))
                         break
-                    sent.append((worker, index, call_id, missing))
+                    sent.append((worker, index, call_id, args_doc.refs or ()))
                 for worker, index, call_id, missing in sent:
                     try:
                         reply = self._recv(worker, call_id)
                         worker.known_contexts.update(missing)
-                        for uuid_key, ref_doc in reply.refs.items():
-                            if self.global_state.resolve(uuid_key) is None:
-                                load_context_document(ref_doc, self.global_state, uuid_key)
-                            worker.known_contexts.add(uuid_key)
                         if reply.value is not None:
                             state = DeserializerState(Mode.IPC, self.global_state)
                             results[index] = load(reply.value, state)
+                            worker.known_contexts.update(reply.value.refs or ())
                     except Exception as exc:  # noqa: BLE001 - reported below
                         failures.append((index, exc))
         return results, min(failures, key=lambda pair: pair[0], default=None)

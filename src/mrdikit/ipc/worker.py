@@ -2,13 +2,13 @@
 
 A pool's workers are forked from its start-up process (``zygote.py``);
 ``mrdikit --worker`` runs one on its own stdin/stdout.  Either way the
-protocol is on stdin/stdout.  A Call carries the ref documents of the
-contexts its arguments need that the worker may lack, base rings first; the
-worker binds them before it decodes the arguments and answers with a Result
-or a Failure, in order.  A Shutdown ends the loop, and a frame of any other
-kind is ignored.  Contexts a call creates on the worker side are sent back
-inline with the result, each exactly once.  A pool's ``tap`` sees every
-frame a worker reads or writes.
+protocol is on stdin/stdout.  A Call's argument document carries in its
+``_refs`` the contexts its arguments name that the worker may lack, and
+``load`` binds them as it reads the arguments; the worker answers with a
+Result or a Failure, in order.  A Shutdown ends the loop, and a frame of any
+other kind is ignored.  Contexts a call creates on the worker side go back in
+the ``_refs`` of the value document, each exactly once.  A pool's ``tap``
+sees every frame a worker reads or writes.
 
 Environment:
   MRDI_WORKER_INIT  comma-separated modules to import before serving (extra
@@ -22,7 +22,7 @@ import os
 import sys
 import traceback
 
-from ..mrdi.codec import load, load_context_document, save
+from ..mrdi.codec import load, save
 from ..mrdi.document import Mode
 from ..mrdi.states import DeserializerState, GlobalSerializerState, SerializerState
 from . import framing
@@ -45,16 +45,9 @@ class WorkerLoop:
         if fn is None:
             self._reply(framing.Failure(msg.call_id, f"unknown function: {msg.fn}"))
             return
-        for uuid_key, ref_doc in msg.refs.items():
-            try:
-                # Looked up at call time, so a worker's init modules may wrap it.
-                load_context_document(ref_doc, self.global_state, uuid_key)
-            except Exception as exc:
-                self._reply(framing.Failure(msg.call_id, f"context {uuid_key}: load failed: {exc}"))
-                return
-            self.shared_uuids.add(uuid_key)
         try:
             args = load(msg.args, DeserializerState(Mode.IPC, self.global_state))
+            self.shared_uuids.update(msg.args.refs or ())
             if not isinstance(args, tuple):
                 raise TypeError("call arguments must decode to a tuple")
             value = fn(*args)
@@ -64,7 +57,8 @@ class WorkerLoop:
                 u: d for u, d in state.pending_refs.items() if u not in self.shared_uuids
             }
             self.shared_uuids.update(new_refs)
-            self._reply(framing.Result(msg.call_id, doc, new_refs))
+            doc.refs = new_refs or None
+            self._reply(framing.Result(msg.call_id, doc))
         except Exception as exc:
             detail = traceback.format_exception_only(type(exc), exc)[-1].strip()
             self._reply(framing.Failure(msg.call_id, detail))

@@ -275,25 +275,6 @@ def _context_from_ref(ref: MrdiDocument, state: DeserializerState, where: str) -
     return ring
 
 
-def load_context_document(
-    ref: MrdiDocument, global_state: GlobalSerializerState, uuid_key: str
-) -> ContextHandle:
-    """Reconstruct a ring from a ref document received on its own (IPC preload).
-
-    Base rings referenced by UUID must already be bound in ``global_state``;
-    the new binding is recorded under ``uuid_key``.  Errors are located at
-    ``_refs/<uuid_key>``, where the ref document sits in a whole document.
-    """
-    state = DeserializerState(Mode.IPC, global_state)
-    where = f"_refs/{uuid_key}"
-    try:
-        ctx = _context_from_ref(ref, state, where)
-    except ValidationError as exc:  # the ring's own checks: a bad symbol or modulus
-        raise SchemaError(f"{where}: {exc}") from None
-    global_state.bind(uuid_key, ctx)
-    return ctx
-
-
 # ----------------------------------------------------------------------------
 # Element lists: one codec per ring descriptor type
 # ----------------------------------------------------------------------------

@@ -4,7 +4,8 @@ A document is an annotated tree with up to four parts: ``_ns`` names the
 producing system and version, ``_type`` describes the stored object's type
 and parameters, ``_refs`` is a flat table of context documents keyed by UUID,
 and ``data`` holds the payload.  Long-term documents carry ``_ns`` and
-``_refs``; IPC documents carry neither and lean on preloaded contexts.
+``_refs``; IPC documents carry no ``_ns``, and a document in a frame carries
+in ``_refs`` only the contexts its receiver lacks.
 
 ``validate_document`` checks the invariants.  The contexts a document needs
 are the UUIDs its type tree mentions, and those of each ref's type tree and

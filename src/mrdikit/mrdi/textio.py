@@ -203,7 +203,9 @@ def _check_data(node, path):
     return node
 
 
-def _parse_doc(obj, path, allow_envelope):
+def _parse_doc(obj, path, envelope):
+    """The document JSON ``obj`` at ``path``, which may carry the envelope keys
+    in ``envelope``: ``_ns`` and ``_refs`` in a file, ``_refs`` in a frame."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: document must be a JSON object")
     unknown = set(obj) - set(_TOP_LEVEL_KEYS)
@@ -213,8 +215,10 @@ def _parse_doc(obj, path, allow_envelope):
         raise SchemaError(f"{path}: missing `_type`")
     if "data" not in obj:
         raise SchemaError(f"{path}: missing `data`")
-    if not allow_envelope and ("_ns" in obj or "_refs" in obj):
+    if not envelope and ("_ns" in obj or "_refs" in obj):
         raise SchemaError(f"{path}: ref documents must not carry `_ns` or `_refs`")
+    if "_ns" in obj and "_ns" not in envelope:
+        raise SchemaError(f"{path}: documents in a frame must not carry `_ns`")
 
     ns = None
     if "_ns" in obj:
@@ -236,7 +240,7 @@ def _parse_doc(obj, path, allow_envelope):
         for uuid_key, ref_obj in raw.items():
             if not is_uuid_text(uuid_key):
                 raise SchemaError(f"{path}/_refs: key {quote(uuid_key)} is not a UUID")
-            refs[uuid_key] = _parse_doc(ref_obj, f"{path}/_refs/{uuid_key}", False)
+            refs[uuid_key] = _parse_doc(ref_obj, f"{path}/_refs/{uuid_key}", ())
 
     return MrdiDocument(
         type_tree=_parse_type(obj["_type"], f"{path}/_type"),
@@ -254,5 +258,5 @@ def parse_text(raw: bytes) -> MrdiDocument:
         raise SchemaError(f"malformed JSON: {exc}") from exc
     except RecursionError:
         raise SchemaError(f"JSON nested deeper than {MAX_NESTING_DEPTH} levels") from None
-    return _parse_doc(obj, "$", True)
+    return _parse_doc(obj, "$", ("_ns", "_refs"))
 

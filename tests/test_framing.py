@@ -13,8 +13,8 @@ from mrdikit.mrdi import MrdiDocument, TypeNode
 UUID_A = "11111111-2222-4333-8444-555555555555"
 
 
-def sample_doc():
-    return MrdiDocument(TypeNode("PolyRingElem", UUID_A), [["0", "2"], ["3", "1"]])
+def sample_doc(refs=None):
+    return MrdiDocument(TypeNode("PolyRingElem", UUID_A), [["0", "2"], ["3", "1"]], refs=refs)
 
 
 def roundtrip_one(msg):
@@ -28,8 +28,8 @@ def one_of_each_kind():
     ref = MrdiDocument(TypeNode("PolyRing"), {"base_ring": "ZZRing", "symbol": "t"})
     return [
         framing.Call(2, "det_mod_p", sample_doc()),
-        framing.Call(5, "poly_square", sample_doc(), {UUID_A: ref}),
-        framing.Result(2, sample_doc(), {UUID_A: ref}),
+        framing.Call(5, "poly_square", sample_doc({UUID_A: ref})),
+        framing.Result(2, sample_doc({UUID_A: ref})),
         framing.Result(3),
         framing.Failure(4, "kaboom"),
         framing.Shutdown(),
@@ -45,17 +45,16 @@ _TYPE_A = b'{"name":"PolyRingElem","params":"11111111-2222-4333-8444-55555555555
 _RING_T = b'{"_type":"PolyRing","data":{"base_ring":"ZZRing","symbol":"t"}}'
 
 # The wire format is a fixed point: payload keys in this order, a Result's
-# ``value`` left out when None, and the ``refs`` of a Call or a Result when
-# empty.
+# ``value`` left out when None, and a document's ``_refs`` when it has none.
 PINNED_FRAMES = [
     b'\x00\x00\x00\x8f\x02{"id":2,"fn":"det_mod_p","args":{"_type":' + _TYPE_A
     + b',"data":[["0","2"],["3","1"]]}}',
-    b'\x00\x00\x01\x01\x02{"id":5,"fn":"poly_square","args":{"_type":' + _TYPE_A
-    + b',"data":[["0","2"],["3","1"]]},"refs":{"11111111-2222-4333-8444-555555555555":'
-    + _RING_T + b"}}",
-    b'\x00\x00\x00\xef\x03{"id":2,"value":{"_type":' + _TYPE_A
-    + b',"data":[["0","2"],["3","1"]]},"refs":{"11111111-2222-4333-8444-555555555555":'
-    + _RING_T + b"}}",
+    b'\x00\x00\x01\x02\x02{"id":5,"fn":"poly_square","args":{"_type":' + _TYPE_A
+    + b',"_refs":{"11111111-2222-4333-8444-555555555555":' + _RING_T
+    + b'},"data":[["0","2"],["3","1"]]}}',
+    b'\x00\x00\x00\xf0\x03{"id":2,"value":{"_type":' + _TYPE_A
+    + b',"_refs":{"11111111-2222-4333-8444-555555555555":' + _RING_T
+    + b'},"data":[["0","2"],["3","1"]]}}',
     b'\x00\x00\x00\x08\x03{"id":3}',
     b'\x00\x00\x00\x19\x04{"id":4,"error":"kaboom"}',
     b"\x00\x00\x00\x02\x05{}",
@@ -115,16 +114,52 @@ def test_garbage_payload_rejected():
         framing.read_message(io.BytesIO(raw))
 
 
-@pytest.mark.parametrize("payload", [b"[]", b'{"id":1,"refs":[1]}'], ids=["list", "refs-list"])
-def test_malformed_result_payload_rejected(payload):
+@pytest.mark.parametrize(
+    "payload, error",
+    [
+        (b"[]", "malformed frame payload for kind 3: "),
+        (
+            b'{"id":1,"value":{"_type":"ZZRingElem","_refs":[1],"data":"1"}}',
+            "bad document in frame: value/_refs: expected an object",
+        ),
+    ],
+    ids=["list", "refs-list"],
+)
+def test_malformed_result_payload_rejected(payload, error):
     raw = framing._HEADER.pack(len(payload), framing.KIND_RESULT) + payload
-    with pytest.raises(TransportError, match="malformed frame payload for kind 3"):
+    with pytest.raises(TransportError) as info:
         framing.read_message(io.BytesIO(raw))
+    assert str(info.value).startswith(error)
 
 
 def call_frame(args_json: bytes) -> bytes:
     body = b'{"id":1,"fn":"f","args":' + args_json + b"}"
     return framing._HEADER.pack(len(body), framing.KIND_CALL) + body
+
+
+_ZZ_ONE = b'"_type":"ZZRingElem","data":"1"'
+
+
+@pytest.mark.parametrize(
+    "args_json, error",
+    [
+        (
+            b'{"_ns":{"system":"mrdikit","version":"0.1.0"},' + _ZZ_ONE + b"}",
+            "args: documents in a frame must not carry `_ns`",
+        ),
+        (b'{"_refs":{"x":' + _RING_T + b"}," + _ZZ_ONE + b"}", "args/_refs: key 'x' is not a UUID"),
+        (
+            b'{"_refs":{"' + UUID_A.encode() + b'":{"_refs":{},' + _ZZ_ONE + b"}}," + _ZZ_ONE + b"}",
+            f"args/_refs/{UUID_A}: ref documents must not carry `_ns` or `_refs`",
+        ),
+    ],
+    ids=["ns", "ref-key-not-a-uuid", "ref-with-refs"],
+)
+def test_a_frame_document_is_refused(args_json, error):
+    # A frame's document may carry `_refs` keyed by UUID, and no `_ns`.
+    with pytest.raises(TransportError) as info:
+        framing.read_message(io.BytesIO(call_frame(args_json)))
+    assert str(info.value) == "bad document in frame: " + error
 
 
 def test_deeply_nested_payload_rejected():
@@ -187,17 +222,17 @@ def random_message(rng):
             TypeNode("PolyRing"),
             {"base_ring": "ZZRing", "symbol": rng.choice("tuvw")},
         )
-        return framing.Call(rng.randrange(10**6), "poly_square", sample_doc(), {UUID_A: ref})
+        return framing.Call(rng.randrange(10**6), "poly_square", sample_doc({UUID_A: ref}))
     if kind == 1:
         return framing.Call(rng.randrange(10**6), rng.choice(["f", "g", "h"]), sample_doc())
     if kind == 2:
-        refs = {}
+        refs = None
         if rng.random() < 0.4:
-            refs[UUID_A] = MrdiDocument(
-                TypeNode("PolyRing"), {"base_ring": "QQField", "symbol": "z"}
-            )
-        value = sample_doc() if rng.random() < 0.8 else None
-        return framing.Result(rng.randrange(10**6), value, refs)
+            refs = {
+                UUID_A: MrdiDocument(TypeNode("PolyRing"), {"base_ring": "QQField", "symbol": "z"})
+            }
+        value = sample_doc(refs) if rng.random() < 0.8 else None
+        return framing.Result(rng.randrange(10**6), value)
     if kind == 3:
         text = "".join(rng.choice("abc \n\"\\{}") for _ in range(rng.randrange(20)))
         return framing.Failure(rng.randrange(10**6), text)

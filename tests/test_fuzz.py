@@ -2,8 +2,8 @@
 
 The golden files and a few valid frames are mutated: a key deleted, two
 subtrees swapped, a value replaced by one of the wrong type, or by 5000
-digits as text or as a native JSON number; a Call's context refs are also
-made bad on purpose.  Each document goes through
+digits as text or as a native JSON number; the ``_refs`` of a Call's
+arguments are also made bad on purpose.  Each document goes through
 ``parse_text``, ``load`` and ``save``; each parsed document, mutated in
 memory, through ``validate_document`` and ``serialize_text``; each frame
 payload through ``framing.decode_message``, and frame bytes, also cut or
@@ -217,19 +217,19 @@ def _valid_frames():
     matrix = save(((ExactMatrix.from_rows(ring, [[t, t], [t, t]]), [x * y]),), state)
     (uuid_t, ring_t), (uuid_s, ring_s) = state.pending_refs.items()
     return [
-        framing.Call(1, "identity", matrix, {uuid_t: ring_t, uuid_s: ring_s}),
-        framing.Call(2, "poly_square", square, {uuid_t: ring_t}),
+        framing.Call(1, "identity", replace(matrix, refs={uuid_t: ring_t, uuid_s: ring_s})),
+        framing.Call(2, "poly_square", replace(square, refs={uuid_t: ring_t})),
         framing.Call(3, "poly_square", square),
         framing.Call(4, "identity", matrix),
-        framing.Result(5, matrix, {uuid_s: ring_s}),
+        framing.Result(5, replace(matrix, refs={uuid_s: ring_s})),
         framing.Failure(6, "kaboom"),
         framing.Shutdown(),
     ]
 
 
 def _bad_refs(rng, refs):
-    """A Call's ``refs`` made bad: not an object, one ref under a key that is
-    no UUID, or one ref document mutated."""
+    """The ``_refs`` of a Call's arguments made bad: not an object, one ref
+    under a key that is no UUID, or one ref document mutated."""
     how = rng.randrange(3)
     if how == 0:
         return rng.choice([value for value in _WRONG_TYPED if not isinstance(value, dict)])
@@ -243,13 +243,15 @@ def _bad_refs(rng, refs):
 
 def _payload_mutants(seed):
     """(kind, payload) pairs: a valid frame's payload mutated, its kind
-    sometimes changed too; a Call's refs are sometimes made bad on purpose."""
+    sometimes changed too; the ``_refs`` of a Call's arguments are sometimes
+    made bad on purpose."""
     rng = random.Random(seed)
     frames = [framing.encode_message(msg) for msg in _valid_frames()]
     for payload in _mutants(seed, [payload for _, payload in frames]):
-        refs = payload.get("refs") if isinstance(payload, dict) and "fn" in payload else None
+        args = payload.get("args") if isinstance(payload, dict) and "fn" in payload else None
+        refs = args.get("_refs") if isinstance(args, dict) else None
         if isinstance(refs, dict) and refs and rng.random() < 0.3:
-            payload = {**payload, "refs": _bad_refs(rng, refs)}
+            payload = {**payload, "args": {**args, "_refs": _bad_refs(rng, refs)}}
         kind = rng.choice(frames)[0] if rng.random() < 0.8 else rng.randrange(8)
         yield kind, payload
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -35,7 +36,9 @@ from mrdikit.mrdi import (
     DeserializerState,
     GlobalSerializerState,
     Mode,
+    MrdiDocument,
     SerializerState,
+    TypeNode,
     load,
     save,
 )
@@ -207,6 +210,9 @@ def test_bare_int_args_send_no_contexts():
     with spawn_pool(1, tap=events.append) as pool:
         assert pool.remote_call("identity", (7,)) == 7
     assert sent_refs(events) == []
+    # no empty `_refs`: a Call without contexts keeps its bytes
+    [call] = [msg for direction, _, msg in events if isinstance(msg, Call)]
+    assert call.args.refs is None
 
 
 def test_parallel_map_empty():
@@ -510,14 +516,29 @@ def test_a_killed_coordinator_leaves_no_zygote_or_worker_running():
 
 
 def sent_refs(events):
-    """(worker id, UUID) of every context the pool sent, in order: the refs
-    each Call carried."""
+    """(worker id, UUID) of every context the pool sent, in order: the
+    ``_refs`` of each Call's arguments."""
     return [
         (worker, uuid)
         for direction, worker, msg in events
         if direction == "send" and isinstance(msg, Call)
-        for uuid in msg.refs
+        for uuid in msg.args.refs or ()
     ]
+
+
+_UUID = re.compile(rb"[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}")
+
+
+def assert_each_call_carries_what_its_worker_lacks(events):
+    """Every UUID a Call's arguments name, in their type or in a ref's base
+    ring, is in that Call's ``_refs`` or was carried to its worker before."""
+    held = {}
+    for direction, worker, msg in events:
+        if direction == "send" and isinstance(msg, Call):
+            named = {uuid.decode() for uuid in _UUID.findall(frame_bytes(msg))}
+            carried = set(msg.args.refs or ())
+            assert named <= carried | held.get(worker, set()), (worker, msg.call_id)
+            held.setdefault(worker, set()).update(carried)
 
 
 def nested_ring_polys(count):
@@ -538,12 +559,10 @@ def test_exactly_once_context_delivery_and_order():
     loads = sent_refs(events)
     # at most one delivery per (worker, context)
     assert len(loads) == len(set(loads))
-    # dependency order: the inner ring reaches each worker before the outer
+    # completeness: each worker gets both rings, each Call what it still lacks
     for worker in {w for w, _ in loads}:
-        sequence = [u for w, u in loads if w == worker]
-        if outer_uuid in sequence:
-            assert inner_uuid in sequence
-            assert sequence.index(inner_uuid) < sequence.index(outer_uuid)
+        assert {u for w, u in loads if w == worker} == {inner_uuid, outer_uuid}
+    assert_each_call_carries_what_its_worker_lacks(events)
 
 
 def test_second_ensure_sends_nothing():
@@ -554,7 +573,7 @@ def test_second_ensure_sends_nothing():
         first_loads = len(sent_refs(events))
         pool.remote_call("poly_square", (polys[0],))
         second_loads = len(sent_refs(events))
-    assert first_loads == 2  # inner then outer ring
+    assert first_loads == 2  # inner and outer ring
     assert second_loads == first_loads
 
 
@@ -591,7 +610,8 @@ def test_a_rejected_context_fails_its_call_and_is_sent_again(extras_env):
         uuid = pool.global_state.uuid_for(Rr)
         assert info.value.index == 0
         assert str(info.value) == (
-            f"item 0: context {uuid}: load failed: ring {REJECT_ONCE_SYMBOL} is rejected once"
+            f"item 0: mrdikit.errors.SchemaError: _refs/{uuid}: "
+            f"ring {REJECT_ONCE_SYMBOL} is rejected once"
         )
         assert pool.workers[0].known_contexts == set()
         del events[:]
@@ -600,26 +620,54 @@ def test_a_rejected_context_fails_its_call_and_is_sent_again(extras_env):
     assert sent_refs(events) == [(0, uuid)]
 
 
-def test_a_call_whose_outer_ring_comes_first_fails_and_the_next_is_served(monkeypatch):
+def served(frames):
+    """The answers a worker loop on in-memory streams gives to ``frames``."""
+    stdout = io.BytesIO()
+    WorkerLoop(io.BytesIO(b"".join(map(frame_bytes, frames))), stdout).serve()
+    stdout.seek(0)
+    answers = []
+    while (msg := read_message(stdout)) is not None:
+        answers.append(msg)
+    return answers
+
+
+def test_a_call_whose_outer_ring_comes_first_is_served(monkeypatch):
     events = []
     Rt, Ru, polys = nested_ring_polys(1)
     with spawn_pool(1, tap=events.append) as pool:
-        # The worker cannot bind the outer ring before its base ring.
+        # The worker binds the outer ring's base from the same `_refs`.
         def reversed_refs(worker, refs):
             return dict(reversed(WorkerPool.ensure_contexts(pool, worker, refs).items()))
 
         monkeypatch.setattr(pool, "ensure_contexts", reversed_refs)
-        with pytest.raises(WorkerFailure) as info:
-            pool.parallel_map("poly_square", [(polys[0],)])
+        assert pool.parallel_map("poly_square", [(polys[0],)]) == [polys[0] * polys[0]]
         inner, outer = (pool.global_state.uuid_for(ring) for ring in (Rt, Ru))
-        assert str(info.value).startswith(f"item 0: context {outer}: load failed: ")
-        assert pool.workers[0].known_contexts == set()
-        monkeypatch.undo()
-        assert pool.remote_call("poly_square", (polys[0],)) == polys[0] * polys[0]
         assert pool.workers[0].known_contexts == {inner, outer}
     answers = [type(msg).__name__ for d, _, msg in events if d == "recv"]
-    assert answers == ["Failure", "Result"]
-    assert sent_refs(events) == [(0, outer), (0, inner), (0, inner), (0, outer)]
+    assert answers == ["Result"]
+    assert sent_refs(events) == [(0, outer), (0, inner)]
+
+
+def test_a_cyclic_refs_pair_fails_its_call_and_the_next_is_served():
+    # The argument's ring and a second ring, each naming the other as its base.
+    _, t = univariate_ring(ZZ, "t")
+    state = SerializerState(Mode.IPC, GlobalSerializerState(), collect_new_refs=True)
+    cyclic = save((t,), state)
+    [uuid_a] = state.pending_refs
+    uuid_b = "21111111-2222-4333-8444-555555555555"
+    cyclic.refs = {
+        uuid_a: MrdiDocument(TypeNode("PolyRing"), {"base_ring": uuid_b, "symbol": "t"}),
+        uuid_b: MrdiDocument(TypeNode("PolyRing"), {"base_ring": uuid_a, "symbol": "b"}),
+    }
+    args = save((5,), state)
+    frames = [Call(1, "identity", cyclic), Call(2, "identity", args), Shutdown()]
+    answers = served(frames)
+    assert [(type(msg).__name__, msg.call_id) for msg in answers] == [
+        ("Failure", 1),
+        ("Result", 2),
+    ]
+    assert "cyclic reference" in answers[0].error
+    assert load(answers[1].value, DeserializerState(Mode.IPC, GlobalSerializerState())) == 5
 
 
 def test_calls_overlap_across_workers(extras_env):
@@ -672,11 +720,6 @@ def test_a_worker_answers_only_the_frames_it_serves():
     state = GlobalSerializerState()
     args = save((5,), SerializerState(Mode.IPC, state))
     frames = [Result(9), Call(1, "identity", args), Shutdown()]
-    stdout = io.BytesIO()
-    WorkerLoop(io.BytesIO(b"".join(map(frame_bytes, frames))), stdout).serve()
-    stdout.seek(0)
-    answers = []
-    while (msg := read_message(stdout)) is not None:
-        answers.append(msg)
+    answers = served(frames)
     assert [(type(msg).__name__, msg.call_id) for msg in answers] == [("Result", 1)]
     assert load(answers[0].value, DeserializerState(Mode.IPC, state)) == 5

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from mrdikit.algebra import QQ, Polynomial, polynomial_ring
 from mrdikit.errors import SchemaError
-from mrdikit.ipc import register_function, worker
+from mrdikit.ipc import register_function
 from mrdikit.mrdi import (
     TypeNode,
     context_from_uuid,
@@ -17,6 +17,7 @@ from mrdikit.mrdi import (
     encode_polynomial,
     register_codec,
 )
+from mrdikit.mrdi import codec
 
 
 @register_function("sleep_ms")
@@ -72,19 +73,19 @@ def by_index(k, *args):
 # marker and loads any later one.
 REJECT_ONCE_SYMBOL = "reject_once"
 _rejected: set[str] = set()
-_load_context_document = worker.load_context_document
+_context_from_ref = codec._context_from_ref
 
 
-def _reject_marked_rings_once(document, global_state, uuid):
-    data = document.data
+def _reject_marked_rings_once(ref, state, where):
+    data = ref.data
     if isinstance(data, dict) and data.get("symbol") == REJECT_ONCE_SYMBOL:
-        if uuid not in _rejected:
-            _rejected.add(uuid)
-            raise SchemaError(f"ring {REJECT_ONCE_SYMBOL} is rejected once")
-    return _load_context_document(document, global_state, uuid)
+        if where not in _rejected:
+            _rejected.add(where)
+            raise SchemaError(f"{where}: ring {REJECT_ONCE_SYMBOL} is rejected once")
+    return _context_from_ref(ref, state, where)
 
 
-worker.load_context_document = _reject_marked_rings_once
+codec._context_from_ref = _reject_marked_rings_once
 
 
 @register_function("fresh_ring_poly")
