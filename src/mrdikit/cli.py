@@ -129,7 +129,7 @@ def cmd_validate(args) -> int:
     try:
         doc = parse_text(raw)
     except SchemaError as exc:
-        print(f"/: {exc}")
+        print(exc)
         return EXIT_FAILURE
     errors = validate_document(doc)
     if not errors:

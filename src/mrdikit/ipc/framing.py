@@ -15,8 +15,8 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from ..errors import SchemaError, TransportError
-from ..mrdi.document import MAX_NESTING_DEPTH, MrdiDocument
-from ..mrdi.textio import _doc_to_json, _parse_doc
+from ..mrdi.document import MAX_NESTING_DEPTH, MrdiDocument, _doc_to_json, check_shape
+from ..mrdi.textio import _doc_from_json
 
 KIND_CALL = 2
 KIND_RESULT = 3
@@ -83,7 +83,10 @@ def encode_message(msg: Message) -> tuple[int, dict]:
         if shape == _PLAIN:
             payload[key] = value
         elif shape == _DOC or (shape == _OPTIONAL_DOC and value is not None):
+            # Refused here rather than by the reader, which a bad frame ends;
+            # the payloads are left to the reader.
             payload[key] = _doc_to_json(value)
+            check_shape(payload[key], key, ("_refs",), check_data=False)
     return kind, payload
 
 
@@ -97,7 +100,8 @@ def decode_message(kind: int, payload: dict) -> Message:
             if shape == _PLAIN:
                 values.append(payload[key])
             elif shape == _DOC or payload.get(key) is not None:
-                values.append(_parse_doc(payload[key], key, ("_refs",)))
+                check_shape(payload[key], key, ("_refs",))
+                values.append(_doc_from_json(payload[key]))
             else:
                 values.append(None)
     except (KeyError, TypeError, AttributeError) as exc:

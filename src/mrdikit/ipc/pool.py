@@ -126,8 +126,8 @@ class WorkerPool:
     # -- calls ---------------------------------------------------------------
 
     def _run(self, fn: str, items: list) -> tuple[list, Optional[tuple]]:
-        """Run ``fn(*item)`` for every item, in rounds of one call per live
-        worker: the one path every call takes.
+        """Run ``fn(*item)`` for every item, a tuple as the callers check, in
+        rounds of one call per live worker: the one path every call takes.
 
         Returns the results by input index and the failure of the lowest
         index, ``(index, exception)`` or None.  A round saves all its
@@ -139,8 +139,6 @@ class WorkerPool:
         with self._lock:
             if self._closed:
                 raise PoolClosedError("pool closed")
-            if not all(isinstance(args, tuple) for args in items):
-                raise ValidationError("remote_call arguments must be a tuple")
             results = [None] * len(items)
             failures = []
             start = 0
@@ -177,6 +175,8 @@ class WorkerPool:
 
     def remote_call(self, fn: str, args: tuple):
         """Run ``fn(*args)`` on the first live worker and return the value."""
+        if not isinstance(args, tuple):
+            raise ValidationError(f"call arguments must be a tuple, got {type(args).__name__}")
         results, failure = self._run(fn, [args])
         if failure is not None:
             raise failure[1]
@@ -193,7 +193,13 @@ class WorkerPool:
         live worker; results come back in input order.  A failure raises the
         one of the lowest index, a worker's as ``WorkerFailure`` with that
         index."""
-        results, failure = self._run(fn, list(items))
+        items = list(items)
+        for index, args in enumerate(items):
+            if not isinstance(args, tuple):
+                raise ValidationError(
+                    f"item {index}: call arguments must be a tuple, got {type(args).__name__}"
+                )
+        results, failure = self._run(fn, items)
         if failure is None:
             return results
         index, exc = failure

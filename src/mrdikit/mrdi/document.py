@@ -1,4 +1,4 @@
-"""The mrdi document model: four subtrees and their invariants.
+"""The mrdi document model: four subtrees, their shape rules and invariants.
 
 A document is an annotated tree with up to four parts: ``_ns`` names the
 producing system and version, ``_type`` describes the stored object's type
@@ -7,9 +7,14 @@ and ``data`` holds the payload.  Long-term documents carry ``_ns`` and
 ``_refs``; IPC documents carry no ``_ns``, and a document in a frame carries
 in ``_refs`` only the contexts its receiver lacks.
 
-``validate_document`` checks the invariants.  The contexts a document needs
-are the UUIDs its type tree mentions, and those of each ref's type tree and
-data; one walker finds them in all three.
+This module owns the shape rules.  ``shape_problems`` reads a document's
+JSON form (what ``json.loads`` gives, or what ``_doc_to_json`` builds from a
+document in memory) and yields each problem as one located text:
+``parse_text``, ``serialize_text`` and the frame codec raise the first,
+``validate_document`` lists them all and then checks the invariants only it
+checks.  The contexts a document needs are the UUIDs its type tree mentions,
+and those of each ref's type tree and data; one walker finds them in all
+three.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from enum import Enum
 from itertools import chain, filterfalse
 from typing import Optional, Union
 
-from ..errors import quote
+from ..errors import SchemaError, quote
 
 SYSTEM_NAME = "mrdikit"
 FORMAT_VERSION = "0.1.0"
@@ -98,6 +103,42 @@ def _mentioned_uuids(*trees) -> set[str]:
     return found
 
 
+# -- the JSON form -------------------------------------------------------------
+
+
+def _type_to_json(node, depth=0):
+    """Type tree ``node`` as JSON: a TypeNode is its tag, or ``{name, params}``
+    when it has parameters.  A dict at ``MAX_NESTING_DEPTH`` is left as it
+    is: ``shape_problems`` refuses it without looking inside."""
+    if isinstance(node, TypeNode):
+        if node.params is None:
+            return node.name
+        node = {"name": node.name, "params": node.params}
+    if isinstance(node, dict) and depth < MAX_NESTING_DEPTH:
+        return {key: _type_to_json(value, depth + 1) for key, value in node.items()}
+    return node
+
+
+def _doc_to_json(doc: MrdiDocument) -> dict:
+    """The JSON ``serialize_text`` writes for ``doc``, with the refs table
+    sorted by UUID."""
+    out = {}
+    if doc.ns is not None:
+        out["_ns"] = {"system": doc.ns.system, "version": doc.ns.version}
+    out["_type"] = _type_to_json(doc.type_tree)
+    if doc.refs is not None:
+        try:
+            keys = sorted(doc.refs)
+        except TypeError:  # keys of kinds that do not compare, none of them a UUID
+            keys = list(doc.refs)
+        out["_refs"] = {key: _doc_to_json(doc.refs[key]) for key in keys}
+    out["data"] = doc.data
+    return out
+
+
+# -- shape rules -----------------------------------------------------------------
+
+_TOP_LEVEL_KEYS = {"_ns", "_type", "_refs", "data"}
 _TEXT = {str}
 _TEXT_OR_CONTAINER = {str, list, dict}
 
@@ -107,7 +148,7 @@ def data_tree_ok(node) -> bool:
     scalars are all text, nested at most ``MAX_NESTING_DEPTH`` deep.
 
     One pass per nesting level that builds no paths.  False also for
-    subclasses of str, list and dict; ``data_tree_problems`` has the verdict.
+    subclasses of str, list and dict; ``_data_problems`` has the verdict.
     """
     level = [node]
     for depth in range(MAX_NESTING_DEPTH + 1):
@@ -127,17 +168,16 @@ def data_tree_ok(node) -> bool:
     return False  # not reached: the last level returns
 
 
-def data_tree_problems(node, path):
-    """Each ``(path, problem, value)`` that makes ``data_tree_ok`` false, in
-    depth-first order.  ``problem`` is "native" for a scalar that is not text,
-    "key" for an object key that is not text (the path is the object's), and
-    "deep" for a container at depth ``MAX_NESTING_DEPTH``, below which the
+def _data_problems(node, path):
+    """Each problem that makes ``data_tree_ok`` false, depth first: a scalar
+    that is not text, an object key that is not text (located at the
+    object), and a container at depth ``MAX_NESTING_DEPTH``, below which the
     walk goes on."""
     stack = [(path, node, 0)]
     while stack:
         path, node, depth = stack.pop()
         if depth is None:
-            yield path, "key", node
+            yield f"{path}: non-text object key {quote(node)}"
             continue
         if isinstance(node, str):
             continue
@@ -149,86 +189,150 @@ def data_tree_problems(node, path):
                 for key, value in node.items()
             ]
         else:
-            yield path, "native", node
+            yield f"{path}: non-text scalar {quote(node)} (numbers must be stored as text)"
             continue
         if depth == MAX_NESTING_DEPTH:
-            yield path, "deep", node
+            yield f"{path}: nested deeper than {MAX_NESTING_DEPTH} levels"
         stack.extend(reversed(children))
 
 
-def _check_data(node, path, errors):
-    if data_tree_ok(node):
-        return
-    for where, problem, value in data_tree_problems(node, path):
-        if problem == "native":
-            errors.append(
-                f"{where}: non-text scalar {quote(value)} (numbers must be stored as text)"
-            )
-        elif problem == "key":
-            errors.append(f"{where}: non-text object key {quote(value)}")
-        else:
-            errors.append(f"{where}: nested deeper than {MAX_NESTING_DEPTH} levels")
-
-
-def _check_type_node(node, path, errors, known_tags, depth=0):
-    """Nesting is counted as parsing counts it: a type node with parameters
-    or a parameter mapping at ``depth`` puts its children at ``depth + 1``."""
+def _type_problems(node, path, depth=0):
+    """A type node is a tag that is not a UUID, or ``{name, params}`` with a
+    text name.  A type node with parameters or a parameter mapping at
+    ``depth`` puts its children at ``depth + 1``."""
     if isinstance(node, str):
-        return  # UUID param or inline tag; resolvability is checked separately
-    if isinstance(node, TypeNode):
-        if node.name not in known_tags:
-            errors.append(f"{path}: unknown type tag {quote(node.name)}")
-        if node.params is None:
-            return
+        if is_uuid_text(node):
+            yield f"{path}: a bare UUID cannot be a type"
     elif not isinstance(node, dict):
-        errors.append(f"{path}: malformed type parameter {quote(node)}")
-        return
-    if depth == MAX_NESTING_DEPTH:
-        errors.append(f"{path}: nested deeper than {MAX_NESTING_DEPTH} levels")
-    elif isinstance(node, TypeNode):
-        _check_type_node(node.params, f"{path}/params", errors, known_tags, depth + 1)
+        yield f"{path}: malformed type node {quote(node)}"
+    elif depth == MAX_NESTING_DEPTH:
+        yield f"{path}: nested deeper than {MAX_NESTING_DEPTH} levels"
     else:
+        extra = node.keys() - {"name", "params"}
+        if extra:
+            yield f"{path}: unexpected keys [{', '.join(sorted(map(quote, extra)))}] in type node"
+        if not isinstance(node.get("name"), str):
+            yield f"{path}: type node needs a text `name`"
+        if "params" in node:
+            yield from _param_problems(node["params"], f"{path}/params", depth + 1)
+
+
+def _param_problems(node, path, depth):
+    """Type parameters are text (a UUID, a tag or a plain value), a type node
+    (an object with a `name` and no key but `name` and `params`), or a
+    mapping from text keys to parameters."""
+    if isinstance(node, dict) and "name" in node and node.keys() <= {"name", "params"}:
+        yield from _type_problems(node, path, depth)
+    elif isinstance(node, dict):
+        if depth == MAX_NESTING_DEPTH:
+            yield f"{path}: nested deeper than {MAX_NESTING_DEPTH} levels"
+            return
         for key, value in node.items():
-            _check_type_node(value, f"{path}/{key}", errors, known_tags, depth + 1)
+            if not isinstance(key, str):
+                yield f"{path}: non-text object key {quote(key)}"
+            elif not isinstance(value, str):  # text is always a valid parameter
+                yield from _param_problems(value, f"{path}/{key}", depth + 1)
+    elif not isinstance(node, str):
+        yield f"{path}: malformed type parameter {quote(node)}"
+
+
+def shape_problems(obj, path="", envelope=("_ns", "_refs"), check_data=True):
+    """Each way document JSON ``obj`` at ``path`` breaks the shape rules, as
+    one text located by its path (none for the root), in the order the
+    document is written.  ``envelope`` names the keys besides ``_type`` and
+    ``data`` it may carry: ``_ns`` and ``_refs`` in a file, ``_refs`` in a
+    frame, none in a ref document.  Without ``check_data`` no ``data`` is
+    walked, for a caller that checks or writes the payloads itself."""
+    here, prefix = (f"{path}: ", f"{path}/") if path else ("", "")
+    if not isinstance(obj, dict):
+        yield f"{here}document must be a JSON object"
+        return
+    if not obj.keys() <= _TOP_LEVEL_KEYS:
+        yield f"{here}unknown keys {sorted(obj.keys() - _TOP_LEVEL_KEYS)}"
+    for key in ("_type", "data"):
+        if key not in obj:
+            yield f"{here}missing `{key}`"
+    if not envelope and ("_ns" in obj or "_refs" in obj):
+        yield f"{here}ref documents must not carry `_ns` or `_refs`"
+    elif "_ns" in obj and "_ns" not in envelope:
+        yield f"{here}documents in a frame must not carry `_ns`"
+    elif "_ns" in obj:
+        ns = obj["_ns"]
+        if (
+            not isinstance(ns, dict)
+            or ns.keys() != {"system", "version"}
+            or not all(map(str.__instancecheck__, ns.values()))
+        ):
+            yield f"{prefix}_ns: expected {{system, version}} text fields"
+    if "_type" in obj:
+        yield from _type_problems(obj["_type"], f"{prefix}_type")
+    if "_refs" in obj and "_refs" in envelope:
+        refs = obj["_refs"]
+        if not isinstance(refs, dict):
+            yield f"{prefix}_refs: expected an object"
+            refs = {}
+        for uuid_key, ref in refs.items():
+            if not is_uuid_text(uuid_key):
+                yield f"{prefix}_refs: key {quote(uuid_key)} is not a UUID"
+            at = f"{prefix}_refs/{uuid_key if isinstance(uuid_key, str) else quote(uuid_key)}"
+            yield from shape_problems(ref, at, (), check_data)
+    if "data" in obj and check_data and not data_tree_ok(obj["data"]):
+        yield from _data_problems(obj["data"], f"{prefix}data")
+
+
+def check_shape(obj, path="", envelope=("_ns", "_refs"), check_data=True) -> None:
+    """Raise the first of ``shape_problems`` as a SchemaError, if any."""
+    problem = next(shape_problems(obj, path, envelope, check_data), None)
+    if problem is not None:
+        raise SchemaError(problem)
+
+
+# -- invariants ------------------------------------------------------------------
+
+
+def _unknown_tags(tree, path, known_tags):
+    """The texts for each TypeNode in ``tree`` whose tag is not in
+    ``known_tags``, walked through parameters and text-keyed mappings."""
+    stack = [(path, tree)]
+    while stack:
+        path, node = stack.pop()
+        if isinstance(node, TypeNode):
+            if isinstance(node.name, str) and node.name not in known_tags:
+                yield f"{path}: unknown type tag {quote(node.name)}"
+            stack.append((f"{path}/params", node.params))
+        elif isinstance(node, dict):
+            items = reversed(node.items())
+            stack.extend((f"{path}/{k}", v) for k, v in items if isinstance(k, str))
 
 
 def validate_document(doc: MrdiDocument, global_state=None) -> list[str]:
-    """Check the document invariants, accumulating every error found.
+    """Every shape problem of the document, then every broken invariant that
+    only this checks: ``_ns`` and ``_refs`` come together, ``_ns`` fields are
+    not empty, type tags are ones the codec has registered, and every UUID
+    mentioned resolves, with no cycle among the refs.
 
     ``global_state`` (when given) is used to check UUID resolvability of IPC
     documents; long-term documents must be self-contained in ``_refs``.
-    Type tags must be ones the codec has registered.
     """
     from .codec import registered_type_tags
 
-    known_tags = registered_type_tags()
-    errors: list[str] = []
+    errors = list(shape_problems(_doc_to_json(doc)))
 
-    has_ns = doc.ns is not None
-    has_refs = doc.refs is not None
-    if has_ns != has_refs:
-        if has_ns:
-            errors.append("mode violation: `_ns` present without `_refs`")
-        else:
-            errors.append("mode violation: `_refs` present without `_ns`")
-    if has_ns:
+    if (doc.ns is None) != (doc.refs is None):
+        present, absent = ("_ns", "_refs") if doc.refs is None else ("_refs", "_ns")
+        errors.append(f"mode violation: `{present}` present without `{absent}`")
+    if doc.ns is not None:
         if not doc.ns.system:
             errors.append("_ns: empty system name")
         if not doc.ns.version:
             errors.append("_ns: empty version")
 
-    _check_type_node(doc.type_tree, "_type", errors, known_tags)
-    _check_data(doc.data, "data", errors)
-
     refs = doc.refs or {}
+    known_tags = registered_type_tags()
+    errors.extend(_unknown_tags(doc.type_tree, "_type", known_tags))
     for uuid_key, ref in refs.items():
-        if not is_uuid_text(uuid_key):
-            errors.append(f"_refs: key {quote(uuid_key)} is not a UUID")
-        at = f"_refs/{uuid_key if isinstance(uuid_key, str) else quote(uuid_key)}"
-        if ref.ns is not None or ref.refs is not None:
-            errors.append(f"{at}: ref documents must not carry `_ns` or `_refs`")
-        _check_type_node(ref.type_tree, f"{at}/_type", errors, known_tags)
-        _check_data(ref.data, f"{at}/data", errors)
+        at = f"_refs/{uuid_key if isinstance(uuid_key, str) else quote(uuid_key)}/_type"
+        errors.extend(_unknown_tags(ref.type_tree, at, known_tags))
 
     mentioned = _mentioned_uuids(doc.type_tree)
     ref_deps = {}

@@ -64,9 +64,11 @@ class SerializerState:
     """Per-save bookkeeping: mode, the refs accumulated for this document, and
     a link to the shared global state.
 
-    In IPC mode ``pending_refs`` stays empty and hitting an unregistered
-    context is an error; ``collect_new_refs`` relaxes that for worker results,
-    which inline the ref documents of contexts the coordinator has not seen.
+    In IPC mode hitting an unregistered context is an error and
+    ``pending_refs`` stays empty, unless ``collect_new_refs`` is set: then
+    each context met is registered and its ref document collected, so the
+    save's ``_refs`` can carry it.  The pool sets it for call arguments, a
+    worker for its results.
     """
 
     def __init__(

@@ -125,7 +125,7 @@ def test_validate_native_number(tmp_path, capsys):
     path = tmp_path / "native.mrdi"
     path.write_text('{"_type": "ZZRingElem", "data": 5}')
     assert cli.main(["validate", str(path)]) == 1
-    assert "native value" in capsys.readouterr().out
+    assert capsys.readouterr().out == "data: non-text scalar 5 (numbers must be stored as text)\n"
 
 
 @pytest.mark.parametrize(

@@ -144,7 +144,7 @@ def test_a_long_unknown_tag_is_quoted_by_its_head():
 
 
 def test_parse_rejects_native_numbers():
-    with pytest.raises(SchemaError, match="native value"):
+    with pytest.raises(SchemaError, match="^data: non-text scalar 5 "):
         parse_text(b'{"_type": "ZZRingElem", "data": 5}')
 
 
@@ -243,7 +243,7 @@ def test_the_writer_writes_exactly_what_parse_reads_back(mode, part, levels):
         assert parse_text(serialize_text(doc)) == doc
         return
     step = "/params" if part == "type" else "/0"
-    where = ("$/_type" if part == "type" else "$/data") + step * MAX_NESTING_DEPTH
+    where = ("_type" if part == "type" else "data") + step * MAX_NESTING_DEPTH
     with pytest.raises(SchemaError) as info:
         serialize_text(doc)
     assert str(info.value) == f"{where}: nested deeper than 100 levels"
@@ -253,14 +253,14 @@ def test_the_writer_writes_exactly_what_parse_reads_back(mode, part, levels):
 @pytest.mark.parametrize(
     "data, error",
     [
-        (5, "cannot write 5: numbers and flags must be stored as text"),
-        (["1", [True]], "cannot write True: numbers and flags must be stored as text"),
-        ({3: "1"}, "cannot write the non-text object key 3"),
+        (5, "data: non-text scalar 5 (numbers must be stored as text)"),
+        (["1", [True]], "data/1/0: non-text scalar True (numbers must be stored as text)"),
+        ({3: "1"}, "data: non-text object key 3"),
         (
             [10**5000],
-            "cannot write <int too long to show>: numbers and flags must be stored as text",
+            "data/0: non-text scalar <int too long to show> (numbers must be stored as text)",
         ),
-        (("1",), "cannot write ('1',): numbers and flags must be stored as text"),
+        (("1",), "data: non-text scalar ('1',) (numbers must be stored as text)"),
     ],
     ids=["int", "flag", "int-key", "long-int", "tuple"],
 )
@@ -271,6 +271,95 @@ def test_the_writer_refuses_what_parse_would_not_read_back(mode, data, error):
     with pytest.raises(SchemaError) as info:
         serialize_text(doc)
     assert str(info.value) == error
+
+
+_NS = {"system": "mrdikit", "version": "0.1.0"}
+_RING_T = {"_type": "PolyRing", "data": {"base_ring": "ZZRing", "symbol": "t"}}
+
+
+def shape_case(type_node, data, refs=None, raw_type=None, raw_data=None, raw_refs=None):
+    """A long-term document with one shape problem, in memory and as bytes
+    (None when JSON cannot hold it: an object key in JSON is always text)."""
+    doc = MrdiDocument(type_node, data, ns=NamespaceRecord(), refs=refs or {})
+    raw = {"_ns": _NS, "_type": raw_type, "_refs": raw_refs or {}, "data": raw_data}
+    return doc, None if raw_data is None else json.dumps(raw).encode()
+
+
+SHAPE_CASES = {
+    "non-text-scalar": (
+        shape_case(TypeNode("ZZRingElem"), {"a": ["1", 5]}, raw_type="ZZRingElem",
+                   raw_data={"a": ["1", 5]}),
+        "data/a/1: non-text scalar 5 (numbers must be stored as text)",
+    ),
+    "non-text-key": (
+        shape_case(TypeNode("ZZRingElem"), {"a": {3: "1"}}),
+        "data/a: non-text object key 3",
+    ),
+    "deep-data": (
+        (
+            nested_vector_doc(1, MAX_NESTING_DEPTH + 1),
+            nested_vector_text(1, data_levels=MAX_NESTING_DEPTH + 1),
+        ),
+        "data" + "/0" * MAX_NESTING_DEPTH + ": nested deeper than 100 levels",
+    ),
+    "deep-type": (
+        (
+            nested_vector_doc(MAX_NESTING_DEPTH + 1, 1),
+            nested_vector_text(MAX_NESTING_DEPTH + 1, data_levels=1),
+        ),
+        "_type" + "/params" * MAX_NESTING_DEPTH + ": nested deeper than 100 levels",
+    ),
+    "type-param": (
+        shape_case(TypeNode("PolyRingElem", {"ring": UUID_A, "n": 5}), "1",
+                   raw_type={"name": "PolyRingElem", "params": {"ring": UUID_A, "n": 5}},
+                   raw_data="1"),
+        "_type/params/n: malformed type parameter 5",
+    ),
+    "type-name": (
+        shape_case(TypeNode("Vector", TypeNode(None, "x")), [],
+                   raw_type={"name": "Vector", "params": {"name": None, "params": "x"}},
+                   raw_data=[]),
+        "_type/params: type node needs a text `name`",
+    ),
+    "bare-uuid-type": (
+        shape_case(TypeNode(UUID_A), "1", raw_type=UUID_A, raw_data="1"),
+        "_type: a bare UUID cannot be a type",
+    ),
+    "non-uuid-ref-key": (
+        shape_case(TypeNode("ZZRingElem"), "1", refs={"x": ring_ref("ZZRing", "t")},
+                   raw_type="ZZRingElem", raw_data="1", raw_refs={"x": _RING_T}),
+        "_refs: key 'x' is not a UUID",
+    ),
+    "ref-with-ns": (
+        shape_case(TypeNode("ZZRingElem"), "1",
+                   refs={UUID_A: MrdiDocument(TypeNode("ZZRing"), {}, ns=NamespaceRecord())},
+                   raw_type="ZZRingElem", raw_data="1",
+                   raw_refs={UUID_A: {"_ns": _NS, "_type": "ZZRing", "data": {}}}),
+        f"_refs/{UUID_A}: ref documents must not carry `_ns` or `_refs`",
+    ),
+    "ref-with-refs": (
+        shape_case(TypeNode("ZZRingElem"), "1",
+                   refs={UUID_A: MrdiDocument(TypeNode("ZZRing"), {}, refs={})},
+                   raw_type="ZZRingElem", raw_data="1",
+                   raw_refs={UUID_A: {"_type": "ZZRing", "_refs": {}, "data": {}}}),
+        f"_refs/{UUID_A}: ref documents must not carry `_ns` or `_refs`",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_CASES))
+def test_each_shape_problem_has_one_text_at_every_boundary(case):
+    # validate_document lists it first, serialize_text refuses to write it
+    # and parse_text to read it, all with the same text.
+    (doc, raw), error = SHAPE_CASES[case]
+    assert validate_document(doc)[0] == error
+    with pytest.raises(SchemaError) as info:
+        serialize_text(doc)
+    assert str(info.value) == error
+    if raw is not None:
+        with pytest.raises(SchemaError) as info:
+            parse_text(raw)
+        assert str(info.value) == error
 
 
 def test_parse_rejects_refs_inside_refs():

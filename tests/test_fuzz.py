@@ -5,7 +5,8 @@ subtrees swapped, a value replaced by one of the wrong type, or by 5000
 digits as text or as a native JSON number; the ``_refs`` of a Call's
 arguments are also made bad on purpose.  Each document goes through
 ``parse_text``, ``load`` and ``save``; each parsed document, mutated in
-memory, through ``validate_document`` and ``serialize_text``; each frame
+memory, through ``validate_document`` and ``serialize_text``, which must
+agree, and what it writes back through ``parse_text``; each frame
 payload through ``framing.decode_message``, and frame bytes, also cut or
 corrupted, through a ``WorkerLoop`` on in-memory streams.  Any other exception is a bug in
 ``src/``.  The runs are seeded, so a failure reproduces.
@@ -14,6 +15,7 @@ corrupted, through a ``WorkerLoop`` on in-memory streams.  Any other exception i
 import io
 import json
 import random
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -197,11 +199,30 @@ def _in_memory_mutants(seed):
         yield doc
 
 
+# The problems ``validate_document`` finds that are not shape problems.
+_NOT_SHAPE = re.compile(
+    r"mode violation: |_ns: empty |[^ ]*: unknown type tag |dangling reference: |cyclic reference "
+)
+
+
 def test_documents_mutated_in_memory_validate_and_serialize_cleanly():
+    # serialize_text refuses exactly the documents validate_document lists a
+    # shape problem of, with the first problem listed, and parse_text reads
+    # back what it writes.
     def run(doc):
         errors = validate_document(doc)
         assert isinstance(errors, list) and all(isinstance(e, str) for e in errors), errors
-        assert isinstance(serialize_text(doc), bytes)
+        shape = [e for e in errors if not _NOT_SHAPE.match(e)]
+        try:
+            raw = serialize_text(doc)
+        except MrdiKitError as exc:
+            assert shape and str(exc) == errors[0], (str(exc), errors)
+            return
+        assert not shape, shape
+        try:
+            parse_text(raw)
+        except MrdiKitError as exc:
+            raise AssertionError(f"parse_text refuses what serialize_text wrote: {exc}") from exc
 
     assert not _non_mrdikit_failures(_in_memory_mutants(5), run)
 

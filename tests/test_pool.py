@@ -272,8 +272,12 @@ def test_a_round_sends_nothing_when_an_argument_cannot_be_sent():
     with spawn_pool(2, tap=events.append) as pool:
         with pytest.raises(UnsupportedTypeError):
             pool.parallel_map("identity", [(1,), ("text",)])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as info:
             pool.parallel_map("identity", [(1,), (2,), (3,), [4]])
+        assert str(info.value) == "item 3: call arguments must be a tuple, got list"
+        with pytest.raises(ValidationError) as info:
+            pool.remote_call("identity", [4])
+        assert str(info.value) == "call arguments must be a tuple, got list"
         assert events == []
         assert pool.parallel_map("identity", [(1,), (2,)]) == [1, 2]
 
