@@ -464,17 +464,21 @@ def interpolate_at_consecutive_points(start: int, values: list[int]) -> list[int
     below len(values) with p(start + i) = values[i]; p must have integer
     coefficients, as a determinant over ZZ[t] has.
 
-    At consecutive integers the step-j divided differences divide by
-    x_(i+j) - x_i = j.  The divided differences of a polynomial with integer
-    coefficients at integer points are integers, so every division is exact.
+    At consecutive integers the Newton coefficient c_j, the divided
+    difference at x_0..x_j, is the j-th forward difference at x_0 divided by
+    j!.  The divided differences of a polynomial with integer coefficients
+    at integer points are integers, so each of these divisions is exact.
     The Newton form c_0 + (t - x_0)(c_1 + (t - x_1)(c_2 + ...)) is then
     expanded by Horner's rule.
     """
-    c = list(values)
+    c = []
+    differences = list(values)
+    factorial = 1
+    for j in range(len(differences)):
+        c.append(differences[0] // factorial)
+        differences = [b - a for a, b in zip(differences, differences[1:])]
+        factorial *= j + 1
     count = len(c)
-    for j in range(1, count):
-        for i in range(count - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) // j
     coefficients = c[-1:]
     for k in range(count - 2, -1, -1):
         x = start + k

@@ -106,16 +106,31 @@ def _mentioned_uuids(*trees) -> set[str]:
 # -- the JSON form -------------------------------------------------------------
 
 
+def reads_as_type_node(node: dict) -> bool:
+    """Whether an object in type-parameter position is read as a type node:
+    it has a `name` and no key but `name` and `params`."""
+    return "name" in node and node.keys() <= {"name", "params"}
+
+
+class _TypeShapedMapping(dict):
+    """The JSON of a type-parameter mapping whose keys are those of a type
+    node, a `name` and at most `params`: ``parse_text`` would read it back
+    as a type node, so ``shape_problems`` refuses it."""
+
+
 def _type_to_json(node, depth=0):
     """Type tree ``node`` as JSON: a TypeNode is its tag, or ``{name, params}``
     when it has parameters.  A dict at ``MAX_NESTING_DEPTH`` is left as it
     is: ``shape_problems`` refuses it without looking inside."""
+    as_json = dict
     if isinstance(node, TypeNode):
         if node.params is None:
             return node.name
         node = {"name": node.name, "params": node.params}
+    elif isinstance(node, dict) and reads_as_type_node(node):
+        as_json = _TypeShapedMapping
     if isinstance(node, dict) and depth < MAX_NESTING_DEPTH:
-        return {key: _type_to_json(value, depth + 1) for key, value in node.items()}
+        return as_json({key: _type_to_json(value, depth + 1) for key, value in node.items()})
     return node
 
 
@@ -220,10 +235,14 @@ def _type_problems(node, path, depth=0):
 def _param_problems(node, path, depth):
     """Type parameters are text (a UUID, a tag or a plain value), a type node
     (an object with a `name` and no key but `name` and `params`), or a
-    mapping from text keys to parameters."""
-    if isinstance(node, dict) and "name" in node and node.keys() <= {"name", "params"}:
+    mapping from text keys to parameters; a mapping built in memory must not
+    have the keys of a type node."""
+    shaped = type(node) is _TypeShapedMapping
+    if isinstance(node, dict) and not shaped and reads_as_type_node(node):
         yield from _type_problems(node, path, depth)
     elif isinstance(node, dict):
+        if shaped:
+            yield f"{path}: parameter mapping {quote(node)} would read back as a type node"
         if depth == MAX_NESTING_DEPTH:
             yield f"{path}: nested deeper than {MAX_NESTING_DEPTH} levels"
             return

@@ -8,11 +8,19 @@ so serialization is a pure function of the document.
 The shape rules are ``document.shape_problems``'s: ``parse_text`` raises the
 first problem before it builds a document, and ``serialize_text`` before it
 writes one, so it writes only what ``parse_text`` reads back.
+
+The long-term writer gives ``json.dumps(obj, indent=2)``'s bytes without the
+json module's pure-Python indenting encoder.  It writes dicts and lists of
+text node by node, and a list that holds containers one nesting level at a
+time (``_write_levels``): all nodes of a level share their indentation, so a
+level of text is quoted in one pass and a level of lists of one width, such
+as the terms of polynomials, is joined in one pass over the level below.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from ..errors import SchemaError
@@ -27,8 +35,12 @@ from .document import (
     _doc_to_json,
     check_shape,
     is_uuid_text,
+    reads_as_type_node,
     shape_problems,
 )
+
+
+_LIST = {list}
 
 
 def _write_indented(node, newline, out, depth):
@@ -49,13 +61,7 @@ def _write_indented(node, newline, out, depth):
         elif set(map(type, node)) <= _TEXT:  # a list of text, the common leaf
             out.append(f"[{inner}{(',' + inner).join(map(_quote, node))}{newline}]")
         else:
-            out.append("[")
-            separator = inner
-            for item in node:
-                out.append(separator)
-                _write_indented(item, inner, out, depth + 1)
-                separator = "," + inner
-            out.append(newline + "]")
+            out.append(_write_levels(node, newline, depth))
     elif isinstance(node, dict):
         if not node:
             out.append("{}")
@@ -71,6 +77,65 @@ def _write_indented(node, newline, out, depth):
         out.append(newline + "}")
     else:
         raise SchemaError
+
+
+def _write_levels(root, newline, depth):
+    """The text of list ``root`` as ``_write_indented`` writes it at
+    ``newline`` and ``depth``, written one nesting level at a time: the
+    nodes of a level share their indentation, so a level takes a few calls
+    over all of its nodes, not a few per node.
+
+    One pass down collects the nodes of each level.  Then, from the deepest
+    level up, each list takes its children's texts, in order, from the
+    level below.  A level of text is quoted by one ``map``, a level of
+    lists of one width by one ``join`` map over the level below taken that
+    many at a time, and any other level node by node: text is quoted, a
+    list joins its slice of the level below and a dict is written by
+    ``_write_indented``.  Each node is visited once per pass, and what is
+    refused is what ``_write_indented`` refuses."""
+    levels = []
+    level = [root]
+    while level:
+        if depth + len(levels) == MAX_NESTING_DEPTH and not all(map(str.__instancecheck__, level)):
+            raise SchemaError
+        kinds = set(map(type, level))
+        levels.append((level, kinds))
+        if kinds <= _TEXT:
+            break
+        lists = level if kinds == _LIST else filter(list.__instancecheck__, level)
+        level = list(chain.from_iterable(lists))
+    below = []
+    for k in range(len(levels) - 1, -1, -1):
+        level, kinds = levels[k]
+        if kinds <= _TEXT:
+            below = list(map(_quote, level))
+            continue
+        here = newline + "  " * k
+        inner = here + "  "
+        separator = "," + inner
+        if kinds == _LIST and len(widths := set(map(len, level))) == 1 and 0 not in widths:
+            # One join per list of its opening, its children with the
+            # separators between them, and its closing.
+            children, separators = iter(below), repeat(separator)
+            parts = [children, *[separators, children] * (widths.pop() - 1)]
+            below = list(map("".join, zip(repeat("[" + inner), *parts, repeat(here + "]"))))
+            continue
+        texts = []
+        append = texts.append
+        start = 0
+        for node in level:
+            if isinstance(node, str):
+                append(_quote(node))
+            elif isinstance(node, list):
+                end = start + len(node)
+                append(f"[{inner}{separator.join(below[start:end])}{here}]" if node else "[]")
+                start = end
+            else:  # a dict, or a scalar it refuses
+                part = []
+                _write_indented(node, here, part, depth + k)
+                append("".join(part))
+        below = texts
+    return below[0]
 
 
 def serialize_text(doc: MrdiDocument) -> bytes:
@@ -116,7 +181,7 @@ def _params_from_json(node):
         if is_uuid_text(node):
             return node
         return TypeNode(node, None) if node in registered_type_tags() else node
-    if "name" in node and node.keys() <= {"name", "params"}:
+    if reads_as_type_node(node):
         return _type_from_json(node)
     return {key: _params_from_json(value) for key, value in node.items()}
 

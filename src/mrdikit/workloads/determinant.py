@@ -16,8 +16,9 @@ most one per point) on contiguous ranges whose sizes differ by at most one.
 Each call evaluates all entries at once per point, by one Horner pass over
 integers that pack every entry's coefficient of one degree, and takes each
 scalar determinant by two-step fraction-free elimination, which clears two
-columns per pass; the coordinator interpolates the values exactly by
-Newton's divided differences.  No bound, prime or CRT is involved.
+columns per pass; the coordinator interpolates the values exactly in
+Newton form, each coefficient a forward difference divided once by j!.  No
+bound, prime or CRT is involved.
 
 Multimodular path: each prime p gives one modular image det(M mod p) over
 Fp[t].  The primes go out in one ``det_mod_primes`` call, or with a pool in
@@ -94,10 +95,17 @@ def degree_bound(m: ExactMatrix) -> int:
     one entry from every row and from every column, so both sums bound it."""
     _require_univariate_square(m, IntegerRing, "ZZ")
     n = m.nrows
-    degrees = [e.degree() for e in m.entries]
+    degrees = _entry_degrees(m)
     by_rows = sum(max(0, *degrees[i * n : (i + 1) * n]) for i in range(n))
     by_columns = sum(max(0, *degrees[j::n]) for j in range(n))
     return min(by_rows, by_columns)
+
+
+def _entry_degrees(m: ExactMatrix) -> list[int]:
+    """The degree of each entry of ``m`` over ZZ[t], -1 for zero: the
+    exponent of its leading term, which a canonical polynomial lists
+    first."""
+    return [e.terms[0][0][0] if e.terms else -1 for e in m.entries]
 
 
 def _poly_l1(p: Polynomial) -> int:
@@ -187,7 +195,7 @@ def _bareiss_bits(m: ExactMatrix, bound_d: int) -> float:
     largest coefficient's bit length and d the largest entry degree."""
     n = m.nrows
     b = max((abs(c).bit_length() for e in m.entries for _, c in e.terms), default=0)
-    d = max((e.degree() for e in m.entries), default=0)
+    d = max(_entry_degrees(m), default=0)
     return n * (b + d * log2(bound_d / 2 + 1) + log2(n * (d + 1) or 1))
 
 

@@ -11,6 +11,7 @@ does a worker's IPC load of such a ref document in a frame document's ``_refs``.
 import json
 import random
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -929,4 +930,112 @@ def test_writer_matches_json_dumps_on_golden_files(path):
 def test_writer_rejects_native_values(data):
     doc, _ = doc_tree(data)
     with pytest.raises(SchemaError, match="^data(/[a-z0-9]+)*: non-text (scalar|object key) "):
+        serialize_text(doc)
+
+
+# -- lists holding containers are written one nesting level at a time -----------
+
+
+def columnar_tree(rng, depth):
+    """A list shaped like a payload column, or text: its items made alike
+    (equal-width lists, which may hold empty lists), or ragged, or text and
+    lists mixed, with now and then a dict among them."""
+    if depth <= 0 or rng.random() < 0.15:
+        return rng.choice(ODD_TEXT)
+    shape = rng.choice(["equal", "equal", "ragged", "mixed", "dicts"])
+    width = rng.randint(0, 3)
+
+    def item():
+        if shape == "ragged":
+            return [columnar_tree(rng, depth - 2) for _ in range(rng.randint(0, 3))]
+        if shape == "mixed" and rng.random() < 0.4:
+            return rng.choice(ODD_TEXT)
+        if shape == "dicts" and rng.random() < 0.3:
+            return {rng.choice(ODD_TEXT): columnar_tree(rng, depth - 2)}
+        if shape == "equal" and rng.random() < 0.1:
+            return []
+        return [columnar_tree(rng, depth - 2) for _ in range(width)]
+
+    return [item() for _ in range(rng.randint(1, 6))]
+
+
+def test_writer_matches_json_dumps_on_random_columnar_trees():
+    rng = random.Random(28)
+    for _ in range(1000):
+        doc, tree = doc_tree(columnar_tree(rng, 8))
+        assert serialize_text(doc) == dumps(tree)
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (
+            [[["1", "2"], ["3", "4"]], [["5", "6"], ["7", 8]]],
+            "data/1/1/1: non-text scalar 8 (numbers must be stored as text)",
+        ),
+        ([[["1", "2"], ["3", "4"]], [["5", "6"], "7", [None]]], "data/1/2/0: non-text scalar None"),
+        ([[["1", "2"], ["3", {"a": "4", 5: "6"}]]], "data/0/1/1: non-text object key 5"),
+        ([[["1"], [{"a": [["2"], [1.5]]}]]], "data/0/1/0/a/1/0: non-text scalar 1.5"),
+    ],
+    ids=["uniform", "mixed", "key", "under-a-dict"],
+)
+def test_a_bad_value_deep_in_a_column_is_located(data, error):
+    doc, _ = doc_tree(data)
+    with pytest.raises(SchemaError) as info:
+        serialize_text(doc)
+    assert str(info.value).startswith(error)
+
+
+class Text(str):
+    pass
+
+
+class Items(list):
+    pass
+
+
+class Fields(dict):
+    pass
+
+
+def test_subclasses_are_written_as_their_bases():
+    data = [
+        Items([Text("a"), "b"]),
+        Items(["c", Text("d")]),
+        [Fields({Text("k"): Items([Text("x"), ["y"]])}), Text("e")],
+        Items([Items([]), Fields(), [Text("f")]]),
+    ]
+    doc, tree = doc_tree(data)
+    assert serialize_text(doc) == dumps(tree)
+    doc, tree = doc_tree([Items([Text("a"), Items([Text("b")])]), [Text("c"), ["d"]]])
+    assert serialize_text(doc) == dumps(tree)
+
+
+def chain_of_lists(levels):
+    """``levels`` containers nested one in the other: one-item lists around
+    an empty dict."""
+    node = {}
+    for _ in range(levels - 1):
+        node = [node]
+    return node
+
+
+def comb(levels):
+    """``levels`` lists nested one in the other, each also holding text,
+    on alternating sides."""
+    node = "x"
+    for i in range(levels):
+        node = ["t", node] if i % 2 else [node, "t"]
+    return node
+
+
+@pytest.mark.parametrize("build", [chain_of_lists, comb], ids=["chain", "comb"])
+def test_the_deepest_lists_are_written_quickly_and_one_more_level_is_refused(build):
+    doc, tree = doc_tree(build(MAX_NESTING_DEPTH))
+    start = time.perf_counter()
+    raw = serialize_text(doc)
+    assert time.perf_counter() - start < 0.5
+    assert raw == dumps(tree)
+    doc, _ = doc_tree(build(MAX_NESTING_DEPTH + 1))
+    with pytest.raises(SchemaError, match=f": nested deeper than {MAX_NESTING_DEPTH} levels$"):
         serialize_text(doc)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from mrdikit.errors import SchemaError
+from mrdikit.ipc import framing
 from mrdikit.mrdi import (
     DeserializerState,
     GlobalSerializerState,
@@ -271,6 +272,42 @@ def test_the_writer_refuses_what_parse_would_not_read_back(mode, data, error):
     with pytest.raises(SchemaError) as info:
         serialize_text(doc)
     assert str(info.value) == error
+
+
+def test_a_parameter_mapping_with_the_keys_of_a_type_node_is_refused():
+    # Written as is, it would read back as the type node ZZRingElem.
+    doc = MrdiDocument(TypeNode("Vector", {"name": "ZZRingElem"}), [], ns=NamespaceRecord(), refs={})
+    error = "_type/params: parameter mapping {'name': 'ZZRingElem'} would read back as a type node"
+    with pytest.raises(SchemaError) as info:
+        parse_text(serialize_text(doc))
+    assert str(info.value) == error
+    assert validate_document(doc) == [error]
+    with pytest.raises(SchemaError, match="^_type/params: "):
+        serialize_text(MrdiDocument(doc.type_tree, []))
+    with pytest.raises(SchemaError, match="^args/_type/params: "):
+        framing.encode_message(framing.Call(1, "identity", MrdiDocument(doc.type_tree, [])))
+
+
+@pytest.mark.parametrize(
+    "params, where",
+    [
+        ({"name": "x", "params": UUID_A}, "_type/params"),
+        ({"0": TypeNode("ZZRingElem"), "1": {"name": TypeNode("ZZRingElem")}}, "_type/params/1"),
+        (TypeNode("Vector", {"name": "ZZRingElem"}), "_type/params/params"),
+    ],
+    ids=["name-and-params", "in-a-mapping", "in-a-type-node"],
+)
+def test_a_type_shaped_mapping_is_located_wherever_it_sits(params, where):
+    doc = MrdiDocument(TypeNode("Tuple", params), [], ns=NamespaceRecord(), refs={})
+    with pytest.raises(SchemaError, match=f"^{where}: parameter mapping .* would read back as a type node$"):
+        serialize_text(doc)
+    assert validate_document(doc)[0].startswith(f"{where}: parameter mapping ")
+
+
+def test_a_mapping_with_a_name_and_another_key_round_trips():
+    doc = MrdiDocument(TypeNode("Tuple", {"name": "x", "0": TypeNode("ZZRingElem")}), [])
+    assert validate_document(doc) == []
+    assert parse_text(serialize_text(doc)) == doc
 
 
 _NS = {"system": "mrdikit", "version": "0.1.0"}
