@@ -5,23 +5,23 @@ Entries are plain values of the ring, put in canonical form by the ring's
 reduction uses ``Fraction``, and nothing ever rounds.
 
 Determinants of a ZZ[t] matrix go by evaluation at integer points, exactly
-over ZZ, and interpolation, in one of two ways:
+over ZZ, one scalar determinant per point, and Newton interpolation
+(``interpolate_at_consecutive_points``), in one of two arithmetics:
 
 - exactly: ``det_univariate_at_points`` takes det(M(x)) at each point by
-  two-step fraction-free (Bareiss) elimination over ZZ, and
-  ``interpolate_at_consecutive_points`` turns the values at consecutive
-  integers into coefficients by Newton's divided differences, with no
-  coefficient bound, no primes and no CRT.  A two-step pass clears two
-  columns: with g the previous leading minor, each remaining entry becomes
-  (p2 a_ij - u_i a_1j + v_i a_0j) / g, where p2 = (a_00 a_11 - a_10 a_01) / g
-  is the next leading minor and u_i = (a_00 a_i1 - a_i0 a_01) / g,
-  v_i = (a_10 a_i1 - a_i0 a_11) / g are exact 2 x 2 minors over g, taken once
-  per row: 3 multiplications and 1 exact division per entry where one-step
-  elimination needs 4 and 2 (Bareiss 1968, by Sylvester's identity);
-- modularly: ``det_univariate_mod_primes`` gives det(M mod p) for many primes
-  from one evaluation at 0..D, eliminating and interpolating in passes modulo
-  a product of up to ``PRIME_GROUP`` primes, one pass serving all of its
-  primes.  The caller lifts the images by CRT.
+  two-step fraction-free (Bareiss) elimination over ZZ, and the values are
+  interpolated over ZZ, with no coefficient bound, no primes and no CRT.  A
+  two-step pass clears two columns: with g the previous leading minor, each
+  remaining entry becomes (p2 a_ij - u_i a_1j + v_i a_0j) / g, where
+  p2 = (a_00 a_11 - a_10 a_01) / g is the next leading minor and
+  u_i = (a_00 a_i1 - a_i0 a_01) / g, v_i = (a_10 a_i1 - a_i0 a_11) / g are
+  exact 2 x 2 minors over g, taken once per row: 3 multiplications and 1
+  exact division per entry where one-step elimination needs 4 and 2
+  (Bareiss 1968, by Sylvester's identity);
+- modularly: ``det_univariate_mod_primes`` takes det(M(x)) at each point
+  modulo the product q of each pass of primes, by Gaussian elimination mod
+  q, all passes sharing one evaluation per point.  The caller interpolates
+  mod each q and lifts the images by CRT.
 
 Both evaluate the entries at a point in one Horner pass over packed
 integers (``_evaluations``): the degree-d coefficients of all entries share
@@ -35,9 +35,7 @@ largest |point| X and the longest coefficient list w, plus a sign bit.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, gcd, prod
-from operator import mul
+from math import gcd, prod
 
 from ..errors import ValidationError, quote
 from .polynomials import Polynomial, coercer, dense_coefficients, from_dense_coefficients
@@ -175,18 +173,8 @@ def reduce_mod_prime(m: ExactMatrix, prime: int) -> ExactMatrix:
 
 
 # ----------------------------------------------------------------------------
-# Determinants over Fp[t], one or several primes per pass, by evaluation +
-# interpolation
+# Determinants modulo products of primes, by evaluation + interpolation
 # ----------------------------------------------------------------------------
-
-# Most primes per modular pass.  The entries are evaluated once per call, so
-# a pass costs its eliminations and interpolation modulo the product of its
-# primes; a wider pass spreads the interpreter's cost per operation over more
-# primes.  Per prime, passes of 6/8/10/14 primes cost 9.9/9.4/9.1/8.4 ms in
-# one 28-prime call on the 12x12 degree-8 benchmark matrix and
-# 2.7/2.3/2.3/2.1 ms in one 56-prime call on the 8x8 degree-6 one; 20 gain
-# nothing over 14 (least CPU time of 6-8 runs, 2 vCPU, Python 3.11.7).
-PRIME_GROUP = 14
 
 
 def _det_mod(rows: list[list[int]], q: int, primes) -> int:
@@ -227,46 +215,6 @@ def _det_mod(rows: list[list[int]], q: int, primes) -> int:
                 remaining.append(row[1:])
         rows = remaining
     return det * pow(scale, -1, q) % q
-
-
-@lru_cache(maxsize=8)
-def _master_polynomial(count: int) -> tuple[int, ...]:
-    """Coefficients of prod (t - i) over i = 0..count-1, over ZZ, constant
-    term first.  The same for every modulus, so it is reduced per call."""
-    master = [1]
-    for x in range(count):
-        master = [0] + master
-        for j in range(len(master) - 1):
-            master[j] -= master[j + 1] * x
-    return tuple(master)
-
-
-def _interpolate_mod(ys: list[int], q: int) -> list[int]:
-    """Dense coefficients of the unique polynomial with poly(i) = ys[i] mod q
-    for i = 0..D, constant term first; every prime factor of q exceeds D, so
-    every Lagrange denominator prod_{j != i} (i - j) = (-1)^(D-i) * i! * (D-i)!
-    is a unit, and one inverse of D! gives all their inverses.
-
-    With weights w_i = ys[i] / denominator_i and power sums S_e = sum_i w_i i^e,
-    synthetic division of the master polynomial M by (t - i) gives
-    coefficient k = sum_e M[k + 1 + e] * S_e.
-    """
-    count = len(ys)
-    last = count - 1
-    master = [c % q for c in _master_polynomial(count)]
-    inverse_factorials = [1] * count
-    inverse_factorials[last] = pow(factorial(last), -1, q)
-    for i in range(last, 0, -1):
-        inverse_factorials[i - 1] = inverse_factorials[i] * i % q
-    scaled = [
-        (-y if (last - i) % 2 else y) * inverse_factorials[i] * inverse_factorials[last - i] % q
-        for i, y in enumerate(ys)
-    ]
-    sums = []
-    for _ in range(count):
-        sums.append(sum(scaled) % q)
-        scaled = [w * i % q for i, w in enumerate(scaled)]
-    return [sum(map(mul, master[k + 1 :], sums)) % q for k in range(count)]
 
 
 def _evaluations(entries: list[list[int]], n: int, points):
@@ -311,37 +259,6 @@ def _evaluations(entries: list[list[int]], n: int, points):
         yield [values[i * n : (i + 1) * n] for i in range(n)]
 
 
-def _det_images(entries: list[list[int]], n: int, primes, degree_bound: int) -> list[list[int]]:
-    """det mod p for each prime p of ``primes``, as dense coefficient lists of
-    length degree_bound + 1, of the n x n matrix whose row-major entries have
-    the integer coefficient lists ``entries`` (constant term first).
-
-    The primes are split into passes of at most ``PRIME_GROUP`` primes, whose
-    sizes differ by at most one.  Each entry is evaluated once per point
-    0..D, exactly over ZZ; every pass takes those values modulo the product q
-    of its primes, eliminates mod q and, after the last point, interpolates
-    mod q.  Every prime must exceed the degree bound and the primes must be
-    distinct.
-    """
-    for p in primes:
-        if p <= degree_bound:
-            raise ValidationError(
-                f"insufficient evaluation points: p={p} but degree bound is {degree_bound}"
-            )
-    total, count = len(primes), -(-len(primes) // PRIME_GROUP)
-    passes = [primes[i * total // count : (i + 1) * total // count] for i in range(count)]
-    moduli = [prod(group) for group in passes]
-    ys = [[] for _ in passes]
-    for rows in _evaluations(entries, n, range(degree_bound + 1)):
-        for group, q, out in zip(passes, moduli, ys):
-            out.append(_det_mod([[v % q for v in row] for row in rows], q, group))
-    images = []
-    for group, q, out in zip(passes, moduli, ys):
-        coefficients = _interpolate_mod(out, q)
-        images.extend([c % p for c in coefficients] for p in group)
-    return images
-
-
 def _dense_entries(m: ExactMatrix) -> list[list[int]]:
     return [dense_coefficients(e, e.degree() + 1) for e in m.entries]
 
@@ -357,41 +274,51 @@ def _require_univariate_square(m, base: type, name: str) -> None:
 
 
 def det_univariate_over_prime_field(m: ExactMatrix, degree_bound: int) -> Polynomial:
-    """det of a square matrix over Fp[t], via evaluation at degree_bound + 1
-    points, scalar determinants, and Lagrange interpolation.
+    """det of a square matrix over Fp[t], via evaluation at the degree_bound + 1
+    points 0..degree_bound, scalar determinants mod p, and Newton
+    interpolation mod p: the one-prime case of ``det_univariate_mod_primes``.
 
     Requires p > degree_bound so that enough distinct evaluation points exist.
     """
     _require_univariate_square(m, PrimeField, "a prime field")
     if degree_bound < 0:
         raise ValidationError("degree bound must be nonnegative")
-    (image,) = _det_images(_dense_entries(m), m.nrows, (m.parent.descriptor.base.p,), degree_bound)
-    return from_dense_coefficients(m.parent, image)
+    p = m.parent.descriptor.base.p
+    values = [
+        _det_mod([[v % p for v in row] for row in rows], p, (p,))
+        for rows in _evaluations(_dense_entries(m), m.nrows, range(degree_bound + 1))
+    ]
+    return from_dense_coefficients(m.parent, interpolate_at_consecutive_points(0, values, p))
 
 
-def det_univariate_mod_primes(m: ExactMatrix, primes, degree_bound: int) -> list[list[int]]:
-    """The images det(m mod p) of a square matrix over ZZ[t], one dense
-    coefficient list (constant term first, length degree_bound + 1) per prime
-    of ``primes``, from one evaluation of the entries shared by passes of at
-    most ``PRIME_GROUP`` primes.
+def det_univariate_mod_primes(m: ExactMatrix, points, passes) -> list[list[int]]:
+    """For each integer point x of ``points``, det(m(x)) mod the product q of
+    each pass's primes, for a square matrix over ZZ[t]: the entries are
+    evaluated at x exactly over ZZ, once for all passes, and each scalar
+    determinant is taken by Gaussian elimination mod q (``_det_mod``).
 
-    Requires distinct primes, each greater than degree_bound.
+    Requires distinct primes.
     """
     _require_univariate_square(m, IntegerRing, "ZZ")
-    if degree_bound < 0:
-        raise ValidationError("degree bound must be nonnegative")
-    primes = tuple(primes)
+    primes = [p for group in passes for p in group]
     for p in primes:
         if not is_prime(p):
             raise ValidationError(f"{p} is not prime")
     if len(set(primes)) != len(primes):
-        raise ValidationError(f"repeated prime in {list(primes)}")
-    return _det_images(_dense_entries(m), m.nrows, primes, degree_bound)
+        raise ValidationError(f"repeated prime in {primes}")
+    moduli = [prod(group) for group in passes]
+    return [
+        [
+            _det_mod([[v % q for v in row] for row in rows], q, group)
+            for group, q in zip(passes, moduli)
+        ]
+        for rows in _evaluations(_dense_entries(m), m.nrows, points)
+    ]
 
 
 # ----------------------------------------------------------------------------
-# Exact determinants over ZZ[t]: Bareiss elimination at integer points and
-# Newton interpolation
+# Exact determinants over ZZ[t]: Bareiss elimination at integer points, and
+# Newton interpolation over ZZ or mod q
 # ----------------------------------------------------------------------------
 
 
@@ -459,25 +386,50 @@ def det_univariate_at_points(m: ExactMatrix, points) -> list[int]:
     return [_det_bareiss(rows) for rows in _evaluations(_dense_entries(m), m.nrows, points)]
 
 
-def interpolate_at_consecutive_points(start: int, values: list[int]) -> list[int]:
+def interpolate_at_consecutive_points(
+    start: int, values: list[int], modulus: int = 0
+) -> list[int]:
     """Dense coefficients, constant term first, of the polynomial p of degree
-    below len(values) with p(start + i) = values[i]; p must have integer
-    coefficients, as a determinant over ZZ[t] has.
+    below len(values) with p(start + i) = values[i]: over ZZ when ``modulus``
+    is 0, where p must have integer coefficients, as a determinant over ZZ[t]
+    has; else mod ``modulus``, each coefficient in [0, modulus), where every
+    prime factor of the modulus must exceed len(values) - 1.
 
     At consecutive integers the Newton coefficient c_j, the divided
     difference at x_0..x_j, is the j-th forward difference at x_0 divided by
-    j!.  The divided differences of a polynomial with integer coefficients
-    at integer points are integers, so each of these divisions is exact.
-    The Newton form c_0 + (t - x_0)(c_1 + (t - x_1)(c_2 + ...)) is then
-    expanded by Horner's rule.
+    j!.  Over ZZ the divided differences of a polynomial with integer
+    coefficients at integer points are integers, so each of these divisions
+    is exact.  Mod q every j! is a unit, and one inverse of the last gives
+    all of them, 1/(j - 1)! = j/j!; the differences are reduced mod q.  The
+    Newton form c_0 + (t - x_0)(c_1 + (t - x_1)(c_2 + ...)) is then expanded
+    by Horner's rule.
     """
+    if not values:
+        return []
     c = []
     differences = list(values)
-    factorial = 1
-    for j in range(len(differences)):
-        c.append(differences[0] // factorial)
-        differences = [b - a for a, b in zip(differences, differences[1:])]
-        factorial *= j + 1
+    if modulus:
+        last = 1
+        for j in range(2, len(values)):
+            last = last * j % modulus
+        try:
+            scales = [pow(last, -1, modulus)]
+        except ValueError:
+            raise ValidationError(
+                f"insufficient evaluation points: {len(values)} points need every prime "
+                f"factor of the modulus above {len(values) - 1}"
+            ) from None
+        for j in range(len(values) - 1, 0, -1):
+            scales.append(scales[-1] * j % modulus)
+        for scale in reversed(scales):
+            c.append(differences[0] * scale % modulus)
+            differences = [(b - a) % modulus for a, b in zip(differences, differences[1:])]
+    else:
+        factorial = 1
+        for j in range(len(differences)):
+            c.append(differences[0] // factorial)
+            differences = [b - a for a, b in zip(differences, differences[1:])]
+            factorial *= j + 1
     count = len(c)
     coefficients = c[-1:]
     for k in range(count - 2, -1, -1):
@@ -486,6 +438,8 @@ def interpolate_at_consecutive_points(start: int, values: list[int]) -> list[int
         coefficients = [c[k] - x * coefficients[0]] + [
             a - x * b for a, b in zip(coefficients, coefficients[1:])
         ] + coefficients[-1:]
+        if modulus:
+            coefficients = [a % modulus for a in coefficients]
     return coefficients
 
 

@@ -12,7 +12,8 @@ sees every frame a worker reads or writes.
 
 Environment:
   MRDI_WORKER_INIT  comma-separated modules to import before serving (extra
-                    function registrations)
+                    function registrations); one that cannot be imported is
+                    a TransportError naming it
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import os
 import sys
 import traceback
 
+from ..errors import TransportError, quote
 from ..mrdi.codec import load, save
 from ..mrdi.document import Mode
 from ..mrdi.states import DeserializerState, GlobalSerializerState, SerializerState
@@ -77,7 +79,10 @@ def worker_main() -> int:
 
     init = os.environ.get("MRDI_WORKER_INIT", "")
     for module in filter(None, init.split(",")):
-        importlib.import_module(module)
+        try:
+            importlib.import_module(module)
+        except ImportError as exc:
+            raise TransportError(f"MRDI_WORKER_INIT module {quote(module)}: {exc}") from None
 
     stdin = sys.stdin.buffer
     stdout = sys.stdout.buffer

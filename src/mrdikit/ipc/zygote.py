@@ -237,6 +237,11 @@ def _become_worker(channel: socket.socket, fds: list, request: dict) -> None:
         code = worker_main()
     except SystemExit as exc:
         code = 0 if exc.code is None else exc.code if isinstance(exc.code, int) else 1
+    except TransportError as exc:
+        # One line and exit code 3, as ``mrdikit --worker`` reports it; one
+        # write, so that the lines of workers sharing stderr do not interleave.
+        sys.stderr.write(f"worker failure: {exc}\n")
+        code = 3
     except BaseException:
         traceback.print_exc()
     finally:

@@ -1,41 +1,38 @@
-"""Exact determinants of ZZ[t] matrices, by Bareiss elimination at integer
-points or through modular images and CRT lifting.
+"""Exact determinants of ZZ[t] matrices, by evaluation at integer points and
+interpolation, over ZZ or modulo products of primes.
 
 The degree bound D is the smaller of the sums over rows and over columns of
-the largest entry degree.  One size rule picks the path per matrix.
-``_bareiss_bits`` predicts the bit length of Bareiss's last pivot at the
-evaluation points: n times the largest coefficient's bits plus
-d * log2(D/2 + 1) for the points (d the largest entry degree) plus
-log2(n * (d + 1)) for the sums.  Below ``BAREISS_RATIO`` times the bit length
-of the coefficient bound, the Bareiss path runs; above it, the multimodular
-one, whose prime count depends on the bound alone.
+the largest entry degree.  Both paths run one pipeline on the D + 1 points
+-floor(D/2)..ceil(D/2).  The points go out in one call, or with a pool in one
+call per worker (at most one per point) on contiguous ranges whose sizes
+differ by at most one.  Each call evaluates all entries at once per point, by
+one Horner pass over integers that pack every entry's coefficient of one
+degree, and takes one scalar determinant per point; the coordinator
+interpolates the values in Newton form, each coefficient a forward difference
+times 1/j!.  The paths differ only in the scalar determinant and the
+arithmetic:
 
-Bareiss path: the D + 1 points -floor(D/2)..ceil(D/2) go out in one
-``det_univariate_at_points`` call, or with a pool in one call per worker (at
-most one per point) on contiguous ranges whose sizes differ by at most one.
-Each call evaluates all entries at once per point, by one Horner pass over
-integers that pack every entry's coefficient of one degree, and takes each
-scalar determinant by two-step fraction-free elimination, which clears two
-columns per pass; the coordinator interpolates the values exactly in
-Newton form, each coefficient a forward difference divided once by j!.  No
-bound, prime or CRT is involved.
+- Bareiss path (``det_univariate_at_points``): two-step fraction-free
+  elimination over ZZ, which clears two columns per pass, and exact
+  interpolation.  No bound, prime or CRT is involved.
+- Multimodular path (``det_mod_primes``): the primes descend from just below
+  2^31 until their product clears twice the coefficient bound, so the signed
+  lift is exact.  The coordinator splits them once into passes of at most
+  ``PRIME_GROUP``, and every call gets all the passes.  Per point, the
+  values are reduced modulo each pass's product q and the scalar
+  determinant is taken by Gaussian elimination mod q with unit pivots (prime
+  by prime where a column has none).  The coordinator interpolates each
+  pass mod q and lifts coefficient-wise, one pass at a time: each q extends
+  every coefficient's balanced lift from modulus P to P*q with one Garner
+  step, taking one inverse of P mod q for all coefficients.
 
-Multimodular path: each prime p gives one modular image det(M mod p) over
-Fp[t].  The primes go out in one ``det_mod_primes`` call, or with a pool in
-one call per worker (at most one per prime), the shares differing by at most
-one prime.  Each call evaluates every entry once, exactly over ZZ, at the
-points 0..D by the same packed Horner pass, and serves its primes in passes
-of at most ``PRIME_GROUP``: per pass the values are reduced modulo the
-product Q of its primes, the scalar determinants are taken by Gaussian
-elimination mod Q with unit pivots (prime by prime where a column has none),
-and the image is interpolated mod Q from a master polynomial prod (t - i) and
-closed-form Lagrange denominators, then reduced to one residue list per
-prime.  The primes descend from just below
-2^31 until their product clears twice the coefficient bound, so the signed
-lift is exact.  The images are lifted coefficient-wise and incrementally, one
-prime at a time whatever the split: each new prime extends every
-coefficient's balanced lift from modulus P to P*p with one Garner step,
-taking one inverse of P mod p for all coefficients.
+One size rule picks the path per matrix.  ``_bareiss_bits`` predicts the bit
+length of Bareiss's last pivot at the evaluation points: n times the largest
+coefficient's bits plus d * log2(D/2 + 1) for the points (d the largest
+entry degree) plus log2(n * (d + 1)) for the sums.  Below ``BAREISS_RATIO``
+times the bit length of the coefficient bound, the Bareiss path runs; above
+it, the multimodular one, whose prime count depends on the bound alone.  The
+largest bit length and the bound come from one pass over the coefficients.
 
 Both paths give the unique determinant, so the result's bytes do not depend
 on the path or the worker count.  The ``heuristic`` keyword is accepted and
@@ -44,7 +41,7 @@ ignored.
 
 from __future__ import annotations
 
-from math import gcd, log2
+from math import gcd, log2, prod
 from typing import Iterator
 
 from ..algebra.matrices import (
@@ -63,6 +60,15 @@ from ..errors import ValidationError
 from ..ipc.registry import register_function
 
 PRIME_CEILING = 2**31
+
+# Most primes per modular pass.  The entries are evaluated once per point for
+# all passes, so a pass costs its eliminations and interpolation modulo the
+# product of its primes; a wider pass spreads the interpreter's cost per
+# operation over more primes.  Per prime, passes of 6/8/10/14 primes cost
+# 9.9/9.4/9.1/8.4 ms in one 28-prime call on the 12x12 degree-8 benchmark
+# matrix and 2.7/2.3/2.3/2.1 ms in one 56-prime call on the 8x8 degree-6 one;
+# 20 gain nothing over 14 (least CPU time of 6-8 runs, 2 vCPU, Python 3.11.7).
+PRIME_GROUP = 14
 
 # Bareiss at the points when its predicted final size (``_bareiss_bits``) is
 # below this many times the bit length of the coefficient bound, else the
@@ -108,8 +114,20 @@ def _entry_degrees(m: ExactMatrix) -> list[int]:
     return [e.terms[0][0][0] if e.terms else -1 for e in m.entries]
 
 
-def _poly_l1(p: Polynomial) -> int:
-    return sum(abs(c) for _, c in p.terms)
+def _coefficient_sizes(m: ExactMatrix) -> tuple[list[int], int]:
+    """The l1-norm of each entry's coefficients, row-major, and the bit length
+    of the largest |coefficient|, from one pass over the absolute
+    coefficients."""
+    norms, largest = [], 0
+    for e in m.entries:
+        magnitudes = [abs(c) for _, c in e.terms]
+        norms.append(sum(magnitudes))
+        largest = max([largest, *magnitudes])
+    return norms, largest.bit_length()
+
+
+def _product_of_row_sums(norms: list[int], n: int) -> int:
+    return prod(sum(norms[i * n : (i + 1) * n]) for i in range(n))
 
 
 def coefficient_bound(m: ExactMatrix) -> int:
@@ -120,11 +138,7 @@ def coefficient_bound(m: ExactMatrix) -> int:
     most this product.
     """
     _require_univariate_square(m, IntegerRing, "ZZ")
-    bound = 1
-    for i in range(m.nrows):
-        row_sum = sum(_poly_l1(m.entry(i, j)) for j in range(m.ncols))
-        bound *= row_sum
-    return bound
+    return _product_of_row_sums(_coefficient_sizes(m)[0], m.nrows)
 
 
 def det_mod_p(matrix: ExactMatrix, p: int) -> Polynomial:
@@ -134,12 +148,12 @@ def det_mod_p(matrix: ExactMatrix, p: int) -> Polynomial:
     return det_univariate_over_prime_field(reduce_mod_prime(matrix, p), bound)
 
 
-def det_mod_primes(matrix: ExactMatrix, primes: list[int]) -> list[list[int]]:
-    """The modular images of det(matrix) for a list of primes, from one
-    evaluation of the entries: per prime, the dense coefficients of
-    det(matrix mod p), constant term first, length
-    ``degree_bound(matrix) + 1``."""
-    return det_univariate_mod_primes(matrix, primes, degree_bound(matrix))
+def det_mod_primes(
+    matrix: ExactMatrix, points: list[int], passes: list[list[int]]
+) -> list[list[int]]:
+    """For each integer point x of ``points``, det(matrix(x)) mod the product
+    of each pass's primes, from one evaluation of the entries per point."""
+    return det_univariate_mod_primes(matrix, points, passes)
 
 
 register_function("det_mod_primes", det_mod_primes)
@@ -152,49 +166,55 @@ def _usable_primes(stream: Iterator[int], floor: int) -> Iterator[int]:
             yield p
 
 
-def _extend_lift(lifted: list[int], modulus: int, residues: list[int], p: int) -> list[int]:
-    """Extend every coefficient's balanced lift from ``modulus`` to ``modulus * p``
-    with the dense coefficients of one modular image; ``modulus`` 1 starts the
-    lift.
+def _passes(primes: list[int]) -> list[list[int]]:
+    """``primes`` split in order into passes of at most ``PRIME_GROUP`` primes,
+    whose sizes differ by at most one."""
+    total, count = len(primes), -(-len(primes) // PRIME_GROUP)
+    return [primes[i * total // count : (i + 1) * total // count] for i in range(count)]
+
+
+def _extend_lift(lifted: list[int], modulus: int, residues: list[int], q: int) -> list[int]:
+    """Extend every coefficient's balanced lift from ``modulus`` to ``modulus * q``
+    with the dense coefficients of one image mod q; ``modulus`` 1 starts the
+    lift.  q need not be prime, only coprime to ``modulus``.
 
     Each coefficient takes the Garner step of ``crt_combine_balanced([x, r],
-    [modulus, p])``, with one inverse of ``modulus`` mod p for all of them.
-    From a balanced x, x + modulus * k with 0 <= k < p lies in
-    (-modulus/2, modulus * p - modulus/2], so one subtraction of
-    ``modulus * p`` above its half balances it.
+    [modulus, q])``, with one inverse of ``modulus`` mod q for all of them.
+    From a balanced x, x + modulus * k with 0 <= k < q lies in
+    (-modulus/2, modulus * q - modulus/2], so one subtraction of
+    ``modulus * q`` above its half balances it.
     """
     if modulus == 1:
-        return [crt_combine_balanced([r], [p]) for r in residues]
-    if gcd(modulus, p) != 1:
-        raise ValidationError(f"modulus {p} is not coprime to the product of the moduli before it")
-    inverse = pow(modulus, -1, p)
-    extended = modulus * p
+        return [crt_combine_balanced([r], [q]) for r in residues]
+    if gcd(modulus, q) != 1:
+        raise ValidationError(f"modulus {q} is not coprime to the product of the moduli before it")
+    inverse = pow(modulus, -1, q)
+    extended = modulus * q
     half = extended // 2
     out = []
     for x, r in zip(lifted, residues):
-        x += modulus * ((r - x) * inverse % p)
+        x += modulus * ((r - x) * inverse % q)
         out.append(x - extended if x > half else x)
     return out
 
 
-def _share_out(fn, m: ExactMatrix, items: list, pool) -> list:
-    """``fn(m, items)``: one call without a pool, else one call per worker (at
-    most one per item) on contiguous shares whose sizes differ by at most one,
-    the results concatenated in order.  ``fn`` is registered under its own
-    name."""
+def _share_out(fn, m: ExactMatrix, points: list[int], pool, *rest) -> list:
+    """``fn(m, points, *rest)``: one call without a pool, else one call per
+    worker (at most one per point) on contiguous shares of the points whose
+    sizes differ by at most one, the results concatenated in order.  ``fn``
+    is registered under its own name."""
     if pool is None:
-        return fn(m, items)
-    n, count = len(items), min(len(pool.workers), len(items))
-    shares = [(m, items[i * n // count : (i + 1) * n // count]) for i in range(count)]
+        return fn(m, points, *rest)
+    n, count = len(points), min(len(pool.workers), len(points))
+    shares = [(m, points[i * n // count : (i + 1) * n // count], *rest) for i in range(count)]
     return [value for result in pool.parallel_map(fn.__name__, shares) for value in result]
 
 
-def _bareiss_bits(m: ExactMatrix, bound_d: int) -> float:
+def _bareiss_bits(m: ExactMatrix, bound_d: int, b: int) -> float:
     """The predicted bit length of Bareiss's last pivot at the evaluation
     points, n * (b + d * log2(D/2 + 1) + log2(n * (d + 1))), with b the
     largest coefficient's bit length and d the largest entry degree."""
     n = m.nrows
-    b = max((abs(c).bit_length() for e in m.entries for _, c in e.terms), default=0)
     d = max(_entry_degrees(m), default=0)
     return n * (b + d * log2(bound_d / 2 + 1) + log2(n * (d + 1) or 1))
 
@@ -204,20 +224,21 @@ def modular_determinant(m: ExactMatrix, pool=None, heuristic: bool = False) -> P
 
     Bareiss elimination at the points -floor(D/2)..ceil(D/2) when
     ``_bareiss_bits`` stays below ``BAREISS_RATIO`` times the bit length of
-    the coefficient bound, else the multimodular path.  With a pool, the
-    points or the primes are shared out through ``parallel_map``, one call per
-    worker; the serial and pooled paths produce identical results.
+    the coefficient bound, else the multimodular path at the same points.
+    With a pool, the points are shared out through ``parallel_map``, one call
+    per worker; the serial and pooled paths produce identical results.
     ``heuristic`` is accepted and ignored: both modes compute the exact
     result.
     """
     _require_univariate_square(m, IntegerRing, "ZZ")
-    bound_b = coefficient_bound(m)
+    norms, b = _coefficient_sizes(m)
+    bound_b = _product_of_row_sums(norms, m.nrows)
     bound_d = degree_bound(m)
     if bound_b == 0:
         return Polynomial.zero(m.parent)  # a row vanished; det is 0
-    if _bareiss_bits(m, bound_d) < BAREISS_RATIO * bound_b.bit_length():
-        start = -(bound_d // 2)
-        points = list(range(start, start + bound_d + 1))
+    start = -(bound_d // 2)
+    points = list(range(start, start + bound_d + 1))
+    if _bareiss_bits(m, bound_d, b) < BAREISS_RATIO * bound_b.bit_length():
         values = _share_out(det_univariate_at_points, m, points, pool)
         return from_dense_coefficients(m.parent, interpolate_at_consecutive_points(start, values))
 
@@ -231,9 +252,13 @@ def modular_determinant(m: ExactMatrix, pool=None, heuristic: bool = False) -> P
             raise ValidationError("prime stream exhausted before clearing the bound")
         primes.append(p)
         product *= p
+    passes = _passes(primes)
+    values = _share_out(det_mod_primes, m, points, pool, passes)
     lifted = [0] * (bound_d + 1)
     modulus = 1
-    for p, image in zip(primes, _share_out(det_mod_primes, m, primes, pool)):
-        lifted = _extend_lift(lifted, modulus, image, p)
-        modulus *= p
+    for group, column in zip(passes, zip(*values)):
+        q = prod(group)
+        image = interpolate_at_consecutive_points(start, column, q)
+        lifted = _extend_lift(lifted, modulus, image, q)
+        modulus *= q
     return from_dense_coefficients(m.parent, lifted)

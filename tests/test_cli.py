@@ -586,6 +586,44 @@ def test_worker_truncated_frame_is_one_failure_line():
     assert err.splitlines() == ["worker failure: truncated frame: wanted 5 bytes, got 4"]
 
 
+@pytest.mark.parametrize("command", ["worker", "detcrt"])
+def test_an_init_module_that_cannot_be_imported_is_a_worker_failure(
+    toy_matrix_file, tmp_path, command
+):
+    # ``mrdikit --worker`` reports it itself; under detcrt each forked worker
+    # writes the line and the coordinator then finds its workers gone.
+    argv = {
+        "worker": ["--worker"],
+        "detcrt": ["detcrt", "--matrix", str(toy_matrix_file), "--workers", "2",
+                   "--out", str(tmp_path / "det.mrdi")],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mrdikit", *argv],
+        env=dict(os.environ, MRDI_WORKER_INIT="no_such_init_module"),
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        timeout=60,
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == 3, err
+    assert "Traceback" not in err and "'no_such_init_module'" in err
+    assert all(line.startswith("worker failure: ") for line in err.splitlines()), err
+
+
+def test_an_init_module_that_raises_keeps_its_traceback(tmp_path):
+    (tmp_path / "raising_init.py").write_text("raise RuntimeError('init broke')\n")
+    path = os.pathsep.join(filter(None, [str(tmp_path), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mrdikit", "--worker"],
+        env=dict(os.environ, MRDI_WORKER_INIT="raising_init", PYTHONPATH=path),
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        timeout=60,
+    )
+    err = proc.stderr.decode()
+    assert proc.returncode == 1 and "Traceback" in err and "RuntimeError: init broke" in err
+
+
 def test_bench_unknown_suite_rejected(tmp_path):
     with pytest.raises(SystemExit) as info:
         cli.main(["bench", "--suite", "nope", "--out-dir", str(tmp_path)])

@@ -35,9 +35,9 @@ from mrdikit.workloads import (
     modular_determinant,
 )
 from mrdikit.algebra import matrices, primes
-from mrdikit.algebra.matrices import PRIME_GROUP
 from mrdikit.algebra.primes import crt_combine_balanced
 from mrdikit.workloads import determinant
+from mrdikit.workloads.determinant import PRIME_GROUP
 from test_linalg import cofactor_det, random_zz_t_matrix
 
 
@@ -59,7 +59,8 @@ def bareiss(monkeypatch):
 
 @pytest.fixture
 def primes_used(monkeypatch):
-    """The primes that ``det_mod_primes`` got on the serial path, in order.
+    """The primes of the passes that ``det_mod_primes`` got on the serial
+    path, pass by pass, in order.
 
     The recording wrapper keeps the function's ``__name__``, so the pooled
     path still sends calls to the registered ``det_mod_primes``."""
@@ -67,19 +68,34 @@ def primes_used(monkeypatch):
     real = determinant.det_mod_primes
 
     @functools.wraps(real)
-    def recording(matrix, primes_):
-        used.extend(primes_)
-        return real(matrix, primes_)
+    def recording(matrix, points, passes):
+        used.extend(p for group in passes for p in group)
+        return real(matrix, points, passes)
 
     monkeypatch.setattr(determinant, "det_mod_primes", recording)
     return used
 
 
-def sent_primes(events, pool):
-    """The ``det_mod_primes`` calls a tap saw sent, and their primes in order."""
+def sent_shares(events, pool):
+    """The ``det_mod_primes`` calls a tap saw sent, and the points and the
+    passes each one carried."""
     calls = [msg for direction, _, msg in events if direction == "send" and isinstance(msg, Call)]
     state = DeserializerState(Mode.IPC, pool.global_state)
-    return calls, [p for msg in calls for p in load(msg.args, state)[1]]
+    return calls, [load(msg.args, state)[1:] for msg in calls]
+
+
+def assert_points_shared_out(m, calls, shares, k, primes_used):
+    """``k`` workers got one call each (at most one per point), every call
+    the same passes, of ``primes_used``, and the calls' points, concatenated,
+    are all the points -floor(D/2)..ceil(D/2)."""
+    bound = degree_bound(m)
+    assert all(msg.fn == "det_mod_primes" for msg in calls)
+    assert len(calls) == min(k, bound + 1)
+    passes = shares[0][1]
+    assert all(share_passes == passes for _, share_passes in shares)
+    assert [p for group in passes for p in group] == primes_used
+    points = [x for share_points, _ in shares for x in share_points]
+    assert points == list(range(-(bound // 2), bound - bound // 2 + 1))
 
 
 def test_degree_bound_sums_row_maxima():
@@ -110,6 +126,19 @@ def test_coefficient_bound_identity():
         Rt, [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
     )
     assert coefficient_bound(m) == 1
+
+
+def test_coefficient_sizes_give_the_bound_and_the_largest_bit_length():
+    rng = random.Random(0xB0)
+    for _ in range(30):
+        n = rng.randrange(0, 6)
+        size = rng.choice((1, 10**3, 10**40))
+        m = random_zz_t_matrix(rng, n, max_deg=rng.randrange(5), coeff_range=size)
+        norms, bits = determinant._coefficient_sizes(m)
+        l1 = [[sum(abs(c) for _, c in e.terms) for e in row] for row in m.rows()]
+        assert norms == [v for row in l1 for v in row]
+        assert coefficient_bound(m) == prod(sum(row) for row in l1)
+        assert bits == max((abs(c).bit_length() for e in m.entries for _, c in e.terms), default=0)
 
 
 def test_coefficient_bound_toy_matrix():
@@ -269,6 +298,19 @@ def oracle_images(m, primes):
     return [dense_coefficients(reduce_poly_mod_prime(det, p), length) for p in primes]
 
 
+def images_by_passes(m, primes):
+    """Per prime of ``primes``, in order, the dense coefficients of
+    det(m mod p), rebuilt from ``det_mod_primes`` at the points 0..D for the
+    passes of ``primes``: Newton mod each pass's product q, then % p."""
+    passes = determinant._passes(primes)
+    values = det_mod_primes(m, list(range(degree_bound(m) + 1)), passes)
+    images = []
+    for group, column in zip(passes, zip(*values)):
+        image = matrices.interpolate_at_consecutive_points(0, list(column), prod(group))
+        images.extend([c % p for c in image] for p in group)
+    return images
+
+
 def test_grouped_images_equal_per_prime_images():
     rng = random.Random(81)
     stream = descending_primes(2**31)
@@ -277,7 +319,7 @@ def test_grouped_images_equal_per_prime_images():
         m = random_zz_t_matrix(rng, rng.randrange(1, 6), max_deg=3, coeff_range=10**12)
         group = rng.sample(primes, rng.randrange(1, len(primes) + 1))
         expected = oracle_images(m, group)
-        assert det_mod_primes(m, group) == expected
+        assert images_by_passes(m, group) == expected
         length = degree_bound(m) + 1
         assert [dense_coefficients(det_mod_p(m, p), length) for p in group] == expected
 
@@ -293,7 +335,7 @@ def test_grouped_images_without_a_unit_pivot():
     for row in rows:
         row[0] = row[0].scale(10007) + Polynomial.constant(Rt, 10007 * rng.randint(1, 9))
     m = ExactMatrix.from_rows(Rt, rows)
-    images = det_mod_primes(m, [10007, 10009])
+    images = images_by_passes(m, [10007, 10009])
     assert images == oracle_images(m, [10007, 10009])
     assert not any(images[0]) and any(images[1])
     # A third column divisible by 10009 stays so through the first two
@@ -302,15 +344,21 @@ def test_grouped_images_without_a_unit_pivot():
     for row in rows:
         row[2] = row[2].scale(10009)
     m = ExactMatrix.from_rows(Rt, rows)
-    assert det_mod_primes(m, [10007, 10009, 65537]) == oracle_images(m, [10007, 10009, 65537])
+    assert images_by_passes(m, [10007, 10009, 65537]) == oracle_images(m, [10007, 10009, 65537])
 
 
 def test_grouped_images_validate_the_group():
     Rt, t = zz_t()
     m = ExactMatrix.from_rows(Rt, [[t**3]])
-    for bad in ([10007, 10005], [10007, 10007], [10007, 3]):
-        with pytest.raises(ValidationError):
-            det_mod_primes(m, bad)
+    for bad, text in (
+        ([10007, 10005], "10005 is not prime"),
+        ([10007, 10007], "repeated prime"),
+        ([10007, 3], "insufficient evaluation points"),
+    ):
+        with pytest.raises(ValidationError, match=text):
+            images_by_passes(m, bad)
+    with pytest.raises(ValidationError, match="insufficient evaluation points"):
+        det_mod_p(m, 3)
 
 
 def test_passes_split_the_primes_without_changing_the_images():
@@ -321,10 +369,13 @@ def test_passes_split_the_primes_without_changing_the_images():
     length = degree_bound(m) + 1
     stream = descending_primes(2**31)
     pool_of_primes = [next(stream) for _ in range(2 * PRIME_GROUP + 3)]
-    for count in (1, PRIME_GROUP, PRIME_GROUP + 1, 2 * PRIME_GROUP + 3):
+    splits = ((1, 1), (PRIME_GROUP, 1), (PRIME_GROUP + 1, 2), (2 * PRIME_GROUP + 3, 3))
+    for count, passes in splits:
         group = pool_of_primes[:count]
+        sizes = list(map(len, determinant._passes(group)))
+        assert len(sizes) == passes and max(sizes) - min(sizes) <= 1
         expected = [dense_coefficients(det_mod_p(m, p), length) for p in group]
-        assert det_mod_primes(m, group) == expected
+        assert images_by_passes(m, group) == expected
 
 
 def balanced(value, modulus):
@@ -333,30 +384,33 @@ def balanced(value, modulus):
 
 
 def test_extend_lift_matches_the_per_coefficient_crt():
+    # The step modulus q is one prime or, as for a pass of primes, a product
+    # of several.
     rng = random.Random(86)
     stream = descending_primes(2**31)
     moduli = [next(stream) for _ in range(5)] + [3, 5, 7, 10007]
     for _ in range(300):
-        factors = rng.sample(moduli, rng.randrange(1, 5))
-        p = factors.pop()
-        modulus = prod(factors)
-        extended = modulus * p
-        # The ends of the balanced range (-E/2, E/2] for E = modulus * p, the
+        factors = rng.sample(moduli, rng.randrange(1, 6))
+        split = rng.randrange(len(factors))  # modulus 1 when 0
+        modulus, q = prod(factors[:split]), prod(factors[split:])
+        extended = modulus * q
+        # The ends of the balanced range (-E/2, E/2] for E = modulus * q, the
         # values next to them, and random ones.
         low, high = -((extended - 1) // 2), extended // 2
         values = [high, high - 1, low, low + 1] + [rng.randint(low, high) for _ in range(8)]
         lifted = [balanced(v, modulus) for v in values]
-        residues = [v % p for v in values]
+        residues = [v % q for v in values]
         if modulus == 1:
-            expected = [crt_combine_balanced([r], [p]) for r in residues]
+            expected = [crt_combine_balanced([r], [q]) for r in residues]
         else:
             expected = [
-                crt_combine_balanced([x, r], [modulus, p]) for x, r in zip(lifted, residues)
+                crt_combine_balanced([x, r], [modulus, q]) for x, r in zip(lifted, residues)
             ]
         assert expected == values
-        assert determinant._extend_lift(lifted, modulus, residues, p) == expected
-    with pytest.raises(ValidationError):
-        determinant._extend_lift([0], 3 * 10007, [1], 10007)
+        assert determinant._extend_lift(lifted, modulus, residues, q) == expected
+    for q in (10007, 5 * 10007):
+        with pytest.raises(ValidationError):
+            determinant._extend_lift([0], 3 * 10007, [1], q)
 
 
 def test_one_call_per_worker_per_round(multimodular, primes_used):
@@ -380,10 +434,8 @@ def test_one_call_per_worker_per_round(multimodular, primes_used):
             for name, m in (("few", few), ("many", many)):
                 events.clear()
                 got = modular_determinant(m, pool=pool)
-                calls, sent = sent_primes(events, pool)
-                assert all(msg.fn == "det_mod_primes" for msg in calls)
-                assert len(calls) == min(k, len(used[name]))
-                assert sent == used[name]
+                calls, shares = sent_shares(events, pool)
+                assert_points_shared_out(m, calls, shares, k, used[name])
                 assert encoded(got) == serial[name]
     assert len(used["few"]) == 1 and len(used["many"]) > 3
 
@@ -403,9 +455,9 @@ def test_serial_and_pooled_results_are_byte_identical(multimodular, primes_used)
             events = []
             with spawn_pool(workers, tap=events.append) as pool:
                 got = modular_determinant(m, pool=pool, heuristic=heuristic)
-                _, sent = sent_primes(events, pool)
+                calls, shares = sent_shares(events, pool)
             assert encoded(got) == serial
-            assert sent == primes_used
+            assert_points_shared_out(m, calls, shares, workers, primes_used)
 
 
 # -- the Bareiss path ------------------------------------------------------------
@@ -511,6 +563,25 @@ def test_newton_interpolation_matches_sympy():
             assert sympy.expand(expected - sum(c * t**k for k, c in enumerate(got))) == 0
             assert got == coefficients
     assert matrices.interpolate_at_consecutive_points(-4, []) == []
+
+
+def test_newton_interpolation_mod_q_gives_the_coefficients_mod_q():
+    rng = random.Random(0xA0)
+    stream = descending_primes(2**31)
+    q = next(stream) * next(stream) * 10007
+    for count in (0, 1, 2, 3, 8, 40):
+        for _ in range(4):
+            start = rng.randint(-50, 50)
+            f = [rng.randint(-(10**40), 10**40) for _ in range(count)]
+            values = [sum(c * x**k for k, c in enumerate(f)) for x in range(start, start + count)]
+            if rng.random() < 0.5:
+                values = [v % q for v in values]
+            got = matrices.interpolate_at_consecutive_points(start, values, q)
+            assert got == [c % q for c in f]
+    # 7 points need 6! to be a unit mod q; a factor 5 of q is not above 6.
+    with pytest.raises(ValidationError, match="insufficient evaluation points"):
+        matrices.interpolate_at_consecutive_points(0, [1] * 7, 5 * 10007)
+    assert matrices.interpolate_at_consecutive_points(0, [1] * 5, 5 * 10007) == [1, 0, 0, 0, 0]
 
 
 def special_zz_t_matrices(rng):
