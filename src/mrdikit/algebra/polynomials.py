@@ -101,10 +101,6 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    @property
-    def arity(self) -> int:
-        return ring_arity(self.parent.descriptor)
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:

@@ -15,8 +15,13 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from ..errors import SchemaError, TransportError
-from ..mrdi.document import MAX_NESTING_DEPTH, MrdiDocument, _doc_to_json, check_shape
-from ..mrdi.textio import _doc_from_json
+from ..mrdi.document import (
+    MAX_NESTING_DEPTH,
+    MrdiDocument,
+    check_shape,
+    doc_from_json,
+    doc_to_json,
+)
 
 KIND_CALL = 2
 KIND_RESULT = 3
@@ -85,7 +90,7 @@ def encode_message(msg: Message) -> tuple[int, dict]:
         elif shape == _DOC or (shape == _OPTIONAL_DOC and value is not None):
             # Refused here rather than by the reader, which a bad frame ends;
             # the payloads are left to the reader.
-            payload[key] = _doc_to_json(value)
+            payload[key] = doc_to_json(value)
             check_shape(payload[key], key, ("_refs",), check_data=False)
     return kind, payload
 
@@ -101,7 +106,7 @@ def decode_message(kind: int, payload: dict) -> Message:
                 values.append(payload[key])
             elif shape == _DOC or payload.get(key) is not None:
                 check_shape(payload[key], key, ("_refs",))
-                values.append(_doc_from_json(payload[key]))
+                values.append(doc_from_json(payload[key]))
             else:
                 values.append(None)
     except (KeyError, TypeError, AttributeError) as exc:

@@ -13,10 +13,13 @@ case, for a polynomial that shares no list with others.
 Saving builds the ``_type`` subtree first, registering every parent context
 it meets (a ring's base ring before the ring), then ``data``.  Long-term mode
 emits ``_ns`` plus the accumulated refs; IPC mode emits a bare type/data pair
-over contexts the global state already knows.  A ring's type node comes from
-``_ring_type`` and is read by ``_ring_from_type``, which accepts exactly what
-the first writes; an element's type node is its ring's with ``Elem`` appended
-to the tag, and a ref document inlines a leaf base ring as that JSON.
+over contexts the global state already knows.  Type nodes are the JSON that
+``_type`` holds, built by ``type_node`` and read by ``type_parts``; each
+decoder reads its own parameters, so a container takes an element type given
+as text or as an object.  A ring's type node comes from ``_ring_type`` and is
+read by ``_ring_from_type``, which accepts exactly what the first writes; an
+element's type node is its ring's with ``Elem`` appended to the tag, and a
+ref document inlines a leaf base ring's type node.
 
 A univariate payload is sparse ``[degree, coefficient]`` pairs in ascending
 degree for storage, dense coefficients from degree zero up for IPC.  Element
@@ -65,8 +68,10 @@ from .document import (
     Mode,
     MrdiDocument,
     NamespaceRecord,
-    TypeNode,
+    TypeTree,
     is_uuid_text,
+    type_node,
+    type_parts,
 )
 from .numtext import (
     fraction_from_text,
@@ -93,13 +98,14 @@ _DECODERS = {}
 def register_codec(py_type, tag, build_type, build_data, decode):
     """Make values of ``py_type`` serializable.
 
-    ``build_type(obj, state)`` gives a value's ``_type`` node and
-    ``build_data(obj, state)`` its ``data``, under a SerializerState.
-    ``decode(type_node, data, state)`` gives the value back under a
-    DeserializerState, whose ``cursor()`` locates ``data`` for error
-    messages.  ``tag`` is the type tag ``decode`` reads, or a tuple of them
-    when several tags load as ``py_type`` (a ring is a ZZRing, a QQField,
-    ...).  A subclass of ``py_type`` saves as ``py_type`` does.
+    ``build_type(obj, state)`` gives a value's ``_type`` node, JSON such as
+    ``type_node`` builds, and ``build_data(obj, state)`` its ``data``, under
+    a SerializerState.  ``decode(type_node, data, state)`` gives the value
+    back under a DeserializerState, whose ``cursor()`` locates ``data`` for
+    error messages; ``type_parts`` reads the node's tag and parameters.
+    ``tag`` is the type tag ``decode`` reads, or a tuple of them when
+    several tags load as ``py_type`` (a ring is a ZZRing, a QQField, ...).
+    A subclass of ``py_type`` saves as ``py_type`` does.
     """
     _ENCODERS[py_type] = (build_type, build_data)
     for name in (tag,) if isinstance(tag, str) else tag:
@@ -116,26 +122,26 @@ def registered_type_tags():
 # ----------------------------------------------------------------------------
 
 
-def _ring_type(ring: ContextHandle, state: SerializerState) -> TypeNode:
+def _ring_type(ring: ContextHandle, state: SerializerState) -> TypeTree:
     """A ring's type node.  A polynomial ring's parameter is its UUID, which
     registers it in ``state``; with no state, as in its ref document, it has none."""
     desc = ring.descriptor
     if isinstance(desc, IntegerRing):
-        return TypeNode("ZZRing")
+        return "ZZRing"
     if isinstance(desc, RationalField):
-        return TypeNode("QQField")
+        return "QQField"
     if isinstance(desc, PrimeField):
-        return TypeNode("PrimeField", {"modulus": str(desc.p)})
+        return type_node("PrimeField", {"modulus": str(desc.p)})
     if not isinstance(desc, _POLY_RINGS):
         raise UnsupportedTypeError(f"no type node for ring {desc!r}")
     tag = "PolyRing" if isinstance(desc, UnivariatePolyRing) else "MPolyRing"
-    return TypeNode(tag, None if state is None else context_uuid(ring, state))
+    return type_node(tag, None if state is None else context_uuid(ring, state))
 
 
-def _ring_from_type(tn: TypeNode, state: DeserializerState, where: str) -> ContextHandle:
+def _ring_from_type(tn: TypeTree, state: DeserializerState, where: str) -> ContextHandle:
     """The ring a ring type node names, the inverse of ``_ring_type``: a tag
     with other parameters than the ones ``_ring_type`` writes is an error."""
-    name, params = tn.name, tn.params
+    name, params = type_parts(tn)
     if name == "ZZRing" and params is None:
         return ZZ
     if name == "QQField" and params is None:
@@ -152,24 +158,26 @@ def _ring_from_type(tn: TypeNode, state: DeserializerState, where: str) -> Conte
     )
 
 
-def _element_type(ring: ContextHandle, state: SerializerState) -> TypeNode:
+def _element_type(ring: ContextHandle, state: SerializerState) -> TypeTree:
     """An element's type node: its ring's, with ``Elem`` appended to the tag."""
-    tn = _ring_type(ring, state)
-    return TypeNode(tn.name + "Elem", tn.params)
+    name, params = type_parts(_ring_type(ring, state))
+    return type_node(name + "Elem", params)
 
 
-def _element_ring(tn: TypeNode, state: DeserializerState, where: str) -> ContextHandle:
-    """The parent ring an element type node names."""
-    if not tn.name.endswith("Elem"):
-        raise SchemaError(f"{where}: {tn.name[:QUOTE_LIMIT]} is not an element type")
-    return _ring_from_type(TypeNode(tn.name[: -len("Elem")], tn.params), state, where)
+def _element_ring(tn: TypeTree, state: DeserializerState, where: str) -> ContextHandle:
+    """The parent ring an element type node names; an unregistered tag is
+    unsupported."""
+    name, params = type_parts(tn)
+    if _decoder(name) is not _decode_element:
+        raise SchemaError(f"{where}: {name[:QUOTE_LIMIT]} is not an element type")
+    return _ring_from_type(type_node(name[: -len("Elem")], params), state, where)
 
 
 def context_ref_document(ctx: ContextHandle, global_state: GlobalSerializerState) -> MrdiDocument:
     """The `_refs` entry describing a polynomial ring context.
 
-    The base ring is inlined for leaf rings, as the JSON of its type node,
-    and referenced by UUID when it is itself an interned polynomial ring
+    The base ring is inlined for leaf rings, as its type node, and
+    referenced by UUID when it is itself an interned polynomial ring
     (which must already be registered).
     """
     desc = ctx.descriptor
@@ -181,8 +189,7 @@ def context_ref_document(ctx: ContextHandle, global_state: GlobalSerializerState
         if base_json is None:
             raise ContextNotPreloadedError(f"base ring of {desc!r} has no UUID; register it first")
     else:
-        tn = _ring_type(base, None)
-        base_json = tn.name if tn.params is None else {"name": tn.name, "params": tn.params}
+        base_json = _ring_type(base, None)
     if isinstance(desc, UnivariatePolyRing):
         fields = {"base_ring": base_json, "symbol": desc.symbol}
     else:
@@ -245,8 +252,8 @@ def context_from_uuid(param, state: DeserializerState, where: str) -> ContextHan
 
 def _context_from_ref(ref: MrdiDocument, state: DeserializerState, where: str) -> ContextHandle:
     """The polynomial ring a ref document describes by ``base_ring`` (a UUID,
-    or the JSON of a leaf ring's type node) and ``symbol`` or ``symbols``;
-    its type must be what ``_ring_type`` gives that ring without a state."""
+    or a leaf ring's type node) and ``symbol`` or ``symbols``; its type must
+    be what ``_ring_type`` gives that ring without a state."""
     data = ref.data
     fields = set(data) if isinstance(data, dict) else None
     if fields not in ({"base_ring", "symbol"}, {"base_ring", "symbols"}):
@@ -254,9 +261,8 @@ def _context_from_ref(ref: MrdiDocument, state: DeserializerState, where: str) -
     base, at = data["base_ring"], f"{where}/base_ring"
     if is_uuid_text(base):
         base_desc = context_from_uuid(base, state, at).descriptor
-    elif isinstance(base, str) or isinstance(base, dict) and set(base) == {"name", "params"}:
-        tn = TypeNode(base) if isinstance(base, str) else TypeNode(base["name"], base["params"])
-        base_desc = _ring_from_type(tn, state, at).descriptor
+    elif type_parts(base)[0] is not None:
+        base_desc = _ring_from_type(base, state, at).descriptor
         if isinstance(base_desc, _POLY_RINGS):
             raise SchemaError(f"{at}: a polynomial base ring is named by its UUID")
     else:
@@ -268,7 +274,7 @@ def _context_from_ref(ref: MrdiDocument, state: DeserializerState, where: str) -
         ring = intern_context(MultivariatePolyRing(base_desc, tuple(symbols)))
     else:
         raise SchemaError(f"{where}: ring symbols must be text")
-    if ref.type_tree != _ring_type(ring, None):
+    if type_parts(ref.type_tree) != type_parts(_ring_type(ring, None)):
         raise SchemaError(
             f"{where}: the ref document of {quote(ring.descriptor)} has the wrong type"
         )
@@ -546,10 +552,10 @@ _zz_data = lambda n, state: int_to_text(n)  # noqa: E731
 _qq_data = lambda q, state: fraction_to_text(q)  # noqa: E731
 _poly_type = lambda p, state: _element_type(p.parent, state)  # noqa: E731
 _poly_data = lambda p, state: encode_polynomial(p, state.mode)  # noqa: E731
-_matrix_type = lambda m, state: TypeNode("Matrix", _element_type(m.parent, state))  # noqa: E731
+_matrix_type = lambda m, state: type_node("Matrix", _element_type(m.parent, state))  # noqa: E731
 
 
-def _value_ring(tn: TypeNode, state: DeserializerState, where: str) -> ContextHandle:
+def _value_ring(tn: TypeTree, state: DeserializerState, where: str) -> ContextHandle:
     """The parent ring of an element type node outside a Matrix.  A residue
     of GF(p) loads as an int, which saves as a ZZRingElem, so GF(p) elements
     are read only as Matrix entries."""
@@ -559,13 +565,13 @@ def _value_ring(tn: TypeNode, state: DeserializerState, where: str) -> ContextHa
     return ring
 
 
-def _decode_element(tn: TypeNode, data, state: DeserializerState):
+def _decode_element(tn: TypeTree, data, state: DeserializerState):
     where = state.cursor()
     desc = _value_ring(tn, state, where).descriptor
     return _list_codec(desc, "decode").decode_one(desc, data, state, where)
 
 
-def _decode_ring(tn: TypeNode, data, state: DeserializerState) -> ContextHandle:
+def _decode_ring(tn: TypeTree, data, state: DeserializerState) -> ContextHandle:
     where = state.cursor()
     if data != {}:
         raise SchemaError(f"{where}: a ring's payload must be {{}}")
@@ -577,9 +583,10 @@ def _matrix_data(m: ExactMatrix, state: SerializerState):
     return {"nrows": str(m.nrows), "ncols": str(m.ncols), "entries": entries}
 
 
-def _decode_matrix(tn: TypeNode, data, state: DeserializerState) -> ExactMatrix:
+def _decode_matrix(tn: TypeTree, data, state: DeserializerState) -> ExactMatrix:
     where = state.cursor()
-    if not isinstance(tn.params, TypeNode):
+    element = type_parts(tn)[1]
+    if type_parts(element)[0] is None:
         raise SchemaError(f"{where}: Matrix needs an element type parameter")
     if not isinstance(data, dict) or set(data) != {"nrows", "ncols", "entries"}:
         raise SchemaError(f"{where}: Matrix payload needs nrows/ncols/entries")
@@ -593,23 +600,23 @@ def _decode_matrix(tn: TypeNode, data, state: DeserializerState) -> ExactMatrix:
     raw = data["entries"]
     if not isinstance(raw, list) or len(raw) != nrows * ncols:
         raise SchemaError(f"{where}: expected {quote(nrows * ncols)} matrix entries")
-    ring = _element_ring(tn.params, state, where)
+    ring = _element_ring(element, state, where)
     entries = decode_elements(ring, raw, state, f"{where}/entries")
     return ExactMatrix.of_canonical(ring, nrows, ncols, entries)
 
 
-def _vector_type(items: list, state: SerializerState) -> TypeNode:
+def _vector_type(items: list, state: SerializerState) -> TypeTree:
     types = [_build_type(item, state) for item in items]
     if any(t != types[0] for t in types[1:]):
         raise UnsupportedTypeError(
             "lists serialize as homogeneous vectors; use a tuple for mixed types"
         )
-    return TypeNode("Vector", types[0] if types else None)
+    return type_node("Vector", types[0] if types else None)
 
 
-def _tuple_type(items: tuple, state: SerializerState) -> TypeNode:
+def _tuple_type(items: tuple, state: SerializerState) -> TypeTree:
     types = {str(i): _build_type(item, state) for i, item in enumerate(items)}
-    return TypeNode("Tuple", types or None)
+    return type_node("Tuple", types or None)
 
 
 def _sequence_data(items, state: SerializerState) -> list:
@@ -631,23 +638,25 @@ def _decode_items(types, data: list, state: DeserializerState) -> list:
     return out
 
 
-def _decode_vector(tn: TypeNode, data, state: DeserializerState) -> list:
+def _decode_vector(tn: TypeTree, data, state: DeserializerState) -> list:
     where = state.cursor()
+    element = type_parts(tn)[1]
     if not isinstance(data, list):
         raise SchemaError(f"{where}: Vector payload must be a sequence")
-    if tn.params is None and not data:
+    if element is None and not data:
         return []
-    if not isinstance(tn.params, TypeNode) or not data:
+    name = type_parts(element)[0]
+    if name is None or not data:
         raise SchemaError(f"{where}: a nonempty Vector has one element type, an empty one none")
-    if _DECODERS.get(tn.params.name) is _decode_element:
-        ring = _value_ring(tn.params, state, where)
+    if _decoder(name) is _decode_element:
+        ring = _value_ring(element, state, where)
         return decode_elements(ring, data, state, where)
-    return _decode_items([tn.params] * len(data), data, state)
+    return _decode_items([element] * len(data), data, state)
 
 
-def _decode_tuple(tn: TypeNode, data, state: DeserializerState) -> tuple:
+def _decode_tuple(tn: TypeTree, data, state: DeserializerState) -> tuple:
     where = state.cursor()
-    params = tn.params
+    params = type_parts(tn)[1]
     if not isinstance(data, list):
         raise SchemaError(f"{where}: Tuple payload must be a sequence")
     if params is None and not data:
@@ -656,7 +665,7 @@ def _decode_tuple(tn: TypeNode, data, state: DeserializerState) -> tuple:
     if not isinstance(params, dict) or not data or set(params) != set(positions):
         raise SchemaError(f"{where}: Tuple parameters must map the positions 0..n-1 to types")
     types = [params[key] for key in positions]
-    if not all(isinstance(slot, TypeNode) for slot in types):
+    if any(type_parts(slot)[0] is None for slot in types):
         raise SchemaError(f"{where}: every tuple slot must hold a type node")
     return tuple(_decode_items(types, data, state))
 
@@ -691,7 +700,7 @@ def _encoder(obj):
     return encoder
 
 
-def _build_type(obj, state: SerializerState) -> TypeNode:
+def _build_type(obj, state: SerializerState) -> TypeTree:
     return _encoder(obj)[0](obj, state)
 
 
@@ -709,13 +718,19 @@ def save(obj, state: SerializerState) -> MrdiDocument:
     return MrdiDocument(type_tree, data)
 
 
-def _decode(tn: TypeNode, data, state: DeserializerState):
+def _decoder(name):
+    """The decoder of tag ``name``; an unregistered tag is unsupported."""
+    decoder = _DECODERS.get(name)
+    if decoder is None:
+        raise UnsupportedTypeError(f"unsupported type tag: {quote(name)}")
+    return decoder
+
+
+def _decode(tn: TypeTree, data, state: DeserializerState):
     """The value ``data`` holds as type ``tn``.  A value the algebra rejects
     (a composite modulus, a negative dimension, an invalid map) raises a
     SchemaError located at the value, like every other bad document."""
-    decoder = _DECODERS.get(tn.name)
-    if decoder is None:
-        raise UnsupportedTypeError(f"unsupported type tag: {quote(tn.name)}")
+    decoder = _decoder(type_parts(tn)[0])
     try:
         return decoder(tn, data, state)
     except ValidationError as exc:

@@ -7,9 +7,15 @@ and ``data`` holds the payload.  Long-term documents carry ``_ns`` and
 ``_refs``; IPC documents carry no ``_ns``, and a document in a frame carries
 in ``_refs`` only the contexts its receiver lacks.
 
-This module owns the shape rules.  ``shape_problems`` reads a document's
-JSON form (what ``json.loads`` gives, or what ``_doc_to_json`` builds from a
-document in memory) and yields each problem as one located text:
+A type tree is the JSON that ``_type`` holds, in memory as in the text: a
+type node is a tag, or ``{"name": tag, "params": ...}``, and its parameters
+are text, type nodes or mappings of them.  ``type_node`` builds one and
+``type_parts`` reads one; which text in parameter position names a type is
+for the decoder of the node that holds it to say.
+
+This module owns the shape rules and the document's JSON form, both ways
+(``doc_to_json`` and ``doc_from_json``).  ``shape_problems`` reads a
+document's JSON form and yields each problem as one located text:
 ``parse_text``, ``serialize_text`` and the frame codec raise the first,
 ``validate_document`` lists them all and then checks the invariants only it
 checks.  The contexts a document needs are the UUIDs its type tree mentions,
@@ -52,17 +58,31 @@ DataNode = Union[str, list, dict]
 MAX_NESTING_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class TypeNode:
-    """A type tag plus parameters.
+# A type tree: a tag, or a {name, params} object.
+TypeTree = Union[str, dict]
 
-    ``params`` is one of: None, a UUID string naming a parent context, a
-    nested TypeNode (container element types), or a mapping from text keys to
-    TypeNode-or-UUID-or-text values.
-    """
 
-    name: str
-    params: Union[None, str, "TypeNode", dict] = None
+def reads_as_type_node(node: dict) -> bool:
+    """Whether an object in type-parameter position is read as a type node:
+    it has a `name` and no key but `name` and `params`."""
+    return "name" in node and node.keys() <= {"name", "params"}
+
+
+def type_node(name: str, params=None) -> TypeTree:
+    """The type node of tag ``name``: the tag itself without parameters,
+    ``{"name": name, "params": params}`` with them."""
+    return name if params is None else {"name": name, "params": params}
+
+
+def type_parts(node) -> tuple:
+    """The tag and parameters (None when it has none) of type node ``node``:
+    text that is not a UUID, or an object with a text `name` and no key but
+    `name` and `params`.  Anything else is no type node: (None, None)."""
+    if isinstance(node, str):
+        return (None, None) if is_uuid_text(node) else (node, None)
+    if isinstance(node, dict) and reads_as_type_node(node) and isinstance(node["name"], str):
+        return node["name"], node.get("params")
+    return None, None
 
 
 @dataclass(frozen=True)
@@ -73,7 +93,7 @@ class NamespaceRecord:
 
 @dataclass
 class MrdiDocument:
-    type_tree: TypeNode
+    type_tree: TypeTree
     data: DataNode
     ns: Optional[NamespaceRecord] = None
     refs: Optional[dict[str, "MrdiDocument"]] = field(default=None)
@@ -84,9 +104,9 @@ class MrdiDocument:
 
 
 def _mentioned_uuids(*trees) -> set[str]:
-    """The UUID strings anywhere in ``trees``: type trees, raw parameter
-    values and data trees (a ref document names its base ring in its data),
-    walked through type parameters, object values and list items."""
+    """The UUID strings anywhere in ``trees``: type trees and data trees (a
+    ref document names its base ring in its data), walked through object
+    values and list items."""
     found = set()
     stack = list(trees)
     while stack:
@@ -94,8 +114,6 @@ def _mentioned_uuids(*trees) -> set[str]:
         if isinstance(node, str):
             if is_uuid_text(node):
                 found.add(node)
-        elif isinstance(node, TypeNode):
-            stack.append(node.params)
         elif isinstance(node, dict):
             stack.extend(node.values())
         elif isinstance(node, list):
@@ -106,49 +124,32 @@ def _mentioned_uuids(*trees) -> set[str]:
 # -- the JSON form -------------------------------------------------------------
 
 
-def reads_as_type_node(node: dict) -> bool:
-    """Whether an object in type-parameter position is read as a type node:
-    it has a `name` and no key but `name` and `params`."""
-    return "name" in node and node.keys() <= {"name", "params"}
-
-
-class _TypeShapedMapping(dict):
-    """The JSON of a type-parameter mapping whose keys are those of a type
-    node, a `name` and at most `params`: ``parse_text`` would read it back
-    as a type node, so ``shape_problems`` refuses it."""
-
-
-def _type_to_json(node, depth=0):
-    """Type tree ``node`` as JSON: a TypeNode is its tag, or ``{name, params}``
-    when it has parameters.  A dict at ``MAX_NESTING_DEPTH`` is left as it
-    is: ``shape_problems`` refuses it without looking inside."""
-    as_json = dict
-    if isinstance(node, TypeNode):
-        if node.params is None:
-            return node.name
-        node = {"name": node.name, "params": node.params}
-    elif isinstance(node, dict) and reads_as_type_node(node):
-        as_json = _TypeShapedMapping
-    if isinstance(node, dict) and depth < MAX_NESTING_DEPTH:
-        return as_json({key: _type_to_json(value, depth + 1) for key, value in node.items()})
-    return node
-
-
-def _doc_to_json(doc: MrdiDocument) -> dict:
+def doc_to_json(doc: MrdiDocument) -> dict:
     """The JSON ``serialize_text`` writes for ``doc``, with the refs table
-    sorted by UUID."""
+    sorted by UUID.  It shares the type trees and payloads of ``doc``."""
     out = {}
     if doc.ns is not None:
         out["_ns"] = {"system": doc.ns.system, "version": doc.ns.version}
-    out["_type"] = _type_to_json(doc.type_tree)
+    out["_type"] = doc.type_tree
     if doc.refs is not None:
         try:
             keys = sorted(doc.refs)
         except TypeError:  # keys of kinds that do not compare, none of them a UUID
             keys = list(doc.refs)
-        out["_refs"] = {key: _doc_to_json(doc.refs[key]) for key in keys}
+        out["_refs"] = {key: doc_to_json(doc.refs[key]) for key in keys}
     out["data"] = doc.data
     return out
+
+
+def doc_from_json(obj) -> MrdiDocument:
+    """The document of JSON ``obj``, which keeps the shape rules."""
+    refs = obj.get("_refs")
+    return MrdiDocument(
+        type_tree=obj["_type"],
+        data=obj["data"],
+        ns=NamespaceRecord(**obj["_ns"]) if "_ns" in obj else None,
+        refs=None if refs is None else {key: doc_from_json(ref) for key, ref in refs.items()},
+    )
 
 
 # -- shape rules -----------------------------------------------------------------
@@ -235,14 +236,10 @@ def _type_problems(node, path, depth=0):
 def _param_problems(node, path, depth):
     """Type parameters are text (a UUID, a tag or a plain value), a type node
     (an object with a `name` and no key but `name` and `params`), or a
-    mapping from text keys to parameters; a mapping built in memory must not
-    have the keys of a type node."""
-    shaped = type(node) is _TypeShapedMapping
-    if isinstance(node, dict) and not shaped and reads_as_type_node(node):
+    mapping from text keys to parameters."""
+    if isinstance(node, dict) and reads_as_type_node(node):
         yield from _type_problems(node, path, depth)
     elif isinstance(node, dict):
-        if shaped:
-            yield f"{path}: parameter mapping {quote(node)} would read back as a type node"
         if depth == MAX_NESTING_DEPTH:
             yield f"{path}: nested deeper than {MAX_NESTING_DEPTH} levels"
             return
@@ -310,18 +307,26 @@ def check_shape(obj, path="", envelope=("_ns", "_refs"), check_data=True) -> Non
 
 
 def _unknown_tags(tree, path, known_tags):
-    """The texts for each TypeNode in ``tree`` whose tag is not in
-    ``known_tags``, walked through parameters and text-keyed mappings."""
-    stack = [(path, tree)]
+    """The texts for each type node in type tree ``tree`` whose tag is not in
+    ``known_tags``: the root, and each object in parameter position that
+    reads as a type node, walked through parameters and text-keyed mappings.
+    Text in parameter position is never taken for a tag."""
+    if isinstance(tree, str):
+        tree = {"name": tree}
+    stack = [(path, tree, True)]
     while stack:
-        path, node = stack.pop()
-        if isinstance(node, TypeNode):
-            if isinstance(node.name, str) and node.name not in known_tags:
-                yield f"{path}: unknown type tag {quote(node.name)}"
-            stack.append((f"{path}/params", node.params))
-        elif isinstance(node, dict):
+        path, node, is_type = stack.pop()
+        if not isinstance(node, dict):
+            continue
+        if is_type or reads_as_type_node(node):
+            name = node.get("name")
+            if isinstance(name, str) and name not in known_tags:
+                yield f"{path}: unknown type tag {quote(name)}"
+            if "params" in node:
+                stack.append((f"{path}/params", node["params"], False))
+        else:
             items = reversed(node.items())
-            stack.extend((f"{path}/{k}", v) for k, v in items if isinstance(k, str))
+            stack.extend((f"{path}/{k}", v, False) for k, v in items if isinstance(k, str))
 
 
 def validate_document(doc: MrdiDocument, global_state=None) -> list[str]:
@@ -335,7 +340,7 @@ def validate_document(doc: MrdiDocument, global_state=None) -> list[str]:
     """
     from .codec import registered_type_tags
 
-    errors = list(shape_problems(_doc_to_json(doc)))
+    errors = list(shape_problems(doc_to_json(doc)))
 
     if (doc.ns is None) != (doc.refs is None):
         present, absent = ("_ns", "_refs") if doc.refs is None else ("_refs", "_ns")

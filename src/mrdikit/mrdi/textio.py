@@ -5,9 +5,11 @@ a newline; IPC documents are compact.  Keys are emitted in the fixed order
 ``_ns``, ``_type``, ``_refs``, ``data`` and the refs table is sorted by UUID,
 so serialization is a pure function of the document.
 
-The shape rules are ``document.shape_problems``'s: ``parse_text`` raises the
-first problem before it builds a document, and ``serialize_text`` before it
-writes one, so it writes only what ``parse_text`` reads back.
+The shape rules and the JSON form are ``document``'s: ``parse_text`` raises
+the first of ``shape_problems`` before it builds a document, and
+``serialize_text`` before it writes one, so it writes only what
+``parse_text`` reads back.  A type tree is JSON in memory as in the text, so
+parsing needs no codec: the same bytes always give the same document.
 
 The long-term writer gives ``json.dumps(obj, indent=2)``'s bytes without the
 json module's pure-Python indenting encoder.  It writes dicts and lists of
@@ -24,18 +26,14 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from ..errors import SchemaError
-from .codec import registered_type_tags
 from .document import (
     MAX_NESTING_DEPTH,
     Mode,
     MrdiDocument,
-    NamespaceRecord,
-    TypeNode,
     _TEXT,
-    _doc_to_json,
     check_shape,
-    is_uuid_text,
-    reads_as_type_node,
+    doc_from_json,
+    doc_to_json,
     shape_problems,
 )
 
@@ -144,7 +142,7 @@ def serialize_text(doc: MrdiDocument) -> bytes:
     pure-Python indenting encoder), IPC documents as compact JSON.  A
     document that breaks the shape rules raises its first problem as a
     SchemaError."""
-    obj = _doc_to_json(doc)
+    obj = doc_to_json(doc)
     if doc.mode is Mode.IPC:
         check_shape(obj)
         return json.dumps(obj, separators=(",", ":")).encode("utf-8")
@@ -167,36 +165,6 @@ def serialize_text(doc: MrdiDocument) -> bytes:
     raise SchemaError(next(shape_problems(obj)))
 
 
-def _type_from_json(node) -> TypeNode:
-    if isinstance(node, str):
-        return TypeNode(node, None)
-    params = node.get("params")
-    return TypeNode(node["name"], None if params is None else _params_from_json(params))
-
-
-def _params_from_json(node):
-    if isinstance(node, str):
-        # Strings in parameter position are UUIDs, registered type tags
-        # (canonicalized to paramless TypeNodes), or plain text values.
-        if is_uuid_text(node):
-            return node
-        return TypeNode(node, None) if node in registered_type_tags() else node
-    if reads_as_type_node(node):
-        return _type_from_json(node)
-    return {key: _params_from_json(value) for key, value in node.items()}
-
-
-def _doc_from_json(obj) -> MrdiDocument:
-    """The document of JSON ``obj``, which keeps the shape rules."""
-    refs = obj.get("_refs")
-    return MrdiDocument(
-        type_tree=_type_from_json(obj["_type"]),
-        data=obj["data"],
-        ns=NamespaceRecord(**obj["_ns"]) if "_ns" in obj else None,
-        refs=None if refs is None else {key: _doc_from_json(ref) for key, ref in refs.items()},
-    )
-
-
 def parse_text(raw: bytes) -> MrdiDocument:
     """Parse canonical (or hand-written) mrdi bytes back into a document."""
     try:
@@ -206,4 +174,4 @@ def parse_text(raw: bytes) -> MrdiDocument:
     except RecursionError:
         raise SchemaError(f"JSON nested deeper than {MAX_NESTING_DEPTH} levels") from None
     check_shape(obj)
-    return _doc_from_json(obj)
+    return doc_from_json(obj)

@@ -49,7 +49,7 @@ from ..mrdi.codec import (
     encode_elements,
     register_codec,
 )
-from ..mrdi.document import TypeNode
+from ..mrdi.document import TypeTree, type_node, type_parts
 from ..mrdi.states import DeserializerState, SerializerState
 
 
@@ -105,18 +105,18 @@ def evaluate_map(phi: MonomialMap, p: Polynomial) -> Polynomial:
 # -- serialization of monomial maps ------------------------------------------
 
 
-def _map_build_type(phi: MonomialMap, state: SerializerState) -> TypeNode:
+def _map_build_type(phi: MonomialMap, state: SerializerState) -> TypeTree:
     rings = {"source": phi.source, "target": phi.target}
-    return TypeNode("MonomialMap", {key: context_uuid(ring, state) for key, ring in rings.items()})
+    return type_node("MonomialMap", {key: context_uuid(ring, state) for key, ring in rings.items()})
 
 
 def _map_build_data(phi: MonomialMap, state: SerializerState):
     return {"images": encode_elements(phi.target, phi.images, state.mode)}
 
 
-def _map_decode(tn: TypeNode, data, state: DeserializerState) -> MonomialMap:
+def _map_decode(tn: TypeTree, data, state: DeserializerState) -> MonomialMap:
     where = state.cursor()
-    params = tn.params
+    params = type_parts(tn)[1]
     if not isinstance(params, dict) or set(params) != {"source", "target"}:
         raise SchemaError(f"{where}: MonomialMap needs source and target context parameters")
     source = context_from_uuid(params["source"], state, where)

@@ -35,7 +35,6 @@ from mrdikit.mrdi import (
     MrdiDocument,
     NamespaceRecord,
     SerializerState,
-    TypeNode,
     decode_elements,
     decode_polynomial,
     encode_elements,
@@ -43,6 +42,7 @@ from mrdikit.mrdi import (
     parse_text,
     save,
     serialize_text,
+    type_node,
     validate_document,
 )
 from mrdikit.mrdi import codec
@@ -97,7 +97,7 @@ def edited_ref(value, edit):
 
 
 def load_ring(modulus):
-    doc = MrdiDocument(TypeNode("PrimeField", {"modulus": modulus}), {})
+    doc = MrdiDocument(type_node("PrimeField", {"modulus": modulus}), {})
     return load(doc, DeserializerState(Mode.LONG_TERM, GlobalSerializerState()))
 
 
@@ -107,8 +107,8 @@ PRELOAD_UUID = "0b5c9a3e-6f1d-4e2a-9c7b-8d4f2e1a3b5c"
 def preload(ref_data):
     """A worker's IPC load of a ``PolyRing`` document whose ``_refs`` holds a
     ref document with ``ref_data``, as a Call's arguments carry it."""
-    ref = MrdiDocument(TypeNode("PolyRing"), ref_data)
-    doc = MrdiDocument(TypeNode("PolyRing", PRELOAD_UUID), {}, refs={PRELOAD_UUID: ref})
+    ref = MrdiDocument("PolyRing", ref_data)
+    doc = MrdiDocument(type_node("PolyRing", PRELOAD_UUID), {}, refs={PRELOAD_UUID: ref})
     return load(doc, DeserializerState(Mode.IPC, GlobalSerializerState()))
 
 
@@ -198,7 +198,7 @@ ERROR_CASES = {
         long_matrix(), put("entries", 143, 8, "05"), Rt
     ),
     "ipc-dense-native-int": lambda: load(
-        MrdiDocument(TypeNode("PolyRingElem", ipc_state(Rt).uuid_for(Rt)), ["1", 5]),
+        MrdiDocument(type_node("PolyRingElem", ipc_state(Rt).uuid_for(Rt)), ["1", 5]),
         DeserializerState(Mode.IPC, ipc_state(Rt)),
     ),
     # multivariate payloads: [exponents, coefficient] pairs
@@ -370,7 +370,7 @@ def test_validate_error_text_unchanged():
     doc = parse_text(long_term_text((P, Q)))
     doc.data[0][2][1] = 5
     doc.data[1].insert(1, {"a": [True, "1"], 3: ["x"], "b": {"c": None}})
-    (ref_key,) = [k for k, ref in doc.refs.items() if ref.type_tree.name == "MPolyRing"]
+    (ref_key,) = [k for k, ref in doc.refs.items() if ref.type_tree == "MPolyRing"]
     doc.refs[ref_key].data["symbols"][1] = 2.5
     assert validate_document(doc) == [
         f"_refs/{ref_key}/data/symbols/1: non-text scalar 2.5 (numbers must be stored as text)",
@@ -400,9 +400,9 @@ NON_CANONICAL = {
 def test_list_readers_reject_what_the_scalar_readers_reject(tag, text):
     gs = GlobalSerializerState()
     with pytest.raises(SchemaError) as one:
-        load(MrdiDocument(TypeNode(tag), text), DeserializerState(Mode.IPC, gs))
+        load(MrdiDocument(tag, text), DeserializerState(Mode.IPC, gs))
     with pytest.raises(SchemaError) as many:
-        doc = MrdiDocument(TypeNode("Vector", TypeNode(tag)), ["1", text, "2"])
+        doc = MrdiDocument(type_node("Vector", tag), ["1", text, "2"])
         load(doc, DeserializerState(Mode.IPC, gs))
     assert str(many.value) == str(one.value).replace("data: ", "data/1: ", 1)
 
@@ -419,7 +419,7 @@ def test_rational_list_reader_gives_up_past_the_digit_limit():
     # reader gives up and the item-by-item reader accepts it.
     big = "1" * 5000 + "/7"
     assert read_rationals(["1/2", big]) is None
-    doc = MrdiDocument(TypeNode("Vector", TypeNode("QQFieldElem")), ["1/2", big])
+    doc = MrdiDocument(type_node("Vector", "QQFieldElem"), ["1/2", big])
     value = load(doc, DeserializerState(Mode.IPC, GlobalSerializerState()))
     assert list(value) == [Fraction(1, 2), Fraction(int_from_text("1" * 5000, "x"), 7)]
 
@@ -856,12 +856,12 @@ ADVERSARIAL = {
 def doc_tree(data, system="mrdikit", symbol="t"):
     """A long-term document holding ``data`` and the JSON tree it stands for."""
     doc = MrdiDocument(
-        TypeNode("PolyRingElem", "11111111-2222-4333-8444-555555555555"),
+        type_node("PolyRingElem", "11111111-2222-4333-8444-555555555555"),
         data,
         ns=NamespaceRecord(system, "0.1.0"),
         refs={
             "11111111-2222-4333-8444-555555555555": MrdiDocument(
-                TypeNode("PolyRing"), {"base_ring": "ZZRing", "symbol": symbol}
+                "PolyRing", {"base_ring": "ZZRing", "symbol": symbol}
             )
         },
     )

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from mrdikit.errors import SchemaError
-from mrdikit.ipc import framing
 from mrdikit.mrdi import (
     DeserializerState,
     GlobalSerializerState,
@@ -11,11 +10,11 @@ from mrdikit.mrdi import (
     MrdiDocument,
     NamespaceRecord,
     SerializerState,
-    TypeNode,
     load,
     parse_text,
     save,
     serialize_text,
+    type_node,
     validate_document,
 )
 from mrdikit.mrdi.document import MAX_NESTING_DEPTH
@@ -25,12 +24,12 @@ UUID_B = "66666666-7777-4888-9999-aaaaaaaaaaaa"
 
 
 def ring_ref(base, symbol):
-    return MrdiDocument(TypeNode("PolyRing"), {"base_ring": base, "symbol": symbol})
+    return MrdiDocument("PolyRing", {"base_ring": base, "symbol": symbol})
 
 
 def test_valid_longterm_document_passes():
     doc = MrdiDocument(
-        TypeNode("PolyRingElem", UUID_A),
+        type_node("PolyRingElem", UUID_A),
         [["0", "1"]],
         ns=NamespaceRecord(),
         refs={UUID_A: ring_ref("ZZRing", "t")},
@@ -40,7 +39,7 @@ def test_valid_longterm_document_passes():
 
 def test_cyclic_refs_detected():
     doc = MrdiDocument(
-        TypeNode("PolyRingElem", UUID_A),
+        type_node("PolyRingElem", UUID_A),
         [],
         ns=NamespaceRecord(),
         refs={
@@ -53,14 +52,14 @@ def test_cyclic_refs_detected():
 
 
 def test_mode_violation_refs_without_ns():
-    doc = MrdiDocument(TypeNode("ZZRingElem"), "1", refs={})
+    doc = MrdiDocument("ZZRingElem", "1", refs={})
     errors = validate_document(doc)
     assert any("mode violation" in e for e in errors)
 
 
 def test_dangling_uuid_reported():
     doc = MrdiDocument(
-        TypeNode("PolyRingElem", UUID_A),
+        type_node("PolyRingElem", UUID_A),
         [],
         ns=NamespaceRecord(),
         refs={},
@@ -70,14 +69,14 @@ def test_dangling_uuid_reported():
 
 
 def test_unknown_tag_reported():
-    doc = MrdiDocument(TypeNode("Frobnicator"), "1", ns=NamespaceRecord(), refs={})
+    doc = MrdiDocument("Frobnicator", "1", ns=NamespaceRecord(), refs={})
     errors = validate_document(doc)
     assert any("unknown type tag" in e for e in errors)
 
 
 def test_errors_accumulate():
     doc = MrdiDocument(
-        TypeNode("Frobnicator", UUID_A),
+        type_node("Frobnicator", UUID_A),
         "1",
         refs={},  # also a mode violation: refs without ns
     )
@@ -86,7 +85,7 @@ def test_errors_accumulate():
 
 
 def test_ipc_document_mode():
-    doc = MrdiDocument(TypeNode("ZZRingElem"), "5")
+    doc = MrdiDocument("ZZRingElem", "5")
     assert doc.mode is Mode.IPC
     assert validate_document(doc) == []
 
@@ -122,20 +121,20 @@ BIG = 7 * (10**5000 - 1) // 9  # 5000 digits, past the interpreter's 4300-digit 
 )
 def test_native_integers_past_the_digit_limit_are_named_briefly(where, error):
     doc = MrdiDocument(
-        TypeNode("PolyRingElem", UUID_A),
+        type_node("PolyRingElem", UUID_A),
         [["0", BIG]] if where == "data" else {BIG: "1"} if where == "key" else [],
         ns=NamespaceRecord(),
         refs={BIG if where == "ref-key" else UUID_A: ring_ref("ZZRing", "t")},
     )
     if where == "param":
-        doc.type_tree = TypeNode("PolyRingElem", {"ring": UUID_A, "n": BIG})
+        doc.type_tree = type_node("PolyRingElem", {"ring": UUID_A, "n": BIG})
     assert error in validate_document(doc)
     with pytest.raises(SchemaError, match="too long to show"):
         serialize_text(doc)
 
 
 def test_a_long_unknown_tag_is_quoted_by_its_head():
-    doc = MrdiDocument(TypeNode("T" * 5000), "1", ns=NamespaceRecord(), refs={})
+    doc = MrdiDocument("T" * 5000, "1", ns=NamespaceRecord(), refs={})
     (error,) = validate_document(doc)
     assert error.startswith("_type: unknown type tag 'TTT") and len(error) < 200
     assert error.endswith("... (5002 characters)")
@@ -203,12 +202,12 @@ def test_parse_rejects_deep_nesting(raw):
 
 def nested_vector_doc(type_levels, data_levels):
     """``nested_vector_text`` as an in-memory document."""
-    type_node, data = TypeNode("ZZRingElem"), "7"
+    tree, data = "ZZRingElem", "7"
     for _ in range(type_levels):
-        type_node = TypeNode("Vector", type_node)
+        tree = type_node("Vector", tree)
     for _ in range(data_levels):
         data = [data]
-    return MrdiDocument(type_node, data, ns=NamespaceRecord(), refs={})
+    return MrdiDocument(tree, data, ns=NamespaceRecord(), refs={})
 
 
 @pytest.mark.parametrize(
@@ -266,7 +265,7 @@ def test_the_writer_writes_exactly_what_parse_reads_back(mode, part, levels):
     ids=["int", "flag", "int-key", "long-int", "tuple"],
 )
 def test_the_writer_refuses_what_parse_would_not_read_back(mode, data, error):
-    doc = MrdiDocument(TypeNode("ZZRingElem"), data)
+    doc = MrdiDocument("ZZRingElem", data)
     if mode is Mode.LONG_TERM:
         doc = MrdiDocument(doc.type_tree, data, ns=NamespaceRecord(), refs={})
     with pytest.raises(SchemaError) as info:
@@ -274,38 +273,18 @@ def test_the_writer_refuses_what_parse_would_not_read_back(mode, data, error):
     assert str(info.value) == error
 
 
-def test_a_parameter_mapping_with_the_keys_of_a_type_node_is_refused():
-    # Written as is, it would read back as the type node ZZRingElem.
-    doc = MrdiDocument(TypeNode("Vector", {"name": "ZZRingElem"}), [], ns=NamespaceRecord(), refs={})
-    error = "_type/params: parameter mapping {'name': 'ZZRingElem'} would read back as a type node"
-    with pytest.raises(SchemaError) as info:
-        parse_text(serialize_text(doc))
-    assert str(info.value) == error
-    assert validate_document(doc) == [error]
-    with pytest.raises(SchemaError, match="^_type/params: "):
-        serialize_text(MrdiDocument(doc.type_tree, []))
-    with pytest.raises(SchemaError, match="^args/_type/params: "):
-        framing.encode_message(framing.Call(1, "identity", MrdiDocument(doc.type_tree, [])))
-
-
-@pytest.mark.parametrize(
-    "params, where",
-    [
-        ({"name": "x", "params": UUID_A}, "_type/params"),
-        ({"0": TypeNode("ZZRingElem"), "1": {"name": TypeNode("ZZRingElem")}}, "_type/params/1"),
-        (TypeNode("Vector", {"name": "ZZRingElem"}), "_type/params/params"),
-    ],
-    ids=["name-and-params", "in-a-mapping", "in-a-type-node"],
-)
-def test_a_type_shaped_mapping_is_located_wherever_it_sits(params, where):
-    doc = MrdiDocument(TypeNode("Tuple", params), [], ns=NamespaceRecord(), refs={})
-    with pytest.raises(SchemaError, match=f"^{where}: parameter mapping .* would read back as a type node$"):
-        serialize_text(doc)
-    assert validate_document(doc)[0].startswith(f"{where}: parameter mapping ")
+def test_a_parameter_object_with_a_name_is_a_type_node_and_round_trips():
+    # By the format an object with a `name` and at most `params` is a type
+    # node wherever it sits, so it is written and read back as it is.
+    tree = type_node("Vector", {"name": "ZZRingElem"})
+    doc = MrdiDocument(tree, ["7"], ns=NamespaceRecord(), refs={})
+    assert validate_document(doc) == []
+    assert parse_text(serialize_text(doc)) == doc
+    assert load(doc, DeserializerState(Mode.LONG_TERM, GlobalSerializerState())) == [7]
 
 
 def test_a_mapping_with_a_name_and_another_key_round_trips():
-    doc = MrdiDocument(TypeNode("Tuple", {"name": "x", "0": TypeNode("ZZRingElem")}), [])
+    doc = MrdiDocument(type_node("Tuple", {"name": "x", "0": "ZZRingElem"}), [])
     assert validate_document(doc) == []
     assert parse_text(serialize_text(doc)) == doc
 
@@ -314,22 +293,22 @@ _NS = {"system": "mrdikit", "version": "0.1.0"}
 _RING_T = {"_type": "PolyRing", "data": {"base_ring": "ZZRing", "symbol": "t"}}
 
 
-def shape_case(type_node, data, refs=None, raw_type=None, raw_data=None, raw_refs=None):
+def shape_case(tree, data, refs=None, raw_type=None, raw_data=None, raw_refs=None):
     """A long-term document with one shape problem, in memory and as bytes
     (None when JSON cannot hold it: an object key in JSON is always text)."""
-    doc = MrdiDocument(type_node, data, ns=NamespaceRecord(), refs=refs or {})
+    doc = MrdiDocument(tree, data, ns=NamespaceRecord(), refs=refs or {})
     raw = {"_ns": _NS, "_type": raw_type, "_refs": raw_refs or {}, "data": raw_data}
     return doc, None if raw_data is None else json.dumps(raw).encode()
 
 
 SHAPE_CASES = {
     "non-text-scalar": (
-        shape_case(TypeNode("ZZRingElem"), {"a": ["1", 5]}, raw_type="ZZRingElem",
+        shape_case("ZZRingElem", {"a": ["1", 5]}, raw_type="ZZRingElem",
                    raw_data={"a": ["1", 5]}),
         "data/a/1: non-text scalar 5 (numbers must be stored as text)",
     ),
     "non-text-key": (
-        shape_case(TypeNode("ZZRingElem"), {"a": {3: "1"}}),
+        shape_case("ZZRingElem", {"a": {3: "1"}}),
         "data/a: non-text object key 3",
     ),
     "deep-data": (
@@ -347,36 +326,36 @@ SHAPE_CASES = {
         "_type" + "/params" * MAX_NESTING_DEPTH + ": nested deeper than 100 levels",
     ),
     "type-param": (
-        shape_case(TypeNode("PolyRingElem", {"ring": UUID_A, "n": 5}), "1",
+        shape_case(type_node("PolyRingElem", {"ring": UUID_A, "n": 5}), "1",
                    raw_type={"name": "PolyRingElem", "params": {"ring": UUID_A, "n": 5}},
                    raw_data="1"),
         "_type/params/n: malformed type parameter 5",
     ),
     "type-name": (
-        shape_case(TypeNode("Vector", TypeNode(None, "x")), [],
+        shape_case(type_node("Vector", {"name": None, "params": "x"}), [],
                    raw_type={"name": "Vector", "params": {"name": None, "params": "x"}},
                    raw_data=[]),
         "_type/params: type node needs a text `name`",
     ),
     "bare-uuid-type": (
-        shape_case(TypeNode(UUID_A), "1", raw_type=UUID_A, raw_data="1"),
+        shape_case(UUID_A, "1", raw_type=UUID_A, raw_data="1"),
         "_type: a bare UUID cannot be a type",
     ),
     "non-uuid-ref-key": (
-        shape_case(TypeNode("ZZRingElem"), "1", refs={"x": ring_ref("ZZRing", "t")},
+        shape_case("ZZRingElem", "1", refs={"x": ring_ref("ZZRing", "t")},
                    raw_type="ZZRingElem", raw_data="1", raw_refs={"x": _RING_T}),
         "_refs: key 'x' is not a UUID",
     ),
     "ref-with-ns": (
-        shape_case(TypeNode("ZZRingElem"), "1",
-                   refs={UUID_A: MrdiDocument(TypeNode("ZZRing"), {}, ns=NamespaceRecord())},
+        shape_case("ZZRingElem", "1",
+                   refs={UUID_A: MrdiDocument("ZZRing", {}, ns=NamespaceRecord())},
                    raw_type="ZZRingElem", raw_data="1",
                    raw_refs={UUID_A: {"_ns": _NS, "_type": "ZZRing", "data": {}}}),
         f"_refs/{UUID_A}: ref documents must not carry `_ns` or `_refs`",
     ),
     "ref-with-refs": (
-        shape_case(TypeNode("ZZRingElem"), "1",
-                   refs={UUID_A: MrdiDocument(TypeNode("ZZRing"), {}, refs={})},
+        shape_case("ZZRingElem", "1",
+                   refs={UUID_A: MrdiDocument("ZZRing", {}, refs={})},
                    raw_type="ZZRingElem", raw_data="1",
                    raw_refs={UUID_A: {"_type": "ZZRing", "_refs": {}, "data": {}}}),
         f"_refs/{UUID_A}: ref documents must not carry `_ns` or `_refs`",
@@ -411,7 +390,7 @@ def test_parse_rejects_refs_inside_refs():
 
 def test_serialize_parse_identity_on_documents():
     doc = MrdiDocument(
-        TypeNode("PolyRingElem", UUID_A),
+        type_node("PolyRingElem", UUID_A),
         [["0", "2"], ["3", "1"]],
         ns=NamespaceRecord(),
         refs={UUID_A: ring_ref("ZZRing", "t")},
@@ -420,13 +399,13 @@ def test_serialize_parse_identity_on_documents():
 
 
 def test_serialize_is_stable_bytes():
-    doc = MrdiDocument(TypeNode("ZZRingElem"), "42", ns=NamespaceRecord(), refs={})
+    doc = MrdiDocument("ZZRingElem", "42", ns=NamespaceRecord(), refs={})
     assert serialize_text(doc) == serialize_text(doc)
     assert serialize_text(doc).endswith(b"\n")
 
 
 def test_ipc_serialization_is_compact():
-    doc = MrdiDocument(TypeNode("ZZRingElem"), "42")
+    doc = MrdiDocument("ZZRingElem", "42")
     raw = serialize_text(doc)
     assert b" " not in raw and b"\n" not in raw
     assert b"_ns" not in raw and b"_refs" not in raw

@@ -8,13 +8,13 @@ import pytest
 
 from mrdikit.errors import TransportError
 from mrdikit.ipc import framing
-from mrdikit.mrdi import MrdiDocument, TypeNode
+from mrdikit.mrdi import MrdiDocument, type_node
 
 UUID_A = "11111111-2222-4333-8444-555555555555"
 
 
 def sample_doc(refs=None):
-    return MrdiDocument(TypeNode("PolyRingElem", UUID_A), [["0", "2"], ["3", "1"]], refs=refs)
+    return MrdiDocument(type_node("PolyRingElem", UUID_A), [["0", "2"], ["3", "1"]], refs=refs)
 
 
 def roundtrip_one(msg):
@@ -25,7 +25,7 @@ def roundtrip_one(msg):
 
 
 def one_of_each_kind():
-    ref = MrdiDocument(TypeNode("PolyRing"), {"base_ring": "ZZRing", "symbol": "t"})
+    ref = MrdiDocument("PolyRing", {"base_ring": "ZZRing", "symbol": "t"})
     return [
         framing.Call(2, "det_mod_p", sample_doc()),
         framing.Call(5, "poly_square", sample_doc({UUID_A: ref})),
@@ -219,7 +219,7 @@ def random_message(rng):
     kind = rng.randrange(5)
     if kind == 0:
         ref = MrdiDocument(
-            TypeNode("PolyRing"),
+            "PolyRing",
             {"base_ring": "ZZRing", "symbol": rng.choice("tuvw")},
         )
         return framing.Call(rng.randrange(10**6), "poly_square", sample_doc({UUID_A: ref}))
@@ -229,7 +229,7 @@ def random_message(rng):
         refs = None
         if rng.random() < 0.4:
             refs = {
-                UUID_A: MrdiDocument(TypeNode("PolyRing"), {"base_ring": "QQField", "symbol": "z"})
+                UUID_A: MrdiDocument("PolyRing", {"base_ring": "QQField", "symbol": "z"})
             }
         value = sample_doc(refs) if rng.random() < 0.8 else None
         return framing.Result(rng.randrange(10**6), value)

@@ -38,6 +38,8 @@ from mrdikit.mrdi import (
     parse_text,
     save,
     serialize_text,
+    type_node,
+    type_parts,
     validate_document,
 )
 
@@ -192,8 +194,8 @@ def _in_memory_mutants(seed):
         elif part == 1:
             target.data = _rekeyed(rng, target.data)
         elif part == 2:
-            params = _native(_mutate(rng, target.type_tree.params))
-            target.type_tree = replace(target.type_tree, params=params)
+            name, params = type_parts(target.type_tree)
+            target.type_tree = type_node(name, _native(_mutate(rng, params)))
         else:
             doc.refs = _rekeyed(rng, doc.refs or {})
         yield doc

@@ -38,7 +38,6 @@ from mrdikit.mrdi import (
     Mode,
     MrdiDocument,
     SerializerState,
-    TypeNode,
     load,
     save,
 )
@@ -660,8 +659,8 @@ def test_a_cyclic_refs_pair_fails_its_call_and_the_next_is_served():
     [uuid_a] = state.pending_refs
     uuid_b = "21111111-2222-4333-8444-555555555555"
     cyclic.refs = {
-        uuid_a: MrdiDocument(TypeNode("PolyRing"), {"base_ring": uuid_b, "symbol": "t"}),
-        uuid_b: MrdiDocument(TypeNode("PolyRing"), {"base_ring": uuid_a, "symbol": "b"}),
+        uuid_a: MrdiDocument("PolyRing", {"base_ring": uuid_b, "symbol": "t"}),
+        uuid_b: MrdiDocument("PolyRing", {"base_ring": uuid_a, "symbol": "b"}),
     }
     args = save((5,), state)
     frames = [Call(1, "identity", cyclic), Call(2, "identity", args), Shutdown()]

@@ -2,6 +2,7 @@
 nodes are rejected, and an extension type needs only the public API."""
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -10,18 +11,20 @@ from worker_extras import PolyPair
 
 from mrdikit import cli
 from mrdikit.algebra import GF, QQ, ZZ, ExactMatrix, polynomial_ring, univariate_ring
-from mrdikit.errors import SchemaError
+from mrdikit.errors import SchemaError, UnsupportedTypeError
 from mrdikit.mrdi import (
     DeserializerState,
     GlobalSerializerState,
     Mode,
     SerializerState,
-    TypeNode,
     load,
+    codec,
     parse_text,
+    register_codec,
     registered_type_tags,
     save,
     serialize_text,
+    type_parts,
     validate_document,
 )
 from mrdikit.workloads import MonomialMap
@@ -52,9 +55,10 @@ SAMPLES = {
 
 
 def type_tags(node):
-    if isinstance(node, TypeNode):
-        yield node.name
-        yield from type_tags(node.params)
+    name, params = type_parts(node)
+    if name is not None:
+        yield name
+        yield from type_tags(params)
     elif isinstance(node, dict):
         for value in node.values():
             yield from type_tags(value)
@@ -95,9 +99,43 @@ def test_extension_type_roundtrips_long_term_byte_identically():
 def test_extension_type_errors_are_located():
     gs = GlobalSerializerState()
     doc = save((1, SAMPLES["PolyPair"]), SerializerState(Mode.LONG_TERM, gs))
-    doc.type_tree.params["1"].params["second"] = "not-a-uuid"
+    doc.type_tree["params"]["1"]["params"]["second"] = "not-a-uuid"
     with pytest.raises(SchemaError, match="^data/1: expected a context UUID"):
         load(doc, DeserializerState(Mode.LONG_TERM, GlobalSerializerState()))
+
+
+@dataclass(frozen=True)
+class Blob:
+    text: str
+
+
+def test_a_vector_parsed_before_its_element_codec_is_registered_loads_after(
+    monkeypatch, tmp_path
+):
+    # A type tree is its JSON: parsing consults no codec, so the same bytes
+    # give the same document whatever is registered, and an element type
+    # given as text is read by the Vector decoder when the document loads.
+    raw = b'{"_type": {"name": "Vector", "params": "Blob"}, "data": ["a", "b"]}'
+    before = parse_text(raw)
+    with pytest.raises(UnsupportedTypeError, match="^unsupported type tag: 'Blob'$"):
+        load(before, DeserializerState(Mode.IPC, GlobalSerializerState()))
+    path = tmp_path / "blobs.mrdi"
+    path.write_bytes(raw)
+    assert cli.main(["validate", str(path)]) == 1
+    assert cli.main(["roundtrip", str(path)]) == 2
+
+    monkeypatch.setattr(codec, "_ENCODERS", dict(codec._ENCODERS))
+    monkeypatch.setattr(codec, "_DECODERS", dict(codec._DECODERS))
+    register_codec(
+        Blob, "Blob", lambda b, state: "Blob", lambda b, state: b.text,
+        lambda tn, data, state: Blob(data),
+    )
+    assert parse_text(raw) == before
+    value = load(before, DeserializerState(Mode.IPC, GlobalSerializerState()))
+    assert value == [Blob("a"), Blob("b")]
+    assert serialize_text(save(value, SerializerState(Mode.IPC, GlobalSerializerState()))) == (
+        b'{"_type":{"name":"Vector","params":"Blob"},"data":["a","b"]}'
+    )
 
 
 NS = {"system": "mrdikit", "version": "0.1.0"}

@@ -26,12 +26,12 @@ from mrdikit.mrdi import (
     MrdiDocument,
     NamespaceRecord,
     SerializerState,
-    TypeNode,
     encode_polynomial,
     load,
     parse_text,
     save,
     serialize_text,
+    type_node,
     validate_document,
 )
 
@@ -86,9 +86,9 @@ def test_long_malformed_integers_rejected():
     gs = GlobalSerializerState()
     for text in ["1" * 5000 + "x", "1_" * 5000 + "1", "--" + "1" * 5000]:
         with pytest.raises(SchemaError, match="expected a decimal integer"):
-            load(MrdiDocument(TypeNode("ZZRingElem"), text), DeserializerState(Mode.IPC, gs))
+            load(MrdiDocument("ZZRingElem", text), DeserializerState(Mode.IPC, gs))
     with pytest.raises(SchemaError, match="malformed rational"):
-        doc = MrdiDocument(TypeNode("QQFieldElem"), "1/" + "2" * 5000 + "x")
+        doc = MrdiDocument("QQFieldElem", "1/" + "2" * 5000 + "x")
         load(doc, DeserializerState(Mode.IPC, gs))
 
 
@@ -104,7 +104,7 @@ def test_non_canonical_integer_text_rejected(text):
     # Most of these load through int(), but none re-serializes to itself.
     gs = GlobalSerializerState()
     with pytest.raises(SchemaError, match="expected a decimal integer"):
-        load(MrdiDocument(TypeNode("ZZRingElem"), text), DeserializerState(Mode.IPC, gs))
+        load(MrdiDocument("ZZRingElem", text), DeserializerState(Mode.IPC, gs))
 
 
 @pytest.mark.parametrize(
@@ -113,14 +113,14 @@ def test_non_canonical_integer_text_rejected(text):
 def test_non_canonical_rational_text_rejected(text):
     gs = GlobalSerializerState()
     with pytest.raises(SchemaError, match="malformed rational"):
-        load(MrdiDocument(TypeNode("QQFieldElem"), text), DeserializerState(Mode.IPC, gs))
+        load(MrdiDocument("QQFieldElem", text), DeserializerState(Mode.IPC, gs))
 
 
 def test_canonical_number_text_loads_and_resaves_identically():
     gs = GlobalSerializerState()
     for tag, text in [("ZZRingElem", "0"), ("ZZRingElem", "-907"), ("QQFieldElem", "-3/7"),
                       ("QQFieldElem", "12"), ("QQFieldElem", "0")]:
-        value = load(MrdiDocument(TypeNode(tag), text), DeserializerState(Mode.IPC, gs))
+        value = load(MrdiDocument(tag, text), DeserializerState(Mode.IPC, gs))
         assert save(value, SerializerState(Mode.IPC, gs)).data == text
 
 
@@ -188,13 +188,13 @@ def test_bivariate_example_document_shape():
     R, (x, y) = polynomial_ring(QQ, "x", "y")
     p = x**3 - x * y + Polynomial.constant(R, 1)
     doc, _ = longterm_save(p, gs)
-    assert doc.type_tree.name == "MPolyRingElem"
-    ring_uuid = doc.type_tree.params
+    assert doc.type_tree["name"] == "MPolyRingElem"
+    ring_uuid = doc.type_tree["params"]
     assert ring_uuid == gs.uuid_for(R)
     assert doc.data == [[["3", "0"], "1"], [["1", "1"], "-1"], [["0", "0"], "1"]]
     assert set(doc.refs) == {ring_uuid}
     ref = doc.refs[ring_uuid]
-    assert ref.type_tree == TypeNode("MPolyRing")
+    assert ref.type_tree == "MPolyRing"
     assert ref.data == {"base_ring": "QQField", "symbols": ["x", "y"]}
 
 
@@ -317,7 +317,7 @@ def test_ipc_load_requires_preloaded_context():
 
 def test_longterm_dangling_reference():
     doc = MrdiDocument(
-        TypeNode("MPolyRingElem", "99999999-9999-4999-8999-999999999999"),
+        type_node("MPolyRingElem", "99999999-9999-4999-8999-999999999999"),
         [],
         ns=NamespaceRecord(),
         refs={},
@@ -420,7 +420,7 @@ def test_long_document_strings_are_quoted_by_their_head():
         load(long_version, DeserializerState(Mode.LONG_TERM, gs))
     assert len(str(caught[0].message)) < 300
     with pytest.raises(UnsupportedTypeError) as info:
-        load(MrdiDocument(TypeNode("T" * 5000), "7"), DeserializerState(Mode.LONG_TERM, gs))
+        load(MrdiDocument("T" * 5000, "7"), DeserializerState(Mode.LONG_TERM, gs))
     assert str(info.value).startswith("unsupported type tag: 'TTT") and len(str(info.value)) < 300
 
 

@@ -10,12 +10,13 @@ from mrdikit.algebra import QQ, Polynomial, polynomial_ring
 from mrdikit.errors import SchemaError
 from mrdikit.ipc import register_function
 from mrdikit.mrdi import (
-    TypeNode,
     context_from_uuid,
     context_uuid,
     decode_polynomial,
     encode_polynomial,
     register_codec,
+    type_node,
+    type_parts,
 )
 from mrdikit.mrdi import codec
 
@@ -110,7 +111,7 @@ _SLOTS = ("first", "second")
 
 
 def _pair_type(pair, state):
-    return TypeNode(
+    return type_node(
         "PolyPair", {slot: context_uuid(getattr(pair, slot).parent, state) for slot in _SLOTS}
     )
 
@@ -121,11 +122,12 @@ def _pair_data(pair, state):
 
 def _pair_decode(tn, data, state):
     where = state.cursor()
-    if not isinstance(tn.params, dict) or set(tn.params) != set(_SLOTS):
+    params = type_parts(tn)[1]
+    if not isinstance(params, dict) or set(params) != set(_SLOTS):
         raise SchemaError(f"{where}: PolyPair needs first and second ring parameters")
     if not isinstance(data, list) or len(data) != 2:
         raise SchemaError(f"{where}: PolyPair payload must hold two polynomials")
-    rings = [context_from_uuid(tn.params[slot], state, where) for slot in _SLOTS]
+    rings = [context_from_uuid(params[slot], state, where) for slot in _SLOTS]
     polys = [
         decode_polynomial(ring, raw, state, f"{where}/{i}")
         for i, (ring, raw) in enumerate(zip(rings, data))
