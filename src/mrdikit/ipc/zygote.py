@@ -8,7 +8,8 @@ starts all its workers with one request: the coordinator makes two pipes per
 worker and sends the workers' ends over that socket with its own stderr, its
 working directory, the number of workers, and its environment of the
 moment as the variables set and unset since the zygote started.  The zygote
-forks the workers back to back; each child puts its pipes and the stderr on
+forks the workers back to back; each child moves to a CPU of its own
+(``_start_on_own_cpu``), puts its pipes and the stderr on
 fd 0/1/2, applies those differences (``PYTHONPATH`` and ``MRDI_WORKER_INIT``
 included), changes directory, and runs ``worker_main``.  The
 zygote answers with every pid and a pidfd for each, in one message.  A
@@ -277,6 +278,23 @@ def _apply_pythonpath(old: str, new: str) -> None:
     importlib.invalidate_caches()
 
 
+def _start_on_own_cpu(index: int) -> None:
+    """Move forked worker ``index`` to the ``index``-th of the CPUs it may
+    run on (cyclically), then allow it all of them again.
+
+    A child starts on its parent's CPU.  Where the scheduler does not balance
+    load between CPUs (a cpuset with ``sched_load_balance`` off), a task stays
+    on the CPU it is on, so every worker would share the zygote's CPU.  The
+    move costs two system calls, and elsewhere the scheduler is free to move
+    the worker on as before."""
+    try:
+        allowed = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {allowed[index % len(allowed)]})
+        os.sched_setaffinity(0, allowed)
+    except (AttributeError, OSError):
+        pass
+
+
 def _fork_workers(channel: socket.socket, fds: list, request: dict) -> tuple[list, list]:
     """Fork the request's workers back to back; their pids and pidfds.  When
     a fork fails, the children already forked are killed and reaped."""
@@ -289,6 +307,7 @@ def _fork_workers(channel: socket.socket, fds: list, request: dict) -> tuple[lis
         for index in range(request["workers"]):
             pid = os.fork()
             if pid == 0:
+                _start_on_own_cpu(index)
                 stdio = [*fds[1 + 2 * index : 3 + 2 * index], fds[0]]
                 _become_worker(channel, stdio, request)
             pids.append(pid)

@@ -170,6 +170,22 @@ def test_wait_ready_gets_one_identity_answer_per_worker():
         assert pool.remote_call("identity", (7,)) == 7
 
 
+@pytest.mark.parametrize("index", [0, 1, 2, 5])
+def test_a_forked_worker_moves_to_its_own_cpu_then_may_use_all(monkeypatch, index):
+    allowed = sorted(os.sched_getaffinity(0))
+    calls = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append((pid, set(cpus))))
+    zygote._start_on_own_cpu(index)
+    assert calls == [(0, {allowed[index % len(allowed)]}), (0, set(allowed))]
+
+
+def test_pool_workers_keep_the_coordinators_cpus():
+    with spawn_pool(3) as pool:
+        pool.wait_ready()
+        for worker in pool.workers:
+            assert os.sched_getaffinity(worker.proc.pid) == os.sched_getaffinity(0)
+
+
 def test_wait_ready_reports_a_worker_that_exits(extras_env, monkeypatch):
     # Set only for the workers: the coordinator must not import this module.
     monkeypatch.setenv("MRDI_WORKER_INIT", "worker_exits")
