@@ -17,20 +17,10 @@ from .polynomials import (
     Monomial,
     Polynomial,
     coercer,
-    describe_descriptor,
-    monomial_key,
-    monomial_mul,
     polynomial_ring,
     univariate_ring,
 )
-from .matrices import (
-    ExactMatrix,
-    det_univariate_over_prime_field,
-    nullspace_over_Q,
-    reduce_mod_prime,
-    reduce_poly_mod_prime,
-    rref_over_Q,
-)
+from .matrices import ExactMatrix
 from .multidegree import (
     Multidegree,
     iter_monomials,
@@ -55,21 +45,13 @@ __all__ = [
     "UnivariatePolyRing",
     "coercer",
     "crt_combine_balanced",
-    "describe_descriptor",
     "descending_primes",
-    "det_univariate_over_prime_field",
     "intern_context",
     "is_prime",
     "iter_monomials",
-    "monomial_key",
-    "monomial_mul",
     "monomials_by_multidegree",
-    "nullspace_over_Q",
     "polynomial_ring",
-    "reduce_mod_prime",
-    "reduce_poly_mod_prime",
     "ring_arity",
     "ring_symbols",
-    "rref_over_Q",
     "univariate_ring",
 ]

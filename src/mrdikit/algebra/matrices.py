@@ -101,27 +101,6 @@ class ExactMatrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def __mul__(self, other):
-        self._check_compat(other)
-        if self.ncols != other.nrows:
-            raise ValidationError("inner matrix dimensions differ")
-        zero = coercer(self.parent.descriptor)(0)
-        entries = []
-        for i in range(self.nrows):
-            for j in range(other.ncols):
-                acc = zero
-                for k in range(self.ncols):
-                    acc = acc + self.entry(i, k) * other.entry(k, j)
-                entries.append(acc)
-        # The constructor puts each sum in canonical form (mod p over GF(p)).
-        return ExactMatrix(self.parent, self.nrows, other.ncols, entries)
-
-    def _check_compat(self, other):
-        if not isinstance(other, ExactMatrix):
-            raise TypeError(f"cannot combine ExactMatrix with {type(other).__name__}")
-        if other.parent != self.parent:
-            raise ValidationError("matrices over different rings")
-
     def __eq__(self, other):
         return (
             isinstance(other, ExactMatrix)
@@ -158,11 +137,6 @@ def _reduction_ring(desc, prime: int) -> ContextHandle:
 def _reduce_terms(target: ContextHandle, p: Polynomial, prime: int) -> Polynomial:
     # Reduction keeps the canonical term order, so the trusted constructor fits.
     return Polynomial(target, [(m, r) for m, c in p.terms if (r := c % prime)])
-
-
-def reduce_poly_mod_prime(p: Polynomial, prime: int) -> Polynomial:
-    """Reduce a polynomial with integer coefficients mod ``prime``."""
-    return _reduce_terms(_reduction_ring(p.parent.descriptor, prime), p, prime)
 
 
 def reduce_mod_prime(m: ExactMatrix, prime: int) -> ExactMatrix:

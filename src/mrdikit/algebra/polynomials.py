@@ -107,13 +107,6 @@ class Polynomial:
             return -1
         return max(sum(m) for m, _ in self.terms)
 
-    def coefficient(self, exponents: Monomial):
-        mono = tuple(exponents)
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return coercer(self.parent.descriptor.base)(0)
-
     # -- arithmetic -------------------------------------------------------
 
     def _check_parent(self, other, op):

@@ -1,7 +1,5 @@
 from .document import (
     FORMAT_VERSION,
-    SYSTEM_NAME,
-    DataNode,
     Mode,
     MrdiDocument,
     NamespaceRecord,
@@ -13,7 +11,6 @@ from .document import (
 from .states import DeserializerState, GlobalSerializerState, SerializerState
 from .codec import (
     context_from_uuid,
-    context_ref_document,
     context_uuid,
     decode_elements,
     decode_polynomial,
@@ -21,23 +18,19 @@ from .codec import (
     encode_polynomial,
     load,
     register_codec,
-    registered_type_tags,
     save,
 )
 from .textio import parse_text, serialize_text
 
 __all__ = [
-    "DataNode",
     "DeserializerState",
     "FORMAT_VERSION",
     "GlobalSerializerState",
     "Mode",
     "MrdiDocument",
     "NamespaceRecord",
-    "SYSTEM_NAME",
     "SerializerState",
     "context_from_uuid",
-    "context_ref_document",
     "context_uuid",
     "decode_elements",
     "decode_polynomial",
@@ -47,7 +40,6 @@ __all__ = [
     "load",
     "parse_text",
     "register_codec",
-    "registered_type_tags",
     "save",
     "serialize_text",
     "type_node",

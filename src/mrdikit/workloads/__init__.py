@@ -1,7 +1,6 @@
 from .determinant import (
     coefficient_bound,
     degree_bound,
-    det_mod_p,
     det_mod_primes,
     modular_determinant,
 )
@@ -13,7 +12,6 @@ __all__ = [
     "coefficient_bound",
     "components_of_kernel",
     "degree_bound",
-    "det_mod_p",
     "det_mod_primes",
     "detcrt_instance",
     "evaluate_map",

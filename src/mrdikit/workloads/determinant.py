@@ -42,7 +42,6 @@ ignored.
 from __future__ import annotations
 
 from math import gcd, log2, prod
-from typing import Iterator
 
 from ..algebra.matrices import (
     ExactMatrix,
@@ -160,12 +159,6 @@ register_function("det_mod_primes", det_mod_primes)
 register_function("det_univariate_at_points", det_univariate_at_points)
 
 
-def _usable_primes(stream: Iterator[int], floor: int) -> Iterator[int]:
-    for p in stream:
-        if p > floor:
-            yield p
-
-
 def _passes(primes: list[int]) -> list[list[int]]:
     """``primes`` split in order into passes of at most ``PRIME_GROUP`` primes,
     whose sizes differ by at most one."""
@@ -242,16 +235,17 @@ def modular_determinant(m: ExactMatrix, pool=None, heuristic: bool = False) -> P
         values = _share_out(det_univariate_at_points, m, points, pool)
         return from_dense_coefficients(m.parent, interpolate_at_consecutive_points(start, values))
 
-    stream = _usable_primes(descending_primes(PRIME_CEILING), bound_d)
-    primes = []
-    product = 1
-    while product <= 2 * bound_b:
-        try:
-            p = next(stream)
-        except StopIteration:
-            raise ValidationError("prime stream exhausted before clearing the bound")
+    # The primes descend, so the first one at or below D ends the stream.
+    primes, product = [], 1
+    for p in descending_primes(PRIME_CEILING):
+        if p <= bound_d:
+            break
         primes.append(p)
         product *= p
+        if product > 2 * bound_b:
+            break
+    if product <= 2 * bound_b:
+        raise ValidationError("prime stream exhausted before clearing the bound")
     passes = _passes(primes)
     values = _share_out(det_mod_primes, m, points, pool, passes)
     lifted = [0] * (bound_d + 1)

@@ -6,12 +6,12 @@ from math import prod
 import pytest
 import sympy
 
+from mrdikit import cli
 from mrdikit.algebra import (
     ZZ,
     ExactMatrix,
     Polynomial,
     descending_primes,
-    reduce_poly_mod_prime,
     univariate_ring,
 )
 from mrdikit.algebra.polynomials import dense_coefficients
@@ -30,15 +30,14 @@ from mrdikit.mrdi import (
 from mrdikit.workloads import (
     coefficient_bound,
     degree_bound,
-    det_mod_p,
     det_mod_primes,
     modular_determinant,
 )
 from mrdikit.algebra import matrices, primes
 from mrdikit.algebra.primes import crt_combine_balanced
 from mrdikit.workloads import determinant
-from mrdikit.workloads.determinant import PRIME_GROUP
-from test_linalg import cofactor_det, random_zz_t_matrix
+from mrdikit.workloads.determinant import PRIME_GROUP, det_mod_p
+from test_linalg import cofactor_det, random_zz_t_matrix, reduce_poly
 
 
 def zz_t():
@@ -250,6 +249,42 @@ def test_prime_streams_reuse_found_primes(monkeypatch):
         assert list(descending_primes(start)) == sorted(sympy.primerange(2, start), reverse=True)
 
 
+def test_an_exhausted_prime_stream_is_bad_input(monkeypatch, tmp_path, capsys):
+    # Entries of degree 30 with 31 coefficients of +-1: D = 60, and Bareiss's
+    # predicted 311 bits exceed 9 times the 12-bit coefficient bound, so the
+    # multimodular path runs.  Below 50 no prime exceeds D.
+    Rt, _ = zz_t()
+    rng = random.Random(83)
+    entries = [
+        [Polynomial.from_terms(Rt, [((d,), rng.choice((-1, 1))) for d in range(31)]) for _ in range(2)]
+        for _ in range(2)
+    ]
+    m = ExactMatrix.from_rows(Rt, entries)
+    assert degree_bound(m) == 60
+    assert determinant._bareiss_bits(m, 60, 1) > determinant.BAREISS_RATIO * 12
+    monkeypatch.setattr(determinant, "PRIME_CEILING", 50)
+    drawn = []
+
+    def recording(start_below):
+        for p in descending_primes(start_below):
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(determinant, "descending_primes", recording)
+    message = "prime stream exhausted before clearing the bound"
+    with pytest.raises(ValidationError) as info:
+        modular_determinant(m)
+    assert str(info.value) == message
+    assert drawn == [47]  # the first prime at or below D ends the stream
+
+    path = tmp_path / "m.mrdi"
+    state = SerializerState(Mode.LONG_TERM, GlobalSerializerState(uuid_seed=5))
+    path.write_bytes(serialize_text(save(m, state)))
+    argv = ["detcrt", "--matrix", str(path), "--out", str(tmp_path / "det.mrdi")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_heuristic_mode_agrees():
     rng = random.Random(78)
     for _ in range(5):
@@ -289,13 +324,13 @@ def test_det_mod_p_is_the_modular_image():
     rng = random.Random(79)
     m = random_zz_t_matrix(rng, 3, max_deg=2, coeff_range=50)
     p = 10007
-    assert det_mod_p(m, p) == reduce_poly_mod_prime(cofactor_det(m), p)
+    assert det_mod_p(m, p) == reduce_poly(cofactor_det(m), p)
 
 
 def oracle_images(m, primes):
     det = cofactor_det(m)
     length = degree_bound(m) + 1
-    return [dense_coefficients(reduce_poly_mod_prime(det, p), length) for p in primes]
+    return [dense_coefficients(reduce_poly(det, p), length) for p in primes]
 
 
 def images_by_passes(m, primes):

@@ -10,10 +10,10 @@ from mrdikit.algebra import (
     QQ,
     Polynomial,
     iter_monomials,
-    monomial_key,
     monomials_by_multidegree,
     polynomial_ring,
 )
+from mrdikit.algebra.polynomials import monomial_key
 from mrdikit.errors import ContextMismatchError, ValidationError
 from mrdikit.ipc import spawn_pool
 from mrdikit.mrdi import (

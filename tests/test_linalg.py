@@ -10,13 +10,14 @@ from mrdikit.algebra import (
     ExactMatrix,
     Polynomial,
     crt_combine_balanced,
-    det_univariate_over_prime_field,
     is_prime,
+    univariate_ring,
+)
+from mrdikit.algebra.matrices import (
+    det_univariate_over_prime_field,
     nullspace_over_Q,
     reduce_mod_prime,
-    reduce_poly_mod_prime,
     rref_over_Q,
-    univariate_ring,
 )
 from mrdikit.errors import ValidationError
 
@@ -41,6 +42,20 @@ def cofactor_det(m: ExactMatrix) -> Polynomial:
         term = entry * cofactor_det(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def reduce_poly(p: Polynomial, prime: int) -> Polynomial:
+    """``p`` mod ``prime``, as the one entry of a reduced 1x1 matrix."""
+    return reduce_mod_prime(ExactMatrix.from_rows(p.parent, [[p]]), prime).entry(0, 0)
+
+
+def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The product of two matrices over one ring, by the schoolbook sums."""
+    rows = [
+        [sum((x * y for x, y in zip(row, col)), Polynomial.zero(a.parent)) for col in zip(*b.rows())]
+        for row in a.rows()
+    ]
+    return ExactMatrix.from_rows(a.parent, rows)
 
 
 def random_zz_t_matrix(rng, n, max_deg=3, coeff_range=10**6):
@@ -106,8 +121,8 @@ def test_reduction_is_ring_homomorphism():
         terms_b = [((d,), rng.randint(-50, 50)) for d in range(rng.randrange(5))]
         a = Polynomial.from_terms(Rt, terms_a)
         b = Polynomial.from_terms(Rt, terms_b)
-        assert reduce_poly_mod_prime(a * b, p) == reduce_poly_mod_prime(a, p) * reduce_poly_mod_prime(b, p)
-        assert reduce_poly_mod_prime(a + b, p) == reduce_poly_mod_prime(a, p) + reduce_poly_mod_prime(b, p)
+        assert reduce_poly(a * b, p) == reduce_poly(a, p) * reduce_poly(b, p)
+        assert reduce_poly(a + b, p) == reduce_poly(a, p) + reduce_poly(b, p)
 
 
 def test_matrix_reduction_commutes_with_product():
@@ -116,7 +131,7 @@ def test_matrix_reduction_commutes_with_product():
         a = random_zz_t_matrix(rng, 3, max_deg=2, coeff_range=30)
         b = random_zz_t_matrix(rng, 3, max_deg=2, coeff_range=30)
         p = rng.choice([5, 11, 101])
-        assert reduce_mod_prime(a * b, p) == reduce_mod_prime(a, p) * reduce_mod_prime(b, p)
+        assert reduce_mod_prime(matmul(a, b), p) == matmul(reduce_mod_prime(a, p), reduce_mod_prime(b, p))
 
 
 # -- determinant over Fp[t] --------------------------------------------------
@@ -173,7 +188,7 @@ def test_det_matches_bruteforce_oracle_mod_p():
             max(m.entry(i, j).degree() for j in range(n)) for i in range(n)
         )
         degree_bound = max(degree_bound, 0)
-        expected = reduce_poly_mod_prime(cofactor_det(m), p)
+        expected = reduce_poly(cofactor_det(m), p)
         got = det_univariate_over_prime_field(reduce_mod_prime(m, p), degree_bound)
         assert got == expected
 

@@ -80,9 +80,10 @@ def test_nested_ring_coefficients():
     Ru, u = univariate_ring(Rt, "u")
     p = u.scale(t) + Polynomial.constant(Ru, 1)  # t*u + 1
     q = p * p
-    assert q.coefficient((2,)) == t * t
-    assert q.coefficient((1,)) == t + t
-    assert q.coefficient((0,)) == Polynomial.constant(Rt, 1)
+    coefficients = dict(q.terms)
+    assert coefficients[(2,)] == t * t
+    assert coefficients[(1,)] == t + t
+    assert coefficients[(0,)] == Polynomial.constant(Rt, 1)
 
 
 _Rt, _ = univariate_ring(ZZ, "t")
@@ -155,8 +156,8 @@ def test_coefficients_are_coerced_into_their_ring():
     _, s = univariate_ring(QQ, "s")
     Fr, _ = univariate_ring(GF(7), "r")
     assert Polynomial.constant(Fr, -1).terms == (((0,), 6),)
-    assert type(s.coefficient((1,))) is Fraction and s.coefficient((0,)) == 0
-    assert Polynomial.constant(Ru, 3).coefficient((0,)) == Polynomial.constant(Rt, 3)
+    assert type(dict(s.terms)[(1,)]) is Fraction and (0,) not in dict(s.terms)
+    assert dict(Polynomial.constant(Ru, 3).terms)[(0,)] == Polynomial.constant(Rt, 3)
     rejected = [
         (Rt, True, "not an integer: True"),
         (Rt, Fraction(1, 2), "not an integer: Fraction(1, 2)"),

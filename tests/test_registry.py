@@ -21,12 +21,12 @@ from mrdikit.mrdi import (
     codec,
     parse_text,
     register_codec,
-    registered_type_tags,
     save,
     serialize_text,
     type_parts,
     validate_document,
 )
+from mrdikit.mrdi.codec import registered_type_tags
 from mrdikit.workloads import MonomialMap
 
 Rt, t = univariate_ring(ZZ, "reg_t")
