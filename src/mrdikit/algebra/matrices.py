@@ -127,8 +127,6 @@ def _reduction_ring(desc, prime: int) -> ContextHandle:
         raise ValidationError("expected a polynomial over a polynomial ring")
     if not isinstance(desc.base, IntegerRing):
         raise ValidationError("reduction needs integer coefficients")
-    if not is_prime(prime):
-        raise ValidationError(f"{prime} is not prime")
     if isinstance(desc, UnivariatePolyRing):
         return intern_context(UnivariatePolyRing(PrimeField(prime), desc.symbol))
     return intern_context(MultivariatePolyRing(PrimeField(prime), desc.symbols))

@@ -11,9 +11,8 @@ a value into its ring lives beside ``Polynomial`` in ``polynomials.py``.
 
 from __future__ import annotations
 
-import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ValidationError, quote
 from .primes import is_prime
@@ -92,24 +91,14 @@ def ring_arity(descriptor: RingDescriptor) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ContextHandle:
-    """An interned ring.  Equality and hashing go through the identity token."""
+    """An interned ring.  ``intern_context`` makes one handle per descriptor,
+    so a handle compares and hashes by identity."""
 
     descriptor: RingDescriptor
-    token: int = field(compare=False)
-
-    def __eq__(self, other):
-        return isinstance(other, ContextHandle) and self.token == other.token
-
-    def __hash__(self):
-        return hash(self.token)
-
-    def __repr__(self):
-        return f"ContextHandle({self.descriptor!r}, token={self.token})"
 
 
 _registry_lock = threading.Lock()
 _registry: dict[RingDescriptor, ContextHandle] = {}
-_token_counter = itertools.count(1)
 
 
 def intern_context(descriptor: RingDescriptor) -> ContextHandle:
@@ -123,7 +112,7 @@ def intern_context(descriptor: RingDescriptor) -> ContextHandle:
     with _registry_lock:
         handle = _registry.get(descriptor)
         if handle is None:
-            handle = ContextHandle(descriptor, next(_token_counter))
+            handle = ContextHandle(descriptor)
             _registry[descriptor] = handle
         return handle
 

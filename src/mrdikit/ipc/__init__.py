@@ -2,7 +2,6 @@ from .framing import (
     Call,
     Failure,
     Result,
-    Shutdown,
     frame_bytes,
     read_message,
     write_message,
@@ -15,7 +14,6 @@ __all__ = [
     "Call",
     "Failure",
     "Result",
-    "Shutdown",
     "WorkerPool",
     "frame_bytes",
     "lookup",

@@ -3,8 +3,9 @@
 Each frame is a 4-byte big-endian payload length, one message-kind tag byte,
 then a compact JSON payload of exactly that length, whose fields the table
 ``_MESSAGES`` gives per kind; serialized mrdi documents travel inside it.  A
-document in a frame carries no ``_ns``, and carries in ``_refs`` only the
-contexts its receiver lacks.
+``Call`` goes to a worker and a ``Result`` or ``Failure`` answers it.  A
+document in a frame carries no ``_ns``; a Call's ``_refs`` carry the contexts
+the worker lacks, a Result's every context its value names.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from ..mrdi.document import (
 KIND_CALL = 2
 KIND_RESULT = 3
 KIND_FAILURE = 4
-KIND_SHUTDOWN = 5
 
 _HEADER = struct.Struct(">IB")
 
@@ -47,7 +47,7 @@ class Call:
 @dataclass
 class Result:
     call_id: int
-    value: Optional[MrdiDocument] = None
+    value: MrdiDocument
 
 
 @dataclass
@@ -56,24 +56,18 @@ class Failure:
     error: str
 
 
-@dataclass
-class Shutdown:
-    pass
-
-
-Message = Call | Result | Failure | Shutdown
+Message = Call | Result | Failure
 
 
 # Each message kind's class and payload fields in wire order, as (key, shape)
 # pairs; the i-th field carries the class's i-th attribute, and a payload that
-# lacks several keys is reported by the first.  A field goes as is, as a
-# document, or as a document left out when None.
-_PLAIN, _DOC, _OPTIONAL_DOC = "plain", "document", "optional document"
+# lacks several keys is reported by the first.  A field goes as is or as a
+# document.
+_PLAIN, _DOC = "plain", "document"
 _MESSAGES = {
     KIND_CALL: (Call, (("id", _PLAIN), ("fn", _PLAIN), ("args", _DOC))),
-    KIND_RESULT: (Result, (("id", _PLAIN), ("value", _OPTIONAL_DOC))),
+    KIND_RESULT: (Result, (("id", _PLAIN), ("value", _DOC))),
     KIND_FAILURE: (Failure, (("id", _PLAIN), ("error", _PLAIN))),
-    KIND_SHUTDOWN: (Shutdown, ()),
 }
 _KIND_OF = {cls: kind for kind, (cls, _) in _MESSAGES.items()}
 
@@ -87,7 +81,7 @@ def encode_message(msg: Message) -> tuple[int, dict]:
         value = getattr(msg, attr.name)
         if shape == _PLAIN:
             payload[key] = value
-        elif shape == _DOC or (shape == _OPTIONAL_DOC and value is not None):
+        else:
             # Refused here rather than by the reader, which a bad frame ends;
             # the payloads are left to the reader.
             payload[key] = doc_to_json(value)
@@ -104,11 +98,9 @@ def decode_message(kind: int, payload: dict) -> Message:
         for key, shape in wire_fields:
             if shape == _PLAIN:
                 values.append(payload[key])
-            elif shape == _DOC or payload.get(key) is not None:
+            else:
                 check_shape(payload[key], key, ("_refs",))
                 values.append(doc_from_json(payload[key]))
-            else:
-                values.append(None)
     except (KeyError, TypeError, AttributeError) as exc:
         raise TransportError(f"malformed frame payload for kind {kind}: {exc}") from exc
     except SchemaError as exc:

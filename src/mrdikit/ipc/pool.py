@@ -8,9 +8,10 @@ the contexts the worker lacks, then reads the one answer of each in worker
 order.  A context counts as held once a call that carried it is answered
 with a Result; after a Failure the next call carries it again.  Results are
 placed by input index and loaded under the coordinator's global state, which
-binds any context a worker minted from the value's ``_refs``.  ``remote_call``
-is a one-item map and ``wait_ready`` one ``identity`` call per worker.  A pool
-serves one call at a time; callers on other threads, and ``shutdown``, wait.
+binds the contexts of the value's ``_refs`` it lacks, such as one a worker
+minted.  ``remote_call`` is a one-item map and ``wait_ready`` one ``identity``
+call per worker.  A pool serves one call at a time; callers on other threads,
+and ``shutdown``, wait.  ``shutdown`` sends no frame: it closes each stdin.
 """
 
 from __future__ import annotations
@@ -165,10 +166,9 @@ class WorkerPool:
                     try:
                         reply = self._recv(worker, call_id)
                         worker.known_contexts.update(missing)
-                        if reply.value is not None:
-                            state = DeserializerState(Mode.IPC, self.global_state)
-                            results[index] = load(reply.value, state)
-                            worker.known_contexts.update(reply.value.refs or ())
+                        state = DeserializerState(Mode.IPC, self.global_state)
+                        results[index] = load(reply.value, state)
+                        worker.known_contexts.update(reply.value.refs or ())
                     except Exception as exc:  # noqa: BLE001 - reported below
                         failures.append((index, exc))
         return results, min(failures, key=lambda pair: pair[0], default=None)
@@ -210,20 +210,17 @@ class WorkerPool:
     # -- lifecycle -------------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Wait for the call in flight, stop every worker, reap the
+        """Wait for the call in flight, close every worker's stdin, reap the
         processes.  A second shutdown does nothing."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             for worker in self.workers:
-                if worker.state == DEAD:
-                    continue
                 try:
-                    self._send(worker, framing.Shutdown())
                     worker.proc.stdin.close()
-                except (TransportError, OSError):
-                    continue
+                except OSError:  # a dead worker's unsent bytes
+                    pass
             for worker in self.workers:
                 proc = worker.proc
                 if not proc.wait(_SHUTDOWN_GRACE_SECONDS):

@@ -5,10 +5,10 @@ A pool's workers are forked from its start-up process (``zygote.py``);
 protocol is on stdin/stdout.  A Call's argument document carries in its
 ``_refs`` the contexts its arguments name that the worker may lack, and
 ``load`` binds them as it reads the arguments; the worker answers with a
-Result or a Failure, in order.  A Shutdown ends the loop, and a frame of any
-other kind is ignored.  Contexts a call creates on the worker side go back in
-the ``_refs`` of the value document, each exactly once.  A pool's ``tap``
-sees every frame a worker reads or writes.
+Result or a Failure, in order.  A Result's value carries in ``_refs`` every
+context it names, and the coordinator's ``load`` binds the ones it lacks.  A
+frame of any other kind than Call is ignored, and the end of input ends the
+loop.  A pool's ``tap`` sees every frame a worker reads or writes.
 
 Environment:
   MRDI_WORKER_INIT  comma-separated modules to import before serving (extra
@@ -36,8 +36,6 @@ class WorkerLoop:
         self.stdin = stdin
         self.stdout = stdout
         self.global_state = GlobalSerializerState()
-        # UUIDs the coordinator is known to share with us (received or sent back).
-        self.shared_uuids: set[str] = set()
 
     def _reply(self, msg) -> None:
         framing.write_message(self.stdout, msg)
@@ -49,17 +47,12 @@ class WorkerLoop:
             return
         try:
             args = load(msg.args, DeserializerState(Mode.IPC, self.global_state))
-            self.shared_uuids.update(msg.args.refs or ())
             if not isinstance(args, tuple):
                 raise TypeError("call arguments must decode to a tuple")
             value = fn(*args)
             state = SerializerState(Mode.IPC, self.global_state, collect_new_refs=True)
             doc = save(value, state)
-            new_refs = {
-                u: d for u, d in state.pending_refs.items() if u not in self.shared_uuids
-            }
-            self.shared_uuids.update(new_refs)
-            doc.refs = new_refs or None
+            doc.refs = state.pending_refs or None
             self._reply(framing.Result(msg.call_id, doc))
         except Exception as exc:
             detail = traceback.format_exception_only(type(exc), exc)[-1].strip()
@@ -67,8 +60,6 @@ class WorkerLoop:
 
     def serve(self) -> None:
         while (msg := framing.read_message(self.stdin)) is not None:
-            if isinstance(msg, framing.Shutdown):
-                break
             if isinstance(msg, framing.Call):
                 self.handle_call(msg)
 

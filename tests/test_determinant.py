@@ -34,7 +34,6 @@ from mrdikit.workloads import (
     modular_determinant,
 )
 from mrdikit.algebra import matrices, primes
-from mrdikit.algebra.primes import crt_combine_balanced
 from mrdikit.workloads import determinant
 from mrdikit.workloads.determinant import PRIME_GROUP, det_mod_p
 from test_linalg import cofactor_det, random_zz_t_matrix, reduce_poly
@@ -411,41 +410,6 @@ def test_passes_split_the_primes_without_changing_the_images():
         assert len(sizes) == passes and max(sizes) - min(sizes) <= 1
         expected = [dense_coefficients(det_mod_p(m, p), length) for p in group]
         assert images_by_passes(m, group) == expected
-
-
-def balanced(value, modulus):
-    value %= modulus
-    return value - modulus if 2 * value > modulus else value
-
-
-def test_extend_lift_matches_the_per_coefficient_crt():
-    # The step modulus q is one prime or, as for a pass of primes, a product
-    # of several.
-    rng = random.Random(86)
-    stream = descending_primes(2**31)
-    moduli = [next(stream) for _ in range(5)] + [3, 5, 7, 10007]
-    for _ in range(300):
-        factors = rng.sample(moduli, rng.randrange(1, 6))
-        split = rng.randrange(len(factors))  # modulus 1 when 0
-        modulus, q = prod(factors[:split]), prod(factors[split:])
-        extended = modulus * q
-        # The ends of the balanced range (-E/2, E/2] for E = modulus * q, the
-        # values next to them, and random ones.
-        low, high = -((extended - 1) // 2), extended // 2
-        values = [high, high - 1, low, low + 1] + [rng.randint(low, high) for _ in range(8)]
-        lifted = [balanced(v, modulus) for v in values]
-        residues = [v % q for v in values]
-        if modulus == 1:
-            expected = [crt_combine_balanced([r], [q]) for r in residues]
-        else:
-            expected = [
-                crt_combine_balanced([x, r], [modulus, q]) for x, r in zip(lifted, residues)
-            ]
-        assert expected == values
-        assert determinant._extend_lift(lifted, modulus, residues, q) == expected
-    for q in (10007, 5 * 10007):
-        with pytest.raises(ValidationError):
-            determinant._extend_lift([0], 3 * 10007, [1], q)
 
 
 def test_one_call_per_worker_per_round(multimodular, primes_used):

@@ -30,9 +30,7 @@ def one_of_each_kind():
         framing.Call(2, "det_mod_p", sample_doc()),
         framing.Call(5, "poly_square", sample_doc({UUID_A: ref})),
         framing.Result(2, sample_doc({UUID_A: ref})),
-        framing.Result(3),
         framing.Failure(4, "kaboom"),
-        framing.Shutdown(),
     ]
 
 
@@ -44,8 +42,8 @@ def test_roundtrip_each_kind():
 _TYPE_A = b'{"name":"PolyRingElem","params":"11111111-2222-4333-8444-555555555555"}'
 _RING_T = b'{"_type":"PolyRing","data":{"base_ring":"ZZRing","symbol":"t"}}'
 
-# The wire format is a fixed point: payload keys in this order, a Result's
-# ``value`` left out when None, and a document's ``_refs`` when it has none.
+# The wire format is a fixed point: payload keys in this order, and a
+# document's ``_refs`` left out when it has none.
 PINNED_FRAMES = [
     b'\x00\x00\x00\x8f\x02{"id":2,"fn":"det_mod_p","args":{"_type":' + _TYPE_A
     + b',"data":[["0","2"],["3","1"]]}}',
@@ -55,9 +53,7 @@ PINNED_FRAMES = [
     b'\x00\x00\x00\xf0\x03{"id":2,"value":{"_type":' + _TYPE_A
     + b',"_refs":{"11111111-2222-4333-8444-555555555555":' + _RING_T
     + b'},"data":[["0","2"],["3","1"]]}}',
-    b'\x00\x00\x00\x08\x03{"id":3}',
     b'\x00\x00\x00\x19\x04{"id":4,"error":"kaboom"}',
-    b"\x00\x00\x00\x02\x05{}",
 ]
 
 
@@ -66,7 +62,7 @@ def test_frame_bytes_of_each_kind_are_pinned():
 
 
 def test_stream_of_messages():
-    messages = [framing.Result(i) for i in range(10)] + [framing.Shutdown()]
+    messages = [framing.Result(i, sample_doc()) for i in range(10)]
     buf = io.BytesIO(b"".join(framing.frame_bytes(m) for m in messages))
     got = []
     while True:
@@ -108,6 +104,12 @@ def test_kind_1_is_unknown():
         framing.read_message(io.BytesIO(raw))
 
 
+def test_kind_5_is_unknown():
+    # The end of a worker's input ends it: no message kind asks it to stop.
+    with pytest.raises(TransportError, match="^unknown message kind 5$"):
+        framing.read_message(io.BytesIO(b"\x00\x00\x00\x02\x05{}"))
+
+
 def test_garbage_payload_rejected():
     raw = b"\x00\x00\x00\x03\x05abc"
     with pytest.raises(TransportError):
@@ -122,8 +124,9 @@ def test_garbage_payload_rejected():
             b'{"id":1,"value":{"_type":"ZZRingElem","_refs":[1],"data":"1"}}',
             "bad document in frame: value/_refs: expected an object",
         ),
+        (b'{"id":1}', "malformed frame payload for kind 3: 'value'"),
     ],
-    ids=["list", "refs-list"],
+    ids=["list", "refs-list", "no-value"],
 )
 def test_malformed_result_payload_rejected(payload, error):
     raw = framing._HEADER.pack(len(payload), framing.KIND_RESULT) + payload
@@ -216,7 +219,7 @@ def test_oversize_write_refused_under_a_lowered_cap(monkeypatch):
 
 
 def random_message(rng):
-    kind = rng.randrange(5)
+    kind = rng.randrange(4)
     if kind == 0:
         ref = MrdiDocument(
             "PolyRing",
@@ -231,12 +234,9 @@ def random_message(rng):
             refs = {
                 UUID_A: MrdiDocument("PolyRing", {"base_ring": "QQField", "symbol": "z"})
             }
-        value = sample_doc(refs) if rng.random() < 0.8 else None
-        return framing.Result(rng.randrange(10**6), value)
-    if kind == 3:
-        text = "".join(rng.choice("abc \n\"\\{}") for _ in range(rng.randrange(20)))
-        return framing.Failure(rng.randrange(10**6), text)
-    return framing.Shutdown()
+        return framing.Result(rng.randrange(10**6), sample_doc(refs))
+    text = "".join(rng.choice("abc \n\"\\{}") for _ in range(rng.randrange(20)))
+    return framing.Failure(rng.randrange(10**6), text)
 
 
 def test_fuzz_random_sequences():

@@ -248,7 +248,6 @@ def _valid_frames():
         framing.Call(4, "identity", matrix),
         framing.Result(5, replace(matrix, refs={uuid_s: ring_s})),
         framing.Failure(6, "kaboom"),
-        framing.Shutdown(),
     ]
 
 

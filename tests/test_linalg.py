@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import islice
+from math import prod
 
 import pytest
+import sympy
 
 from mrdikit.algebra import (
     GF,
@@ -13,6 +16,7 @@ from mrdikit.algebra import (
     is_prime,
     univariate_ring,
 )
+from mrdikit.algebra.primes import crt_extend, descending_primes
 from mrdikit.algebra.matrices import (
     det_univariate_over_prime_field,
     nullspace_over_Q,
@@ -107,8 +111,10 @@ def test_reduce_negative_to_nonneg_residue():
 def test_reduce_rejects_nonprime():
     Rt, t = univariate_ring(ZZ, "t")
     m = ExactMatrix.from_rows(Rt, [[t]])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^10 is not prime$"):
         reduce_mod_prime(m, 10)
+    with pytest.raises(ValidationError, match="must be an integer >= 2, got 1$"):
+        reduce_mod_prime(m, 1)
 
 
 def test_reduction_is_ring_homomorphism():
@@ -214,6 +220,34 @@ def test_crt_rejects_length_mismatch():
         crt_combine_balanced([1], [3, 5])
 
 
+def balanced(value, modulus):
+    value %= modulus
+    return value - modulus if 2 * value > modulus else value
+
+
+def test_crt_extend_recovers_the_balanced_values():
+    # The step modulus q is one prime or, as for a pass of primes, a product
+    # of several.  The values themselves are the ground truth, since
+    # crt_combine_balanced folds the step under test.
+    rng = random.Random(86)
+    moduli = list(islice(descending_primes(2**31), 5)) + [3, 5, 7, 10007]
+    for _ in range(300):
+        factors = rng.sample(moduli, rng.randrange(1, 6))
+        split = rng.randrange(len(factors))  # modulus 1 when 0
+        modulus, q = prod(factors[:split]), prod(factors[split:])
+        extended = modulus * q
+        # The ends of the balanced range (-E/2, E/2] for E = modulus * q, the
+        # values next to them, and random ones.
+        low, high = -((extended - 1) // 2), extended // 2
+        values = [high, high - 1, low, low + 1] + [rng.randint(low, high) for _ in range(8)]
+        lifted = [balanced(v, modulus) for v in values]
+        residues = [v % q for v in values]
+        assert crt_extend(lifted, modulus, residues, q) == values
+    for q in (10007, 5 * 10007):
+        with pytest.raises(ValidationError, match="not coprime"):
+            crt_extend([0], 3 * 10007, [1], q)
+
+
 def test_is_prime_rejects_the_twelve_witness_pseudoprime():
     # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to every
     # prime base up to 37; base 41 exposes it.
@@ -233,6 +267,18 @@ def test_is_prime_refuses_moduli_past_its_deterministic_range():
             is_prime(n)
     with pytest.raises(ValidationError):
         GF(bound)
+
+
+def test_is_prime_with_three_witnesses_agrees_with_sympy():
+    # Below 4759123141 the witnesses 2, 7 and 61 decide; 61 itself reaches
+    # the witness loop, 3215031751 is a strong pseudoprime to 2, 3, 5 and 7,
+    # and 4759123129 is the largest prime below the bound.
+    rng = random.Random(61)
+    small = range(100_000)
+    large = [rng.randrange(2**31) for _ in range(20_000)] + [3215031751, 4759123129]
+    for n in [*small, *large]:
+        assert is_prime(n) == sympy.isprime(n), n
+    assert not is_prime(4759123141)  # the bound, 48781 * 97561: strong pseudoprime to 2, 7, 61
 
 
 def test_crt_recovers_signed_integers():

@@ -24,7 +24,6 @@ from mrdikit import cli
 from mrdikit.ipc import (
     Call,
     Result,
-    Shutdown,
     frame_bytes,
     read_message,
     spawn_pool,
@@ -596,6 +595,30 @@ def test_second_ensure_sends_nothing():
     assert second_loads == first_loads
 
 
+def test_a_result_carries_every_context_its_value_names():
+    events = []
+    Rt, Ru, polys = nested_ring_polys(1)
+    with spawn_pool(1, tap=events.append) as pool:
+        pool.remote_call("poly_square", (polys[0],))
+        bound = dict(pool.global_state._uuid_to_ctx)
+        assert pool.remote_call("poly_square", (polys[0],)) == polys[0] * polys[0]
+        assert pool.global_state._uuid_to_ctx == bound
+        uuids = [pool.global_state.uuid_for(ring) for ring in (Rt, Ru)]
+    first_call = events[0][2]
+    results = [msg for d, _, msg in events if d == "recv"]
+    assert list(first_call.args.refs) == uuids
+    # The worker holds both rings, and names them again in the second Result.
+    assert [msg.value.refs for msg in results] == [first_call.args.refs] * 2
+
+
+def test_a_result_without_a_value_marks_its_worker_dead(extras_env):
+    with spawn_pool(1) as pool:
+        with pytest.raises(TransportError) as info:
+            pool.remote_call("valueless_result", ())
+        assert str(info.value) == "worker 0: malformed frame payload for kind 3: 'value'"
+        assert pool.workers[0].state == "dead"
+
+
 def test_context_loads_go_out_with_their_call():
     events = []
     Rt, Ru, polys = nested_ring_polys(1)
@@ -679,7 +702,7 @@ def test_a_cyclic_refs_pair_fails_its_call_and_the_next_is_served():
         uuid_b: MrdiDocument("PolyRing", {"base_ring": uuid_a, "symbol": "b"}),
     }
     args = save((5,), state)
-    frames = [Call(1, "identity", cyclic), Call(2, "identity", args), Shutdown()]
+    frames = [Call(1, "identity", cyclic), Call(2, "identity", args)]
     answers = served(frames)
     assert [(type(msg).__name__, msg.call_id) for msg in answers] == [
         ("Failure", 1),
@@ -717,28 +740,33 @@ def test_six_worker_pool_shape():
         assert pool.parallel_map("identity", [(i,) for i in range(12)]) == list(range(12))
 
 
-def test_the_tap_shows_each_answer_and_each_shutdown(extras_env):
+def test_the_tap_shows_each_answer_and_no_shutdown_frame(extras_env, monkeypatch):
     # What a worker does shows as frames on the coordinator's side: each
-    # call's answer, a failing call's detail text, one Shutdown per worker.
-    events = []
+    # call's answer and a failing call's detail text.  ``shutdown`` sends no
+    # frame: the end of its input ends each worker, which no kill then hurries.
+    events, killed = [], []
+    kill = zygote.WorkerProcess.kill
+    monkeypatch.setattr(zygote.WorkerProcess, "kill", lambda proc: killed.append(proc) or kill(proc))
     with spawn_pool(2, tap=events.append) as pool:
         assert pool.parallel_map("identity", [(i,) for i in range(4)]) == [0, 1, 2, 3]
         with pytest.raises(WorkerFailure):
             pool.remote_call("fail_on_three", (3,))
+        procs = [w.proc for w in pool.workers]
+        seen = len(events)
+    assert len(events) == seen and events[-1][0] == "recv"
+    assert all(proc.wait(0) for proc in procs) and not killed
     calls = [msg.call_id for d, _, msg in events if d == "send" and isinstance(msg, Call)]
     answers = [msg for d, _, msg in events if d == "recv"]
     assert [type(msg).__name__ for msg in answers] == ["Result"] * 4 + ["Failure"]
     assert sorted(msg.call_id for msg in answers) == sorted(calls)
     assert answers[-1].error == "ValueError: three is right out"
-    shutdowns = [w for d, w, msg in events if d == "send" and isinstance(msg, Shutdown)]
-    assert sorted(shutdowns) == [0, 1]
 
 
 def test_a_worker_answers_only_the_frames_it_serves():
     # A Result is no request: the worker reads past it without an answer.
     state = GlobalSerializerState()
     args = save((5,), SerializerState(Mode.IPC, state))
-    frames = [Result(9), Call(1, "identity", args), Shutdown()]
+    frames = [Result(9, args), Call(1, "identity", args)]
     answers = served(frames)
     assert [(type(msg).__name__, msg.call_id) for msg in answers] == [("Result", 1)]
     assert load(answers[0].value, DeserializerState(Mode.IPC, state)) == 5

@@ -44,6 +44,13 @@ def exit_now():
     os._exit(1)
 
 
+@register_function("valueless_result")
+def valueless_result():
+    # A Result frame without a value, written ahead of the worker's own answer.
+    os.write(1, b'\x00\x00\x00\x08\x03{"id":0}')
+    return 0
+
+
 @register_function("getenv")
 def getenv(name):
     """The worker's value of the environment variable whose name has the
