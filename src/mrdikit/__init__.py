@@ -19,7 +19,6 @@ from .mrdi import (
     DeserializerState,
     GlobalSerializerState,
     Mode,
-    MrdiDocument,
     SerializerState,
     load,
     parse_text,
@@ -41,7 +40,6 @@ __all__ = [
     "DeserializerState",
     "Mode",
     "MonomialMap",
-    "MrdiDocument",
     "Polynomial",
     "QQ",
     "SerializerState",

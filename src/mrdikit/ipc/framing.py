@@ -2,10 +2,11 @@
 
 Each frame is a 4-byte big-endian payload length, one message-kind tag byte,
 then a compact JSON payload of exactly that length, whose fields the table
-``_MESSAGES`` gives per kind; serialized mrdi documents travel inside it.  A
-``Call`` goes to a worker and a ``Result`` or ``Failure`` answers it.  A
-document in a frame carries no ``_ns``; a Call's ``_refs`` carry the contexts
-the worker lacks, a Result's every context its value names.
+``_MESSAGES`` gives per kind; mrdi documents, JSON objects, travel inside it
+in ``written_form``'s key order.  A ``Call`` goes to a worker and a
+``Result`` or ``Failure`` answers it.  A document in a frame carries no
+``_ns``; a Call's ``_refs`` carry the contexts the worker lacks, a Result's
+every context its value names.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from ..errors import SchemaError, TransportError
-from ..mrdi.document import (
-    MAX_NESTING_DEPTH,
-    MrdiDocument,
-    check_shape,
-    doc_from_json,
-    doc_to_json,
-)
+from ..mrdi.document import MAX_NESTING_DEPTH, check_shape, written_form
 
 KIND_CALL = 2
 KIND_RESULT = 3
@@ -41,13 +36,13 @@ MAX_FRAME_BYTES = 1 << 28
 class Call:
     call_id: int
     fn: str
-    args: MrdiDocument
+    args: dict
 
 
 @dataclass
 class Result:
     call_id: int
-    value: MrdiDocument
+    value: dict
 
 
 @dataclass
@@ -84,8 +79,8 @@ def encode_message(msg: Message) -> tuple[int, dict]:
         else:
             # Refused here rather than by the reader, which a bad frame ends;
             # the payloads are left to the reader.
-            payload[key] = doc_to_json(value)
-            check_shape(payload[key], key, ("_refs",), check_data=False)
+            check_shape(value, key, ("_refs",), check_data=False)
+            payload[key] = written_form(value)
     return kind, payload
 
 
@@ -100,7 +95,7 @@ def decode_message(kind: int, payload: dict) -> Message:
                 values.append(payload[key])
             else:
                 check_shape(payload[key], key, ("_refs",))
-                values.append(doc_from_json(payload[key]))
+                values.append(payload[key])
     except (KeyError, TypeError, AttributeError) as exc:
         raise TransportError(f"malformed frame payload for kind {kind}: {exc}") from exc
     except SchemaError as exc:

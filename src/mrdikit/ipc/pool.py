@@ -4,14 +4,15 @@ The pool owns one process per worker, forked by this process's zygote
 (``zygote.py``), and tracks which context UUIDs each worker holds.  Every
 call runs in the calling thread, in rounds: a round saves its arguments in
 IPC mode, sends each live worker one Call whose arguments carry in ``_refs``
-the contexts the worker lacks, then reads the one answer of each in worker
-order.  A context counts as held once a call that carried it is answered
-with a Result; after a Failure the next call carries it again.  Results are
-placed by input index and loaded under the coordinator's global state, which
-binds the contexts of the value's ``_refs`` it lacks, such as one a worker
-minted.  ``remote_call`` is a one-item map and ``wait_ready`` one ``identity``
-call per worker.  A pool serves one call at a time; callers on other threads,
-and ``shutdown``, wait.  ``shutdown`` sends no frame: it closes each stdin.
+the contexts the worker lacks (no ``_refs`` key when it lacks none), then
+reads the one answer of each in worker order.  A context counts as held once
+a call that carried it is answered with a Result; after a Failure the next
+call carries it again.  Results are placed by input index and loaded under
+the coordinator's global state, which binds the contexts of the value's
+``_refs`` it lacks, such as one a worker minted.  ``remote_call`` is a
+one-item map and ``wait_ready`` one ``identity`` call per worker.  A pool
+serves one call at a time; callers on other threads, and ``shutdown``, wait.
+``shutdown`` sends no frame: it closes each stdin.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from ..errors import PoolClosedError, TransportError, ValidationError, WorkerFailure
 from ..mrdi.codec import load, save
-from ..mrdi.document import Mode, MrdiDocument
+from ..mrdi.document import Mode
 from ..mrdi.states import DeserializerState, GlobalSerializerState, SerializerState
 from . import framing
 
@@ -115,9 +116,7 @@ class WorkerPool:
 
     # -- context distribution ----------------------------------------------
 
-    def ensure_contexts(
-        self, worker: WorkerHandle, refs: dict[str, MrdiDocument]
-    ) -> dict[str, MrdiDocument]:
+    def ensure_contexts(self, worker: WorkerHandle, refs: dict[str, dict]) -> dict[str, dict]:
         """The ref documents of ``refs`` (UUID -> document, as an IPC save
         with ``collect_new_refs`` gathers them in ``pending_refs``) that the
         worker does not hold: the ``_refs`` of its next Call's arguments.
@@ -155,20 +154,22 @@ class WorkerPool:
                 sent = []
                 for worker, index, args_doc, refs in calls:
                     try:
-                        args_doc.refs = self.ensure_contexts(worker, refs) or None
+                        missing = self.ensure_contexts(worker, refs)
+                        if missing:
+                            args_doc["_refs"] = missing
                         call_id = next(self._call_ids)
                         self._send(worker, framing.Call(call_id, fn, args_doc))
                     except Exception as exc:  # noqa: BLE001 - reported below
                         failures.append((index, exc))
                         break
-                    sent.append((worker, index, call_id, args_doc.refs or ()))
+                    sent.append((worker, index, call_id, missing))
                 for worker, index, call_id, missing in sent:
                     try:
                         reply = self._recv(worker, call_id)
                         worker.known_contexts.update(missing)
                         state = DeserializerState(Mode.IPC, self.global_state)
                         results[index] = load(reply.value, state)
-                        worker.known_contexts.update(reply.value.refs or ())
+                        worker.known_contexts.update(reply.value.get("_refs", ()))
                     except Exception as exc:  # noqa: BLE001 - reported below
                         failures.append((index, exc))
         return results, min(failures, key=lambda pair: pair[0], default=None)

@@ -2,13 +2,13 @@
 
 A pool's workers are forked from its start-up process (``zygote.py``);
 ``mrdikit --worker`` runs one on its own stdin/stdout.  Either way the
-protocol is on stdin/stdout.  A Call's argument document carries in its
-``_refs`` the contexts its arguments name that the worker may lack, and
-``load`` binds them as it reads the arguments; the worker answers with a
-Result or a Failure, in order.  A Result's value carries in ``_refs`` every
-context it names, and the coordinator's ``load`` binds the ones it lacks.  A
-frame of any other kind than Call is ignored, and the end of input ends the
-loop.  A pool's ``tap`` sees every frame a worker reads or writes.
+protocol is on stdin/stdout.  A Call's argument document, a JSON object,
+carries in ``_refs`` the contexts its arguments name that the worker may lack,
+and ``load`` binds them as it reads them; the worker answers with a Result or
+a Failure, in order.  A Result's value carries in ``_refs`` every context it
+names, and the coordinator's ``load`` binds the ones it lacks.  A frame of any
+other kind than Call is ignored, and the end of input ends the loop.  A pool's
+``tap`` sees every frame a worker reads or writes.
 
 Environment:
   MRDI_WORKER_INIT  comma-separated modules to import before serving (extra
@@ -52,7 +52,8 @@ class WorkerLoop:
             value = fn(*args)
             state = SerializerState(Mode.IPC, self.global_state, collect_new_refs=True)
             doc = save(value, state)
-            doc.refs = state.pending_refs or None
+            if state.pending_refs:
+                doc["_refs"] = state.pending_refs
             self._reply(framing.Result(msg.call_id, doc))
         except Exception as exc:
             detail = traceback.format_exception_only(type(exc), exc)[-1].strip()

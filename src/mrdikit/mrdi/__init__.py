@@ -1,8 +1,6 @@
 from .document import (
     FORMAT_VERSION,
     Mode,
-    MrdiDocument,
-    NamespaceRecord,
     is_uuid_text,
     type_node,
     type_parts,
@@ -27,8 +25,6 @@ __all__ = [
     "FORMAT_VERSION",
     "GlobalSerializerState",
     "Mode",
-    "MrdiDocument",
-    "NamespaceRecord",
     "SerializerState",
     "context_from_uuid",
     "context_uuid",

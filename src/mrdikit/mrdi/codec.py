@@ -1,4 +1,4 @@
-"""save/load between algebra values and mrdi documents.
+"""save/load between algebra values and mrdi documents (JSON objects).
 
 One registry holds every serializable type, built-in or extension:
 ``register_codec`` files a Python type's type and data builders and a tag's
@@ -13,13 +13,15 @@ case, for a polynomial that shares no list with others.
 Saving builds the ``_type`` subtree first, registering every parent context
 it meets (a ring's base ring before the ring), then ``data``.  Long-term mode
 emits ``_ns`` plus the accumulated refs; IPC mode emits a bare type/data pair
-over contexts the global state already knows.  Type nodes are the JSON that
-``_type`` holds, built by ``type_node`` and read by ``type_parts``; each
-decoder reads its own parameters, so a container takes an element type given
-as text or as an object.  A ring's type node comes from ``_ring_type`` and is
-read by ``_ring_from_type``, which accepts exactly what the first writes; an
-element's type node is its ring's with ``Elem`` appended to the tag, and a
-ref document inlines a leaf base ring's type node.
+over contexts the global state already knows.  Loading follows a chain of
+refs (each ring the next one's base) at most ``MAX_NESTING_DEPTH`` deep.
+Type nodes are the JSON that ``_type`` holds, built by ``type_node`` and read
+by ``type_parts``; each decoder reads its own parameters, so a container
+takes an element type given as text or as an object.  A ring's type node
+comes from ``_ring_type`` and is read by ``_ring_from_type``, which accepts
+exactly what the first writes; an element's type node is its ring's with
+``Elem`` appended to the tag, and a ref document inlines a leaf base ring's
+type node.
 
 A univariate payload is sparse ``[degree, coefficient]`` pairs in ascending
 degree for storage, dense coefficients from degree zero up for IPC.  Element
@@ -65,9 +67,9 @@ from ..errors import (
 )
 from .document import (
     FORMAT_VERSION,
+    MAX_NESTING_DEPTH,
+    SYSTEM_NAME,
     Mode,
-    MrdiDocument,
-    NamespaceRecord,
     TypeTree,
     is_uuid_text,
     type_node,
@@ -173,7 +175,7 @@ def _element_ring(tn: TypeTree, state: DeserializerState, where: str) -> Context
     return _ring_from_type(type_node(name[: -len("Elem")], params), state, where)
 
 
-def context_ref_document(ctx: ContextHandle, global_state: GlobalSerializerState) -> MrdiDocument:
+def context_ref_document(ctx: ContextHandle, global_state: GlobalSerializerState) -> dict:
     """The `_refs` entry describing a polynomial ring context.
 
     The base ring is inlined for leaf rings, as its type node, and
@@ -194,7 +196,7 @@ def context_ref_document(ctx: ContextHandle, global_state: GlobalSerializerState
         fields = {"base_ring": base_json, "symbol": desc.symbol}
     else:
         fields = {"base_ring": base_json, "symbols": list(desc.symbols)}
-    return MrdiDocument(_ring_type(ctx, None), fields)
+    return {"_type": _ring_type(ctx, None), "data": fields}
 
 
 def context_uuid(ring: ContextHandle, state: SerializerState) -> str:
@@ -224,21 +226,22 @@ def context_uuid(ring: ContextHandle, state: SerializerState) -> str:
 
 def context_from_uuid(param, state: DeserializerState, where: str) -> ContextHandle:
     """The ring a UUID type parameter names: bound in the global state, or
-    read from the document's ``_refs`` and bound.  A ``param`` that is not a
-    UUID raises a SchemaError located at ``where``."""
+    read from the document's ``_refs`` (``state.refs``) and bound.  A
+    ``param`` that is not a UUID raises a SchemaError located at ``where``, a
+    ref past ``MAX_NESTING_DEPTH`` refs deep one located at the ref."""
     if not is_uuid_text(param):
         raise SchemaError(f"{where}: expected a context UUID parameter, got {quote(param)}")
     ctx = state.global_state.resolve(param)
     if ctx is not None:
         return ctx
-    doc = state.document
-    refs = doc.refs if doc is not None and doc.refs is not None else {}
-    if param in refs:
+    if param in state.refs:
         if param in state._loading:
             raise SchemaError(f"cyclic reference through {param}")
+        if len(state._loading) == MAX_NESTING_DEPTH:
+            raise SchemaError(f"_refs/{param}: refs chained deeper than {MAX_NESTING_DEPTH} levels")
         state._loading.add(param)
         try:
-            ctx = _context_from_ref(refs[param], state, f"_refs/{param}")
+            ctx = _context_from_ref(state.refs[param], state, f"_refs/{param}")
         except ValidationError as exc:  # the ring's own checks: a bad symbol or modulus
             raise SchemaError(f"_refs/{param}: {exc}") from None
         finally:
@@ -250,11 +253,11 @@ def context_from_uuid(param, state: DeserializerState, where: str) -> ContextHan
     raise DanglingReferenceError(f"dangling reference: {param}")
 
 
-def _context_from_ref(ref: MrdiDocument, state: DeserializerState, where: str) -> ContextHandle:
+def _context_from_ref(ref: dict, state: DeserializerState, where: str) -> ContextHandle:
     """The polynomial ring a ref document describes by ``base_ring`` (a UUID,
     or a leaf ring's type node) and ``symbol`` or ``symbols``; its type must
     be what ``_ring_type`` gives that ring without a state."""
-    data = ref.data
+    data = ref["data"]
     fields = set(data) if isinstance(data, dict) else None
     if fields not in ({"base_ring", "symbol"}, {"base_ring", "symbols"}):
         raise SchemaError(f"{where}: ref documents must describe polynomial rings")
@@ -274,7 +277,7 @@ def _context_from_ref(ref: MrdiDocument, state: DeserializerState, where: str) -
         ring = intern_context(MultivariatePolyRing(base_desc, tuple(symbols)))
     else:
         raise SchemaError(f"{where}: ring symbols must be text")
-    if type_parts(ref.type_tree) != type_parts(_ring_type(ring, None)):
+    if type_parts(ref["_type"]) != type_parts(_ring_type(ring, None)):
         raise SchemaError(
             f"{where}: the ref document of {quote(ring.descriptor)} has the wrong type"
         )
@@ -708,14 +711,15 @@ def _build_data(obj, state: SerializerState):
     return _encoder(obj)[1](obj, state)
 
 
-def save(obj, state: SerializerState) -> MrdiDocument:
-    """Serialize ``obj`` under the given per-document state."""
+def save(obj, state: SerializerState) -> dict:
+    """The document of ``obj`` under the given per-document state."""
     state.pending_refs.clear()
     type_tree = _build_type(obj, state)
     data = _build_data(obj, state)
     if state.mode is Mode.LONG_TERM:
-        return MrdiDocument(type_tree, data, NamespaceRecord(), dict(state.pending_refs))
-    return MrdiDocument(type_tree, data)
+        ns = {"system": SYSTEM_NAME, "version": FORMAT_VERSION}
+        return {"_ns": ns, "_type": type_tree, "_refs": dict(state.pending_refs), "data": data}
+    return {"_type": type_tree, "data": data}
 
 
 def _decoder(name):
@@ -737,18 +741,17 @@ def _decode(tn: TypeTree, data, state: DeserializerState):
         raise SchemaError(f"{state.cursor()}: {exc}") from None
 
 
-def load(doc: MrdiDocument, state: DeserializerState):
-    """Reconstruct the value stored in ``doc`` under the given state."""
-    if doc.ns is not None and doc.ns.version:
-        ours = FORMAT_VERSION.split(".")[0]
-        theirs = doc.ns.version.split(".")[0]
-        if ours != theirs:
-            warnings.warn(
-                f"document written by {doc.ns.system[:QUOTE_LIMIT]} "
-                f"{doc.ns.version[:QUOTE_LIMIT]}, "
-                f"this is format major version {ours}; loading anyway",
-                stacklevel=2,
-            )
-    state.document = doc
+def load(doc: dict, state: DeserializerState):
+    """Reconstruct the value stored in ``doc``, a document that keeps the
+    shape rules, under the given state."""
+    ns, ours = doc.get("_ns"), FORMAT_VERSION.split(".")[0]
+    if ns is not None and ns["version"] and ns["version"].split(".")[0] != ours:
+        warnings.warn(
+            f"document written by {ns['system'][:QUOTE_LIMIT]} "
+            f"{ns['version'][:QUOTE_LIMIT]}, "
+            f"this is format major version {ours}; loading anyway",
+            stacklevel=2,
+        )
+    state.refs = doc.get("_refs", {})
     state.path = []
-    return _decode(doc.type_tree, doc.data, state)
+    return _decode(doc["_type"], doc["data"], state)

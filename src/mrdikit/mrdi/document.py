@@ -1,35 +1,34 @@
-"""The mrdi document model: four subtrees, their shape rules and invariants.
+"""The mrdi document: a JSON object, its shape rules and invariants.
 
-A document is an annotated tree with up to four parts: ``_ns`` names the
-producing system and version, ``_type`` describes the stored object's type
-and parameters, ``_refs`` is a flat table of context documents keyed by UUID,
-and ``data`` holds the payload.  Long-term documents carry ``_ns`` and
-``_refs``; IPC documents carry no ``_ns``, and a document in a frame carries
-in ``_refs`` only the contexts its receiver lacks.
+A document is the JSON object its text holds, in memory as in the file, with
+up to four keys: ``_ns`` names the producing system and version, ``_type``
+describes the stored object's type and parameters, ``_refs`` is a flat table
+of ref documents (``_type`` and ``data``) keyed by UUID, and ``data`` holds
+the payload.  A document is long-term when it carries ``_ns`` or ``_refs``
+(``is_long_term``): a file carries both, an IPC document neither, and a
+document in a frame carries in ``_refs`` only the contexts its receiver lacks.
 
-A type tree is the JSON that ``_type`` holds, in memory as in the text: a
-type node is a tag, or ``{"name": tag, "params": ...}``, and its parameters
-are text, type nodes or mappings of them.  ``type_node`` builds one and
-``type_parts`` reads one; which text in parameter position names a type is
-for the decoder of the node that holds it to say.
+A type tree is the JSON that ``_type`` holds: a type node is a tag, or
+``{"name": tag, "params": ...}``, and its parameters are text, type nodes or
+mappings of them.  ``type_node`` builds one and ``type_parts`` reads one;
+which text in parameter position names a type is for the decoder of the node
+that holds it to say.
 
-This module owns the shape rules and the document's JSON form, both ways
-(``doc_to_json`` and ``doc_from_json``).  ``shape_problems`` reads a
-document's JSON form and yields each problem as one located text:
-``parse_text``, ``serialize_text`` and the frame codec raise the first,
-``validate_document`` lists them all and then checks the invariants only it
-checks.  The contexts a document needs are the UUIDs its type tree mentions,
-and those of each ref's type tree and data; one walker finds them in all
-three.
+This module owns the shape rules and the key order of the text
+(``written_form``), which both writers use.  ``shape_problems`` reads any
+object and yields each problem as one located text: ``parse_text``,
+``serialize_text`` and the frame codec raise the first, ``validate_document``
+lists them all and then checks the invariants only it checks.  The contexts
+a document needs are the UUIDs its type tree mentions, and those of each
+ref's type tree and data; one walker finds them in all three.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, filterfalse
-from typing import Optional, Union
+from typing import Union
 
 from ..errors import SchemaError, quote
 
@@ -50,11 +49,9 @@ class Mode(Enum):
     IPC = "ipc"
 
 
-# Data payloads are JSON trees whose scalars are always text.
-DataNode = Union[str, list, dict]
-
-# Deepest nesting of arrays and objects parsing accepts in `_type` or `data`, so
-# every recursive walk over a parsed document stays below the recursion limit.
+# Deepest nesting of arrays and objects parsing accepts in `_type` or `data`, and
+# the longest chain of refs loading follows, so every recursive walk over a
+# parsed document stays below the recursion limit.
 MAX_NESTING_DEPTH = 100
 
 
@@ -85,22 +82,9 @@ def type_parts(node) -> tuple:
     return None, None
 
 
-@dataclass(frozen=True)
-class NamespaceRecord:
-    system: str = SYSTEM_NAME
-    version: str = FORMAT_VERSION
-
-
-@dataclass
-class MrdiDocument:
-    type_tree: TypeTree
-    data: DataNode
-    ns: Optional[NamespaceRecord] = None
-    refs: Optional[dict[str, "MrdiDocument"]] = field(default=None)
-
-    @property
-    def mode(self) -> Mode:
-        return Mode.LONG_TERM if self.ns is not None or self.refs is not None else Mode.IPC
+def is_long_term(doc: dict) -> bool:
+    """Whether ``doc`` is a long-term document: it carries `_ns` or `_refs`."""
+    return "_ns" in doc or "_refs" in doc
 
 
 def _mentioned_uuids(*trees) -> set[str]:
@@ -121,35 +105,20 @@ def _mentioned_uuids(*trees) -> set[str]:
     return found
 
 
-# -- the JSON form -------------------------------------------------------------
+# -- the written form ------------------------------------------------------------
 
 
-def doc_to_json(doc: MrdiDocument) -> dict:
-    """The JSON ``serialize_text`` writes for ``doc``, with the refs table
-    sorted by UUID.  It shares the type trees and payloads of ``doc``."""
-    out = {}
-    if doc.ns is not None:
-        out["_ns"] = {"system": doc.ns.system, "version": doc.ns.version}
-    out["_type"] = doc.type_tree
-    if doc.refs is not None:
-        try:
-            keys = sorted(doc.refs)
-        except TypeError:  # keys of kinds that do not compare, none of them a UUID
-            keys = list(doc.refs)
-        out["_refs"] = {key: doc_to_json(doc.refs[key]) for key in keys}
-    out["data"] = doc.data
+def written_form(doc: dict) -> dict:
+    """``doc`` with its keys in the order the text writes them: `_ns`
+    (`system` before `version`), `_type`, `_refs` sorted by UUID (each ref
+    `_type` before `data`), `data`.  ``doc`` must keep the shape rules; the
+    form shares its type trees and payloads."""
+    out = {key: doc[key] for key in ("_ns", "_type", "_refs", "data") if key in doc}
+    if "_ns" in out:
+        out["_ns"] = {key: out["_ns"][key] for key in ("system", "version")}
+    if "_refs" in out:
+        out["_refs"] = {key: written_form(out["_refs"][key]) for key in sorted(out["_refs"])}
     return out
-
-
-def doc_from_json(obj) -> MrdiDocument:
-    """The document of JSON ``obj``, which keeps the shape rules."""
-    refs = obj.get("_refs")
-    return MrdiDocument(
-        type_tree=obj["_type"],
-        data=obj["data"],
-        ns=NamespaceRecord(**obj["_ns"]) if "_ns" in obj else None,
-        refs=None if refs is None else {key: doc_from_json(ref) for key, ref in refs.items()},
-    )
 
 
 # -- shape rules -----------------------------------------------------------------
@@ -263,8 +232,9 @@ def shape_problems(obj, path="", envelope=("_ns", "_refs"), check_data=True):
     if not isinstance(obj, dict):
         yield f"{here}document must be a JSON object"
         return
-    if not obj.keys() <= _TOP_LEVEL_KEYS:
-        yield f"{here}unknown keys {sorted(obj.keys() - _TOP_LEVEL_KEYS)}"
+    extra = obj.keys() - _TOP_LEVEL_KEYS
+    if extra:
+        yield f"{here}unknown keys [{', '.join(sorted(map(quote, extra)))}]"
     for key in ("_type", "data"):
         if key not in obj:
             yield f"{here}missing `{key}`"
@@ -329,66 +299,74 @@ def _unknown_tags(tree, path, known_tags):
             stack.extend((f"{path}/{k}", v, False) for k, v in items if isinstance(k, str))
 
 
-def validate_document(doc: MrdiDocument, global_state=None) -> list[str]:
-    """Every shape problem of the document, then every broken invariant that
-    only this checks: ``_ns`` and ``_refs`` come together, ``_ns`` fields are
-    not empty, type tags are ones the codec has registered, and every UUID
-    mentioned resolves, with no cycle among the refs.
+def validate_document(doc, global_state=None) -> list[str]:
+    """Every shape problem of ``doc``, any object, then every broken
+    invariant that only this checks: ``_ns`` and ``_refs`` come together,
+    ``_ns`` fields are not empty, type tags are ones the codec has
+    registered, and every UUID mentioned resolves, with no cycle among the
+    refs.  It lists problems and raises none.
 
     ``global_state`` (when given) is used to check UUID resolvability of IPC
     documents; long-term documents must be self-contained in ``_refs``.
     """
     from .codec import registered_type_tags
 
-    errors = list(shape_problems(doc_to_json(doc)))
+    errors = list(shape_problems(doc))
+    if not isinstance(doc, dict):
+        return errors
 
-    if (doc.ns is None) != (doc.refs is None):
-        present, absent = ("_ns", "_refs") if doc.refs is None else ("_refs", "_ns")
+    if ("_ns" in doc) != ("_refs" in doc):
+        present, absent = ("_ns", "_refs") if "_ns" in doc else ("_refs", "_ns")
         errors.append(f"mode violation: `{present}` present without `{absent}`")
-    if doc.ns is not None:
-        if not doc.ns.system:
+    ns = doc.get("_ns")
+    if isinstance(ns, dict):
+        if ns.get("system") == "":
             errors.append("_ns: empty system name")
-        if not doc.ns.version:
+        if ns.get("version") == "":
             errors.append("_ns: empty version")
 
-    refs = doc.refs or {}
+    refs = doc.get("_refs")
+    refs = refs if isinstance(refs, dict) else {}
     known_tags = registered_type_tags()
-    errors.extend(_unknown_tags(doc.type_tree, "_type", known_tags))
-    for uuid_key, ref in refs.items():
-        at = f"_refs/{uuid_key if isinstance(uuid_key, str) else quote(uuid_key)}/_type"
-        errors.extend(_unknown_tags(ref.type_tree, at, known_tags))
-
-    mentioned = _mentioned_uuids(doc.type_tree)
+    errors.extend(_unknown_tags(doc.get("_type"), "_type", known_tags))
+    mentioned = _mentioned_uuids(doc.get("_type"))
     ref_deps = {}
     for uuid_key, ref in refs.items():
-        ref_deps[uuid_key] = _mentioned_uuids(ref.type_tree, ref.data)
+        ref = ref if isinstance(ref, dict) else {}
+        at = f"_refs/{uuid_key if isinstance(uuid_key, str) else quote(uuid_key)}/_type"
+        errors.extend(_unknown_tags(ref.get("_type"), at, known_tags))
+        ref_deps[uuid_key] = _mentioned_uuids(ref.get("_type"), ref.get("data"))
         mentioned.update(ref_deps[uuid_key])
     for uuid_key in sorted(mentioned):
         if uuid_key in refs:
             continue
         if global_state is not None and global_state.resolve(uuid_key) is not None:
             continue
-        if doc.mode is Mode.LONG_TERM or global_state is not None:
+        if is_long_term(doc) or global_state is not None:
             errors.append(f"dangling reference: {uuid_key} not resolvable")
 
     # Cycle detection over the ref dependency graph, whose nodes are the text
     # keys: only text is ever mentioned, so only text keys can close a cycle.
+    # A depth-first search without recursion: ``trail`` is the path from the
+    # root, and ``pending`` holds each trail node's unvisited dependencies.
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {u: WHITE for u in refs if isinstance(u, str)}
-
-    def visit(u, trail):
-        color[u] = GRAY
-        for v in sorted(ref_deps.get(u, ())):
-            if v not in color:
-                continue
-            if color[v] == GRAY:
-                errors.append(f"cyclic reference through {' -> '.join(trail + [v])}")
-            elif color[v] == WHITE:
-                visit(v, trail + [v])
-        color[u] = BLACK
-
-    for u in sorted(color):
-        if color[u] == WHITE:
-            visit(u, [u])
+    for root in sorted(color):
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        trail, pending = [root], [iter(sorted(ref_deps[root]))]
+        while pending:
+            for v in pending[-1]:
+                if color.get(v) == GRAY:
+                    errors.append(f"cyclic reference through {' -> '.join(trail)} -> {v}")
+                elif color.get(v) == WHITE:
+                    color[v] = GRAY
+                    trail.append(v)
+                    pending.append(iter(sorted(ref_deps[v])))
+                    break
+            else:
+                color[trail.pop()] = BLACK
+                pending.pop()
 
     return errors

@@ -1,4 +1,6 @@
-"""Serializer bookkeeping: per-document states and the cross-document global state."""
+"""Serializer bookkeeping: per-document states and the cross-document global state.
+
+The ref documents a save collects and a load reads are JSON objects, as every document is."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import uuid as uuid_module
 from typing import Optional
 
 from ..algebra.rings import ContextHandle
-from .document import Mode, MrdiDocument
+from .document import Mode
 
 
 class GlobalSerializerState:
@@ -79,18 +81,18 @@ class SerializerState:
     ):
         self.mode = mode
         self.global_state = global_state
-        self.pending_refs: dict[str, MrdiDocument] = {}
+        self.pending_refs: dict[str, dict] = {}
         self.collect_new_refs = collect_new_refs
 
 
 class DeserializerState:
-    """Per-load bookkeeping: mode, the document under read, and a cursor path
-    used to point error messages at the offending node."""
+    """Per-load bookkeeping: mode, the document's ``_refs`` table, the chain
+    of refs being loaded, and a cursor path that locates error messages."""
 
     def __init__(self, mode: Mode, global_state: GlobalSerializerState):
         self.mode = mode
         self.global_state = global_state
-        self.document: Optional[MrdiDocument] = None
+        self.refs: dict[str, dict] = {}
         self.path: list[str] = []
         self._loading: set[str] = set()
 

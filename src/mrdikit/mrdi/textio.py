@@ -1,15 +1,16 @@
 """Canonical JSON bytes for mrdi documents.
 
-Long-term documents are pretty-printed with two-space indentation and end in
-a newline; IPC documents are compact.  Keys are emitted in the fixed order
-``_ns``, ``_type``, ``_refs``, ``data`` and the refs table is sorted by UUID,
+A document is the JSON object its text holds.  Long-term documents are
+pretty-printed with two-space indentation and end in a newline; IPC
+documents are compact.  Both are written in ``written_form``'s key order,
+``_ns``, ``_type``, ``_refs``, ``data`` with the refs table sorted by UUID,
 so serialization is a pure function of the document.
 
-The shape rules and the JSON form are ``document``'s: ``parse_text`` raises
-the first of ``shape_problems`` before it builds a document, and
-``serialize_text`` before it writes one, so it writes only what
-``parse_text`` reads back.  A type tree is JSON in memory as in the text, so
-parsing needs no codec: the same bytes always give the same document.
+The shape rules and the key order are ``document``'s: ``parse_text`` raises
+the first of ``shape_problems`` and returns the object it checked, and
+``serialize_text`` raises it before it writes, so it writes only what
+``parse_text`` reads back.  Parsing needs no codec: the same bytes always
+give the same document.
 
 The long-term writer gives ``json.dumps(obj, indent=2)``'s bytes without the
 json module's pure-Python indenting encoder.  It writes dicts and lists of
@@ -28,13 +29,11 @@ from json.encoder import encode_basestring_ascii as _quote
 from ..errors import SchemaError
 from .document import (
     MAX_NESTING_DEPTH,
-    Mode,
-    MrdiDocument,
     _TEXT,
     check_shape,
-    doc_from_json,
-    doc_to_json,
+    is_long_term,
     shape_problems,
+    written_form,
 )
 
 
@@ -136,23 +135,22 @@ def _write_levels(root, newline, depth):
     return below[0]
 
 
-def serialize_text(doc: MrdiDocument) -> bytes:
+def serialize_text(doc: dict) -> bytes:
     """Long-term documents come out as ``json.dumps(obj, indent=2)`` plus a
     newline would write them (through a writer that skips the json module's
-    pure-Python indenting encoder), IPC documents as compact JSON.  A
-    document that breaks the shape rules raises its first problem as a
-    SchemaError."""
-    obj = doc_to_json(doc)
-    if doc.mode is Mode.IPC:
-        check_shape(obj)
-        return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    pure-Python indenting encoder), IPC documents as compact JSON, ``obj``
+    being ``written_form(doc)``.  A document that breaks the shape rules
+    raises its first problem as a SchemaError."""
+    if not (isinstance(doc, dict) and is_long_term(doc)):
+        check_shape(doc)
+        return json.dumps(written_form(doc), separators=(",", ":")).encode("utf-8")
     # The writer refuses a bad payload as it writes it, so the payloads are
     # walked again only to locate what it refused.
-    if next(shape_problems(obj, check_data=False), None) is None:
+    if next(shape_problems(doc, check_data=False), None) is None:
         out = ["{"]
         separator = "\n  "
         try:
-            for key, value in obj.items():
+            for key, value in written_form(doc).items():
                 out.append(f"{separator}{_quote(key)}: ")
                 # Each part nests from depth 0; a ref document's parts too.
                 _write_indented(value, "\n  ", out, -2 if key == "_refs" else 0)
@@ -162,11 +160,12 @@ def serialize_text(doc: MrdiDocument) -> bytes:
         else:
             out.append("\n}\n")
             return "".join(out).encode("ascii")
-    raise SchemaError(next(shape_problems(obj)))
+    raise SchemaError(next(shape_problems(doc)))
 
 
-def parse_text(raw: bytes) -> MrdiDocument:
-    """Parse canonical (or hand-written) mrdi bytes back into a document."""
+def parse_text(raw: bytes) -> dict:
+    """The document that canonical (or hand-written) mrdi bytes hold: the
+    JSON object, once it keeps the shape rules."""
     try:
         obj = json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # also a number past the interpreter's digit limit
@@ -174,4 +173,4 @@ def parse_text(raw: bytes) -> MrdiDocument:
     except RecursionError:
         raise SchemaError(f"JSON nested deeper than {MAX_NESTING_DEPTH} levels") from None
     check_shape(obj)
-    return doc_from_json(obj)
+    return obj

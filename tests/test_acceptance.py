@@ -145,7 +145,7 @@ def test_criterion_4_context_protocol():
             (worker_id, uuid)
             for direction, worker_id, msg in events
             if direction == "send" and isinstance(msg, framing.Call)
-            for uuid in msg.args.refs or ()
+            for uuid in msg.args.get("_refs", ())
         ]
         assert len(loads) == len(set(loads)), "a context was delivered twice"
         per_worker = {w for w, _ in loads}

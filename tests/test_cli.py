@@ -175,6 +175,50 @@ def test_validate_loads_the_document(tmp_path, capsys, nrows):
     assert len(out) < 300
 
 
+def ring_chain_file(tmp_path, depth, top_first):
+    """A long-term file holding the zero polynomial of the top ring of a chain
+    of ``depth`` rings through ``_refs``, each one the next one's base and ZZ
+    the first one's.  The UUIDs sort from the bottom ring up, or with
+    ``top_first`` from the top ring down.  Returns the path and the UUIDs,
+    bottom ring first."""
+    uuids = [f"{k:08x}-0000-4000-8000-000000000000" for k in range(depth)]
+    if top_first:
+        uuids.reverse()
+    refs, base = {}, "ZZRing"
+    for k, uuid in enumerate(uuids):
+        refs[uuid] = {"_type": "PolyRing", "data": {"base_ring": base, "symbol": f"t{k}"}}
+        base = uuid
+    doc = {
+        "_ns": {"system": "mrdikit", "version": "0.1.0"},
+        "_type": {"name": "PolyRingElem", "params": uuids[-1]},
+        "_refs": refs,
+        "data": [],
+    }
+    path = tmp_path / f"chain{depth}.mrdi"
+    path.write_bytes(serialize_text(doc))
+    return path, uuids
+
+
+@pytest.mark.parametrize("top_first", [False, True], ids=["bottom-first", "top-first"])
+def test_a_chain_of_100_rings_round_trips(tmp_path, capsys, top_first):
+    path, _ = ring_chain_file(tmp_path, 100, top_first)
+    assert cli.main(["validate", str(path)]) == 0
+    assert cli.main(["roundtrip", str(path)]) == 0
+    assert "canonical round-trip" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("top_first", [False, True], ids=["bottom-first", "top-first"])
+@pytest.mark.parametrize("depth", [101, 500, 2000])
+def test_a_longer_chain_of_rings_is_one_error_line(tmp_path, capsys, depth, top_first):
+    path, uuids = ring_chain_file(tmp_path, depth, top_first)
+    # Loading reads the top ring first: the 101st ring down is refused.
+    error = f"_refs/{uuids[depth - 101]}: refs chained deeper than 100 levels"
+    assert cli.main(["roundtrip", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert cli.main(["validate", str(path)]) == 1
+    assert capsys.readouterr() == (f"{error}\n", "")
+
+
 # -- detcrt ----------------------------------------------------------------------
 
 

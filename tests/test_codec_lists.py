@@ -32,8 +32,6 @@ from mrdikit.mrdi import (
     DeserializerState,
     GlobalSerializerState,
     Mode,
-    MrdiDocument,
-    NamespaceRecord,
     SerializerState,
     decode_elements,
     decode_polynomial,
@@ -97,7 +95,7 @@ def edited_ref(value, edit):
 
 
 def load_ring(modulus):
-    doc = MrdiDocument(type_node("PrimeField", {"modulus": modulus}), {})
+    doc = {"_type": type_node("PrimeField", {"modulus": modulus}), "data": {}}
     return load(doc, DeserializerState(Mode.LONG_TERM, GlobalSerializerState()))
 
 
@@ -107,8 +105,8 @@ PRELOAD_UUID = "0b5c9a3e-6f1d-4e2a-9c7b-8d4f2e1a3b5c"
 def preload(ref_data):
     """A worker's IPC load of a ``PolyRing`` document whose ``_refs`` holds a
     ref document with ``ref_data``, as a Call's arguments carry it."""
-    ref = MrdiDocument("PolyRing", ref_data)
-    doc = MrdiDocument(type_node("PolyRing", PRELOAD_UUID), {}, refs={PRELOAD_UUID: ref})
+    ref = {"_type": "PolyRing", "data": ref_data}
+    doc = {"_type": type_node("PolyRing", PRELOAD_UUID), "_refs": {PRELOAD_UUID: ref}, "data": {}}
     return load(doc, DeserializerState(Mode.IPC, GlobalSerializerState()))
 
 
@@ -198,7 +196,7 @@ ERROR_CASES = {
         long_matrix(), put("entries", 143, 8, "05"), Rt
     ),
     "ipc-dense-native-int": lambda: load(
-        MrdiDocument(type_node("PolyRingElem", ipc_state(Rt).uuid_for(Rt)), ["1", 5]),
+        {"_type": type_node("PolyRingElem", ipc_state(Rt).uuid_for(Rt)), "data": ["1", 5]},
         DeserializerState(Mode.IPC, ipc_state(Rt)),
     ),
     # multivariate payloads: [exponents, coefficient] pairs
@@ -368,10 +366,10 @@ def test_error_text_unchanged(case):
 
 def test_validate_error_text_unchanged():
     doc = parse_text(long_term_text((P, Q)))
-    doc.data[0][2][1] = 5
-    doc.data[1].insert(1, {"a": [True, "1"], 3: ["x"], "b": {"c": None}})
-    (ref_key,) = [k for k, ref in doc.refs.items() if ref.type_tree == "MPolyRing"]
-    doc.refs[ref_key].data["symbols"][1] = 2.5
+    doc["data"][0][2][1] = 5
+    doc["data"][1].insert(1, {"a": [True, "1"], 3: ["x"], "b": {"c": None}})
+    (ref_key,) = [k for k, ref in doc["_refs"].items() if ref["_type"] == "MPolyRing"]
+    doc["_refs"][ref_key]["data"]["symbols"][1] = 2.5
     assert validate_document(doc) == [
         f"_refs/{ref_key}/data/symbols/1: non-text scalar 2.5 (numbers must be stored as text)",
         "data/0/2/1: non-text scalar 5 (numbers must be stored as text)",
@@ -400,9 +398,9 @@ NON_CANONICAL = {
 def test_list_readers_reject_what_the_scalar_readers_reject(tag, text):
     gs = GlobalSerializerState()
     with pytest.raises(SchemaError) as one:
-        load(MrdiDocument(tag, text), DeserializerState(Mode.IPC, gs))
+        load({"_type": tag, "data": text}, DeserializerState(Mode.IPC, gs))
     with pytest.raises(SchemaError) as many:
-        doc = MrdiDocument(type_node("Vector", tag), ["1", text, "2"])
+        doc = {"_type": type_node("Vector", tag), "data": ["1", text, "2"]}
         load(doc, DeserializerState(Mode.IPC, gs))
     assert str(many.value) == str(one.value).replace("data: ", "data/1: ", 1)
 
@@ -419,7 +417,7 @@ def test_rational_list_reader_gives_up_past_the_digit_limit():
     # reader gives up and the item-by-item reader accepts it.
     big = "1" * 5000 + "/7"
     assert read_rationals(["1/2", big]) is None
-    doc = MrdiDocument(type_node("Vector", "QQFieldElem"), ["1/2", big])
+    doc = {"_type": type_node("Vector", "QQFieldElem"), "data": ["1/2", big]}
     value = load(doc, DeserializerState(Mode.IPC, GlobalSerializerState()))
     assert list(value) == [Fraction(1, 2), Fraction(int_from_text("1" * 5000, "x"), 7)]
 
@@ -450,7 +448,7 @@ def load_data(value, data, mode=Mode.LONG_TERM):
     """``value``'s document with ``data`` in place of its payload, loaded."""
     gs = ipc_state(Rt, Qt, Ft, Rxy)
     doc = save(value, SerializerState(mode, gs))
-    doc.data = data
+    doc["data"] = data
     return load(parse_text(serialize_text(doc)), DeserializerState(mode, gs))
 
 
@@ -521,8 +519,8 @@ def test_one_non_canonical_item_loads_as_item_by_item(case):
     values = CANONICAL_ZZT if ring is Rt else [Q, Q * Q, Polynomial.zero(Rxy), Q]
     gs = ipc_state(ring)
     doc = save(values, SerializerState(mode, gs))
-    payloads = doc.data[:2] + [odd] + doc.data[2:]
-    doc.data = payloads
+    payloads = doc["data"][:2] + [odd] + doc["data"][2:]
+    doc["data"] = payloads
     got = load(parse_text(serialize_text(doc)), DeserializerState(mode, gs))
     assert got == one_by_one(ring, payloads, mode)
     assert got == values[:2] + [oracle(ring, odd, mode)] + values[2:]
@@ -540,7 +538,7 @@ def test_ipc_matrix_with_trailing_and_all_zero_entries():
     assert list(got.entries) == expected
     assert expected == [ONE + t.scale(2), Polynomial.zero(Rt), Polynomial.zero(Rt), t]
     resaved = save(got, SerializerState(Mode.IPC, ipc_state(Rt)))
-    assert resaved.data["entries"] == [["1", "2"], [], [], ["0", "1"]]
+    assert resaved["data"]["entries"] == [["1", "2"], [], [], ["0", "1"]]
 
 
 def random_poly(rng, ring):
@@ -583,14 +581,14 @@ def test_whole_lists_read_as_item_by_item(name, mode):
         raw = serialize_text(save(values, SerializerState(mode, gs)))
         doc = parse_text(raw)
         got = load(doc, DeserializerState(mode, gs))
-        assert got == values == one_by_one(ring, doc.data, mode)
+        assert got == values == one_by_one(ring, doc["data"], mode)
         assert serialize_text(save(got, SerializerState(mode, gs))) == raw
         # The same list with one payload's terms reversed (out of order in
         # every ring but a dense IPC one) loads as its items do one by one.
         i = rng.randrange(len(values))
-        doc.data[i] = doc.data[i][::-1]
+        doc["data"][i] = doc["data"][i][::-1]
         odd = load(parse_text(serialize_text(doc)), DeserializerState(mode, gs))
-        assert odd == one_by_one(ring, doc.data, mode)
+        assert odd == one_by_one(ring, doc["data"], mode)
         assert odd[:i] + odd[i + 1 :] == values[:i] + values[i + 1 :]
 
 
@@ -631,7 +629,7 @@ def map_round_trip(phi, mode, edit=None):
     raw = serialize_text(save(phi, SerializerState(mode, gs)))
     doc = parse_text(raw)
     if edit is not None:
-        edit(doc.data)
+        edit(doc["data"])
     state = DeserializerState(mode, gs)
     return load(parse_text(serialize_text(doc)), state), raw, doc, gs
 
@@ -662,7 +660,7 @@ def test_a_sequence_of_polynomials_of_one_ring_looks_up_its_writers_once(mode, m
     )
     for value in (polys, tuple(polys)):
         state = SerializerState(mode, GlobalSerializerState(), collect_new_refs=True)
-        assert save(value, state).data == expected
+        assert save(value, state)["data"] == expected
     assert len(lookups) == 2
 
 
@@ -686,7 +684,7 @@ def test_map_with_one_odd_image_loads_as_item_by_item(case, mode):
     state = DeserializerState(mode, gs)
     assert list(got.images) == [
         decode_polynomial(phi.target, item, state, f"data/images/{k}")
-        for k, item in enumerate(doc.data["images"])
+        for k, item in enumerate(doc["data"]["images"])
     ]
 
 
@@ -854,17 +852,19 @@ ADVERSARIAL = {
 
 
 def doc_tree(data, system="mrdikit", symbol="t"):
-    """A long-term document holding ``data`` and the JSON tree it stands for."""
-    doc = MrdiDocument(
-        type_node("PolyRingElem", "11111111-2222-4333-8444-555555555555"),
-        data,
-        ns=NamespaceRecord(system, "0.1.0"),
-        refs={
-            "11111111-2222-4333-8444-555555555555": MrdiDocument(
-                "PolyRing", {"base_ring": "ZZRing", "symbol": symbol}
-            )
+    """A long-term document holding ``data``, its keys in another order than
+    the text's, and the JSON tree its text holds."""
+    doc = {
+        "data": data,
+        "_refs": {
+            "11111111-2222-4333-8444-555555555555": {
+                "data": {"base_ring": "ZZRing", "symbol": symbol},
+                "_type": "PolyRing",
+            }
         },
-    )
+        "_type": type_node("PolyRingElem", "11111111-2222-4333-8444-555555555555"),
+        "_ns": {"version": "0.1.0", "system": system},
+    }
     tree = {
         "_ns": {"system": system, "version": "0.1.0"},
         "_type": {"name": "PolyRingElem", "params": "11111111-2222-4333-8444-555555555555"},

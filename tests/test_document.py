@@ -7,8 +7,6 @@ from mrdikit.mrdi import (
     DeserializerState,
     GlobalSerializerState,
     Mode,
-    MrdiDocument,
-    NamespaceRecord,
     SerializerState,
     load,
     parse_text,
@@ -17,76 +15,72 @@ from mrdikit.mrdi import (
     type_node,
     validate_document,
 )
-from mrdikit.mrdi.document import MAX_NESTING_DEPTH
+from mrdikit.mrdi.document import MAX_NESTING_DEPTH, is_long_term
 
 UUID_A = "11111111-2222-4333-8444-555555555555"
 UUID_B = "66666666-7777-4888-9999-aaaaaaaaaaaa"
+_NS = {"system": "mrdikit", "version": "0.1.0"}
 
 
 def ring_ref(base, symbol):
-    return MrdiDocument("PolyRing", {"base_ring": base, "symbol": symbol})
+    return {"_type": "PolyRing", "data": {"base_ring": base, "symbol": symbol}}
 
 
 def test_valid_longterm_document_passes():
-    doc = MrdiDocument(
-        type_node("PolyRingElem", UUID_A),
-        [["0", "1"]],
-        ns=NamespaceRecord(),
-        refs={UUID_A: ring_ref("ZZRing", "t")},
-    )
+    doc = {
+        "_ns": _NS,
+        "_type": type_node("PolyRingElem", UUID_A),
+        "_refs": {UUID_A: ring_ref("ZZRing", "t")},
+        "data": [["0", "1"]],
+    }
     assert validate_document(doc) == []
 
 
 def test_cyclic_refs_detected():
-    doc = MrdiDocument(
-        type_node("PolyRingElem", UUID_A),
-        [],
-        ns=NamespaceRecord(),
-        refs={
+    doc = {
+        "_ns": _NS,
+        "_type": type_node("PolyRingElem", UUID_A),
+        "_refs": {
             UUID_A: ring_ref(UUID_B, "t"),
             UUID_B: ring_ref(UUID_A, "u"),
         },
-    )
+        "data": [],
+    }
     errors = validate_document(doc)
     assert any("cyclic reference" in e for e in errors)
 
 
 def test_mode_violation_refs_without_ns():
-    doc = MrdiDocument("ZZRingElem", "1", refs={})
+    doc = {"_type": "ZZRingElem", "_refs": {}, "data": "1"}
     errors = validate_document(doc)
     assert any("mode violation" in e for e in errors)
 
 
 def test_dangling_uuid_reported():
-    doc = MrdiDocument(
-        type_node("PolyRingElem", UUID_A),
-        [],
-        ns=NamespaceRecord(),
-        refs={},
-    )
+    doc = {"_ns": _NS, "_type": type_node("PolyRingElem", UUID_A), "_refs": {}, "data": []}
     errors = validate_document(doc)
     assert any("dangling reference" in e and UUID_A in e for e in errors)
 
 
 def test_unknown_tag_reported():
-    doc = MrdiDocument("Frobnicator", "1", ns=NamespaceRecord(), refs={})
+    doc = {"_ns": _NS, "_type": "Frobnicator", "_refs": {}, "data": "1"}
     errors = validate_document(doc)
     assert any("unknown type tag" in e for e in errors)
 
 
 def test_errors_accumulate():
-    doc = MrdiDocument(
-        type_node("Frobnicator", UUID_A),
-        "1",
-        refs={},  # also a mode violation: refs without ns
-    )
+    doc = {
+        "_type": type_node("Frobnicator", UUID_A),
+        "_refs": {},  # also a mode violation: refs without ns
+        "data": "1",
+    }
     errors = validate_document(doc)
     assert len(errors) >= 3  # unknown tag, mode violation, dangling uuid
 
 
 def test_ipc_document_mode():
-    doc = MrdiDocument("ZZRingElem", "5")
-    assert doc.mode is Mode.IPC
+    doc = {"_type": "ZZRingElem", "data": "5"}
+    assert not is_long_term(doc)
     assert validate_document(doc) == []
 
 
@@ -120,24 +114,108 @@ BIG = 7 * (10**5000 - 1) // 9  # 5000 digits, past the interpreter's 4300-digit 
     ],
 )
 def test_native_integers_past_the_digit_limit_are_named_briefly(where, error):
-    doc = MrdiDocument(
-        type_node("PolyRingElem", UUID_A),
-        [["0", BIG]] if where == "data" else {BIG: "1"} if where == "key" else [],
-        ns=NamespaceRecord(),
-        refs={BIG if where == "ref-key" else UUID_A: ring_ref("ZZRing", "t")},
-    )
+    doc = {
+        "_ns": _NS,
+        "_type": type_node("PolyRingElem", UUID_A),
+        "_refs": {BIG if where == "ref-key" else UUID_A: ring_ref("ZZRing", "t")},
+        "data": [["0", BIG]] if where == "data" else {BIG: "1"} if where == "key" else [],
+    }
     if where == "param":
-        doc.type_tree = type_node("PolyRingElem", {"ring": UUID_A, "n": BIG})
+        doc["_type"] = type_node("PolyRingElem", {"ring": UUID_A, "n": BIG})
     assert error in validate_document(doc)
     with pytest.raises(SchemaError, match="too long to show"):
         serialize_text(doc)
 
 
 def test_a_long_unknown_tag_is_quoted_by_its_head():
-    doc = MrdiDocument("T" * 5000, "1", ns=NamespaceRecord(), refs={})
+    doc = {"_ns": _NS, "_type": "T" * 5000, "_refs": {}, "data": "1"}
     (error,) = validate_document(doc)
     assert error.startswith("_type: unknown type tag 'TTT") and len(error) < 200
     assert error.endswith("... (5002 characters)")
+
+
+@pytest.mark.parametrize("mode", [Mode.LONG_TERM, Mode.IPC], ids=["long-term", "ipc"])
+@pytest.mark.parametrize(
+    "keys, listed",
+    [
+        ({BIG: "1"}, "[<int too long to show>]"),
+        ({None: "1"}, "[None]"),
+        ({None: "1", 3: "x", "banana": "y"}, "['banana', 3, None]"),
+    ],
+    ids=["long-int", "null", "mixed"],
+)
+def test_a_document_with_a_key_that_is_not_text_is_refused_with_one_text(mode, keys, listed):
+    # A dict built in memory can hold keys JSON cannot: they are listed
+    # quoted, and serialize_text raises the text validate_document lists.
+    doc = {"_type": "ZZRingElem", "data": "1", **keys}
+    if mode is Mode.LONG_TERM:
+        doc.update(_ns=_NS, _refs={})
+    error = f"unknown keys {listed}"
+    assert validate_document(doc)[0] == error
+    with pytest.raises(SchemaError) as info:
+        serialize_text(doc)
+    assert str(info.value) == error
+
+
+@pytest.mark.parametrize(
+    "keys, listed",
+    [({BIG: "1"}, "[<int too long to show>]"), ({None: "1"}, "[None]")],
+    ids=["long-int", "null"],
+)
+def test_a_ref_with_a_key_that_is_not_text_is_refused_with_one_text(keys, listed):
+    ref = {**ring_ref("ZZRing", "t"), **keys}
+    doc = {"_ns": _NS, "_type": type_node("PolyRingElem", UUID_A), "_refs": {UUID_A: ref},
+           "data": []}
+    error = f"_refs/{UUID_A}: unknown keys {listed}"
+    assert validate_document(doc) == [error]
+    with pytest.raises(SchemaError) as info:
+        serialize_text(doc)
+    assert str(info.value) == error
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        5,
+        ["_type", "data"],
+        {"_ns": "x", "_type": "ZZRingElem", "_refs": [UUID_A], "data": "1"},
+        {"_ns": {"system": 1}, "_type": "ZZRingElem", "_refs": {UUID_A: 5}, "data": "1"},
+        {"_ns": _NS, "_type": None, "_refs": {UUID_A: {"data": None}, 7: []}},
+    ],
+    ids=["int", "list", "wrong-envelope", "wrong-ref", "missing-parts"],
+)
+def test_validate_lists_the_problems_of_any_object(doc):
+    errors = validate_document(doc)
+    assert errors and all(isinstance(e, str) for e in errors), errors
+    with pytest.raises(SchemaError) as info:
+        serialize_text(doc)
+    assert str(info.value) == errors[0]
+
+
+def test_a_long_cycle_of_refs_is_one_error():
+    uuids = [f"{k:08x}-0000-4000-8000-000000000000" for k in range(2000)]
+    refs = {u: ring_ref(uuids[k - 1], f"t{k}") for k, u in enumerate(uuids)}
+    doc = {"_ns": _NS, "_type": type_node("PolyRingElem", uuids[0]), "_refs": refs, "data": []}
+    # The search starts at the smallest UUID, whose base is the largest.
+    trail = " -> ".join([uuids[0], *reversed(uuids)])
+    assert validate_document(doc) == [f"cyclic reference through {trail}"]
+
+
+def test_a_cycle_is_named_by_the_path_the_search_took():
+    uuid_c = "aaaaaaaa-0000-4000-8000-000000000000"
+    doc = {
+        "_ns": _NS,
+        "_type": type_node("PolyRingElem", UUID_A),
+        "_refs": {
+            UUID_A: ring_ref(UUID_B, "t"),
+            UUID_B: ring_ref(uuid_c, "u"),
+            uuid_c: ring_ref(UUID_B, "v"),
+        },
+        "data": [],
+    }
+    assert validate_document(doc) == [
+        f"cyclic reference through {UUID_A} -> {UUID_B} -> {uuid_c} -> {UUID_B}"
+    ]
 
 
 # -- byte form ----------------------------------------------------------------
@@ -207,7 +285,7 @@ def nested_vector_doc(type_levels, data_levels):
         tree = type_node("Vector", tree)
     for _ in range(data_levels):
         data = [data]
-    return MrdiDocument(tree, data, ns=NamespaceRecord(), refs={})
+    return {"_ns": _NS, "_type": tree, "_refs": {}, "data": data}
 
 
 @pytest.mark.parametrize(
@@ -238,7 +316,7 @@ def test_validate_agrees_with_parse_on_nesting(type_levels, data_levels, where):
 def test_the_writer_writes_exactly_what_parse_reads_back(mode, part, levels):
     doc = nested_vector_doc(levels if part == "type" else 1, levels if part == "data" else 1)
     if mode is Mode.IPC:
-        doc = MrdiDocument(doc.type_tree, doc.data)
+        doc = {"_type": doc["_type"], "data": doc["data"]}
     if levels == MAX_NESTING_DEPTH:
         assert parse_text(serialize_text(doc)) == doc
         return
@@ -265,9 +343,9 @@ def test_the_writer_writes_exactly_what_parse_reads_back(mode, part, levels):
     ids=["int", "flag", "int-key", "long-int", "tuple"],
 )
 def test_the_writer_refuses_what_parse_would_not_read_back(mode, data, error):
-    doc = MrdiDocument("ZZRingElem", data)
+    doc = {"_type": "ZZRingElem", "data": data}
     if mode is Mode.LONG_TERM:
-        doc = MrdiDocument(doc.type_tree, data, ns=NamespaceRecord(), refs={})
+        doc = {"_ns": _NS, "_type": doc["_type"], "_refs": {}, "data": data}
     with pytest.raises(SchemaError) as info:
         serialize_text(doc)
     assert str(info.value) == error
@@ -277,26 +355,25 @@ def test_a_parameter_object_with_a_name_is_a_type_node_and_round_trips():
     # By the format an object with a `name` and at most `params` is a type
     # node wherever it sits, so it is written and read back as it is.
     tree = type_node("Vector", {"name": "ZZRingElem"})
-    doc = MrdiDocument(tree, ["7"], ns=NamespaceRecord(), refs={})
+    doc = {"_ns": _NS, "_type": tree, "_refs": {}, "data": ["7"]}
     assert validate_document(doc) == []
     assert parse_text(serialize_text(doc)) == doc
     assert load(doc, DeserializerState(Mode.LONG_TERM, GlobalSerializerState())) == [7]
 
 
 def test_a_mapping_with_a_name_and_another_key_round_trips():
-    doc = MrdiDocument(type_node("Tuple", {"name": "x", "0": "ZZRingElem"}), [])
+    doc = {"_type": type_node("Tuple", {"name": "x", "0": "ZZRingElem"}), "data": []}
     assert validate_document(doc) == []
     assert parse_text(serialize_text(doc)) == doc
 
 
-_NS = {"system": "mrdikit", "version": "0.1.0"}
 _RING_T = {"_type": "PolyRing", "data": {"base_ring": "ZZRing", "symbol": "t"}}
 
 
 def shape_case(tree, data, refs=None, raw_type=None, raw_data=None, raw_refs=None):
     """A long-term document with one shape problem, in memory and as bytes
     (None when JSON cannot hold it: an object key in JSON is always text)."""
-    doc = MrdiDocument(tree, data, ns=NamespaceRecord(), refs=refs or {})
+    doc = {"_ns": _NS, "_type": tree, "_refs": refs or {}, "data": data}
     raw = {"_ns": _NS, "_type": raw_type, "_refs": raw_refs or {}, "data": raw_data}
     return doc, None if raw_data is None else json.dumps(raw).encode()
 
@@ -348,14 +425,14 @@ SHAPE_CASES = {
     ),
     "ref-with-ns": (
         shape_case("ZZRingElem", "1",
-                   refs={UUID_A: MrdiDocument("ZZRing", {}, ns=NamespaceRecord())},
+                   refs={UUID_A: {"_ns": _NS, "_type": "ZZRing", "data": {}}},
                    raw_type="ZZRingElem", raw_data="1",
                    raw_refs={UUID_A: {"_ns": _NS, "_type": "ZZRing", "data": {}}}),
         f"_refs/{UUID_A}: ref documents must not carry `_ns` or `_refs`",
     ),
     "ref-with-refs": (
         shape_case("ZZRingElem", "1",
-                   refs={UUID_A: MrdiDocument("ZZRing", {}, refs={})},
+                   refs={UUID_A: {"_type": "ZZRing", "_refs": {}, "data": {}}},
                    raw_type="ZZRingElem", raw_data="1",
                    raw_refs={UUID_A: {"_type": "ZZRing", "_refs": {}, "data": {}}}),
         f"_refs/{UUID_A}: ref documents must not carry `_ns` or `_refs`",
@@ -389,23 +466,23 @@ def test_parse_rejects_refs_inside_refs():
 
 
 def test_serialize_parse_identity_on_documents():
-    doc = MrdiDocument(
-        type_node("PolyRingElem", UUID_A),
-        [["0", "2"], ["3", "1"]],
-        ns=NamespaceRecord(),
-        refs={UUID_A: ring_ref("ZZRing", "t")},
-    )
+    doc = {
+        "_ns": _NS,
+        "_type": type_node("PolyRingElem", UUID_A),
+        "_refs": {UUID_A: ring_ref("ZZRing", "t")},
+        "data": [["0", "2"], ["3", "1"]],
+    }
     assert parse_text(serialize_text(doc)) == doc
 
 
 def test_serialize_is_stable_bytes():
-    doc = MrdiDocument("ZZRingElem", "42", ns=NamespaceRecord(), refs={})
+    doc = {"_ns": _NS, "_type": "ZZRingElem", "_refs": {}, "data": "42"}
     assert serialize_text(doc) == serialize_text(doc)
     assert serialize_text(doc).endswith(b"\n")
 
 
 def test_ipc_serialization_is_compact():
-    doc = MrdiDocument("ZZRingElem", "42")
+    doc = {"_type": "ZZRingElem", "data": "42"}
     raw = serialize_text(doc)
     assert b" " not in raw and b"\n" not in raw
     assert b"_ns" not in raw and b"_refs" not in raw

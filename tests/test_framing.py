@@ -8,13 +8,16 @@ import pytest
 
 from mrdikit.errors import TransportError
 from mrdikit.ipc import framing
-from mrdikit.mrdi import MrdiDocument, type_node
+from mrdikit.mrdi import type_node
 
 UUID_A = "11111111-2222-4333-8444-555555555555"
 
 
 def sample_doc(refs=None):
-    return MrdiDocument(type_node("PolyRingElem", UUID_A), [["0", "2"], ["3", "1"]], refs=refs)
+    doc = {"_type": type_node("PolyRingElem", UUID_A), "data": [["0", "2"], ["3", "1"]]}
+    if refs is not None:
+        doc["_refs"] = refs  # after `data`: the frame writes it before
+    return doc
 
 
 def roundtrip_one(msg):
@@ -25,7 +28,7 @@ def roundtrip_one(msg):
 
 
 def one_of_each_kind():
-    ref = MrdiDocument("PolyRing", {"base_ring": "ZZRing", "symbol": "t"})
+    ref = {"_type": "PolyRing", "data": {"base_ring": "ZZRing", "symbol": "t"}}
     return [
         framing.Call(2, "det_mod_p", sample_doc()),
         framing.Call(5, "poly_square", sample_doc({UUID_A: ref})),
@@ -221,10 +224,10 @@ def test_oversize_write_refused_under_a_lowered_cap(monkeypatch):
 def random_message(rng):
     kind = rng.randrange(4)
     if kind == 0:
-        ref = MrdiDocument(
-            "PolyRing",
-            {"base_ring": "ZZRing", "symbol": rng.choice("tuvw")},
-        )
+        ref = {
+            "_type": "PolyRing",
+            "data": {"base_ring": "ZZRing", "symbol": rng.choice("tuvw")},
+        }
         return framing.Call(rng.randrange(10**6), "poly_square", sample_doc({UUID_A: ref}))
     if kind == 1:
         return framing.Call(rng.randrange(10**6), rng.choice(["f", "g", "h"]), sample_doc())
@@ -232,7 +235,7 @@ def random_message(rng):
         refs = None
         if rng.random() < 0.4:
             refs = {
-                UUID_A: MrdiDocument("PolyRing", {"base_ring": "QQField", "symbol": "z"})
+                UUID_A: {"_type": "PolyRing", "data": {"base_ring": "QQField", "symbol": "z"}}
             }
         return framing.Result(rng.randrange(10**6), sample_doc(refs))
     text = "".join(rng.choice("abc \n\"\\{}") for _ in range(rng.randrange(20)))

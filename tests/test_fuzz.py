@@ -17,7 +17,6 @@ import json
 import random
 import re
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -187,17 +186,17 @@ def _in_memory_mutants(seed):
     raws = [json.dumps(tree).encode() for tree in _seed_trees()]
     for _ in range(CASES):
         doc = parse_text(rng.choice(raws))
-        target = rng.choice([doc, *(doc.refs or {}).values()])
+        target = rng.choice([doc, *doc.get("_refs", {}).values()])
         part = rng.randrange(4)
         if part == 0:
-            target.data = _native(_mutate(rng, target.data))
+            target["data"] = _native(_mutate(rng, target["data"]))
         elif part == 1:
-            target.data = _rekeyed(rng, target.data)
+            target["data"] = _rekeyed(rng, target["data"])
         elif part == 2:
-            name, params = type_parts(target.type_tree)
-            target.type_tree = type_node(name, _native(_mutate(rng, params)))
+            name, params = type_parts(target["_type"])
+            target["_type"] = type_node(name, _native(_mutate(rng, params)))
         else:
-            doc.refs = _rekeyed(rng, doc.refs or {})
+            doc["_refs"] = _rekeyed(rng, doc.get("_refs", {}))
         yield doc
 
 
@@ -242,11 +241,11 @@ def _valid_frames():
     matrix = save(((ExactMatrix.from_rows(ring, [[t, t], [t, t]]), [x * y]),), state)
     (uuid_t, ring_t), (uuid_s, ring_s) = state.pending_refs.items()
     return [
-        framing.Call(1, "identity", replace(matrix, refs={uuid_t: ring_t, uuid_s: ring_s})),
-        framing.Call(2, "poly_square", replace(square, refs={uuid_t: ring_t})),
+        framing.Call(1, "identity", {**matrix, "_refs": {uuid_t: ring_t, uuid_s: ring_s}}),
+        framing.Call(2, "poly_square", {**square, "_refs": {uuid_t: ring_t}}),
         framing.Call(3, "poly_square", square),
         framing.Call(4, "identity", matrix),
-        framing.Result(5, replace(matrix, refs={uuid_s: ring_s})),
+        framing.Result(5, {**matrix, "_refs": {uuid_s: ring_s}}),
         framing.Failure(6, "kaboom"),
     ]
 

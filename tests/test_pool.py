@@ -35,7 +35,6 @@ from mrdikit.mrdi import (
     DeserializerState,
     GlobalSerializerState,
     Mode,
-    MrdiDocument,
     SerializerState,
     load,
     save,
@@ -226,7 +225,7 @@ def test_bare_int_args_send_no_contexts():
     assert sent_refs(events) == []
     # no empty `_refs`: a Call without contexts keeps its bytes
     [call] = [msg for direction, _, msg in events if isinstance(msg, Call)]
-    assert call.args.refs is None
+    assert "_refs" not in call.args
 
 
 def test_parallel_map_empty():
@@ -540,7 +539,7 @@ def sent_refs(events):
         (worker, uuid)
         for direction, worker, msg in events
         if direction == "send" and isinstance(msg, Call)
-        for uuid in msg.args.refs or ()
+        for uuid in msg.args.get("_refs", ())
     ]
 
 
@@ -554,7 +553,7 @@ def assert_each_call_carries_what_its_worker_lacks(events):
     for direction, worker, msg in events:
         if direction == "send" and isinstance(msg, Call):
             named = {uuid.decode() for uuid in _UUID.findall(frame_bytes(msg))}
-            carried = set(msg.args.refs or ())
+            carried = set(msg.args.get("_refs", ()))
             assert named <= carried | held.get(worker, set()), (worker, msg.call_id)
             held.setdefault(worker, set()).update(carried)
 
@@ -606,9 +605,9 @@ def test_a_result_carries_every_context_its_value_names():
         uuids = [pool.global_state.uuid_for(ring) for ring in (Rt, Ru)]
     first_call = events[0][2]
     results = [msg for d, _, msg in events if d == "recv"]
-    assert list(first_call.args.refs) == uuids
+    assert list(first_call.args["_refs"]) == uuids
     # The worker holds both rings, and names them again in the second Result.
-    assert [msg.value.refs for msg in results] == [first_call.args.refs] * 2
+    assert [msg.value["_refs"] for msg in results] == [first_call.args["_refs"]] * 2
 
 
 def test_a_result_without_a_value_marks_its_worker_dead(extras_env):
@@ -697,9 +696,9 @@ def test_a_cyclic_refs_pair_fails_its_call_and_the_next_is_served():
     cyclic = save((t,), state)
     [uuid_a] = state.pending_refs
     uuid_b = "21111111-2222-4333-8444-555555555555"
-    cyclic.refs = {
-        uuid_a: MrdiDocument("PolyRing", {"base_ring": uuid_b, "symbol": "t"}),
-        uuid_b: MrdiDocument("PolyRing", {"base_ring": uuid_a, "symbol": "b"}),
+    cyclic["_refs"] = {
+        uuid_a: {"_type": "PolyRing", "data": {"base_ring": uuid_b, "symbol": "t"}},
+        uuid_b: {"_type": "PolyRing", "data": {"base_ring": uuid_a, "symbol": "b"}},
     }
     args = save((5,), state)
     frames = [Call(1, "identity", cyclic), Call(2, "identity", args)]

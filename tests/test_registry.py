@@ -78,7 +78,7 @@ def test_every_registered_tag_roundtrips_in_both_modes(tag):
     value = SAMPLES[tag]
     gs = GlobalSerializerState(uuid_seed=3)
     doc = save(value, SerializerState(Mode.LONG_TERM, gs))
-    assert tag in set(type_tags(doc.type_tree))
+    assert tag in set(type_tags(doc["_type"]))
     raw, again = resave(value, Mode.LONG_TERM, GlobalSerializerState(uuid_seed=3))
     assert again == raw
     raw, again = resave(value, Mode.IPC, gs)  # the long-term save registered the rings
@@ -99,7 +99,7 @@ def test_extension_type_roundtrips_long_term_byte_identically():
 def test_extension_type_errors_are_located():
     gs = GlobalSerializerState()
     doc = save((1, SAMPLES["PolyPair"]), SerializerState(Mode.LONG_TERM, gs))
-    doc.type_tree["params"]["1"]["params"]["second"] = "not-a-uuid"
+    doc["_type"]["params"]["1"]["params"]["second"] = "not-a-uuid"
     with pytest.raises(SchemaError, match="^data/1: expected a context UUID"):
         load(doc, DeserializerState(Mode.LONG_TERM, GlobalSerializerState()))
 

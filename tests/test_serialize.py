@@ -23,8 +23,6 @@ from mrdikit.mrdi import (
     DeserializerState,
     GlobalSerializerState,
     Mode,
-    MrdiDocument,
-    NamespaceRecord,
     SerializerState,
     encode_polynomial,
     load,
@@ -86,9 +84,9 @@ def test_long_malformed_integers_rejected():
     gs = GlobalSerializerState()
     for text in ["1" * 5000 + "x", "1_" * 5000 + "1", "--" + "1" * 5000]:
         with pytest.raises(SchemaError, match="expected a decimal integer"):
-            load(MrdiDocument("ZZRingElem", text), DeserializerState(Mode.IPC, gs))
+            load({"_type": "ZZRingElem", "data": text}, DeserializerState(Mode.IPC, gs))
     with pytest.raises(SchemaError, match="malformed rational"):
-        doc = MrdiDocument("QQFieldElem", "1/" + "2" * 5000 + "x")
+        doc = {"_type": "QQFieldElem", "data": "1/" + "2" * 5000 + "x"}
         load(doc, DeserializerState(Mode.IPC, gs))
 
 
@@ -104,7 +102,7 @@ def test_non_canonical_integer_text_rejected(text):
     # Most of these load through int(), but none re-serializes to itself.
     gs = GlobalSerializerState()
     with pytest.raises(SchemaError, match="expected a decimal integer"):
-        load(MrdiDocument("ZZRingElem", text), DeserializerState(Mode.IPC, gs))
+        load({"_type": "ZZRingElem", "data": text}, DeserializerState(Mode.IPC, gs))
 
 
 @pytest.mark.parametrize(
@@ -113,15 +111,15 @@ def test_non_canonical_integer_text_rejected(text):
 def test_non_canonical_rational_text_rejected(text):
     gs = GlobalSerializerState()
     with pytest.raises(SchemaError, match="malformed rational"):
-        load(MrdiDocument("QQFieldElem", text), DeserializerState(Mode.IPC, gs))
+        load({"_type": "QQFieldElem", "data": text}, DeserializerState(Mode.IPC, gs))
 
 
 def test_canonical_number_text_loads_and_resaves_identically():
     gs = GlobalSerializerState()
     for tag, text in [("ZZRingElem", "0"), ("ZZRingElem", "-907"), ("QQFieldElem", "-3/7"),
                       ("QQFieldElem", "12"), ("QQFieldElem", "0")]:
-        value = load(MrdiDocument(tag, text), DeserializerState(Mode.IPC, gs))
-        assert save(value, SerializerState(Mode.IPC, gs)).data == text
+        value = load({"_type": tag, "data": text}, DeserializerState(Mode.IPC, gs))
+        assert save(value, SerializerState(Mode.IPC, gs))["data"] == text
 
 
 def test_roundtrip_polynomials():
@@ -135,7 +133,7 @@ def test_roundtrip_polynomials():
 def test_roundtrip_zero_polynomial_empty_data():
     R, _ = polynomial_ring(QQ, "x", "y")
     doc, _ = longterm_save(Polynomial.zero(R))
-    assert doc.data == []
+    assert doc["data"] == []
     assert longterm_load(doc) == Polynomial.zero(R)
 
 
@@ -188,14 +186,14 @@ def test_bivariate_example_document_shape():
     R, (x, y) = polynomial_ring(QQ, "x", "y")
     p = x**3 - x * y + Polynomial.constant(R, 1)
     doc, _ = longterm_save(p, gs)
-    assert doc.type_tree["name"] == "MPolyRingElem"
-    ring_uuid = doc.type_tree["params"]
+    assert doc["_type"]["name"] == "MPolyRingElem"
+    ring_uuid = doc["_type"]["params"]
     assert ring_uuid == gs.uuid_for(R)
-    assert doc.data == [[["3", "0"], "1"], [["1", "1"], "-1"], [["0", "0"], "1"]]
-    assert set(doc.refs) == {ring_uuid}
-    ref = doc.refs[ring_uuid]
-    assert ref.type_tree == "MPolyRing"
-    assert ref.data == {"base_ring": "QQField", "symbols": ["x", "y"]}
+    assert doc["data"] == [[["3", "0"], "1"], [["1", "1"], "-1"], [["0", "0"], "1"]]
+    assert set(doc["_refs"]) == {ring_uuid}
+    ref = doc["_refs"][ring_uuid]
+    assert ref["_type"] == "MPolyRing"
+    assert ref["data"] == {"base_ring": "QQField", "symbols": ["x", "y"]}
 
 
 def test_ipc_document_has_no_ns_or_refs():
@@ -203,7 +201,7 @@ def test_ipc_document_has_no_ns_or_refs():
     R, (x, y) = polynomial_ring(QQ, "x", "y")
     gs.register_context(R)
     doc = save(x + y, SerializerState(Mode.IPC, gs))
-    assert doc.ns is None and doc.refs is None
+    assert "_ns" not in doc and "_refs" not in doc
     raw = serialize_text(doc)
     assert b"_ns" not in raw and b"_refs" not in raw
 
@@ -274,9 +272,9 @@ def test_nested_ring_refs_reference_inner_uuid():
     doc, _ = longterm_save(u.scale(t), gs)
     inner_uuid = gs.uuid_for(Rt)
     outer_uuid = gs.uuid_for(Ru)
-    assert set(doc.refs) == {inner_uuid, outer_uuid}
-    assert doc.refs[outer_uuid].data["base_ring"] == inner_uuid
-    assert doc.refs[inner_uuid].data["base_ring"] == "ZZRing"
+    assert set(doc["_refs"]) == {inner_uuid, outer_uuid}
+    assert doc["_refs"][outer_uuid]["data"]["base_ring"] == inner_uuid
+    assert doc["_refs"][inner_uuid]["data"]["base_ring"] == "ZZRing"
     assert validate_document(doc) == []
 
 
@@ -285,7 +283,7 @@ def test_context_dedup_one_ref_for_many_polys():
     R, (x, _) = polynomial_ring(QQ, "x", "y")
     values = [x**k for k in range(100)]
     doc, _ = longterm_save(values, gs)
-    assert len(doc.refs) == 1
+    assert len(doc["_refs"]) == 1
 
 
 def test_shared_uuid_same_parent_identity():
@@ -316,12 +314,12 @@ def test_ipc_load_requires_preloaded_context():
 
 
 def test_longterm_dangling_reference():
-    doc = MrdiDocument(
-        type_node("MPolyRingElem", "99999999-9999-4999-8999-999999999999"),
-        [],
-        ns=NamespaceRecord(),
-        refs={},
-    )
+    doc = {
+        "_ns": {"system": "mrdikit", "version": "0.1.0"},
+        "_type": type_node("MPolyRingElem", "99999999-9999-4999-8999-999999999999"),
+        "_refs": {},
+        "data": [],
+    }
     with pytest.raises(DanglingReferenceError):
         longterm_load(doc)
 
@@ -407,7 +405,7 @@ def test_roundtrip_file_bytes_stable():
 def test_version_mismatch_warns():
     gs = GlobalSerializerState()
     doc, _ = longterm_save(7, gs)
-    bumped = MrdiDocument(doc.type_tree, doc.data, NamespaceRecord("other", "9.0.0"), doc.refs)
+    bumped = {**doc, "_ns": {"system": "other", "version": "9.0.0"}}
     with pytest.warns(UserWarning, match="9.0.0"):
         load(bumped, DeserializerState(Mode.LONG_TERM, gs))
 
@@ -415,12 +413,13 @@ def test_version_mismatch_warns():
 def test_long_document_strings_are_quoted_by_their_head():
     gs = GlobalSerializerState()
     doc, _ = longterm_save(7, gs)
-    long_version = MrdiDocument(doc.type_tree, doc.data, NamespaceRecord("x" * 5000, "9" * 5000))
+    long_ns = {"system": "x" * 5000, "version": "9" * 5000}
+    long_version = {"_ns": long_ns, "_type": doc["_type"], "data": doc["data"]}
     with pytest.warns(UserWarning) as caught:
         load(long_version, DeserializerState(Mode.LONG_TERM, gs))
     assert len(str(caught[0].message)) < 300
     with pytest.raises(UnsupportedTypeError) as info:
-        load(MrdiDocument("T" * 5000, "7"), DeserializerState(Mode.LONG_TERM, gs))
+        load({"_type": "T" * 5000, "data": "7"}, DeserializerState(Mode.LONG_TERM, gs))
     assert str(info.value).startswith("unsupported type tag: 'TTT") and len(str(info.value)) < 300
 
 

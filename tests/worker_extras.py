@@ -85,7 +85,7 @@ _context_from_ref = codec._context_from_ref
 
 
 def _reject_marked_rings_once(ref, state, where):
-    data = ref.data
+    data = ref["data"]
     if isinstance(data, dict) and data.get("symbol") == REJECT_ONCE_SYMBOL:
         if where not in _rejected:
             _rejected.add(where)
