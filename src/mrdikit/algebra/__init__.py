@@ -2,7 +2,6 @@ from .rings import (
     ZZ,
     QQ,
     GF,
-    ContextHandle,
     IntegerRing,
     MultivariatePolyRing,
     PrimeField,
@@ -32,7 +31,6 @@ __all__ = [
     "ZZ",
     "QQ",
     "GF",
-    "ContextHandle",
     "ExactMatrix",
     "IntegerRing",
     "Monomial",

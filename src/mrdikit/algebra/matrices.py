@@ -34,6 +34,7 @@ largest |point| X and the longest coefficient list w, plus a sign bit.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, prod
 
@@ -41,8 +42,8 @@ from ..errors import ValidationError, quote
 from .polynomials import Polynomial, coercer, dense_coefficients, from_dense_coefficients
 from .primes import crt_combine_balanced, is_prime
 from .rings import (
-    ContextHandle,
     IntegerRing,
+    RingDescriptor,
     PrimeField,
     RationalField,
     UnivariatePolyRing,
@@ -54,10 +55,10 @@ from .rings import (
 class ExactMatrix:
     __slots__ = ("parent", "nrows", "ncols", "entries")
 
-    def __init__(self, parent: ContextHandle, nrows: int, ncols: int, entries):
+    def __init__(self, parent: RingDescriptor, nrows: int, ncols: int, entries):
         if nrows < 0 or ncols < 0:
             raise ValidationError("matrix dimensions must be nonnegative")
-        entries = tuple(map(coercer(parent.descriptor), entries))
+        entries = tuple(map(coercer(parent), entries))
         if len(entries) != nrows * ncols:
             raise ValidationError(
                 f"expected {quote(nrows * ncols)} entries for a {quote(nrows)}x{quote(ncols)} "
@@ -69,7 +70,7 @@ class ExactMatrix:
         self.entries = entries
 
     @classmethod
-    def of_canonical(cls, parent: ContextHandle, nrows: int, ncols: int, entries):
+    def of_canonical(cls, parent: RingDescriptor, nrows: int, ncols: int, entries):
         """Trusted constructor: ``entries`` must already be ``nrows * ncols``
         values of ``parent`` in canonical form, as a codec load reads them."""
         m = cls.__new__(cls)
@@ -80,7 +81,7 @@ class ExactMatrix:
         return m
 
     @classmethod
-    def from_rows(cls, parent: ContextHandle, rows):
+    def from_rows(cls, parent: RingDescriptor, rows):
         rows = [list(r) for r in rows]
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
@@ -113,7 +114,7 @@ class ExactMatrix:
         return hash((self.parent, self.nrows, self.ncols, self.entries))
 
     def __repr__(self):
-        return f"ExactMatrix({self.nrows}x{self.ncols} over {self.parent.descriptor!r})"
+        return f"ExactMatrix({self.nrows}x{self.ncols} over {self.parent!r})"
 
 
 # ----------------------------------------------------------------------------
@@ -121,25 +122,23 @@ class ExactMatrix:
 # ----------------------------------------------------------------------------
 
 
-def _reduction_ring(desc, prime: int) -> ContextHandle:
+def _reduction_ring(desc: RingDescriptor, prime: int) -> RingDescriptor:
     """The ring over GF(prime) with the symbols of an integer polynomial ring."""
     if not isinstance(desc, (UnivariatePolyRing, MultivariatePolyRing)):
         raise ValidationError("expected a polynomial over a polynomial ring")
     if not isinstance(desc.base, IntegerRing):
         raise ValidationError("reduction needs integer coefficients")
-    if isinstance(desc, UnivariatePolyRing):
-        return intern_context(UnivariatePolyRing(PrimeField(prime), desc.symbol))
-    return intern_context(MultivariatePolyRing(PrimeField(prime), desc.symbols))
+    return intern_context(replace(desc, base=PrimeField(prime)))
 
 
-def _reduce_terms(target: ContextHandle, p: Polynomial, prime: int) -> Polynomial:
+def _reduce_terms(target: RingDescriptor, p: Polynomial, prime: int) -> Polynomial:
     # Reduction keeps the canonical term order, so the trusted constructor fits.
     return Polynomial(target, [(m, r) for m, c in p.terms if (r := c % prime)])
 
 
 def reduce_mod_prime(m: ExactMatrix, prime: int) -> ExactMatrix:
     """Entry-wise reduction of a matrix over ZZ[t] to one over Fp[t]."""
-    target = _reduction_ring(m.parent.descriptor, prime)
+    target = _reduction_ring(m.parent, prime)
     entries = [_reduce_terms(target, e, prime) for e in m.entries]
     return ExactMatrix(target, m.nrows, m.ncols, entries)
 
@@ -238,8 +237,8 @@ def _dense_entries(m: ExactMatrix) -> list[list[int]]:
 def _require_univariate_square(m, base: type, name: str) -> None:
     """Raise ValidationError unless ``m`` is a square ``ExactMatrix`` over a
     univariate polynomial ring whose coefficient ring is a ``base``."""
-    desc = m.parent.descriptor if isinstance(m, ExactMatrix) else None
-    if not isinstance(desc, UnivariatePolyRing) or not isinstance(desc.base, base):
+    ring = m.parent if isinstance(m, ExactMatrix) else None
+    if not isinstance(ring, UnivariatePolyRing) or not isinstance(ring.base, base):
         raise ValidationError(f"expected a matrix over a univariate polynomial ring over {name}")
     if not m.is_square:
         raise ValidationError("determinant of a nonsquare matrix")
@@ -255,7 +254,7 @@ def det_univariate_over_prime_field(m: ExactMatrix, degree_bound: int) -> Polyno
     _require_univariate_square(m, PrimeField, "a prime field")
     if degree_bound < 0:
         raise ValidationError("degree bound must be nonnegative")
-    p = m.parent.descriptor.base.p
+    p = m.parent.base.p
     values = [
         _det_mod([[v % p for v in row] for row in rows], p, (p,))
         for rows in _evaluations(_dense_entries(m), m.nrows, range(degree_bound + 1))
@@ -422,7 +421,7 @@ def interpolate_at_consecutive_points(
 
 def rref_over_Q(m: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Reduced row echelon form with exact Fraction arithmetic."""
-    if not isinstance(m.parent.descriptor, RationalField):
+    if not isinstance(m.parent, RationalField):
         raise ValidationError("rref_over_Q expects a matrix over QQ")
     rows = [list(r) for r in m.rows()]
     nrows, ncols = m.nrows, m.ncols

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 from ..errors import ValidationError
 from .polynomials import Monomial
-from .rings import ContextHandle, ring_arity
+from .rings import RingDescriptor, ring_arity
 
 Multidegree = tuple[int, ...]
 
@@ -125,7 +125,7 @@ def iter_monomials(arity: int, total_degree: int) -> Iterator[Monomial]:
 
 
 def monomials_by_multidegree(
-    ring: ContextHandle,
+    ring: RingDescriptor,
     variable_degrees: Sequence[Multidegree],
     total_degree: int | None = None,
     *,
@@ -143,7 +143,7 @@ def monomials_by_multidegree(
     leading monomial first.  The groups are the fibers of one packed walk
     (``MonomialCodes``).
     """
-    arity = ring_arity(ring.descriptor)
+    arity = ring_arity(ring)
     if len(variable_degrees) != arity:
         raise ValidationError(
             f"got {len(variable_degrees)} variable degrees for a ring with {arity} symbols"

@@ -1,5 +1,5 @@
-"""Sparse polynomials over an interned ring context, and the coercion of a
-value into its ring.
+"""Sparse polynomials over a polynomial ring, and the coercion of a value
+into its ring.
 
 Terms are kept in canonical form: sorted by degree-lexicographic order with
 the leading monomial first, no zero coefficients, monomials pairwise distinct.
@@ -17,7 +17,6 @@ from typing import Callable, Iterable
 
 from ..errors import ContextMismatchError, ValidationError
 from .rings import (
-    ContextHandle,
     IntegerRing,
     MultivariatePolyRing,
     PrimeField,
@@ -44,7 +43,7 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 class Polynomial:
     __slots__ = ("parent", "terms")
 
-    def __init__(self, parent: ContextHandle, terms):
+    def __init__(self, parent: RingDescriptor, terms):
         # Trusted constructor: ``terms`` must already be canonical.
         self.parent = parent
         self.terms = tuple(terms)
@@ -52,12 +51,12 @@ class Polynomial:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_terms(cls, parent: ContextHandle, terms: Iterable[tuple[Monomial, object]]):
+    def from_terms(cls, parent: RingDescriptor, terms: Iterable[tuple[Monomial, object]]):
         """Build a polynomial from (exponents, coefficient) pairs, normalizing."""
-        if not isinstance(parent.descriptor, (UnivariatePolyRing, MultivariatePolyRing)):
-            raise ValidationError(f"{parent.descriptor!r} is not a polynomial ring")
-        arity = ring_arity(parent.descriptor)
-        coerce = coercer(parent.descriptor.base)
+        if not isinstance(parent, (UnivariatePolyRing, MultivariatePolyRing)):
+            raise ValidationError(f"{parent!r} is not a polynomial ring")
+        arity = ring_arity(parent)
+        coerce = coercer(parent.base)
         acc: dict[Monomial, object] = {}
         for exponents, coeff in terms:
             mono = tuple(exponents)
@@ -76,17 +75,17 @@ class Polynomial:
         return cls(parent, cleaned)
 
     @classmethod
-    def constant(cls, parent: ContextHandle, value):
-        arity = ring_arity(parent.descriptor)
+    def constant(cls, parent: RingDescriptor, value):
+        arity = ring_arity(parent)
         return cls.from_terms(parent, [((0,) * arity, value)])
 
     @classmethod
-    def zero(cls, parent: ContextHandle):
+    def zero(cls, parent: RingDescriptor):
         return cls(parent, ())
 
     @classmethod
-    def variable(cls, parent: ContextHandle, index: int):
-        arity = ring_arity(parent.descriptor)
+    def variable(cls, parent: RingDescriptor, index: int):
+        arity = ring_arity(parent)
         if not 0 <= index < arity:
             raise ValidationError(f"variable index {index} out of range")
         exps = tuple(1 if i == index else 0 for i in range(arity))
@@ -114,8 +113,8 @@ class Polynomial:
             raise TypeError(f"cannot {op} Polynomial and {type(other).__name__}")
         if other.parent != self.parent:
             raise ContextMismatchError(
-                f"cannot {op} elements of {describe_descriptor(self.parent.descriptor)} "
-                f"and {describe_descriptor(other.parent.descriptor)}"
+                f"cannot {op} elements of {describe_descriptor(self.parent)} "
+                f"and {describe_descriptor(other.parent)}"
             )
 
     def __add__(self, other):
@@ -127,12 +126,12 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self):
-        coerce = coercer(self.parent.descriptor.base)
+        coerce = coercer(self.parent.base)
         return Polynomial(self.parent, [(m, coerce(-c)) for m, c in self.terms])
 
     def __mul__(self, other):
         self._check_parent(other, "multiply")
-        coerce = coercer(self.parent.descriptor.base)
+        coerce = coercer(self.parent.base)
         acc: dict[Monomial, object] = {}
         for ma, ca in self.terms:
             for mb, cb in other.terms:
@@ -160,7 +159,7 @@ class Polynomial:
 
     def scale(self, value):
         """Multiply by a base-ring element."""
-        coerce = coercer(self.parent.descriptor.base)
+        coerce = coercer(self.parent.base)
         value = coerce(value)
         scaled = [(m, coerce(c * value)) for m, c in self.terms]
         return Polynomial(self.parent, [(m, c) for m, c in scaled if c])
@@ -180,7 +179,7 @@ class Polynomial:
     def __repr__(self):
         if not self.terms:
             return "0"
-        symbols = ring_symbols(self.parent.descriptor)
+        symbols = ring_symbols(self.parent)
         parts = []
         for m, c in self.terms:
             factors = [
@@ -199,18 +198,18 @@ class Polynomial:
         return " + ".join(parts)
 
 
-def coercer(descriptor: RingDescriptor) -> Callable:
-    """The function that checks a value of the ring ``descriptor`` and returns
+def coercer(ring: RingDescriptor) -> Callable:
+    """The function that checks a value of ``ring`` and returns
     it in canonical form: an int for ZZ, a ``Fraction`` for QQ, a residue in
     [0, p) for GF(p), and for a polynomial ring a polynomial of that ring, a
     scalar becoming a constant.  A value of the wrong kind, or a polynomial of
     another ring, raises ValidationError."""
-    if isinstance(descriptor, IntegerRing):
+    if isinstance(ring, IntegerRing):
         return _integer
-    if isinstance(descriptor, RationalField):
+    if isinstance(ring, RationalField):
         return _rational
-    if isinstance(descriptor, PrimeField):
-        p = descriptor.p
+    if isinstance(ring, PrimeField):
+        p = ring.p
 
         def residue(value):
             if isinstance(value, bool) or not isinstance(value, int):
@@ -218,8 +217,7 @@ def coercer(descriptor: RingDescriptor) -> Callable:
             return value % p
 
         return residue
-    if isinstance(descriptor, (UnivariatePolyRing, MultivariatePolyRing)):
-        ring = intern_context(descriptor)
+    if isinstance(ring, (UnivariatePolyRing, MultivariatePolyRing)):
 
         def polynomial(value):
             if isinstance(value, Polynomial):
@@ -229,7 +227,7 @@ def coercer(descriptor: RingDescriptor) -> Callable:
             return Polynomial.constant(ring, value)
 
         return polynomial
-    raise ValidationError(f"no coefficient domain for {descriptor!r}")
+    raise ValidationError(f"no coefficient domain for {ring!r}")
 
 
 def _integer(value) -> int:
@@ -255,7 +253,7 @@ def dense_coefficients(p: Polynomial, length: int) -> list:
     return coeffs
 
 
-def from_dense_coefficients(parent: ContextHandle, coeffs) -> Polynomial:
+def from_dense_coefficients(parent: RingDescriptor, coeffs) -> Polynomial:
     """The univariate polynomial with reduced ``coeffs``, constant term first."""
     terms = [((d,), coeffs[d]) for d in reversed(range(len(coeffs))) if coeffs[d]]
     return Polynomial(parent, terms)
@@ -273,14 +271,13 @@ def describe_descriptor(d) -> str:
     return repr(d)
 
 
-def polynomial_ring(base: ContextHandle, *symbols: str):
-    """Intern a multivariate ring and return (handle, generator polynomials)."""
-    handle = intern_context(MultivariatePolyRing(base.descriptor, tuple(symbols)))
-    gens = tuple(Polynomial.variable(handle, i) for i in range(len(symbols)))
-    return handle, gens
+def polynomial_ring(base: RingDescriptor, *symbols: str):
+    """Intern a multivariate ring and return (ring, generator polynomials)."""
+    ring = intern_context(MultivariatePolyRing(base, tuple(symbols)))
+    return ring, tuple(Polynomial.variable(ring, i) for i in range(len(symbols)))
 
 
-def univariate_ring(base: ContextHandle, symbol: str):
-    """Intern a univariate ring and return (handle, the generator)."""
-    handle = intern_context(UnivariatePolyRing(base.descriptor, symbol))
-    return handle, Polynomial.variable(handle, 0)
+def univariate_ring(base: RingDescriptor, symbol: str):
+    """Intern a univariate ring and return (ring, the generator)."""
+    ring = intern_context(UnivariatePolyRing(base, symbol))
+    return ring, Polynomial.variable(ring, 0)

@@ -1,18 +1,18 @@
-"""Ring descriptors and the process-wide context intern registry.
+"""Rings as descriptor values, and the process-wide intern registry.
 
-A ring is described structurally by a :class:`RingDescriptor` tree and used
-operationally through a :class:`ContextHandle` obtained from
-:func:`intern_context`.  Interning gives contexts identity semantics: equal
-descriptors always map to the same handle, so ``a.parent is b.parent`` decides
-whether two elements live in the same ring.  Elements themselves are plain
-values (an int, a ``Fraction``, a residue, a ``Polynomial``); the coercion of
-a value into its ring lives beside ``Polynomial`` in ``polynomials.py``.
+A ring is a :class:`RingDescriptor`: a frozen tree that compares and hashes
+by value, so ``ZZ == IntegerRing()``.  :func:`intern_context` keeps one
+object per value, base rings included, so ``a.parent is b.parent`` is a fast
+path for equal rings, never a condition for a correct result.  Elements are
+plain values (an int, a ``Fraction``, a residue, a ``Polynomial``); the
+coercion of a value into its ring lives beside ``Polynomial`` in
+``polynomials.py``.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..errors import ValidationError, quote
 from .primes import is_prime
@@ -20,7 +20,11 @@ from .primes import is_prime
 
 @dataclass(frozen=True)
 class RingDescriptor:
-    pass
+    @property
+    def descriptor(self) -> RingDescriptor:
+        # The ring itself, for perfbench/bench_inputs.py, which reads
+        # ``ring.descriptor.symbols``; it goes when the benchmark is updated.
+        return self
 
 
 @dataclass(frozen=True)
@@ -89,37 +93,31 @@ def ring_arity(descriptor: RingDescriptor) -> int:
     return len(ring_symbols(descriptor))
 
 
-@dataclass(frozen=True, eq=False)
-class ContextHandle:
-    """An interned ring.  ``intern_context`` makes one handle per descriptor,
-    so a handle compares and hashes by identity."""
-
-    descriptor: RingDescriptor
-
-
 _registry_lock = threading.Lock()
-_registry: dict[RingDescriptor, ContextHandle] = {}
+_registry: dict[RingDescriptor, RingDescriptor] = {}
 
 
-def intern_context(descriptor: RingDescriptor) -> ContextHandle:
-    """Return the unique handle for ``descriptor``, creating it if needed.
+def intern_context(descriptor: RingDescriptor) -> RingDescriptor:
+    """The one interned ring equal to ``descriptor``, whose base rings are
+    interned too.
 
-    Thread safe; repeated calls with equal descriptors yield the same handle
-    object for the lifetime of the process.
+    Thread safe; repeated calls with equal descriptors yield the same object
+    for the lifetime of the process.
     """
     if not isinstance(descriptor, RingDescriptor):
         raise ValidationError(f"not a ring descriptor: {descriptor!r}")
-    with _registry_lock:
-        handle = _registry.get(descriptor)
-        if handle is None:
-            handle = ContextHandle(descriptor)
-            _registry[descriptor] = handle
-        return handle
+    ring = _registry.get(descriptor)
+    if ring is None:
+        if isinstance(descriptor, (UnivariatePolyRing, MultivariatePolyRing)):
+            descriptor = replace(descriptor, base=intern_context(descriptor.base))
+        with _registry_lock:
+            ring = _registry.setdefault(descriptor, descriptor)
+    return ring
 
 
 ZZ = intern_context(IntegerRing())
 QQ = intern_context(RationalField())
 
 
-def GF(p: int) -> ContextHandle:
+def GF(p: int) -> RingDescriptor:
     return intern_context(PrimeField(p))

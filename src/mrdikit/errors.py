@@ -26,7 +26,7 @@ class ValidationError(MrdiKitError):
 
 
 class ContextMismatchError(MrdiKitError):
-    """Two elements with different interned parent contexts were combined."""
+    """Two elements of different rings were combined."""
 
 
 class SchemaError(MrdiKitError):

@@ -10,10 +10,11 @@ one ring the way built-in lists are, whole (``MonomialMap`` writes and reads
 its images so).  ``encode_polynomial``/``decode_polynomial`` are the one-item
 case, for a polynomial that shares no list with others.
 
-Saving builds the ``_type`` subtree first, registering every parent context
-it meets (a ring's base ring before the ring), then ``data``.  Long-term mode
-emits ``_ns`` plus the accumulated refs; IPC mode emits a bare type/data pair
-over contexts the global state already knows.  Loading follows a chain of
+A ring is its interned ``RingDescriptor``, which the global state looks up
+by value.  Saving builds the ``_type`` subtree first, registering every
+parent ring it meets (a ring's base ring before the ring), then ``data``.
+Long-term mode emits ``_ns`` plus the accumulated refs; IPC mode emits a bare
+type/data pair over rings the global state already knows.  Loading follows a chain of
 refs (each ring the next one's base) at most ``MAX_NESTING_DEPTH`` deep.
 Type nodes are the JSON that ``_type`` holds, built by ``type_node`` and read
 by ``type_parts``; each decoder reads its own parameters, so a container
@@ -25,11 +26,11 @@ type node.
 
 A univariate payload is sparse ``[degree, coefficient]`` pairs in ascending
 degree for storage, dense coefficients from degree zero up for IPC.  Element
-lists are read and written whole, through one list codec per ring descriptor
-type (``_LIST_CODECS``).  A list of polynomials is read as columns of all its
-terms (``_read_polys``), and a single payload as a list of one.  A list whose
-text is not all canonical is read again item by item, which raises the
-SchemaError that locates the bad item.
+lists are read and written whole, through one list codec per kind of ring
+(``_LIST_CODECS``).  A list of polynomials is read as columns of all its
+terms (``_read_polys``), and a single payload as a list of one.  A list
+whose text is not all canonical is read again item by item, which raises
+the SchemaError that locates the bad item.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from ..algebra.rings import (
     GF,
     QQ,
     ZZ,
-    ContextHandle,
     IntegerRing,
     MultivariatePolyRing,
     PrimeField,
@@ -124,23 +124,22 @@ def registered_type_tags():
 # ----------------------------------------------------------------------------
 
 
-def _ring_type(ring: ContextHandle, state: SerializerState) -> TypeTree:
+def _ring_type(ring: RingDescriptor, state: SerializerState) -> TypeTree:
     """A ring's type node.  A polynomial ring's parameter is its UUID, which
     registers it in ``state``; with no state, as in its ref document, it has none."""
-    desc = ring.descriptor
-    if isinstance(desc, IntegerRing):
+    if isinstance(ring, IntegerRing):
         return "ZZRing"
-    if isinstance(desc, RationalField):
+    if isinstance(ring, RationalField):
         return "QQField"
-    if isinstance(desc, PrimeField):
-        return type_node("PrimeField", {"modulus": str(desc.p)})
-    if not isinstance(desc, _POLY_RINGS):
-        raise UnsupportedTypeError(f"no type node for ring {desc!r}")
-    tag = "PolyRing" if isinstance(desc, UnivariatePolyRing) else "MPolyRing"
+    if isinstance(ring, PrimeField):
+        return type_node("PrimeField", {"modulus": str(ring.p)})
+    if not isinstance(ring, _POLY_RINGS):
+        raise UnsupportedTypeError(f"no type node for ring {ring!r}")
+    tag = "PolyRing" if isinstance(ring, UnivariatePolyRing) else "MPolyRing"
     return type_node(tag, None if state is None else context_uuid(ring, state))
 
 
-def _ring_from_type(tn: TypeTree, state: DeserializerState, where: str) -> ContextHandle:
+def _ring_from_type(tn: TypeTree, state: DeserializerState, where: str) -> RingDescriptor:
     """The ring a ring type node names, the inverse of ``_ring_type``: a tag
     with other parameters than the ones ``_ring_type`` writes is an error."""
     name, params = type_parts(tn)
@@ -152,21 +151,21 @@ def _ring_from_type(tn: TypeTree, state: DeserializerState, where: str) -> Conte
         return GF(int_from_text(params["modulus"], where))
     if name in ("PolyRing", "MPolyRing"):
         ring = context_from_uuid(params, state, where)
-        if isinstance(ring.descriptor, UnivariatePolyRing) == (name == "PolyRing"):
+        if isinstance(ring, UnivariatePolyRing) == (name == "PolyRing"):
             return ring
-        raise SchemaError(f"{where}: {params} names {ring.descriptor!r}, not a {name}")
+        raise SchemaError(f"{where}: {params} names {ring!r}, not a {name}")
     raise SchemaError(
         f"{where}: {name[:QUOTE_LIMIT]} with parameters {quote(params)} is not a ring type"
     )
 
 
-def _element_type(ring: ContextHandle, state: SerializerState) -> TypeTree:
+def _element_type(ring: RingDescriptor, state: SerializerState) -> TypeTree:
     """An element's type node: its ring's, with ``Elem`` appended to the tag."""
     name, params = type_parts(_ring_type(ring, state))
     return type_node(name + "Elem", params)
 
 
-def _element_ring(tn: TypeTree, state: DeserializerState, where: str) -> ContextHandle:
+def _element_ring(tn: TypeTree, state: DeserializerState, where: str) -> RingDescriptor:
     """The parent ring an element type node names; an unregistered tag is
     unsupported."""
     name, params = type_parts(tn)
@@ -175,31 +174,29 @@ def _element_ring(tn: TypeTree, state: DeserializerState, where: str) -> Context
     return _ring_from_type(type_node(name[: -len("Elem")], params), state, where)
 
 
-def context_ref_document(ctx: ContextHandle, global_state: GlobalSerializerState) -> dict:
-    """The `_refs` entry describing a polynomial ring context.
+def context_ref_document(ring: RingDescriptor, global_state: GlobalSerializerState) -> dict:
+    """The `_refs` entry describing a polynomial ring.
 
     The base ring is inlined for leaf rings, as its type node, and
-    referenced by UUID when it is itself an interned polynomial ring
-    (which must already be registered).
+    referenced by UUID when it is itself a polynomial ring (which must
+    already be registered).
     """
-    desc = ctx.descriptor
-    if not isinstance(desc, _POLY_RINGS):
-        raise UnsupportedTypeError(f"no ref document for non-polynomial ring {desc!r}")
-    base = intern_context(desc.base)
-    if isinstance(desc.base, _POLY_RINGS):
-        base_json = global_state.uuid_for(base)
+    if not isinstance(ring, _POLY_RINGS):
+        raise UnsupportedTypeError(f"no ref document for non-polynomial ring {ring!r}")
+    if isinstance(ring.base, _POLY_RINGS):
+        base_json = global_state.uuid_for(ring.base)
         if base_json is None:
-            raise ContextNotPreloadedError(f"base ring of {desc!r} has no UUID; register it first")
+            raise ContextNotPreloadedError(f"base ring of {ring!r} has no UUID; register it first")
     else:
-        base_json = _ring_type(base, None)
-    if isinstance(desc, UnivariatePolyRing):
-        fields = {"base_ring": base_json, "symbol": desc.symbol}
+        base_json = _ring_type(ring.base, None)
+    if isinstance(ring, UnivariatePolyRing):
+        fields = {"base_ring": base_json, "symbol": ring.symbol}
     else:
-        fields = {"base_ring": base_json, "symbols": list(desc.symbols)}
-    return {"_type": _ring_type(ctx, None), "data": fields}
+        fields = {"base_ring": base_json, "symbols": list(ring.symbols)}
+    return {"_type": _ring_type(ring, None), "data": fields}
 
 
-def context_uuid(ring: ContextHandle, state: SerializerState) -> str:
+def context_uuid(ring: RingDescriptor, state: SerializerState) -> str:
     """The UUID that names the polynomial ring ``ring`` in a type parameter.
 
     The ring and its polynomial base rings are registered in the global
@@ -207,24 +204,23 @@ def context_uuid(ring: ContextHandle, state: SerializerState) -> str:
     documents join the document being saved.  In IPC mode a ring the global
     state does not know raises ContextNotPreloadedError.
     """
-    desc = ring.descriptor
-    if not isinstance(desc, _POLY_RINGS):
-        raise UnsupportedTypeError(f"only polynomial rings are named by UUID, not {desc!r}")
-    if isinstance(desc.base, _POLY_RINGS):
-        context_uuid(intern_context(desc.base), state)
+    if not isinstance(ring, _POLY_RINGS):
+        raise UnsupportedTypeError(f"only polynomial rings are named by UUID, not {ring!r}")
+    if isinstance(ring.base, _POLY_RINGS):
+        context_uuid(ring.base, state)
     uuid_key = state.global_state.uuid_for(ring)
     if uuid_key is None:
         if state.mode is Mode.IPC and not state.collect_new_refs:
-            message = f"context not preloaded: {desc!r} is unknown to the global state"
+            message = f"context not preloaded: {ring!r} is unknown to the global state"
             raise ContextNotPreloadedError(message)
-        uuid_key = state.global_state.register_context(ring)
+        uuid_key = state.global_state.register_context(intern_context(ring))
     if state.mode is Mode.LONG_TERM or state.collect_new_refs:
         if uuid_key not in state.pending_refs:
             state.pending_refs[uuid_key] = context_ref_document(ring, state.global_state)
     return uuid_key
 
 
-def context_from_uuid(param, state: DeserializerState, where: str) -> ContextHandle:
+def context_from_uuid(param, state: DeserializerState, where: str) -> RingDescriptor:
     """The ring a UUID type parameter names: bound in the global state, or
     read from the document's ``_refs`` (``state.refs``) and bound.  A
     ``param`` that is not a UUID raises a SchemaError located at ``where``, a
@@ -253,39 +249,39 @@ def context_from_uuid(param, state: DeserializerState, where: str) -> ContextHan
     raise DanglingReferenceError(f"dangling reference: {param}")
 
 
-def _context_from_ref(ref: dict, state: DeserializerState, where: str) -> ContextHandle:
+def _context_from_ref(ref: dict, state: DeserializerState, where: str) -> RingDescriptor:
     """The polynomial ring a ref document describes by ``base_ring`` (a UUID,
-    or a leaf ring's type node) and ``symbol`` or ``symbols``; its type must
-    be what ``_ring_type`` gives that ring without a state."""
+    or a leaf ring's type node) and ``symbol`` (text) or ``symbols`` (a list
+    of text); its type must be what ``_ring_type`` gives that ring without a
+    state."""
     data = ref["data"]
     fields = set(data) if isinstance(data, dict) else None
     if fields not in ({"base_ring", "symbol"}, {"base_ring", "symbols"}):
         raise SchemaError(f"{where}: ref documents must describe polynomial rings")
     base, at = data["base_ring"], f"{where}/base_ring"
     if is_uuid_text(base):
-        base_desc = context_from_uuid(base, state, at).descriptor
+        base = context_from_uuid(base, state, at)
     elif type_parts(base)[0] is not None:
-        base_desc = _ring_from_type(base, state, at).descriptor
-        if isinstance(base_desc, _POLY_RINGS):
+        base = _ring_from_type(base, state, at)
+        if isinstance(base, _POLY_RINGS):
             raise SchemaError(f"{at}: a polynomial base ring is named by its UUID")
     else:
         raise SchemaError(f"{at}: unknown base ring encoding {quote(base)}")
-    symbols = data.get("symbol", data.get("symbols"))
-    if "symbol" in data and isinstance(symbols, str):
-        ring = intern_context(UnivariatePolyRing(base_desc, symbols))
-    elif isinstance(symbols, list) and all(map(str.__instancecheck__, symbols)):
-        ring = intern_context(MultivariatePolyRing(base_desc, tuple(symbols)))
+    if "symbol" in data:
+        if not isinstance(data["symbol"], str):
+            raise SchemaError(f"{where}: symbol must be text, got {quote(data['symbol'])}")
+        ring = intern_context(UnivariatePolyRing(base, data["symbol"]))
+    elif isinstance(data["symbols"], list) and all(map(str.__instancecheck__, data["symbols"])):
+        ring = intern_context(MultivariatePolyRing(base, tuple(data["symbols"])))
     else:
-        raise SchemaError(f"{where}: ring symbols must be text")
+        raise SchemaError(f"{where}: symbols must be a list of text, got {quote(data['symbols'])}")
     if type_parts(ref["_type"]) != type_parts(_ring_type(ring, None)):
-        raise SchemaError(
-            f"{where}: the ref document of {quote(ring.descriptor)} has the wrong type"
-        )
+        raise SchemaError(f"{where}: the ref document of {quote(ring)} has the wrong type")
     return ring
 
 
 # ----------------------------------------------------------------------------
-# Element lists: one codec per ring descriptor type
+# Element lists: one codec per kind of ring
 # ----------------------------------------------------------------------------
 
 
@@ -293,12 +289,12 @@ class _ListCodec(NamedTuple):
     """How the elements of one kind of ring are written and read, a whole
     list at a time.
 
-    ``writers(desc, mode)`` gives two functions from an element of ``desc``
+    ``writers(ring, mode)`` gives two functions from an element of ``ring``
     to its data: a fast one, which may raise ValueError for a number past
-    the interpreter's digit limit, and one for any size.  ``decode(desc,
+    the interpreter's digit limit, and one for any size.  ``decode(ring,
     items, state)`` gives the values of a list in a few passes over its
     columns, or None when some item is not all canonical text; the list is
-    then read again item by item by ``decode_one(desc, item, state, where)``,
+    then read again item by item by ``decode_one(ring, item, state, where)``,
     which raises the SchemaError that locates a bad item at ``where`` (the
     same texts as reading item by item from the start).  A number past 4300
     digits also sends its list item by item.
@@ -309,77 +305,49 @@ class _ListCodec(NamedTuple):
     decode_one: Callable
 
 
-def _number_writers(desc, mode):
+def _number_writers(ring, mode):
     return str, fraction_to_text  # fraction_to_text also writes integers
 
 
-def _poly_writers(desc, mode):
+def _poly_writers(ring, mode):
     """The payload writers of a polynomial ring, the base ring's looked up
     once for a whole list."""
-    base = desc.base
+    base = ring.base
     fast, any_size = _list_codec(base, "encode").writers(base, mode)
-    dense = mode is Mode.IPC and isinstance(desc, UnivariatePolyRing)
+    dense = mode is Mode.IPC and isinstance(ring, UnivariatePolyRing)
     zero = coercer(base)(0) if dense else None  # only a dense payload writes zeros
     return (
-        partial(_poly_payload, desc, mode, str, fast, zero),
-        partial(_poly_payload, desc, mode, int_to_text, any_size, zero),
+        partial(_poly_payload, ring, mode, str, fast, zero),
+        partial(_poly_payload, ring, mode, int_to_text, any_size, zero),
     )
 
 
-_POLY_CODEC = _ListCodec(
-    _poly_writers,
-    lambda desc, items, state: _read_polys(intern_context(desc), items, state),
-    lambda desc, item, state, where: decode_polynomial(intern_context(desc), item, state, where),
-)
-_LIST_CODECS = {
-    IntegerRing: _ListCodec(
-        _number_writers,
-        lambda desc, items, state: read_integers(items),
-        lambda desc, item, state, where: int_from_text(item, where),
-    ),
-    RationalField: _ListCodec(
-        _number_writers,
-        lambda desc, items, state: read_rationals(items),
-        lambda desc, item, state, where: fraction_from_text(item, where),
-    ),
-    PrimeField: _ListCodec(
-        _number_writers,
-        lambda desc, items, state: read_residues(desc, items),
-        lambda desc, item, state, where: residue_from_text(desc, item, where),
-    ),
-    UnivariatePolyRing: _POLY_CODEC,
-    MultivariatePolyRing: _POLY_CODEC,
-}
-
-
-def _list_codec(desc: RingDescriptor, verb: str) -> _ListCodec:
-    codec = _LIST_CODECS.get(type(desc))
+def _list_codec(ring: RingDescriptor, verb: str) -> _ListCodec:
+    codec = _LIST_CODECS.get(type(ring))
     if codec is None:
-        raise UnsupportedTypeError(f"cannot {verb} coefficients of {desc!r}")
+        raise UnsupportedTypeError(f"cannot {verb} coefficients of {ring!r}")
     return codec
 
 
-def encode_elements(ring: ContextHandle, values, mode: Mode) -> list:
+def encode_elements(ring: RingDescriptor, values, mode: Mode) -> list:
     """The data of each element of ``ring`` in ``values``, written in
     ``mode`` by writers looked up once for the whole list."""
-    desc = ring.descriptor
-    fast, any_size = _list_codec(desc, "encode").writers(desc, mode)
+    fast, any_size = _list_codec(ring, "encode").writers(ring, mode)
     try:
         return list(map(fast, values))
     except ValueError:  # a number past the interpreter's digit limit
         return list(map(any_size, values))
 
 
-def decode_elements(ring: ContextHandle, payloads: list, state: DeserializerState, where: str):
+def decode_elements(ring: RingDescriptor, payloads: list, state: DeserializerState, where: str):
     """The elements of ``ring`` that the list ``payloads`` holds, read in
     ``state``'s mode: a list of polynomials as one set of columns.  A list
     that is not all canonical text is read again item by item, which
     reports a bad item at ``where/i``."""
-    desc = ring.descriptor
-    codec = _list_codec(desc, "decode")
-    values = codec.decode(desc, payloads, state)
+    codec = _list_codec(ring, "decode")
+    values = codec.decode(ring, payloads, state)
     if values is None:
-        values = [codec.decode_one(desc, x, state, f"{where}/{i}") for i, x in enumerate(payloads)]
+        values = [codec.decode_one(ring, x, state, f"{where}/{i}") for i, x in enumerate(payloads)]
     return values
 
 
@@ -396,8 +364,8 @@ def encode_polynomial(p: Polynomial, mode: Mode):
     return encode_elements(p.parent, (p,), mode)[0]
 
 
-def _poly_payload(desc, mode: Mode, write_int, write_coeff, zero, p: Polynomial):
-    if isinstance(desc, MultivariatePolyRing):
+def _poly_payload(ring, mode: Mode, write_int, write_coeff, zero, p: Polynomial):
+    if isinstance(ring, MultivariatePolyRing):
         return [[list(map(write_int, m)), write_coeff(c)] for m, c in p.terms]
     if mode is Mode.LONG_TERM:
         return [[write_int(d), write_coeff(c)] for (d,), c in reversed(p.terms)]
@@ -431,7 +399,7 @@ def _read_exponents(items: list):
     return values
 
 
-def _read_polys(ring: ContextHandle, payloads: list, state: DeserializerState):
+def _read_polys(ring: RingDescriptor, payloads: list, state: DeserializerState):
     """The polynomials of ``ring`` that ``payloads`` hold, read in
     ``state``'s mode a column at a time, or None unless every item is
     canonical text.
@@ -442,13 +410,12 @@ def _read_polys(ring: ContextHandle, payloads: list, state: DeserializerState):
     payload's dense padding) are dropped in one pass; a polynomial whose
     terms then stand in canonical order is built as it is, any other one by
     ``from_terms``, which sorts and adds up repeated monomials."""
-    desc = ring.descriptor
-    codec = _list_codec(desc.base, "decode")
+    codec = _list_codec(ring.base, "decode")
     if not set(map(type, payloads)) <= _LIST:
         return None
     lengths = list(map(len, payloads))
     flat = list(chain.from_iterable(payloads))
-    univariate = isinstance(desc, UnivariatePolyRing)
+    univariate = isinstance(ring, UnivariatePolyRing)
     if univariate and state.mode is Mode.IPC:
         exponents = list(chain.from_iterable(map(range, lengths)))
         items = flat
@@ -458,20 +425,20 @@ def _read_polys(ring: ContextHandle, payloads: list, state: DeserializerState):
         heads, items = (list(column) for column in zip(*flat)) if flat else ([], [])
         if univariate:
             exponents = _read_exponents(heads)
-        elif _all_lists(heads, len(desc.symbols)):
+        elif _all_lists(heads, len(ring.symbols)):
             exponents = _read_exponents(list(chain.from_iterable(heads)))
         else:
             return None
     if exponents is None:
         return None
-    coeffs = codec.decode(desc.base, items, state)
+    coeffs = codec.decode(ring.base, items, state)
     if coeffs is None:
         return None
     if univariate:
         monos = list(zip(exponents))
         keys = exponents
     else:
-        monos = list(zip(*[iter(exponents)] * len(desc.symbols)))
+        monos = list(zip(*[iter(exponents)] * len(ring.symbols)))
         keys = list(zip(map(sum, monos), monos))
     ends = list(accumulate(lengths, initial=0))
     keep = list(map(bool, coeffs))
@@ -494,7 +461,7 @@ def _read_polys(ring: ContextHandle, payloads: list, state: DeserializerState):
     return polys
 
 
-def decode_polynomial(ring: ContextHandle, data, state: DeserializerState, where: str):
+def decode_polynomial(ring: RingDescriptor, data, state: DeserializerState, where: str):
     """The polynomial of ``ring`` that the payload ``data`` holds, read in
     ``state``'s mode; a bad payload raises a SchemaError located at ``where``.
 
@@ -507,21 +474,42 @@ def decode_polynomial(ring: ContextHandle, data, state: DeserializerState, where
     polys = _read_polys(ring, [data], state)
     if polys is not None:
         return polys[0]
-    desc = ring.descriptor
-    codec = _list_codec(desc.base, "decode")
-    if isinstance(desc, UnivariatePolyRing) and state.mode is Mode.IPC:
-        coeffs = [codec.decode_one(desc.base, c, state, f"{where}/{i}") for i, c in enumerate(data)]
+    codec = _list_codec(ring.base, "decode")
+    if isinstance(ring, UnivariatePolyRing) and state.mode is Mode.IPC:
+        coeffs = [codec.decode_one(ring.base, c, state, f"{where}/{i}") for i, c in enumerate(data)]
         return Polynomial.from_terms(ring, [((d,), c) for d, c in enumerate(coeffs)])
-    return Polynomial.from_terms(ring, _terms_one_by_one(desc, codec, data, state, where))
+    return Polynomial.from_terms(ring, _terms_one_by_one(ring, codec, data, state, where))
 
 
-def _terms_one_by_one(desc, codec: _ListCodec, data: list, state: DeserializerState, where: str):
+_POLY_CODEC = _ListCodec(_poly_writers, _read_polys, decode_polynomial)
+_LIST_CODECS = {
+    IntegerRing: _ListCodec(
+        _number_writers,
+        lambda ring, items, state: read_integers(items),
+        lambda ring, item, state, where: int_from_text(item, where),
+    ),
+    RationalField: _ListCodec(
+        _number_writers,
+        lambda ring, items, state: read_rationals(items),
+        lambda ring, item, state, where: fraction_from_text(item, where),
+    ),
+    PrimeField: _ListCodec(
+        _number_writers,
+        lambda ring, items, state: read_residues(ring, items),
+        lambda ring, item, state, where: residue_from_text(ring, item, where),
+    ),
+    UnivariatePolyRing: _POLY_CODEC,
+    MultivariatePolyRing: _POLY_CODEC,
+}
+
+
+def _terms_one_by_one(ring, codec: _ListCodec, data: list, state: DeserializerState, where: str):
     """The terms of a long-term univariate or a multivariate payload, read
     one at a time so the first bad term raises its SchemaError."""
     terms = []
     for i, pair in enumerate(data):
         at = f"{where}/{i}"
-        if isinstance(desc, UnivariatePolyRing):
+        if isinstance(ring, UnivariatePolyRing):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise SchemaError(f"{at}: expected a [degree, coefficient] pair")
             degree = int_from_text(pair[0], at)
@@ -531,14 +519,14 @@ def _terms_one_by_one(desc, codec: _ListCodec, data: list, state: DeserializerSt
         else:
             if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], list):
                 raise SchemaError(f"{at}: expected an [exponents, coefficient] pair")
-            if len(pair[0]) != len(desc.symbols):
+            if len(pair[0]) != len(ring.symbols):
                 raise SchemaError(
-                    f"{at}: exponent vector has length {len(pair[0])}, ring has {len(desc.symbols)}"
+                    f"{at}: exponent vector has length {len(pair[0])}, ring has {len(ring.symbols)}"
                 )
             mono = tuple(int_from_text(e, at) for e in pair[0])
             if min(mono) < 0:
                 raise SchemaError(f"{at}: negative exponent")
-        terms.append((mono, codec.decode_one(desc.base, pair[1], state, at)))
+        terms.append((mono, codec.decode_one(ring.base, pair[1], state, at)))
     return terms
 
 
@@ -558,23 +546,23 @@ _poly_data = lambda p, state: encode_polynomial(p, state.mode)  # noqa: E731
 _matrix_type = lambda m, state: type_node("Matrix", _element_type(m.parent, state))  # noqa: E731
 
 
-def _value_ring(tn: TypeTree, state: DeserializerState, where: str) -> ContextHandle:
+def _value_ring(tn: TypeTree, state: DeserializerState, where: str) -> RingDescriptor:
     """The parent ring of an element type node outside a Matrix.  A residue
     of GF(p) loads as an int, which saves as a ZZRingElem, so GF(p) elements
     are read only as Matrix entries."""
     ring = _element_ring(tn, state, where)
-    if isinstance(ring.descriptor, PrimeField):
+    if isinstance(ring, PrimeField):
         raise SchemaError(f"{where}: GF(p) elements are stored only as Matrix entries")
     return ring
 
 
 def _decode_element(tn: TypeTree, data, state: DeserializerState):
     where = state.cursor()
-    desc = _value_ring(tn, state, where).descriptor
-    return _list_codec(desc, "decode").decode_one(desc, data, state, where)
+    ring = _value_ring(tn, state, where)
+    return _list_codec(ring, "decode").decode_one(ring, data, state, where)
 
 
-def _decode_ring(tn: TypeTree, data, state: DeserializerState) -> ContextHandle:
+def _decode_ring(tn: TypeTree, data, state: DeserializerState) -> RingDescriptor:
     where = state.cursor()
     if data != {}:
         raise SchemaError(f"{where}: a ring's payload must be {{}}")
@@ -679,7 +667,7 @@ register_codec(
     Polynomial, ("PolyRingElem", "MPolyRingElem"), _poly_type, _poly_data, _decode_element
 )
 register_codec(
-    ContextHandle,
+    RingDescriptor,
     ("ZZRing", "QQField", "PrimeField", "PolyRing", "MPolyRing"),
     _ring_type,
     lambda ring, state: {},

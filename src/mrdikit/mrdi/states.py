@@ -9,17 +9,17 @@ import threading
 import uuid as uuid_module
 from typing import Optional
 
-from ..algebra.rings import ContextHandle
+from ..algebra.rings import RingDescriptor
 from .document import Mode
 
 
 class GlobalSerializerState:
-    """Bidirectional binding between interned contexts and UUIDs.
+    """Bidirectional binding between rings and UUIDs.
 
-    A context keeps its first UUID for the state's lifetime.  Extra UUIDs
-    arriving from other processes for an already-bound context resolve to the
-    same handle but never displace the canonical binding, so saves stay
-    deterministic.
+    A ring keeps its first UUID for the state's lifetime.  Extra UUIDs
+    arriving from other processes for an already-bound ring resolve to the
+    same ring but never displace the canonical binding, so saves stay
+    deterministic.  Rings are looked up by value.
 
     ``uuid_seed`` makes UUID minting reproducible (still version-4 shaped);
     without it UUIDs are random.
@@ -27,8 +27,8 @@ class GlobalSerializerState:
 
     def __init__(self, uuid_seed: Optional[int] = None):
         self._lock = threading.Lock()
-        self._ctx_to_uuid: dict[ContextHandle, str] = {}
-        self._uuid_to_ctx: dict[str, ContextHandle] = {}
+        self._ctx_to_uuid: dict[RingDescriptor, str] = {}
+        self._uuid_to_ctx: dict[str, RingDescriptor] = {}
         self._rng = random.Random(uuid_seed) if uuid_seed is not None else None
 
     def _mint(self) -> str:
@@ -36,7 +36,7 @@ class GlobalSerializerState:
             return str(uuid_module.uuid4())
         return str(uuid_module.UUID(bytes=self._rng.randbytes(16), version=4))
 
-    def register_context(self, ctx: ContextHandle) -> str:
+    def register_context(self, ctx: RingDescriptor) -> str:
         """Idempotent: the first call mints a fresh UUID, later calls return it."""
         with self._lock:
             existing = self._ctx_to_uuid.get(ctx)
@@ -47,17 +47,17 @@ class GlobalSerializerState:
             self._uuid_to_ctx[minted] = ctx
             return minted
 
-    def bind(self, uuid_key: str, ctx: ContextHandle) -> None:
+    def bind(self, uuid_key: str, ctx: RingDescriptor) -> None:
         """Record that ``uuid_key`` names ``ctx`` (e.g. after loading a ref)."""
         with self._lock:
             self._uuid_to_ctx.setdefault(uuid_key, ctx)
             self._ctx_to_uuid.setdefault(ctx, uuid_key)
 
-    def uuid_for(self, ctx: ContextHandle) -> Optional[str]:
+    def uuid_for(self, ctx: RingDescriptor) -> Optional[str]:
         with self._lock:
             return self._ctx_to_uuid.get(ctx)
 
-    def resolve(self, uuid_key: str) -> Optional[ContextHandle]:
+    def resolve(self, uuid_key: str) -> Optional[RingDescriptor]:
         with self._lock:
             return self._uuid_to_ctx.get(uuid_key)
 

@@ -40,7 +40,7 @@ from ..algebra.multidegree import Multidegree, MonomialCodes
 # the kernel walks ``MonomialCodes`` directly.
 from ..algebra.multidegree import monomials_by_multidegree  # noqa: F401
 from ..algebra.polynomials import Monomial, Polynomial
-from ..algebra.rings import ContextHandle, MultivariatePolyRing, RationalField
+from ..algebra.rings import QQ, MultivariatePolyRing, RingDescriptor
 from ..errors import ContextMismatchError, SchemaError, ValidationError
 from ..mrdi.codec import (
     context_from_uuid,
@@ -58,20 +58,17 @@ class MonomialMap:
     """A ring map sending each source variable to one nonzero target term
     c·m.  The monomial m may be 1, as in x -> 2: a constant image."""
 
-    source: ContextHandle
-    target: ContextHandle
+    source: RingDescriptor
+    target: RingDescriptor
     images: tuple[Polynomial, ...]
 
     def __post_init__(self):
         for ring, name in ((self.source, "source"), (self.target, "target")):
-            desc = ring.descriptor
-            if not isinstance(desc, MultivariatePolyRing) or not isinstance(
-                desc.base, RationalField
-            ):
+            if not (isinstance(ring, MultivariatePolyRing) and ring.base == QQ):
                 raise ValidationError(f"{name} must be a multivariate ring over QQ")
         images = tuple(self.images)
         object.__setattr__(self, "images", images)
-        arity = len(self.source.descriptor.symbols)
+        arity = len(self.source.symbols)
         if len(images) != arity:
             raise ValidationError(
                 f"need {arity} images (one per source variable), got {len(images)}"

@@ -112,9 +112,9 @@ def test_criterion_3_encoding_equivalence():
             terms = []
             for _ in range(rng.randrange(8)):
                 degree = rng.randrange(10)
-                if ring.descriptor.base == QQ.descriptor:
+                if ring.base == QQ:
                     coeff = Fraction(rng.randint(-99, 99), rng.randint(1, 99))
-                elif ring.descriptor.base == ZZ.descriptor:
+                elif ring.base == ZZ:
                     coeff = rng.randint(-(10**12), 10**12)
                 else:
                     coeff = rng.randrange(65537)

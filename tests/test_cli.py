@@ -219,6 +219,41 @@ def test_a_longer_chain_of_rings_is_one_error_line(tmp_path, capsys, depth, top_
     assert capsys.readouterr() == (f"{error}\n", "")
 
 
+def golden_doc(name):
+    return json.loads((Path(__file__).parent / "golden" / f"{name}.mrdi").read_bytes())
+
+
+def assert_one_load_error(tmp_path, capsys, doc, error):
+    path = tmp_path / "edited.mrdi"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    assert cli.main(["validate", str(path)]) == 1
+    assert capsys.readouterr() == (f"{error}\n", "")
+    assert cli.main(["roundtrip", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("name", ["conic_map", "fig1_poly"])
+def test_an_mpoly_ring_ref_with_its_symbols_under_symbol_is_refused(tmp_path, capsys, name):
+    # Such a ref used to load as the MPolyRing and re-save under "symbols".
+    for uuid in golden_doc(name)["_refs"]:
+        doc = golden_doc(name)
+        fields = doc["_refs"][uuid]["data"]
+        fields["symbol"] = symbols = fields.pop("symbols")
+        error = f"_refs/{uuid}: symbol must be text, got {symbols!r}"
+        assert_one_load_error(tmp_path, capsys, doc, error)
+
+
+def test_a_poly_ring_ref_with_its_symbol_under_symbols_is_refused(tmp_path, capsys):
+    doc = golden_doc("matrix_zzt")
+    [(uuid, ref)] = doc["_refs"].items()
+    ref["data"]["symbols"] = [ref["data"].pop("symbol")]
+    error = (
+        f"_refs/{uuid}: the ref document of "
+        "MultivariatePolyRing(base=IntegerRing(), symbols=('t',)) has the wrong type"
+    )
+    assert_one_load_error(tmp_path, capsys, doc, error)
+
+
 # -- detcrt ----------------------------------------------------------------------
 
 

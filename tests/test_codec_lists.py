@@ -26,7 +26,7 @@ from mrdikit.algebra import (
     polynomial_ring,
     univariate_ring,
 )
-from mrdikit.algebra.rings import PrimeField, RationalField, UnivariatePolyRing
+from mrdikit.algebra.rings import MultivariatePolyRing, PrimeField, RationalField, UnivariatePolyRing
 from mrdikit.errors import MrdiKitError, SchemaError, ValidationError
 from mrdikit.mrdi import (
     DeserializerState,
@@ -486,13 +486,13 @@ def one_by_one(ring, payloads, mode):
 
 def oracle(ring, payload, mode):
     """A payload's polynomial by ``from_terms`` on the terms as written."""
-    if isinstance(ring.descriptor, UnivariatePolyRing) and mode is Mode.IPC:
+    if isinstance(ring, UnivariatePolyRing) and mode is Mode.IPC:
         terms = [((d,), c) for d, c in enumerate(payload)]
-    elif isinstance(ring.descriptor, UnivariatePolyRing):
+    elif isinstance(ring, UnivariatePolyRing):
         terms = [((int(d),), c) for d, c in payload]
     else:
         terms = [(tuple(map(int, m)), c) for m, c in payload]
-    number = Fraction if isinstance(ring.descriptor.base, RationalField) else int
+    number = Fraction if isinstance(ring.base, RationalField) else int
     return Polynomial.from_terms(ring, [(m, number(c)) for m, c in terms])
 
 
@@ -542,8 +542,8 @@ def test_ipc_matrix_with_trailing_and_all_zero_entries():
 
 
 def random_poly(rng, ring):
-    base = ring.descriptor.base
-    arity = 1 if isinstance(ring.descriptor, UnivariatePolyRing) else len(ring.descriptor.symbols)
+    base = ring.base
+    arity = 1 if isinstance(ring, UnivariatePolyRing) else len(ring.symbols)
 
     def coefficient():
         if isinstance(base, PrimeField):
@@ -618,7 +618,11 @@ def count_column_reads(monkeypatch):
         calls.append(len(payloads))
         return real(ring, payloads, state)
 
+    # A list reads through the list-codec table, a single payload through
+    # the module's name.
     monkeypatch.setattr(codec, "_read_polys", counted)
+    for kind in (UnivariatePolyRing, MultivariatePolyRing):
+        monkeypatch.setitem(codec._LIST_CODECS, kind, codec._POLY_CODEC._replace(decode=counted))
     return calls
 
 

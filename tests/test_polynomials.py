@@ -17,7 +17,7 @@ from mrdikit.errors import ContextMismatchError, ValidationError
 def random_poly(rng, ring, max_terms=6, max_exp=4, coeff_range=20, coefficient=None):
     """A random polynomial of ``ring``; ``coefficient(rng)`` draws a
     coefficient, an integer in [-coeff_range, coeff_range] by default."""
-    arity = len(ring.descriptor.symbols) if hasattr(ring.descriptor, "symbols") else 1
+    arity = len(ring.symbols) if hasattr(ring, "symbols") else 1
     terms = []
     for _ in range(rng.randrange(max_terms + 1)):
         mono = tuple(rng.randrange(max_exp + 1) for _ in range(arity))

@@ -13,6 +13,7 @@ from mrdikit.algebra import (
     polynomial_ring,
     univariate_ring,
 )
+from mrdikit.algebra.rings import MultivariatePolyRing, RationalField
 from mrdikit.errors import (
     ContextNotPreloadedError,
     DanglingReferenceError,
@@ -284,6 +285,18 @@ def test_context_dedup_one_ref_for_many_polys():
     values = [x**k for k in range(100)]
     doc, _ = longterm_save(values, gs)
     assert len(doc["_refs"]) == 1
+
+
+def test_a_vector_over_a_fresh_equal_ring_saves_as_over_the_interned_one():
+    # ``is`` between parents is only a fast path: equal rings are one ring.
+    R, (x, y) = polynomial_ring(QQ, "x", "y")
+    fresh = MultivariatePolyRing(RationalField(), ("x", "y"))
+    assert fresh is not R
+    values = [x**k - y for k in range(4)]
+    mixed = [Polynomial(fresh, p.terms) if k % 2 else p for k, p in enumerate(values)]
+    docs = [longterm_save(v, GlobalSerializerState(uuid_seed=5))[0] for v in (values, mixed)]
+    assert serialize_text(docs[1]) == serialize_text(docs[0])
+    assert len(docs[1]["_refs"]) == 1
 
 
 def test_shared_uuid_same_parent_identity():
